@@ -209,18 +209,6 @@ def multiplicity_at(curve: PlaneCurve, point: ProjPoint) -> int:
     return min(a + b + c for (a, b, c) in g.terms)
 
 
-def tangent_cone_at(curve: PlaneCurve, point: ProjPoint) -> Poly:
-    """Lowest-degree part of the local equation, written in the two chart
-    variables of the point (normalized)."""
-    g = germ_at(curve.poly, point)
-    m = min(a + b + c for (a, b, c) in g.terms)
-    if m == 0:
-        raise CurveError("point does not lie on the curve")
-    cone = g.homogeneous_part(m)
-    i, j = chart_of(point)
-    return normalized(cone.substitute((Poly.variable(i), Poly.variable(j), ONE)))
-
-
 def tangent_line_at(curve: PlaneCurve, point: ProjPoint) -> PlaneCurve:
     """The unique tangent line at a point whose tangent cone is a power of
     one line (smooth points and cusp-like points); errors otherwise."""
@@ -538,8 +526,9 @@ def _fulton(f: Poly, g: Poly) -> int:
             f, g = g, f
             a, b = b, a
             da, db = db, da
-        shift = Poly.monomial((db - da, 0, 0))
-        g = g * a[da] - f * b[db] * shift
+        # Rescaling by a nonzero rational keeps the local number; without
+        # normalizing, the coefficients grow with every reduction.
+        g = normalized(g - f * Poly.monomial((db - da, 0, 0), b[db] / a[da]))
 
 
 def _on_axis(p: Poly) -> list[Fraction]:

@@ -7,6 +7,7 @@ be shared freely.  The term order used for leading terms, canonical signs
 and printing is graded lexicographic with x > y > z.
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping
@@ -350,8 +351,24 @@ def proportional(p: Poly, q: Poly) -> bool:
     return p * q.lead_coeff() == q * p.lead_coeff()
 
 
+def _heap_key(e: Exponents) -> tuple[int, int, int]:
+    # Negated graded-lex key: heapq pops the graded-lex largest first.
+    return (-(e[0] + e[1] + e[2]), -e[0], -e[1])
+
+
 def exact_divide(p: Poly, q: Poly) -> Poly | None:
-    """Return r with q*r = p exactly, or None when q does not divide p."""
+    """Return r with q*r = p exactly, or None when q does not divide p.
+
+    Sparse division after Monagan and Pearce (JSC 2011).  The dividend's
+    terms are walked in descending graded-lex order; the terms each step
+    subtracts are kept apart, their exponents in a heap, so the leading
+    term of the remainder is the larger of the two heads.  Every term a
+    step subtracts lies below the current leading term, so one pass
+    suffices.  An exponent is pushed when it enters the subtracted terms;
+    a popped one that has cancelled since is skipped.  A one-term divisor
+    pushes nothing: the division is an exponent shift that stops at the
+    first term it does not divide.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
@@ -360,22 +377,43 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
         return p * (1 / q.constant_value())
     qe = q.lead_exponents()
     qc = q.terms[qe]
-    rem = dict(p.terms)
+    tail = [(e, k) for e, k in q.terms.items() if e != qe]
+    terms = p.sorted_terms()
+    n, i = len(terms), 0
+    sub: dict[Exponents, Fraction] = {}
+    heap: list[tuple[tuple[int, int, int], Exponents]] = []
     quot: dict[Exponents, Fraction] = {}
-    while rem:
-        e = max(rem, key=_grlex_key)
+    while i < n or heap:
+        if heap and (i == n or heap[0][0] <= _heap_key(terms[i][0])):
+            e = heapq.heappop(heap)[1]
+            lc = sub.pop(e, None)
+            if lc is None:
+                continue
+            if i < n and terms[i][0] == e:
+                lc += terms[i][1]
+                i += 1
+                if not lc:
+                    continue
+        else:
+            e, lc = terms[i]
+            i += 1
         if e[0] < qe[0] or e[1] < qe[1] or e[2] < qe[2]:
             return None
         me = (e[0] - qe[0], e[1] - qe[1], e[2] - qe[2])
-        mc = rem[e] / qc
+        mc = lc / qc
         quot[me] = mc
-        for (a, b, c), k in q.terms.items():
+        for (a, b, c), k in tail:
             t = (a + me[0], b + me[1], c + me[2])
-            s = rem.get(t, Fraction(0)) - k * mc
-            if s:
-                rem[t] = s
+            s = sub.get(t)
+            if s is None:
+                sub[t] = -k * mc
+                heapq.heappush(heap, (_heap_key(t), t))
             else:
-                rem.pop(t, None)
+                s -= k * mc
+                if s:
+                    sub[t] = s
+                else:
+                    del sub[t]
     out = Poly.__new__(Poly)
     out._terms = quot
     out._hash = None
@@ -589,8 +627,11 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
     """Sylvester resultant of p and q with respect to variable v.
 
     Sign convention: the determinant of the Sylvester matrix with the rows
-    of p first.  Large eliminations of bivariate or homogeneous inputs are
-    computed by evaluation and interpolation; small ones directly.
+    of p first.  Small eliminations (Sylvester size at most 8) are a
+    fraction-free determinant.  Larger ones of bivariate or homogeneous
+    inputs use Collins' modular method: images at integer points modulo
+    primes near 2**30, interpolation mod each prime and CRT up to a
+    certified coefficient bound, so the result is exact.
     """
     if p.is_zero() or q.is_zero():
         return Poly.zero()
@@ -614,39 +655,65 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
 
 
 def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Poly:
-    """Resultant in v of polynomials in {v, w}: evaluate w, interpolate."""
+    """Resultant in v of polynomials in {v, w} of positive v-degrees m, n,
+    as a polynomial in w of degree at most `bound` (by default the
+    Sylvester degree bound).
+
+    Collins' modular method.  With P = p/content(p) and Q = q/content(q)
+    integral, Res(p, q) = content(p)**n * content(q)**m * Res(P, Q).  For
+    each prime near 2**30 at which neither v-leading coefficient vanishes
+    identically, Res(P, Q) is evaluated at bound + 1 integer points w = t
+    where neither leading coefficient vanishes mod the prime (Euclid mod
+    p), and interpolated mod p.  The images are combined by CRT until the
+    modulus exceeds 2 * |P|**n * |Q|**m, where |.| is the sum of the
+    absolute values of the coefficients: expanding the Sylvester
+    determinant bounds every coefficient of Res(P, Q) by |P|**n * |Q|**m,
+    so the symmetric residues are the exact integers.
+    """
     from . import uniroots
 
     m, n = p.degree_in(v), q.degree_in(v)
     if bound is None:
         bound = n * max(p.degree_in(w), 0) + m * max(q.degree_in(w), 0)
-    pc = p.coeffs_wrt(v)
-    qc = q.coeffs_wrt(v)
+    cp, cq = content(p), content(q)
 
-    def coeff_list(cmap: dict[int, Poly], deg: int) -> list[list[Fraction]]:
-        return [to_univariate(cmap.get(k, Poly.zero()), w) for k in range(deg + 1)]
+    def int_coeffs(f: Poly, c: Fraction, d: int) -> list[list[int]]:
+        fc = (f * (1 / c)).coeffs_wrt(v)
+        return [
+            [a.numerator for a in to_univariate(fc.get(k, Poly.zero()), w)]
+            for k in range(d + 1)
+        ]
 
-    pl = coeff_list(pc, m)
-    ql = coeff_list(qc, n)
-    lead_p, lead_q = pl[m], ql[n]
-    xs: list[int] = []
-    ys: list[Fraction] = []
-    t = 0
-    while len(xs) <= bound:
-        for cand in ((t, -t) if t else (0,)):
-            if len(xs) > bound:
-                break
-            lp = uniroots.eval_uni(lead_p, Fraction(cand))
-            lq = uniroots.eval_uni(lead_q, Fraction(cand))
-            if lp == 0 or lq == 0:
-                continue
-            a = [uniroots.eval_uni(cs, Fraction(cand)) for cs in pl]
-            b = [uniroots.eval_uni(cs, Fraction(cand)) for cs in ql]
-            xs.append(cand)
-            ys.append(uniroots.resultant_q(a, b))
-        t += 1
-    coeffs = uniroots.newton_interpolate(xs, ys)
-    return from_univariate(coeffs, w)
+    def norm(rows: list[list[int]]) -> int:
+        return sum(abs(a) for cs in rows for a in cs)
+
+    pl, ql = int_coeffs(p, cp, m), int_coeffs(q, cq, n)
+    limit = 2 * norm(pl) ** n * norm(ql) ** m
+    residues = [0] * (bound + 1)
+    modulus = 1
+    for prime in uniroots.large_primes():
+        if modulus > limit:
+            break
+        pm = [[a % prime for a in cs] for cs in pl]
+        qm = [[a % prime for a in cs] for cs in ql]
+        if not any(pm[m]) or not any(qm[n]):
+            continue
+        xs: list[int] = []
+        ys: list[int] = []
+        t = 0
+        while len(xs) <= bound:
+            if uniroots.eval_uni_int(pm[m], t) % prime and uniroots.eval_uni_int(qm[n], t) % prime:
+                a = [uniroots.eval_uni_int(cs, t) for cs in pm]
+                b = [uniroots.eval_uni_int(cs, t) for cs in qm]
+                xs.append(t)
+                ys.append(uniroots.resultant_mod_p(a, b, prime))
+            t = -t if t > 0 else 1 - t
+        image = uniroots.interpolate_mod_p(xs, ys, prime)
+        residues = uniroots.crt_merge(residues, modulus, image, prime)
+        modulus *= prime
+    half = modulus // 2
+    scale = cp ** n * cq ** m
+    return from_univariate([(c - modulus if c > half else c) * scale for c in residues], w)
 
 
 def _resultant_homogeneous(p: Poly, q: Poly, v: int, wa: int, wb: int) -> Poly:

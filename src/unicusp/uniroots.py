@@ -5,7 +5,9 @@ root extraction avoids integer factorization entirely: roots are found
 modulo a prime, lifted quadratically, recognized by rational
 reconstruction and then verified exactly, so the answers are certificates
 rather than heuristics.  Gcds of integer polynomials run modulo several
-primes with an exact trial-division check at the end.
+primes with an exact trial-division check at the end.  The modular
+helpers (Euclid, resultant, interpolation, CRT) also serve the multivariate
+resultant in `poly`.
 """
 
 from fractions import Fraction
@@ -131,11 +133,10 @@ def _mod_rem(a: list[int], b: list[int], p: int) -> list[int]:
     r = list(a)
     db = deg(b)
     inv = pow(b[-1], -1, p)
-    while r and deg(r) >= db:
-        f = r[-1] * inv % p
-        k = deg(r) - db
-        for i in range(db + 1):
-            r[k + i] = (r[k + i] - f * b[i]) % p
+    while len(r) > db:
+        f = r.pop() * inv % p
+        k = len(r) - db
+        r[k:] = [(c - f * d) % p for c, d in zip(r[k:], b)]
         trim(r)
     return r
 
@@ -153,6 +154,77 @@ def _primes_from(start: int):
         if all(n % q for q in range(3, isqrt(n) + 1, 2)) and n % 2:
             yield n
         n += 2
+
+
+# Primes from 2**30 upward, found once per process and shared by the
+# modular gcd and resultant: trial division costs about a millisecond per
+# prime, and a resultant can need dozens of them.
+_LARGE_PRIMES: list[int] = []
+
+
+def large_primes():
+    """Primes from 2**30 upward, in increasing order (cached)."""
+    i = 0
+    while True:
+        if i == len(_LARGE_PRIMES):
+            start = _LARGE_PRIMES[-1] + 2 if _LARGE_PRIMES else 2 ** 30
+            _LARGE_PRIMES.append(next(_primes_from(start)))
+        yield _LARGE_PRIMES[i]
+        i += 1
+
+
+def resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
+    """Sylvester resultant (rows of a first) of a and b modulo p, by Euclid:
+    Res(a, b) = (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * Res(b, r)
+    with r = a mod b, as in resultant_q.
+
+    The degrees are taken from a and b after reduction mod p, so the caller
+    keeps both leading coefficients nonzero mod p when the formal degrees
+    matter.
+    """
+    a, b = _mod_reduce(a, p), _mod_reduce(b, p)
+    if not a or not b:
+        return 0
+    acc = 1
+    while len(b) > 1:
+        r = _mod_rem(a, b, p)
+        if not r:
+            return 0
+        if deg(a) * deg(b) % 2:
+            acc = -acc
+        acc = acc * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return acc * pow(b[0], deg(a), p) % p
+
+
+def interpolate_mod_p(xs: list[int], ys: list[int], p: int) -> list[int]:
+    """Coefficients (low to high, length len(xs)) of the polynomial of
+    degree below len(xs) through the points (xs[i], ys[i]) modulo p; the
+    xs must be distinct mod p."""
+    n = len(xs)
+    inv: dict[int, int] = {}
+    coef = [y % p for y in ys]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            d = xs[i] - xs[i - j]
+            if d not in inv:
+                inv[d] = pow(d, -1, p)
+            coef[i] = (coef[i] - coef[i - 1]) * inv[d] % p
+    poly = [0] * n
+    for i in range(n - 1, -1, -1):
+        # poly <- poly * (x - xs[i]) + coef[i]; its degree stays below n - i.
+        root = xs[i]
+        for k in range(n - 1 - i, 0, -1):
+            poly[k] = (poly[k - 1] - root * poly[k]) % p
+        poly[0] = (coef[i] - root * poly[0]) % p
+    return poly
+
+
+def crt_merge(residues: list[int], modulus: int, new: list[int], p: int) -> list[int]:
+    """Combine residues mod `modulus` with residues mod a prime p coprime
+    to it, entry by entry, into residues mod modulus*p (in [0, modulus*p))."""
+    inv = pow(modulus, -1, p)
+    return [old + modulus * ((c - old) * inv % p) for old, c in zip(residues, new)]
 
 
 # -- gcd in Q[x] via modular images ---------------------------------------
@@ -174,7 +246,7 @@ def gcd_int(a: list[int], b: list[int]) -> list[int]:
     residues: list[int] = []
     modulus = 1
     tried = 0
-    for p in _primes_from(2 ** 29):
+    for p in large_primes():
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
         tried += 1
@@ -188,12 +260,7 @@ def gcd_int(a: list[int], b: list[int]) -> list[int]:
         if best_deg is None or d < best_deg:
             best_deg, residues, modulus = d, scaled, p
         elif d == best_deg:
-            merged = []
-            inv = pow(modulus, -1, p)
-            for c_old, c_new in zip(residues, scaled):
-                t = (c_new - c_old) * inv % p
-                merged.append(c_old + modulus * t)
-            residues, modulus = merged, modulus * p
+            residues, modulus = crt_merge(residues, modulus, scaled, p), modulus * p
         else:
             continue
         half = modulus // 2
@@ -201,15 +268,6 @@ def gcd_int(a: list[int], b: list[int]) -> list[int]:
         if divide_exact_int(a, cand) is not None and divide_exact_int(b, cand) is not None:
             return cand
     raise ArithmeticError("modular gcd failed to stabilize")
-
-
-def gcd_q(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd in Q[x]."""
-    g = gcd_int(clear_denominators(a), clear_denominators(b))
-    if not g:
-        return []
-    lc = Fraction(g[-1])
-    return [Fraction(c) / lc for c in g]
 
 
 def squarefree_part_int(a: list[int]) -> list[int]:
@@ -313,10 +371,6 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
         if mult:
             roots[root] = roots.get(root, 0) + mult
     return roots, primitive_int(leftover or [1])
-
-
-def rational_roots_q(a: list[Fraction]) -> tuple[dict[Fraction, int], list[int]]:
-    return rational_roots_int(clear_denominators(a))
 
 
 # -- exact resultants and interpolation ------------------------------------

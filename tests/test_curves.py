@@ -15,7 +15,8 @@ from unicusp.curves import (
     repeated_factor,
     tangent_line_at,
 )
-from unicusp.poly import Poly, X, Y, Z, proportional
+from unicusp.corpus import DEFAULT_PARAMS, curve_by_name
+from unicusp.poly import Poly, X, Y, Z, poly_to_text, proportional
 
 F = Fraction
 CONIC = make_curve(X * Z - Y**2)
@@ -157,6 +158,28 @@ def test_intersection_cycle_irrational_residual():
     located = sum(m for _, m in cyc.points)
     assert located + cyc.residual == cyc.bezout == 3
     assert cyc.residual == 2  # the two sqrt(2) points
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
+def test_high_contact_cycle_image_quintic_rational_quintic(ps):
+    import sympy
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    left, right = curve_by_name("image-quintic", ps), curve_by_name("rational-quintic", ps)
+    cyc = intersection_cycle(left, right)
+    assert cyc.points == [(ProjPoint.of(0, 0, 1), 22)]
+    assert (cyc.residual, cyc.bezout) == (3, 25)
+    # Independent check: (0 : 0 : 1) is the only common point on the line
+    # x = 0 and (0 : 1 : 0) is not common, so the local number there is the
+    # order of x = 0 in Res_y(f(x, y, 1), g(x, y, 1)).
+    x, y, z = sympy.symbols("x y z")
+    f, g = left.poly, right.poly
+    fs, gs = (sympy.sympify(poly_to_text(h).replace("^", "**")).subs(z, 1) for h in (f, g))
+    assert sympy.gcd(fs.subs(x, 0), gs.subs(x, 0)) == y**4
+    assert f.evaluate((0, 1, 0)) != 0 or g.evaluate((0, 1, 0)) != 0
+    dm = sylvester(fs, gs, y).to_DM()
+    res = sympy.Poly(dm.domain.to_sympy(dm.det()), x)
+    assert min(e for (e,) in res.monoms()) == 22
 
 
 def test_cycle_respects_bezout_on_cubics():

@@ -194,6 +194,10 @@ def test_divide_mul_round_trip_randomized():
         if q.is_zero():
             continue
         assert exact_divide(p * q, q) == p
+        if len(q.terms) > 1:
+            # A monomial is divisible only by monomials.
+            mono = Poly.monomial((rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)), 5)
+            assert exact_divide(p * q + mono, q) is None
         checked += 1
 
 
@@ -207,3 +211,106 @@ def test_gcd_divides_both_randomized():
         g = gcd(p, q)
         assert exact_divide(p, g) is not None
         assert exact_divide(q, g) is not None
+
+
+# -- differential tests of the division and resultant kernels -------------
+
+
+def test_exact_divide_monomial_divisor_randomized():
+    rng = random.Random(31)
+    for _ in range(200):
+        r = _random_poly(rng)
+        e = (rng.randint(0, 3), rng.randint(0, 3), rng.randint(1, 3))
+        mono = Poly.monomial(e, Fraction(rng.choice([-1, 1]) * rng.randint(2, 9), rng.randint(1, 5)))
+        assert exact_divide(r * mono, mono) == r
+        # One term that the monomial does not divide makes the division fail.
+        stray = (rng.randint(0, 4), rng.randint(0, 4), e[2] - 1)
+        assert exact_divide(r * mono + Poly.monomial(stray, 3), mono) is None
+
+
+def test_exact_divide_cancelled_term_reappears():
+    # Dividing q*r by q cancels the remainder's y^3*z at one step and
+    # creates it again at a later one, below the leading term.
+    q = -(X**2) - X * Y - Y * Z
+    r = X**2 + Y**2 - Y * Z
+    assert exact_divide(q * r, q) == r
+    assert exact_divide(q * r + Y**3 * Z, q) is None
+
+
+def _random_bivariate(rng, dx, dy, terms):
+    return Poly(
+        {
+            (rng.randint(0, dx), rng.randint(0, dy), 0): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(terms)
+        }
+    )
+
+
+def _random_form(rng, d, terms):
+    out = {}
+    for _ in range(terms):
+        a = rng.randint(0, d)
+        b = rng.randint(0, d - a)
+        out[(a, b, d - a - b)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return Poly(out)
+
+
+def _sympy_sylvester_det(p, q, v):
+    """Sylvester determinant (rows of p first) computed by sympy.
+
+    sympy.resultant is not the oracle: when deg p < deg q it returns
+    Res(q, p), whose sign can differ.
+    """
+    import sympy
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    f, g = (sympy.sympify(poly_to_text(t).replace("^", "**")) for t in (p, q))
+    dm = sylvester(f, g, sympy.symbols("x y z")[v]).to_DM()
+    return dm.domain.to_sympy(dm.det())
+
+
+def _assert_resultant_agrees(p, q, v):
+    import sympy
+
+    from unicusp.poly import _bareiss_det, _sylvester
+
+    # Sylvester size above 8: the modular path runs.
+    assert p.degree_in(v) + q.degree_in(v) > 8
+    r = resultant_wrt(p, q, v)
+    assert r == _bareiss_det(_sylvester(p, q, v))
+    diff = _sympy_sylvester_det(p, q, v) - sympy.sympify(poly_to_text(r).replace("^", "**"))
+    assert sympy.expand(diff) == 0
+
+
+def test_resultant_wrt_bivariate_matches_sylvester_determinant():
+    rng = random.Random(2011)
+    checked = 0
+    while checked < 4:
+        p, q = _random_bivariate(rng, 3, 5, 6), _random_bivariate(rng, 3, 5, 6)
+        if p.degree_in(1) + q.degree_in(1) <= 8 or p.degree_in(0) + q.degree_in(0) == 0:
+            continue
+        _assert_resultant_agrees(p, q, 1)
+        checked += 1
+
+
+def test_resultant_wrt_homogeneous_matches_sylvester_determinant():
+    rng = random.Random(1971)
+    checked = 0
+    while checked < 3:
+        p, q = _random_form(rng, rng.randint(4, 6), 7), _random_form(rng, rng.randint(4, 6), 7)
+        if p.degree_in(1) + q.degree_in(1) <= 8:
+            continue
+        _assert_resultant_agrees(p, q, 1)
+        checked += 1
+
+
+def test_resultant_wrt_skips_bad_primes_and_points():
+    from unicusp import uniroots
+
+    first = next(uniroots.large_primes())
+    # p's y-leading coefficient is 0 mod the first prime, so that prime is
+    # skipped; the leading coefficients vanish at x = 0, -1, -2, so those
+    # evaluation points are skipped.
+    p = first * Y**5 * X**2 + X * (X - 1) * Y**4 + 3 * Y + X - 2
+    q = (X + 2) * (X + 1) * Y**5 - Y**3 + Fraction(1, 7) * X**3 * Y + 1
+    _assert_resultant_agrees(p, q, 1)
