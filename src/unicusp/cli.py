@@ -416,7 +416,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a reader that has gone away is seen in this try.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
+        # so the flush at interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

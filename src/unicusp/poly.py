@@ -23,6 +23,62 @@ def _grlex_key(e: Exponents) -> tuple[int, int, int]:
     return (e[0] + e[1] + e[2], e[0], e[1])
 
 
+IntTerms = dict[Exponents, int]
+
+_ORIGIN: Exponents = (0, 0, 0)
+
+
+def _cleared(p: "Poly") -> tuple[IntTerms, int]:
+    """(psi, L) with L the least common denominator of p and psi = L*p."""
+    ell = content(p).denominator
+    return {e: c.numerator * (ell // c.denominator) for e, c in p.terms.items()}, ell
+
+
+def _int_mul(p: IntTerms, q: IntTerms) -> IntTerms:
+    """Product of two integer term maps.
+
+    The shorter factor drives the outer loop.  Zero coefficients are kept;
+    Poly.substitute drops them once, from its result.
+    """
+    if len(p) < len(q):
+        p, q = q, p
+    out: IntTerms = {}
+    get = out.get
+    for (a2, b2, c2), k2 in q.items():
+        for (a1, b1, c1), k1 in p.items():
+            e = (a1 + a2, b1 + b2, c1 + c2)
+            out[e] = get(e, 0) + k1 * k2
+    return out
+
+
+def _horner(nested: dict, tables: list[list[IntTerms]]) -> IntTerms:
+    """Sum of c_d * t^d over nested = {d: c_d}, by sparse Horner.
+
+    tables[0] = [t^0, t^1, ...] is extended as needed and shared between
+    calls.  Each c_d is nested[d] evaluated by the remaining tables, or
+    the integer nested[d] when none remain; it is made when Horner reaches
+    degree d, so one coefficient per level is alive at a time.
+    """
+    powers, inner = tables[0], tables[1:]
+    degs = sorted(nested, reverse=True)
+    acc = _coefficient(nested[degs[0]], inner)
+    for hi, lo in zip(degs, degs[1:] + [0]):
+        if hi == lo:  # the constant coefficient is already in
+            break
+        while len(powers) <= hi - lo:
+            powers.append(_int_mul(powers[-1], powers[1]))
+        acc = _int_mul(acc, powers[hi - lo])
+        if lo in nested:
+            for e, k in _coefficient(nested[lo], inner).items():
+                acc[e] = acc.get(e, 0) + k
+    return acc
+
+
+def _coefficient(c, tables: list[list[IntTerms]]) -> IntTerms:
+    """One coefficient of a _horner level: a nested map, or an integer."""
+    return _horner(c, tables) if tables else {_ORIGIN: c}
+
+
 class Poly:
     """Sparse exact polynomial in Q[x, y, z]."""
 
@@ -222,16 +278,40 @@ class Poly:
         return p
 
     def substitute(self, images: "tuple[Poly, Poly, Poly]") -> "Poly":
-        """Evaluate at a triple of polynomials (ring homomorphism)."""
-        pows: list[list[Poly]] = [[Poly.const(1)], [Poly.const(1)], [Poly.const(1)]]
-        for i in range(3):
+        """Evaluate at a triple of polynomials (ring homomorphism).
+
+        Integer sparse Horner.  Each image is psi_i / L_i with psi_i
+        integral; with D the common denominator of self and A, B, C its
+        degrees, the term k*x^a*y^b*z^c becomes the integer
+        k*D*L_0^(A-a)*L_1^(B-b)*L_2^(C-c).  That integer polynomial is
+        evaluated by sparse Horner nested three deep, one variable per
+        level, and the result is divided by D*L_0^A*L_1^B*L_2^C once per
+        term.  Each present degree costs a pass over the accumulator, which
+        is largest at the outer level, so the variable with the most
+        distinct exponents in self is innermost and the one with the fewest
+        outermost.
+        """
+        if not self._terms:
+            return Poly.zero()
+        cleared = [_cleared(g) for g in images]
+        common = content(self).denominator
+        scale = []
+        for i, (_, ell) in enumerate(cleared):
             d = self.degree_in(i)
-            for _ in range(d):
-                pows[i].append(pows[i][-1] * images[i])
-        acc = Poly.zero()
-        for (a, b, c), k in self._terms.items():
-            acc = acc + pows[0][a] * pows[1][b] * pows[2][c] * k
-        return acc
+            scale.append([ell ** (d - j) for j in range(d + 1)])
+        spread = [len({e[i] for e in self._terms}) for i in range(3)]
+        inner, middle, outer = sorted(range(3), key=spread.__getitem__, reverse=True)
+        nested: dict[int, dict[int, dict[int, int]]] = {}
+        for e, k in self._terms.items():
+            v = k.numerator * (common // k.denominator) * scale[0][e[0]] * scale[1][e[1]] * scale[2][e[2]]
+            nested.setdefault(e[outer], {}).setdefault(e[middle], {})[e[inner]] = v
+        powers = [[{_ORIGIN: 1}, psi] for psi, _ in cleared]
+        acc = _horner(nested, [powers[outer], powers[middle], powers[inner]])
+        den = common * scale[0][0] * scale[1][0] * scale[2][0]
+        p = Poly.__new__(Poly)
+        p._terms = {e: Fraction(v, den) for e, v in acc.items() if v}
+        p._hash = None
+        return p
 
     def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
         xs = [Fraction(v) for v in point]

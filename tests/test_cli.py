@@ -364,12 +364,13 @@ def test_verify_corpus_builtin_full_run(capsys):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_module(*argv):
+def _run_module(*argv, stdout=subprocess.PIPE):
     """Run ``python -m unicusp ARGV`` in a fresh interpreter on this tree."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, "-m", "unicusp", *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
         env=env,
@@ -391,3 +392,16 @@ def test_console_script_runs():
     proc = _run_module("analyze", "x +")
     assert proc.returncode == 2
     assert "cannot parse" in proc.stderr
+
+
+def test_closed_stdout_exits_without_traceback():
+    # As in `unicusp analyze ... --json | head -c 10`: the reader is gone
+    # before the document is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module("analyze", "x*z - y^2", "--json", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr

@@ -191,10 +191,12 @@ def test_contact_cubic_round_trip(a, b, c):
     assert proportional(back.poly, contact_cubic(a, b).poly)
 
 
-def test_mirror_cubic_round_trip():
-    # only at the default parameters: the backward pullback has degree 75
-    # and takes several seconds for nonzero c
-    a, b, c = 1, 1, 0
+@pytest.mark.parametrize(
+    "a,b,c", PARAMS + [pytest.param(Fraction(-2, 3), 3, Fraction(-1, 3), id="-2/3-3--1/3")]
+)
+def test_mirror_cubic_round_trip(a, b, c):
+    # the backward pullback has degree 75; the rational point gives the
+    # involution and the image non-integral coefficients
     h = quintic_involution(c)
     conic = make_curve(base_conic())
     image = strict_transform(h, mirror_cubic(a, b), [conic])

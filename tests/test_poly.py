@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -235,6 +236,64 @@ def test_exact_divide_cancelled_term_reappears():
     r = X**2 + Y**2 - Y * Z
     assert exact_divide(q * r, q) == r
     assert exact_divide(q * r + Y**3 * Z, q) is None
+
+
+def _random_image(rng):
+    kind = rng.choice(["zero", "constant", "monomial", "integral", "rational"])
+    if kind == "zero":
+        return Poly.zero()
+    if kind == "constant":
+        return Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    if kind == "monomial":
+        e = (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+        return Poly.monomial(e, Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)))
+    p = _random_poly(rng, max_degree=2, terms=4)
+    return p * content(p).denominator if kind == "integral" else p
+
+
+def _to_sympy(p, gens):
+    import sympy
+
+    x, y, z = gens
+    return sympy.Add(
+        *(sympy.Rational(k.numerator, k.denominator) * x**a * y**b * z**c for (a, b, c), k in p.terms.items())
+    )
+
+
+def _sympy_substitute(f, images):
+    """The terms of f(images) as expanded by sympy, with exact coefficients."""
+    import sympy
+
+    gens = sympy.symbols("x y z")
+    subs = {g: _to_sympy(img, gens) for g, img in zip(gens, images)}
+    expanded = sympy.expand(_to_sympy(f, gens).subs(subs, simultaneous=True))
+    # The zero polynomial has the one term ((0, 0, 0), 0) in sympy.
+    return {e: Fraction(int(k.p), int(k.q)) for e, k in sympy.Poly(expanded, *gens).terms() if k}
+
+
+def test_substitute_matches_sympy_expansion():
+    rng = random.Random(1869)
+    cases = [(Poly.zero(), (X + Y, Fraction(1, 2) * Z, X)), (Poly.const(Fraction(-3, 4)), (Y, Z, X))]
+    for _ in range(60):
+        f = _random_poly(rng)
+        cases.append((f, tuple(_random_image(rng) for _ in range(3))))
+    assert any(not f.is_homogeneous() for f, _ in cases)
+    for f, images in cases:
+        assert f.substitute(images).terms == _sympy_substitute(f, images)
+
+
+def test_substitute_creates_no_reference_cycles():
+    # Temporary tables must be freed by reference counting alone: a cycle
+    # keeps them alive until the cyclic collector runs.
+    f = X**3 * Y - Fraction(2, 3) * Y**2 * Z**2 + X * Z**4 + 1
+    images = (X + Fraction(1, 2) * Y, Y * Z, Z**2 - X)
+    gc.collect()
+    gc.disable()
+    try:
+        f.substitute(images)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _random_bivariate(rng, dx, dy, terms):
