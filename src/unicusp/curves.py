@@ -12,6 +12,7 @@ silently dropped.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _int_gcd
 
 from . import uniroots
 from .poly import (
@@ -19,6 +20,7 @@ from .poly import (
     Poly,
     X,
     Y,
+    content,
     exact_divide,
     gcd,
     normalized,
@@ -497,48 +499,74 @@ def intersection_multiplicity(c1: PlaneCurve, c2: PlaneCurve, point: ProjPoint) 
 
 def _fulton(f: Poly, g: Poly) -> int:
     """Local intersection number at the origin of two coprime bivariate
-    germs, by the classical reduction: trade y-divisible parts for orders
-    along y = 0 and shrink degrees with exact row reductions."""
+    germs, by the classical reduction (Fulton, Algebraic Curves, 3.3):
+    trade y-divisible parts for orders along y = 0 and shrink degrees with
+    row reductions.
+
+    A nonzero scalar factor does not change the local number, so the
+    reduction runs on primitive integer term maps {(i, j): c} for c*x^i*y^j.
+    With the germs ordered so that f(x, 0) has the lower degree, s the
+    difference of the degrees, A and B the leading coefficients of f(x, 0)
+    and g(x, 0) and h = gcd(A, B), each row step is
+    g <- (A/h)*g - (B/h)*x^s*f, followed by dividing out the content of g,
+    so coefficients do not grow from step to step.  Dividing by y is an
+    exponent shift.
+    """
+    f, g = _primitive_germ(f), _primitive_germ(g)
     total = 0
     while True:
-        if f.terms.get((0, 0, 0)) or g.terms.get((0, 0, 0)):
+        if (0, 0) in f or (0, 0) in g:
             return total
-        if f.is_zero() or g.is_zero():
+        if not f or not g:
             raise CurveError("intersection number with a zero germ")
-        a = _on_axis(f)
-        b = _on_axis(g)
-        if not a and not b:
+        a, b = _axis_degrees(f), _axis_degrees(g)
+        if a is None and b is None:
             raise CurveError("germs share the component y = 0")
-        if not a:
-            q = exact_divide(f, Y)
-            assert q is not None
-            f = q
-            total += min(e[0] for e in g.terms if e[1] == 0)
+        if a is None:
+            f = {(i, j - 1): c for (i, j), c in f.items()}
+            total += b[0]
             continue
-        if not b:
-            q = exact_divide(g, Y)
-            assert q is not None
-            g = q
-            total += min(e[0] for e in f.terms if e[1] == 0)
+        if b is None:
+            g = {(i, j - 1): c for (i, j), c in g.items()}
+            total += a[0]
             continue
-        da, db = uniroots.deg(a), uniroots.deg(b)
-        if da > db:
-            f, g = g, f
-            a, b = b, a
-            da, db = db, da
-        # Rescaling by a nonzero rational keeps the local number; without
-        # normalizing, the coefficients grow with every reduction.
-        g = normalized(g - f * Poly.monomial((db - da, 0, 0), b[db] / a[da]))
+        if a[1] > b[1]:
+            f, g, a, b = g, f, b, a
+        lead_f, lead_g = f[(a[1], 0)], g[(b[1], 0)]
+        h = _int_gcd(lead_f, lead_g)
+        g = _row_step(g, lead_f // h, f, lead_g // h, b[1] - a[1])
 
 
-def _on_axis(p: Poly) -> list[Fraction]:
-    """Coefficient list of p(x, 0)."""
-    d = p.degree_in(0)
-    out = [Fraction(0)] * (d + 1)
-    for (a, b, _), c in p.terms.items():
-        if b == 0:
-            out[a] += c
-    return uniroots.trim(out)
+def _primitive_germ(p: Poly) -> dict[tuple[int, int], int]:
+    """p/content(p) as an integer term map {(i, j): c}; slot 2 is unused."""
+    cont = content(p)
+    return {(i, j): (c / cont).numerator for (i, j, _), c in p.terms.items()}
+
+
+def _axis_degrees(p: dict[tuple[int, int], int]) -> tuple[int, int] | None:
+    """Lowest and highest degree of p(x, 0), or None when y divides p."""
+    degs = [i for (i, j) in p if j == 0]
+    return (min(degs), max(degs)) if degs else None
+
+
+def _row_step(
+    g: dict[tuple[int, int], int], kg: int, f: dict[tuple[int, int], int], kf: int, s: int
+) -> dict[tuple[int, int], int]:
+    """Primitive part of kg*g - kf*x^s*f (the empty map when it is zero)."""
+    out = {e: kg * c for e, c in g.items()}
+    for (i, j), c in f.items():
+        e = (i + s, j)
+        v = out.get(e, 0) - kf * c
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    cont = 0
+    for c in out.values():
+        cont = _int_gcd(cont, c)
+        if cont == 1:
+            return out
+    return {e: c // cont for e, c in out.items()}
 
 
 @dataclass

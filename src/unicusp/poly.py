@@ -710,8 +710,8 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
     of p first.  Small eliminations (Sylvester size at most 8) are a
     fraction-free determinant.  Larger ones of bivariate or homogeneous
     inputs use Collins' modular method: images at integer points modulo
-    primes near 2**30, interpolation mod each prime and CRT up to a
-    certified coefficient bound, so the result is exact.
+    primes near 2**30, combined by CRT up to a certified coefficient bound
+    and interpolated once, so the result is exact.
     """
     if p.is_zero() or q.is_zero():
         return Poly.zero()
@@ -739,16 +739,27 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
     as a polynomial in w of degree at most `bound` (by default the
     Sylvester degree bound).
 
-    Collins' modular method.  With P = p/content(p) and Q = q/content(q)
-    integral, Res(p, q) = content(p)**n * content(q)**m * Res(P, Q).  For
-    each prime near 2**30 at which neither v-leading coefficient vanishes
-    identically, Res(P, Q) is evaluated at bound + 1 integer points w = t
-    where neither leading coefficient vanishes mod the prime (Euclid mod
-    p), and interpolated mod p.  The images are combined by CRT until the
-    modulus exceeds 2 * |P|**n * |Q|**m, where |.| is the sum of the
-    absolute values of the coefficients: expanding the Sylvester
-    determinant bounds every coefficient of Res(P, Q) by |P|**n * |Q|**m,
-    so the symmetric residues are the exact integers.
+    Collins' modular method with one interpolation.  With P = p/content(p)
+    and Q = q/content(q) integral, Res(p, q) = content(p)**n *
+    content(q)**m * Res(P, Q).  The bound + 1 evaluation points are the
+    first integers t in 0, 1, -1, 2, -2, ... at which neither v-leading
+    coefficient of P, Q vanishes, and every v-coefficient of P and Q is
+    evaluated once at each.  Each prime near 2**30 that divides none of the
+    leading-coefficient values gives Res(P, Q)(t) mod the prime at every
+    point (Euclid mod p, with the formal degrees kept); the value vectors
+    are combined by CRT, and one interpolation modulo the product of the
+    primes recovers the coefficients.  The points differ by far less than
+    2**30, so their differences are units modulo that product.
+
+    The primes stop once modulus**2 > 4 * (sum_k |P_k|**2)**n *
+    (sum_k |Q_k|**2)**m, where P_k, Q_k are the v-coefficients and |.| is
+    the sum of the absolute values of the coefficients (Goldstein and
+    Graham's bound).  On |w| = 1 each Sylvester row of P has Euclidean norm
+    at most sqrt(sum_k |P_k|**2), and likewise for Q, so Hadamard's
+    inequality bounds |Res(P, Q)(w)|**2 by the right-hand side over 4.
+    By Parseval the sum of the squared coefficients of Res(P, Q) is the
+    mean of |Res(P, Q)(w)|**2 over the unit circle, so every coefficient
+    is below half the modulus and the symmetric residues are exact.
     """
     from . import uniroots
 
@@ -764,36 +775,37 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
             for k in range(d + 1)
         ]
 
-    def norm(rows: list[list[int]]) -> int:
-        return sum(abs(a) for cs in rows for a in cs)
+    def square_norm(rows: list[list[int]]) -> int:
+        return sum(sum(abs(a) for a in cs) ** 2 for cs in rows)
 
     pl, ql = int_coeffs(p, cp, m), int_coeffs(q, cq, n)
-    limit = 2 * norm(pl) ** n * norm(ql) ** m
+    limit = 4 * square_norm(pl) ** n * square_norm(ql) ** m
+    xs: list[int] = []
+    values: list[tuple[list[int], list[int]]] = []
+    t = 0
+    while len(xs) <= bound:
+        lp, lq = uniroots.eval_uni_int(pl[m], t), uniroots.eval_uni_int(ql[n], t)
+        if lp and lq:
+            xs.append(t)
+            values.append((
+                [uniroots.eval_uni_int(cs, t) for cs in pl[:m]] + [lp],
+                [uniroots.eval_uni_int(cs, t) for cs in ql[:n]] + [lq],
+            ))
+        t = -t if t > 0 else 1 - t
     residues = [0] * (bound + 1)
     modulus = 1
     for prime in uniroots.large_primes():
-        if modulus > limit:
+        if modulus * modulus > limit:
             break
-        pm = [[a % prime for a in cs] for cs in pl]
-        qm = [[a % prime for a in cs] for cs in ql]
-        if not any(pm[m]) or not any(qm[n]):
+        if any(a[m] % prime == 0 or b[n] % prime == 0 for a, b in values):
             continue
-        xs: list[int] = []
-        ys: list[int] = []
-        t = 0
-        while len(xs) <= bound:
-            if uniroots.eval_uni_int(pm[m], t) % prime and uniroots.eval_uni_int(qm[n], t) % prime:
-                a = [uniroots.eval_uni_int(cs, t) for cs in pm]
-                b = [uniroots.eval_uni_int(cs, t) for cs in qm]
-                xs.append(t)
-                ys.append(uniroots.resultant_mod_p(a, b, prime))
-            t = -t if t > 0 else 1 - t
-        image = uniroots.interpolate_mod_p(xs, ys, prime)
+        image = [uniroots.resultant_mod_p(a, b, prime) for a, b in values]
         residues = uniroots.crt_merge(residues, modulus, image, prime)
         modulus *= prime
+    coeffs = uniroots.interpolate_mod_p(xs, residues, modulus)
     half = modulus // 2
     scale = cp ** n * cq ** m
-    return from_univariate([(c - modulus if c > half else c) * scale for c in residues], w)
+    return from_univariate([(c - modulus if c > half else c) * scale for c in coeffs], w)
 
 
 def _resultant_homogeneous(p: Poly, q: Poly, v: int, wa: int, wb: int) -> Poly:

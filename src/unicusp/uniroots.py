@@ -197,26 +197,27 @@ def resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
     return acc * pow(b[0], deg(a), p) % p
 
 
-def interpolate_mod_p(xs: list[int], ys: list[int], p: int) -> list[int]:
+def interpolate_mod_p(xs: list[int], ys: list[int], modulus: int) -> list[int]:
     """Coefficients (low to high, length len(xs)) of the polynomial of
-    degree below len(xs) through the points (xs[i], ys[i]) modulo p; the
-    xs must be distinct mod p."""
+    degree below len(xs) through the points (xs[i], ys[i]) modulo
+    `modulus`: a prime, or any modulus coprime to every difference of two
+    xs (Newton's divided differences only divide by those)."""
     n = len(xs)
     inv: dict[int, int] = {}
-    coef = [y % p for y in ys]
+    coef = [y % modulus for y in ys]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             d = xs[i] - xs[i - j]
             if d not in inv:
-                inv[d] = pow(d, -1, p)
-            coef[i] = (coef[i] - coef[i - 1]) * inv[d] % p
+                inv[d] = pow(d, -1, modulus)
+            coef[i] = (coef[i] - coef[i - 1]) * inv[d] % modulus
     poly = [0] * n
     for i in range(n - 1, -1, -1):
         # poly <- poly * (x - xs[i]) + coef[i]; its degree stays below n - i.
         root = xs[i]
         for k in range(n - 1 - i, 0, -1):
-            poly[k] = (poly[k - 1] - root * poly[k]) % p
-        poly[0] = (coef[i] - root * poly[0]) % p
+            poly[k] = (poly[k - 1] - root * poly[k]) % modulus
+        poly[0] = (coef[i] - root * poly[0]) % modulus
     return poly
 
 

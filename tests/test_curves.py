@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from unicusp import uniroots
 from unicusp.curves import (
     CurveError,
     ProjPoint,
+    _fulton,
     find_rational_singular_points,
     germ_at,
     intersection_cycle,
@@ -15,8 +18,18 @@ from unicusp.curves import (
     repeated_factor,
     tangent_line_at,
 )
-from unicusp.corpus import DEFAULT_PARAMS, curve_by_name
-from unicusp.poly import Poly, X, Y, Z, poly_to_text, proportional
+from unicusp.corpus import DEFAULT_PARAMS, curve_by_name, param_set
+from unicusp.poly import (
+    Poly,
+    X,
+    Y,
+    Z,
+    exact_divide,
+    gcd,
+    normalized,
+    poly_to_text,
+    proportional,
+)
 
 F = Fraction
 CONIC = make_curve(X * Z - Y**2)
@@ -127,6 +140,115 @@ def test_fulton_multiplicativity():
     ) + intersection_multiplicity(f, h, origin)
 
 
+def _fulton_reference(f: Poly, g: Poly) -> int:
+    """The reduction on Fraction polynomials, as it stood before the integer
+    kernel: the oracle for curves._fulton."""
+    total = 0
+    while True:
+        if f.terms.get((0, 0, 0)) or g.terms.get((0, 0, 0)):
+            return total
+        if f.is_zero() or g.is_zero():
+            raise CurveError("intersection number with a zero germ")
+        a = _on_axis(f)
+        b = _on_axis(g)
+        if not a and not b:
+            raise CurveError("germs share the component y = 0")
+        if not a:
+            q = exact_divide(f, Y)
+            assert q is not None
+            f = q
+            total += min(e[0] for e in g.terms if e[1] == 0)
+            continue
+        if not b:
+            q = exact_divide(g, Y)
+            assert q is not None
+            g = q
+            total += min(e[0] for e in f.terms if e[1] == 0)
+            continue
+        da, db = uniroots.deg(a), uniroots.deg(b)
+        if da > db:
+            f, g = g, f
+            a, b = b, a
+            da, db = db, da
+        # Rescaling by a nonzero rational keeps the local number; without
+        # normalizing, the coefficients grow with every reduction.
+        g = normalized(g - f * Poly.monomial((db - da, 0, 0), b[db] / a[da]))
+
+
+def _on_axis(p: Poly) -> list[Fraction]:
+    """Coefficient list of p(x, 0)."""
+    d = p.degree_in(0)
+    out = [Fraction(0)] * (d + 1)
+    for (a, b, _), c in p.terms.items():
+        if b == 0:
+            out[a] += c
+    return uniroots.trim(out)
+
+
+def _random_germ(rng: random.Random, max_deg: int, n_terms: int, constant: bool = False) -> Poly:
+    """A bivariate germ with rational coefficients, through the origin
+    unless `constant`."""
+    terms = {}
+    while len(terms) < n_terms:
+        i, j = rng.randint(0, max_deg), rng.randint(0, max_deg)
+        if (i, j) == (0, 0) and not constant:
+            continue
+        num = rng.choice([k for k in range(-9, 10) if k])
+        terms[(i, j, 0)] = Fraction(num, rng.randint(1, 6))
+    return Poly(terms)
+
+
+def _assert_fulton_agrees(f: Poly, g: Poly) -> int | None:
+    """Compare the kernel with the reference on a coprime pair, in both
+    orders; return the local number, or None for a pair that shares a
+    component (no local number, and the reduction need not end)."""
+    if not gcd(f, g).is_constant():
+        return None
+    want = _fulton_reference(f, g)
+    assert _fulton(f, g) == want
+    assert _fulton(g, f) == want
+    return want
+
+
+def test_fulton_matches_fraction_reference_on_rational_germs():
+    rng = random.Random(3301)
+    seen = []
+    for _ in range(60):
+        f = _random_germ(rng, 4, rng.randint(1, 6), constant=rng.random() < 0.1)
+        g = _random_germ(rng, 4, rng.randint(1, 6))
+        seen.append(_assert_fulton_agrees(f, g))
+    numbers = [m for m in seen if m is not None]
+    assert len(numbers) >= 30 and 0 in numbers and max(numbers) >= 4
+
+
+def test_fulton_matches_fraction_reference_on_y_divisible_germs():
+    rng = random.Random(3302)
+    numbers = []
+    for _ in range(30):
+        f = _random_germ(rng, 4, rng.randint(1, 5), constant=True) * Y ** rng.randint(1, 3)
+        g = _random_germ(rng, 4, rng.randint(1, 5)) + X ** rng.randint(1, 4)
+        numbers.append(_assert_fulton_agrees(f, g))
+    assert len([m for m in numbers if m is not None]) >= 15
+    # Both germs divisible by y: they share the component y = 0.
+    for f, g in ((Y * (X + Y), Y**2 - X**3 * Y), (Fraction(1, 2) * Y, 3 * X * Y + Y**2)):
+        for fn in (_fulton, _fulton_reference):
+            with pytest.raises(CurveError, match="share the component y = 0"):
+                fn(f, g)
+    for fn in (_fulton, _fulton_reference):
+        with pytest.raises(CurveError, match="zero germ"):
+            fn(X + Y**2, Fraction(2, 3) * X + Fraction(2, 3) * Y**2)
+
+
+def test_fulton_matches_fraction_reference_at_high_contact():
+    rng = random.Random(3303)
+    numbers = []
+    for _ in range(12):
+        f = _random_germ(rng, 3, rng.randint(2, 4)) + X ** rng.randint(1, 3)
+        g = f + Y ** rng.randint(3, 8) * _random_germ(rng, 2, rng.randint(1, 3), constant=True)
+        numbers.append(_assert_fulton_agrees(f, g))
+    assert max(m for m in numbers if m is not None) >= 8
+
+
 def test_intersection_cycle_conic_transverse_line():
     # x = z meets the conic at (1, 1, 1) and (1, -1, 1), once each
     cyc = intersection_cycle(CONIC, make_curve(X - Z))
@@ -160,7 +282,9 @@ def test_intersection_cycle_irrational_residual():
     assert cyc.residual == 2  # the two sqrt(2) points
 
 
-@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
+@pytest.mark.parametrize(
+    "ps", DEFAULT_PARAMS + (param_set("-2/3", "3/2", 1),), ids=lambda ps: ps.label
+)
 def test_high_contact_cycle_image_quintic_rational_quintic(ps):
     import sympy
     from sympy.polys.subresultants_qq_zz import sylvester

@@ -373,3 +373,10 @@ def test_resultant_wrt_skips_bad_primes_and_points():
     p = first * Y**5 * X**2 + X * (X - 1) * Y**4 + 3 * Y + X - 2
     q = (X + 2) * (X + 1) * Y**5 - Y**3 + Fraction(1, 7) * X**3 * Y + 1
     _assert_resultant_agrees(p, q, 1)
+    # Here the y-leading coefficient x + first vanishes mod the first prime
+    # only at x = 0, a point that is kept: its value `first` is nonzero over
+    # Z.  So the first prime must be skipped for every point, not only where
+    # a leading coefficient vanishes identically.
+    p = (X + first) * Y**5 + X**2 * Y**3 - 2 * Y + X
+    q = 3 * Y**5 + (X - 3) * Y**2 + X**3 * Y - 5
+    _assert_resultant_agrees(p, q, 1)

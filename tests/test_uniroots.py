@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from unicusp import uniroots as ur
@@ -81,3 +82,20 @@ def test_newton_interpolate():
     # through (0, 1), (1, 2), (2, 5): x^2 + 1
     coeffs = ur.newton_interpolate([0, 1, 2], [F(1), F(2), F(5)])
     assert coeffs == [F(1), F(0), F(1)]
+
+
+def test_interpolate_mod_product_of_primes_is_crt_of_per_prime_results():
+    # The xs differences are below 2**30, so they are units modulo the
+    # product of two primes from large_primes().
+    rng = random.Random(4401)
+    primes = ur.large_primes()
+    p1, p2 = next(primes), next(primes)
+    xs = [0, 1, -1, 2, -2, 3, 5, -7, 11]
+    for _ in range(5):
+        ys = [rng.randint(-(10**40), 10**40) for _ in xs]
+        per_prime = ur.crt_merge(ur.interpolate_mod_p(xs, ys, p1), p1, ur.interpolate_mod_p(xs, ys, p2), p2)
+        assert ur.interpolate_mod_p(xs, ys, p1 * p2) == per_prime
+    # A polynomial with coefficients below half the modulus comes back exactly.
+    coeffs = [rng.randint(-(2**50), 2**50) for _ in xs]
+    got = ur.interpolate_mod_p(xs, [ur.eval_uni_int(coeffs, x) for x in xs], p1 * p2)
+    assert [c - p1 * p2 if c > p1 * p2 // 2 else c for c in got] == coeffs
