@@ -405,3 +405,13 @@ def test_closed_stdout_exits_without_traceback():
         os.close(write_end)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_verify_corpus_json_matches_golden_output(capsys):
+    # tests/data/verify_corpus.json is `verify-corpus --json` as printed
+    # before the modular-resultant kernel changed; any change to the
+    # exact arithmetic must leave this document byte-identical.
+    golden = Path(__file__).parent / "data" / "verify_corpus.json"
+    code, out, _ = run_cli(capsys, "verify-corpus", "--json")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
