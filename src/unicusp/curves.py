@@ -21,6 +21,7 @@ from .poly import (
     X,
     Y,
     content,
+    content_wrt,
     exact_divide,
     gcd,
     normalized,
@@ -131,12 +132,7 @@ def repeated_factor(p: Poly) -> Poly | None:
         if uniroots.deg(uniroots.gcd_int(coeffs, der)) > 0:
             return normalized(squarefree_witness(p))
         return None
-    cont_terms = list(q.coeffs_wrt(0).values())
-    cont = cont_terms[0]
-    for extra in cont_terms[1:]:
-        cont = gcd(cont, extra)
-        if cont == ONE:
-            break
+    cont = content_wrt(q, 0)
     if not cont.is_constant():
         cs = uniroots.clear_denominators(to_univariate(cont, 1))
         if uniroots.deg(uniroots.gcd_int(cs, uniroots.derivative(cs))) > 0:
@@ -511,7 +507,12 @@ def _fulton(f: Poly, g: Poly) -> int:
     g <- (A/h)*g - (B/h)*x^s*f, followed by dividing out the content of g,
     so coefficients do not grow from step to step.  Dividing by y is an
     exponent shift.
+
+    For coprime germs the local number is at most deg f * deg g (Bezout for
+    their projective closures); a total beyond that means the germs share a
+    component through the origin, on which the reduction would never end.
     """
+    bound = f.total_degree() * g.total_degree()
     f, g = _primitive_germ(f), _primitive_germ(g)
     total = 0
     while True:
@@ -519,6 +520,8 @@ def _fulton(f: Poly, g: Poly) -> int:
             return total
         if not f or not g:
             raise CurveError("intersection number with a zero germ")
+        if total > bound:
+            raise CurveError("germs share a component through the origin")
         a, b = _axis_degrees(f), _axis_degrees(g)
         if a is None and b is None:
             raise CurveError("germs share the component y = 0")

@@ -554,13 +554,24 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return normalized(cont * _prs_gcd(pp_p, pp_q, main))
 
 
-def _content_and_primitive(p: Poly, v: int) -> tuple[Poly, Poly]:
-    coeffs = list(p.coeffs_wrt(v).values())
-    c = coeffs[0]
-    for extra in coeffs[1:]:
+def content_wrt(p: Poly, v: int) -> Poly:
+    """Gcd of the coefficients of nonzero p as a polynomial in v.
+
+    The coefficients are taken fewest terms first (then by v-degree), and
+    the chain of gcds stops at 1, so the work done does not depend on the
+    term order of p.
+    """
+    items = sorted(p.coeffs_wrt(v).items(), key=lambda kc: (len(kc[1].terms), kc[0]))
+    c = items[0][1]
+    for _, extra in items[1:]:
         c = gcd(c, extra)
         if c == ONE:
             break
+    return c
+
+
+def _content_and_primitive(p: Poly, v: int) -> tuple[Poly, Poly]:
+    c = content_wrt(p, v)
     pp = exact_divide(p, c)
     assert pp is not None
     return c, pp
@@ -710,8 +721,8 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
     of p first.  Small eliminations (Sylvester size at most 8) are a
     fraction-free determinant.  Larger ones of bivariate or homogeneous
     inputs use Collins' modular method: images at integer points modulo
-    primes near 2**30, combined by CRT up to a certified coefficient bound
-    and interpolated once, so the result is exact.
+    the product of primes near 2**30, enough for a certified coefficient
+    bound, interpolated once, so the result is exact.
     """
     if p.is_zero() or q.is_zero():
         return Poly.zero()
@@ -744,12 +755,14 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
     content(q)**m * Res(P, Q).  The bound + 1 evaluation points are the
     first integers t in 0, 1, -1, 2, -2, ... at which neither v-leading
     coefficient of P, Q vanishes, and every v-coefficient of P and Q is
-    evaluated once at each.  Each prime near 2**30 that divides none of the
-    leading-coefficient values gives Res(P, Q)(t) mod the prime at every
-    point (Euclid mod p, with the formal degrees kept); the value vectors
-    are combined by CRT, and one interpolation modulo the product of the
-    primes recovers the coefficients.  The points differ by far less than
-    2**30, so their differences are units modulo that product.
+    evaluated once at each.  The primes near 2**30 that divide none of the
+    leading-coefficient values are kept, so both leading coefficients are
+    units modulo their product M and the formal degrees hold there.  At
+    each point one inverse-free Euclid modulo M gives Res(P, Q)(t) mod M;
+    where a later leading coefficient is a zero divisor mod M, that point
+    alone takes one Euclid per prime, combined by CRT.  One interpolation
+    modulo M recovers the coefficients: the points differ by far less than
+    2**30, so their differences are units modulo M.
 
     The primes stop once modulus**2 > 4 * (sum_k |P_k|**2)**n *
     (sum_k |Q_k|**2)**m, where P_k, Q_k are the v-coefficients and |.| is
@@ -792,16 +805,27 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
                 [uniroots.eval_uni_int(cs, t) for cs in ql[:n]] + [lq],
             ))
         t = -t if t > 0 else 1 - t
-    residues = [0] * (bound + 1)
+    primes: list[int] = []
     modulus = 1
     for prime in uniroots.large_primes():
         if modulus * modulus > limit:
             break
         if any(a[m] % prime == 0 or b[n] % prime == 0 for a, b in values):
             continue
-        image = [uniroots.resultant_mod_p(a, b, prime) for a, b in values]
-        residues = uniroots.crt_merge(residues, modulus, image, prime)
+        primes.append(prime)
         modulus *= prime
+    residues = []
+    for a, b in values:
+        value = uniroots.resultant_mod_p(a, b, modulus)
+        if value is None:
+            # A leading coefficient met on the way is a zero divisor modulo
+            # the product: one Euclid per prime, combined by CRT.
+            value, done = 0, 1
+            for prime in primes:
+                image = uniroots.resultant_mod_p(a, b, prime)
+                [value] = uniroots.crt_merge([value], done, [image], prime)
+                done *= prime
+        residues.append(value)
     coeffs = uniroots.interpolate_mod_p(xs, residues, modulus)
     half = modulus // 2
     scale = cp ** n * cq ** m

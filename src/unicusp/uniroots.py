@@ -173,28 +173,57 @@ def large_primes():
         i += 1
 
 
-def resultant_mod_p(a: list[int], b: list[int], p: int) -> int:
-    """Sylvester resultant (rows of a first) of a and b modulo p, by Euclid:
-    Res(a, b) = (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * Res(b, r)
-    with r = a mod b, as in resultant_q.
+def resultant_mod_p(a: list[int], b: list[int], m: int) -> int | None:
+    """Sylvester resultant (rows of a first) of a and b modulo any m > 1,
+    by an inverse-free Euclid, or None when m shares a factor with a
+    leading coefficient met on the way (never for a prime m).
 
-    The degrees are taken from a and b after reduction mod p, so the caller
-    keeps both leading coefficients nonzero mod p when the formal degrees
+    Each pseudo-remainder row is r <- lc(b)*r - f*x**k*b with f the leading
+    coefficient of r, so after `rows` rows lc(b)**rows * a = q*b + r.  These
+    are Sylvester row operations, and over any commutative ring they give
+        lc(b)**(rows * deg b) * Res(a, b)
+            = (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * Res(b, r),
+    where deg r may be any formal degree (here: after reduction mod m).
+    The sign and the powers on the right accumulate in a numerator, the
+    powers on the left in a denominator, so num = den * Res(a, b) (mod m)
+    always holds and one inversion at the end gives the resultant.  For a
+    prime m trimming keeps every leading coefficient nonzero, so den is a
+    unit.
+
+    The degrees are taken from a and b after reduction mod m, so the caller
+    keeps both leading coefficients units mod m when the formal degrees
     matter.
     """
-    a, b = _mod_reduce(a, p), _mod_reduce(b, p)
+    a, b = _mod_reduce(a, m), _mod_reduce(b, m)
     if not a or not b:
         return 0
-    acc = 1
+    num = den = 1
     while len(b) > 1:
-        r = _mod_rem(a, b, p)
+        lb, db = b[-1], deg(b)
+        r = list(a)
+        rows = 0
+        while len(r) > db:
+            f = r.pop()
+            k = len(r) - db
+            r[:k] = [c * lb % m for c in r[:k]]
+            r[k:] = [(c * lb - f * d) % m for c, d in zip(r[k:], b)]
+            trim(r)
+            rows += 1
+        den = den * pow(lb, rows * db, m) % m
         if not r:
-            return 0
-        if deg(a) * deg(b) % 2:
-            acc = -acc
-        acc = acc * pow(b[-1], len(a) - len(r), p) % p
+            num = 0
+            break
+        if deg(a) * db % 2:
+            num = -num
+        num = num * pow(lb, len(a) - len(r), m) % m
         a, b = b, r
-    return acc * pow(b[0], deg(a), p) % p
+    else:
+        num = num * pow(b[0], deg(a), m) % m
+    try:
+        inv = pow(den, -1, m)
+    except ValueError:  # den shares a factor with m
+        return None
+    return num * inv % m
 
 
 def interpolate_mod_p(xs: list[int], ys: list[int], modulus: int) -> list[int]:

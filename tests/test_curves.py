@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -237,6 +241,37 @@ def test_fulton_matches_fraction_reference_on_y_divisible_germs():
     for fn in (_fulton, _fulton_reference):
         with pytest.raises(CurveError, match="zero germ"):
             fn(X + Y**2, Fraction(2, 3) * X + Fraction(2, 3) * Y**2)
+
+
+_SHARED_COMPONENT_SCRIPT = """
+from unicusp.curves import CurveError, _fulton
+from unicusp.poly import X, Y
+
+for f, g in ((X * (Y - X**2), X * (Y + X)), ((Y - X**2) * (X + Y**3), (Y - X**2) * (Y + X))):
+    for a, b in ((f, g), (g, f)):
+        try:
+            _fulton(a, b)
+        except CurveError as exc:
+            print(exc)
+        else:
+            print("no error")
+"""
+
+
+def test_fulton_stops_on_germs_sharing_a_component_through_the_origin():
+    # Germs sharing x = 0 or y = x^2 have no local number; without the
+    # Bezout guard the reduction never ends, so run it in a child process
+    # that fails the test on timeout instead of hanging the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHARED_COMPONENT_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["germs share a component through the origin"] * 4
 
 
 def test_fulton_matches_fraction_reference_at_high_contact():

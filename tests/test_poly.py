@@ -380,3 +380,16 @@ def test_resultant_wrt_skips_bad_primes_and_points():
     p = (X + first) * Y**5 + X**2 * Y**3 - 2 * Y + X
     q = 3 * Y**5 + (X - 3) * Y**2 + X**3 * Y - 5
     _assert_resultant_agrees(p, q, 1)
+
+
+def test_resultant_wrt_falls_back_to_per_prime_euclid():
+    from unicusp import uniroots
+
+    first = next(uniroots.large_primes())
+    # Both y-leading coefficients are 1, so every prime is kept.  The first
+    # remainder, first*y^3 + (x - x^3)*y^2 - y + x^2 + 5, has leading
+    # coefficient `first`: a zero divisor modulo the product of the primes,
+    # so each point falls back to one Euclid per prime and CRT.
+    p = Y**5 + first * Y**3 + X * Y**2 + X**2 + 5
+    q = Y**4 + X**3 * Y + 1
+    _assert_resultant_agrees(p, q, 1)

@@ -99,3 +99,73 @@ def test_interpolate_mod_product_of_primes_is_crt_of_per_prime_results():
     coeffs = [rng.randint(-(2**50), 2**50) for _ in xs]
     got = ur.interpolate_mod_p(xs, [ur.eval_uni_int(coeffs, x) for x in xs], p1 * p2)
     assert [c - p1 * p2 if c > p1 * p2 // 2 else c for c in got] == coeffs
+
+
+def _random_int_poly(rng, d):
+    """Integer coefficient list of degree exactly d (empty when d < 0)."""
+    if d < 0:
+        return []
+    lead = rng.choice([-3, -2, -1, 1, 2, 3, 7])
+    return [rng.randint(-20, 20) for _ in range(d)] + [lead]
+
+
+def _kernel_cases(rng):
+    """Pairs (a, b) covering deg a < deg b, equal degrees, constants, the
+    zero polynomial, a shared factor, and remainders whose degree drops by
+    more than one."""
+    cases = [([], [1, 2]), ([3, 1], []), ([5], [7]), ([5], [1, 0, 2]), ([2, 0, 0, 1], [-4])]
+    for _ in range(8):
+        short, long = rng.randint(1, 4), rng.randint(5, 8)
+        cases.append((_random_int_poly(rng, short), _random_int_poly(rng, long)))
+        d = rng.randint(1, 7)
+        cases.append((_random_int_poly(rng, d), _random_int_poly(rng, d)))
+        g = _random_int_poly(rng, rng.randint(1, 3))
+        shared = ur.mul_uni(g, _random_int_poly(rng, 3)), ur.mul_uni(g, _random_int_poly(rng, 2))
+        cases.append(shared)
+        # a = q*b + r with deg r = deg b - 3, and b = q2*r + s with
+        # deg s = deg r - 2: two remainders that drop by more than one.
+        s = _random_int_poly(rng, 1)
+        r = _random_int_poly(rng, 3)
+        b = [x + y for x, y in zip(ur.mul_uni(_random_int_poly(rng, 3), r), s + [0] * 6)]
+        a = ur.mul_uni(_random_int_poly(rng, 2), b)
+        a = [x + y for x, y in zip(a, r + [0] * len(a))]
+        assert ur.deg(b) == 6 and ur.deg(a) == 8
+        cases.append((a, b))
+    return cases
+
+
+def _resultant_q_mod(a, b, m):
+    exact = ur.resultant_q([F(c) for c in a], [F(c) for c in b])
+    assert exact.denominator == 1
+    return exact.numerator % m
+
+
+def test_resultant_mod_p_at_a_prime_is_the_exact_resultant_reduced():
+    rng = random.Random(6101)
+    primes = ur.large_primes()
+    p = next(primes)
+    for a, b in _kernel_cases(rng):
+        assert ur.resultant_mod_p(a, b, p) == _resultant_q_mod(a, b, p), (a, b)
+        assert ur.resultant_mod_p(a, b, 10007) == _resultant_q_mod(a, b, 10007), (a, b)
+
+
+def test_resultant_mod_product_of_primes_is_crt_of_per_prime_results():
+    rng = random.Random(6102)
+    primes = ur.large_primes()
+    p, q = next(primes), next(primes)
+    for a, b in _kernel_cases(rng):
+        [want] = ur.crt_merge([ur.resultant_mod_p(a, b, p)], p, [ur.resultant_mod_p(a, b, q)], q)
+        assert ur.resultant_mod_p(a, b, p * q) == want, (a, b)
+        assert want == _resultant_q_mod(a, b, p * q)
+
+
+def test_resultant_mod_product_is_none_at_a_zero_divisor_leading_coefficient():
+    primes = ur.large_primes()
+    p, q = next(primes), next(primes)
+    # y^5 + p*y^3 + 5 = y*(y^4 + 1) + p*y^3 - y + 5: the first remainder
+    # has leading coefficient p, a zero divisor modulo p*q.
+    a, b = [5, 0, 0, p, 0, 1], [1, 0, 0, 0, 1]
+    assert ur.resultant_mod_p(a, b, p * q) is None
+    # Modulo each prime alone the kernel still answers exactly.
+    for m in (p, q):
+        assert ur.resultant_mod_p(a, b, m) == _resultant_q_mod(a, b, m)
