@@ -12,7 +12,7 @@ silently dropped.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from itertools import count
 
 from . import uniroots
 from .poly import (
@@ -20,11 +20,10 @@ from .poly import (
     Poly,
     X,
     Y,
-    content,
     content_wrt,
     exact_divide,
-    gcd,
     normalized,
+    resultant_wrt,
     squarefree_witness,
     to_univariate,
 )
@@ -375,8 +374,6 @@ def _singular_search(f: Poly) -> SingularLocus:
 
 
 def _eliminant_y(a: Poly, b: Poly) -> Poly | None:
-    from .poly import resultant_wrt
-
     if a.degree_in(1) == 0:
         return a
     if b.degree_in(1) == 0:
@@ -486,90 +483,76 @@ def is_smooth(curve: PlaneCurve) -> bool:
 def intersection_multiplicity(c1: PlaneCurve, c2: PlaneCurve, point: ProjPoint) -> int:
     """Local intersection number of two curves without a common component
     at a rational point (0 when the point is not a common point)."""
-    if not gcd(c1.poly, c2.poly).is_constant():
-        raise CurveError("curves share a component; intersection numbers are undefined")
-    f = germ_at(c1.poly, point)
-    g = germ_at(c2.poly, point)
-    return _fulton(f, g)
+    return dict(_local_numbers(c1.poly, c2.poly)).get(point, 0)
 
 
-def _fulton(f: Poly, g: Poly) -> int:
-    """Local intersection number at the origin of two coprime bivariate
-    germs, by the classical reduction (Fulton, Algebraic Curves, 3.3):
-    trade y-divisible parts for orders along y = 0 and shrink degrees with
-    row reductions.
+def _cycle_shears():
+    """_SHEARS, then for k = 1, 2, ... the shear taking the centre
+    (0 : 1 : 0) to (k : 1 : 2**k).
 
-    A nonzero scalar factor does not change the local number, so the
-    reduction runs on primitive integer term maps {(i, j): c} for c*x^i*y^j.
-    With the germs ordered so that f(x, 0) has the lower degree, s the
-    difference of the degrees, A and B the leading coefficients of f(x, 0)
-    and g(x, 0) and h = gcd(A, B), each row step is
-    g <- (A/h)*g - (B/h)*x^s*f, followed by dividing out the content of g,
-    so coefficients do not grow from step to step.  Dividing by y is an
-    exponent shift.
-
-    For coprime germs the local number is at most deg f * deg g (Bezout for
-    their projective closures); a total beyond that means the germs share a
-    component through the origin, on which the reduction would never end.
+    No curve holds infinitely many of the later centres: P(k, 1, 2**k) is
+    dominated by its top power of 2**k once k is large.
     """
-    bound = f.total_degree() * g.total_degree()
-    f, g = _primitive_germ(f), _primitive_germ(g)
-    total = 0
-    while True:
-        if (0, 0) in f or (0, 0) in g:
-            return total
-        if not f or not g:
-            raise CurveError("intersection number with a zero germ")
-        if total > bound:
-            raise CurveError("germs share a component through the origin")
-        a, b = _axis_degrees(f), _axis_degrees(g)
-        if a is None and b is None:
-            raise CurveError("germs share the component y = 0")
-        if a is None:
-            f = {(i, j - 1): c for (i, j), c in f.items()}
-            total += b[0]
+    yield from _SHEARS
+    for k in count(1):
+        yield ((1, k, 0), (0, 1, 0), (0, 2 ** k, 1))
+
+
+def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
+    """Rational common points of two forms with their local intersection
+    numbers, sorted by coordinates.
+
+    In sheared coordinates where the centre (0 : 1 : 0) lies on neither
+    curve, e = Res_y(f, g) is a binary form of degree deg f * deg g in
+    (x, z).  It is zero exactly when f and g share a component, and on a
+    line through the centre that meets f and g in a single point P, the
+    order of e is I_P(f, g) (Fulton, Algebraic Curves, 5.1).  A rational
+    point lies on a rational line through the centre, so the rational
+    roots t of e(t, 1), and (1 : 0) with order deg f * deg g - deg e(t, 1),
+    give every rational point.  Each line is certified to hold one common
+    point: the squarefree part of the gcd of the two restrictions has
+    degree 1.  When a line holds two, the next shear is tried; only
+    finitely many centres lie on a curve or on a line through two of the
+    finitely many common points, so the search ends.
+    """
+    if f.is_zero() or g.is_zero():
+        raise CurveError("the zero polynomial defines no curve")
+    bez = f.total_degree() * g.total_degree()
+    tried: set[tuple[int, int, int]] = set()
+    for m in _cycle_shears():
+        # Every centre has y = 1, so equal points are equal tuples.
+        centre = (m[0][1], m[1][1], m[2][1])
+        if centre in tried or f.evaluate(centre) == 0 or g.evaluate(centre) == 0:
             continue
-        if b is None:
-            g = {(i, j - 1): c for (i, j), c in g.items()}
-            total += a[0]
-            continue
-        if a[1] > b[1]:
-            f, g, a, b = g, f, b, a
-        lead_f, lead_g = f[(a[1], 0)], g[(b[1], 0)]
-        h = _int_gcd(lead_f, lead_g)
-        g = _row_step(g, lead_f // h, f, lead_g // h, b[1] - a[1])
-
-
-def _primitive_germ(p: Poly) -> dict[tuple[int, int], int]:
-    """p/content(p) as an integer term map {(i, j): c}; slot 2 is unused."""
-    cont = content(p)
-    return {(i, j): (c / cont).numerator for (i, j, _), c in p.terms.items()}
-
-
-def _axis_degrees(p: dict[tuple[int, int], int]) -> tuple[int, int] | None:
-    """Lowest and highest degree of p(x, 0), or None when y divides p."""
-    degs = [i for (i, j) in p if j == 0]
-    return (min(degs), max(degs)) if degs else None
-
-
-def _row_step(
-    g: dict[tuple[int, int], int], kg: int, f: dict[tuple[int, int], int], kf: int, s: int
-) -> dict[tuple[int, int], int]:
-    """Primitive part of kg*g - kf*x^s*f (the empty map when it is zero)."""
-    out = {e: kg * c for e, c in g.items()}
-    for (i, j), c in f.items():
-        e = (i + s, j)
-        v = out.get(e, 0) - kf * c
-        if v:
-            out[e] = v
+        tried.add(centre)
+        fm, gm = _apply_matrix(f, m), _apply_matrix(g, m)
+        e = resultant_wrt(fm, gm, 1)
+        if e.is_zero():
+            raise CurveError("curves share a component; intersection numbers are undefined")
+        roots, _ = uniroots.rational_roots_int(uniroots.clear_denominators(_binary_to_uni(e)))
+        lines = [(r, Fraction(1), k) for r, k in roots.items()]
+        if bez > e.degree_in(0):
+            lines.append((Fraction(1), Fraction(0), bez - e.degree_in(0)))
+        points = []
+        for x0, z0, k in lines:
+            y0 = _lone_common_y(fm, gm, x0, z0)
+            if y0 is None:
+                break
+            points.append((_map_point(m, ProjPoint.of(x0, y0, z0)), k))
         else:
-            del out[e]
-    cont = 0
-    for c in out.values():
-        cont = _int_gcd(cont, c)
-        if cont == 1:
-            return out
-    return {e: c // cont for e, c in out.items()}
+            return sorted(points, key=lambda t: t[0].coords())
+    raise AssertionError("unreachable: the shears never run out")
+
+
+def _lone_common_y(f: Poly, g: Poly, x0: Fraction, z0: Fraction) -> Fraction | None:
+    """y0 when (x0 : y0 : z0) is the only common point of f and g on the
+    line of all (x0 : y : z0), otherwise None."""
+    h = uniroots.gcd_int(
+        uniroots.clear_denominators(_restrict_to_pencil_line(f, x0, z0)),
+        uniroots.clear_denominators(_restrict_to_pencil_line(g, x0, z0)),
+    )
+    s = uniroots.squarefree_part_int(h)
+    return Fraction(-s[0], s[1]) if uniroots.deg(s) == 1 else None
 
 
 @dataclass
@@ -601,44 +584,6 @@ def intersection_cycle(c1: PlaneCurve, c2: PlaneCurve) -> IntersectionCycle:
     The sum of located numbers never exceeds the Bezout total; whatever
     lives in extension fields stays in the residual.
     """
-    f, g = c1.poly, c2.poly
-    if not gcd(f, g).is_constant():
-        raise CurveError("curves share a component; the intersection cycle is not finite")
+    located = _local_numbers(c1.poly, c2.poly)
     bez = c1.degree * c2.degree
-    e = _eliminant_y(f, g)
-    assert e is not None, "coprime curves must have a nonzero eliminant"
-    coeffs = uniroots.clear_denominators(_binary_to_uni(e))
-    roots, _ = uniroots.rational_roots_int(coeffs)
-    cands = [(r, Fraction(1)) for r in roots]
-    if _infinity_root(e):
-        cands.append((Fraction(1), Fraction(0)))
-    points: list[tuple[ProjPoint, int]] = []
-    for x0, z0 in cands:
-        h1 = _restrict_to_pencil_line(f, x0, z0)
-        h2 = _restrict_to_pencil_line(g, x0, z0)
-        z1 = all(c == 0 for c in h1)
-        z2 = all(c == 0 for c in h2)
-        if z1 and z2:
-            raise CurveError("curves share the line of a candidate direction")
-        if z1 or z2:
-            base = uniroots.clear_denominators(h2 if z1 else h1)
-            ys = list(uniroots.rational_roots_int(base)[0])
-        else:
-            g_y = uniroots.gcd_int(
-                uniroots.clear_denominators(h1), uniroots.clear_denominators(h2)
-            )
-            ys = list(uniroots.rational_roots_int(g_y)[0]) if uniroots.deg(g_y) > 0 else []
-        for y0 in ys:
-            points.append((ProjPoint.of(x0, y0, z0), 0))
-    if f.evaluate((0, 1, 0)) == 0 and g.evaluate((0, 1, 0)) == 0:
-        points.append((ProjPoint.of(0, 1, 0), 0))
-    located = []
-    for q, _ in points:
-        m = _fulton(germ_at(f, q), germ_at(g, q))
-        if m > 0:
-            located.append((q, m))
-    located.sort(key=lambda t: t[0].coords())
-    total = sum(m for _, m in located)
-    if total > bez:
-        raise CurveError("located intersection mass exceeds the Bezout bound")
-    return IntersectionCycle(located, bez - total, bez)
+    return IntersectionCycle(located, bez - sum(m for _, m in located), bez)

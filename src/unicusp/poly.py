@@ -669,61 +669,21 @@ def from_univariate(coeffs: Iterable[Fraction | int], v: int) -> Poly:
 # -- resultants ---------------------------------------------------------
 
 
-def _sylvester(p: Poly, q: Poly, v: int) -> list[list[Poly]]:
-    m, n = p.degree_in(v), q.degree_in(v)
-    pc = p.coeffs_wrt(v)
-    qc = q.coeffs_wrt(v)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [Poly.zero()] * size
-        for k in range(m + 1):
-            row[i + k] = pc.get(m - k, Poly.zero())
-        rows.append(row)
-    for i in range(m):
-        row = [Poly.zero()] * size
-        for k in range(n + 1):
-            row[i + k] = qc.get(n - k, Poly.zero())
-        rows.append(row)
-    return rows
-
-
-def _bareiss_det(mat: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a matrix of polynomials."""
-    n = len(mat)
-    if n == 0:
-        return ONE
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
-            if pivot_row is None:
-                return Poly.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = exact_divide(num, prev)
-                assert q is not None, "Bareiss division must be exact"
-                m[i][j] = q
-            m[i][k] = Poly.zero()
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign
-
-
 def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
     """Sylvester resultant of p and q with respect to variable v.
 
     Sign convention: the determinant of the Sylvester matrix with the rows
-    of p first.  Small eliminations (Sylvester size at most 8) are a
-    fraction-free determinant.  Larger ones of bivariate or homogeneous
-    inputs use Collins' modular method: images at integer points modulo
+    of p first.  The inputs must together use at most one variable besides
+    v, or both be homogeneous; anything else raises ValueError.  The
+    elimination is Collins' modular method: images at integer points modulo
     the product of primes near 2**30, enough for a certified coefficient
     bound, interpolated once, so the result is exact.
     """
+    other = sorted(({0, 1, 2} - {v}))
+    used = (p.variables() | q.variables()) - {v}
+    bivariate = len(used) <= 1
+    if not bivariate and not (p.is_homogeneous() and q.is_homogeneous()):
+        raise ValueError("resultant_wrt needs bivariate or homogeneous input")
     if p.is_zero() or q.is_zero():
         return Poly.zero()
     m, n = p.degree_in(v), q.degree_in(v)
@@ -733,16 +693,10 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
         return q ** m
     if m == 0:
         return p ** n
-    if m + n <= 8:
-        return _bareiss_det(_sylvester(p, q, v))
-    other = sorted(({0, 1, 2} - {v}))
-    used = (p.variables() | q.variables()) - {v}
-    if len(used) <= 1:
+    if bivariate:
         w = used.pop() if used else other[0]
         return _resultant_interp(p, q, v, w, None)
-    if p.is_homogeneous() and q.is_homogeneous():
-        return _resultant_homogeneous(p, q, v, other[0], other[1])
-    return _bareiss_det(_sylvester(p, q, v))
+    return _resultant_homogeneous(p, q, v, other[0], other[1])
 
 
 def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Poly:

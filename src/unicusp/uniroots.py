@@ -338,9 +338,14 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     """All rational roots of f with multiplicities, plus the primitive
     cofactor of f once every rational linear factor is divided out.
 
-    Roots are found modulo a prime with squarefree reduction, lifted to a
-    large prime power, recognized by rational reconstruction and verified
-    by exact evaluation, so the root set is provably complete.
+    Roots of the squarefree part fs are found by trying every residue
+    modulo a small prime p, the first from max(2 * deg, 101) that divides
+    neither lc(fs) nor the discriminant of fs.  The root set is complete:
+    a root u/w in lowest terms has w | lc(fs), so p does not divide w and
+    u/w reduces to a root mod p, a simple one because fs stays squarefree
+    mod p.  A simple root lifts uniquely to a large power of p (Newton),
+    rational reconstruction recovers u/w from the lift, and exact
+    evaluation discards the residues that are not rational roots.
     """
     f = primitive_int(f)
     if deg(f) <= 0:
@@ -359,32 +364,32 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
         roots[Fraction(-f[0], f[1])] = roots.get(Fraction(-f[0], f[1]), 0) + 1
         return roots, [1]
     fs = squarefree_part_int(f)
+    dfs = derivative(fs)
     lc, height = abs(fs[-1]), max(abs(c) for c in fs)
     bound = max(lc, lc + height)
     target = 2 * bound * bound + 1
+    p = next(
+        q for q in _primes_from(max(2 * deg(fs), 101))
+        if fs[-1] % q and deg(gcd_mod_p(fs, dfs, q)) == 0
+    )
+    fp = _mod_reduce(fs, p)
     candidates: list[Fraction] = []
-    for p in _primes_from(10007):
-        if fs[-1] % p == 0:
+    for r in range(p):
+        acc = 0
+        for c in reversed(fp):
+            acc = (acc * r + c) % p
+        if acc:
             continue
-        dfs = trim([i * fs[i] for i in range(1, len(fs))])
-        if deg(gcd_mod_p(fs, dfs, p)) != 0:
-            continue
-        base_roots = [r for r in range(p) if eval_uni_int(fs, r) % p == 0]
-        for r in base_roots:
-            m = p
-            while m < target:
-                m2 = m * m
-                fr = eval_uni_int(fs, r) % m2
-                dfr = eval_uni_int(dfs, r)
-                inv = pow(dfr % m2, -1, m2)
-                r = (r - fr * inv) % m2
-                m = m2
-            rec = _rational_reconstruct(r, m)
-            if rec is None:
-                continue
-            u, w = rec
-            candidates.append(Fraction(u, w))
-        break
+        m = p
+        while m < target:
+            m2 = m * m
+            fr = eval_uni_int(fs, r) % m2
+            inv = pow(eval_uni_int(dfs, r) % m2, -1, m2)
+            r = (r - fr * inv) % m2
+            m = m2
+        rec = _rational_reconstruct(r, m)
+        if rec is not None:
+            candidates.append(Fraction(*rec))
     leftover = f
     for root in sorted(set(candidates)):
         val = eval_uni(list(map(Fraction, f)), root)

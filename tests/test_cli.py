@@ -394,6 +394,15 @@ def test_console_script_runs():
     assert "cannot parse" in proc.stderr
 
 
+def test_intersect_image_deg15_node_cubic_finishes():
+    # Local number 43 at the cusp: the eliminant has degree 45.
+    proc = _run_module("intersect", "corpus:image-deg15", "corpus:node-cubic", "--json")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["cycle"] == {"points": [{"P": [0, 0, 1], "m": 43}], "residual": 2, "bezout": 45}
+    assert doc["bezout_ok"] is True and doc["fully_located"] is False
+
+
 def test_closed_stdout_exits_without_traceback():
     # As in `unicusp analyze ... --json | head -c 10`: the reader is gone
     # before the document is written.

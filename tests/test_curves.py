@@ -11,7 +11,7 @@ from unicusp import uniroots
 from unicusp.curves import (
     CurveError,
     ProjPoint,
-    _fulton,
+    _local_numbers,
     find_rational_singular_points,
     germ_at,
     intersection_cycle,
@@ -33,6 +33,7 @@ from unicusp.poly import (
     normalized,
     poly_to_text,
     proportional,
+    resultant_wrt,
 )
 
 F = Fraction
@@ -145,8 +146,9 @@ def test_fulton_multiplicativity():
 
 
 def _fulton_reference(f: Poly, g: Poly) -> int:
-    """The reduction on Fraction polynomials, as it stood before the integer
-    kernel: the oracle for curves._fulton."""
+    """Fulton's reduction (Algebraic Curves, 3.3) on Fraction polynomials:
+    the oracle for the local numbers curves._local_numbers reads off the
+    eliminant."""
     total = 0
     while True:
         if f.terms.get((0, 0, 0)) or g.terms.get((0, 0, 0)):
@@ -202,6 +204,18 @@ def _random_germ(rng: random.Random, max_deg: int, n_terms: int, constant: bool 
     return Poly(terms)
 
 
+def _homogenised(p: Poly) -> Poly:
+    """z^d * p(x/z, y/z) for a bivariate germ p of total degree d."""
+    d = p.total_degree()
+    return Poly({(i, j, d - i - j): c for (i, j, _), c in p.terms.items()})
+
+
+def _local_number(f: Poly, g: Poly) -> int:
+    """The eliminant kernel's local number at the origin of two germs."""
+    found = dict(_local_numbers(_homogenised(f), _homogenised(g)))
+    return found.get(ProjPoint.of(0, 0, 1), 0)
+
+
 def _assert_fulton_agrees(f: Poly, g: Poly) -> int | None:
     """Compare the kernel with the reference on a coprime pair, in both
     orders; return the local number, or None for a pair that shares a
@@ -209,8 +223,8 @@ def _assert_fulton_agrees(f: Poly, g: Poly) -> int | None:
     if not gcd(f, g).is_constant():
         return None
     want = _fulton_reference(f, g)
-    assert _fulton(f, g) == want
-    assert _fulton(g, f) == want
+    assert _local_number(f, g) == want
+    assert _local_number(g, f) == want
     return want
 
 
@@ -235,33 +249,42 @@ def test_fulton_matches_fraction_reference_on_y_divisible_germs():
     assert len([m for m in numbers if m is not None]) >= 15
     # Both germs divisible by y: they share the component y = 0.
     for f, g in ((Y * (X + Y), Y**2 - X**3 * Y), (Fraction(1, 2) * Y, 3 * X * Y + Y**2)):
-        for fn in (_fulton, _fulton_reference):
-            with pytest.raises(CurveError, match="share the component y = 0"):
-                fn(f, g)
-    for fn in (_fulton, _fulton_reference):
-        with pytest.raises(CurveError, match="zero germ"):
-            fn(X + Y**2, Fraction(2, 3) * X + Fraction(2, 3) * Y**2)
+        with pytest.raises(CurveError, match="share the component y = 0"):
+            _fulton_reference(f, g)
+        with pytest.raises(CurveError, match="share a component"):
+            _local_number(f, g)
+    # Proportional germs: the reduction ends in a zero germ.
+    f, g = X + Y**2, Fraction(2, 3) * X + Fraction(2, 3) * Y**2
+    with pytest.raises(CurveError, match="zero germ"):
+        _fulton_reference(f, g)
+    with pytest.raises(CurveError, match="share a component"):
+        _local_number(f, g)
 
 
 _SHARED_COMPONENT_SCRIPT = """
-from unicusp.curves import CurveError, _fulton
-from unicusp.poly import X, Y
+import time
 
-for f, g in ((X * (Y - X**2), X * (Y + X)), ((Y - X**2) * (X + Y**3), (Y - X**2) * (Y + X))):
+from unicusp.curves import CurveError, _local_numbers
+from unicusp.poly import X, Y, Z
+
+# Homogenised germs sharing x = 0 or y = x^2 through the origin.
+for f, g in ((X * (Y * Z - X**2), X * (Y + X)), ((Y * Z - X**2) * (X * Z**2 + Y**3), (Y * Z - X**2) * (Y + X))):
     for a, b in ((f, g), (g, f)):
+        start = time.perf_counter()
         try:
-            _fulton(a, b)
+            _local_numbers(a, b)
         except CurveError as exc:
-            print(exc)
+            print(exc, time.perf_counter() - start < 1)
         else:
             print("no error")
 """
 
 
 def test_fulton_stops_on_germs_sharing_a_component_through_the_origin():
-    # Germs sharing x = 0 or y = x^2 have no local number; without the
-    # Bezout guard the reduction never ends, so run it in a child process
-    # that fails the test on timeout instead of hanging the suite.
+    # Germs sharing x = 0 or y = x^2 have no local number; Fulton's
+    # reduction never ends on them, so run the kernel in a child process
+    # that fails the test on timeout instead of hanging the suite.  The
+    # eliminant is zero, so the kernel stops at once.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", _SHARED_COMPONENT_SCRIPT],
@@ -271,7 +294,8 @@ def test_fulton_stops_on_germs_sharing_a_component_through_the_origin():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["germs share a component through the origin"] * 4
+    want = "curves share a component; intersection numbers are undefined True"
+    assert proc.stdout.splitlines() == [want] * 4
 
 
 def test_fulton_matches_fraction_reference_at_high_contact():
@@ -317,12 +341,30 @@ def test_intersection_cycle_irrational_residual():
     assert cyc.residual == 2  # the two sqrt(2) points
 
 
+def _order_of_x_in_sylvester_det(f: Poly, g: Poly) -> int:
+    """Order of x = 0 in Res_y(f(x, y, 1), g(x, y, 1)), the Sylvester
+    determinant computed by sympy.
+
+    It is the local number at (0 : 0 : 1) when that is the only common
+    point on the line x = 0 (checked here) and (0 : 1 : 0) is not common.
+    """
+    import sympy
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x, y, z = sympy.symbols("x y z")
+    fs, gs = (sympy.sympify(poly_to_text(h).replace("^", "**")).subs(z, 1) for h in (f, g))
+    assert len(sympy.Poly(sympy.gcd(fs.subs(x, 0), gs.subs(x, 0)), y).monoms()) == 1
+    assert f.evaluate((0, 1, 0)) != 0 or g.evaluate((0, 1, 0)) != 0
+    dm = sylvester(fs, gs, y).to_DM()
+    res = sympy.Poly(dm.domain.to_sympy(dm.det()), x)
+    return min(e for (e,) in res.monoms())
+
+
 @pytest.mark.parametrize(
     "ps", DEFAULT_PARAMS + (param_set("-2/3", "3/2", 1),), ids=lambda ps: ps.label
 )
 def test_high_contact_cycle_image_quintic_rational_quintic(ps):
     import sympy
-    from sympy.polys.subresultants_qq_zz import sylvester
 
     left, right = curve_by_name("image-quintic", ps), curve_by_name("rational-quintic", ps)
     cyc = intersection_cycle(left, right)
@@ -335,10 +377,58 @@ def test_high_contact_cycle_image_quintic_rational_quintic(ps):
     f, g = left.poly, right.poly
     fs, gs = (sympy.sympify(poly_to_text(h).replace("^", "**")).subs(z, 1) for h in (f, g))
     assert sympy.gcd(fs.subs(x, 0), gs.subs(x, 0)) == y**4
-    assert f.evaluate((0, 1, 0)) != 0 or g.evaluate((0, 1, 0)) != 0
-    dm = sylvester(fs, gs, y).to_DM()
-    res = sympy.Poly(dm.domain.to_sympy(dm.det()), x)
-    assert min(e for (e,) in res.monoms()) == 22
+    assert _order_of_x_in_sylvester_det(f, g) == 22
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
+def test_high_contact_cycles_of_image_deg15(ps):
+    # Contact 43 and 74 at the cusp, beyond the reach of Fulton's reduction.
+    deg15 = curve_by_name("image-deg15", ps)
+    origin = ProjPoint.of(0, 0, 1)
+    node = curve_by_name("node-cubic", ps)
+    cyc = intersection_cycle(deg15, node)
+    assert cyc.points == [(origin, 43)]
+    assert (cyc.residual, cyc.bezout) == (2, 45)
+    assert _order_of_x_in_sylvester_det(deg15.poly, node.poly) == 43
+    quintic = curve_by_name("rational-quintic", ps)
+    cyc = intersection_cycle(deg15, quintic)
+    assert (cyc.residual, cyc.bezout) == (0, 75)
+    assert cyc.multiplicity_of(origin) == 74
+    [(other, m)] = [(q, m) for q, m in cyc.points if q != origin]
+    assert m == 1
+    assert deg15.poly.evaluate(other.coords()) == quintic.poly.evaluate(other.coords()) == 0
+    assert _order_of_x_in_sylvester_det(deg15.poly, quintic.poly) == 74
+
+
+def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
+    from unicusp import curves
+
+    # The line x = z through the centre (0 : 1 : 0) holds the common points
+    # (1 : 1 : 1) and (1 : -1 : 1), so the first shear is rejected.  The
+    # second centre (1 : 1 : 1) is a common point and is skipped; the line
+    # x = -y through the third, (-1 : 1 : 1), holds (0 : 0 : 1) and
+    # (1 : -1 : 1); the fourth, (2 : 1 : -1), succeeds.
+    calls = []
+
+    def counted(p, q, v):
+        calls.append(v)
+        return resultant_wrt(p, q, v)
+
+    monkeypatch.setattr(curves, "resultant_wrt", counted)
+    f, g = make_curve(Y**2 - X * Z), make_curve(Y**2 + X**2 - 2 * X * Z)
+    want = [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(1, -1, 1), 1), (ProjPoint.of(1, 1, 1), 1)]
+    cyc = intersection_cycle(f, g)
+    assert (cyc.points, cyc.residual) == (want, 0)
+    assert len(calls) == 3
+    assert intersection_multiplicity(f, g, ProjPoint.of(0, 0, 1)) == 2
+    # With only the identity in the table, the shears to (k : 1 : 2^k) run:
+    # k = 1 puts the centre on the line x = y through (0 : 0 : 1) and
+    # (1 : 1 : 1), and k = 2 succeeds.
+    monkeypatch.setattr(curves, "_SHEARS", curves._SHEARS[:1])
+    calls.clear()
+    cyc = intersection_cycle(f, g)
+    assert (cyc.points, cyc.residual) == (want, 0)
+    assert len(calls) == 3
 
 
 def test_cycle_respects_bezout_on_cubics():

@@ -328,13 +328,55 @@ def _sympy_sylvester_det(p, q, v):
     return dm.domain.to_sympy(dm.det())
 
 
+def _sylvester(p, q, v):
+    """Sylvester matrix of p and q in v, rows of p first."""
+    m, n = p.degree_in(v), q.degree_in(v)
+    pc = p.coeffs_wrt(v)
+    qc = q.coeffs_wrt(v)
+    size = m + n
+    rows = []
+    for i in range(n):
+        row = [Poly.zero()] * size
+        for k in range(m + 1):
+            row[i + k] = pc.get(m - k, Poly.zero())
+        rows.append(row)
+    for i in range(m):
+        row = [Poly.zero()] * size
+        for k in range(n + 1):
+            row[i + k] = qc.get(n - k, Poly.zero())
+        rows.append(row)
+    return rows
+
+
+def _bareiss_det(mat):
+    """Fraction-free determinant of a matrix of polynomials (Bareiss)."""
+    n = len(mat)
+    if n == 0:
+        return ONE
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+            if pivot_row is None:
+                return Poly.zero()
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                q = exact_divide(num, prev)
+                assert q is not None, "Bareiss division must be exact"
+                m[i][j] = q
+            m[i][k] = Poly.zero()
+        prev = m[k][k]
+    return m[n - 1][n - 1] * sign
+
+
 def _assert_resultant_agrees(p, q, v):
     import sympy
 
-    from unicusp.poly import _bareiss_det, _sylvester
-
-    # Sylvester size above 8: the modular path runs.
-    assert p.degree_in(v) + q.degree_in(v) > 8
     r = resultant_wrt(p, q, v)
     assert r == _bareiss_det(_sylvester(p, q, v))
     diff = _sympy_sylvester_det(p, q, v) - sympy.sympify(poly_to_text(r).replace("^", "**"))
@@ -352,6 +394,22 @@ def test_resultant_wrt_bivariate_matches_sylvester_determinant():
         checked += 1
 
 
+def test_resultant_wrt_bivariate_small_sizes_match_sylvester_determinant():
+    # Every Sylvester size from 2 to 8, each with y-degrees of both inputs
+    # at least 1.
+    rng = random.Random(2012)
+    sizes = set()
+    while len(sizes) < 7:
+        p, q = _random_bivariate(rng, 3, 4, 5), _random_bivariate(rng, 3, 4, 5)
+        size = p.degree_in(1) + q.degree_in(1)
+        if size > 8 or size in sizes or min(p.degree_in(1), q.degree_in(1)) < 1:
+            continue
+        if p.degree_in(0) + q.degree_in(0) == 0:
+            continue
+        _assert_resultant_agrees(p, q, 1)
+        sizes.add(size)
+
+
 def test_resultant_wrt_homogeneous_matches_sylvester_determinant():
     rng = random.Random(1971)
     checked = 0
@@ -361,6 +419,25 @@ def test_resultant_wrt_homogeneous_matches_sylvester_determinant():
             continue
         _assert_resultant_agrees(p, q, 1)
         checked += 1
+
+
+def test_resultant_wrt_homogeneous_small_sizes_match_sylvester_determinant():
+    rng = random.Random(1972)
+    sizes = set()
+    while len(sizes) < 7:
+        p, q = _random_form(rng, rng.randint(1, 4), 5), _random_form(rng, rng.randint(1, 4), 5)
+        size = p.degree_in(1) + q.degree_in(1)
+        if size > 8 or size in sizes or min(p.degree_in(1), q.degree_in(1)) < 1:
+            continue
+        _assert_resultant_agrees(p, q, 1)
+        sizes.add(size)
+
+
+def test_resultant_wrt_rejects_trivariate_inhomogeneous_input():
+    with pytest.raises(ValueError, match="bivariate or homogeneous"):
+        resultant_wrt(X * Y + Z, Y**2 - X, 1)
+    with pytest.raises(ValueError, match="bivariate or homogeneous"):
+        resultant_wrt(X - Y, X * Y - Z, 0)
 
 
 def test_resultant_wrt_skips_bad_primes_and_points():

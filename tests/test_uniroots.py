@@ -169,3 +169,58 @@ def test_resultant_mod_product_is_none_at_a_zero_divisor_leading_coefficient():
     # Modulo each prime alone the kernel still answers exactly.
     for m in (p, q):
         assert ur.resultant_mod_p(a, b, m) == _resultant_q_mod(a, b, m)
+
+
+def _sympy_rational_roots(f):
+    import sympy
+
+    x = sympy.symbols("x")
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(f)), x))
+    out = {}
+    for fac, m in factors:
+        if fac.degree() == 1:
+            a, b = (int(c) for c in fac.all_coeffs())
+            out[F(-b, a)] = m
+    return out
+
+
+def _assert_rational_roots_agree(f):
+    roots, cofactor = ur.rational_roots_int(f)
+    assert roots == _sympy_rational_roots(f)
+    # f is the cofactor times the linear factors, up to a scalar.
+    prod = cofactor
+    for r, m in roots.items():
+        for _ in range(m):
+            prod = ur.mul_uni(prod, [-r.numerator, r.denominator])
+    assert ur.primitive_int(prod) == ur.primitive_int(f)
+    return roots
+
+
+def test_rational_roots_match_sympy():
+    rng = random.Random(4401)
+    found = 0
+    for _ in range(40):
+        f = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] or [1]
+        for _ in range(rng.randint(0, 4)):
+            u, w = rng.randint(-30, 30), rng.randint(1, 12)
+            f = ur.mul_uni(f, [-u, w])
+            if rng.random() < 0.3:
+                f = ur.mul_uni(f, [-u, w])
+        if not ur.trim(f):
+            continue
+        found += len(_assert_rational_roots_agree(f))
+    assert found >= 40
+
+
+def test_rational_roots_skip_primes_that_divide_the_lead_or_a_difference():
+    # The first prime tried for a small degree is 101.  Here 101 divides
+    # the leading coefficient, so the root 5/101 does not exist mod 101.
+    roots = _assert_rational_roots_agree(ur.mul_uni([-5, 101], [3, 1, 1]))
+    assert roots == {F(5, 101): 1}
+    # The roots 1 and 102 coincide mod 101, so the input is not squarefree
+    # mod 101 and a larger prime is used.
+    roots = _assert_rational_roots_agree(ur.mul_uni(ur.mul_uni([-1, 1], [-102, 1]), [7, 0, 1]))
+    assert roots == {F(1): 1, F(102): 1}
+    # Both at once, with repeated roots.
+    f = ur.mul_uni(ur.mul_uni([-5, 101], [-5, 101]), ur.mul_uni([-1, 1], [-102, 1]))
+    assert _assert_rational_roots_agree(f) == {F(5, 101): 2, F(1): 1, F(102): 1}
