@@ -2,12 +2,13 @@
 
 Curves are squarefree homogeneous polynomials in x, y, z up to scalar.
 Points are exact rational projective points.  The singular-locus search is
-certified: eliminating y from pairs of partial derivatives yields binary
-forms in (x, z) whose rational common roots give all candidate lines;
-candidates that cannot be excluded over Q are either separated by a
-deterministic sequence of unimodular coordinate shears or reported as
-structured blockers naming the offending irreducible factor, never
-silently dropped.
+certified: eliminating y from a pair of partial derivatives yields a
+binary form in (x, z) whose rational roots give all candidate lines, and
+a second eliminant, reduced modulo one prime, shows that no line of
+irrational direction holds a singular point; factors that cannot be
+excluded over Q are either separated by a deterministic sequence of
+unimodular coordinate shears or reported as structured blockers naming
+the offending factor, never silently dropped.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .poly import (
     content_wrt,
     exact_divide,
     normalized,
+    resultant_image_mod_p,
     resultant_wrt,
     squarefree_witness,
     to_univariate,
@@ -293,11 +295,14 @@ def _map_point(m: tuple[tuple[int, int, int], ...], q: ProjPoint) -> ProjPoint:
 def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     """All rational singular points with multiplicities.
 
-    Works projectively: rational roots of the gcd of two (x, z)-eliminants
-    of the partial derivatives give candidate lines, candidates are decided
-    by exact univariate gcds in y, and undecided factors trigger a retry in
-    sheared coordinates.  Whatever survives every shear is reported as a
-    blocker rather than ignored.
+    Works projectively: the rational roots of one exact (x, z)-eliminant
+    of two partial derivatives give candidate lines through (0 : 1 : 0),
+    each decided by exact univariate gcds in y.  The rest of that
+    eliminant is checked against a second eliminant modulo one prime;
+    only when that check fails is the second formed exactly, and a factor
+    it shares, or an irrational y-locus on a candidate line, triggers a
+    retry in sheared coordinates.  Whatever survives every shear is
+    reported as a blocker rather than ignored.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
@@ -317,41 +322,45 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
 
 
 def _singular_search(f: Poly) -> SingularLocus:
+    """Singular points of f with multiplicities, plus blockers.
+
+    A singular point lies on the line through (0 : 1 : 0) whose direction
+    (x : z) is a common root of the eliminants e = Res_y of the pairs of
+    nonzero partials.  Only the first nonzero eliminant e1 is formed
+    exactly: its rational roots, and (1 : 0) when e1 vanishes there, are
+    the candidate lines, each decided exactly by `_points_on_line`.  What
+    is left of e1 once its rational linear factors are divided out, L1,
+    is checked against the next pair by `_irrational_common_factor`.
+    """
     partials = [f.partial(i) for i in range(3)]
     live = [p for p in partials if not p.is_zero()]
     if len(live) < 2:
         # f uses a single variable; squarefree => a line, handled earlier.
         raise CurveError("degenerate curve: fewer than two nonzero partials")
 
-    elims: list[Poly] = []
-    for a, b in ((live[0], live[1]), (live[0], live[-1]), (live[1], live[-1])):
-        if a is b:
-            continue
-        e = _eliminant_y(a, b)
-        if e is not None and not e.is_zero():
-            elims.append(e)
-        if len(elims) == 2:
+    pairs = [
+        (a, b)
+        for a, b in ((live[0], live[1]), (live[0], live[-1]), (live[1], live[-1]))
+        if a is not b
+    ]
+    for i, (a, b) in enumerate(pairs):
+        e1 = _eliminant_y(a, b)
+        if e1 is not None:
             break
-    if not elims:
+    else:
         raise CurveError("partial derivatives are pairwise degenerate; cannot certify locus")
 
+    roots, l1 = uniroots.rational_roots_int(uniroots.clear_denominators(_binary_to_uni(e1)))
+    cands = [(r, Fraction(1)) for r in roots]
+    if _infinity_root(e1):
+        cands.append((Fraction(1), Fraction(0)))
     blockers: list[ExtensionFieldSingularity] = []
-    # common rational (x : z) directions of all eliminants
-    cands: list[tuple[Fraction, Fraction]] = []
-    glist = [uniroots.clear_denominators(_binary_to_uni(e)) for e in elims]
-    gg = glist[0]
-    for extra in glist[1:]:
-        gg = uniroots.gcd_int(gg, extra)
-    if uniroots.deg(gg) > 0 or all(_infinity_root(e) for e in elims):
-        roots, leftover = uniroots.rational_roots_int(gg)
-        for r in roots:
-            cands.append((r, Fraction(1)))
-        if all(_infinity_root(e) for e in elims):
-            cands.append((Fraction(1), Fraction(0)))
-        if uniroots.deg(leftover) > 0:
+    if uniroots.deg(l1) > 0:
+        common = _irrational_common_factor(l1, pairs[i + 1:])
+        if uniroots.deg(common) > 0:
             blockers.append(
                 ExtensionFieldSingularity(
-                    _uni_to_binary(leftover), "common eliminant factor without rational roots"
+                    _uni_to_binary(common), "common eliminant factor without rational roots"
                 )
             )
 
@@ -371,6 +380,39 @@ def _singular_search(f: Poly) -> SingularLocus:
             out.append((q, m))
     out.sort(key=lambda t: t[0].coords())
     return SingularLocus(out, blockers)
+
+
+def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> list[int]:
+    """The part of l1 shared with the next nonzero eliminant of the pairs
+    in `rest`, as a primitive integer list ([1] when none); l1 itself when
+    no later pair has a nonzero eliminant.
+
+    l1 is e1(t, 1) without its rational linear factors, of positive degree.
+    Certificate first, when both partials of the next pair involve y (else
+    that eliminant is a partial itself, exact for free): take the first
+    prime p near 2**30 with p not dividing lc(l1), and the image modulo p
+    of the next pair's eliminant.  Suppose a primitive D in Z[t] of
+    positive degree divided both l1 and that eliminant over Q.  By Gauss's
+    lemma D divides l1 and the integral resultant behind the image in
+    Z[t], so lc(D) divides lc(l1), p does not divide lc(D), and D mod p is
+    a factor of positive degree of both l1 mod p and the image.  So a
+    constant gcd modulo p proves that no factor is shared, and with it that
+    no singular point lies on a line with an irrational direction.
+    Otherwise (an irrational singular point, or an unlucky prime) the
+    eliminant is formed exactly and the exact gcd returned.
+    """
+    if rest:
+        a, b = rest[0]
+        if a.degree_in(1) > 0 and b.degree_in(1) > 0:
+            p = next(q for q in uniroots.large_primes() if l1[-1] % q)
+            image = resultant_image_mod_p(a, b, 1, p)
+            if image and uniroots.deg(uniroots.gcd_mod_p(l1, image, p)) == 0:
+                return [1]
+    for a, b in rest:
+        e2 = _eliminant_y(a, b)
+        if e2 is not None:
+            return uniroots.gcd_int(l1, uniroots.clear_denominators(_binary_to_uni(e2)))
+    return l1
 
 
 def _eliminant_y(a: Poly, b: Poly) -> Poly | None:

@@ -706,10 +706,8 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
 
     Collins' modular method with one interpolation.  With P = p/content(p)
     and Q = q/content(q) integral, Res(p, q) = content(p)**n *
-    content(q)**m * Res(P, Q).  The bound + 1 evaluation points are the
-    first integers t in 0, 1, -1, 2, -2, ... at which neither v-leading
-    coefficient of P, Q vanishes, and every v-coefficient of P and Q is
-    evaluated once at each.  The primes near 2**30 that divide none of the
+    content(q)**m * Res(P, Q).  The bound + 1 evaluation points come from
+    `_sample_points`.  The primes near 2**30 that divide none of the
     leading-coefficient values are kept, so both leading coefficients are
     units modulo their product M and the formal degrees hold there.  At
     each point one inverse-free Euclid modulo M gives Res(P, Q)(t) mod M;
@@ -733,32 +731,14 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
     m, n = p.degree_in(v), q.degree_in(v)
     if bound is None:
         bound = n * max(p.degree_in(w), 0) + m * max(q.degree_in(w), 0)
-    cp, cq = content(p), content(q)
-
-    def int_coeffs(f: Poly, c: Fraction, d: int) -> list[list[int]]:
-        fc = (f * (1 / c)).coeffs_wrt(v)
-        return [
-            [a.numerator for a in to_univariate(fc.get(k, Poly.zero()), w)]
-            for k in range(d + 1)
-        ]
+    cp, pl = _primitive_rows(p, v, w)
+    cq, ql = _primitive_rows(q, v, w)
 
     def square_norm(rows: list[list[int]]) -> int:
         return sum(sum(abs(a) for a in cs) ** 2 for cs in rows)
 
-    pl, ql = int_coeffs(p, cp, m), int_coeffs(q, cq, n)
     limit = 4 * square_norm(pl) ** n * square_norm(ql) ** m
-    xs: list[int] = []
-    values: list[tuple[list[int], list[int]]] = []
-    t = 0
-    while len(xs) <= bound:
-        lp, lq = uniroots.eval_uni_int(pl[m], t), uniroots.eval_uni_int(ql[n], t)
-        if lp and lq:
-            xs.append(t)
-            values.append((
-                [uniroots.eval_uni_int(cs, t) for cs in pl[:m]] + [lp],
-                [uniroots.eval_uni_int(cs, t) for cs in ql[:n]] + [lq],
-            ))
-        t = -t if t > 0 else 1 - t
+    xs, values = _sample_points(pl, ql, bound + 1, 0)
     primes: list[int] = []
     modulus = 1
     for prime in uniroots.large_primes():
@@ -784,6 +764,74 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
     half = modulus // 2
     scale = cp ** n * cq ** m
     return from_univariate([(c - modulus if c > half else c) * scale for c in coeffs], w)
+
+
+def _primitive_rows(f: Poly, v: int, w: int) -> tuple[Fraction, list[list[int]]]:
+    """content(f) and, for k = 0 .. deg_v f, the integer coefficient list
+    in w of the v**k coefficient of f / content(f)."""
+    c = content(f)
+    fc = (f * (1 / c)).coeffs_wrt(v)
+    rows = [
+        [a.numerator for a in to_univariate(fc.get(k, Poly.zero()), w)]
+        for k in range(f.degree_in(v) + 1)
+    ]
+    return c, rows
+
+
+def _sample_points(
+    pl: list[list[int]], ql: list[list[int]], count: int, prime: int
+) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """The first `count` integers t in 0, 1, -1, 2, -2, ... at which
+    neither leading row (pl[-1], ql[-1]) vanishes, over Z when prime is 0
+    and modulo prime otherwise, each with every row of pl and ql evaluated
+    at t: the coefficient lists in v of both inputs at w = t.
+
+    The caller makes sure enough such t exist: a leading row that is
+    nonzero (modulo prime) has finitely many roots.
+    """
+    from . import uniroots
+
+    xs: list[int] = []
+    values: list[tuple[list[int], list[int]]] = []
+    t = 0
+    while len(xs) < count:
+        lp, lq = uniroots.eval_uni_int(pl[-1], t), uniroots.eval_uni_int(ql[-1], t)
+        if (lp % prime and lq % prime) if prime else (lp and lq):
+            xs.append(t)
+            values.append((
+                [uniroots.eval_uni_int(cs, t) for cs in pl[:-1]] + [lp],
+                [uniroots.eval_uni_int(cs, t) for cs in ql[:-1]] + [lq],
+            ))
+        t = -t if t > 0 else 1 - t
+    return xs, values
+
+
+def resultant_image_mod_p(p: Poly, q: Poly, v: int, prime: int) -> list[int] | None:
+    """Image modulo a prime of the resultant in v of two homogeneous forms
+    of positive v-degree, dehomogenized: coefficients (low to high) of
+    Res_v(P, Q)(t, 1) mod prime, where the forms are in (v, wa, wb) with
+    wa < wb the other two variables, t stands for wa, and P, Q are p, q
+    divided by their contents.
+
+    So the result is resultant_wrt(p, q, v) at wb = 1 over a rational
+    scale, reduced modulo prime.  It takes the points and the evaluated
+    coefficients from `_sample_points`, as `_resultant_interp` does, one
+    Euclid modulo prime per point and one interpolation.  None when a
+    leading coefficient in v of P or Q vanishes modulo prime as a whole
+    (no point then keeps the formal degrees).
+    """
+    from . import uniroots
+
+    wa, wb = sorted({0, 1, 2} - {v})
+    m, n = p.degree_in(v), q.degree_in(v)
+    total = n * p.total_degree() + m * q.total_degree() - m * n
+    _, pl = _primitive_rows(p.substitute(_unit_sub(wb)), v, wa)
+    _, ql = _primitive_rows(q.substitute(_unit_sub(wb)), v, wa)
+    if not any(c % prime for c in pl[-1]) or not any(c % prime for c in ql[-1]):
+        return None
+    xs, values = _sample_points(pl, ql, total + 1, prime)
+    residues = [uniroots.resultant_mod_p(a, b, prime) for a, b in values]
+    return uniroots.trim(uniroots.interpolate_mod_p(xs, residues, prime))
 
 
 def _resultant_homogeneous(p: Poly, q: Poly, v: int, wa: int, wb: int) -> Poly:

@@ -148,17 +148,50 @@ def gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
     return _mod_monic(a, p) if a else []
 
 
+# Miller-Rabin with the bases 2, 3, 5, 7 decides primality exactly for
+# every n below this bound (Jaeschke, Math. Comp. 61, 1993): the smallest
+# composite that passes all four is 3215031751.  The primes asked for here
+# lie near 2**30 or below a few thousand.
+_MR_BASES = (2, 3, 5, 7)
+_MR_LIMIT = 3215031751
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    if n % 2 == 0:
+        return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _primes_from(start: int):
-    n = max(start, 3) | 1
+    """The primes >= start, in increasing order."""
+    n = max(start, 2)
     while True:
-        if all(n % q for q in range(3, isqrt(n) + 1, 2)) and n % 2:
+        if _is_prime(n):
             yield n
-        n += 2
+        n += 1
 
 
 # Primes from 2**30 upward, found once per process and shared by the
-# modular gcd and resultant: trial division costs about a millisecond per
-# prime, and a resultant can need dozens of them.
+# modular gcd and resultant, which can need dozens of them.
 _LARGE_PRIMES: list[int] = []
 
 

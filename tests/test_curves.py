@@ -10,7 +10,10 @@ import pytest
 from unicusp import uniroots
 from unicusp.curves import (
     CurveError,
+    ExtensionFieldSingularity,
+    IrrationalLocusError,
     ProjPoint,
+    SingularLocus,
     _local_numbers,
     find_rational_singular_points,
     germ_at,
@@ -23,6 +26,7 @@ from unicusp.curves import (
     tangent_line_at,
 )
 from unicusp.corpus import DEFAULT_PARAMS, curve_by_name, param_set
+from unicusp.parse import parse_poly
 from unicusp.poly import (
     Poly,
     X,
@@ -435,3 +439,175 @@ def test_cycle_respects_bezout_on_cubics():
     cyc = intersection_cycle(CUSP_CUBIC, NODE_CUBIC)
     located = sum(m for _, m in cyc.points)
     assert located + cyc.residual == 9
+
+
+# -- singular search: blockers and the two-eliminant reference --------------
+
+
+def _singular_search_reference(f: Poly) -> SingularLocus:
+    """The singular search with two exact eliminants: the oracle for
+    curves._singular_search, which forms only the first exactly.
+
+    Candidate lines are the rational roots of the gcd of the first two
+    nonzero eliminants, and (1 : 0) when both vanish there; the blocker is
+    what is left of that gcd once its rational linear factors are removed.
+    """
+    from unicusp import curves
+
+    live = [p for p in (f.partial(i) for i in range(3)) if not p.is_zero()]
+    elims: list[Poly] = []
+    for a, b in ((live[0], live[1]), (live[0], live[-1]), (live[1], live[-1])):
+        if a is b:
+            continue
+        e = curves._eliminant_y(a, b)
+        if e is not None and not e.is_zero():
+            elims.append(e)
+        if len(elims) == 2:
+            break
+    blockers: list[ExtensionFieldSingularity] = []
+    cands: list[tuple[Fraction, Fraction]] = []
+    glist = [uniroots.clear_denominators(curves._binary_to_uni(e)) for e in elims]
+    gg = glist[0]
+    for extra in glist[1:]:
+        gg = uniroots.gcd_int(gg, extra)
+    if uniroots.deg(gg) > 0 or all(curves._infinity_root(e) for e in elims):
+        roots, leftover = uniroots.rational_roots_int(gg)
+        for r in roots:
+            cands.append((r, Fraction(1)))
+        if all(curves._infinity_root(e) for e in elims):
+            cands.append((Fraction(1), Fraction(0)))
+        if uniroots.deg(leftover) > 0:
+            blockers.append(
+                ExtensionFieldSingularity(
+                    curves._uni_to_binary(leftover), "common eliminant factor without rational roots"
+                )
+            )
+    points = []
+    for x0, z0 in cands:
+        found, blk = curves._points_on_line(f, live, x0, z0)
+        points.extend(found)
+        blockers.extend(blk)
+    if all(p.evaluate((0, 1, 0)) == 0 for p in live):
+        points.append((ProjPoint.of(0, 1, 0), 0))
+    out = []
+    for q, _ in points:
+        m = curves._mult_of_poly_at(f, q)
+        if m >= 2:
+            out.append((q, m))
+    out.sort(key=lambda t: t[0].coords())
+    return SingularLocus(out, blockers)
+
+
+def _locus_key(locus: SingularLocus) -> tuple:
+    return ([(str(q), m) for q, m in locus.points], [b.as_json() for b in locus.blockers])
+
+
+def _assert_search_agrees(f: Poly) -> tuple:
+    """The singular search and the reference agree on f in every
+    coordinate system of _SHEARS; returns the unsheared result."""
+    from unicusp import curves
+
+    results = []
+    for m in curves._SHEARS:
+        g = curves._apply_matrix(f, m)
+        got = _locus_key(curves._singular_search(g))
+        assert got == _locus_key(_singular_search_reference(g)), (poly_to_text(f), m)
+        results.append(got)
+    return results[0]
+
+
+@pytest.mark.parametrize(
+    "text, points, blocker",
+    [
+        ("y*(x^2+y^2-3*z^2)", [], "x^2 - 3*z^2"),
+        (
+            "(y^2*z-x^3)*(x^2-2*z^2)",
+            [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(0, 1, 0), 3)],
+            "x^4 - 4*x^2*z^2 + 4*z^4",
+        ),
+        (
+            "(x^2-2*z^2)*(y^2-3*z^2)",
+            [(ProjPoint.of(0, 1, 0), 2), (ProjPoint.of(1, 0, 0), 2)],
+            "x^4 - 4*x^2*z^2 + 4*z^4",
+        ),
+    ],
+)
+def test_irrational_singular_points_are_reported_as_blockers(text, points, blocker):
+    # Each curve has singular points with irrational coordinates that no
+    # shear makes rational: y = 0 meets the circle at x = ±sqrt(3) z, and
+    # the lines x = ±sqrt(2) z meet the cubic, each other (at (0 : 1 : 0))
+    # or the lines y = ±sqrt(3) z.
+    curve = make_curve(parse_poly(text))
+    locus = find_rational_singular_points(curve)
+    assert locus.points == points
+    assert [b.as_json() for b in locus.blockers] == [
+        {"factor": blocker, "context": "common eliminant factor without rational roots"}
+    ]
+    with pytest.raises(IrrationalLocusError):
+        locus.require_rational()
+    if points:
+        assert is_smooth(curve) is False  # a rational singular point decides it
+    else:
+        with pytest.raises(IrrationalLocusError) as info:
+            is_smooth(curve)
+        assert [str(b.factor) for b in info.value.blockers] == [blocker]
+    _assert_search_agrees(curve.poly)
+
+
+def test_analyze_with_an_irrational_singular_point_exits_one():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unicusp", "analyze", "(y^2*z-x^3)*(x^2-2*z^2)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: singular locus has components outside Q: x^4 - 4*x^2*z^2 + 4*z^4\n"
+    )
+
+
+def _random_line_or_conic(rng: random.Random) -> Poly:
+    def c() -> Fraction:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+    if rng.random() < 0.5:
+        return c() * X + c() * Y + c() * Z + X
+    monomials = [X * X, Y * Y, Z * Z, X * Y, X * Z, Y * Z]
+    return Y * Y + sum((c() * m for m in monomials), Poly.zero())
+
+
+def test_singular_search_matches_two_eliminant_reference_on_lines_and_conics():
+    rng = random.Random(8808)
+    seen_blockers = seen_points = 0
+    for _ in range(24):
+        factors = [_random_line_or_conic(rng) for _ in range(rng.randint(2, 3))]
+        product = factors[0]
+        for extra in factors[1:]:
+            product = product * extra
+        try:
+            curve = make_curve(product)
+        except CurveError:
+            continue  # a repeated or degenerate factor
+        points, blockers = _assert_search_agrees(curve.poly)
+        seen_points += bool(points)
+        seen_blockers += bool(blockers)
+    # The draws have rational and irrational singular points both.
+    assert seen_points >= 5 and seen_blockers >= 5
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_singular_search_matches_two_eliminant_reference_on_the_corpus(ps, monkeypatch):
+    from unicusp import corpus, curves
+
+    assert len(corpus.CURVES) == 12
+    for name in corpus.CURVES:
+        curve = curve_by_name(name, ps)
+        got = _locus_key(find_rational_singular_points(curve))
+        monkeypatch.setattr(curves, "_singular_search", _singular_search_reference)
+        want = _locus_key(find_rational_singular_points(curve))
+        monkeypatch.undo()
+        assert got == want, name

@@ -18,6 +18,7 @@ from unicusp.poly import (
     poly_to_text,
     proportional,
     radical,
+    resultant_image_mod_p,
     resultant_wrt,
     squarefree_witness,
     to_univariate,
@@ -470,3 +471,46 @@ def test_resultant_wrt_falls_back_to_per_prime_euclid():
     p = Y**5 + first * Y**3 + X * Y**2 + X**2 + 5
     q = Y**4 + X**3 * Y + 1
     _assert_resultant_agrees(p, q, 1)
+
+
+def _image_from_exact(p, q, prime):
+    """resultant_wrt(p, q, 1) at z = 1 over content(p)**n * content(q)**m,
+    reduced modulo prime: what resultant_image_mod_p must return."""
+    from unicusp import uniroots
+
+    m, n = p.degree_in(1), q.degree_in(1)
+    scale = content(p) ** n * content(q) ** m
+    exact = resultant_wrt(p, q, 1).substitute((X, Y, ONE)) * (1 / scale)
+    coeffs = [c.numerator for c in to_univariate(exact, 0)]
+    return uniroots.trim([c % prime for c in coeffs])
+
+
+def test_resultant_image_mod_p_is_the_reduced_exact_resultant():
+    from unicusp import uniroots
+
+    rng = random.Random(1973)
+    checked = 0
+    for prime in (101, next(uniroots.large_primes())):
+        while checked < 8:
+            p, q = _random_form(rng, rng.randint(2, 5), 6), _random_form(rng, rng.randint(2, 5), 6)
+            if min(p.degree_in(1), q.degree_in(1)) < 1:
+                continue
+            assert resultant_image_mod_p(p, q, 1, prime) == _image_from_exact(p, q, prime), (p, q)
+            checked += 1
+        checked = 0
+    # Points where a leading coefficient vanishes modulo the prime are
+    # skipped, so the formal degrees hold: x = 0 for q, and x = 7 for p,
+    # where x + 94 is 101, nonzero over Z.
+    p = (X * Z + 101 * Z**2 - 7 * Z**2) * Y**3 + X**4 * Y + Z**5
+    q = X * Y**2 + Y * Z**2 - X**3
+    assert resultant_image_mod_p(p, q, 1, 101) == _image_from_exact(p, q, 101)
+    # The image of a zero resultant is zero.
+    assert resultant_image_mod_p(p * q, q * (X + Y), 1, 101) == []
+
+
+def test_resultant_image_mod_p_is_none_when_a_leading_coefficient_vanishes():
+    # p is primitive, but its y-leading coefficient 101*x is 0 mod 101.
+    p = 101 * X * Y**2 + Y * Z**2 + X**3
+    q = Y**2 - X * Z
+    assert resultant_image_mod_p(p, q, 1, 101) is None
+    assert resultant_image_mod_p(p, q, 1, 103) == _image_from_exact(p, q, 103)

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from unicusp import uniroots as ur
 
 
@@ -224,3 +226,28 @@ def test_rational_roots_skip_primes_that_divide_the_lead_or_a_difference():
     # Both at once, with repeated roots.
     f = ur.mul_uni(ur.mul_uni([-5, 101], [-5, 101]), ur.mul_uni([-1, 1], [-102, 1]))
     assert _assert_rational_roots_agree(f) == {F(5, 101): 2, F(1): 1, F(102): 1}
+
+
+def test_prime_test_matches_sympy():
+    from sympy import isprime
+
+    for n in list(range(-2, 3001)) + list(range(2**30 - 500, 2**30 + 5000)):
+        assert ur._is_prime(n) == isprime(n), n
+    # Strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5 are rejected.
+    for n in (2047, 1373653, 25326001):
+        assert not ur._is_prime(n), n
+    # The first strong pseudoprime to all four bases is out of range.
+    assert ur._is_prime(3215031749)
+    with pytest.raises(ValueError, match="beyond"):
+        ur._is_prime(3215031751)
+    assert [next(ur._primes_from(s)) for s in range(-1, 10)] == [2, 2, 2, 2, 3, 5, 5, 7, 7, 11, 11]
+
+
+def test_large_primes_follow_the_next_prime_chain():
+    from sympy import nextprime
+
+    want = [nextprime(2**30 - 1)]
+    while len(want) < 32:
+        want.append(nextprime(want[-1]))
+    got = ur.large_primes()
+    assert [next(got) for _ in range(32)] == want
