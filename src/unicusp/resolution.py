@@ -5,7 +5,9 @@ in exact local coordinates, recording the multiplicity at every center,
 maintaining the weighted dual graph of exceptional curves, and stopping at
 the first moment the total transform is simple normal crossings: the
 strict transform is smooth, meets exactly one exceptional curve, and meets
-it transversally away from corners.
+it transversally away from corners.  That moment is read off the blowup
+record (a blowup of multiplicity 1 whose new curve is the only one through
+the next center), so the last strict transform is never formed.
 
 Multibranch germs (nodes, tacnodes, ...) raise NotUnibranchError; the
 delta invariant and genus are still available for them through the
@@ -21,14 +23,13 @@ from .curves import (
     PlaneCurve,
     ProjPoint,
     SingularLocus,
-    chart_of,
     find_rational_singular_points,
     germ_at,
     intersection_cycle,
     tangent_line_at,
 )
 from .dualgraph import WeightedDualGraph
-from .poly import ONE, Poly, X, Y, exact_divide, normalized, to_univariate
+from .poly import ONE, Poly, X, Y, exact_divide
 
 STEP_BUDGET = 100
 
@@ -127,25 +128,18 @@ def _cone_direction(g: Poly, m: int) -> Fraction | None:
     return r
 
 
-def blow_up_once(g: Poly) -> tuple[int, Poly, Poly, Fraction | None]:
-    """One blowup of a unibranch germ at the origin.
-
-    Returns (multiplicity, strict transform in the chart containing the
-    next center, linear germ of the new exceptional curve, direction).
-    The strict transform is again centered at the origin.
+def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
+    """Strict transform of a germ of multiplicity m at the origin under one
+    blowup, in the chart of tangent direction y = r*x (vertical x = 0 when r
+    is None).  The point of that direction is again the origin.
     """
-    if g.is_zero() or g.terms.get((0, 0, 0)):
-        raise CurveError("germ must be nonzero and vanish at the origin")
-    m = _mult(g)
-    r = _cone_direction(g, m)
     if r is None:
-        moved = g.substitute((X * Y, Y, ONE))
+        moved, exc_var = g.substitute((X * Y, Y, ONE)), Y
     else:
-        moved = g.substitute((X, X * (Y + r), ONE))
-    exc_var = Y if r is None else X
+        moved, exc_var = g.substitute((X, X * (Y + r), ONE)), X
     strict = exact_divide(moved, exc_var ** m)
     assert strict is not None, "total transform must be divisible by the m-th power"
-    return m, strict, exc_var, r
+    return strict
 
 
 def _transform_old_exceptional(lin: Poly, r: Fraction | None) -> Poly | None:
@@ -166,6 +160,14 @@ def minimal_embedded_resolution(
     """Resolve one singular point of a curve by iterated point blowups
     until the total transform is simple normal crossings.
 
+    The stop test is read off the record.  The germ is one branch, so its
+    strict transform meets the new exceptional curve at one point only,
+    with intersection number the multiplicity m just blown up.  It is
+    therefore smooth and transversal to that curve exactly when m = 1, and
+    the total transform is normal crossings as soon as, in addition, no
+    older exceptional curve passes through that point.  The strict
+    transform is formed only when another blowup follows.
+
     `step_limit` caps the number of blowups; running out raises
     ResolutionIncompleteError, which certifies that no shorter blowup
     sequence reaches normal crossings.
@@ -184,16 +186,14 @@ def minimal_embedded_resolution(
     exc: list[tuple[str, Poly]] = []
 
     while True:
-        m = _mult(g)
-        if m == 1 and len(exc) == 1 and _is_transverse(g, exc[0][1]):
-            break
         if step_limit is not None and len(records) >= step_limit:
             raise ResolutionIncompleteError(len(records))
         if len(records) >= STEP_BUDGET:
             raise CurveError(f"resolution exceeded {STEP_BUDGET} blowups")
         index = len(records) + 1
         label = f"E{index}"
-        m, strict, exc_var, r = blow_up_once(g)
+        m = _mult(g)
+        r = _cone_direction(g, m)
         graph.add_vertex(label, -1)
         centers = tuple(lab for lab, _ in exc)
         for lab, _ in exc:
@@ -201,7 +201,7 @@ def minimal_embedded_resolution(
             graph.add_edge(label, lab)
         if len(exc) == 2:
             graph.remove_edge(exc[0][0], exc[1][0])
-        new_exc: list[tuple[str, Poly]] = [(label, exc_var)]
+        new_exc: list[tuple[str, Poly]] = [(label, Y if r is None else X)]
         for lab, lin in exc:
             t = _transform_old_exceptional(lin, r)
             if t is not None:
@@ -210,8 +210,10 @@ def minimal_embedded_resolution(
             raise CurveError("more than two exceptional curves through a center")
         records.append(BlowupRecord(index, m, label, centers))
         seq.append(m)
-        g = strict
         exc = new_exc
+        if m == 1 and len(exc) == 1:
+            break
+        g = blow_up_once(g, m, r)
 
     d0 = exc[0][0]
     sq = curve.degree ** 2 - sum(k * k for k in seq)
@@ -229,15 +231,6 @@ def minimal_embedded_resolution(
         d0=d0,
         strict_self_intersection=sq,
     )
-
-
-def _is_transverse(g: Poly, exc_lin: Poly) -> bool:
-    lin = g.homogeneous_part(1)
-    a1 = lin.terms.get((1, 0, 0), Fraction(0))
-    b1 = lin.terms.get((0, 1, 0), Fraction(0))
-    a2 = exc_lin.terms.get((1, 0, 0), Fraction(0))
-    b2 = exc_lin.terms.get((0, 1, 0), Fraction(0))
-    return a1 * b2 - a2 * b1 != 0
 
 
 # -- delta invariant and genus ---------------------------------------------
@@ -262,17 +255,13 @@ def delta_invariant(g: Poly) -> int:
     t = max(k for k, c in enumerate(coeffs) if c)
     # vertical direction u = 0 with multiplicity m - t
     if m - t >= 2:
-        child = exact_divide(g.substitute((X * Y, Y, ONE)), Y ** m)
-        assert child is not None
-        total += delta_invariant(child)
+        total += delta_invariant(blow_up_once(g, m, None))
     ints = uniroots.clear_denominators(coeffs[: t + 1])
     roots, leftover = uniroots.rational_roots_int(ints)
     for r, mu in roots.items():
         if mu < 2:
             continue
-        child = exact_divide(g.substitute((X, X * (Y + r), ONE)), X ** m)
-        assert child is not None
-        total += delta_invariant(child)
+        total += delta_invariant(blow_up_once(g, m, r))
     if uniroots.deg(leftover) > 0:
         sq = uniroots.squarefree_part_int(leftover)
         if uniroots.deg(sq) != uniroots.deg(leftover):
@@ -289,7 +278,10 @@ def genus_of(curve: PlaneCurve) -> int:
 
     Requires the full singular locus to be rational; raises otherwise.
     """
-    locus = find_rational_singular_points(curve).require_rational()
+    return _genus(curve, find_rational_singular_points(curve).require_rational())
+
+
+def _genus(curve: PlaneCurve, locus: SingularLocus) -> int:
     d = curve.degree
     g = (d - 1) * (d - 2) // 2
     for point, _ in locus.points:
@@ -367,9 +359,7 @@ def classify(curve: PlaneCurve, locus: SingularLocus | None = None) -> Classific
         locus = find_rational_singular_points(curve)
     locus = locus.require_rational()
     d = curve.degree
-    genus = (d - 1) * (d - 2) // 2
-    for point, _ in locus.points:
-        genus -= delta_invariant(germ_at(curve.poly, point))
+    genus = _genus(curve, locus)
 
     report = ClassificationReport(
         degree=d,

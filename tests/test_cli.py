@@ -57,6 +57,13 @@ def test_analyze_smooth_curve(capsys):
     assert "smooth: no singular points" in out
 
 
+def test_analyze_reducible_curve_is_negative_genus_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "x*y*z")
+    assert code == 1
+    assert out == ""
+    assert err == "error: negative genus: the curve is reducible or the locus is wrong\n"
+
+
 def test_analyze_with_point(capsys):
     code, out, _ = run_cli(capsys, "analyze", "y^2*z - x^3", "--point", "0,0,1")
     assert code == 0

@@ -1,12 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from unicusp import resolution
+from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
 from unicusp.curves import ProjPoint, germ_at, make_curve
-from unicusp.poly import X, Y, Z
+from unicusp.dualgraph import WeightedDualGraph
+from unicusp.poly import Poly, X, Y, Z
 from unicusp.resolution import (
+    BlowupRecord,
     NotUnibranchError,
     ResolutionIncompleteError,
+    ResolutionResult,
     VERDICT_AMS,
     VERDICT_NON_AMS_MAX,
     VERDICT_OUT_OF_SCOPE,
@@ -174,3 +180,176 @@ def test_exceptional_chain_shape_after_removing_last():
     assert len(comps) == 2
     deep = [c for c in comps if any(g.weight(v) <= -3 for v in c)]
     assert len(deep) == 1
+
+
+def test_classify_rejects_negative_genus():
+    # three lines: three nodes take away more than the arithmetic genus
+    with pytest.raises(CurveError, match="negative genus"):
+        classify(make_curve(X * Y * Z))
+    with pytest.raises(CurveError, match="negative genus"):
+        genus_of(make_curve(X * Y * Z))
+
+
+# -- the genus-one identity -----------------------------------------------------
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
+@pytest.mark.parametrize(
+    "name, three_d, total, square",
+    [("cusp-quartic", 12, 6, 6), ("image-quintic", 15, 12, 3), ("image-deg15", 45, 42, 3)],
+)
+def test_genus_one_square_is_three_d_minus_full_sequence(name, three_d, total, square, ps):
+    # For a unicuspidal curve of genus one, sum m_i(m_i - 1) = 2 delta =
+    # (d-1)(d-2) - 2 fixes sum m_i^2 = d^2 - 3d + sum m_i over the full
+    # sequence, so (C')^2 = d^2 - sum m_i^2 = 3d - sum m_i.
+    report = analysis(name, ps)["report"]
+    assert report.genus == 1 and report.unicuspidal
+    res = report.resolution
+    assert 3 * res.degree == three_d
+    assert sum(res.full_sequence) == total
+    assert res.strict_self_intersection == three_d - total == square
+
+
+# -- the stop rule against the loop that forms every strict transform --------
+
+
+def _is_transverse(g: Poly, exc_lin: Poly) -> bool:
+    lin = g.homogeneous_part(1)
+    a1 = lin.terms.get((1, 0, 0), Fraction(0))
+    b1 = lin.terms.get((0, 1, 0), Fraction(0))
+    a2 = exc_lin.terms.get((1, 0, 0), Fraction(0))
+    b2 = exc_lin.terms.get((0, 1, 0), Fraction(0))
+    return a1 * b2 - a2 * b1 != 0
+
+
+def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
+    """The resolution loop that forms every strict transform and stops when
+    the last one is smooth and transversal to the only exceptional curve
+    through its point: the oracle for minimal_embedded_resolution, which
+    reads the stop off the blowup record instead.
+    """
+    g = germ_at(curve.poly, point)
+    if g.is_zero():
+        raise CurveError("the defining polynomial vanishes identically at the chart")
+    if g.terms.get((0, 0, 0)):
+        raise CurveError("point does not lie on the curve")
+    if resolution._mult(g) < 2:
+        raise CurveError("point is a smooth point; nothing to resolve")
+
+    graph = WeightedDualGraph()
+    records: list[BlowupRecord] = []
+    seq: list[int] = []
+    exc: list[tuple[str, Poly]] = []
+
+    while True:
+        m = resolution._mult(g)
+        if m == 1 and len(exc) == 1 and _is_transverse(g, exc[0][1]):
+            break
+        if step_limit is not None and len(records) >= step_limit:
+            raise ResolutionIncompleteError(len(records))
+        if len(records) >= resolution.STEP_BUDGET:
+            raise CurveError(f"resolution exceeded {resolution.STEP_BUDGET} blowups")
+        index = len(records) + 1
+        label = f"E{index}"
+        r = resolution._cone_direction(g, m)
+        strict = resolution.blow_up_once(g, m, r)
+        graph.add_vertex(label, -1)
+        centers = tuple(lab for lab, _ in exc)
+        for lab, _ in exc:
+            graph.bump_weight(lab, -1)
+            graph.add_edge(label, lab)
+        if len(exc) == 2:
+            graph.remove_edge(exc[0][0], exc[1][0])
+        new_exc: list[tuple[str, Poly]] = [(label, Y if r is None else X)]
+        for lab, lin in exc:
+            t = resolution._transform_old_exceptional(lin, r)
+            if t is not None:
+                new_exc.append((lab, t))
+        if len(new_exc) > 2:
+            raise CurveError("more than two exceptional curves through a center")
+        records.append(BlowupRecord(index, m, label, centers))
+        seq.append(m)
+        g = strict
+        exc = new_exc
+
+    d0 = exc[0][0]
+    sq = curve.degree ** 2 - sum(k * k for k in seq)
+    graph.add_vertex("C'", sq)
+    graph.add_edge("C'", d0)
+    return ResolutionResult(
+        point=point,
+        degree=curve.degree,
+        records=records,
+        multiplicity_sequence=tuple(k for k in seq if k >= 2),
+        full_sequence=tuple(seq),
+        delta=sum(k * (k - 1) // 2 for k in seq),
+        graph=graph,
+        d0=d0,
+        strict_self_intersection=sq,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).as_json()
+    except CurveError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+CUSPS = {
+    "rational-quintic": ProjPoint.of(0, 0, 1),
+    "image-quintic": ProjPoint.of(0, 0, 1),
+    "image-deg15": ProjPoint.of(0, 0, 1),
+    "cusp-quartic": ProjPoint.of(0, 1, 0),
+}
+TEST_POINTS = DEFAULT_PARAMS + (param_set("-2/3", "3/2", 1), param_set(3, "-1/3", -2))
+
+
+@pytest.mark.parametrize("ps", TEST_POINTS, ids=lambda ps: ps.label)
+@pytest.mark.parametrize("name", sorted(CUSPS))
+def test_stop_rule_matches_reference_on_corpus_cusps(name, ps):
+    curve = curve_by_name(name, ps)
+    res = minimal_embedded_resolution(curve, CUSPS[name])
+    assert res.as_json() == _resolution_reference(curve, CUSPS[name]).as_json()
+    assert res.delta == delta_invariant(germ_at(curve.poly, CUSPS[name]))
+
+
+def test_step_limit_matches_reference():
+    curve = curve_by_name("cusp-quartic", DEFAULT_PARAMS[0])
+    point = CUSPS["cusp-quartic"]
+    n = len(minimal_embedded_resolution(curve, point).records)
+    for limit in range(n + 1):
+        want = _outcome(_resolution_reference, curve, point, limit)
+        assert _outcome(minimal_embedded_resolution, curve, point, limit) == want
+
+
+COPRIME_PAIRS = (
+    (2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (3, 7),
+    (4, 5), (2, 9), (3, 8), (5, 6), (4, 7), (5, 7),
+)
+
+
+def _seeded_cusp(rng: random.Random) -> Poly:
+    """y^a z^(b-a) - x^b plus up to four terms above its Newton polygon,
+    sheared by x -> x + c*y: one branch at the origin, of degree b."""
+    a, b = rng.choice(COPRIME_PAIRS)
+    f = Y**a * Z ** (b - a) - X**b
+    above = [(i, j) for i in range(b + 1) for j in range(b + 1 - i) if i * a + j * b > a * b]
+    for i, j in rng.sample(above, min(len(above), rng.randint(0, 4))):
+        f = f + (rng.randint(1, 5) * rng.choice((-1, 1))) * X**i * Y**j * Z ** (b - i - j)
+    c = rng.randint(-3, 3)
+    return f.substitute((X + c * Y, Y, Z))
+
+
+def test_stop_rule_matches_reference_on_seeded_cusps():
+    rng = random.Random(9090)
+    origin = ProjPoint.of(0, 0, 1)
+    resolved = 0
+    for _ in range(60):
+        curve = make_curve(_seeded_cusp(rng))
+        got = _outcome(minimal_embedded_resolution, curve, origin)
+        assert got == _outcome(_resolution_reference, curve, origin), curve.poly
+        if isinstance(got, dict):
+            resolved += 1
+            assert got["delta"] == delta_invariant(germ_at(curve.poly, origin))
+    assert resolved == 60
