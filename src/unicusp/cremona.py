@@ -85,10 +85,6 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
     return CremonaMap(comps, tuple(warnings))
 
 
-def identity_map() -> CremonaMap:
-    return CremonaMap((X, Y, Z))
-
-
 def pullback(m: CremonaMap, curve: PlaneCurve) -> Poly:
     """Total transform: the curve equation composed with the map components."""
     return curve.poly.substitute(m.components)

@@ -25,58 +25,72 @@ def _grlex_key(e: Exponents) -> tuple[int, int, int]:
 
 IntTerms = dict[Exponents, int]
 
-_ORIGIN: Exponents = (0, 0, 0)
-
 
 def _cleared(p: "Poly") -> tuple[IntTerms, int]:
     """(psi, L) with L the least common denominator of p and psi = L*p."""
-    ell = content(p).denominator
+    ell = 1
+    for c in p.terms.values():
+        ell = ell * c.denominator // _int_gcd(ell, c.denominator)
     return {e: c.numerator * (ell // c.denominator) for e, c in p.terms.items()}, ell
 
 
-def _int_mul(p: IntTerms, q: IntTerms) -> IntTerms:
-    """Product of two integer term maps.
+# A packed polynomial: int keys standing for the exponents of two variables,
+# each value one int holding the coefficients in the third (Poly.substitute).
+Packed = dict[int, int]
 
-    The shorter factor drives the outer loop.  Zero coefficients are kept;
-    Poly.substitute drops them once, from its result.
+
+def _packed_mul(p: Packed, q: Packed) -> Packed:
+    """Product of two packed polynomials (see Poly.substitute).
+
+    Keys add and values multiply as Python ints.  The shorter factor drives
+    the outer loop.  Zero values are kept; Poly.substitute skips them once,
+    when it decodes the result.
     """
     if len(p) < len(q):
         p, q = q, p
-    out: IntTerms = {}
+    out: Packed = {}
     get = out.get
-    for (a2, b2, c2), k2 in q.items():
-        for (a1, b1, c1), k1 in p.items():
-            e = (a1 + a2, b1 + b2, c1 + c2)
-            out[e] = get(e, 0) + k1 * k2
+    for k2, v2 in q.items():
+        for k1, v1 in p.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + v1 * v2
     return out
 
 
-def _horner(nested: dict, tables: list[list[IntTerms]]) -> IntTerms:
+def _packed_horner(nested: dict, tables: list[list[Packed]]) -> Packed:
     """Sum of c_d * t^d over nested = {d: c_d}, by sparse Horner.
 
     tables[0] = [t^0, t^1, ...] is extended as needed and shared between
-    calls.  Each c_d is nested[d] evaluated by the remaining tables, or
-    the integer nested[d] when none remain; it is made when Horner reaches
-    degree d, so one coefficient per level is alive at a time.
+    calls.  Each c_d is nested[d] evaluated by the remaining tables, or the
+    packed polynomial nested[d] when none remain; it is made when Horner
+    reaches degree d, so one coefficient per level is alive at a time.
     """
     powers, inner = tables[0], tables[1:]
     degs = sorted(nested, reverse=True)
-    acc = _coefficient(nested[degs[0]], inner)
+    top = nested[degs[0]]
+    acc = _packed_horner(top, inner) if inner else top
     for hi, lo in zip(degs, degs[1:] + [0]):
         if hi == lo:  # the constant coefficient is already in
             break
         while len(powers) <= hi - lo:
-            powers.append(_int_mul(powers[-1], powers[1]))
-        acc = _int_mul(acc, powers[hi - lo])
+            powers.append(_packed_mul(powers[-1], powers[1]))
+        acc = _packed_mul(acc, powers[hi - lo])
         if lo in nested:
-            for e, k in _coefficient(nested[lo], inner).items():
-                acc[e] = acc.get(e, 0) + k
+            c = nested[lo]
+            for k, v in (_packed_horner(c, inner) if inner else c).items():
+                acc[k] = acc.get(k, 0) + v
     return acc
 
 
-def _coefficient(c, tables: list[list[IntTerms]]) -> IntTerms:
-    """One coefficient of a _horner level: a nested map, or an integer."""
-    return _horner(c, tables) if tables else {_ORIGIN: c}
+def _unpack(val: int, size: int) -> list[int]:
+    """The slots of a packed value, lowest first: the c_j with
+    val = sum c_j * 2^(8*size*j) and |c_j| < 2^(8*size - 1)."""
+    width = 8 * size
+    n = abs(val).bit_length() // width + 1
+    # Adding 2^(width-1) to every slot makes each one a nonnegative byte string.
+    raw = (val + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")).to_bytes(n * size, "little")
+    half = 1 << (width - 1)
+    return [int.from_bytes(raw[j * size : (j + 1) * size], "little") - half for j in range(n)]
 
 
 class Poly:
@@ -280,36 +294,100 @@ class Poly:
     def substitute(self, images: "tuple[Poly, Poly, Poly]") -> "Poly":
         """Evaluate at a triple of polynomials (ring homomorphism).
 
-        Integer sparse Horner.  Each image is psi_i / L_i with psi_i
-        integral; with D the common denominator of self and A, B, C its
-        degrees, the term k*x^a*y^b*z^c becomes the integer
-        k*D*L_0^(A-a)*L_1^(B-b)*L_2^(C-c).  That integer polynomial is
-        evaluated by sparse Horner nested three deep, one variable per
-        level, and the result is divided by D*L_0^A*L_1^B*L_2^C once per
-        term.  Each present degree costs a pass over the accumulator, which
-        is largest at the outer level, so the variable with the most
-        distinct exponents in self is innermost and the one with the fewest
-        outermost.
+        Each image is psi_i / L_i with psi_i integral; with D the common
+        denominator of self and A, B, C its degrees, the term k*x^a*y^b*z^c
+        becomes the integer v = k*D*L_0^(A-a)*L_1^(B-b)*L_2^(C-c), the
+        integer polynomial sum v*psi_0^a*psi_1^b*psi_2^c is evaluated, and
+        the result is divided by D*L_0^A*L_1^B*L_2^C once per term.
+
+        Kronecker packing.  One variable t is packed: a polynomial is a map
+        from the exponents of the other two (one int key) to a single int
+        holding its coefficients in t in W-bit slots, i.e. its image under
+        t -> 2^W.  That is a ring map, so products and sums are int * and +
+        in CPython's big-integer arithmetic, and every intermediate is exact
+        however its slots overflow; only the result is decoded.  Each
+        integer coefficient of the result is at most
+        sum |v|*|psi_0|^a*|psi_1|^b*|psi_2|^c in absolute value, |psi| the
+        sum of the absolute coefficients, so W is that bound's bit length
+        plus a sign bit, rounded up to whole bytes, and the slots are read
+        back with int.to_bytes and int.from_bytes.  t is the variable in
+        which the result can have the largest degree (y on ties).  When
+        self is homogeneous and the images are nonzero forms of one degree
+        k, the images are evaluated at z = 1, which merges no terms, and
+        the result is re-homogenized to degree k*deg(self).
+
+        Evaluation is nested three deep, one variable of self per level.
+        The innermost level is a sum of integer multiples of its image's
+        powers, formed in the one pass over the terms of self; the other
+        two are sparse Horner.  Each present degree there costs a pass over
+        the accumulator, so the variable with the most distinct exponents
+        in self is innermost and the one with the fewest outermost.
         """
         if not self._terms:
             return Poly.zero()
         cleared = [_cleared(g) for g in images]
-        common = content(self).denominator
+        forms = {a + b + c for psi, _ in cleared for (a, b, c) in psi}
+        degree = -1  # the result's total degree when the inputs are forms
+        if len(forms) == 1 and all(psi for psi, _ in cleared) and self.is_homogeneous():
+            degree = forms.pop() * self.total_degree()
+            cleared = [({(a, b, 0): c for (a, b, _), c in psi.items()}, ell) for psi, ell in cleared]
+        own, common = _cleared(self)
+        cols = list(zip(*own))  # the exponents of each variable
+        degs = [max(col) for col in cols]
+        reach = [0, 0, 0]  # the result's degree in each variable is at most this
+        for d, (psi, _) in zip(degs, cleared):
+            for j, top in enumerate(map(max, zip(*psi))):
+                reach[j] += d * top
+        t = max((1, 0, 2), key=reach.__getitem__)
+        u, w = ((1, 2), (0, 2), (0, 1))[t]
+        stride = reach[w] + 1  # no key's w-exponent reaches it
+
         scale = []
-        for i, (_, ell) in enumerate(cleared):
-            d = self.degree_in(i)
+        weight = []
+        for d, (psi, ell) in zip(degs, cleared):
+            n = sum(map(abs, psi.values()))
             scale.append([ell ** (d - j) for j in range(d + 1)])
-        spread = [len({e[i] for e in self._terms}) for i in range(3)]
+            weight.append([ell ** (d - j) * n**j for j in range(d + 1)])
+        bound = 0  # sum |v| * |psi_0|^a * |psi_1|^b * |psi_2|^c
+        for (a, b, c), k in own.items():
+            bound += abs(k) * weight[0][a] * weight[1][b] * weight[2][c]
+        size = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+        powers = []
+        for psi, _ in cleared:
+            packed: Packed = {}
+            for e, c in psi.items():
+                key = e[u] * stride + e[w]
+                packed[key] = packed.get(key, 0) + (c << 8 * size * e[t])
+            powers.append([{0: 1}, packed])
+
+        spread = [len(set(col)) for col in cols]
         inner, middle, outer = sorted(range(3), key=spread.__getitem__, reverse=True)
-        nested: dict[int, dict[int, dict[int, int]]] = {}
-        for e, k in self._terms.items():
-            v = k.numerator * (common // k.denominator) * scale[0][e[0]] * scale[1][e[1]] * scale[2][e[2]]
-            nested.setdefault(e[outer], {}).setdefault(e[middle], {})[e[inner]] = v
-        powers = [[{_ORIGIN: 1}, psi] for psi, _ in cleared]
-        acc = _horner(nested, [powers[outer], powers[middle], powers[inner]])
+        low = powers[inner]
+        while len(low) <= degs[inner]:
+            low.append(_packed_mul(low[-1], low[1]))
+        nested: dict[int, dict[int, Packed]] = {}
+        for e, k in own.items():
+            v = k * scale[0][e[0]] * scale[1][e[1]] * scale[2][e[2]]
+            row = nested.setdefault(e[outer], {}).setdefault(e[middle], {})
+            for key, val in low[e[inner]].items():
+                row[key] = row.get(key, 0) + v * val
+        acc = _packed_horner(nested, [powers[outer], powers[middle]])
+
         den = common * scale[0][0] * scale[1][0] * scale[2][0]
+        out: dict[Exponents, Fraction] = {}
+        exps = [0, 0, 0]
+        for key, val in acc.items():
+            if not val:
+                continue
+            exps[u], exps[w] = divmod(key, stride)
+            for j, c in enumerate(_unpack(val, size)):
+                if c:
+                    exps[t] = j
+                    if degree >= 0:
+                        exps[2] = degree - exps[0] - exps[1]
+                    out[(exps[0], exps[1], exps[2])] = Fraction(c, den)
         p = Poly.__new__(Poly)
-        p._terms = {e: Fraction(v, den) for e, v in acc.items() if v}
+        p._terms = out
         p._hash = None
         return p
 

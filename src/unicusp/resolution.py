@@ -281,11 +281,20 @@ def genus_of(curve: PlaneCurve) -> int:
     return _genus(curve, find_rational_singular_points(curve).require_rational())
 
 
-def _genus(curve: PlaneCurve, locus: SingularLocus) -> int:
+def _genus(curve: PlaneCurve, locus: SingularLocus, res: ResolutionResult | None = None) -> int:
+    """Arithmetic genus minus the delta invariants of the locus.
+
+    `res`, the resolution of a one-point locus, gives delta from its
+    multiplicity sequence, sum m(m-1)/2, with no second walk over the
+    blowups.
+    """
     d = curve.degree
     g = (d - 1) * (d - 2) // 2
-    for point, _ in locus.points:
-        g -= delta_invariant(germ_at(curve.poly, point))
+    if res is not None:
+        g -= res.delta
+    else:
+        for point, _ in locus.points:
+            g -= delta_invariant(germ_at(curve.poly, point))
     if g < 0:
         raise CurveError(
             "negative genus: the curve is reducible or the locus is wrong"
@@ -359,7 +368,13 @@ def classify(curve: PlaneCurve, locus: SingularLocus | None = None) -> Classific
         locus = find_rational_singular_points(curve)
     locus = locus.require_rational()
     d = curve.degree
-    genus = _genus(curve, locus)
+    res = None
+    if len(locus.points) == 1:
+        try:
+            res = minimal_embedded_resolution(curve, locus.points[0][0])
+        except NotUnibranchError:
+            pass
+    genus = _genus(curve, locus, res)
 
     report = ClassificationReport(
         degree=d,
@@ -373,14 +388,11 @@ def classify(curve: PlaneCurve, locus: SingularLocus | None = None) -> Classific
             f"{len(locus.points)}"
         )
         return report
-
-    point, _ = locus.points[0]
-    try:
-        res = minimal_embedded_resolution(curve, point)
-    except NotUnibranchError:
+    if res is None:
         report.notes.append("the singular point is not a cusp (several branches)")
         return report
 
+    point = res.point
     report.unicuspidal = True
     report.cusp = point
     report.multiplicity_sequence = res.multiplicity_sequence

@@ -44,17 +44,6 @@ def derivative(a: list) -> list:
     return trim([i * a[i] for i in range(1, len(a))])
 
 
-def mul_uni(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return trim(out)
-
-
 def divmod_q(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder over Q; b must be nonzero."""
     if not b:

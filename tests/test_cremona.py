@@ -12,7 +12,6 @@ from unicusp.cremona import (
     check_parameterization,
     compose_reduce,
     extend_affine_automorphism,
-    identity_map,
     is_involution,
     make_map,
     pullback,
@@ -21,6 +20,10 @@ from unicusp.cremona import (
 )
 from unicusp.curves import make_curve
 from unicusp.poly import ONE, Poly, X, Y, Z, proportional
+
+
+def identity_map():
+    return CremonaMap((X, Y, Z))
 
 
 def const(v):

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicusp.poly import (
     ONE,
@@ -295,6 +297,198 @@ def test_substitute_creates_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the packed kernel against the sparse Horner it replaced -----------------
+
+
+def _int_mul(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = {}
+    for (a2, b2, c2), k2 in q.items():
+        for (a1, b1, c1), k1 in p.items():
+            e = (a1 + a2, b1 + b2, c1 + c2)
+            out[e] = out.get(e, 0) + k1 * k2
+    return out
+
+
+def _horner(nested, tables):
+    powers, inner = tables[0], tables[1:]
+    degs = sorted(nested, reverse=True)
+    acc = _horner(nested[degs[0]], inner) if inner else {(0, 0, 0): nested[degs[0]]}
+    for hi, lo in zip(degs, degs[1:] + [0]):
+        if hi == lo:
+            break
+        while len(powers) <= hi - lo:
+            powers.append(_int_mul(powers[-1], powers[1]))
+        acc = _int_mul(acc, powers[hi - lo])
+        if lo in nested:
+            c = nested[lo]
+            for e, k in (_horner(c, inner) if inner else {(0, 0, 0): c}).items():
+                acc[e] = acc.get(e, 0) + k
+    return acc
+
+
+def _substitute_reference(f, images):
+    """f(images) by the integer sparse Horner on exponent-triple maps that
+    Poly.substitute used before its values were packed."""
+    if f.is_zero():
+        return Poly.zero()
+    cleared = []
+    for g in images:
+        ell = content(g).denominator
+        cleared.append(({e: c.numerator * (ell // c.denominator) for e, c in g.terms.items()}, ell))
+    common = content(f).denominator
+    scale = []
+    for i, (_, ell) in enumerate(cleared):
+        d = f.degree_in(i)
+        scale.append([ell ** (d - j) for j in range(d + 1)])
+    spread = [len({e[i] for e in f.terms}) for i in range(3)]
+    inner, middle, outer = sorted(range(3), key=spread.__getitem__, reverse=True)
+    nested = {}
+    for e, k in f.terms.items():
+        v = k.numerator * (common // k.denominator) * scale[0][e[0]] * scale[1][e[1]] * scale[2][e[2]]
+        nested.setdefault(e[outer], {}).setdefault(e[middle], {})[e[inner]] = v
+    powers = [[{(0, 0, 0): 1}, psi] for psi, _ in cleared]
+    acc = _horner(nested, [powers[outer], powers[middle], powers[inner]])
+    den = common * scale[0][0] * scale[1][0] * scale[2][0]
+    return Poly({e: Fraction(v, den) for e, v in acc.items() if v})
+
+
+def _seeded_params(seed, count):
+    """Parameter points with a, b, c nonzero and a smooth Weierstrass cubic."""
+    from unicusp.corpus import param_set
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c = (Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        if a and b and c and 4 * a**3 + 27 * b**2:
+            out.append(param_set(a, b, c))
+    return out
+
+
+def test_substitute_matches_reference_on_corpus_maps():
+    from unicusp.corpus import CURVES, DEFAULT_PARAMS, curve_by_name, squaring_map
+    from unicusp.cremona import quintic_involution
+
+    for ps in DEFAULT_PARAMS + tuple(_seeded_params(4242, 2)):
+        maps = (quintic_involution(ps.c).components, squaring_map().components)
+        for name in CURVES:
+            f = curve_by_name(name, ps).poly
+            for images in maps:
+                assert f.substitute(images).terms == _substitute_reference(f, images).terms, (name, ps)
+
+
+def test_substitute_matches_reference_on_blowup_charts():
+    from unicusp.corpus import DEFAULT_PARAMS, curve_by_name
+    from unicusp.curves import ProjPoint, germ_at
+    from unicusp.resolution import _cone_direction, _mult, blow_up_once
+
+    cusps = {
+        "rational-quintic": ProjPoint.of(0, 0, 1),
+        "image-quintic": ProjPoint.of(0, 0, 1),
+        "image-deg15": ProjPoint.of(0, 0, 1),
+        "cusp-quartic": ProjPoint.of(0, 1, 0),
+    }
+    charts = 0
+    for ps in DEFAULT_PARAMS:
+        for name, point in cusps.items():
+            g = germ_at(curve_by_name(name, ps).poly, point)
+            while _mult(g) > 1:
+                m = _mult(g)
+                r = _cone_direction(g, m)
+                # Both charts at every centre, and the direction actually taken.
+                for images in ((X * Y, Y, ONE), (X, X * (Y + (r or 0)), ONE), (X, X * (Y - 3), ONE)):
+                    assert g.substitute(images).terms == _substitute_reference(g, images).terms
+                    charts += 1
+                g = blow_up_once(g, m, r)
+    assert charts >= 60
+
+
+def test_substitute_zero_and_constant_images():
+    form = 3 * X**3 - Fraction(2, 5) * X * Y * Z + Y**2 * Z - Fraction(7, 3) * Z**3
+    mixed = form + Fraction(1, 2) * X * Y - 4 * Z + 9
+    image_sets = [
+        (Poly.zero(), Poly.zero(), Poly.zero()),
+        (Poly.zero(), Y, Z),
+        (X + Y, Poly.zero(), Fraction(1, 3) * Z),
+        (Poly.const(2), Poly.const(Fraction(-1, 3)), Poly.const(5)),
+        (Poly.const(2), Y - X, Z),
+        (Poly.const(Fraction(3, 4)), Poly.zero(), ONE),
+        (X * Y, Poly.const(-1), Z**2),
+    ]
+    for f in (form, mixed, Poly.const(Fraction(-5, 6)), Poly.zero()):
+        for images in image_sets:
+            got = f.substitute(images)
+            assert got.terms == _substitute_reference(f, images).terms
+            assert got.terms == _sympy_substitute(f, images)
+    # All-constant images evaluate; all-zero images leave the constant term.
+    assert form.substitute((Poly.const(2), Poly.const(Fraction(-1, 3)), Poly.const(5))) == form.evaluate(
+        (2, Fraction(-1, 3), 5)
+    )
+    assert mixed.substitute((Poly.zero(), Poly.zero(), Poly.zero())) == Poly.const(9)
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 64, 136, 1024])
+def test_substitute_decodes_coefficients_at_the_slot_bound(bits):
+    # The result's one coefficient is the bound c.  At c = 2^(bits-1) - 1
+    # the slot is exactly `bits` wide and c is the largest it holds; the
+    # next two values of c need the sign bit of one more byte.
+    for c in (2 ** (bits - 1) - 1, 2 ** (bits - 1), 2**bits - 1):
+        f = (c // 3) * X**2 + (c // 3) * X * Y + (c - 2 * (c // 3)) * Y**2
+        for sign in (1, -1):
+            for images in ((X, X, Z), (X, X, ONE), (Y * Z, Y * Z, X), (ONE, ONE, X)):
+                want = _substitute_reference(sign * f, images)
+                assert len(want.terms) == 1 and abs(next(iter(want.terms.values()))) == c
+                assert (sign * f).substitute(images) == want
+    c = 2 ** (bits - 1) - 1
+    # Next to a slot of either sign: (c - 1)*x + y under (1, -/+y, z) gives
+    # c - 1 and -/+1 in adjacent slots of y, again with bound c.
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            g = s1 * (c - 1) * X + Y
+            images = (ONE, s2 * Y, Z)
+            want = Poly({(0, 0, 0): s1 * (c - 1), (0, 1, 0): s2})
+            assert _substitute_reference(g, images) == want
+            assert g.substitute(images) == want
+
+
+_NONZERO = st.builds(Fraction, st.integers(1, 40) | st.integers(-40, -1), st.integers(1, 6))
+
+
+def _polys(exponents, min_size=0, max_size=6):
+    return st.dictionaries(exponents, _NONZERO, min_size=min_size, max_size=max_size).map(Poly)
+
+
+@st.composite
+def _form_exponents(draw, d):
+    a = draw(st.integers(0, d))
+    b = draw(st.integers(0, d - a))
+    return (a, b, d - a - b)
+
+
+@st.composite
+def _homogeneous_inputs(draw):
+    """A form and three nonzero forms of one degree: the z = 1 route."""
+    k = draw(st.integers(0, 3))
+    f = draw(_polys(_form_exponents(draw(st.integers(0, 5))), max_size=8))
+    return f, tuple(draw(_polys(_form_exponents(k), min_size=1, max_size=4)) for _ in range(3))
+
+
+@st.composite
+def _general_inputs(draw):
+    f = draw(_polys(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=8))
+    small = st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 1))
+    return f, tuple(draw(_polys(small, max_size=4)) for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_homogeneous_inputs(), _general_inputs()))
+def test_substitute_agrees_with_reference_on_generated_inputs(case):
+    f, images = case
+    assert f.substitute(images).terms == _substitute_reference(f, images).terms
 
 
 def _random_bivariate(rng, dx, dy, terms):

@@ -190,6 +190,37 @@ def test_classify_rejects_negative_genus():
         genus_of(make_curve(X * Y * Z))
 
 
+def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
+    # A one-point unibranch locus takes delta = sum m(m-1)/2 from the
+    # resolution's record; delta_invariant walks only multibranch or
+    # several-point loci.
+    ps = DEFAULT_PARAMS[1]
+    curves = [curve_by_name(name, ps) for name in sorted(CUSPS)] + [CUSP_CUBIC]
+    genera = [genus_of(c) for c in curves]
+    nodal = make_curve(Y**2 * Z - X**3 - X**2 * Z)
+    walked = []
+    real = resolution.delta_invariant
+
+    def counted(g):
+        walked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(resolution, "delta_invariant", counted)
+    for curve, genus in zip(curves, genera):
+        report = classify(curve)
+        assert report.unicuspidal and report.genus == genus
+        res = report.resolution
+        assert res.delta == sum(m * (m - 1) // 2 for m in res.full_sequence)
+    assert walked == []
+    report = classify(nodal)
+    assert not report.unicuspidal and report.genus == 0
+    assert report.notes == ["the singular point is not a cusp (several branches)"]
+    assert len(walked) == 1
+    with pytest.raises(CurveError, match="negative genus"):
+        classify(make_curve(X * Y * Z))
+    assert len(walked) == 4
+
+
 # -- the genus-one identity -----------------------------------------------------
 
 

@@ -9,6 +9,18 @@ from unicusp import uniroots as ur
 F = Fraction
 
 
+def mul_uni(a: list, b: list) -> list:
+    """Product of two coefficient lists, lowest degree first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return ur.trim(out)
+
+
 def test_trim_and_deg():
     assert ur.trim([F(1), F(0), F(0)]) == [F(1)]
     assert ur.deg([F(2), F(0), F(3)]) == 2
@@ -48,8 +60,8 @@ def test_clear_denominators():
 
 def test_gcd_int_via_modular():
     # (x-1)(x+2) and (x-1)(x-5)
-    a = ur.mul_uni([-1, 1], [2, 1])
-    b = ur.mul_uni([-1, 1], [-5, 1])
+    a = mul_uni([-1, 1], [2, 1])
+    b = mul_uni([-1, 1], [-5, 1])
     g = ur.gcd_int([int(c) for c in a], [int(c) for c in b])
     assert g == [-1, 1]
 
@@ -122,14 +134,14 @@ def _kernel_cases(rng):
         d = rng.randint(1, 7)
         cases.append((_random_int_poly(rng, d), _random_int_poly(rng, d)))
         g = _random_int_poly(rng, rng.randint(1, 3))
-        shared = ur.mul_uni(g, _random_int_poly(rng, 3)), ur.mul_uni(g, _random_int_poly(rng, 2))
+        shared = mul_uni(g, _random_int_poly(rng, 3)), mul_uni(g, _random_int_poly(rng, 2))
         cases.append(shared)
         # a = q*b + r with deg r = deg b - 3, and b = q2*r + s with
         # deg s = deg r - 2: two remainders that drop by more than one.
         s = _random_int_poly(rng, 1)
         r = _random_int_poly(rng, 3)
-        b = [x + y for x, y in zip(ur.mul_uni(_random_int_poly(rng, 3), r), s + [0] * 6)]
-        a = ur.mul_uni(_random_int_poly(rng, 2), b)
+        b = [x + y for x, y in zip(mul_uni(_random_int_poly(rng, 3), r), s + [0] * 6)]
+        a = mul_uni(_random_int_poly(rng, 2), b)
         a = [x + y for x, y in zip(a, r + [0] * len(a))]
         assert ur.deg(b) == 6 and ur.deg(a) == 8
         cases.append((a, b))
@@ -193,7 +205,7 @@ def _assert_rational_roots_agree(f):
     prod = cofactor
     for r, m in roots.items():
         for _ in range(m):
-            prod = ur.mul_uni(prod, [-r.numerator, r.denominator])
+            prod = mul_uni(prod, [-r.numerator, r.denominator])
     assert ur.primitive_int(prod) == ur.primitive_int(f)
     return roots
 
@@ -205,9 +217,9 @@ def test_rational_roots_match_sympy():
         f = [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))] or [1]
         for _ in range(rng.randint(0, 4)):
             u, w = rng.randint(-30, 30), rng.randint(1, 12)
-            f = ur.mul_uni(f, [-u, w])
+            f = mul_uni(f, [-u, w])
             if rng.random() < 0.3:
-                f = ur.mul_uni(f, [-u, w])
+                f = mul_uni(f, [-u, w])
         if not ur.trim(f):
             continue
         found += len(_assert_rational_roots_agree(f))
@@ -217,14 +229,14 @@ def test_rational_roots_match_sympy():
 def test_rational_roots_skip_primes_that_divide_the_lead_or_a_difference():
     # The first prime tried for a small degree is 101.  Here 101 divides
     # the leading coefficient, so the root 5/101 does not exist mod 101.
-    roots = _assert_rational_roots_agree(ur.mul_uni([-5, 101], [3, 1, 1]))
+    roots = _assert_rational_roots_agree(mul_uni([-5, 101], [3, 1, 1]))
     assert roots == {F(5, 101): 1}
     # The roots 1 and 102 coincide mod 101, so the input is not squarefree
     # mod 101 and a larger prime is used.
-    roots = _assert_rational_roots_agree(ur.mul_uni(ur.mul_uni([-1, 1], [-102, 1]), [7, 0, 1]))
+    roots = _assert_rational_roots_agree(mul_uni(mul_uni([-1, 1], [-102, 1]), [7, 0, 1]))
     assert roots == {F(1): 1, F(102): 1}
     # Both at once, with repeated roots.
-    f = ur.mul_uni(ur.mul_uni([-5, 101], [-5, 101]), ur.mul_uni([-1, 1], [-102, 1]))
+    f = mul_uni(mul_uni([-5, 101], [-5, 101]), mul_uni([-1, 1], [-102, 1]))
     assert _assert_rational_roots_agree(f) == {F(5, 101): 2, F(1): 1, F(102): 1}
 
 
