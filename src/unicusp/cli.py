@@ -433,6 +433,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # An input too large for this interpreter ends with a reason, not a
+        # traceback; so does one nested too deep, below.
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: maximum recursion depth exceeded", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

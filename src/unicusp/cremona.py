@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .curves import PlaneCurve, make_curve, repeated_factor
 from .poly import (
-    ONE,
     Poly,
     X,
     Y,
@@ -26,6 +25,7 @@ from .poly import (
     poly_to_text,
     proportional,
     radical,
+    strip_factors,
 )
 
 logger = logging.getLogger(__name__)
@@ -93,7 +93,8 @@ def pullback(m: CremonaMap, curve: PlaneCurve) -> Poly:
 def strict_transform(
     m: CremonaMap, curve: PlaneCurve, exceptional: list[PlaneCurve]
 ) -> PlaneCurve:
-    """Pullback with every power of the declared exceptional curves removed.
+    """Pullback with every power of the declared exceptional curves removed
+    (on integer coefficients, by `strip_factors`).
 
     Any residual repeated factor (a missed exceptional curve) is dropped via
     the radical, with a logged warning.
@@ -101,13 +102,7 @@ def strict_transform(
     total = pullback(m, curve)
     if total.is_zero():
         raise CremonaError("pullback vanished identically")
-    for exc in exceptional:
-        e = exc.poly
-        while True:
-            q = exact_divide(total, e)
-            if q is None:
-                break
-            total = q
+    total = strip_factors(total, [exc.poly for exc in exceptional])
     if total.is_constant():
         raise CremonaError("curve is exceptional for the map: nothing remains")
     witness = repeated_factor(total)
@@ -140,15 +135,21 @@ def compose_reduce(outer: CremonaMap, inner: CremonaMap) -> CremonaMap:
 
 
 def is_involution(m: CremonaMap) -> bool:
-    """True iff m composed with itself is the identity up to a scalar."""
-    try:
-        c = compose_reduce(m, m)
-    except CremonaError:
+    """True iff m composed with itself is the identity as a rational map.
+
+    The components c1, c2, c3 of m composed with m are compared unreduced,
+    with no gcd: the answer is True iff they are not all zero and
+    c1*y = c2*x, c2*z = c3*y and c1*z = c3*x.  A composite that is the
+    identity is proportional to (x, y, z), so the relations hold.
+    Conversely, x divides c1*y, so c1 = x*G; then c2*x = x*y*G and
+    c3*x = x*z*G give c2 = y*G and c3 = z*G, so the composite is
+    G*(x, y, z) with G != 0: the identity once the common factor G is
+    divided out.
+    """
+    c1, c2, c3 = (p.substitute(m.components) for p in m.components)
+    if not (c1 or c2 or c3):
         return False
-    if c.degree != 1:
-        return False
-    p1, p2, p3 = c.components
-    return p1 * Y == p2 * X and p2 * Z == p3 * Y and p1 * Z == p3 * X
+    return c1 * Y == c2 * X and c2 * Z == c3 * Y and c1 * Z == c3 * X
 
 
 def base_conic() -> Poly:

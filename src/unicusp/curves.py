@@ -13,7 +13,7 @@ the offending factor, never silently dropped.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 from . import uniroots
 from .poly import (
@@ -22,10 +22,13 @@ from .poly import (
     X,
     Y,
     content_wrt,
+    dehomogenize,
     exact_divide,
     normalized,
+    primitive_rows,
     resultant_image_mod_p,
     resultant_wrt,
+    sample_points,
     squarefree_witness,
     to_univariate,
 )
@@ -109,8 +112,18 @@ def make_curve(p: Poly) -> PlaneCurve:
 
 def repeated_factor(p: Poly) -> Poly | None:
     """None when p is squarefree, otherwise a nonconstant witness dividing
-    the repeated part.  Fast certified check by evaluation; the exact gcd
-    witness is only computed once a repeat is already certain.
+    the repeated part.
+
+    Certified by evaluation modulo one prime.  After the variable factors
+    are split off and z is set to 1, q has a repeated factor of positive
+    x-degree iff Res_x(q, q_x) vanishes identically in y.  At y = t, with
+    the prime dividing neither the x-leading coefficient of q nor deg_x q,
+    both formal degrees hold modulo the prime, so a nonzero resultant of
+    the two integer coefficient lists modulo the prime proves
+    Res_x(q, q_x)(t) != 0.  The prime leaves some coefficient of lc_x(q)
+    nonzero, so such points t exist.  When each of more points than the
+    degree of Res_x(q, q_x) gives zero, the exact gcd witness decides, as
+    zeros modulo the prime may be false.
     """
     work = p
     for i in range(3):
@@ -123,7 +136,7 @@ def repeated_factor(p: Poly) -> Poly | None:
             work = q
     # Now no variable divides work; dehomogenize z -> 1 (harmless: the z
     # factor, if any, was stripped above, so distinct factors stay distinct).
-    q = work.substitute((X, Y, ONE))
+    q = dehomogenize(work, 2)
     if q.is_constant():
         return None
     dx = q.degree_in(0)
@@ -141,35 +154,16 @@ def repeated_factor(p: Poly) -> Poly | None:
         pq = exact_divide(q, cont)
         assert pq is not None
         q = pq
-    qx = q.partial(0)
-    # Res_x(q, qx) is identically zero iff q has a repeated factor of
-    # positive x-degree; certify by evaluating y until the verdict is sure.
-    lead = q.coeffs_wrt(0)[q.degree_in(0)]
-    dy = max(v.degree_in(1) for v in q.coeffs_wrt(0).values())
-    bound = (2 * q.degree_in(0) - 1) * dy + 1
-    zeros = 0
-    t = 0
-    while zeros <= bound:
-        for cand in ((t, -t) if t else (0,)):
-            if lead.evaluate((0, cand, 0)) == 0:
-                continue
-            a = [Fraction(c) for c in _eval_y(q, cand)]
-            b = [Fraction(c) for c in _eval_y(qx, cand)]
-            if uniroots.resultant_q(a, b) != 0:
-                return None
-            zeros += 1
-            if zeros > bound:
-                break
-        t += 1
-    return normalized(squarefree_witness(p))
-
-
-def _eval_y(q: Poly, t: int) -> list[Fraction]:
-    """Coefficient list in x of a bivariate (x, y) polynomial at y = t."""
-    out = [Fraction(0)] * (q.degree_in(0) + 1)
-    for e, c in q.terms.items():
-        out[e[0]] += c * Fraction(t) ** e[1]
-    return out
+    _, rows = primitive_rows(q, 0, 1)
+    drows = [[k * c for c in row] for k, row in enumerate(rows)][1:]
+    dy = max(len(row) for row in rows) - 1
+    bound = (2 * dx - 1) * dy + 1
+    prime = next(r for r in uniroots.large_primes() if dx % r and any(c % r for c in rows[-1]))
+    for _, a, b in islice(sample_points(rows, drows, prime), bound + 1):
+        if uniroots.resultant_mod_p(a, b, prime):
+            return None
+    witness = squarefree_witness(p)
+    return None if witness.is_constant() else normalized(witness)
 
 
 # -- local charts and germs ----------------------------------------------

@@ -9,8 +9,9 @@ and printing is graded lexicographic with x > y > z.
 
 import heapq
 from fractions import Fraction
+from itertools import islice
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, int, int]
 
@@ -509,13 +510,32 @@ def proportional(p: Poly, q: Poly) -> bool:
     return p * q.lead_coeff() == q * p.lead_coeff()
 
 
+def _primitive(p: Poly) -> tuple[IntTerms, Fraction]:
+    """(P, c) with p = c*P and P integral with coprime coefficients, c > 0."""
+    c = content(p)
+    num, den = c.numerator, c.denominator
+    return {e: k.numerator * (den // k.denominator) // num for e, k in p.terms.items()}, c
+
+
+def _from_ints(terms: IntTerms, num: int, den: int) -> Poly:
+    """The polynomial (num/den) * terms, den > 0."""
+    p = Poly.__new__(Poly)
+    if den == 1:
+        p._terms = {e: Fraction(k * num) for e, k in terms.items()}
+    else:
+        p._terms = {e: Fraction(k * num, den) for e, k in terms.items()}
+    p._hash = None
+    return p
+
+
 def _heap_key(e: Exponents) -> tuple[int, int, int]:
     # Negated graded-lex key: heapq pops the graded-lex largest first.
     return (-(e[0] + e[1] + e[2]), -e[0], -e[1])
 
 
-def exact_divide(p: Poly, q: Poly) -> Poly | None:
-    """Return r with q*r = p exactly, or None when q does not divide p.
+def _divide_int(p: IntTerms, q: IntTerms) -> IntTerms | None:
+    """r with q*r = p in Z[x,y,z], or None when q does not divide p; q is
+    nonzero and primitive (its coefficients are coprime integers).
 
     Sparse division after Monagan and Pearce (JSC 2011).  The dividend's
     terms are walked in descending graded-lex order; the terms each step
@@ -526,21 +546,20 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
     a popped one that has cancelled since is skipped.  A one-term divisor
     pushes nothing: the division is an exponent shift that stops at the
     first term it does not divide.
+
+    By Gauss's lemma a primitive q that divides p in Q[x,y,z] divides it
+    in Z[x,y,z], and each quotient term the division meets is a term of
+    that integral quotient.  So every coefficient step is an exact divmod,
+    and a nonzero remainder proves that q does not divide p.
     """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return Poly.zero()
-    if q.is_constant():
-        return p * (1 / q.constant_value())
-    qe = q.lead_exponents()
-    qc = q.terms[qe]
-    tail = [(e, k) for e, k in q.terms.items() if e != qe]
-    terms = p.sorted_terms()
+    qe = max(q, key=_grlex_key)
+    qc = q[qe]
+    tail = [(e, k) for e, k in q.items() if e != qe]
+    terms = sorted(p.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
     n, i = len(terms), 0
-    sub: dict[Exponents, Fraction] = {}
+    sub: IntTerms = {}
     heap: list[tuple[tuple[int, int, int], Exponents]] = []
-    quot: dict[Exponents, Fraction] = {}
+    quot: IntTerms = {}
     while i < n or heap:
         if heap and (i == n or heap[0][0] <= _heap_key(terms[i][0])):
             e = heapq.heappop(heap)[1]
@@ -557,8 +576,10 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
             i += 1
         if e[0] < qe[0] or e[1] < qe[1] or e[2] < qe[2]:
             return None
+        mc, rem = divmod(lc, qc)
+        if rem:
+            return None
         me = (e[0] - qe[0], e[1] - qe[1], e[2] - qe[2])
-        mc = lc / qc
         quot[me] = mc
         for (a, b, c), k in tail:
             t = (a + me[0], b + me[1], c + me[2])
@@ -572,10 +593,48 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
                     sub[t] = s
                 else:
                     del sub[t]
-    out = Poly.__new__(Poly)
-    out._terms = quot
-    out._hash = None
-    return out
+    return quot
+
+
+def exact_divide(p: Poly, q: Poly) -> Poly | None:
+    """Return r with q*r = p exactly, or None when q does not divide p.
+
+    p is cleared of denominators once and q is split as c*Q with Q
+    primitive; `_divide_int` divides on integers, and the quotient is
+    scaled back to rationals once.
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return Poly.zero()
+    if q.is_constant():
+        return p * (1 / q.constant_value())
+    big, den = _cleared(p)
+    small, c = _primitive(q)
+    quot = _divide_int(big, small)
+    if quot is None:
+        return None
+    return _from_ints(quot, c.denominator, den * c.numerator)
+
+
+def strip_factors(p: Poly, factors: Iterable[Poly]) -> Poly:
+    """p with every power of each nonconstant factor divided out, factor by
+    factor: p is cleared of denominators once, each factor divided out on
+    integers by `_divide_int` until it stops dividing, and the result
+    scaled back to rationals once."""
+    if p.is_zero():
+        return p
+    big, den = _cleared(p)
+    num = 1
+    for f in factors:
+        if f.is_constant():
+            raise ValueError("strip_factors needs nonconstant factors")
+        small, c = _primitive(f)
+        while (quot := _divide_int(big, small)) is not None:
+            big = quot
+            num *= c.denominator
+            den *= c.numerator
+    return _from_ints(big, num, den)
 
 
 def _lc_wrt(p: Poly, v: int) -> Poly:
@@ -703,6 +762,27 @@ def radical(p: Poly) -> Poly:
     return normalized(r)
 
 
+def dehomogenize(p: Poly, i: int) -> Poly:
+    """p with variable i set to 1.
+
+    An exponent relabel, linear in the terms of p: terms that meet are
+    added (none do when p is a form).
+    """
+    out: dict[Exponents, Fraction] = {}
+    for e, c in p.terms.items():
+        f = (0, e[1], e[2]) if i == 0 else (e[0], 0, e[2]) if i == 1 else (e[0], e[1], 0)
+        s = out.get(f)
+        s = c if s is None else s + c
+        if s:
+            out[f] = s
+        else:
+            del out[f]
+    q = Poly.__new__(Poly)
+    q._terms = out
+    q._hash = None
+    return q
+
+
 # -- degree report ------------------------------------------------------
 
 
@@ -785,7 +865,7 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
     Collins' modular method with one interpolation.  With P = p/content(p)
     and Q = q/content(q) integral, Res(p, q) = content(p)**n *
     content(q)**m * Res(P, Q).  The bound + 1 evaluation points come from
-    `_sample_points`.  The primes near 2**30 that divide none of the
+    `sample_points`.  The primes near 2**30 that divide none of the
     leading-coefficient values are kept, so both leading coefficients are
     units modulo their product M and the formal degrees hold there.  At
     each point one inverse-free Euclid modulo M gives Res(P, Q)(t) mod M;
@@ -809,25 +889,25 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
     m, n = p.degree_in(v), q.degree_in(v)
     if bound is None:
         bound = n * max(p.degree_in(w), 0) + m * max(q.degree_in(w), 0)
-    cp, pl = _primitive_rows(p, v, w)
-    cq, ql = _primitive_rows(q, v, w)
+    cp, pl = primitive_rows(p, v, w)
+    cq, ql = primitive_rows(q, v, w)
 
     def square_norm(rows: list[list[int]]) -> int:
         return sum(sum(abs(a) for a in cs) ** 2 for cs in rows)
 
     limit = 4 * square_norm(pl) ** n * square_norm(ql) ** m
-    xs, values = _sample_points(pl, ql, bound + 1, 0)
+    points = list(islice(sample_points(pl, ql, 0), bound + 1))
     primes: list[int] = []
     modulus = 1
     for prime in uniroots.large_primes():
         if modulus * modulus > limit:
             break
-        if any(a[m] % prime == 0 or b[n] % prime == 0 for a, b in values):
+        if any(a[m] % prime == 0 or b[n] % prime == 0 for _, a, b in points):
             continue
         primes.append(prime)
         modulus *= prime
     residues = []
-    for a, b in values:
+    for _, a, b in points:
         value = uniroots.resultant_mod_p(a, b, modulus)
         if value is None:
             # A leading coefficient met on the way is a zero divisor modulo
@@ -838,13 +918,13 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
                 [value] = uniroots.crt_merge([value], done, [image], prime)
                 done *= prime
         residues.append(value)
-    coeffs = uniroots.interpolate_mod_p(xs, residues, modulus)
+    coeffs = uniroots.interpolate_mod_p([t for t, _, _ in points], residues, modulus)
     half = modulus // 2
     scale = cp ** n * cq ** m
     return from_univariate([(c - modulus if c > half else c) * scale for c in coeffs], w)
 
 
-def _primitive_rows(f: Poly, v: int, w: int) -> tuple[Fraction, list[list[int]]]:
+def primitive_rows(f: Poly, v: int, w: int) -> tuple[Fraction, list[list[int]]]:
     """content(f) and, for k = 0 .. deg_v f, the integer coefficient list
     in w of the v**k coefficient of f / content(f)."""
     c = content(f)
@@ -856,32 +936,29 @@ def _primitive_rows(f: Poly, v: int, w: int) -> tuple[Fraction, list[list[int]]]
     return c, rows
 
 
-def _sample_points(
-    pl: list[list[int]], ql: list[list[int]], count: int, prime: int
-) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
-    """The first `count` integers t in 0, 1, -1, 2, -2, ... at which
-    neither leading row (pl[-1], ql[-1]) vanishes, over Z when prime is 0
-    and modulo prime otherwise, each with every row of pl and ql evaluated
-    at t: the coefficient lists in v of both inputs at w = t.
+def sample_points(
+    pl: list[list[int]], ql: list[list[int]], prime: int
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The integers t in 0, 1, -1, 2, -2, ... at which neither leading row
+    (pl[-1], ql[-1]) vanishes, over Z when prime is 0 and modulo prime
+    otherwise, each with every row of pl and ql evaluated at t: the
+    coefficient lists in v of both inputs at w = t.
 
-    The caller makes sure enough such t exist: a leading row that is
-    nonzero (modulo prime) has finitely many roots.
+    The caller takes finitely many, and makes sure that they exist: a
+    leading row that is nonzero (modulo prime) has finitely many roots.
     """
     from . import uniroots
 
-    xs: list[int] = []
-    values: list[tuple[list[int], list[int]]] = []
     t = 0
-    while len(xs) < count:
+    while True:
         lp, lq = uniroots.eval_uni_int(pl[-1], t), uniroots.eval_uni_int(ql[-1], t)
         if (lp % prime and lq % prime) if prime else (lp and lq):
-            xs.append(t)
-            values.append((
+            yield (
+                t,
                 [uniroots.eval_uni_int(cs, t) for cs in pl[:-1]] + [lp],
                 [uniroots.eval_uni_int(cs, t) for cs in ql[:-1]] + [lq],
-            ))
+            )
         t = -t if t > 0 else 1 - t
-    return xs, values
 
 
 def resultant_image_mod_p(p: Poly, q: Poly, v: int, prime: int) -> list[int] | None:
@@ -893,7 +970,7 @@ def resultant_image_mod_p(p: Poly, q: Poly, v: int, prime: int) -> list[int] | N
 
     So the result is resultant_wrt(p, q, v) at wb = 1 over a rational
     scale, reduced modulo prime.  It takes the points and the evaluated
-    coefficients from `_sample_points`, as `_resultant_interp` does, one
+    coefficients from `sample_points`, as `_resultant_interp` does, one
     Euclid modulo prime per point and one interpolation.  None when a
     leading coefficient in v of P or Q vanishes modulo prime as a whole
     (no point then keeps the formal degrees).
@@ -903,22 +980,20 @@ def resultant_image_mod_p(p: Poly, q: Poly, v: int, prime: int) -> list[int] | N
     wa, wb = sorted({0, 1, 2} - {v})
     m, n = p.degree_in(v), q.degree_in(v)
     total = n * p.total_degree() + m * q.total_degree() - m * n
-    _, pl = _primitive_rows(p.substitute(_unit_sub(wb)), v, wa)
-    _, ql = _primitive_rows(q.substitute(_unit_sub(wb)), v, wa)
+    _, pl = primitive_rows(dehomogenize(p, wb), v, wa)
+    _, ql = primitive_rows(dehomogenize(q, wb), v, wa)
     if not any(c % prime for c in pl[-1]) or not any(c % prime for c in ql[-1]):
         return None
-    xs, values = _sample_points(pl, ql, total + 1, prime)
-    residues = [uniroots.resultant_mod_p(a, b, prime) for a, b in values]
-    return uniroots.trim(uniroots.interpolate_mod_p(xs, residues, prime))
+    points = list(islice(sample_points(pl, ql, prime), total + 1))
+    residues = [uniroots.resultant_mod_p(a, b, prime) for _, a, b in points]
+    return uniroots.trim(uniroots.interpolate_mod_p([t for t, _, _ in points], residues, prime))
 
 
 def _resultant_homogeneous(p: Poly, q: Poly, v: int, wa: int, wb: int) -> Poly:
     """Resultant in v of homogeneous p, q: a binary form in (wa, wb)."""
     m, n = p.degree_in(v), q.degree_in(v)
     total = n * p.total_degree() + m * q.total_degree() - m * n
-    pd = p.substitute(_unit_sub(wb))
-    qd = q.substitute(_unit_sub(wb))
-    r = _resultant_interp(pd, qd, v, wa, total)
+    r = _resultant_interp(dehomogenize(p, wb), dehomogenize(q, wb), v, wa, total)
     if r.is_zero():
         return r
     # Re-homogenize to the known total degree using wb.
@@ -931,8 +1006,3 @@ def _resultant_homogeneous(p: Poly, q: Poly, v: int, wa: int, wb: int) -> Poly:
         terms[(ne[0], ne[1], ne[2])] = c
     return Poly(terms)
 
-
-def _unit_sub(i: int) -> tuple[Poly, Poly, Poly]:
-    imgs = [X, Y, Z]
-    imgs[i] = ONE
-    return (imgs[0], imgs[1], imgs[2])

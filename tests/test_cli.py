@@ -64,6 +64,24 @@ def test_analyze_reducible_curve_is_negative_genus_error(capsys):
     assert err == "error: negative genus: the curve is reducible or the locus is wrong\n"
 
 
+@pytest.mark.parametrize(
+    "exc, reason",
+    [(MemoryError, "out of memory"), (RecursionError, "maximum recursion depth exceeded")],
+)
+@pytest.mark.parametrize("command", ["analyze", "transform"])
+def test_resource_exhaustion_is_a_one_line_error(capsys, monkeypatch, exc, reason, command):
+    from unicusp import cli
+
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+    code, out, err = run_cli(capsys, command, "y^2*z - x^3")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {reason}\n"
+
+
 def test_analyze_with_point(capsys):
     code, out, _ = run_cli(capsys, "analyze", "y^2*z - x^3", "--point", "0,0,1")
     assert code == 0

@@ -122,6 +122,45 @@ def test_identity_is_not_mistaken_for_degenerate():
     assert not is_involution(make_map(Y, Z, X))  # order 3, not 2
 
 
+def _is_involution_reference(m):
+    """The parent's rule: compose_reduce(m, m), with the shared factor
+    divided out by a gcd, is of degree 1 with components proportional to
+    (x, y, z)."""
+    try:
+        c = compose_reduce(m, m)
+    except CremonaError:
+        return False
+    if c.degree != 1:
+        return False
+    p1, p2, p3 = c.components
+    return p1 * Y == p2 * X and p2 * Z == p3 * Y and p1 * Z == p3 * X
+
+
+def test_is_involution_matches_the_gcd_rule():
+    from unicusp.corpus import DEFAULT_PARAMS, squaring_map
+
+    seeded = [Fraction(-2, 3), Fraction(3, 2), Fraction(-1, 3)]
+    cases = [(quintic_involution(ps.c), True) for ps in DEFAULT_PARAMS]
+    cases += [(quintic_involution(c), True) for c in seeded]
+    cases += [
+        (make_map(Y * Z, X * Z, X * Y), True),
+        (make_map(X**2, Y**2, Z**2), False),
+        (squaring_map(), False),
+        (make_map(Y, Z, X), False),
+        (identity_map(), True),
+        (extend_affine_automorphism([("swap",)]), True),
+        # Composites with a zero component: (x, y, 0), (0, 0, y), (0, y, z).
+        (make_map(X, Y, Poly.zero()), False),
+        (make_map(Y, Poly.zero(), X), False),
+        (make_map(Poly.zero(), Z, Y), False),
+        # A triple make_map would refuse, whose composite is all zero.
+        (CremonaMap((Z, Poly.zero(), Poly.zero())), False),
+    ]
+    for m, want in cases:
+        assert _is_involution_reference(m) is want, str(m)
+        assert is_involution(m) is want, str(m)
+
+
 def test_involution_point_round_trip():
     h = quintic_involution(-2)
     p = (Fraction(1), Fraction(2), Fraction(5))

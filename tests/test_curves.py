@@ -28,16 +28,21 @@ from unicusp.curves import (
 from unicusp.corpus import DEFAULT_PARAMS, curve_by_name, param_set
 from unicusp.parse import parse_poly
 from unicusp.poly import (
+    ONE,
     Poly,
     X,
     Y,
     Z,
+    content_wrt,
     exact_divide,
     gcd,
     normalized,
     poly_to_text,
     proportional,
     resultant_wrt,
+    squarefree_witness,
+    strip_factors,
+    to_univariate,
 )
 
 F = Fraction
@@ -63,6 +68,148 @@ def test_repeated_factor_contract():
     assert w is not None and not w.is_constant()
     # a subtle one: square hidden inside a product
     assert repeated_factor((X * Z - Y**2) ** 2 * (X + Z)) is not None
+
+
+def _eval_y(q: Poly, t: int) -> list[Fraction]:
+    out = [Fraction(0)] * (q.degree_in(0) + 1)
+    for e, c in q.terms.items():
+        out[e[0]] += c * Fraction(t) ** e[1]
+    return out
+
+
+def _repeated_factor_reference(p: Poly) -> Poly | None:
+    """The parent's repeated_factor: Res_x(q, q_x) over Q at y = 0, 1, -1,
+    ..., by the Fraction Euclid of uniroots.resultant_q."""
+    work = p
+    for i in range(3):
+        k = min(e[i] for e in work.terms)
+        if k >= 2:
+            return Poly.variable(i)
+        if k == 1:
+            work = exact_divide(work, Poly.variable(i))
+    q = work.substitute((X, Y, ONE))
+    if q.is_constant():
+        return None
+    if q.degree_in(0) == 0:
+        coeffs = uniroots.clear_denominators(to_univariate(q, 1))
+        if uniroots.deg(uniroots.gcd_int(coeffs, uniroots.derivative(coeffs))) > 0:
+            return normalized(squarefree_witness(p))
+        return None
+    cont = content_wrt(q, 0)
+    if not cont.is_constant():
+        cs = uniroots.clear_denominators(to_univariate(cont, 1))
+        if uniroots.deg(uniroots.gcd_int(cs, uniroots.derivative(cs))) > 0:
+            return normalized(squarefree_witness(p))
+        q = exact_divide(q, cont)
+    qx = q.partial(0)
+    lead = q.coeffs_wrt(0)[q.degree_in(0)]
+    dy = max(v.degree_in(1) for v in q.coeffs_wrt(0).values())
+    bound = (2 * q.degree_in(0) - 1) * dy + 1
+    zeros = 0
+    t = 0
+    while zeros <= bound:
+        for cand in ((t, -t) if t else (0,)):
+            if lead.evaluate((0, cand, 0)) == 0:
+                continue
+            if uniroots.resultant_q(_eval_y(q, cand), _eval_y(qx, cand)) != 0:
+                return None
+            zeros += 1
+            if zeros > bound:
+                break
+        t += 1
+    return normalized(squarefree_witness(p))
+
+
+def _assert_repeated_factor_agrees(p: Poly) -> Poly | None:
+    got = repeated_factor(p)
+    want = _repeated_factor_reference(p)
+    assert got == want, poly_to_text(p)
+    return got
+
+
+def _seeded_params(seed: int, count: int) -> list:
+    """Parameter points with a, b, c nonzero and a smooth Weierstrass cubic."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c = (F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        if a and b and c and 4 * a**3 + 27 * b**2:
+            out.append(param_set(a, b, c))
+    return out
+
+
+CORPUS_POINTS = DEFAULT_PARAMS + tuple(_seeded_params(1124, 2))
+
+
+@pytest.mark.parametrize("ps", CORPUS_POINTS, ids=lambda ps: ps.label)
+def test_repeated_factor_matches_reference_on_the_corpus(ps):
+    from unicusp import corpus
+
+    for name in corpus.CURVES:
+        assert _assert_repeated_factor_agrees(curve_by_name(name, ps).poly) is None, name
+
+
+@pytest.mark.parametrize("ps", CORPUS_POINTS, ids=lambda ps: ps.label)
+def test_repeated_factor_matches_reference_on_strict_transforms(ps):
+    from unicusp import corpus
+    from unicusp.cremona import pullback, quintic_involution
+
+    involution = quintic_involution(ps.c)
+    conic, line_z = curve_by_name("conic", ps), curve_by_name("line-z", ps)
+    witnesses = 0
+    for name in corpus.CURVES:
+        curve = curve_by_name(name, ps)
+        for m, exceptional in ((involution, conic), (corpus.squaring_map(), line_z)):
+            total = pullback(m, curve)
+            stripped = strip_factors(total, [exceptional.poly])
+            if not stripped.is_constant():
+                # What strict_transform hands to repeated_factor.
+                assert _assert_repeated_factor_agrees(stripped) is None, name
+            if total.total_degree() <= 10:
+                # Unstripped, the pullback keeps powers of the conic.
+                witnesses += _assert_repeated_factor_agrees(total) is not None
+    assert witnesses >= 2
+
+
+def _random_form(rng: random.Random, d: int) -> Poly:
+    p = Poly.zero()
+    while p.is_zero() or p.total_degree() != d:
+        for _ in range(rng.randint(1, 4)):
+            a = rng.randint(0, d)
+            b = rng.randint(0, d - a)
+            p = p + Poly.monomial((a, b, d - a - b), F(rng.randint(-9, 9), rng.randint(1, 4)))
+    return p
+
+
+def test_repeated_factor_matches_reference_on_random_products():
+    rng = random.Random(5150)
+    seen = {True: 0, False: 0}
+    for _ in range(30):
+        f, g = _random_form(rng, rng.randint(1, 3)), _random_form(rng, rng.randint(1, 2))
+        got = [_assert_repeated_factor_agrees(p) for p in (f * g, f * g * Z, f * g**2, g**2 * f * X)]
+        assert got[2] is not None and got[3] is not None
+        for w in got:
+            seen[w is None] += 1
+    assert seen[True] >= 20 and seen[False] >= 20
+
+
+def test_repeated_factor_decides_by_the_gcd_when_every_image_is_zero(monkeypatch):
+    calls = []
+
+    def zero(a, b, m):
+        calls.append(m)
+        return 0
+
+    monkeypatch.setattr(uniroots, "resultant_mod_p", zero)
+    assert repeated_factor(X * Z - Y**2) is None
+    assert repeated_factor(CUSP_CUBIC.poly) is None
+    assert repeated_factor(X**3 + Y**3 + Z**3 + F(1, 2) * X * Y * Z) is None
+    assert calls
+    square = (X * Z - Y**2) ** 2 * (X + Z)
+    w = repeated_factor(square)
+    assert w is not None and proportional(w, X * Z - Y**2)
+    monkeypatch.undo()
+    assert repeated_factor(square) == w
 
 
 def test_proj_point_normalization():

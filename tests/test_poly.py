@@ -1,4 +1,5 @@
 import gc
+import heapq
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from unicusp.poly import (
     Z,
     content,
     degree_info,
+    dehomogenize,
     exact_divide,
     gcd,
     normalized,
@@ -23,6 +25,7 @@ from unicusp.poly import (
     resultant_image_mod_p,
     resultant_wrt,
     squarefree_witness,
+    strip_factors,
     to_univariate,
 )
 
@@ -239,6 +242,142 @@ def test_exact_divide_cancelled_term_reappears():
     r = X**2 + Y**2 - Y * Z
     assert exact_divide(q * r, q) == r
     assert exact_divide(q * r + Y**3 * Z, q) is None
+
+
+def _heap_key(e):
+    return (-(e[0] + e[1] + e[2]), -e[0], -e[1])
+
+
+def _exact_divide_reference(p, q):
+    """The parent's division: the Monagan-Pearce heap on Fractions."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return Poly.zero()
+    if q.is_constant():
+        return p * (1 / q.constant_value())
+    qe = q.lead_exponents()
+    qc = q.terms[qe]
+    tail = [(e, k) for e, k in q.terms.items() if e != qe]
+    terms = p.sorted_terms()
+    n, i = len(terms), 0
+    sub = {}
+    heap = []
+    quot = {}
+    while i < n or heap:
+        if heap and (i == n or heap[0][0] <= _heap_key(terms[i][0])):
+            e = heapq.heappop(heap)[1]
+            lc = sub.pop(e, None)
+            if lc is None:
+                continue
+            if i < n and terms[i][0] == e:
+                lc += terms[i][1]
+                i += 1
+                if not lc:
+                    continue
+        else:
+            e, lc = terms[i]
+            i += 1
+        if e[0] < qe[0] or e[1] < qe[1] or e[2] < qe[2]:
+            return None
+        me = (e[0] - qe[0], e[1] - qe[1], e[2] - qe[2])
+        mc = lc / qc
+        quot[me] = mc
+        for (a, b, c), k in tail:
+            t = (a + me[0], b + me[1], c + me[2])
+            s = sub.get(t)
+            if s is None:
+                sub[t] = -k * mc
+                heapq.heappush(heap, (_heap_key(t), t))
+            else:
+                s -= k * mc
+                if s:
+                    sub[t] = s
+                else:
+                    del sub[t]
+    return Poly(quot)
+
+
+def _assert_division_agrees(p, q):
+    got, want = exact_divide(p, q), _exact_divide_reference(p, q)
+    assert (got is None) == (want is None), (p, q)
+    if want is not None:
+        assert got.terms == want.terms and q * got == p
+    return got
+
+
+_SMALL_EXPONENTS = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def _division_cases(draw):
+    """(p, q): a product r*q, perturbed or not, with q rational, scaled by
+    an integer (non-primitive), a monomial or a constant; or p zero."""
+    kind = draw(st.sampled_from(["general", "scaled", "monomial", "constant"]))
+    if kind == "monomial":
+        q = draw(_polys(_SMALL_EXPONENTS, min_size=1, max_size=1))
+    elif kind == "constant":
+        q = Poly.const(draw(_NONZERO))
+    else:
+        q = draw(_polys(_SMALL_EXPONENTS, min_size=1, max_size=4))
+        if kind == "scaled":
+            q = q * content(q).denominator * draw(st.integers(2, 12))
+    r = draw(_polys(_SMALL_EXPONENTS, max_size=6))
+    p = r * q
+    if draw(st.booleans()):
+        p = p + draw(_polys(_SMALL_EXPONENTS, min_size=1, max_size=2))
+    return p, q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_division_cases())
+def test_exact_divide_agrees_with_fraction_reference_on_generated_inputs(case):
+    _assert_division_agrees(*case)
+
+
+def test_exact_divide_agrees_with_fraction_reference_on_edge_cases():
+    q = 6 * X**2 * Y - Fraction(4, 3) * Y * Z + 2
+    r = Fraction(1, 2) * X - 3 * Z**2
+    for p in (Poly.zero(), r * q, r * q + 1, r * q + Fraction(1, 7) * X**9):
+        for d in (q, 3 * q, Fraction(5, 9) * q, -q, Poly.const(Fraction(-3, 4)), Fraction(2, 3) * X * Y):
+            _assert_division_agrees(p, d)
+    # Divisible over Q but through a rational quotient: only the primitive
+    # divisor's quotient is integral.
+    assert _assert_division_agrees(X + 1, 2 * X + 2) == Fraction(1, 2) * ONE
+    # A leading coefficient that the divisor's does not divide.
+    assert exact_divide(3 * X**2 + X, 2 * X + 1) is None
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(X, Poly.zero())
+
+
+def test_strip_factors_divides_every_power_out():
+    f2 = X * Z - Y**2
+    line = Fraction(3, 2) * X - Z
+    core = X**3 + Fraction(1, 3) * Y**2 * Z - 2 * Z**3
+    p = Fraction(-7, 5) * core * f2**4 * line**2
+    got = strip_factors(p, [3 * f2, line])
+    want = p
+    for f in (3 * f2, line):
+        while (q := exact_divide(want, f)) is not None:
+            want = q
+    assert got.terms == want.terms and proportional(got, core)
+    assert strip_factors(p, []) == p
+    assert strip_factors(Poly.zero(), [f2]).is_zero()
+    with pytest.raises(ValueError):
+        strip_factors(p, [Poly.const(2)])
+
+
+def test_dehomogenize_is_substitution_of_one():
+    rng = random.Random(77)
+    for _ in range(100):
+        p = _random_poly(rng, terms=8)
+        for i in range(3):
+            images = [X, Y, Z]
+            images[i] = ONE
+            assert dehomogenize(p, i).terms == p.substitute(tuple(images)).terms
+    # Terms that meet are added, and cancel when they sum to zero.
+    assert dehomogenize(X * Z - X + Y * Z**2, 2) == Y
+    assert dehomogenize(2 * X**2 * Y - 2 * X**2 + X * Y**3, 1) == X
 
 
 def _random_image(rng):
