@@ -19,19 +19,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import corpus as corpus_mod
-from .corpus import (
-    CORPUS,
-    CorpusError,
-    DEFAULT_PARAMS,
-    POINTS,
-    ParamSet,
-    analysis,
-    curve_by_name,
-    load_corpus,
-    run_corpus,
-)
-from .cremona import CremonaMap, make_map, quintic_involution, strict_transform
+from .corpus import CorpusError, ParamSet, curve_by_name, load_corpus, run_corpus
+from .cremona import make_map, quintic_involution, strict_transform
 from .curves import (
     CurveError,
     PlaneCurve,
@@ -40,7 +29,7 @@ from .curves import (
     make_curve,
     multiplicity_at,
 )
-from .fibers import CASE_OFF, CASE_ON, build_F0, complete_and_classify
+from .fibers import CASE_OFF, CASE_ON, build_F0, complete_and_classify, contraction_budget
 from .parse import ParseError, parse_poly
 from .resolution import classify, minimal_embedded_resolution
 
@@ -275,7 +264,7 @@ def cmd_fiber(args) -> int:
         )
     res = report.resolution
     n = res.strict_self_intersection
-    budget = len(res.records) + 1 + n - 10
+    budget = contraction_budget(res)
     if budget < 1:
         raise CurveError(
             f"no room to complete a fiber: contraction budget is {budget}"

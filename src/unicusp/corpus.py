@@ -43,7 +43,7 @@ from .curves import (
     intersection_cycle,
     make_curve,
 )
-from .fibers import CASE_OFF, CASE_ON, build_F0, complete_and_classify
+from .fibers import CASE_OFF, CASE_ON, build_F0, complete_and_classify, contraction_budget
 from .poly import Poly, X, Y, Z, poly_to_text, proportional
 from .resolution import classify
 from . import poly as _poly
@@ -476,10 +476,8 @@ def fiber_outcomes(name: str, case: str, ps: ParamSet) -> tuple[str, ...]:
     if rep is None or rep.resolution is None:
         raise CorpusError(f"{name} has no resolution; cannot build a fiber")
     res = rep.resolution
-    n = res.strict_self_intersection
-    f0 = build_F0(res, n, case)
-    budget = len(res.records) + 1 + n - 10
-    completions = complete_and_classify(f0, case, budget)
+    f0 = build_F0(res, res.strict_self_intersection, case)
+    completions = complete_and_classify(f0, case, contraction_budget(res))
     return tuple(sorted({c.kodaira for c in completions}))
 
 

@@ -22,6 +22,7 @@ from .poly import (
     Z,
     exact_divide,
     gcd,
+    normalized,
     poly_to_text,
     proportional,
     radical,
@@ -96,8 +97,8 @@ def strict_transform(
     """Pullback with every power of the declared exceptional curves removed
     (on integer coefficients, by `strip_factors`).
 
-    Any residual repeated factor (a missed exceptional curve) is dropped via
-    the radical, with a logged warning.
+    The squarefree check runs once: any residual repeated factor (a missed
+    exceptional curve) is dropped via the radical, with a logged warning.
     """
     total = pullback(m, curve)
     if total.is_zero():
@@ -106,13 +107,14 @@ def strict_transform(
     if total.is_constant():
         raise CremonaError("curve is exceptional for the map: nothing remains")
     witness = repeated_factor(total)
-    if witness is not None:
-        logger.warning(
-            "strict transform has a repeated factor dividing %s; taking the radical",
-            poly_to_text(witness),
-        )
-        total = radical(total)
-    return make_curve(total)
+    if witness is None:
+        # make_curve's checks all hold: total is a squarefree nonconstant form
+        return PlaneCurve(normalized(total), total.total_degree())
+    logger.warning(
+        "strict transform has a repeated factor dividing %s; taking the radical",
+        poly_to_text(witness),
+    )
+    return make_curve(radical(total))
 
 
 def compose_reduce(outer: CremonaMap, inner: CremonaMap) -> CremonaMap:

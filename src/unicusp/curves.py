@@ -14,6 +14,7 @@ the offending factor, never silently dropped.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from math import comb
 
 from . import uniroots
 from .poly import (
@@ -21,7 +22,6 @@ from .poly import (
     Poly,
     X,
     Y,
-    content_wrt,
     dehomogenize,
     exact_divide,
     normalized,
@@ -30,7 +30,6 @@ from .poly import (
     resultant_wrt,
     sample_points,
     squarefree_witness,
-    to_univariate,
 )
 
 
@@ -115,14 +114,17 @@ def repeated_factor(p: Poly) -> Poly | None:
     the repeated part.
 
     Certified by evaluation modulo one prime.  After the variable factors
-    are split off and z is set to 1, q has a repeated factor of positive
-    x-degree iff Res_x(q, q_x) vanishes identically in y.  At y = t, with
-    the prime dividing neither the x-leading coefficient of q nor deg_x q,
-    both formal degrees hold modulo the prime, so a nonzero resultant of
-    the two integer coefficient lists modulo the prime proves
-    Res_x(q, q_x)(t) != 0.  The prime leaves some coefficient of lc_x(q)
+    are split off and z is set to 1, q has a repeated factor involving v
+    iff Res_v(q, q_v) vanishes identically in the other variable w: a
+    factor h with h**2 | q divides q_v, and a common factor h of q and q_v
+    with deg_v h > 0 divides h_v * q / h, hence q / h.  Every nonconstant
+    factor involves x or y, so the passes v = x and v = y decide.  At
+    w = t, with the prime dividing neither the v-leading coefficient of q
+    nor deg_v q, both formal degrees hold modulo the prime, so a nonzero
+    resultant of the two integer coefficient lists modulo the prime proves
+    Res_v(q, q_v)(t) != 0.  The prime leaves some coefficient of lc_v(q)
     nonzero, so such points t exist.  When each of more points than the
-    degree of Res_x(q, q_x) gives zero, the exact gcd witness decides, as
+    degree of Res_v(q, q_v) gives zero, the exact gcd witness decides, as
     zeros modulo the prime may be false.
     """
     work = p
@@ -137,33 +139,19 @@ def repeated_factor(p: Poly) -> Poly | None:
     # Now no variable divides work; dehomogenize z -> 1 (harmless: the z
     # factor, if any, was stripped above, so distinct factors stay distinct).
     q = dehomogenize(work, 2)
-    if q.is_constant():
-        return None
-    dx = q.degree_in(0)
-    if dx == 0:
-        coeffs = uniroots.clear_denominators(to_univariate(q, 1))
-        der = uniroots.derivative(coeffs)
-        if uniroots.deg(uniroots.gcd_int(coeffs, der)) > 0:
-            return normalized(squarefree_witness(p))
-        return None
-    cont = content_wrt(q, 0)
-    if not cont.is_constant():
-        cs = uniroots.clear_denominators(to_univariate(cont, 1))
-        if uniroots.deg(uniroots.gcd_int(cs, uniroots.derivative(cs))) > 0:
-            return normalized(squarefree_witness(p))
-        pq = exact_divide(q, cont)
-        assert pq is not None
-        q = pq
-    _, rows = primitive_rows(q, 0, 1)
-    drows = [[k * c for c in row] for k, row in enumerate(rows)][1:]
-    dy = max(len(row) for row in rows) - 1
-    bound = (2 * dx - 1) * dy + 1
-    prime = next(r for r in uniroots.large_primes() if dx % r and any(c % r for c in rows[-1]))
-    for _, a, b in islice(sample_points(rows, drows, prime), bound + 1):
-        if uniroots.resultant_mod_p(a, b, prime):
-            return None
-    witness = squarefree_witness(p)
-    return None if witness.is_constant() else normalized(witness)
+    for v, w in ((0, 1), (1, 0)):
+        d = q.degree_in(v)
+        if d <= 0:
+            continue
+        _, rows = primitive_rows(q, v, w)
+        drows = [[k * c for c in row] for k, row in enumerate(rows)][1:]
+        bound = (2 * d - 1) * (max(len(row) for row in rows) - 1) + 1
+        prime = next(r for r in uniroots.large_primes() if d % r and any(c % r for c in rows[-1]))
+        points = islice(sample_points(rows, drows, prime), bound + 1)
+        if not any(uniroots.resultant_mod_p(a, b, prime) for _, a, b in points):
+            witness = squarefree_witness(p)
+            return None if witness.is_constant() else normalized(witness)
+    return None
 
 
 # -- local charts and germs ----------------------------------------------
@@ -194,33 +182,74 @@ def germ_at(p: Poly, point: ProjPoint) -> Poly:
     return p.substitute((imgs[0], imgs[1], imgs[2]))
 
 
+class NotUnibranchError(CurveError):
+    """The germ is not a single analytic branch; carries the tangent cone."""
+
+    def __init__(self, message: str, cone: Poly):
+        super().__init__(message)
+        self.cone = cone
+
+
+def germ_order(g: Poly) -> int:
+    """Order of a nonzero germ at the origin: its multiplicity there."""
+    return min(a + b + c for (a, b, c) in g.terms)
+
+
+def cone_coefficients(g: Poly, m: int) -> list[Fraction]:
+    """The tangent cone of a germ of order m, the degree-m part of g, as
+    coefficients: entry b belongs to u**(m - b) * v**b."""
+    coeffs = [Fraction(0)] * (m + 1)
+    for (_, b, _), c in g.homogeneous_part(m).terms.items():
+        coeffs[b] += c
+    return coeffs
+
+
+def cone_direction(g: Poly, m: int) -> Fraction | None:
+    """The unique tangent direction of a germ of order m.
+
+    Returns r when the cone is a scalar times (v - r*u)^m, None when it is
+    a scalar times u^m (the vertical direction), and raises
+    NotUnibranchError otherwise.
+    """
+    coeffs = cone_coefficients(g, m)
+    t = max(k for k, c in enumerate(coeffs) if c)
+    if t == 0:
+        return None
+    if t < m:
+        raise NotUnibranchError(
+            "tangent cone has several directions; the germ is not one branch",
+            g.homogeneous_part(m),
+        )
+    r = -coeffs[m - 1] / (m * coeffs[m])
+    # (v - r*u)**m has the coefficient comb(m, b) * (-r)**(m - b) at v**b
+    if any(c != coeffs[m] * comb(m, b) * (-r) ** (m - b) for b, c in enumerate(coeffs)):
+        raise NotUnibranchError(
+            "tangent cone is not the power of a single line; the germ splits",
+            g.homogeneous_part(m),
+        )
+    return r
+
+
 def multiplicity_at(curve: PlaneCurve, point: ProjPoint) -> int:
     """Multiplicity of the curve at the point (0 when off the curve)."""
     g = germ_at(curve.poly, point)
     if g.is_zero():
         raise CurveError("zero germ: the input is not a reduced curve")
-    return min(a + b + c for (a, b, c) in g.terms)
+    return germ_order(g)
 
 
 def tangent_line_at(curve: PlaneCurve, point: ProjPoint) -> PlaneCurve:
     """The unique tangent line at a point whose tangent cone is a power of
-    one line (smooth points and cusp-like points); errors otherwise."""
+    one line (smooth points and cusp-like points); NotUnibranchError when
+    the cone is not the power of one rational line."""
     g = germ_at(curve.poly, point)
-    m = min(a + b + c for (a, b, c) in g.terms)
+    m = germ_order(g)
     if m == 0:
         raise CurveError("point does not lie on the curve")
-    cone = g.homogeneous_part(m)
-    w = squarefree_witness(cone)
-    line = cone if w.is_constant() else exact_divide(cone, w)
-    assert line is not None
-    if line.total_degree() != 1:
-        raise CurveError("tangent cone is not a power of a single line")
-    if m >= 2 and not (line ** m) * cone.lead_coeff() == cone * (line ** m).lead_coeff():
-        raise CurveError("tangent cone is not a power of a single line")
-    # lift the affine linear form a*u + b*v to a line in the plane
+    r = cone_direction(g, m)
+    # lift the affine line a*u + b*v = 0 (u = 0, or v = r*u) to the plane
+    a, b = (Fraction(1), Fraction(0)) if r is None else (-r, Fraction(1))
     i, j = chart_of(point)
-    a = line.terms.get((1, 0, 0), Fraction(0))
-    b = line.terms.get((0, 1, 0), Fraction(0))
     coords = point.coords()
     vi, vj, vk = Poly.variable(i), Poly.variable(j), Poly.variable(3 - i - j)
     form = a * (vi - coords[i] * vk) + b * (vj - coords[j] * vk)
@@ -344,7 +373,7 @@ def _singular_search(f: Poly) -> SingularLocus:
     else:
         raise CurveError("partial derivatives are pairwise degenerate; cannot certify locus")
 
-    roots, l1 = uniroots.rational_roots_int(uniroots.clear_denominators(_binary_to_uni(e1)))
+    roots, l1 = uniroots.rational_roots_int(_binary_to_uni(e1))
     cands = [(r, Fraction(1)) for r in roots]
     if _infinity_root(e1):
         cands.append((Fraction(1), Fraction(0)))
@@ -405,7 +434,7 @@ def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> l
     for a, b in rest:
         e2 = _eliminant_y(a, b)
         if e2 is not None:
-            return uniroots.gcd_int(l1, uniroots.clear_denominators(_binary_to_uni(e2)))
+            return uniroots.gcd_int(l1, _binary_to_uni(e2))
     return l1
 
 
@@ -418,14 +447,15 @@ def _eliminant_y(a: Poly, b: Poly) -> Poly | None:
     return None if r.is_zero() else r
 
 
-def _binary_to_uni(e: Poly) -> list[Fraction]:
-    """Coefficients of e(t, 1) for a binary form in (x, z)."""
+def _binary_to_uni(e: Poly) -> list[int]:
+    """Coefficients of e(t, 1) for a binary form in (x, z), cleared of
+    denominators."""
     if e.degree_in(1) != 0:
         raise CurveError("internal: eliminant involves y")
     out = [Fraction(0)] * (e.degree_in(0) + 1)
     for (a, _, _), c in e.terms.items():
         out[a] += c
-    return out
+    return uniroots.clear_denominators(out)
 
 
 def _infinity_root(e: Poly) -> bool:
@@ -447,16 +477,12 @@ def _points_on_line(
     f: Poly, live: list[Poly], x0: Fraction, z0: Fraction
 ) -> tuple[list[tuple[ProjPoint, int]], list[ExtensionFieldSingularity]]:
     """Rational singular points on the line of all (x0 : y : z0)."""
-    evals = []
-    for p in live:
-        h = _restrict_to_pencil_line(p, x0, z0)
-        if any(c != 0 for c in h):
-            evals.append(h)
+    evals = [h for h in (_restrict_to_pencil_line(p, x0, z0) for p in live) if any(h)]
     if not evals:
         raise CurveError("a whole line of singular points: input cannot be squarefree")
-    g = uniroots.clear_denominators(evals[0])
+    g = evals[0]
     for extra in evals[1:]:
-        g = uniroots.gcd_int(g, uniroots.clear_denominators(extra))
+        g = uniroots.gcd_int(g, extra)
         if uniroots.deg(g) == 0:
             break
     if uniroots.deg(g) == 0:
@@ -480,19 +506,17 @@ def uniroots_poly_in_y(coeffs: list[int]) -> Poly:
     return normalized(from_univariate([Fraction(c) for c in coeffs], 1))
 
 
-def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[Fraction]:
-    """Coefficient list in y of p(x0, y, z0)."""
+def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
+    """Coefficient list in y of p(x0, y, z0), cleared of denominators."""
     out = [Fraction(0)] * (p.degree_in(1) + 1)
     for (a, b, c), k in p.terms.items():
         out[b] += k * x0 ** a * z0 ** c
-    return out
+    return uniroots.clear_denominators(out)
 
 
 def _mult_of_poly_at(f: Poly, q: ProjPoint) -> int:
     g = germ_at(f, q)
-    if g.is_zero():
-        return -1
-    return min(a + b + c for (a, b, c) in g.terms)
+    return -1 if g.is_zero() else germ_order(g)
 
 
 def is_smooth(curve: PlaneCurve) -> bool:
@@ -565,7 +589,7 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
         e = resultant_wrt(fm, gm, 1)
         if e.is_zero():
             raise CurveError("curves share a component; intersection numbers are undefined")
-        roots, _ = uniroots.rational_roots_int(uniroots.clear_denominators(_binary_to_uni(e)))
+        roots, _ = uniroots.rational_roots_int(_binary_to_uni(e))
         lines = [(r, Fraction(1), k) for r, k in roots.items()]
         if bez > e.degree_in(0):
             lines.append((Fraction(1), Fraction(0), bez - e.degree_in(0)))
@@ -583,10 +607,7 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
 def _lone_common_y(f: Poly, g: Poly, x0: Fraction, z0: Fraction) -> Fraction | None:
     """y0 when (x0 : y0 : z0) is the only common point of f and g on the
     line of all (x0 : y : z0), otherwise None."""
-    h = uniroots.gcd_int(
-        uniroots.clear_denominators(_restrict_to_pencil_line(f, x0, z0)),
-        uniroots.clear_denominators(_restrict_to_pencil_line(g, x0, z0)),
-    )
+    h = uniroots.gcd_int(_restrict_to_pencil_line(f, x0, z0), _restrict_to_pencil_line(g, x0, z0))
     s = uniroots.squarefree_part_int(h)
     return Fraction(-s[0], s[1]) if uniroots.deg(s) == 1 else None
 

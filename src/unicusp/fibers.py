@@ -448,6 +448,13 @@ def _search(
         seq.pop()
 
 
+def contraction_budget(res: ResolutionResult) -> int:
+    """The contraction budget of the completion search for a resolution:
+    its number of components (the exceptional curves and C') plus
+    (C')**2, minus 10."""
+    return len(res.records) + 1 + res.strict_self_intersection - 10
+
+
 def complete_and_classify(f0: FiberConfig, case: str, budget: int) -> list[Completion]:
     """Every way to finish the fiber part into a recognized 9-component fiber.
 

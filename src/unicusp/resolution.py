@@ -9,9 +9,11 @@ it transversally away from corners.  That moment is read off the blowup
 record (a blowup of multiplicity 1 whose new curve is the only one through
 the next center), so the last strict transform is never formed.
 
-Multibranch germs (nodes, tacnodes, ...) raise NotUnibranchError; the
-delta invariant and genus are still available for them through the
-general infinitely-near-point recursion used by genus_of.
+The order and the tangent direction of each germ come from the germ
+reader in `curves` (`germ_order`, `cone_direction`), where
+NotUnibranchError is defined: multibranch germs (nodes, tacnodes, ...)
+raise it.  The delta invariant and genus are still available for them
+through the general infinitely-near-point recursion used by genus_of.
 """
 
 from dataclasses import dataclass, field
@@ -20,11 +22,15 @@ from fractions import Fraction
 from . import uniroots
 from .curves import (
     CurveError,
+    NotUnibranchError,
     PlaneCurve,
     ProjPoint,
     SingularLocus,
+    cone_coefficients,
+    cone_direction,
     find_rational_singular_points,
     germ_at,
+    germ_order,
     intersection_cycle,
     tangent_line_at,
 )
@@ -32,14 +38,6 @@ from .dualgraph import WeightedDualGraph
 from .poly import ONE, Poly, X, Y, exact_divide
 
 STEP_BUDGET = 100
-
-
-class NotUnibranchError(CurveError):
-    """The germ is not a single analytic branch; carries the tangent cone."""
-
-    def __init__(self, message: str, cone: Poly):
-        super().__init__(message)
-        self.cone = cone
 
 
 class ResolutionIncompleteError(CurveError):
@@ -98,36 +96,6 @@ class ResolutionResult:
         }
 
 
-def _mult(g: Poly) -> int:
-    return min(a + b + c for (a, b, c) in g.terms)
-
-
-def _cone_direction(g: Poly, m: int) -> Fraction | None:
-    """The unique tangent direction of a unibranch germ.
-
-    Returns r when the cone is a scalar times (v - r*u)^m, None when it is
-    a scalar times u^m (the vertical direction), and raises otherwise.
-    """
-    cone = g.homogeneous_part(m)
-    coeffs = [Fraction(0)] * (m + 1)
-    for (a, b, _), c in cone.terms.items():
-        coeffs[b] += c
-    t = max(k for k, c in enumerate(coeffs) if c)
-    if t == 0:
-        return None
-    if t < m:
-        raise NotUnibranchError(
-            "tangent cone has several directions; the germ is not one branch", cone
-        )
-    r = -coeffs[m - 1] / (m * coeffs[m])
-    expect = coeffs[m] * (Y - r * X) ** m
-    if expect != cone:
-        raise NotUnibranchError(
-            "tangent cone is not the power of a single line; the germ splits", cone
-        )
-    return r
-
-
 def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
     """Strict transform of a germ of multiplicity m at the origin under one
     blowup, in the chart of tangent direction y = r*x (vertical x = 0 when r
@@ -177,7 +145,7 @@ def minimal_embedded_resolution(
         raise CurveError("the defining polynomial vanishes identically at the chart")
     if g.terms.get((0, 0, 0)):
         raise CurveError("point does not lie on the curve")
-    if _mult(g) < 2:
+    if germ_order(g) < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
     graph = WeightedDualGraph()
@@ -192,8 +160,8 @@ def minimal_embedded_resolution(
             raise CurveError(f"resolution exceeded {STEP_BUDGET} blowups")
         index = len(records) + 1
         label = f"E{index}"
-        m = _mult(g)
-        r = _cone_direction(g, m)
+        m = germ_order(g)
+        r = cone_direction(g, m)
         graph.add_vertex(label, -1)
         centers = tuple(lab for lab, _ in exc)
         for lab, _ in exc:
@@ -244,14 +212,11 @@ def delta_invariant(g: Poly) -> int:
     repeated direction leaves Q, since the contribution of its conjugates
     could not be followed exactly.
     """
-    m = _mult(g)
+    m = germ_order(g)
     if m <= 1:
         return 0
     total = m * (m - 1) // 2
-    cone = g.homogeneous_part(m)
-    coeffs = [Fraction(0)] * (m + 1)
-    for (a, b, _), c in cone.terms.items():
-        coeffs[b] += c
+    coeffs = cone_coefficients(g, m)
     t = max(k for k, c in enumerate(coeffs) if c)
     # vertical direction u = 0 with multiplicity m - t
     if m - t >= 2:

@@ -18,7 +18,7 @@ from unicusp.cremona import (
     quintic_involution,
     strict_transform,
 )
-from unicusp.curves import make_curve
+from unicusp.curves import make_curve, repeated_factor
 from unicusp.poly import ONE, Poly, X, Y, Z, proportional
 
 
@@ -261,6 +261,30 @@ def test_undeclared_exceptional_factor_warns_and_is_dropped(caplog):
     # the conic survives once (radical of f2^5 * quintic)
     expected = base_conic() * quintic_image_formula(1, 1, 0)
     assert proportional(result.poly, expected)
+
+
+def test_strict_transform_certifies_once(monkeypatch, caplog):
+    from unicusp import cremona, curves
+
+    h = quintic_involution(0)
+    conic, cubic = make_curve(base_conic()), contact_cubic(1, 1)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return repeated_factor(p)
+
+    monkeypatch.setattr(curves, "repeated_factor", counted)
+    monkeypatch.setattr(cremona, "repeated_factor", counted)
+    image = strict_transform(h, cubic, [conic])
+    assert len(calls) == 1
+    calls.clear()
+    with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
+        strict_transform(h, cubic, [])
+    # the witness, then make_curve on the radical
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert image == make_curve(image.poly)
 
 
 # -- composition --------------------------------------------------------------

@@ -12,9 +12,11 @@ from unicusp.curves import (
     CurveError,
     ExtensionFieldSingularity,
     IrrationalLocusError,
+    NotUnibranchError,
     ProjPoint,
     SingularLocus,
     _local_numbers,
+    chart_of,
     find_rational_singular_points,
     germ_at,
     intersection_cycle,
@@ -182,6 +184,9 @@ def _random_form(rng: random.Random, d: int) -> Poly:
 
 
 def test_repeated_factor_matches_reference_on_random_products():
+    # Res_x(q, q_x) misses (y + 1)**2, and Res_y(q, q_y) misses (x + 3)**2.
+    for p in ((Y + Z) ** 2 * (X * Z - Y**2), (X + 3 * Z) ** 2 * (X * Z - Y**2)):
+        assert _assert_repeated_factor_agrees(p) is not None
     rng = random.Random(5150)
     seen = {True: 0, False: 0}
     for _ in range(30):
@@ -210,6 +215,119 @@ def test_repeated_factor_decides_by_the_gcd_when_every_image_is_zero(monkeypatch
     assert w is not None and proportional(w, X * Z - Y**2)
     monkeypatch.undo()
     assert repeated_factor(square) == w
+
+
+def _tangent_line_reference(curve, point):
+    """The former tangent_line_at: the cone over its squarefree witness
+    must be a line whose m-th power is the cone."""
+    g = germ_at(curve.poly, point)
+    m = min(a + b + c for (a, b, c) in g.terms)
+    if m == 0:
+        raise CurveError("point does not lie on the curve")
+    cone = g.homogeneous_part(m)
+    w = squarefree_witness(cone)
+    line = cone if w.is_constant() else exact_divide(cone, w)
+    assert line is not None
+    if line.total_degree() != 1:
+        raise CurveError("tangent cone is not a power of a single line")
+    if m >= 2 and not (line ** m) * cone.lead_coeff() == cone * (line ** m).lead_coeff():
+        raise CurveError("tangent cone is not a power of a single line")
+    i, j = chart_of(point)
+    a = line.terms.get((1, 0, 0), Fraction(0))
+    b = line.terms.get((0, 1, 0), Fraction(0))
+    coords = point.coords()
+    vi, vj, vk = Poly.variable(i), Poly.variable(j), Poly.variable(3 - i - j)
+    form = a * (vi - coords[i] * vk) + b * (vj - coords[j] * vk)
+    return make_curve(form)
+
+
+def _tangent_outcome(fn, curve, point):
+    try:
+        return fn(curve, point).poly
+    except CurveError:
+        return CurveError
+
+
+def _assert_tangent_agrees(curve, point):
+    got = _tangent_outcome(tangent_line_at, curve, point)
+    assert got == _tangent_outcome(_tangent_line_reference, curve, point), (curve.poly, point)
+    return got
+
+
+@pytest.mark.parametrize("ps", CORPUS_POINTS, ids=lambda ps: ps.label)
+def test_tangent_line_matches_reference_at_corpus_singular_points(ps):
+    from unicusp import corpus
+
+    lines = 0
+    for name in corpus.CURVES:
+        curve = curve_by_name(name, ps)
+        for point, _ in find_rational_singular_points(curve).points:
+            lines += _assert_tangent_agrees(curve, point) is not CurveError
+    assert lines >= 4
+
+
+def test_tangent_line_matches_reference_at_smooth_points():
+    from unicusp import corpus
+
+    span = range(-2, 3)
+    grid = dict.fromkeys(ProjPoint.of(a, b, c) for a in span for b in span for c in span if a or b or c)
+    checked = 0
+    for ps in DEFAULT_PARAMS:
+        for name in corpus.CURVES:
+            curve = curve_by_name(name, ps)
+            for point in grid:
+                if curve.poly.evaluate(point.coords()) == 0 and multiplicity_at(curve, point) == 1:
+                    line = _assert_tangent_agrees(curve, point)
+                    assert line is not CurveError and line.evaluate(point.coords()) == 0
+                    checked += 1
+    for curve, point in (
+        (CONIC, ProjPoint.of(4, 2, 1)),
+        (CUSP_CUBIC, ProjPoint.of(0, 1, 0)),
+        (NODE_CUBIC, ProjPoint.of(-1, 0, 1)),
+        (make_curve(X**3 + Y**3 + Z**3), ProjPoint.of(1, -1, 0)),
+    ):
+        assert _assert_tangent_agrees(curve, point) is not CurveError
+        checked += 1
+    assert checked >= 40
+
+
+def test_tangent_line_matches_reference_at_special_germs():
+    origin = ProjPoint.of(0, 0, 1)
+    # a cusp with vertical tangent x = 0
+    assert _assert_tangent_agrees(make_curve(X**2 * Z - Y**3), origin) == X
+    # a tacnode: its cone y**2 is the power of one line
+    assert _assert_tangent_agrees(make_curve(Y**2 * Z**2 - X**4), origin) == Y
+    for curve in (
+        NODE_CUBIC,  # two rational directions
+        make_curve(X**3 - Y**3),  # a rational and two conjugate directions
+        make_curve((X**2 + Y**2) * Z + X**3),  # two conjugate directions
+    ):
+        assert _assert_tangent_agrees(curve, origin) is CurveError
+    with pytest.raises(NotUnibranchError):
+        tangent_line_at(NODE_CUBIC, origin)
+    with pytest.raises(CurveError, match="does not lie"):
+        tangent_line_at(CONIC, ProjPoint.of(1, 1, 2))
+
+
+def test_the_curve_checks_never_reach_the_multivariate_gcd(monkeypatch):
+    from unicusp import corpus, poly
+
+    built = [(name, ps, curve_by_name(name, ps)) for ps in DEFAULT_PARAMS for name in corpus.CURVES]
+    cusps = [
+        (curve, corpus.analysis(name, ps)["report"].cusp)
+        for name, ps, curve in built
+        if corpus.analysis(name, ps).get("unicuspidal")
+    ]
+    assert len(built) == 24 and len(cusps) == 8
+
+    def no_gcd(p, q):
+        raise AssertionError("poly.gcd reached")
+
+    monkeypatch.setattr(poly, "gcd", no_gcd)
+    for name, ps, curve in built:
+        assert repeated_factor(curve.poly) is None, (name, ps.label)
+    for curve, point in cusps:
+        assert tangent_line_at(curve, point).degree == 1
 
 
 def test_proj_point_normalization():

@@ -522,8 +522,8 @@ def test_substitute_matches_reference_on_corpus_maps():
 
 def test_substitute_matches_reference_on_blowup_charts():
     from unicusp.corpus import DEFAULT_PARAMS, curve_by_name
-    from unicusp.curves import ProjPoint, germ_at
-    from unicusp.resolution import _cone_direction, _mult, blow_up_once
+    from unicusp.curves import ProjPoint, cone_direction, germ_at, germ_order
+    from unicusp.resolution import blow_up_once
 
     cusps = {
         "rational-quintic": ProjPoint.of(0, 0, 1),
@@ -535,9 +535,9 @@ def test_substitute_matches_reference_on_blowup_charts():
     for ps in DEFAULT_PARAMS:
         for name, point in cusps.items():
             g = germ_at(curve_by_name(name, ps).poly, point)
-            while _mult(g) > 1:
-                m = _mult(g)
-                r = _cone_direction(g, m)
+            while germ_order(g) > 1:
+                m = germ_order(g)
+                r = cone_direction(g, m)
                 # Both charts at every centre, and the direction actually taken.
                 for images in ((X * Y, Y, ONE), (X, X * (Y + (r or 0)), ONE), (X, X * (Y - 3), ONE)):
                     assert g.substitute(images).terms == _substitute_reference(g, images).terms

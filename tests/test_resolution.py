@@ -5,7 +5,7 @@ import pytest
 
 from unicusp import resolution
 from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
-from unicusp.curves import ProjPoint, germ_at, make_curve
+from unicusp.curves import ProjPoint, cone_direction, germ_at, germ_order, make_curve
 from unicusp.dualgraph import WeightedDualGraph
 from unicusp.poly import Poly, X, Y, Z
 from unicusp.resolution import (
@@ -264,7 +264,7 @@ def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
         raise CurveError("the defining polynomial vanishes identically at the chart")
     if g.terms.get((0, 0, 0)):
         raise CurveError("point does not lie on the curve")
-    if resolution._mult(g) < 2:
+    if germ_order(g) < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
     graph = WeightedDualGraph()
@@ -273,7 +273,7 @@ def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
     exc: list[tuple[str, Poly]] = []
 
     while True:
-        m = resolution._mult(g)
+        m = germ_order(g)
         if m == 1 and len(exc) == 1 and _is_transverse(g, exc[0][1]):
             break
         if step_limit is not None and len(records) >= step_limit:
@@ -282,7 +282,7 @@ def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
             raise CurveError(f"resolution exceeded {resolution.STEP_BUDGET} blowups")
         index = len(records) + 1
         label = f"E{index}"
-        r = resolution._cone_direction(g, m)
+        r = cone_direction(g, m)
         strict = resolution.blow_up_once(g, m, r)
         graph.add_vertex(label, -1)
         centers = tuple(lab for lab, _ in exc)
