@@ -25,6 +25,7 @@ from .curves import (
     CurveError,
     PlaneCurve,
     ProjPoint,
+    find_rational_singular_points,
     intersection_cycle,
     make_curve,
     multiplicity_at,
@@ -188,8 +189,6 @@ def cmd_resolve(args) -> int:
     if args.point:
         point = _parse_point(args.point)
     else:
-        from .curves import find_rational_singular_points
-
         locus = find_rational_singular_points(curve).require_rational()
         if len(locus.points) != 1:
             raise CurveError(

@@ -118,18 +118,11 @@ def strict_transform(
 
 
 def compose_reduce(outer: CremonaMap, inner: CremonaMap) -> CremonaMap:
-    """Componentwise composition with the shared factor divided out."""
+    """Componentwise composition; `make_map` divides out the shared factor
+    and records it as a warning."""
     comps = tuple(p.substitute(inner.components) for p in outer.components)
-    nonzero = [p for p in comps if not p.is_zero()]
-    if not nonzero:
+    if not any(comps):
         raise CremonaError("composition degenerates: all components vanish")
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = gcd(g, p)
-    if g.total_degree() > 0:
-        comps = tuple(
-            Poly.zero() if p.is_zero() else exact_divide(p, g) for p in comps
-        )
     try:
         return make_map(*comps)
     except CremonaError as err:

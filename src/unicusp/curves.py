@@ -24,10 +24,10 @@ from .poly import (
     Y,
     dehomogenize,
     exact_divide,
+    form_resultant_int,
+    from_univariate,
     normalized,
     primitive_rows,
-    resultant_image_mod_p,
-    resultant_wrt,
     sample_points,
     squarefree_witness,
 )
@@ -143,7 +143,7 @@ def repeated_factor(p: Poly) -> Poly | None:
         d = q.degree_in(v)
         if d <= 0:
             continue
-        _, rows = primitive_rows(q, v, w)
+        rows = primitive_rows(q, v, w)
         drows = [[k * c for c in row] for k, row in enumerate(rows)][1:]
         bound = (2 * d - 1) * (max(len(row) for row in rows) - 1) + 1
         prime = next(r for r in uniroots.large_primes() if d % r and any(c % r for c in rows[-1]))
@@ -350,10 +350,14 @@ def _singular_search(f: Poly) -> SingularLocus:
     A singular point lies on the line through (0 : 1 : 0) whose direction
     (x : z) is a common root of the eliminants e = Res_y of the pairs of
     nonzero partials.  Only the first nonzero eliminant e1 is formed
-    exactly: its rational roots, and (1 : 0) when e1 vanishes there, are
-    the candidate lines, each decided exactly by `_points_on_line`.  What
-    is left of e1 once its rational linear factors are divided out, L1,
-    is checked against the next pair by `_irrational_common_factor`.
+    exactly, as the integer list of e1(t, 1) (`_eliminant_y`): its
+    rational roots, and (1 : 0) when that list falls short of the degree
+    of e1, are the candidate lines, each decided exactly by
+    `_points_on_line`.  What is left of e1(t, 1) once its rational linear
+    factors are divided out, L1, is checked against the next pair by
+    `_irrational_common_factor`.  Every point found zeroes all three
+    partials, so by Euler's formula it lies on f and is singular; its
+    multiplicity is the order of its germ.
     """
     partials = [f.partial(i) for i in range(3)]
     live = [p for p in partials if not p.is_zero()]
@@ -373,9 +377,10 @@ def _singular_search(f: Poly) -> SingularLocus:
     else:
         raise CurveError("partial derivatives are pairwise degenerate; cannot certify locus")
 
-    roots, l1 = uniroots.rational_roots_int(_binary_to_uni(e1))
+    coeffs, degree = e1
+    roots, l1 = uniroots.rational_roots_int(coeffs)
     cands = [(r, Fraction(1)) for r in roots]
-    if _infinity_root(e1):
+    if uniroots.deg(coeffs) < degree:
         cands.append((Fraction(1), Fraction(0)))
     blockers: list[ExtensionFieldSingularity] = []
     if uniroots.deg(l1) > 0:
@@ -387,21 +392,15 @@ def _singular_search(f: Poly) -> SingularLocus:
                 )
             )
 
-    points: list[tuple[ProjPoint, int]] = []
+    points: list[ProjPoint] = []
     for x0, z0 in cands:
-        found, blk = _points_on_line(f, live, x0, z0)
+        found, blk = _points_on_line(live, x0, z0)
         points.extend(found)
         blockers.extend(blk)
     # the single point not covered by (x : z) candidates
     if all(p.evaluate((0, 1, 0)) == 0 for p in live):
-        points.append(((ProjPoint.of(0, 1, 0)), 0))
-
-    out = []
-    for q, _ in points:
-        m = _mult_of_poly_at(f, q)
-        if m >= 2:
-            out.append((q, m))
-    out.sort(key=lambda t: t[0].coords())
+        points.append(ProjPoint.of(0, 1, 0))
+    out = sorted(((q, germ_order(germ_at(f, q))) for q in points), key=lambda t: t[0].coords())
     return SingularLocus(out, blockers)
 
 
@@ -428,40 +427,29 @@ def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> l
         a, b = rest[0]
         if a.degree_in(1) > 0 and b.degree_in(1) > 0:
             p = next(q for q in uniroots.large_primes() if l1[-1] % q)
-            image = resultant_image_mod_p(a, b, 1, p)
+            image = form_resultant_int(a, b, 1, p)
             if image and uniroots.deg(uniroots.gcd_mod_p(l1, image, p)) == 0:
                 return [1]
     for a, b in rest:
         e2 = _eliminant_y(a, b)
         if e2 is not None:
-            return uniroots.gcd_int(l1, _binary_to_uni(e2))
+            return uniroots.gcd_int(l1, e2[0])
     return l1
 
 
-def _eliminant_y(a: Poly, b: Poly) -> Poly | None:
-    if a.degree_in(1) == 0:
-        return a
-    if b.degree_in(1) == 0:
-        return b
-    r = resultant_wrt(a, b, 1)
-    return None if r.is_zero() else r
-
-
-def _binary_to_uni(e: Poly) -> list[int]:
-    """Coefficients of e(t, 1) for a binary form in (x, z), cleared of
-    denominators."""
-    if e.degree_in(1) != 0:
-        raise CurveError("internal: eliminant involves y")
-    out = [Fraction(0)] * (e.degree_in(0) + 1)
-    for (a, _, _), c in e.terms.items():
-        out[a] += c
-    return uniroots.clear_denominators(out)
-
-
-def _infinity_root(e: Poly) -> bool:
-    """True when (1 : 0) is a root of the binary form e(x, z)."""
-    d = e.total_degree()
-    return e.terms.get((d, 0, 0), Fraction(0)) == 0
+def _eliminant_y(a: Poly, b: Poly) -> tuple[list[int], int] | None:
+    """The eliminant e = Res_y(a, b) of two forms, a binary form in
+    (x, z), as the integer coefficients of e(t, 1) (up to a rational
+    scale) and the degree of e; None when e is zero.  A form free of y is
+    its own eliminant."""
+    for h in (a, b):
+        if h.degree_in(1) == 0:
+            return primitive_rows(dehomogenize(h, 2), 1, 0)[0], h.total_degree()
+    coeffs = form_resultant_int(a, b, 1, 0)
+    if not coeffs:
+        return None
+    m, n = a.degree_in(1), b.degree_in(1)
+    return coeffs, n * a.total_degree() + m * b.total_degree() - m * n
 
 
 def _uni_to_binary(coeffs: list[int]) -> Poly:
@@ -474,10 +462,13 @@ def _uni_to_binary(coeffs: list[int]) -> Poly:
 
 
 def _points_on_line(
-    f: Poly, live: list[Poly], x0: Fraction, z0: Fraction
-) -> tuple[list[tuple[ProjPoint, int]], list[ExtensionFieldSingularity]]:
-    """Rational singular points on the line of all (x0 : y : z0)."""
-    evals = [h for h in (_restrict_to_pencil_line(p, x0, z0) for p in live) if any(h)]
+    forms: list[Poly], x0: Fraction, z0: Fraction
+) -> tuple[list[ProjPoint], list[ExtensionFieldSingularity]]:
+    """The rational common points of the forms on the line of all
+    (x0 : y : z0), plus a blocker for their common irrational y-locus
+    there: the rational roots of the gcd of the restrictions, and what is
+    left of it."""
+    evals = [h for h in (_restrict_to_pencil_line(p, x0, z0) for p in forms) if any(h)]
     if not evals:
         raise CurveError("a whole line of singular points: input cannot be squarefree")
     g = evals[0]
@@ -488,7 +479,7 @@ def _points_on_line(
     if uniroots.deg(g) == 0:
         return [], []
     roots, leftover = uniroots.rational_roots_int(g)
-    points = [(ProjPoint.of(x0, y0, z0), 0) for y0 in roots]
+    points = [ProjPoint.of(x0, y0, z0) for y0 in roots]
     blockers = []
     if uniroots.deg(leftover) > 0:
         blockers.append(
@@ -501,8 +492,6 @@ def _points_on_line(
 
 
 def uniroots_poly_in_y(coeffs: list[int]) -> Poly:
-    from .poly import from_univariate
-
     return normalized(from_univariate([Fraction(c) for c in coeffs], 1))
 
 
@@ -512,11 +501,6 @@ def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
     for (a, b, c), k in p.terms.items():
         out[b] += k * x0 ** a * z0 ** c
     return uniroots.clear_denominators(out)
-
-
-def _mult_of_poly_at(f: Poly, q: ProjPoint) -> int:
-    g = germ_at(f, q)
-    return -1 if g.is_zero() else germ_order(g)
 
 
 def is_smooth(curve: PlaneCurve) -> bool:
@@ -568,16 +552,16 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
     line through the centre that meets f and g in a single point P, the
     order of e is I_P(f, g) (Fulton, Algebraic Curves, 5.1).  A rational
     point lies on a rational line through the centre, so the rational
-    roots t of e(t, 1), and (1 : 0) with order deg f * deg g - deg e(t, 1),
-    give every rational point.  Each line is certified to hold one common
-    point: the squarefree part of the gcd of the two restrictions has
-    degree 1.  When a line holds two, the next shear is tried; only
+    roots t of e(t, 1), read off its integer list (`_eliminant_y`), and
+    (1 : 0) with order the degree deficit deg e - deg e(t, 1), give every
+    rational point.  `_points_on_line` certifies that each line holds one
+    common point: one rational root of the gcd of the two restrictions and
+    no blocker.  When a line holds two, the next shear is tried; only
     finitely many centres lie on a curve or on a line through two of the
     finitely many common points, so the search ends.
     """
     if f.is_zero() or g.is_zero():
         raise CurveError("the zero polynomial defines no curve")
-    bez = f.total_degree() * g.total_degree()
     tried: set[tuple[int, int, int]] = set()
     for m in _cycle_shears():
         # Every centre has y = 1, so equal points are equal tuples.
@@ -586,30 +570,23 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
             continue
         tried.add(centre)
         fm, gm = _apply_matrix(f, m), _apply_matrix(g, m)
-        e = resultant_wrt(fm, gm, 1)
-        if e.is_zero():
+        e = _eliminant_y(fm, gm)
+        if e is None:
             raise CurveError("curves share a component; intersection numbers are undefined")
-        roots, _ = uniroots.rational_roots_int(_binary_to_uni(e))
+        coeffs, degree = e
+        roots, _ = uniroots.rational_roots_int(coeffs)
         lines = [(r, Fraction(1), k) for r, k in roots.items()]
-        if bez > e.degree_in(0):
-            lines.append((Fraction(1), Fraction(0), bez - e.degree_in(0)))
+        if degree > uniroots.deg(coeffs):
+            lines.append((Fraction(1), Fraction(0), degree - uniroots.deg(coeffs)))
         points = []
         for x0, z0, k in lines:
-            y0 = _lone_common_y(fm, gm, x0, z0)
-            if y0 is None:
+            found, blockers = _points_on_line([fm, gm], x0, z0)
+            if len(found) != 1 or blockers:
                 break
-            points.append((_map_point(m, ProjPoint.of(x0, y0, z0)), k))
+            points.append((_map_point(m, found[0]), k))
         else:
             return sorted(points, key=lambda t: t[0].coords())
     raise AssertionError("unreachable: the shears never run out")
-
-
-def _lone_common_y(f: Poly, g: Poly, x0: Fraction, z0: Fraction) -> Fraction | None:
-    """y0 when (x0 : y0 : z0) is the only common point of f and g on the
-    line of all (x0 : y : z0), otherwise None."""
-    h = uniroots.gcd_int(_restrict_to_pencil_line(f, x0, z0), _restrict_to_pencil_line(g, x0, z0))
-    s = uniroots.squarefree_part_int(h)
-    return Fraction(-s[0], s[1]) if uniroots.deg(s) == 1 else None
 
 
 @dataclass

@@ -13,6 +13,8 @@ from itertools import islice
 from math import gcd as _int_gcd
 from typing import Iterable, Iterator, Mapping
 
+from . import uniroots
+
 Exponents = tuple[int, int, int]
 
 VAR_NAMES = ("x", "y", "z")
@@ -802,17 +804,6 @@ def degree_info(p: Poly) -> dict:
 # -- univariate conversions ---------------------------------------------
 
 
-def to_univariate(p: Poly, v: int) -> list[Fraction]:
-    """Coefficient list (low to high) of a polynomial using only variable v."""
-    extra = p.variables() - {v}
-    if extra:
-        raise ValueError(f"polynomial involves {[VAR_NAMES[i] for i in sorted(extra)]}")
-    out = [Fraction(0)] * (max(p.degree_in(v), 0) + 1)
-    for e, c in p.terms.items():
-        out[e[v]] = c
-    return out
-
-
 def from_univariate(coeffs: Iterable[Fraction | int], v: int) -> Poly:
     terms: dict[Exponents, Fraction] = {}
     for k, c in enumerate(coeffs):
@@ -833,9 +824,12 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
     Sign convention: the determinant of the Sylvester matrix with the rows
     of p first.  The inputs must together use at most one variable besides
     v, or both be homogeneous; anything else raises ValueError.  The
-    elimination is Collins' modular method: images at integer points modulo
-    the product of primes near 2**30, enough for a certified coefficient
-    bound, interpolated once, so the result is exact.
+    integer kernel `resultant_int` gives Res_v(P, Q) for the primitive
+    parts P = p/content(p) and Q = q/content(q), exactly (two forms are
+    dehomogenized at their last variable first, by `form_resultant_int`);
+    the result is that coefficient list times content(p)**n *
+    content(q)**m, re-homogenized to degree n*deg p + m*deg q - m*n for
+    forms.
     """
     other = sorted(({0, 1, 2} - {v}))
     used = (p.variables() | q.variables()) - {v}
@@ -851,30 +845,58 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
         return q ** m
     if m == 0:
         return p ** n
+    scale = content(p) ** n * content(q) ** m
     if bivariate:
         w = used.pop() if used else other[0]
-        return _resultant_interp(p, q, v, w, None)
-    return _resultant_homogeneous(p, q, v, other[0], other[1])
+        return from_univariate([c * scale for c in resultant_int(p, q, v, w, 0)], w)
+    w, top = other
+    total = n * p.total_degree() + m * q.total_degree() - m * n
+    terms: dict[Exponents, Fraction] = {}
+    for k, c in enumerate(form_resultant_int(p, q, v, 0)):
+        if c:
+            e = [0, 0, 0]
+            e[w], e[top] = k, total - k
+            terms[(e[0], e[1], e[2])] = c * scale
+    return Poly(terms)
 
 
-def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Poly:
-    """Resultant in v of polynomials in {v, w} of positive v-degrees m, n,
-    as a polynomial in w of degree at most `bound` (by default the
-    Sylvester degree bound).
+def form_resultant_int(p: Poly, q: Poly, v: int, prime: int) -> list[int] | None:
+    """`resultant_int` of two forms of positive v-degree, dehomogenized at
+    the last variable other than v: the coefficients of Res_v(P, Q)(t, 1),
+    t standing for the first other variable."""
+    w, top = sorted({0, 1, 2} - {v})
+    return resultant_int(dehomogenize(p, top), dehomogenize(q, top), v, w, prime)
 
-    Collins' modular method with one interpolation.  With P = p/content(p)
-    and Q = q/content(q) integral, Res(p, q) = content(p)**n *
-    content(q)**m * Res(P, Q).  The bound + 1 evaluation points come from
-    `sample_points`.  The primes near 2**30 that divide none of the
-    leading-coefficient values are kept, so both leading coefficients are
-    units modulo their product M and the formal degrees hold there.  At
-    each point one inverse-free Euclid modulo M gives Res(P, Q)(t) mod M;
-    where a later leading coefficient is a zero divisor mod M, that point
-    alone takes one Euclid per prime, combined by CRT.  One interpolation
-    modulo M recovers the coefficients: the points differ by far less than
-    2**30, so their differences are units modulo M.
 
-    The primes stop once modulus**2 > 4 * (sum_k |P_k|**2)**n *
+def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int) -> list[int] | None:
+    """The coefficients (low to high, trimmed) in w of Res_v(P, Q), where
+    p and q use no variable besides v and w, have positive v-degrees m and
+    n, and P, Q are p, q divided by their contents.
+
+    With prime = 0 the list is exact; otherwise it is reduced modulo
+    prime, and it is None when prime divides a v-leading row of P or Q as
+    a whole (no evaluation point then keeps the formal degrees), the
+    convention of `sample_points`.
+
+    The degree in w is at most the Sylvester bound n*deg_w p + m*deg_w q,
+    and at most n*D_p + m*D_q - m*n with D the total degree: that is the
+    degree of the resultant of p and q homogenized, a form in w and the
+    new variable that has Res_v(p, q) as its dehomogenization.  One more
+    point than the smaller bound comes from `sample_points`.
+
+    Modulo a prime, each point takes one Euclid modulo the prime, and one
+    interpolation gives the image.  Exactly, it is Collins' modular
+    method with one interpolation: the primes near 2**30 that divide none
+    of the leading-coefficient values are kept, so both leading
+    coefficients are units modulo their product M and the formal degrees
+    hold there.  At each point one inverse-free Euclid modulo M gives
+    Res(P, Q)(t) mod M; where a later leading coefficient is a zero
+    divisor mod M, that point alone takes one Euclid per prime, combined
+    by CRT.  One interpolation modulo M recovers the coefficients: the
+    points differ by far less than 2**30, so their differences are units
+    modulo M.
+
+    The primes stop once M**2 > 4 * (sum_k |P_k|**2)**n *
     (sum_k |Q_k|**2)**m, where P_k, Q_k are the v-coefficients and |.| is
     the sum of the absolute values of the coefficients (Goldstein and
     Graham's bound).  On |w| = 1 each Sylvester row of P has Euclidean norm
@@ -882,30 +904,29 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
     inequality bounds |Res(P, Q)(w)|**2 by the right-hand side over 4.
     By Parseval the sum of the squared coefficients of Res(P, Q) is the
     mean of |Res(P, Q)(w)|**2 over the unit circle, so every coefficient
-    is below half the modulus and the symmetric residues are exact.
+    is below half of M and the symmetric residues are exact.
     """
-    from . import uniroots
-
     m, n = p.degree_in(v), q.degree_in(v)
-    if bound is None:
-        bound = n * max(p.degree_in(w), 0) + m * max(q.degree_in(w), 0)
-    cp, pl = primitive_rows(p, v, w)
-    cq, ql = primitive_rows(q, v, w)
-
-    def square_norm(rows: list[list[int]]) -> int:
-        return sum(sum(abs(a) for a in cs) ** 2 for cs in rows)
-
-    limit = 4 * square_norm(pl) ** n * square_norm(ql) ** m
-    points = list(islice(sample_points(pl, ql, 0), bound + 1))
-    primes: list[int] = []
-    modulus = 1
-    for prime in uniroots.large_primes():
-        if modulus * modulus > limit:
-            break
-        if any(a[m] % prime == 0 or b[n] % prime == 0 for _, a, b in points):
-            continue
-        primes.append(prime)
-        modulus *= prime
+    bound = min(
+        n * p.degree_in(w) + m * q.degree_in(w),
+        n * p.total_degree() + m * q.total_degree() - m * n,
+    )
+    pl, ql = primitive_rows(p, v, w), primitive_rows(q, v, w)
+    if prime and not (any(c % prime for c in pl[-1]) and any(c % prime for c in ql[-1])):
+        return None
+    points = list(islice(sample_points(pl, ql, prime), bound + 1))
+    if prime:
+        primes, modulus = [prime], prime
+    else:
+        norm_p, norm_q = (sum(sum(map(abs, cs)) ** 2 for cs in rows) for rows in (pl, ql))
+        limit = 4 * norm_p ** n * norm_q ** m
+        primes, modulus = [], 1
+        for r in uniroots.large_primes():
+            if modulus * modulus > limit:
+                break
+            if all(a[m] % r and b[n] % r for _, a, b in points):
+                primes.append(r)
+                modulus *= r
     residues = []
     for _, a, b in points:
         value = uniroots.resultant_mod_p(a, b, modulus)
@@ -913,27 +934,26 @@ def _resultant_interp(p: Poly, q: Poly, v: int, w: int, bound: int | None) -> Po
             # A leading coefficient met on the way is a zero divisor modulo
             # the product: one Euclid per prime, combined by CRT.
             value, done = 0, 1
-            for prime in primes:
-                image = uniroots.resultant_mod_p(a, b, prime)
-                [value] = uniroots.crt_merge([value], done, [image], prime)
-                done *= prime
+            for r in primes:
+                image = uniroots.resultant_mod_p(a, b, r)
+                [value] = uniroots.crt_merge([value], done, [image], r)
+                done *= r
         residues.append(value)
     coeffs = uniroots.interpolate_mod_p([t for t, _, _ in points], residues, modulus)
-    half = modulus // 2
-    scale = cp ** n * cq ** m
-    return from_univariate([(c - modulus if c > half else c) * scale for c in coeffs], w)
+    if not prime:
+        half = modulus // 2
+        coeffs = [c - modulus if c > half else c for c in coeffs]
+    return uniroots.trim(coeffs)
 
 
-def primitive_rows(f: Poly, v: int, w: int) -> tuple[Fraction, list[list[int]]]:
-    """content(f) and, for k = 0 .. deg_v f, the integer coefficient list
-    in w of the v**k coefficient of f / content(f)."""
-    c = content(f)
-    fc = (f * (1 / c)).coeffs_wrt(v)
-    rows = [
-        [a.numerator for a in to_univariate(fc.get(k, Poly.zero()), w)]
-        for k in range(f.degree_in(v) + 1)
-    ]
-    return c, rows
+def primitive_rows(f: Poly, v: int, w: int) -> list[list[int]]:
+    """For k = 0 .. deg_v f, the integer coefficient list in w of the v**k
+    coefficient of f / content(f); f uses no variable besides v and w."""
+    terms, _ = _primitive(f)
+    rows = [[0] * (f.degree_in(w) + 1) for _ in range(f.degree_in(v) + 1)]
+    for e, k in terms.items():
+        rows[e[v]][e[w]] = k
+    return rows
 
 
 def sample_points(
@@ -947,8 +967,6 @@ def sample_points(
     The caller takes finitely many, and makes sure that they exist: a
     leading row that is nonzero (modulo prime) has finitely many roots.
     """
-    from . import uniroots
-
     t = 0
     while True:
         lp, lq = uniroots.eval_uni_int(pl[-1], t), uniroots.eval_uni_int(ql[-1], t)
@@ -959,50 +977,3 @@ def sample_points(
                 [uniroots.eval_uni_int(cs, t) for cs in ql[:-1]] + [lq],
             )
         t = -t if t > 0 else 1 - t
-
-
-def resultant_image_mod_p(p: Poly, q: Poly, v: int, prime: int) -> list[int] | None:
-    """Image modulo a prime of the resultant in v of two homogeneous forms
-    of positive v-degree, dehomogenized: coefficients (low to high) of
-    Res_v(P, Q)(t, 1) mod prime, where the forms are in (v, wa, wb) with
-    wa < wb the other two variables, t stands for wa, and P, Q are p, q
-    divided by their contents.
-
-    So the result is resultant_wrt(p, q, v) at wb = 1 over a rational
-    scale, reduced modulo prime.  It takes the points and the evaluated
-    coefficients from `sample_points`, as `_resultant_interp` does, one
-    Euclid modulo prime per point and one interpolation.  None when a
-    leading coefficient in v of P or Q vanishes modulo prime as a whole
-    (no point then keeps the formal degrees).
-    """
-    from . import uniroots
-
-    wa, wb = sorted({0, 1, 2} - {v})
-    m, n = p.degree_in(v), q.degree_in(v)
-    total = n * p.total_degree() + m * q.total_degree() - m * n
-    _, pl = primitive_rows(dehomogenize(p, wb), v, wa)
-    _, ql = primitive_rows(dehomogenize(q, wb), v, wa)
-    if not any(c % prime for c in pl[-1]) or not any(c % prime for c in ql[-1]):
-        return None
-    points = list(islice(sample_points(pl, ql, prime), total + 1))
-    residues = [uniroots.resultant_mod_p(a, b, prime) for _, a, b in points]
-    return uniroots.trim(uniroots.interpolate_mod_p([t for t, _, _ in points], residues, prime))
-
-
-def _resultant_homogeneous(p: Poly, q: Poly, v: int, wa: int, wb: int) -> Poly:
-    """Resultant in v of homogeneous p, q: a binary form in (wa, wb)."""
-    m, n = p.degree_in(v), q.degree_in(v)
-    total = n * p.total_degree() + m * q.total_degree() - m * n
-    r = _resultant_interp(dehomogenize(p, wb), dehomogenize(q, wb), v, wa, total)
-    if r.is_zero():
-        return r
-    # Re-homogenize to the known total degree using wb.
-    terms: dict[Exponents, Fraction] = {}
-    for e, c in r.terms.items():
-        d = e[wa]
-        ne = [0, 0, 0]
-        ne[wa] = d
-        ne[wb] = total - d
-        terms[(ne[0], ne[1], ne[2])] = c
-    return Poly(terms)
-

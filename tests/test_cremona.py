@@ -301,6 +301,27 @@ def test_involution_composes_to_degree_one():
     assert compose_reduce(h, h).degree == 1
 
 
+def test_compose_reduce_leaves_the_gcd_to_make_map(monkeypatch):
+    from unicusp import cremona, poly
+
+    h = quintic_involution(1)
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return poly.gcd(p, q)
+
+    monkeypatch.setattr(cremona, "gcd", counted)
+    c = compose_reduce(h, h)
+    # make_map's two gcds of the three components, and no others
+    assert len(calls) == 2
+    assert c.degree == 1
+    p1, p2, p3 = c.components
+    assert p1 * Y == p2 * X and p2 * Z == p3 * Y
+    [warning] = c.warnings
+    assert warning.startswith("divided out common factor ")
+
+
 # -- affine automorphisms extended to the plane -------------------------------
 
 

@@ -19,6 +19,7 @@ from unicusp.curves import (
     chart_of,
     find_rational_singular_points,
     germ_at,
+    germ_order,
     intersection_cycle,
     intersection_multiplicity,
     is_smooth,
@@ -37,6 +38,7 @@ from unicusp.poly import (
     Z,
     content_wrt,
     exact_divide,
+    form_resultant_int,
     gcd,
     normalized,
     poly_to_text,
@@ -44,7 +46,6 @@ from unicusp.poly import (
     resultant_wrt,
     squarefree_witness,
     strip_factors,
-    to_univariate,
 )
 
 F = Fraction
@@ -79,6 +80,14 @@ def _eval_y(q: Poly, t: int) -> list[Fraction]:
     return out
 
 
+def _to_univariate(p: Poly, v: int) -> list[Fraction]:
+    """Coefficient list (low to high) of a polynomial in v alone."""
+    out = [Fraction(0)] * (max(p.degree_in(v), 0) + 1)
+    for e, c in p.terms.items():
+        out[e[v]] = c
+    return out
+
+
 def _repeated_factor_reference(p: Poly) -> Poly | None:
     """The parent's repeated_factor: Res_x(q, q_x) over Q at y = 0, 1, -1,
     ..., by the Fraction Euclid of uniroots.resultant_q."""
@@ -93,13 +102,13 @@ def _repeated_factor_reference(p: Poly) -> Poly | None:
     if q.is_constant():
         return None
     if q.degree_in(0) == 0:
-        coeffs = uniroots.clear_denominators(to_univariate(q, 1))
+        coeffs = uniroots.clear_denominators(_to_univariate(q, 1))
         if uniroots.deg(uniroots.gcd_int(coeffs, uniroots.derivative(coeffs))) > 0:
             return normalized(squarefree_witness(p))
         return None
     cont = content_wrt(q, 0)
     if not cont.is_constant():
-        cs = uniroots.clear_denominators(to_univariate(cont, 1))
+        cs = uniroots.clear_denominators(_to_univariate(cont, 1))
         if uniroots.deg(uniroots.gcd_int(cs, uniroots.derivative(cs))) > 0:
             return normalized(squarefree_witness(p))
         q = exact_divide(q, cont)
@@ -679,11 +688,11 @@ def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     # (1 : -1 : 1); the fourth, (2 : 1 : -1), succeeds.
     calls = []
 
-    def counted(p, q, v):
+    def counted(p, q, v, prime):
         calls.append(v)
-        return resultant_wrt(p, q, v)
+        return form_resultant_int(p, q, v, prime)
 
-    monkeypatch.setattr(curves, "resultant_wrt", counted)
+    monkeypatch.setattr(curves, "form_resultant_int", counted)
     f, g = make_curve(Y**2 - X * Z), make_curve(Y**2 + X**2 - 2 * X * Z)
     want = [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(1, -1, 1), 1), (ProjPoint.of(1, 1, 1), 1)]
     cyc = intersection_cycle(f, g)
@@ -700,6 +709,42 @@ def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     assert len(calls) == 3
 
 
+def test_intersection_cycle_rejects_a_line_with_an_irrational_common_point(monkeypatch):
+    import sympy
+
+    from unicusp import curves
+
+    # The line x = 0 through the centre (0 : 1 : 0) holds (0 : 0 : 1) and
+    # the conjugate pair (0 : ±sqrt(2) : 1): one rational common point and
+    # a blocker, so the unsheared coordinates are rejected.
+    fp, gp = Y**3 - 2 * Y * Z**2 + X * Z**2, Y**3 - 2 * Y * Z**2 + X * Y**2
+    found, blockers = curves._points_on_line([fp, gp], Fraction(0), Fraction(1))
+    assert found == [ProjPoint.of(0, 0, 1)]
+    assert [str(b.factor) for b in blockers] == ["y^2 - 2"]
+    # Oracle: Res_y at z = 1 is x^3 (x - 1) (x + 1) up to a constant, so
+    # the line x = 0 carries order 3, and the degree deficit 9 - 5 = 4 is
+    # the order at (1 : 0 : 0).
+    x, y = sympy.symbols("x y")
+    res = sympy.resultant(y**3 - 2 * y + x, y**3 - 2 * y + x * y**2, y)
+    assert sympy.factor(res / sympy.LC(sympy.Poly(res, x))) == x**3 * (x - 1) * (x + 1)
+    calls = []
+
+    def counted(p, q, v, prime):
+        calls.append(v)
+        return form_resultant_int(p, q, v, prime)
+
+    monkeypatch.setattr(curves, "form_resultant_int", counted)
+    cyc = intersection_cycle(make_curve(fp), make_curve(gp))
+    assert cyc.points == [
+        (ProjPoint.of(-1, -1, 1), 1),
+        (ProjPoint.of(0, 0, 1), 1),
+        (ProjPoint.of(1, 0, 0), 4),
+        (ProjPoint.of(1, 1, 1), 1),
+    ]
+    assert (cyc.residual, cyc.bezout) == (2, 9)
+    assert len(calls) == 4
+
+
 def test_cycle_respects_bezout_on_cubics():
     cyc = intersection_cycle(CUSP_CUBIC, NODE_CUBIC)
     located = sum(m for _, m in cyc.points)
@@ -709,6 +754,33 @@ def test_cycle_respects_bezout_on_cubics():
 # -- singular search: blockers and the two-eliminant reference --------------
 
 
+def _eliminant_y_reference(a: Poly, b: Poly) -> Poly | None:
+    """Res_y(a, b) as a binary form in (x, z); a form free of y is its
+    own eliminant; None when the eliminant is zero."""
+    if a.degree_in(1) == 0:
+        return a
+    if b.degree_in(1) == 0:
+        return b
+    r = resultant_wrt(a, b, 1)
+    return None if r.is_zero() else r
+
+
+def _binary_to_uni(e: Poly) -> list[int]:
+    """Coefficients of e(t, 1) for a binary form in (x, z), cleared of
+    denominators."""
+    assert e.degree_in(1) == 0
+    out = [Fraction(0)] * (e.degree_in(0) + 1)
+    for (a, _, _), c in e.terms.items():
+        out[a] += c
+    return uniroots.clear_denominators(out)
+
+
+def _infinity_root(e: Poly) -> bool:
+    """True when (1 : 0) is a root of the binary form e(x, z)."""
+    d = e.total_degree()
+    return e.terms.get((d, 0, 0), Fraction(0)) == 0
+
+
 def _singular_search_reference(f: Poly) -> SingularLocus:
     """The singular search with two exact eliminants: the oracle for
     curves._singular_search, which forms only the first exactly.
@@ -716,6 +788,8 @@ def _singular_search_reference(f: Poly) -> SingularLocus:
     Candidate lines are the rational roots of the gcd of the first two
     nonzero eliminants, and (1 : 0) when both vanish there; the blocker is
     what is left of that gcd once its rational linear factors are removed.
+    The eliminants are Poly forms from the public resultant_wrt, and a
+    point is kept when its multiplicity is at least 2.
     """
     from unicusp import curves
 
@@ -724,22 +798,22 @@ def _singular_search_reference(f: Poly) -> SingularLocus:
     for a, b in ((live[0], live[1]), (live[0], live[-1]), (live[1], live[-1])):
         if a is b:
             continue
-        e = curves._eliminant_y(a, b)
+        e = _eliminant_y_reference(a, b)
         if e is not None and not e.is_zero():
             elims.append(e)
         if len(elims) == 2:
             break
     blockers: list[ExtensionFieldSingularity] = []
     cands: list[tuple[Fraction, Fraction]] = []
-    glist = [uniroots.clear_denominators(curves._binary_to_uni(e)) for e in elims]
+    glist = [_binary_to_uni(e) for e in elims]
     gg = glist[0]
     for extra in glist[1:]:
         gg = uniroots.gcd_int(gg, extra)
-    if uniroots.deg(gg) > 0 or all(curves._infinity_root(e) for e in elims):
+    if uniroots.deg(gg) > 0 or all(_infinity_root(e) for e in elims):
         roots, leftover = uniroots.rational_roots_int(gg)
         for r in roots:
             cands.append((r, Fraction(1)))
-        if all(curves._infinity_root(e) for e in elims):
+        if all(_infinity_root(e) for e in elims):
             cands.append((Fraction(1), Fraction(0)))
         if uniroots.deg(leftover) > 0:
             blockers.append(
@@ -749,14 +823,15 @@ def _singular_search_reference(f: Poly) -> SingularLocus:
             )
     points = []
     for x0, z0 in cands:
-        found, blk = curves._points_on_line(f, live, x0, z0)
+        found, blk = curves._points_on_line(live, x0, z0)
         points.extend(found)
         blockers.extend(blk)
     if all(p.evaluate((0, 1, 0)) == 0 for p in live):
-        points.append((ProjPoint.of(0, 1, 0), 0))
+        points.append(ProjPoint.of(0, 1, 0))
     out = []
-    for q, _ in points:
-        m = curves._mult_of_poly_at(f, q)
+    for q in points:
+        g = germ_at(f, q)
+        m = -1 if g.is_zero() else germ_order(g)
         if m >= 2:
             out.append((q, m))
     out.sort(key=lambda t: t[0].coords())

@@ -54,3 +54,43 @@ def test_every_import_is_used(path):
     used = _referenced(tree)
     stale = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used)
     assert not stale, f"{path.name} imports names it never uses: {', '.join(stale)}"
+
+
+def _local_package_imports(tree: ast.Module) -> list[int]:
+    """Lines of the imports from this package inside a function body."""
+    lines = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if not node.level else ["unicusp"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "unicusp" for name in names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_function_local_package_import():
+    tree = ast.parse(
+        "from . import a\n"
+        "def f():\n"
+        "    import json\n"
+        "    from .poly import X\n"
+        "    def g():\n"
+        "        import unicusp.curves\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        from unicusp import poly\n"
+    )
+    assert _local_package_imports(tree) == [4, 6, 9]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_sit_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _local_package_imports(tree)
+    assert not lines, f"{path.name} imports from the package inside a function (lines {lines})"

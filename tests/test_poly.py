@@ -17,16 +17,15 @@ from unicusp.poly import (
     degree_info,
     dehomogenize,
     exact_divide,
+    form_resultant_int,
     gcd,
     normalized,
     poly_to_text,
     proportional,
     radical,
-    resultant_image_mod_p,
     resultant_wrt,
     squarefree_witness,
     strip_factors,
-    to_univariate,
 )
 
 
@@ -149,12 +148,6 @@ def test_squarefree_witness_and_radical():
     w = squarefree_witness(p)
     assert not w.is_constant()
     assert proportional(radical(p), (X + Y) * (X - Y))
-
-
-def test_to_univariate():
-    p = X**2 - 3 * X + 2
-    coeffs = to_univariate(p, 0)
-    assert coeffs == [Fraction(2), Fraction(-3), Fraction(1)]
 
 
 def test_degree_info():
@@ -808,17 +801,19 @@ def test_resultant_wrt_falls_back_to_per_prime_euclid():
 
 def _image_from_exact(p, q, prime):
     """resultant_wrt(p, q, 1) at z = 1 over content(p)**n * content(q)**m,
-    reduced modulo prime: what resultant_image_mod_p must return."""
+    reduced modulo prime: what form_resultant_int must return."""
     from unicusp import uniroots
 
     m, n = p.degree_in(1), q.degree_in(1)
     scale = content(p) ** n * content(q) ** m
     exact = resultant_wrt(p, q, 1).substitute((X, Y, ONE)) * (1 / scale)
-    coeffs = [c.numerator for c in to_univariate(exact, 0)]
+    coeffs = [0] * (exact.degree_in(0) + 1)
+    for e, c in exact.terms.items():
+        coeffs[e[0]] = c.numerator
     return uniroots.trim([c % prime for c in coeffs])
 
 
-def test_resultant_image_mod_p_is_the_reduced_exact_resultant():
+def test_form_resultant_int_mod_p_is_the_reduced_exact_resultant():
     from unicusp import uniroots
 
     rng = random.Random(1973)
@@ -828,7 +823,7 @@ def test_resultant_image_mod_p_is_the_reduced_exact_resultant():
             p, q = _random_form(rng, rng.randint(2, 5), 6), _random_form(rng, rng.randint(2, 5), 6)
             if min(p.degree_in(1), q.degree_in(1)) < 1:
                 continue
-            assert resultant_image_mod_p(p, q, 1, prime) == _image_from_exact(p, q, prime), (p, q)
+            assert form_resultant_int(p, q, 1, prime) == _image_from_exact(p, q, prime), (p, q)
             checked += 1
         checked = 0
     # Points where a leading coefficient vanishes modulo the prime are
@@ -836,14 +831,43 @@ def test_resultant_image_mod_p_is_the_reduced_exact_resultant():
     # where x + 94 is 101, nonzero over Z.
     p = (X * Z + 101 * Z**2 - 7 * Z**2) * Y**3 + X**4 * Y + Z**5
     q = X * Y**2 + Y * Z**2 - X**3
-    assert resultant_image_mod_p(p, q, 1, 101) == _image_from_exact(p, q, 101)
+    assert form_resultant_int(p, q, 1, 101) == _image_from_exact(p, q, 101)
     # The image of a zero resultant is zero.
-    assert resultant_image_mod_p(p * q, q * (X + Y), 1, 101) == []
+    assert form_resultant_int(p * q, q * (X + Y), 1, 101) == []
 
 
-def test_resultant_image_mod_p_is_none_when_a_leading_coefficient_vanishes():
+def test_form_resultant_int_mod_p_is_none_when_a_leading_coefficient_vanishes():
     # p is primitive, but its y-leading coefficient 101*x is 0 mod 101.
     p = 101 * X * Y**2 + Y * Z**2 + X**3
     q = Y**2 - X * Z
-    assert resultant_image_mod_p(p, q, 1, 101) is None
-    assert resultant_image_mod_p(p, q, 1, 103) == _image_from_exact(p, q, 103)
+    assert form_resultant_int(p, q, 1, 101) is None
+    assert form_resultant_int(p, q, 1, 103) == _image_from_exact(p, q, 103)
+
+
+def test_form_resultant_int_matches_sympy_resultant_at_z_one():
+    # The exact list is Res_y(P, Q)(t, 1) for the primitive parts P, Q, as
+    # sympy computes it; the one-prime list is that list reduced.
+    import sympy
+
+    from unicusp import uniroots
+
+    x, y, z = sympy.symbols("x y z")
+    rng = random.Random(1974)
+    checked = 0
+    while checked < 8:
+        p, q = _random_form(rng, rng.randint(2, 5), 6), _random_form(rng, rng.randint(2, 5), 6)
+        if min(p.degree_in(1), q.degree_in(1)) < 1:
+            continue
+        if p.degree_in(1) < q.degree_in(1):
+            p, q = q, p  # sympy.resultant swaps the rows otherwise
+        f, g = (
+            sympy.sympify(poly_to_text(h * (1 / content(h))).replace("^", "**")).subs(z, 1)
+            for h in (p, q)
+        )
+        res = sympy.Poly(sympy.resultant(f, g, y), x)
+        want = [] if res.is_zero else [int(c) for c in reversed(res.all_coeffs())]
+        exact = form_resultant_int(p, q, 1, 0)
+        assert exact == want, (p, q)
+        for prime in (101, next(uniroots.large_primes())):
+            assert form_resultant_int(p, q, 1, prime) == uniroots.trim([c % prime for c in exact])
+        checked += 1
