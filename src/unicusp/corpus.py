@@ -39,7 +39,6 @@ from .cremona import (
 from .curves import (
     PlaneCurve,
     ProjPoint,
-    find_rational_singular_points,
     intersection_cycle,
     make_curve,
 )
@@ -448,16 +447,11 @@ def analysis(name: str, ps: ParamSet) -> dict:
         "degree": curve.degree,
         "equation": poly_to_text(curve.poly),
     }
-    locus = find_rational_singular_points(curve)
-    locus.require_rational()
-    smooth = not locus.points
-    out["smooth"] = smooth
-    if smooth:
-        d = curve.degree
-        out["genus"] = (d - 1) * (d - 2) // 2
-        return out
-    report = classify(curve, locus)
+    report = classify(curve)
+    out["smooth"] = not report.singular_points
     out["genus"] = report.genus
+    if out["smooth"]:
+        return out
     out["singular-points"] = report.singular_points
     out["unicuspidal"] = report.unicuspidal
     if report.unicuspidal:

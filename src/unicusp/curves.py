@@ -352,12 +352,12 @@ def _singular_search(f: Poly) -> SingularLocus:
     nonzero partials.  Only the first nonzero eliminant e1 is formed
     exactly, as the integer list of e1(t, 1) (`_eliminant_y`): its
     rational roots, and (1 : 0) when that list falls short of the degree
-    of e1, are the candidate lines, each decided exactly by
-    `_points_on_line`.  What is left of e1(t, 1) once its rational linear
-    factors are divided out, L1, is checked against the next pair by
-    `_irrational_common_factor`.  Every point found zeroes all three
-    partials, so by Euler's formula it lies on f and is singular; its
-    multiplicity is the order of its germ.
+    of e1, are the candidate lines (`_rational_lines`), each decided
+    exactly by `_points_on_line`.  What is left of e1(t, 1) once its
+    rational linear factors are divided out, L1, is checked against the
+    next pair by `_irrational_common_factor`.  Every point found zeroes
+    all three partials, so by Euler's formula it lies on f and is
+    singular; its multiplicity is the order of its germ.
     """
     partials = [f.partial(i) for i in range(3)]
     live = [p for p in partials if not p.is_zero()]
@@ -377,11 +377,7 @@ def _singular_search(f: Poly) -> SingularLocus:
     else:
         raise CurveError("partial derivatives are pairwise degenerate; cannot certify locus")
 
-    coeffs, degree = e1
-    roots, l1 = uniroots.rational_roots_int(coeffs)
-    cands = [(r, Fraction(1)) for r in roots]
-    if uniroots.deg(coeffs) < degree:
-        cands.append((Fraction(1), Fraction(0)))
+    lines, l1 = _rational_lines(e1)
     blockers: list[ExtensionFieldSingularity] = []
     if uniroots.deg(l1) > 0:
         common = _irrational_common_factor(l1, pairs[i + 1:])
@@ -393,7 +389,7 @@ def _singular_search(f: Poly) -> SingularLocus:
             )
 
     points: list[ProjPoint] = []
-    for x0, z0 in cands:
+    for x0, z0, _ in lines:
         found, blk = _points_on_line(live, x0, z0)
         points.extend(found)
         blockers.extend(blk)
@@ -452,6 +448,23 @@ def _eliminant_y(a: Poly, b: Poly) -> tuple[list[int], int] | None:
     return coeffs, n * a.total_degree() + m * b.total_degree() - m * n
 
 
+def _rational_lines(
+    e: tuple[list[int], int],
+) -> tuple[list[tuple[Fraction, Fraction, int]], list[int]]:
+    """The rational roots (x0 : z0) of an eliminant e(x, z), given as
+    `_eliminant_y` returns it, each with its order, plus the primitive
+    cofactor of e(t, 1) once its rational linear factors are divided out.
+    The roots of e(t, 1) come first; (1 : 0) is a root of order the
+    degree deficit deg e - deg e(t, 1)."""
+    coeffs, degree = e
+    roots, cofactor = uniroots.rational_roots_int(coeffs)
+    lines = [(r, Fraction(1), k) for r, k in roots.items()]
+    deficit = degree - uniroots.deg(coeffs)
+    if deficit > 0:
+        lines.append((Fraction(1), Fraction(0), deficit))
+    return lines, cofactor
+
+
 def _uni_to_binary(coeffs: list[int]) -> Poly:
     d = uniroots.deg(coeffs)
     terms = {}
@@ -484,15 +497,11 @@ def _points_on_line(
     if uniroots.deg(leftover) > 0:
         blockers.append(
             ExtensionFieldSingularity(
-                uniroots_poly_in_y(leftover),
+                normalized(from_univariate(leftover, 1)),
                 f"irrational singular y-locus on the line (x : z) = ({x0} : {z0})",
             )
         )
     return points, blockers
-
-
-def uniroots_poly_in_y(coeffs: list[int]) -> Poly:
-    return normalized(from_univariate([Fraction(c) for c in coeffs], 1))
 
 
 def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
@@ -554,11 +563,11 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
     point lies on a rational line through the centre, so the rational
     roots t of e(t, 1), read off its integer list (`_eliminant_y`), and
     (1 : 0) with order the degree deficit deg e - deg e(t, 1), give every
-    rational point.  `_points_on_line` certifies that each line holds one
-    common point: one rational root of the gcd of the two restrictions and
-    no blocker.  When a line holds two, the next shear is tried; only
-    finitely many centres lie on a curve or on a line through two of the
-    finitely many common points, so the search ends.
+    rational point (`_rational_lines`).  `_points_on_line` certifies that
+    each line holds one common point: one rational root of the gcd of the
+    two restrictions and no blocker.  When a line holds two, the next
+    shear is tried; only finitely many centres lie on a curve or on a line
+    through two of the finitely many common points, so the search ends.
     """
     if f.is_zero() or g.is_zero():
         raise CurveError("the zero polynomial defines no curve")
@@ -573,13 +582,8 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
         e = _eliminant_y(fm, gm)
         if e is None:
             raise CurveError("curves share a component; intersection numbers are undefined")
-        coeffs, degree = e
-        roots, _ = uniroots.rational_roots_int(coeffs)
-        lines = [(r, Fraction(1), k) for r, k in roots.items()]
-        if degree > uniroots.deg(coeffs):
-            lines.append((Fraction(1), Fraction(0), degree - uniroots.deg(coeffs)))
         points = []
-        for x0, z0, k in lines:
+        for x0, z0, k in _rational_lines(e)[0]:
             found, blockers = _points_on_line([fm, gm], x0, z0)
             if len(found) != 1 or blockers:
                 break

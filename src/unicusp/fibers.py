@@ -490,17 +490,3 @@ def complete_and_classify(f0: FiberConfig, case: str, budget: int) -> list[Compl
             g.add_edge(_SECTION, contact)
             _search(g, u, w, [], budget, results, seen, case)
     return results
-
-
-def fiber_component_budget_check(fibers: list[FiberConfig]) -> bool:
-    """True iff the component surplus sum((r(F) - 1)) stays within 8."""
-    total = 0
-    for f in fibers:
-        if f.multiplicities is not None:
-            f.validate()
-        else:
-            sol = solve_multiplicities(f.graph)
-            if sol is NotAFiber:
-                raise GraphError("configuration is not a fiber")
-        total += len(f.graph) - 1
-    return total <= 8

@@ -35,7 +35,7 @@ from .curves import (
     tangent_line_at,
 )
 from .dualgraph import WeightedDualGraph
-from .poly import ONE, Poly, X, Y, exact_divide
+from .poly import ONE, Poly, X, Y
 
 STEP_BUDGET = 100
 
@@ -100,26 +100,16 @@ def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
     """Strict transform of a germ of multiplicity m at the origin under one
     blowup, in the chart of tangent direction y = r*x (vertical x = 0 when r
     is None).  The point of that direction is again the origin.
+
+    The chart is an exponent relabel of g's terms: x^a*y^b goes to
+    x^a*y^(a+b-m) in the vertical chart and to x^(a+b-m)*(y + r)^b in the
+    chart y = r*x, so only r != 0 needs a substitution.  The relabel is
+    injective, and a + b >= m on every term of a germ of order m.
     """
     if r is None:
-        moved, exc_var = g.substitute((X * Y, Y, ONE)), Y
-    else:
-        moved, exc_var = g.substitute((X, X * (Y + r), ONE)), X
-    strict = exact_divide(moved, exc_var ** m)
-    assert strict is not None, "total transform must be divisible by the m-th power"
-    return strict
-
-
-def _transform_old_exceptional(lin: Poly, r: Fraction | None) -> Poly | None:
-    """Strict transform germ of an old exceptional line through the blown-up
-    point; None when it no longer passes through the new center."""
-    a = lin.terms.get((1, 0, 0), Fraction(0))
-    b = lin.terms.get((0, 1, 0), Fraction(0))
-    if r is None:
-        # new chart (u, v) -> (uv, v); through the origin iff lin ~ u
-        return X if b == 0 else None
-    # new chart (u, v) -> (u, u(v + r)); through the origin iff a + b*r = 0
-    return Y if a + b * r == 0 else None
+        return Poly({(a, a + b - m, 0): c for (a, b, _), c in g.terms.items()})
+    moved = Poly({(a + b - m, b, 0): c for (a, b, _), c in g.terms.items()})
+    return moved.substitute((X, Y + r, ONE)) if r else moved
 
 
 def minimal_embedded_resolution(
@@ -151,7 +141,10 @@ def minimal_embedded_resolution(
     graph = WeightedDualGraph()
     records: list[BlowupRecord] = []
     seq: list[int] = []
-    exc: list[tuple[str, Poly]] = []
+    # The exceptional curves through the center, newest first, each with
+    # the chart axis it lies on: 0 for x = 0, 1 for y = 0.  The axes differ,
+    # so at most two curves pass through a center.
+    exc: list[tuple[str, int]] = []
 
     while True:
         if step_limit is not None and len(records) >= step_limit:
@@ -169,16 +162,14 @@ def minimal_embedded_resolution(
             graph.add_edge(label, lab)
         if len(exc) == 2:
             graph.remove_edge(exc[0][0], exc[1][0])
-        new_exc: list[tuple[str, Poly]] = [(label, Y if r is None else X)]
-        for lab, lin in exc:
-            t = _transform_old_exceptional(lin, r)
-            if t is not None:
-                new_exc.append((lab, t))
-        if len(new_exc) > 2:
-            raise CurveError("more than two exceptional curves through a center")
+        # The new curve is the axis y = 0 of the vertical chart and x = 0
+        # of the others.  An old one reaches the next center only as the
+        # other axis: x = 0 in the vertical chart, y = 0 in the chart r = 0.
+        axis = 1 if r is None else 0
+        kept = [(lab, a) for lab, a in exc if a != axis and (r is None or r == 0)]
         records.append(BlowupRecord(index, m, label, centers))
         seq.append(m)
-        exc = new_exc
+        exc = [(label, axis)] + kept
         if m == 1 and len(exc) == 1:
             break
         g = blow_up_once(g, m, r)

@@ -26,13 +26,6 @@ def deg(a: list) -> int:
     return len(a) - 1
 
 
-def eval_uni(a: list, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def eval_uni_int(a: list[int], x: int) -> int:
     acc = 0
     for c in reversed(a):
@@ -367,7 +360,8 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     u/w reduces to a root mod p, a simple one because fs stays squarefree
     mod p.  A simple root lifts uniquely to a large power of p (Newton),
     rational reconstruction recovers u/w from the lift, and exact
-    evaluation discards the residues that are not rational roots.
+    division by w*x - u discards the residues that are not rational
+    roots: they leave a remainder.
     """
     f = primitive_int(f)
     if deg(f) <= 0:
@@ -414,9 +408,6 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
             candidates.append(Fraction(*rec))
     leftover = f
     for root in sorted(set(candidates)):
-        val = eval_uni(list(map(Fraction, f)), root)
-        if val != 0:
-            continue
         lin = [-root.numerator, root.denominator]
         mult = 0
         while True:

@@ -16,7 +16,6 @@ from unicusp.fibers import (
     build_F0,
     classify_kodaira,
     complete_and_classify,
-    fiber_component_budget_check,
     intersection_matrix,
     is_fiber_solution,
     solve_multiplicities,
@@ -354,17 +353,6 @@ def test_budget_validation():
     f0 = build_F0(res, 3, CASE_OFF)
     with pytest.raises(GraphError):
         complete_and_classify(f0, CASE_OFF, budget=0)
-
-
-def test_component_budget_check():
-    fib = FiberConfig(graph=estar_fiber([1, 2, 5]))
-    assert fiber_component_budget_check([fib])
-    too_much = FiberConfig(graph=instar_fiber(5))  # 10 components
-    assert not fiber_component_budget_check([too_much])
-    broken = cycle_fiber(4)
-    broken.bump_weight("C0", -1)
-    with pytest.raises(GraphError):
-        fiber_component_budget_check([FiberConfig(graph=broken)])
 
 
 def test_fiber_config_validate_catches_bad_multiplicities():

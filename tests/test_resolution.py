@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from unicusp import resolution
 from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
 from unicusp.curves import ProjPoint, cone_direction, germ_at, germ_order, make_curve
 from unicusp.dualgraph import WeightedDualGraph
-from unicusp.poly import Poly, X, Y, Z
+from unicusp.poly import ONE, Poly, X, Y, Z, exact_divide
 from unicusp.resolution import (
     BlowupRecord,
     NotUnibranchError,
@@ -253,6 +254,30 @@ def _is_transverse(g: Poly, exc_lin: Poly) -> bool:
     return a1 * b2 - a2 * b1 != 0
 
 
+def _blow_up_once_reference(g: Poly, m: int, r: Fraction | None) -> Poly:
+    """The chart map as a product image and an exact division by the m-th
+    power of the exceptional variable: the oracle for blow_up_once."""
+    if r is None:
+        moved, exc_var = g.substitute((X * Y, Y, ONE)), Y
+    else:
+        moved, exc_var = g.substitute((X, X * (Y + r), ONE)), X
+    strict = exact_divide(moved, exc_var ** m)
+    assert strict is not None, "total transform must be divisible by the m-th power"
+    return strict
+
+
+def _transform_old_exceptional_reference(lin: Poly, r: Fraction | None) -> Poly | None:
+    """Strict transform germ of an old exceptional line through the blown-up
+    point; None when it no longer passes through the new center."""
+    a = lin.terms.get((1, 0, 0), Fraction(0))
+    b = lin.terms.get((0, 1, 0), Fraction(0))
+    if r is None:
+        # new chart (u, v) -> (uv, v); through the origin iff lin ~ u
+        return X if b == 0 else None
+    # new chart (u, v) -> (u, u(v + r)); through the origin iff a + b*r = 0
+    return Y if a + b * r == 0 else None
+
+
 def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
     """The resolution loop that forms every strict transform and stops when
     the last one is smooth and transversal to the only exceptional curve
@@ -283,7 +308,7 @@ def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
         index = len(records) + 1
         label = f"E{index}"
         r = cone_direction(g, m)
-        strict = resolution.blow_up_once(g, m, r)
+        strict = _blow_up_once_reference(g, m, r)
         graph.add_vertex(label, -1)
         centers = tuple(lab for lab, _ in exc)
         for lab, _ in exc:
@@ -293,7 +318,7 @@ def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
             graph.remove_edge(exc[0][0], exc[1][0])
         new_exc: list[tuple[str, Poly]] = [(label, Y if r is None else X)]
         for lab, lin in exc:
-            t = resolution._transform_old_exceptional(lin, r)
+            t = _transform_old_exceptional_reference(lin, r)
             if t is not None:
                 new_exc.append((lab, t))
         if len(new_exc) > 2:
@@ -384,3 +409,77 @@ def test_stop_rule_matches_reference_on_seeded_cusps():
             resolved += 1
             assert got["delta"] == delta_invariant(germ_at(curve.poly, origin))
     assert resolved == 60
+
+
+# -- the chart map against the product image and exact division ----------------
+
+
+def _blow_up_inputs(run) -> list[tuple[Poly, int, Fraction | None]]:
+    """Every (g, m, r) that blow_up_once receives while run() runs."""
+    seen = []
+    real = resolution.blow_up_once
+
+    def recorded(g, m, r):
+        seen.append((g, m, r))
+        return real(g, m, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "blow_up_once", recorded)
+        run()
+    return seen
+
+
+def _assert_charts_match_reference(inputs) -> dict[str, int]:
+    cases = {"vertical": 0, "r = 0": 0, "r != 0": 0}
+    for g, m, r in inputs:
+        assert resolution.blow_up_once(g, m, r) == _blow_up_once_reference(g, m, r), (g, m, r)
+        cases["vertical" if r is None else "r = 0" if r == 0 else "r != 0"] += 1
+    return cases
+
+
+def test_blow_up_once_matches_reference_on_corpus_blowups():
+    from unicusp.corpus import CURVES
+
+    curves = [curve_by_name(name, ps) for ps in DEFAULT_PARAMS for name in CURVES]
+    assert len(curves) == 24
+
+    def run():
+        for curve in curves:
+            classify(curve)
+
+    cases = _assert_charts_match_reference(_blow_up_inputs(run))
+    assert all(cases.values()), cases
+
+
+def test_blow_up_once_matches_reference_on_seeded_cusps():
+    rng = random.Random(9090)
+    curves = [make_curve(_seeded_cusp(rng)) for _ in range(60)]
+
+    def run():
+        for curve in curves:
+            minimal_embedded_resolution(curve, ORIGIN)
+            delta_invariant(germ_at(curve.poly, ORIGIN))
+
+    # A seeded cusp has the one Puiseux pair (a, b), so every tangent
+    # direction in its resolution is a chart axis: no shift in y occurs.
+    cases = _assert_charts_match_reference(_blow_up_inputs(run))
+    assert cases["vertical"] and cases["r = 0"], cases
+
+
+def test_corpus_cusps_resolve_without_exact_divide(monkeypatch):
+    # The chart map is a relabel of exponents plus, for r != 0, a shift in
+    # y: no division is left in the resolution or in the delta invariant.
+    # The curves are built first (make_curve divides in its squarefree check).
+    cusps = [(curve_by_name(name, ps), point) for ps in DEFAULT_PARAMS for name, point in sorted(CUSPS.items())]
+    want = [minimal_embedded_resolution(curve, point).as_json() for curve, point in cusps]
+
+    def no_division(p, q):
+        raise AssertionError("exact_divide reached")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "unicusp" or name.startswith("unicusp.")) and vars(module).get("exact_divide") is exact_divide:
+            monkeypatch.setattr(module, "exact_divide", no_division)
+    got = [minimal_embedded_resolution(curve, point).as_json() for curve, point in cusps]
+    assert got == want
+    for curve, point in cusps:
+        assert delta_invariant(germ_at(curve.poly, point)) > 0

@@ -29,7 +29,6 @@ def test_trim_and_deg():
 
 def test_eval():
     # 1 + 2x + x^2 at x = 3 -> 16
-    assert ur.eval_uni([F(1), F(2), F(1)], F(3)) == 16
     assert ur.eval_uni_int([1, 2, 1], 3) == 16
 
 
