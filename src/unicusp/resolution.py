@@ -35,7 +35,7 @@ from .curves import (
     tangent_line_at,
 )
 from .dualgraph import WeightedDualGraph
-from .poly import ONE, Poly, X, Y
+from .poly import ONE, Poly, X, Y, exact_divide
 
 STEP_BUDGET = 100
 
@@ -101,15 +101,19 @@ def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
     blowup, in the chart of tangent direction y = r*x (vertical x = 0 when r
     is None).  The point of that direction is again the origin.
 
-    The chart is an exponent relabel of g's terms: x^a*y^b goes to
-    x^a*y^(a+b-m) in the vertical chart and to x^(a+b-m)*(y + r)^b in the
-    chart y = r*x, so only r != 0 needs a substitution.  The relabel is
-    injective, and a + b >= m on every term of a germ of order m.
+    The total transform is an exponent relabel of g's terms: x^a*y^b goes to
+    x^a*y^(a+b) in the vertical chart and to x^(a+b)*y^b in the chart
+    y = r*x.  Dividing out the m-th power of the exceptional variable is a
+    shift of exponents that fails exactly when g has order below m, and only
+    r != 0 then needs a substitution, y -> y + r.
     """
     if r is None:
-        return Poly({(a, a + b - m, 0): c for (a, b, _), c in g.terms.items()})
-    moved = Poly({(a + b - m, b, 0): c for (a, b, _), c in g.terms.items()})
-    return moved.substitute((X, Y + r, ONE)) if r else moved
+        moved, exc_var = Poly({(a, a + b, 0): c for (a, b, _), c in g.terms.items()}), Y
+    else:
+        moved, exc_var = Poly({(a + b, b, 0): c for (a, b, _), c in g.terms.items()}), X
+    strict = exact_divide(moved, exc_var ** m)
+    assert strict is not None, "total transform must be divisible by the m-th power"
+    return strict.substitute((X, Y + r, ONE)) if r else strict
 
 
 def minimal_embedded_resolution(

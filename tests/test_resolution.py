@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -434,7 +433,35 @@ def _assert_charts_match_reference(inputs) -> dict[str, int]:
     for g, m, r in inputs:
         assert resolution.blow_up_once(g, m, r) == _blow_up_once_reference(g, m, r), (g, m, r)
         cases["vertical" if r is None else "r = 0" if r == 0 else "r != 0"] += 1
+    _assert_charts_relabel(inputs)
     return cases
+
+
+def _assert_charts_relabel(inputs) -> None:
+    """The total transform is a relabel of exponents, not a product image:
+    each chart map divides once, by the m-th power of the exceptional
+    variable, and substitutes only for r != 0, the shift y -> y + r."""
+    calls = []
+    real_divide, real_substitute = resolution.exact_divide, Poly.substitute
+
+    def divide(p, q):
+        calls.append(("divide", q))
+        return real_divide(p, q)
+
+    def substitute(self, images):
+        calls.append(("substitute", images))
+        return real_substitute(self, images)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "exact_divide", divide)
+        mp.setattr(Poly, "substitute", substitute)
+        for g, m, r in inputs:
+            calls.clear()
+            resolution.blow_up_once(g, m, r)
+            want = [("divide", (Y if r is None else X) ** m)]
+            if r:
+                want.append(("substitute", (X, Y + r, ONE)))
+            assert calls == want, (g, m, r)
 
 
 def test_blow_up_once_matches_reference_on_corpus_blowups():
@@ -464,22 +491,3 @@ def test_blow_up_once_matches_reference_on_seeded_cusps():
     # direction in its resolution is a chart axis: no shift in y occurs.
     cases = _assert_charts_match_reference(_blow_up_inputs(run))
     assert cases["vertical"] and cases["r = 0"], cases
-
-
-def test_corpus_cusps_resolve_without_exact_divide(monkeypatch):
-    # The chart map is a relabel of exponents plus, for r != 0, a shift in
-    # y: no division is left in the resolution or in the delta invariant.
-    # The curves are built first (make_curve divides in its squarefree check).
-    cusps = [(curve_by_name(name, ps), point) for ps in DEFAULT_PARAMS for name, point in sorted(CUSPS.items())]
-    want = [minimal_embedded_resolution(curve, point).as_json() for curve, point in cusps]
-
-    def no_division(p, q):
-        raise AssertionError("exact_divide reached")
-
-    for name, module in list(sys.modules.items()):
-        if (name == "unicusp" or name.startswith("unicusp.")) and vars(module).get("exact_divide") is exact_divide:
-            monkeypatch.setattr(module, "exact_divide", no_division)
-    got = [minimal_embedded_resolution(curve, point).as_json() for curve, point in cusps]
-    assert got == want
-    for curve, point in cusps:
-        assert delta_invariant(germ_at(curve.poly, point)) > 0
