@@ -152,12 +152,6 @@ class WeightedDualGraph:
 
     # -- intersection calculus -------------------------------------------
 
-    def pairing(self, a: str, b: str) -> int:
-        """Intersection number of components a and b as divisors."""
-        if a == b:
-            return self.self_intersection(a)
-        return self.edge_mult(a, b)
-
     def divisor_square(self, coeffs: dict[str, int | Fraction]) -> Fraction:
         """(sum coeffs[v] * v)^2 under the intersection pairing."""
         total = Fraction(0)

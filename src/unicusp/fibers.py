@@ -6,18 +6,17 @@ nodes of the component), edges carry intersection multiplicities.  A graph
 supports a fiber when the intersection matrix has a one-dimensional kernel
 spanned by a positive vector: F = sum n_i E_i with F.E_j = 0 for every j.
 
-The module provides the kernel solver, a recognizer for the simple-normal-
-crossing Kodaira types made of (-2)-curves (I_n, I_n*, II*, III*, IV*), the
-(-1)-contraction move, and a bounded completion search that starts from the
-fiber part carved out of a cusp resolution and enumerates every way to finish
-it into a 9-component fiber.
+The module provides the kernel solver, which also names the simple-normal-
+crossing Kodaira types made of (-2)-curves (I_n, I_n*, II*, III*, IV*) by
+their null vector, the (-1)-contraction move, and a bounded completion
+search that starts from the fiber part carved out of a cusp resolution and
+enumerates every way to finish it into a 9-component fiber.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .dualgraph import GraphError, WeightedDualGraph
 from .resolution import ResolutionResult
@@ -91,61 +90,52 @@ def solve_multiplicities(g: WeightedDualGraph):
     r = len(verts)
     if r == 0 or not g.is_connected():
         return NotAFiber
-    rows = [[Fraction(x) for x in row] for row in mat]
+    # Gauss-Jordan on integer rows, each kept primitive
     pivots: list[int] = []
-    rank = 0
     for col in range(r):
-        sel = None
-        for k in range(rank, r):
-            if rows[k][col]:
-                sel = k
-                break
+        rank = len(pivots)
+        sel = next((k for k in range(rank, r) if mat[k][col]), None)
         if sel is None:
             continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        prow = mat[rank]
+        pv = prow[col]
         for k in range(r):
-            if k != rank and rows[k][col]:
-                f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[rank])]
+            f = mat[k][col]
+            if k != rank and f:
+                row = [pv * a - f * b for a, b in zip(mat[k], prow)]
+                c = gcd(*row) or 1
+                mat[k] = [a // c for a in row]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(r) if c not in pivots]
-    if len(free) != 1:
+    if len(pivots) != r - 1:
         return NotAFiber
-    fc = free[0]
-    sol = [Fraction(0)] * r
-    sol[fc] = Fraction(1)
+    fc = next(c for c in range(r) if c not in pivots)
+    # the kernel vector with entry lcm(pivots) at the free column
+    scale = lcm(*(mat[k][col] for k, col in enumerate(pivots)))
+    sol = [0] * r
+    sol[fc] = scale
     for k, col in enumerate(pivots):
-        sol[col] = -rows[k][fc]
-    if any(x <= 0 for x in sol):
+        sol[col] = -mat[k][fc] * scale // mat[k][col]
+    if any(n <= 0 for n in sol):
         return NotAFiber
-    den = 1
-    for x in sol:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in sol]
-    g0 = 0
-    for n in ints:
-        g0 = gcd(g0, n)
-    return [n // g0 for n in ints]
+    g0 = gcd(*sol)
+    return [n // g0 for n in sol]
 
 
-def _arm_lengths(g: WeightedDualGraph, branch: str) -> list[int] | None:
-    arms = []
-    for start, _ in g.neighbors(branch):
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [w for w, _ in g.neighbors(cur) if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                return None
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
+# the largest multiplicity of each exceptional type; the I_n and I_n*
+# families are named by their number of components instead
+_EXCEPTIONAL = {3: "IV*", 4: "III*", 6: "II*"}
+
+
+def _kodaira(g: WeightedDualGraph) -> tuple[str, list[int]] | None:
+    """The Kodaira type and multiplicities of a (-2)-fiber support, or None."""
+    if any(g.loops(v) or g.weight(v) != -2 for v in g.vertices):
+        return None
+    mults = solve_multiplicities(g)
+    if mults is NotAFiber:
+        return None
+    r, top = len(mults), max(mults)
+    return (f"I{r}" if top == 1 else f"I{r - 5}*" if top == 2 else _EXCEPTIONAL[top]), mults
 
 
 def classify_kodaira(g: WeightedDualGraph) -> str:
@@ -153,63 +143,21 @@ def classify_kodaira(g: WeightedDualGraph) -> str:
 
     Returns "In" (n >= 2, cycles; n = 2 is the double edge), "In*" (n >= 0),
     "II*", "III*", "IV*", or UNRECOGNIZED.  Tangential configurations
-    (loops), wrong weights, and shapes outside the list are UNRECOGNIZED.
+    (loops), wrong weights, and graphs that support no fiber are
+    UNRECOGNIZED.
+
+    The type is read off the kernel.  With every weight -2 and no loop,
+    minus the intersection matrix is a symmetric generalized Cartan matrix,
+    and a connected one with a positive null vector is of affine type
+    (Kac, *Infinite-dimensional Lie algebras*, Thm 4.3).  The symmetric
+    affine diagrams are A~_n, D~_n, E~6, E~7 and E~8 (Table Aff 1), which are
+    Kodaira's I_r, I_{r-5}*, IV*, III* and II* on r components (Barth,
+    Hulek, Peters and Van de Ven, *Compact Complex Surfaces*, V.7), and
+    the largest entry of the primitive null vector tells them apart: 1, 2,
+    3, 4 and 6.
     """
-    verts = g.vertices
-    r = len(verts)
-    if r == 0 or not g.is_connected():
-        return UNRECOGNIZED
-    if any(g.loops(v) for v in verts):
-        return UNRECOGNIZED
-    if any(g.weight(v) != -2 for v in verts):
-        return UNRECOGNIZED
-    edges = g.edges()
-    total_mult = sum(m for _, _, m in edges)
-    degrees = {v: g.degree(v) for v in verts}
-
-    # cycles: every vertex meets the rest of the fiber twice
-    if all(degrees[v] == 2 for v in verts) and total_mult == r:
-        if r == 2:
-            if len(edges) == 1 and edges[0][2] == 2:
-                return "I2"
-            return UNRECOGNIZED
-        if all(m == 1 for _, _, m in edges):
-            return f"I{r}"
-        return UNRECOGNIZED
-
-    # everything else on the list is a tree with simple edges
-    if any(m != 1 for _, _, m in edges) or total_mult != r - 1:
-        return UNRECOGNIZED
-    branch = [v for v in verts if degrees[v] >= 3]
-    leaves = [v for v in verts if degrees[v] == 1]
-
-    if len(branch) == 1:
-        b = branch[0]
-        if degrees[b] == 4 and r == 5 and len(leaves) == 4:
-            return "I0*"
-        if degrees[b] == 3:
-            arms = _arm_lengths(g, b)
-            if arms is not None:
-                arms = sorted(arms)
-                if arms == [1, 2, 5] and r == 9:
-                    return "II*"
-                if arms == [1, 3, 3] and r == 8:
-                    return "III*"
-                if arms == [2, 2, 2] and r == 7:
-                    return "IV*"
-        return UNRECOGNIZED
-
-    if len(branch) == 2 and len(leaves) == 4:
-        b1, b2 = branch
-        if degrees[b1] == 3 and degrees[b2] == 3:
-            l1 = sum(1 for u, _ in g.neighbors(b1) if degrees[u] == 1)
-            l2 = sum(1 for u, _ in g.neighbors(b2) if degrees[u] == 1)
-            if l1 == 2 and l2 == 2:
-                # stripping the four leaves leaves the central path b1..b2
-                return f"I{r - 5}*"
-        return UNRECOGNIZED
-
-    return UNRECOGNIZED
+    found = _kodaira(g)
+    return UNRECOGNIZED if found is None else found[0]
 
 
 def blow_down(g: WeightedDualGraph, v: str) -> WeightedDualGraph:
@@ -255,11 +203,6 @@ class FiberConfig:
     @property
     def components(self) -> int:
         return len(self.graph)
-
-    def multiplicity_of(self, label: str) -> int:
-        if self.multiplicities is None:
-            raise GraphError("multiplicities have not been solved")
-        return self.multiplicities[self.graph.vertices.index(label)]
 
     def validate(self) -> None:
         if not self.graph.is_connected():
@@ -395,18 +338,13 @@ def _finalize(
     fiber.remove_vertex(_SECTION)
     if len(fiber) != 9:
         return
-    tag = classify_kodaira(fiber)
-    if tag == UNRECOGNIZED:
+    found = _kodaira(fiber)
+    if found is None:
         return
-    mults = solve_multiplicities(fiber)
-    if mults is NotAFiber:
-        return
+    tag, mults = found
     order = {v: i for i, v in enumerate(fiber.vertices)}
     pairing = sum(k * mults[order[u]] for u, k in sec_edges)
     if pairing != 1:
-        return
-    coeffs = dict(zip(fiber.vertices, mults))
-    if fiber.divisor_square(coeffs) != 0:
         return
     key = (e0, e0p, frozenset(seq))
     if key in seen:
@@ -466,6 +404,8 @@ def complete_and_classify(f0: FiberConfig, case: str, budget: int) -> list[Compl
     """
     if case not in (CASE_ON, CASE_OFF):
         raise GraphError(f"unknown attachment case {case!r}")
+    if f0.case is not None and f0.case != case:
+        raise GraphError(f"fiber part was built for case {f0.case}, not for case {case}")
     if budget < 1:
         raise GraphError(f"contraction budget must be at least 1, got {budget}")
     base = f0.graph

@@ -116,6 +116,19 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of(terms: dict[Exponents, Fraction]) -> "Poly":
+        """The polynomial with these terms, taken as they are.
+
+        For terms the package made itself: exponent triples of
+        nonnegative ints and nonzero Fraction coefficients.  The dict is
+        owned by the result from here on.  `Poly(terms)` checks both.
+        """
+        p = Poly.__new__(Poly)
+        p._terms = terms
+        p._hash = None
+        return p
+
+    @staticmethod
     def zero() -> "Poly":
         return Poly()
 
@@ -224,18 +237,12 @@ class Poly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        p._hash = None
-        return p
+        return Poly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._terms = {e: -c for e, c in self._terms.items()}
-        p._hash = None
-        return p
+        return Poly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Poly | Fraction | int") -> "Poly":
         return self + (-Poly._coerce(other))
@@ -248,10 +255,7 @@ class Poly:
             c0 = Fraction(other)
             if not c0:
                 return Poly.zero()
-            p = Poly.__new__(Poly)
-            p._terms = {e: c * c0 for e, c in self._terms.items()}
-            p._hash = None
-            return p
+            return Poly._of({e: c * c0 for e, c in self._terms.items()})
         out: dict[Exponents, Fraction] = {}
         for (a1, b1, c1), k1 in self._terms.items():
             for (a2, b2, c2), k2 in other._terms.items():
@@ -261,10 +265,7 @@ class Poly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        p._hash = None
-        return p
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -289,10 +290,7 @@ class Poly:
                 ne = list(e)
                 ne[i] -= 1
                 out[(ne[0], ne[1], ne[2])] = c * e[i]
-        p = Poly.__new__(Poly)
-        p._terms = out
-        p._hash = None
-        return p
+        return Poly._of(out)
 
     def substitute(self, images: "tuple[Poly, Poly, Poly]") -> "Poly":
         """Evaluate at a triple of polynomials (ring homomorphism).
@@ -389,10 +387,7 @@ class Poly:
                     if degree >= 0:
                         exps[2] = degree - exps[0] - exps[1]
                     out[(exps[0], exps[1], exps[2])] = Fraction(c, den)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        p._hash = None
-        return p
+        return Poly._of(out)
 
     def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
         xs = [Fraction(v) for v in point]
@@ -402,10 +397,7 @@ class Poly:
         return total
 
     def homogeneous_part(self, d: int) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._terms = {e: c for e, c in self._terms.items() if e[0] + e[1] + e[2] == d}
-        p._hash = None
-        return p
+        return Poly._of({e: c for e, c in self._terms.items() if e[0] + e[1] + e[2] == d})
 
     def coeffs_wrt(self, i: int) -> dict[int, "Poly"]:
         """Coefficients as polynomials in the other two variables."""
@@ -415,13 +407,7 @@ class Poly:
             k = ne[i]
             ne[i] = 0
             out.setdefault(k, {})[(ne[0], ne[1], ne[2])] = c
-        result = {}
-        for k, terms in out.items():
-            p = Poly.__new__(Poly)
-            p._terms = terms
-            p._hash = None
-            result[k] = p
-        return result
+        return {k: Poly._of(terms) for k, terms in out.items()}
 
     def __str__(self) -> str:
         return poly_to_text(self)
@@ -521,13 +507,9 @@ def _primitive(p: Poly) -> tuple[IntTerms, Fraction]:
 
 def _from_ints(terms: IntTerms, num: int, den: int) -> Poly:
     """The polynomial (num/den) * terms, den > 0."""
-    p = Poly.__new__(Poly)
     if den == 1:
-        p._terms = {e: Fraction(k * num) for e, k in terms.items()}
-    else:
-        p._terms = {e: Fraction(k * num, den) for e, k in terms.items()}
-    p._hash = None
-    return p
+        return Poly._of({e: Fraction(k * num) for e, k in terms.items()})
+    return Poly._of({e: Fraction(k * num, den) for e, k in terms.items()})
 
 
 def _heap_key(e: Exponents) -> tuple[int, int, int]:
@@ -779,10 +761,7 @@ def dehomogenize(p: Poly, i: int) -> Poly:
             out[f] = s
         else:
             del out[f]
-    q = Poly.__new__(Poly)
-    q._terms = out
-    q._hash = None
-    return q
+    return Poly._of(out)
 
 
 # -- degree report ------------------------------------------------------

@@ -70,10 +70,6 @@ class ResolutionResult:
     d0: str
     strict_self_intersection: int
 
-    @property
-    def exceptional_labels(self) -> list[str]:
-        return [r.label for r in self.records]
-
     def as_json(self) -> dict:
         return {
             "point": self.point.as_json(),
@@ -108,9 +104,9 @@ def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
     r != 0 then needs a substitution, y -> y + r.
     """
     if r is None:
-        moved, exc_var = Poly({(a, a + b, 0): c for (a, b, _), c in g.terms.items()}), Y
+        moved, exc_var = Poly._of({(a, a + b, 0): c for (a, b, _), c in g.terms.items()}), Y
     else:
-        moved, exc_var = Poly({(a + b, b, 0): c for (a, b, _), c in g.terms.items()}), X
+        moved, exc_var = Poly._of({(a + b, b, 0): c for (a, b, _), c in g.terms.items()}), X
     strict = exact_divide(moved, exc_var ** m)
     assert strict is not None, "total transform must be divisible by the m-th power"
     return strict.substitute((X, Y + r, ONE)) if r else strict

@@ -1,8 +1,13 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from unicusp import fibers
+from unicusp.corpus import DEFAULT_PARAMS, analysis
 from unicusp.curves import make_curve, ProjPoint
 from unicusp.dualgraph import GraphError, WeightedDualGraph
 from unicusp.fibers import (
@@ -16,6 +21,7 @@ from unicusp.fibers import (
     build_F0,
     classify_kodaira,
     complete_and_classify,
+    contraction_budget,
     intersection_matrix,
     is_fiber_solution,
     solve_multiplicities,
@@ -172,6 +178,238 @@ def test_classify_rejects_wrong_weights():
 def test_classify_rejects_odd_trees():
     assert classify_kodaira(estar_fiber([1, 1, 4])) == UNRECOGNIZED
     assert classify_kodaira(estar_fiber([2, 2, 3])) == UNRECOGNIZED
+
+
+# -- the shape recognizer the null vector replaced ------------------------------
+
+
+def _arm_lengths(g, branch):
+    arms = []
+    for start, _ in g.neighbors(branch):
+        length = 1
+        prev, cur = branch, start
+        while True:
+            nxt = [w for w, _ in g.neighbors(cur) if w != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                return None
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    return arms
+
+
+def _classify_kodaira_reference(g):
+    """Kodaira type by degree, arm and leaf rules, or UNRECOGNIZED."""
+    verts = g.vertices
+    r = len(verts)
+    if r == 0 or not g.is_connected():
+        return UNRECOGNIZED
+    if any(g.loops(v) for v in verts):
+        return UNRECOGNIZED
+    if any(g.weight(v) != -2 for v in verts):
+        return UNRECOGNIZED
+    edges = g.edges()
+    total_mult = sum(m for _, _, m in edges)
+    degrees = {v: g.degree(v) for v in verts}
+
+    # cycles: every vertex meets the rest of the fiber twice
+    if all(degrees[v] == 2 for v in verts) and total_mult == r:
+        if r == 2:
+            if len(edges) == 1 and edges[0][2] == 2:
+                return "I2"
+            return UNRECOGNIZED
+        if all(m == 1 for _, _, m in edges):
+            return f"I{r}"
+        return UNRECOGNIZED
+
+    # everything else on the list is a tree with simple edges
+    if any(m != 1 for _, _, m in edges) or total_mult != r - 1:
+        return UNRECOGNIZED
+    branch = [v for v in verts if degrees[v] >= 3]
+    leaves = [v for v in verts if degrees[v] == 1]
+
+    if len(branch) == 1:
+        b = branch[0]
+        if degrees[b] == 4 and r == 5 and len(leaves) == 4:
+            return "I0*"
+        if degrees[b] == 3:
+            arms = _arm_lengths(g, b)
+            if arms is not None:
+                arms = sorted(arms)
+                if arms == [1, 2, 5] and r == 9:
+                    return "II*"
+                if arms == [1, 3, 3] and r == 8:
+                    return "III*"
+                if arms == [2, 2, 2] and r == 7:
+                    return "IV*"
+        return UNRECOGNIZED
+
+    if len(branch) == 2 and len(leaves) == 4:
+        b1, b2 = branch
+        if degrees[b1] == 3 and degrees[b2] == 3:
+            l1 = sum(1 for u, _ in g.neighbors(b1) if degrees[u] == 1)
+            l2 = sum(1 for u, _ in g.neighbors(b2) if degrees[u] == 1)
+            if l1 == 2 and l2 == 2:
+                # stripping the four leaves leaves the central path b1..b2
+                return f"I{r - 5}*"
+        return UNRECOGNIZED
+
+    return UNRECOGNIZED
+
+
+def _solve_multiplicities_reference(g):
+    """The primitive positive kernel vector by Gauss-Jordan over Q, or NotAFiber."""
+    verts, mat = intersection_matrix(g)
+    r = len(verts)
+    if r == 0 or not g.is_connected():
+        return NotAFiber
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    for col in range(r):
+        rank = len(pivots)
+        sel = next((k for k in range(rank, r) if rows[k][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for k in range(r):
+            if k != rank and rows[k][col]:
+                f = rows[k][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[rank])]
+        pivots.append(col)
+    free = [c for c in range(r) if c not in pivots]
+    if len(free) != 1:
+        return NotAFiber
+    sol = [Fraction(0)] * r
+    sol[free[0]] = Fraction(1)
+    for k, col in enumerate(pivots):
+        sol[col] = -rows[k][free[0]]
+    if any(x <= 0 for x in sol):
+        return NotAFiber
+    den = math.lcm(*(x.denominator for x in sol))
+    ints = [int(x * den) for x in sol]
+    return [n // math.gcd(*ints) for n in ints]
+
+
+def _minus_two_graph(r, mults):
+    """(-2)-curves V0..V{r-1}, with mults[k] the multiplicity of the k-th pair."""
+    g = WeightedDualGraph()
+    for i in range(r):
+        g.add_vertex(f"V{i}", -2)
+    for (i, j), m in zip(itertools.combinations(range(r), 2), mults):
+        if m:
+            g.add_edge(f"V{i}", f"V{j}", m)
+    return g
+
+
+def _same_as_reference(graphs):
+    """Assert both recognizers and both kernel solvers agree on each graph;
+    count the types."""
+    tags = Counter()
+    for g in graphs:
+        want = _classify_kodaira_reference(g)
+        assert classify_kodaira(g) == want, g.to_json()
+        assert solve_multiplicities(g) == _solve_multiplicities_reference(g), g.to_json()
+        tags[want] += 1
+    return tags
+
+
+def test_classify_matches_reference_on_small_graphs():
+    graphs = [
+        _minus_two_graph(r, mults)
+        for r in range(1, 5)
+        for mults in itertools.product(range(4), repeat=r * (r - 1) // 2)
+    ]
+    graphs += [_minus_two_graph(5, mults) for mults in itertools.product(range(2), repeat=10)]
+    tags = _same_as_reference(graphs)
+    assert sum(tags.values()) == 1 + 4 + 4**3 + 4**6 + 2**10
+    # on labelled vertices: one double edge, one triangle, three 4-cycles,
+    # twelve 5-cycles and five 5-stars
+    assert tags["I2"] == 1 and tags["I3"] == 1 and tags["I4"] == 3
+    assert tags["I5"] == 12 and tags["I0*"] == 5
+
+
+def test_classify_matches_reference_on_seeded_sparse_graphs():
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(600):
+        r = rng.randint(6, 12)
+        g = WeightedDualGraph()
+        for i in range(r):
+            g.add_vertex(f"V{i}", -2)
+        for i in range(1, r):
+            g.add_edge(f"V{rng.randrange(max(0, i - 3), i)}", f"V{i}")
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            a, b = rng.sample(range(r), 2)
+            g.add_edge(f"V{a}", f"V{b}")
+        if rng.random() < 0.1:
+            v = f"V{rng.randrange(r)}"
+            g.bump_weight(v, rng.choice((-1, 1))) if rng.random() < 0.5 else g.add_loop(v)
+        graphs.append(g)
+    tags = _same_as_reference(graphs)
+    assert {"I1*", "I2*", "IV*", "III*", "II*"} <= set(tags), tags
+
+
+def test_classify_matches_reference_on_fiber_families():
+    families = [(i2_fiber(), "I2")] + [(cycle_fiber(n), f"I{n}") for n in range(3, 13)]
+    families += [(star_fiber(), "I0*")] + [(instar_fiber(n), f"I{n}*") for n in range(1, 9)]
+    assert _same_as_reference(g for g, _ in families) == Counter(tag for _, tag in families)
+    trees = [
+        estar_fiber([p, q, r])
+        for p in range(1, 8)
+        for q in range(p, 8)
+        for r in range(q, 8)
+        if p + q + r <= 9
+    ]
+    tags = _same_as_reference(trees)
+    # arms (1, 1, n) make the finite D_{n+3}, not a fiber
+    assert tags == Counter({UNRECOGNIZED: len(trees) - 3, "IV*": 1, "III*": 1, "II*": 1})
+
+
+def test_classify_matches_reference_on_corpus_searches(monkeypatch):
+    seen = []
+    finalize = fibers._finalize
+
+    def recorded(g, *args):
+        fiber = g.copy()
+        fiber.remove_vertex(fibers._SECTION)
+        seen.append(fiber)
+        finalize(g, *args)
+
+    monkeypatch.setattr(fibers, "_finalize", recorded)
+    for ps in DEFAULT_PARAMS:
+        for name in ("cusp-quartic", "image-quintic", "image-deg15"):
+            res = analysis(name, ps)["report"].resolution
+            for case in (CASE_ON, CASE_OFF):
+                f0 = build_F0(res, res.strict_self_intersection, case)
+                complete_and_classify(f0, case, contraction_budget(res))
+    tags = _same_as_reference(seen)
+    assert tags["II*"] and tags["I4*"] and tags[UNRECOGNIZED]
+
+
+def test_classify_rejects_positive_kernels_off_the_minus_two_graphs():
+    graphs = []
+    for base in [cycle_fiber(5), i2_fiber(), star_fiber(), instar_fiber(2)] + [
+        estar_fiber(arms) for arms in ([2, 2, 2], [1, 3, 3], [1, 2, 5])
+    ]:
+        mults = dict(zip(base.vertices, solve_multiplicities(base)))
+        graphs.append(_blow_up_smooth(base, mults, base.vertices[0], "NEW")[0])
+        a, b, _ = base.edges()[0]
+        graphs.append(_blow_up_node(base, mults, a, b, "NEW")[0])
+    lone = WeightedDualGraph()
+    lone.add_vertex("ZERO", 0)
+    graphs.append(lone)
+    looped = WeightedDualGraph()
+    looped.add_vertex("ONLY", -2)
+    looped.add_loop("ONLY")
+    graphs.append(looped)
+    for g in graphs:
+        assert solve_multiplicities(g) == _solve_multiplicities_reference(g) != NotAFiber
+        assert classify_kodaira(g) == UNRECOGNIZED
+        assert _classify_kodaira_reference(g) == UNRECOGNIZED
 
 
 # -- the blowdown move ---------------------------------------------------------
@@ -353,6 +591,16 @@ def test_budget_validation():
     f0 = build_F0(res, 3, CASE_OFF)
     with pytest.raises(GraphError):
         complete_and_classify(f0, CASE_OFF, budget=0)
+
+
+@pytest.mark.parametrize("built, run", [(CASE_ON, CASE_OFF), (CASE_OFF, CASE_ON)])
+def test_completion_refuses_a_part_built_for_the_other_case(built, run):
+    for name in ("image-quintic", "cusp-quartic"):
+        res = analysis(name, DEFAULT_PARAMS[0])["report"].resolution
+        f0 = build_F0(res, res.strict_self_intersection, built)
+        with pytest.raises(GraphError) as err:
+            complete_and_classify(f0, run, contraction_budget(res))
+        assert built in str(err.value) and run in str(err.value)
 
 
 def test_fiber_config_validate_catches_bad_multiplicities():

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,98 @@ def test_package_imports_sit_at_module_level(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = _local_package_imports(tree)
     assert not lines, f"{path.name} imports from the package inside a function (lines {lines})"
+
+
+# -- every definition has a reference -------------------------------------
+
+ROOT = SRC.parents[1]
+# decorators that register the function they wrap, so that it is called
+# through a table, never by name
+REGISTERING = {"_curve", "_formula"}
+
+
+def _decorator_name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, bool, int]]:
+    """(name, is a method or property, line) of every def that needs a
+    reference: dunders and registered builders are exempt."""
+    out = []
+
+    def visit(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dunder = child.name.startswith("__") and child.name.endswith("__")
+                registered = any(_decorator_name(d) in REGISTERING for d in child.decorator_list)
+                if not dunder and not registered:
+                    out.append((child.name, in_class, child.lineno))
+                visit(child, False)
+            else:
+                visit(child, in_class or isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return out
+
+
+def _names_and_attributes(trees) -> tuple[set[str], set[str]]:
+    names, attrs = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _unreferenced(tree: ast.Module, names: set[str], attrs: set[str]) -> list[tuple[str, int]]:
+    """The defs of the module that nothing reads: a method or property
+    counts only through attribute access, a function by name or attribute."""
+    return [
+        (name, line)
+        for name, is_method, line in _definitions(tree)
+        if name not in attrs and (is_method or name not in names)
+    ]
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    tree = ast.parse(
+        "def by_name(): pass\n"
+        "def by_attribute(): pass\n"
+        "def stale(): pass\n"
+        "@_curve('c')\n"
+        "def built(): pass\n"
+        "class K:\n"
+        "    def __init__(self): pass\n"
+        "    def called(self): pass\n"
+        "    def named_only(self): pass\n"
+        "    @property\n"
+        "    def prop(self): pass\n"
+        "    def orphan(self):\n"
+        "        def inner(): pass\n"
+        "        return inner\n"
+        "by_name(); mod.by_attribute; K().called(); named_only; K().prop\n"
+    )
+    names, attrs = _names_and_attributes([tree])
+    assert _unreferenced(tree, names, attrs) == [("stale", 3), ("named_only", 9), ("orphan", 12)]
+
+
+@functools.cache
+def _read_anywhere() -> tuple[set[str], set[str]]:
+    """Names and attributes read in src/, tests/ and perfbench/."""
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    return _names_and_attributes(ast.parse(p.read_text(), filename=str(p)) for p in paths)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_referenced(path):
+    names, attrs = _read_anywhere()
+    stale = _unreferenced(ast.parse(path.read_text(), filename=str(path)), names, attrs)
+    assert not stale, f"{path.name} defines what nothing references: " + ", ".join(
+        f"{name} (line {line})" for name, line in stale
+    )
