@@ -429,6 +429,10 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: maximum recursion depth exceeded", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        # A degree or exponent past what a list or range can index.
+        print(f"error: number too large: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -643,8 +643,25 @@ def corpus_to_json() -> dict:
     }
 
 
+def _objects(raw, what: str) -> list[dict]:
+    if not isinstance(raw, list) or not all(isinstance(item, dict) for item in raw):
+        raise CorpusError(f"corpus file {what} must be a list of objects")
+    return raw
+
+
+def _known(name, table: dict, kind: str) -> str:
+    """name, when it is a string naming an item of table."""
+    if not isinstance(name, str) or name not in table:
+        raise CorpusError(f"corpus file names unknown {kind} {name!r}")
+    return name
+
+
 def load_corpus(path: str) -> tuple[tuple[CorpusEntry, ...], tuple[PairExpectation, ...]]:
-    """Read a corpus file; unknown names or malformed shapes raise CorpusError."""
+    """Read a corpus file; unknown names or malformed shapes raise CorpusError.
+
+    Curve names are checked against CURVES, and the point names of pair
+    cycles and of cusp and singular-point facts against POINTS.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -653,29 +670,31 @@ def load_corpus(path: str) -> tuple[tuple[CorpusEntry, ...], tuple[PairExpectati
     if not isinstance(data, dict) or data.get("schema") != CORPUS_SCHEMA:
         raise CorpusError(f"corpus file {path} must declare \"schema\": {CORPUS_SCHEMA}")
     entries = []
-    for raw in data.get("entries", []):
-        name = raw.get("name")
-        if name not in CURVES:
-            raise CorpusError(f"corpus file names unknown curve {name!r}")
-        facts = tuple(
-            ExpectedFact(
-                str(f["key"]),
-                _norm(f["value"]),
-                str(f.get("basis", "file")),
-            )
-            for f in raw.get("facts", [])
-        )
-        entries.append(CorpusEntry(str(name), str(raw.get("summary", "")), facts))
+    for raw in _objects(data.get("entries", []), "entries"):
+        name = _known(raw.get("name"), CURVES, "curve")
+        facts = []
+        for f in _objects(raw.get("facts", []), f"facts of {name}"):
+            if "key" not in f or "value" not in f:
+                raise CorpusError(f"corpus file facts of {name} each need a \"key\" and a \"value\"")
+            key, value = str(f["key"]), _norm(f["value"])
+            if key in ("cusp", "singular-point"):
+                _known(value, POINTS, "point")
+            facts.append(ExpectedFact(key, value, str(f.get("basis", "file"))))
+        entries.append(CorpusEntry(name, str(raw.get("summary", "")), tuple(facts)))
     pairs = []
-    for raw in data.get("pairs", []):
-        for side in ("left", "right"):
-            if raw.get(side) not in CURVES:
-                raise CorpusError(f"corpus file names unknown curve {raw.get(side)!r}")
+    for raw in _objects(data.get("pairs", []), "pairs"):
+        left = _known(raw.get("left"), CURVES, "curve")
+        right = _known(raw.get("right"), CURVES, "curve")
+        cycle = raw.get("cycle", [])
+        if not isinstance(cycle, list) or not all(
+            isinstance(c, list) and len(c) == 2 and isinstance(c[1], int) for c in cycle
+        ):
+            raise CorpusError(f"corpus file cycle of {left} * {right} must list [point, number] pairs")
         pairs.append(
             PairExpectation(
-                raw["left"],
-                raw["right"],
-                tuple((str(nm), int(m)) for nm, m in raw.get("cycle", [])),
+                left,
+                right,
+                tuple((_known(nm, POINTS, "point"), m) for nm, m in cycle),
                 str(raw.get("basis", "file")),
             )
         )

@@ -185,12 +185,9 @@ def quintic_involution(c) -> CremonaMap:
 
 
 def _homogenize_affine(p: Poly, degree: int) -> Poly:
-    out = Poly.zero()
-    for (ex, ey, ez), coeff in p.terms.items():
-        if ez:
-            raise CremonaError("affine component unexpectedly mentions z")
-        out = out + Poly.monomial((ex, ey, degree - ex - ey), coeff)
-    return out
+    if 2 in p.variables():
+        raise CremonaError("affine component unexpectedly mentions z")
+    return Poly._of({(a, b, degree - a - b): k for (a, b, _), k in p._num.items()}, p._den)
 
 
 def extend_affine_automorphism(steps) -> CremonaMap:

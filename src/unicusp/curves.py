@@ -129,7 +129,7 @@ def repeated_factor(p: Poly) -> Poly | None:
     """
     work = p
     for i in range(3):
-        k = min(e[i] for e in work.terms)
+        k = min(e[i] for e in work._num)
         if k >= 2:
             return Poly.variable(i)
         if k == 1:
@@ -192,15 +192,17 @@ class NotUnibranchError(CurveError):
 
 def germ_order(g: Poly) -> int:
     """Order of a nonzero germ at the origin: its multiplicity there."""
-    return min(a + b + c for (a, b, c) in g.terms)
+    return min(a + b + c for (a, b, c) in g._num)
 
 
-def cone_coefficients(g: Poly, m: int) -> list[Fraction]:
-    """The tangent cone of a germ of order m, the degree-m part of g, as
-    coefficients: entry b belongs to u**(m - b) * v**b."""
-    coeffs = [Fraction(0)] * (m + 1)
-    for (_, b, _), c in g.homogeneous_part(m).terms.items():
-        coeffs[b] += c
+def cone_coefficients(g: Poly, m: int) -> list[int]:
+    """The tangent cone of a germ of order m, the degree-m part of g, up to
+    a positive scalar, as integer coefficients: entry b belongs to
+    u**(m - b) * v**b."""
+    coeffs = [0] * (m + 1)
+    for (a, b, c), k in g._num.items():
+        if a + b + c == m:
+            coeffs[b] += k
     return coeffs
 
 
@@ -220,7 +222,7 @@ def cone_direction(g: Poly, m: int) -> Fraction | None:
             "tangent cone has several directions; the germ is not one branch",
             g.homogeneous_part(m),
         )
-    r = -coeffs[m - 1] / (m * coeffs[m])
+    r = Fraction(-coeffs[m - 1], m * coeffs[m])
     # (v - r*u)**m has the coefficient comb(m, b) * (-r)**(m - b) at v**b
     if any(c != coeffs[m] * comb(m, b) * (-r) ** (m - b) for b, c in enumerate(coeffs)):
         raise NotUnibranchError(
@@ -467,11 +469,7 @@ def _rational_lines(
 
 def _uni_to_binary(coeffs: list[int]) -> Poly:
     d = uniroots.deg(coeffs)
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            terms[(i, 0, d - i)] = Fraction(c)
-    return normalized(Poly(terms))
+    return normalized(Poly({(i, 0, d - i): c for i, c in enumerate(coeffs[: d + 1])}))
 
 
 def _points_on_line(

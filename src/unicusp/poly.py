@@ -1,7 +1,9 @@
 """Exact sparse polynomial arithmetic over the rationals in x, y, z.
 
-A polynomial is a map from exponent triples (a, b, c) to nonzero Fraction
-coefficients, standing for  sum coeff * x^a * y^b * z^c.  Values are
+A polynomial is a map from exponent triples (a, b, c) to nonzero integer
+numerators over one positive integer denominator, standing for
+sum (num / den) * x^a * y^b * z^c.  No factor is shared by the denominator
+and every numerator, so each polynomial has one representation.  Values are
 immutable by convention: no operation mutates its arguments, so results can
 be shared freely.  The term order used for leading terms, canonical signs
 and printing is graded lexicographic with x > y > z.
@@ -11,6 +13,7 @@ import heapq
 from fractions import Fraction
 from itertools import islice
 from math import gcd as _int_gcd
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from . import uniroots
@@ -27,14 +30,6 @@ def _grlex_key(e: Exponents) -> tuple[int, int, int]:
 
 
 IntTerms = dict[Exponents, int]
-
-
-def _cleared(p: "Poly") -> tuple[IntTerms, int]:
-    """(psi, L) with L the least common denominator of p and psi = L*p."""
-    ell = 1
-    for c in p.terms.values():
-        ell = ell * c.denominator // _int_gcd(ell, c.denominator)
-    return {e: c.numerator * (ell // c.denominator) for e, c in p.terms.items()}, ell
 
 
 # A packed polynomial: int keys standing for the exponents of two variables,
@@ -99,7 +94,7 @@ def _unpack(val: int, size: int) -> list[int]:
 class Poly:
     """Sparse exact polynomial in Q[x, y, z]."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, Fraction | int] | None = None):
         clean: dict[Exponents, Fraction] = {}
@@ -110,21 +105,31 @@ class Poly:
                 c = Fraction(c)
                 if c:
                     clean[(e[0], e[1], e[2])] = c
-        self._terms = clean
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _of(terms: dict[Exponents, Fraction]) -> "Poly":
-        """The polynomial with these terms, taken as they are.
+    def _of(num: IntTerms, den: int = 1) -> "Poly":
+        """The polynomial num / den, brought to canonical form.
 
         For terms the package made itself: exponent triples of
-        nonnegative ints and nonzero Fraction coefficients.  The dict is
-        owned by the result from here on.  `Poly(terms)` checks both.
+        nonnegative ints, nonzero int numerators and den > 0.  The dict is
+        owned by the result from here on.  The one gcd of den with the
+        numerators is divided out here and nowhere else.  `Poly(terms)`
+        checks its input and gives the same form.
         """
+        if den != 1:
+            g = _int_gcd(den, *num.values())
+            if g != 1:
+                num = {e: k // g for e, k in num.items()}
+                den //= g
         p = Poly.__new__(Poly)
-        p._terms = terms
+        p._num = num
+        p._den = den
         p._hash = None
         return p
 
@@ -140,7 +145,7 @@ class Poly:
     def variable(i: int) -> "Poly":
         e = [0, 0, 0]
         e[i] = 1
-        return Poly({(e[0], e[1], e[2]): Fraction(1)})
+        return Poly._of({(e[0], e[1], e[2]): 1})
 
     @staticmethod
     def monomial(e: Exponents, c: Fraction | int = 1) -> "Poly":
@@ -150,61 +155,61 @@ class Poly:
 
     @property
     def terms(self) -> dict[Exponents, Fraction]:
-        return self._terms
+        """The coefficients as Fractions, in a new dict."""
+        den = self._den
+        return {e: Fraction(k, den) for e, k in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {(0, 0, 0)}
+        return not self._num or set(self._num) == {(0, 0, 0)}
 
     def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self._terms[(0, 0, 0)]
+        return Fraction(self._num.get((0, 0, 0), 0), self._den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(a + b + c for (a, b, c) in self._terms)
+        return max(a + b + c for (a, b, c) in self._num)
 
     def degree_in(self, i: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(e[i] for e in self._terms)
+        return max(e[i] for e in self._num)
 
     def variables(self) -> set[int]:
         used = set()
-        for e in self._terms:
+        for e in self._num:
             for i in range(3):
                 if e[i]:
                     used.add(i)
         return used
 
     def is_homogeneous(self) -> bool:
-        if not self._terms:
+        if not self._num:
             return True
-        degs = {a + b + c for (a, b, c) in self._terms}
+        degs = {a + b + c for (a, b, c) in self._num}
         return len(degs) == 1
 
     def lead_exponents(self) -> Exponents:
-        if not self._terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        return max(self._terms, key=_grlex_key)
+        return max(self._num, key=_grlex_key)
 
     def lead_coeff(self) -> Fraction:
-        return self._terms[self.lead_exponents()]
+        return Fraction(self._num[self.lead_exponents()], self._den)
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in descending graded-lex order."""
-        return sorted(self._terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     # -- equality / hashing -------------------------------------------
 
@@ -213,11 +218,11 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     # -- ring operations ----------------------------------------------
@@ -230,19 +235,22 @@ class Poly:
 
     def __add__(self, other: "Poly | Fraction | int") -> "Poly":
         other = Poly._coerce(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
+        d1, d2 = self._den, other._den
+        den = lcm(d1, d2)
+        s1, s2 = den // d1, den // d2
+        out = {e: k * s1 for e, k in self._num.items()} if s1 != 1 else dict(self._num)
+        for e, k in other._num.items():
+            s = out.get(e, 0) + k * s2
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return Poly._of(out)
+                del out[e]
+        return Poly._of(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._of({e: -c for e, c in self._terms.items()})
+        return Poly._of({e: -k for e, k in self._num.items()}, self._den)
 
     def __sub__(self, other: "Poly | Fraction | int") -> "Poly":
         return self + (-Poly._coerce(other))
@@ -255,17 +263,18 @@ class Poly:
             c0 = Fraction(other)
             if not c0:
                 return Poly.zero()
-            return Poly._of({e: c * c0 for e, c in self._terms.items()})
-        out: dict[Exponents, Fraction] = {}
-        for (a1, b1, c1), k1 in self._terms.items():
-            for (a2, b2, c2), k2 in other._terms.items():
+            n = c0.numerator
+            return Poly._of({e: k * n for e, k in self._num.items()}, self._den * c0.denominator)
+        out: IntTerms = {}
+        for (a1, b1, c1), k1 in self._num.items():
+            for (a2, b2, c2), k2 in other._num.items():
                 e = (a1 + a2, b1 + b2, c1 + c2)
-                s = out.get(e, Fraction(0)) + k1 * k2
+                s = out.get(e, 0) + k1 * k2
                 if s:
                     out[e] = s
                 else:
-                    out.pop(e, None)
-        return Poly._of(out)
+                    del out[e]
+        return Poly._of(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -284,22 +293,22 @@ class Poly:
     # -- calculus and evaluation --------------------------------------
 
     def partial(self, i: int) -> "Poly":
-        out: dict[Exponents, Fraction] = {}
-        for e, c in self._terms.items():
+        out: IntTerms = {}
+        for e, k in self._num.items():
             if e[i]:
                 ne = list(e)
                 ne[i] -= 1
-                out[(ne[0], ne[1], ne[2])] = c * e[i]
-        return Poly._of(out)
+                out[(ne[0], ne[1], ne[2])] = k * e[i]
+        return Poly._of(out, self._den)
 
     def substitute(self, images: "tuple[Poly, Poly, Poly]") -> "Poly":
         """Evaluate at a triple of polynomials (ring homomorphism).
 
-        Each image is psi_i / L_i with psi_i integral; with D the common
-        denominator of self and A, B, C its degrees, the term k*x^a*y^b*z^c
-        becomes the integer v = k*D*L_0^(A-a)*L_1^(B-b)*L_2^(C-c), the
-        integer polynomial sum v*psi_0^a*psi_1^b*psi_2^c is evaluated, and
-        the result is divided by D*L_0^A*L_1^B*L_2^C once per term.
+        Each image is psi_i / L_i, its numerators over its denominator;
+        with self = own / D and A, B, C its degrees, the numerator k of
+        x^a*y^b*z^c becomes the integer v = k*L_0^(A-a)*L_1^(B-b)*L_2^(C-c),
+        the integer polynomial sum v*psi_0^a*psi_1^b*psi_2^c is evaluated,
+        and the result is that over D*L_0^A*L_1^B*L_2^C.
 
         Kronecker packing.  One variable t is packed: a polynomial is a map
         from the exponents of the other two (one int key) to a single int
@@ -324,15 +333,15 @@ class Poly:
         the accumulator, so the variable with the most distinct exponents
         in self is innermost and the one with the fewest outermost.
         """
-        if not self._terms:
+        if not self._num:
             return Poly.zero()
-        cleared = [_cleared(g) for g in images]
+        cleared = [(g._num, g._den) for g in images]
         forms = {a + b + c for psi, _ in cleared for (a, b, c) in psi}
         degree = -1  # the result's total degree when the inputs are forms
         if len(forms) == 1 and all(psi for psi, _ in cleared) and self.is_homogeneous():
             degree = forms.pop() * self.total_degree()
             cleared = [({(a, b, 0): c for (a, b, _), c in psi.items()}, ell) for psi, ell in cleared]
-        own, common = _cleared(self)
+        own = self._num
         cols = list(zip(*own))  # the exponents of each variable
         degs = [max(col) for col in cols]
         reach = [0, 0, 0]  # the result's degree in each variable is at most this
@@ -374,8 +383,7 @@ class Poly:
                 row[key] = row.get(key, 0) + v * val
         acc = _packed_horner(nested, [powers[outer], powers[middle]])
 
-        den = common * scale[0][0] * scale[1][0] * scale[2][0]
-        out: dict[Exponents, Fraction] = {}
+        out: IntTerms = {}
         exps = [0, 0, 0]
         for key, val in acc.items():
             if not val:
@@ -386,28 +394,28 @@ class Poly:
                     exps[t] = j
                     if degree >= 0:
                         exps[2] = degree - exps[0] - exps[1]
-                    out[(exps[0], exps[1], exps[2])] = Fraction(c, den)
-        return Poly._of(out)
+                    out[(exps[0], exps[1], exps[2])] = c
+        return Poly._of(out, self._den * scale[0][0] * scale[1][0] * scale[2][0])
 
     def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
         xs = [Fraction(v) for v in point]
         total = Fraction(0)
-        for (a, b, c), k in self._terms.items():
+        for (a, b, c), k in self._num.items():
             total += k * xs[0] ** a * xs[1] ** b * xs[2] ** c
-        return total
+        return total / self._den
 
     def homogeneous_part(self, d: int) -> "Poly":
-        return Poly._of({e: c for e, c in self._terms.items() if e[0] + e[1] + e[2] == d})
+        return Poly._of({e: k for e, k in self._num.items() if e[0] + e[1] + e[2] == d}, self._den)
 
     def coeffs_wrt(self, i: int) -> dict[int, "Poly"]:
         """Coefficients as polynomials in the other two variables."""
-        out: dict[int, dict[Exponents, Fraction]] = {}
-        for e, c in self._terms.items():
+        out: dict[int, IntTerms] = {}
+        for e, k in self._num.items():
             ne = list(e)
-            k = ne[i]
+            d = ne[i]
             ne[i] = 0
-            out.setdefault(k, {})[(ne[0], ne[1], ne[2])] = c
-        return {k: Poly._of(terms) for k, terms in out.items()}
+            out.setdefault(d, {})[(ne[0], ne[1], ne[2])] = k
+        return {d: Poly._of(terms, self._den) for d, terms in out.items()}
 
     def __str__(self) -> str:
         return poly_to_text(self)
@@ -468,48 +476,30 @@ def poly_to_text(p: Poly) -> str:
 
 def content(p: Poly) -> Fraction:
     """Positive rational c such that p/c has coprime integer coefficients."""
-    if p.is_zero():
-        return Fraction(0)
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = _int_gcd(num, abs(c.numerator))
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    return Fraction(num, den)
+    # In canonical form the numerators' gcd is already coprime to den.
+    return Fraction(_int_gcd(*p._num.values()), p._den)
 
 
 def normalized(p: Poly) -> Poly:
     """Scale to content 1 with positive graded-lex leading coefficient."""
     if p.is_zero():
         return p
-    c = content(p)
-    if p.lead_coeff() < 0:
-        c = -c
-    return p * (1 / c)
+    g = _int_gcd(*p._num.values())
+    if p._num[p.lead_exponents()] < 0:
+        g = -g
+    return Poly._of({e: k // g for e, k in p._num.items()})
 
 
 def proportional(p: Poly, q: Poly) -> bool:
     """True iff p = c*q for some nonzero rational c (or both are zero)."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    ep, eq = p.lead_exponents(), q.lead_exponents()
-    if ep != eq:
-        return False
-    return p * q.lead_coeff() == q * p.lead_coeff()
+    return normalized(p) == normalized(q)
 
 
-def _primitive(p: Poly) -> tuple[IntTerms, Fraction]:
-    """(P, c) with p = c*P and P integral with coprime coefficients, c > 0."""
-    c = content(p)
-    num, den = c.numerator, c.denominator
-    return {e: k.numerator * (den // k.denominator) // num for e, k in p.terms.items()}, c
-
-
-def _from_ints(terms: IntTerms, num: int, den: int) -> Poly:
-    """The polynomial (num/den) * terms, den > 0."""
-    if den == 1:
-        return Poly._of({e: Fraction(k * num) for e, k in terms.items()})
-    return Poly._of({e: Fraction(k * num, den) for e, k in terms.items()})
+def _primitive(p: Poly) -> tuple[IntTerms, int]:
+    """(P, g) with p = g * P / p._den, P integral with coprime coefficients
+    and g > 0 the gcd of p's numerators."""
+    g = _int_gcd(*p._num.values())
+    return ({e: k // g for e, k in p._num.items()} if g != 1 else p._num), g
 
 
 def _heap_key(e: Exponents) -> tuple[int, int, int]:
@@ -583,42 +573,34 @@ def _divide_int(p: IntTerms, q: IntTerms) -> IntTerms | None:
 def exact_divide(p: Poly, q: Poly) -> Poly | None:
     """Return r with q*r = p exactly, or None when q does not divide p.
 
-    p is cleared of denominators once and q is split as c*Q with Q
-    primitive; `_divide_int` divides on integers, and the quotient is
-    scaled back to rationals once.
+    With p = P / D and q = g * Q / E, Q primitive, `_divide_int` divides
+    P by Q on integers and r is that quotient times E / (D * g); for a
+    constant q = k / E that is P times E / (D * k).
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return Poly.zero()
     if q.is_constant():
-        return p * (1 / q.constant_value())
-    big, den = _cleared(p)
-    small, c = _primitive(q)
-    quot = _divide_int(big, small)
+        k = q._num[(0, 0, 0)]
+        s = q._den if k > 0 else -q._den
+        return Poly._of({e: v * s for e, v in p._num.items()}, p._den * abs(k))
+    small, g = _primitive(q)
+    quot = _divide_int(p._num, small)
     if quot is None:
         return None
-    return _from_ints(quot, c.denominator, den * c.numerator)
+    return Poly._of({e: k * q._den for e, k in quot.items()}, p._den * g)
 
 
 def strip_factors(p: Poly, factors: Iterable[Poly]) -> Poly:
     """p with every power of each nonconstant factor divided out, factor by
-    factor: p is cleared of denominators once, each factor divided out on
-    integers by `_divide_int` until it stops dividing, and the result
-    scaled back to rationals once."""
+    factor, by `exact_divide` until it stops dividing."""
     if p.is_zero():
         return p
-    big, den = _cleared(p)
-    num = 1
     for f in factors:
         if f.is_constant():
             raise ValueError("strip_factors needs nonconstant factors")
-        small, c = _primitive(f)
-        while (quot := _divide_int(big, small)) is not None:
-            big = quot
-            num *= c.denominator
-            den *= c.numerator
-    return _from_ints(big, num, den)
+        while (quot := exact_divide(p, f)) is not None:
+            p = quot
+    return p
 
 
 def _lc_wrt(p: Poly, v: int) -> Poly:
@@ -682,7 +664,7 @@ def content_wrt(p: Poly, v: int) -> Poly:
     the chain of gcds stops at 1, so the work done does not depend on the
     term order of p.
     """
-    items = sorted(p.coeffs_wrt(v).items(), key=lambda kc: (len(kc[1].terms), kc[0]))
+    items = sorted(p.coeffs_wrt(v).items(), key=lambda kc: (len(kc[1]._num), kc[0]))
     c = items[0][1]
     for _, extra in items[1:]:
         c = gcd(c, extra)
@@ -752,16 +734,16 @@ def dehomogenize(p: Poly, i: int) -> Poly:
     An exponent relabel, linear in the terms of p: terms that meet are
     added (none do when p is a form).
     """
-    out: dict[Exponents, Fraction] = {}
-    for e, c in p.terms.items():
+    out: IntTerms = {}
+    for e, k in p._num.items():
         f = (0, e[1], e[2]) if i == 0 else (e[0], 0, e[2]) if i == 1 else (e[0], e[1], 0)
         s = out.get(f)
-        s = c if s is None else s + c
+        s = k if s is None else s + k
         if s:
             out[f] = s
         else:
             del out[f]
-    return Poly._of(out)
+    return Poly._of(out, p._den)
 
 
 # -- degree report ------------------------------------------------------
@@ -784,14 +766,8 @@ def degree_info(p: Poly) -> dict:
 
 
 def from_univariate(coeffs: Iterable[Fraction | int], v: int) -> Poly:
-    terms: dict[Exponents, Fraction] = {}
-    for k, c in enumerate(coeffs):
-        c = Fraction(c)
-        if c:
-            e = [0, 0, 0]
-            e[v] = k
-            terms[(e[0], e[1], e[2])] = c
-    return Poly(terms)
+    """sum c_k * (variable v)**k; the constructor drops the zero c_k."""
+    return Poly({tuple(k if i == v else 0 for i in range(3)): c for k, c in enumerate(coeffs)})
 
 
 # -- resultants ---------------------------------------------------------

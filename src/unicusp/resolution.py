@@ -104,9 +104,9 @@ def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
     r != 0 then needs a substitution, y -> y + r.
     """
     if r is None:
-        moved, exc_var = Poly._of({(a, a + b, 0): c for (a, b, _), c in g.terms.items()}), Y
+        moved, exc_var = Poly._of({(a, a + b, 0): k for (a, b, _), k in g._num.items()}, g._den), Y
     else:
-        moved, exc_var = Poly._of({(a + b, b, 0): c for (a, b, _), c in g.terms.items()}), X
+        moved, exc_var = Poly._of({(a + b, b, 0): k for (a, b, _), k in g._num.items()}, g._den), X
     strict = exact_divide(moved, exc_var ** m)
     assert strict is not None, "total transform must be divisible by the m-th power"
     return strict.substitute((X, Y + r, ONE)) if r else strict
@@ -133,9 +133,10 @@ def minimal_embedded_resolution(
     g = germ_at(curve.poly, point)
     if g.is_zero():
         raise CurveError("the defining polynomial vanishes identically at the chart")
-    if g.terms.get((0, 0, 0)):
+    m = germ_order(g)
+    if m == 0:
         raise CurveError("point does not lie on the curve")
-    if germ_order(g) < 2:
+    if m < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
     graph = WeightedDualGraph()
@@ -212,8 +213,7 @@ def delta_invariant(g: Poly) -> int:
     # vertical direction u = 0 with multiplicity m - t
     if m - t >= 2:
         total += delta_invariant(blow_up_once(g, m, None))
-    ints = uniroots.clear_denominators(coeffs[: t + 1])
-    roots, leftover = uniroots.rational_roots_int(ints)
+    roots, leftover = uniroots.rational_roots_int(coeffs[: t + 1])
     for r, mu in roots.items():
         if mu < 2:
             continue

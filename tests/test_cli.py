@@ -82,6 +82,28 @@ def test_resource_exhaustion_is_a_one_line_error(capsys, monkeypatch, exc, reaso
     assert err == f"error: {reason}\n"
 
 
+HUGE = "x^99999999999999999999 + y^99999999999999999999 + z^99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", HUGE],
+        ["intersect", HUGE, "x + y + z"],
+        ["intersect", "x + y + z", HUGE],
+        ["resolve", HUGE, "--point", "0,0,1"],
+        ["transform", HUGE],
+        ["fiber", HUGE, "--case", "on"],
+    ],
+)
+def test_huge_exponent_is_a_one_line_error(capsys, argv):
+    # The degree cannot index a list: this fails before anything is allocated.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: number too large: ") and err.count("\n") == 1
+
+
 def test_analyze_with_point(capsys):
     code, out, _ = run_cli(capsys, "analyze", "y^2*z - x^3", "--point", "0,0,1")
     assert code == 0
@@ -367,6 +389,37 @@ def test_verify_corpus_bad_file_is_usage_level(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify-corpus", path)
     assert code == 1
     assert "schema" in err
+
+
+def _entry(**fields):
+    return {"schema": 1, "entries": [{"name": "conic", **fields}], "pairs": []}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"schema": 1, "entries": [1]},
+        {"schema": 1, "entries": "conic"},
+        {"schema": 1, "pairs": {"left": "conic"}},
+        _entry(facts=5),
+        _entry(facts=[{"value": 2}]),
+        _entry(facts=[{"key": "degree"}]),
+        {"schema": 1, "entries": [{"name": ["x"]}]},
+        {"schema": 1, "pairs": [{"left": ["x"], "right": "conic"}]},
+        {"schema": 1, "pairs": [{"left": "line-x", "right": "line-y", "cycle": [["nowhere", 1]]}]},
+        {"schema": 1, "pairs": [{"left": "line-x", "right": "line-y", "cycle": [["corner-z"]]}]},
+        {"schema": 1, "pairs": [{"left": "line-x", "right": "line-y", "cycle": "corner-z"}]},
+        _entry(facts=[{"key": "cusp", "value": "nowhere"}]),
+        _entry(facts=[{"key": "singular-point", "value": ["contact"]}]),
+    ],
+)
+def test_verify_corpus_malformed_file_is_one_error_line(capsys, tmp_path, doc):
+    path = _write_corpus(tmp_path, doc)
+    code, out, err = run_cli(capsys, "verify-corpus", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: corpus file ")
+    assert err.count("\n") == 1
 
 
 def test_verify_corpus_seed_only(capsys, tmp_path):

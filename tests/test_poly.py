@@ -1,5 +1,6 @@
 import gc
 import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -871,3 +872,164 @@ def test_form_resultant_int_matches_sympy_resultant_at_z_one():
         for prime in (101, next(uniroots.large_primes())):
             assert form_resultant_int(p, q, 1, prime) == uniroots.trim([c % prime for c in exact])
         checked += 1
+
+
+# -- integer numerators against the Fraction-dict arithmetic they replaced ----
+#
+# Each _ref_* function is the parent's Poly operation on a dict of Fraction
+# coefficients, kept here as the reference the integer kernels must match.
+
+
+def _ref_add(p, q):
+    out = dict(p)
+    for e, c in q.items():
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_scale(p, c):
+    c = Fraction(c)
+    return {e: k * c for e, k in p.items()} if c else {}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for (a1, b1, c1), k1 in p.items():
+        for (a2, b2, c2), k2 in q.items():
+            e = (a1 + a2, b1 + b2, c1 + c2)
+            s = out.get(e, Fraction(0)) + k1 * k2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _ref_partial(p, i):
+    out = {}
+    for e, c in p.items():
+        if e[i]:
+            ne = list(e)
+            ne[i] -= 1
+            out[tuple(ne)] = c * e[i]
+    return out
+
+
+def _ref_coeffs_wrt(p, i):
+    out = {}
+    for e, c in p.items():
+        ne = list(e)
+        k, ne[i] = ne[i], 0
+        out.setdefault(k, {})[tuple(ne)] = c
+    return out
+
+
+def _ref_dehomogenize(p, i):
+    out = {}
+    for e, c in p.items():
+        out = _ref_add(out, {tuple(0 if j == i else e[j] for j in range(3)): c})
+    return out
+
+
+def _ref_substitute(p, images):
+    out = {}
+    for e, k in p.items():
+        term = {(0, 0, 0): k}
+        for image, n in zip(images, e):
+            for _ in range(n):
+                term = _ref_mul(term, image)
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_content(p):
+    num, den = 0, 1
+    for c in p.values():
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
+def _ref_normalized(p):
+    if not p:
+        return p
+    c = _ref_content(p)
+    if p[max(p, key=lambda e: (sum(e), e[0], e[1]))] < 0:
+        c = -c
+    return _ref_scale(p, 1 / c)
+
+
+def _ref_strip(p, factors):
+    if p.is_zero():
+        return p
+    for f in factors:
+        while (q := _exact_divide_reference(p, f)) is not None:
+            p = q
+    return p
+
+
+def _assert_same(got, want_terms):
+    """got has the reference's terms, equals the Poly built from them, and
+    hashes like it."""
+    want = Poly(want_terms)
+    assert got.terms == want_terms
+    assert got == want and hash(got) == hash(want)
+
+
+_TERMS = st.dictionaries(_SMALL_EXPONENTS, _NONZERO, max_size=6)
+_IMAGE_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 1)), _NONZERO, max_size=3
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TERMS, _TERMS, _NONZERO | st.integers(-3, 3), st.tuples(_IMAGE_TERMS, _IMAGE_TERMS, _IMAGE_TERMS))
+def test_integer_numerators_agree_with_fraction_arithmetic(pt, qt, c, image_terms):
+    p, q = Poly(pt), Poly(qt)
+    _assert_same(p, pt)
+    _assert_same(p + q, _ref_add(pt, qt))
+    _assert_same(p - q, _ref_add(pt, _ref_scale(qt, -1)))
+    _assert_same(p * q, _ref_mul(pt, qt))
+    _assert_same(p * c, _ref_scale(pt, c))
+    for i in range(3):
+        _assert_same(p.partial(i), _ref_partial(pt, i))
+        _assert_same(dehomogenize(p, i), _ref_dehomogenize(pt, i))
+        got = p.coeffs_wrt(i)
+        want = _ref_coeffs_wrt(pt, i)
+        assert got.keys() == want.keys()
+        for k in want:
+            _assert_same(got[k], want[k])
+    for d in range(10):
+        _assert_same(p.homogeneous_part(d), {e: k for e, k in pt.items() if sum(e) == d})
+    images = tuple(Poly(t) for t in image_terms)
+    _assert_same(p.substitute(images), _ref_substitute(pt, image_terms))
+    assert content(p) == _ref_content(pt)
+    _assert_same(normalized(p), _ref_normalized(pt))
+    if q:
+        for dividend in (p * q, p * q + p):
+            want = _exact_divide_reference(dividend, q)
+            got = exact_divide(dividend, q)
+            assert (got is None) == (want is None)
+            if want is not None:
+                _assert_same(got, want.terms)
+        if not q.is_constant():
+            _assert_same(strip_factors(p * q * q, [q]), _ref_strip(p * q * q, [q]).terms)
+
+
+def test_equal_polynomials_built_differently_hash_alike():
+    third = Fraction(1, 3)
+    for p, q in [
+        (X * Fraction(1, 2) + X * Fraction(1, 2), X),
+        ((3 * X) * third, X),
+        (Poly({(1, 0, 0): Fraction(2, 2)}), X),
+        (Poly({(1, 0, 0): 4, (0, 0, 0): 6}) * Fraction(1, 2), 2 * X + 3),
+        (Fraction(5, 6) * X - Fraction(1, 3) * X, X * Fraction(1, 2)),
+        ((X * Fraction(1, 6) + Y * Fraction(1, 3)) * 6, X + 2 * Y),
+        (X * Fraction(1, 4) - X * Fraction(1, 4), Poly.zero()),
+    ]:
+        assert p == q and hash(p) == hash(q)
+        assert p._den > 0 and math.gcd(p._den, *p._num.values()) == 1
