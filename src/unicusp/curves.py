@@ -14,7 +14,7 @@ the offending factor, never silently dropped.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb
+from math import comb, lcm
 
 from . import uniroots
 from .poly import (
@@ -318,7 +318,8 @@ def _map_point(m: tuple[tuple[int, int, int], ...], q: ProjPoint) -> ProjPoint:
 
 
 def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
-    """All rational singular points with multiplicities.
+    """All rational singular points with multiplicities, sorted by
+    coordinates when the first search is blocker-free.
 
     Works projectively: the rational roots of one exact (x, z)-eliminant
     of two partial derivatives give candidate lines through (0 : 1 : 0),
@@ -328,9 +329,32 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     it shares, or an irrational y-locus on a candidate line, triggers a
     retry in sheared coordinates.  Whatever survives every shear is
     reported as a blocker rather than ignored.
+
+    The first search projects from the coordinate vertex e_v of least
+    deg_v F, after swapping v with y (ties keep y).  The v^k coefficient
+    of F is a form of degree d - k in the other two variables, so F has
+    multiplicity m = d - deg_v F at e_v: the vertex of highest
+    multiplicity.  The partials then have y-degree at most d - m, so
+    Res_y of two of them has degree at most (d-1)^2 - (m-1)^2 instead of
+    (d-1)^2, and each of its evaluation points runs Euclid on degree
+    d - m.  This is sound because a rational singular point and its
+    multiplicity do not depend on the frame: a blocker-free search in any
+    frame certifies the whole locus, and its points are mapped back.
+    Only when that search reports a blocker do the shears run, from the
+    unswapped frame, which also supplies the blockers then reported.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
+    degrees = [curve.poly.degree_in(i) for i in range(3)]
+    v = min(range(3), key=lambda i: (degrees[i], i != 1))
+    if v != 1:
+        rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        rows[1], rows[v] = rows[v], rows[1]
+        swap = tuple(rows)
+        raw = _singular_search(_apply_matrix(curve.poly, swap))
+        if not raw.blockers:
+            points = [(_map_point(swap, q), k) for q, k in raw.points]
+            return SingularLocus(sorted(points, key=lambda t: t[0].coords()), [])
     best: SingularLocus | None = None
     for m in _SHEARS:
         g = _apply_matrix(curve.poly, m)
@@ -503,11 +527,16 @@ def _points_on_line(
 
 
 def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
-    """Coefficient list in y of p(x0, y, z0), cleared of denominators."""
-    out = [Fraction(0)] * (p.degree_in(1) + 1)
-    for (a, b, c), k in p.terms.items():
-        out[b] += k * x0 ** a * z0 ** c
-    return uniroots.clear_denominators(out)
+    """Coefficient list in y of a form p at (x0 : y : z0), up to a positive
+    scale, in integers: with (x0 : z0) = (u/D : w/D) over one denominator
+    D, the term k*x^a*y^b*z^c of p's numerators adds k * u^a * w^c * D^b
+    at y^b, which makes D^deg(p) * p(x0, y, z0) times p's denominator."""
+    d = lcm(x0.denominator, z0.denominator)
+    u, w = x0.numerator * (d // x0.denominator), z0.numerator * (d // z0.denominator)
+    out = [0] * (p.degree_in(1) + 1)
+    for (a, b, c), k in p._num.items():
+        out[b] += k * u ** a * w ** c * d ** b
+    return out
 
 
 def is_smooth(curve: PlaneCurve) -> bool:

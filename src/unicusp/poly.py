@@ -398,11 +398,18 @@ class Poly:
         return Poly._of(out, self._den * scale[0][0] * scale[1][0] * scale[2][0])
 
     def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
+        """The value at a point, summed in integers: with the point written
+        as (n0, n1, n2) / D over one denominator D, each term k*x^a*y^b*z^c
+        contributes k * n0^a * n1^b * n2^c * D^(top - a - b - c), and one
+        Fraction divides the sum by den * D^top, top the total degree."""
         xs = [Fraction(v) for v in point]
-        total = Fraction(0)
+        d = lcm(*(v.denominator for v in xs))
+        n0, n1, n2 = (v.numerator * (d // v.denominator) for v in xs)
+        top = max(self.total_degree(), 0)
+        total = 0
         for (a, b, c), k in self._num.items():
-            total += k * xs[0] ** a * xs[1] ** b * xs[2] ** c
-        return total / self._den
+            total += k * n0 ** a * n1 ** b * n2 ** c * d ** (top - a - b - c)
+        return Fraction(total, self._den * d ** top)
 
     def homogeneous_part(self, d: int) -> "Poly":
         return Poly._of({e: k for e, k in self._num.items() if e[0] + e[1] + e[2] == d}, self._den)

@@ -951,3 +951,98 @@ def test_singular_search_matches_two_eliminant_reference_on_the_corpus(ps, monke
         want = _locus_key(find_rational_singular_points(curve))
         monkeypatch.undo()
         assert got == want, name
+
+
+# -- the search frame: projection from the most singular vertex --------------
+
+
+def _permutation_matrices() -> list[tuple[tuple[int, int, int], ...]]:
+    from itertools import permutations
+
+    return [
+        tuple(tuple(int(k == perm[r]) for k in range(3)) for r in range(3))
+        for perm in permutations(range(3))
+    ]
+
+
+def _shear_loop_reference(curve) -> SingularLocus:
+    """find_rational_singular_points without the least-degree frame: the
+    _SHEARS loop alone, from the unsheared frame."""
+    from unicusp import curves
+
+    best = None
+    for m in curves._SHEARS:
+        raw = curves._singular_search(curves._apply_matrix(curve.poly, m))
+        mapped = SingularLocus([(curves._map_point(m, q), k) for q, k in raw.points], raw.blockers)
+        if not raw.blockers:
+            return mapped
+        if best is None:
+            best = mapped
+    return best
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_singular_search_is_independent_of_the_coordinate_frame(ps, monkeypatch):
+    # Permuting the coordinates puts each corpus cusp at every vertex, so
+    # the search projects from each of them in turn.  The points of the
+    # permuted curve F(M v) are the original points mapped by M^T.
+    from unicusp import corpus, curves
+
+    for name in corpus.CURVES:
+        curve = curve_by_name(name, ps)
+        base = find_rational_singular_points(curve)
+        assert base.blockers == [], name
+        for m in _permutation_matrices():
+            permuted = make_curve(curves._apply_matrix(curve.poly, m))
+            transpose = tuple(tuple(m[c][r] for c in range(3)) for r in range(3))
+            want = sorted(
+                ((curves._map_point(transpose, q), k) for q, k in base.points),
+                key=lambda t: t[0].coords(),
+            )
+            got = find_rational_singular_points(permuted)
+            assert (got.points, got.blockers) == (want, []), (name, m)
+            monkeypatch.setattr(curves, "_singular_search", _singular_search_reference)
+            reference = find_rational_singular_points(permuted)
+            monkeypatch.undo()
+            assert _locus_key(got) == _locus_key(reference), (name, m)
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_image_deg15_search_eliminates_the_variable_of_least_degree(ps, monkeypatch):
+    # image-deg15 has multiplicity m = 6 at (0 : 0 : 1), so F has z-degree
+    # d - m = 9 against 15 in x and y.  Projecting from that vertex bounds
+    # each eliminant by (d-1)^2 - (m-1)^2 = 171, so no interpolation runs
+    # through more than 172 points (197 when y is eliminated).
+    curve = curve_by_name("image-deg15", ps)
+    assert [curve.poly.degree_in(i) for i in range(3)] == [15, 15, 9]
+    sizes = []
+    interpolate = uniroots.interpolate_mod_p
+
+    def spy(xs, ys, modulus):
+        sizes.append(len(xs))
+        return interpolate(xs, ys, modulus)
+
+    monkeypatch.setattr(uniroots, "interpolate_mod_p", spy)
+    locus = find_rational_singular_points(curve)
+    assert (locus.points, locus.blockers) == ([(ProjPoint.of(0, 0, 1), 6)], [])
+    assert sizes and max(sizes) <= (15 - 1) ** 2 - (6 - 1) ** 2 + 1
+
+
+def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():
+    # The curve of test_irrational_singular_points_are_reported_as_blockers
+    # with x and y exchanged: y has the largest degree, so the first search
+    # swaps x and y, meets the irrational points on y^2 = 2 z^2 (where
+    # x^4 = 8 z^4) and reports a blocker; the shear loop then gives the
+    # rational points and the unsheared frame's blocker.
+    from unicusp import curves
+
+    curve = make_curve(parse_poly("(x^2*z-y^3)*(y^2-2*z^2)"))
+    assert [curve.poly.degree_in(i) for i in range(3)] == [2, 5, 3]
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert curves._singular_search(curves._apply_matrix(curve.poly, swap)).blockers
+    locus = find_rational_singular_points(curve)
+    assert _locus_key(locus) == _locus_key(_shear_loop_reference(curve))
+    assert locus.points == [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(1, 0, 0), 3)]
+    assert [b.as_json() for b in locus.blockers] == [
+        {"factor": "x^4 - 8*z^4", "context": "common eliminant factor without rational roots"}
+    ]

@@ -624,6 +624,29 @@ def test_substitute_agrees_with_reference_on_generated_inputs(case):
     assert f.substitute(images).terms == _substitute_reference(f, images).terms
 
 
+def _evaluate_reference(p: Poly, point) -> Fraction:
+    """Poly.evaluate as it was: three Fraction powers per term."""
+    xs = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for (a, b, c), k in p.terms.items():
+        total += k * xs[0] ** a * xs[1] ** b * xs[2] ** c
+    return total
+
+
+_POINT_COORDS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9)) | st.integers(-5, 5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _polys(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)), max_size=8),
+    st.tuples(_POINT_COORDS, _POINT_COORDS, _POINT_COORDS),
+)
+def test_evaluate_agrees_with_fraction_reference_on_generated_inputs(p, point):
+    got = p.evaluate(point)
+    assert isinstance(got, Fraction)
+    assert got == _evaluate_reference(p, point)
+
+
 def _random_bivariate(rng, dx, dy, terms):
     return Poly(
         {
