@@ -345,8 +345,7 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     """
     if curve.degree == 1:
         return SingularLocus([], [])
-    degrees = [curve.poly.degree_in(i) for i in range(3)]
-    v = min(range(3), key=lambda i: (degrees[i], i != 1))
+    v = min(range(3), key=lambda i: (curve.poly.degree_in(i), i != 1))
     if v != 1:
         rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         rows[1], rows[v] = rows[v], rows[1]
