@@ -40,7 +40,6 @@ from .fibers import (
     CASE_ON,
     Completion,
     FiberConfig,
-    NotAFiber,
     blow_down,
     build_F0,
     classify_kodaira,
@@ -110,7 +109,6 @@ __all__ = [
     "CASE_ON",
     "Completion",
     "FiberConfig",
-    "NotAFiber",
     "blow_down",
     "build_F0",
     "classify_kodaira",

@@ -262,19 +262,14 @@ def cmd_fiber(args) -> int:
             f"fiber search needs a unicuspidal curve; got verdict {report.verdict}"
         )
     res = report.resolution
-    n = res.strict_self_intersection
+    completions = complete_and_classify(res, case)
+    f0 = build_F0(res, case)
     budget = contraction_budget(res)
-    if budget < 1:
-        raise CurveError(
-            f"no room to complete a fiber: contraction budget is {budget}"
-        )
-    f0 = build_F0(res, n, case)
-    completions = complete_and_classify(f0, case, budget)
     payload = {
         "name": name,
         "params": ps.as_json(),
         "case": case,
-        "strict_self_intersection": n,
+        "strict_self_intersection": res.strict_self_intersection,
         "budget": budget,
         "fiber_part": f0.as_json(),
         "completions": [c.as_json() for c in completions],

@@ -42,7 +42,7 @@ from .curves import (
     intersection_cycle,
     make_curve,
 )
-from .fibers import CASE_OFF, CASE_ON, build_F0, complete_and_classify, contraction_budget
+from .fibers import CASE_OFF, CASE_ON, complete_and_classify
 from .poly import Poly, X, Y, Z, poly_to_text, proportional
 from .resolution import classify
 from . import poly as _poly
@@ -229,22 +229,12 @@ class ExpectedFact:
     value: object
     basis: str
 
-    def as_json(self) -> dict:
-        return {"key": self.key, "value": _json_value(self.value), "basis": self.basis}
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
     summary: str
     facts: tuple[ExpectedFact, ...]
-
-    def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "facts": [f.as_json() for f in self.facts],
-        }
 
 
 @dataclass(frozen=True)
@@ -255,14 +245,6 @@ class PairExpectation:
     right: str
     cycle: tuple[tuple[str, int], ...]  # (point name, local number)
     basis: str
-
-    def as_json(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "cycle": [[name, m] for name, m in self.cycle],
-            "basis": self.basis,
-        }
 
 
 def _facts(*triples) -> tuple[ExpectedFact, ...]:
@@ -469,9 +451,7 @@ def fiber_outcomes(name: str, case: str, ps: ParamSet) -> tuple[str, ...]:
     rep = analysis(name, ps).get("report")
     if rep is None or rep.resolution is None:
         raise CorpusError(f"{name} has no resolution; cannot build a fiber")
-    res = rep.resolution
-    f0 = build_F0(res, res.strict_self_intersection, case)
-    completions = complete_and_classify(f0, case, contraction_budget(res))
+    completions = complete_and_classify(rep.resolution, case)
     return tuple(sorted({c.kodaira for c in completions}))
 
 
@@ -496,12 +476,6 @@ class CheckResult:
             "got": self.got,
             "ok": self.ok,
         }
-
-
-def _json_value(v):
-    if isinstance(v, tuple):
-        return [_json_value(x) for x in v]
-    return v
 
 
 def _norm(v):
@@ -632,15 +606,6 @@ def run_corpus(
 
 
 # -- corpus files ----------------------------------------------------------------
-
-
-def corpus_to_json() -> dict:
-    """The built-in corpus in the on-disk format."""
-    return {
-        "schema": CORPUS_SCHEMA,
-        "entries": [e.as_json() for e in CORPUS],
-        "pairs": [p.as_json() for p in PAIRS],
-    }
 
 
 def _objects(raw, what: str) -> list[dict]:

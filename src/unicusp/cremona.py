@@ -83,7 +83,42 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
         raise CremonaError(f"map components have different degrees {sorted(degrees)}")
     if len(nonzero) == 1 or all(proportional(nonzero[0], p) for p in nonzero[1:]):
         raise CremonaError("map components are proportional: the image is a point")
+    if _jacobian_vanishes(comps, degrees.pop()):
+        raise CremonaError("the Jacobian determinant of the map vanishes: the image is a curve")
     return CremonaMap(comps, tuple(warnings))
+
+
+def _jacobian_vanishes(comps: tuple[Poly, Poly, Poly], d: int) -> bool:
+    """True iff det(dp_i/dx_j) is identically zero, i.e. (in characteristic
+    0) the components are algebraically dependent and the image is a curve.
+
+    The determinant J is a form of degree D = 3(d - 1), and J(x, y, 1) is
+    a polynomial of degree at most D that is zero only when J is.  A
+    nonzero one cannot vanish on the whole grid {0..D} x {0..D}, so the
+    grid decides the question exactly; a valid map stops at its first
+    point off the curve J = 0.  Each row is taken from a component's
+    integer numerators, a positive multiple of the component, which
+    scales J by a positive factor.
+    """
+    top = 3 * (d - 1)
+    for x in range(top + 1):
+        for y in range(top + 1):
+            (a, b, c), (e, f, g), (h, k, m) = (_numerator_gradient(p, x, y) for p in comps)
+            if a * (f * m - g * k) - b * (e * m - g * h) + c * (e * k - f * h):
+                return False
+    return True
+
+
+def _numerator_gradient(p: Poly, x: int, y: int) -> list[int]:
+    """The gradient at (x, y, 1) of p's integer numerators."""
+    out = [0, 0, 0]
+    for (a, b, c), k in p._num.items():
+        if a:
+            out[0] += k * a * x ** (a - 1) * y**b
+        if b:
+            out[1] += k * b * x**a * y ** (b - 1)
+        out[2] += k * c * x**a * y**b
+    return out
 
 
 def pullback(m: CremonaMap, curve: PlaneCurve) -> Poly:

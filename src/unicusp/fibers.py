@@ -22,20 +22,6 @@ from .dualgraph import GraphError, WeightedDualGraph
 from .resolution import ResolutionResult
 
 
-class _NotAFiberType:
-    """Falsy sentinel returned when a graph carries no fiber structure."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "NotAFiber"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NotAFiber = _NotAFiberType()
-
 UNRECOGNIZED = "Unrecognized"
 
 CASE_ON = "QOnE_nm1"
@@ -67,20 +53,8 @@ def intersection_matrix(g: WeightedDualGraph) -> tuple[list[str], list[list[int]
     return verts, mat
 
 
-def is_fiber_solution(g: WeightedDualGraph, mults: dict[str, int]) -> bool:
-    """Check F.E_j = 0 for all j, recomputed from the graph itself."""
-    verts, mat = intersection_matrix(g)
-    if set(mults) != set(verts):
-        return False
-    vec = [mults[v] for v in verts]
-    return all(
-        sum(mat[j][i] * vec[i] for i in range(len(verts))) == 0
-        for j in range(len(verts))
-    )
-
-
-def solve_multiplicities(g: WeightedDualGraph):
-    """Primitive positive multiplicities n_i with F.E_j = 0, or NotAFiber.
+def solve_multiplicities(g: WeightedDualGraph) -> list[int] | None:
+    """Primitive positive multiplicities n_i with F.E_j = 0, or None.
 
     The kernel of the intersection matrix must be one-dimensional and
     spanned by a strictly positive vector; the result is scaled to coprime
@@ -89,7 +63,7 @@ def solve_multiplicities(g: WeightedDualGraph):
     verts, mat = intersection_matrix(g)
     r = len(verts)
     if r == 0 or not g.is_connected():
-        return NotAFiber
+        return None
     # Gauss-Jordan on integer rows, each kept primitive
     pivots: list[int] = []
     for col in range(r):
@@ -108,7 +82,7 @@ def solve_multiplicities(g: WeightedDualGraph):
                 mat[k] = [a // c for a in row]
         pivots.append(col)
     if len(pivots) != r - 1:
-        return NotAFiber
+        return None
     fc = next(c for c in range(r) if c not in pivots)
     # the kernel vector with entry lcm(pivots) at the free column
     scale = lcm(*(mat[k][col] for k, col in enumerate(pivots)))
@@ -117,7 +91,7 @@ def solve_multiplicities(g: WeightedDualGraph):
     for k, col in enumerate(pivots):
         sol[col] = -mat[k][fc] * scale // mat[k][col]
     if any(n <= 0 for n in sol):
-        return NotAFiber
+        return None
     g0 = gcd(*sol)
     return [n // g0 for n in sol]
 
@@ -132,7 +106,7 @@ def _kodaira(g: WeightedDualGraph) -> tuple[str, list[int]] | None:
     if any(g.loops(v) or g.weight(v) != -2 for v in g.vertices):
         return None
     mults = solve_multiplicities(g)
-    if mults is NotAFiber:
+    if mults is None:
         return None
     r, top = len(mults), max(mults)
     return (f"I{r}" if top == 1 else f"I{r - 5}*" if top == 2 else _EXCEPTIONAL[top]), mults
@@ -200,25 +174,6 @@ class FiberConfig:
     case: str | None = None
     section_contact: str | None = None
 
-    @property
-    def components(self) -> int:
-        return len(self.graph)
-
-    def validate(self) -> None:
-        if not self.graph.is_connected():
-            raise GraphError("fiber graph must be connected")
-        if self.multiplicities is not None:
-            mults = dict(zip(self.graph.vertices, self.multiplicities))
-            if any(n <= 0 for n in self.multiplicities):
-                raise GraphError("fiber multiplicities must be positive")
-            g0 = 0
-            for n in self.multiplicities:
-                g0 = gcd(g0, n)
-            if g0 != 1:
-                raise GraphError("fiber multiplicities must be primitive")
-            if not is_fiber_solution(self.graph, mults):
-                raise GraphError("multiplicities do not annihilate the intersection matrix")
-
     def as_json(self) -> dict:
         out = {"graph": self.graph.to_json()}
         if self.multiplicities is not None:
@@ -239,15 +194,15 @@ class FiberConfig:
         return self.graph.to_dot(name, annotations=ann)
 
 
-def build_F0(res: ResolutionResult, n: int, case: str) -> FiberConfig:
+def build_F0(res: ResolutionResult, case: str) -> FiberConfig:
     """Carve the fiber part out of a cusp resolution.
 
     Starting from the resolution graph (exceptional curves plus the strict
-    transform C' of self-intersection n), blow up the point C'&D0 a total of
-    n-1 times, producing a chain T1..T_{n-1} hanging off D0 with C' moved to
-    the end of the chain, then blow up once more at a point Q of C'.  The
-    candidate fiber part drops C' and the last exceptional curve; where Q
-    sits decides the case:
+    transform C' of self-intersection n = res.strict_self_intersection),
+    blow up the point C'&D0 a total of n-1 times, producing a chain
+    T1..T_{n-1} hanging off D0 with C' moved to the end of the chain, then
+    blow up once more at a point Q of C'.  The candidate fiber part drops
+    C' and the last exceptional curve; where Q sits decides the case:
 
     - CASE_ON  (Q = C' & T_{n-1}): T_{n-1} drops to -2 and stays in the
       fiber part; the 1-section meets T_{n-1}.
@@ -257,13 +212,9 @@ def build_F0(res: ResolutionResult, n: int, case: str) -> FiberConfig:
     """
     if case not in (CASE_ON, CASE_OFF):
         raise GraphError(f"unknown attachment case {case!r}")
+    n = res.strict_self_intersection
     if n < 3:
         raise GraphError(f"need self-intersection n >= 3 to build a fiber part, got {n}")
-    if n != res.strict_self_intersection:
-        raise GraphError(
-            f"n={n} does not match the resolution's strict transform "
-            f"self-intersection {res.strict_self_intersection}"
-        )
     g = res.graph.copy()
     cp = "C'"
     if cp not in g:
@@ -393,31 +344,29 @@ def contraction_budget(res: ResolutionResult) -> int:
     return len(res.records) + 1 + res.strict_self_intersection - 10
 
 
-def complete_and_classify(f0: FiberConfig, case: str, budget: int) -> list[Completion]:
-    """Every way to finish the fiber part into a recognized 9-component fiber.
+def complete_and_classify(res: ResolutionResult, case: str) -> list[Completion]:
+    """Every way to finish the resolution's fiber part into a recognized
+    9-component fiber.
 
-    Attaches one new (-1)-curve E0 by a single edge (CASE_ON), plus one new
-    (-2)-curve E0' by a single edge that is never contracted and carries the
-    1-section (CASE_OFF), then runs every maximal contraction sequence of
-    length <= budget and keeps the outcomes that are recognized Kodaira
-    fibers with exactly 9 components whose pairing with the section is 1.
+    Builds the fiber part with `build_F0`, attaches one new (-1)-curve E0
+    by a single edge (CASE_ON), plus one new (-2)-curve E0' by a single
+    edge that is never contracted and carries the 1-section (CASE_OFF),
+    then runs every maximal contraction sequence of length at most
+    `contraction_budget(res)` and keeps the outcomes that are recognized
+    Kodaira fibers with exactly 9 components whose pairing with the
+    section is 1.
     """
-    if case not in (CASE_ON, CASE_OFF):
-        raise GraphError(f"unknown attachment case {case!r}")
-    if f0.case is not None and f0.case != case:
-        raise GraphError(f"fiber part was built for case {f0.case}, not for case {case}")
+    budget = contraction_budget(res)
     if budget < 1:
-        raise GraphError(f"contraction budget must be at least 1, got {budget}")
-    base = f0.graph
-    targets = base.vertices
-    if case == CASE_ON and f0.section_contact is None:
-        raise GraphError("fiber part lacks a section contact component")
+        raise GraphError(f"no room to complete a fiber: contraction budget is {budget}")
+    f0 = build_F0(res, case)
+    targets = f0.graph.vertices
     results: list[Completion] = []
     seen: set = set()
     e0p_targets: list[str | None] = list(targets) if case == CASE_OFF else [None]
     for u in targets:
         for w in e0p_targets:
-            g = base.copy()
+            g = f0.graph.copy()
             g.add_vertex(_E0, -1)
             g.add_edge(_E0, u)
             if case == CASE_OFF:

@@ -307,7 +307,7 @@ class ClassificationReport:
         }
 
 
-def classify(curve: PlaneCurve, locus: SingularLocus | None = None) -> ClassificationReport:
+def classify(curve: PlaneCurve) -> ClassificationReport:
     """Decide where a curve sits relative to the sharp bounds for
     unicuspidal curves of genus one.
 
@@ -317,12 +317,8 @@ def classify(curve: PlaneCurve, locus: SingularLocus | None = None) -> Classific
     unicuspidal of genus one; ALARM when computed invariants land in a
     combination the bounds exclude (a would-be counterexample, worth
     rechecking by hand).
-
-    Pass a precomputed singular locus to skip the search.
     """
-    if locus is None:
-        locus = find_rational_singular_points(curve)
-    locus = locus.require_rational()
+    locus = find_rational_singular_points(curve).require_rational()
     d = curve.degree
     res = None
     if len(locus.points) == 1:

@@ -91,14 +91,6 @@ def primitive_int(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
-def clear_denominators(a: list[Fraction]) -> list[int]:
-    lcm = 1
-    for c in a:
-        d = Fraction(c).denominator
-        lcm = lcm * d // _gcd(lcm, d)
-    return [int(Fraction(c) * lcm) for c in a]
-
-
 # -- arithmetic modulo a prime -------------------------------------------
 
 

@@ -282,6 +282,20 @@ def test_transform_of_exceptional_curve_is_domain_error(capsys):
     assert "exceptional" in err
 
 
+@pytest.mark.parametrize(
+    "curve, plane_map",
+    [
+        ("corpus:conic", "x;y;0"),
+        ("corpus:node-cubic", "x^2;x*y;y^2"),
+        ("corpus:node-cubic", "x+y;x+y;z"),
+    ],
+)
+def test_transform_rejects_a_map_onto_a_curve(capsys, curve, plane_map):
+    code, out, err = run_cli(capsys, "transform", curve, "--map", plane_map)
+    assert (code, out) == (1, "")
+    assert err == "error: the Jacobian determinant of the map vanishes: the image is a curve\n"
+
+
 # -- fiber ---------------------------------------------------------------------
 
 
@@ -324,6 +338,13 @@ def test_fiber_rejects_tiny_resolution(capsys):
     code, _, err = run_cli(capsys, "fiber", "y^2*z - x^3", "--case", "off")
     assert code == 1
     assert "budget" in err
+
+
+def test_fiber_checks_the_budget_before_building_the_part(capsys):
+    # (C')^2 = -1 would also fail build_F0's n >= 3; the budget speaks first
+    code, out, err = run_cli(capsys, "fiber", "corpus:rational-quintic", "--case", "on")
+    assert (code, out) == (1, "")
+    assert err == "error: no room to complete a fiber: contraction budget is -2\n"
 
 
 # -- verify-corpus -------------------------------------------------------------
@@ -500,5 +521,17 @@ def test_verify_corpus_json_matches_golden_output(capsys):
     # exact arithmetic must leave this document byte-identical.
     golden = Path(__file__).parent / "data" / "verify_corpus.json"
     code, out, _ = run_cli(capsys, "verify-corpus", "--json")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["on", "off"])
+@pytest.mark.parametrize("name", ["cusp-quartic", "image-quintic"])
+def test_fiber_json_matches_golden_output(capsys, name, case):
+    # tests/data/fiber_<name>_<case>.json is `fiber corpus:<name> --case
+    # <case> --json` at a=1,b=1,c=0, as printed while the fiber stage still
+    # took n, the case and the budget as separate arguments.
+    golden = Path(__file__).parent / "data" / f"fiber_{name}_{case}.json"
+    code, out, _ = run_cli(capsys, "fiber", f"corpus:{name}", "--case", case, "--json")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from unicusp.corpus import (
     BASIS_ELEMENTARY,
     CORPUS,
+    CORPUS_SCHEMA,
     CURVES,
     DEFAULT_PARAMS,
     PAIRS,
@@ -16,7 +18,6 @@ from unicusp.corpus import (
     analysis,
     check_fact,
     check_pair,
-    corpus_to_json,
     curve_by_name,
     entry,
     load_corpus,
@@ -24,6 +25,15 @@ from unicusp.corpus import (
     run_corpus,
     self_checks,
 )
+
+
+def corpus_to_json() -> dict:
+    """The built-in corpus in the on-disk format (tuples dump as lists)."""
+    return {
+        "schema": CORPUS_SCHEMA,
+        "entries": [dataclasses.asdict(e) for e in CORPUS],
+        "pairs": [dataclasses.asdict(p) for p in PAIRS],
+    }
 
 
 def test_param_set_labels_and_values():

@@ -1,8 +1,10 @@
 import logging
+import random
 from fractions import Fraction
 
 import pytest
 
+from unicusp import cremona
 from unicusp.cremona import (
     CremonaError,
     CremonaMap,
@@ -86,6 +88,59 @@ def test_make_map_rejects_proportional_components():
         make_map(X, const(2) * X, const(-3) * X)
 
 
+def _jacobian(comps):
+    """det(dp_i/dx_j) as a polynomial."""
+    (a, b, c), (d, e, f), (g, h, k) = ([p.partial(v) for v in range(3)] for p in comps)
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+
+def _random_form(rng, d):
+    terms = {}
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            if rng.random() < 0.6:
+                terms[(i, j, d - i - j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Poly(terms)
+
+
+def test_jacobian_check_matches_the_symbolic_determinant():
+    # Random triples, and triples built from two forms u and v, whose
+    # components are algebraically dependent and so whose Jacobian vanishes.
+    rng = random.Random(20261019)
+    cases = []
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        cases.append(tuple(_random_form(rng, d) for _ in range(3)))
+        k = rng.randint(1, 2)
+        u, v = _random_form(rng, k), _random_form(rng, k)
+        n = rng.randint(-3, 3)
+        cases.append((u * u, u * v, v * v) if k == 1 else (u, v, u + Poly.const(n) * v))
+    dependent = 0
+    for comps in cases:
+        nonzero = [p for p in comps if not p.is_zero()]
+        if len({p.total_degree() for p in nonzero}) != 1 or any(
+            not p.is_homogeneous() for p in nonzero
+        ):
+            continue
+        want = _jacobian(comps).is_zero()
+        dependent += want
+        assert cremona._jacobian_vanishes(comps, nonzero[0].total_degree()) is want, comps
+    assert dependent >= 20
+
+
+def test_make_map_accepts_a_jacobian_that_vanishes_on_a_smaller_grid():
+    # J = 18 x (x - z) (x - 2z) (x - 3z) z^2, of degree 3(d - 1) = 6:
+    # zero at every (i, j, 1) with i <= 3 = d, nonzero at i = 4 <= 3(d - 1).
+    comps = (
+        const(2) * X**3 - const(3) * X**2 * Z,
+        Y * (X - const(2) * Z) * (X - const(3) * Z),
+        Z**3,
+    )
+    roots = X * (X - Z) * (X - const(2) * Z) * (X - const(3) * Z)
+    assert _jacobian(comps) == const(18) * roots * Z**2
+    assert make_map(*comps).components == comps
+
+
 def test_make_map_divides_common_factor():
     m = make_map(X**2, X * Y, X * Z)
     assert m.components == (X, Y, Z)
@@ -149,11 +204,12 @@ def test_is_involution_matches_the_gcd_rule():
         (make_map(Y, Z, X), False),
         (identity_map(), True),
         (extend_affine_automorphism([("swap",)]), True),
-        # Composites with a zero component: (x, y, 0), (0, 0, y), (0, y, z).
-        (make_map(X, Y, Poly.zero()), False),
-        (make_map(Y, Poly.zero(), X), False),
-        (make_map(Poly.zero(), Z, Y), False),
-        # A triple make_map would refuse, whose composite is all zero.
+        # Triples with a zero component, which make_map refuses (their
+        # image is a curve), whose composites are (x, y, 0), (0, 0, y),
+        # (0, y, z) and all zero.
+        (CremonaMap((X, Y, Poly.zero())), False),
+        (CremonaMap((Y, Poly.zero(), X)), False),
+        (CremonaMap((Poly.zero(), Z, Y)), False),
         (CremonaMap((Z, Poly.zero(), Poly.zero())), False),
     ]
     for m, want in cases:

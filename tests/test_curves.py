@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -73,6 +74,16 @@ def test_repeated_factor_contract():
     assert repeated_factor((X * Z - Y**2) ** 2 * (X + Z)) is not None
 
 
+def clear_denominators(a: list[Fraction]) -> list[int]:
+    """The coefficients times the lcm of their denominators."""
+    den = math.lcm(*(Fraction(c).denominator for c in a))
+    return [int(Fraction(c) * den) for c in a]
+
+
+def test_clear_denominators():
+    assert clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
+
+
 def _eval_y(q: Poly, t: int) -> list[Fraction]:
     out = [Fraction(0)] * (q.degree_in(0) + 1)
     for e, c in q.terms.items():
@@ -102,13 +113,13 @@ def _repeated_factor_reference(p: Poly) -> Poly | None:
     if q.is_constant():
         return None
     if q.degree_in(0) == 0:
-        coeffs = uniroots.clear_denominators(_to_univariate(q, 1))
+        coeffs = clear_denominators(_to_univariate(q, 1))
         if uniroots.deg(uniroots.gcd_int(coeffs, uniroots.derivative(coeffs))) > 0:
             return normalized(squarefree_witness(p))
         return None
     cont = content_wrt(q, 0)
     if not cont.is_constant():
-        cs = uniroots.clear_denominators(_to_univariate(cont, 1))
+        cs = clear_denominators(_to_univariate(cont, 1))
         if uniroots.deg(uniroots.gcd_int(cs, uniroots.derivative(cs))) > 0:
             return normalized(squarefree_witness(p))
         q = exact_divide(q, cont)
@@ -772,7 +783,7 @@ def _binary_to_uni(e: Poly) -> list[int]:
     out = [Fraction(0)] * (e.degree_in(0) + 1)
     for (a, _, _), c in e.terms.items():
         out[a] += c
-    return uniroots.clear_denominators(out)
+    return clear_denominators(out)
 
 
 def _infinity_root(e: Poly) -> bool:

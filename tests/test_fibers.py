@@ -15,7 +15,6 @@ from unicusp.fibers import (
     CASE_ON,
     Completion,
     FiberConfig,
-    NotAFiber,
     UNRECOGNIZED,
     blow_down,
     build_F0,
@@ -23,7 +22,6 @@ from unicusp.fibers import (
     complete_and_classify,
     contraction_budget,
     intersection_matrix,
-    is_fiber_solution,
     solve_multiplicities,
 )
 from unicusp.poly import X, Y, Z
@@ -94,6 +92,18 @@ def estar_fiber(arms):
 # -- multiplicity kernels ------------------------------------------------------
 
 
+def is_fiber_solution(g: WeightedDualGraph, mults: dict[str, int]) -> bool:
+    """Check F.E_j = 0 for all j, recomputed from the graph itself."""
+    verts, mat = intersection_matrix(g)
+    if set(mults) != set(verts):
+        return False
+    vec = [mults[v] for v in verts]
+    return all(
+        sum(mat[j][i] * vec[i] for i in range(len(verts))) == 0
+        for j in range(len(verts))
+    )
+
+
 def test_intersection_matrix():
     g = i2_fiber()
     verts, mat = intersection_matrix(g)
@@ -133,12 +143,11 @@ def test_not_a_fiber_cases():
         g.add_vertex(f"V{i}", -2)
     g.add_edge("V0", "V1")
     g.add_edge("V1", "V2")
-    assert solve_multiplicities(g) is NotAFiber
-    assert not solve_multiplicities(g)
+    assert solve_multiplicities(g) is None
     # a (-3) vertex in a cycle breaks it too
     h = cycle_fiber(4)
     h.bump_weight("C0", -1)
-    assert solve_multiplicities(h) is NotAFiber
+    assert solve_multiplicities(h) is None
 
 
 def test_loop_vertex_is_i1():
@@ -260,11 +269,11 @@ def _classify_kodaira_reference(g):
 
 
 def _solve_multiplicities_reference(g):
-    """The primitive positive kernel vector by Gauss-Jordan over Q, or NotAFiber."""
+    """The primitive positive kernel vector by Gauss-Jordan over Q, or None."""
     verts, mat = intersection_matrix(g)
     r = len(verts)
     if r == 0 or not g.is_connected():
-        return NotAFiber
+        return None
     rows = [[Fraction(x) for x in row] for row in mat]
     pivots = []
     for col in range(r):
@@ -282,13 +291,13 @@ def _solve_multiplicities_reference(g):
         pivots.append(col)
     free = [c for c in range(r) if c not in pivots]
     if len(free) != 1:
-        return NotAFiber
+        return None
     sol = [Fraction(0)] * r
     sol[free[0]] = Fraction(1)
     for k, col in enumerate(pivots):
         sol[col] = -rows[k][free[0]]
     if any(x <= 0 for x in sol):
-        return NotAFiber
+        return None
     den = math.lcm(*(x.denominator for x in sol))
     ints = [int(x * den) for x in sol]
     return [n // math.gcd(*ints) for n in ints]
@@ -384,8 +393,7 @@ def test_classify_matches_reference_on_corpus_searches(monkeypatch):
         for name in ("cusp-quartic", "image-quintic", "image-deg15"):
             res = analysis(name, ps)["report"].resolution
             for case in (CASE_ON, CASE_OFF):
-                f0 = build_F0(res, res.strict_self_intersection, case)
-                complete_and_classify(f0, case, contraction_budget(res))
+                complete_and_classify(res, case)
     tags = _same_as_reference(seen)
     assert tags["II*"] and tags["I4*"] and tags[UNRECOGNIZED]
 
@@ -407,7 +415,7 @@ def test_classify_rejects_positive_kernels_off_the_minus_two_graphs():
     looped.add_loop("ONLY")
     graphs.append(looped)
     for g in graphs:
-        assert solve_multiplicities(g) == _solve_multiplicities_reference(g) != NotAFiber
+        assert solve_multiplicities(g) == _solve_multiplicities_reference(g) is not None
         assert classify_kodaira(g) == UNRECOGNIZED
         assert _classify_kodaira_reference(g) == UNRECOGNIZED
 
@@ -519,7 +527,7 @@ def test_blowup_blowdown_conservation_randomized():
             stack.append(label)
             # still a fiber, with the tracked multiplicities
             sol = solve_multiplicities(g)
-            assert sol is not NotAFiber
+            assert sol is not None
             assert dict(zip(g.vertices, sol)) == m
             assert g.divisor_square(m) == 0
         # contract back in reverse order and land on the start
@@ -544,13 +552,12 @@ def _quintic_resolution():
 
 def test_build_f0_shapes():
     res = _quintic_resolution()
-    n = res.strict_self_intersection
-    assert n == 3
-    off = build_F0(res, n, CASE_OFF)
-    on = build_F0(res, n, CASE_ON)
+    assert res.strict_self_intersection == 3
+    off = build_F0(res, CASE_OFF)
+    on = build_F0(res, CASE_ON)
     # r(D) = 8 components; off drops three, on drops two
-    assert off.components == 8
-    assert on.components == 9
+    assert len(off.graph) == 8
+    assert len(on.graph) == 9
     assert off.section_contact is None
     assert on.section_contact == "T2"
     assert on.graph.weight("T2") == -2
@@ -559,58 +566,41 @@ def test_build_f0_shapes():
 
 
 def test_build_f0_validation():
-    res = _quintic_resolution()
-    with pytest.raises(GraphError):
-        build_F0(res, 2, CASE_ON)
-    with pytest.raises(GraphError):
-        build_F0(res, res.strict_self_intersection, "sideways")
+    res = analysis("rational-quintic", DEFAULT_PARAMS[0])["report"].resolution
+    assert res.strict_self_intersection == -1
+    with pytest.raises(GraphError, match="n >= 3 .* got -1"):
+        build_F0(res, CASE_ON)
+    with pytest.raises(GraphError, match="unknown attachment case"):
+        build_F0(_quintic_resolution(), "sideways")
 
 
 def test_quintic_off_case_completion():
     res = _quintic_resolution()
-    f0 = build_F0(res, 3, CASE_OFF)
-    found = complete_and_classify(f0, CASE_OFF, budget=1)
+    assert contraction_budget(res) == 1
+    found = complete_and_classify(res, CASE_OFF)
     assert [c.kodaira for c in found] == ["I4*"]
     comp = found[0]
     fib = comp.fiber
-    assert fib.components == 9
+    assert len(fib.graph) == 9
     assert all(fib.graph.weight(v) == -2 for v in fib.graph.vertices)
     assert comp.section_pairing == 1
     assert comp.e0_prime is not None
-    fib.validate()
+    assert fib.graph.is_connected()
+    assert min(fib.multiplicities) > 0 and math.gcd(*fib.multiplicities) == 1
+    assert is_fiber_solution(fib.graph, dict(zip(fib.graph.vertices, fib.multiplicities)))
 
 
 def test_quintic_on_case_has_no_completion():
-    res = _quintic_resolution()
-    f0 = build_F0(res, 3, CASE_ON)
-    assert complete_and_classify(f0, CASE_ON, budget=1) == []
+    assert complete_and_classify(_quintic_resolution(), CASE_ON) == []
 
 
 def test_budget_validation():
-    res = _quintic_resolution()
-    f0 = build_F0(res, 3, CASE_OFF)
-    with pytest.raises(GraphError):
-        complete_and_classify(f0, CASE_OFF, budget=0)
-
-
-@pytest.mark.parametrize("built, run", [(CASE_ON, CASE_OFF), (CASE_OFF, CASE_ON)])
-def test_completion_refuses_a_part_built_for_the_other_case(built, run):
-    for name in ("image-quintic", "cusp-quartic"):
-        res = analysis(name, DEFAULT_PARAMS[0])["report"].resolution
-        f0 = build_F0(res, res.strict_self_intersection, built)
-        with pytest.raises(GraphError) as err:
-            complete_and_classify(f0, run, contraction_budget(res))
-        assert built in str(err.value) and run in str(err.value)
-
-
-def test_fiber_config_validate_catches_bad_multiplicities():
-    g = cycle_fiber(3)
-    good = FiberConfig(graph=g, multiplicities=(1, 1, 1))
-    good.validate()
-    with pytest.raises(GraphError):
-        FiberConfig(graph=g, multiplicities=(2, 2, 2)).validate()  # not primitive
-    with pytest.raises(GraphError):
-        FiberConfig(graph=g, multiplicities=(1, 1, 2)).validate()  # not a kernel vector
+    # the cuspidal cubic: three blowups, (C')^2 = 3, budget 3 + 1 + 3 - 10
+    res = minimal_embedded_resolution(make_curve(Y**2 * Z - X**3), ProjPoint.of(0, 0, 1))
+    assert contraction_budget(res) == -3
+    for case in (CASE_ON, CASE_OFF):
+        with pytest.raises(GraphError, match="contraction budget is -3"):
+            complete_and_classify(res, case)
 
 
 def test_fiber_config_json_and_dot():

@@ -53,10 +53,6 @@ def test_content_primitive():
     assert ur.primitive_int([6, -9, 12]) == [2, -3, 4]
 
 
-def test_clear_denominators():
-    assert ur.clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
-
-
 def test_gcd_int_via_modular():
     # (x-1)(x+2) and (x-1)(x-5)
     a = mul_uni([-1, 1], [2, 1])
