@@ -30,7 +30,7 @@ from .curves import (
     make_curve,
     multiplicity_at,
 )
-from .fibers import CASE_OFF, CASE_ON, build_F0, complete_and_classify, contraction_budget
+from .fibers import CASE_OFF, CASE_ON, complete_and_classify, contraction_budget
 from .parse import ParseError, parse_poly
 from .resolution import classify, minimal_embedded_resolution
 
@@ -262,8 +262,7 @@ def cmd_fiber(args) -> int:
             f"fiber search needs a unicuspidal curve; got verdict {report.verdict}"
         )
     res = report.resolution
-    completions = complete_and_classify(res, case)
-    f0 = build_F0(res, case)
+    f0, completions = complete_and_classify(res, case)
     budget = contraction_budget(res)
     payload = {
         "name": name,

@@ -451,7 +451,7 @@ def fiber_outcomes(name: str, case: str, ps: ParamSet) -> tuple[str, ...]:
     rep = analysis(name, ps).get("report")
     if rep is None or rep.resolution is None:
         raise CorpusError(f"{name} has no resolution; cannot build a fiber")
-    completions = complete_and_classify(rep.resolution, case)
+    _, completions = complete_and_classify(rep.resolution, case)
     return tuple(sorted({c.kodaira for c in completions}))
 
 

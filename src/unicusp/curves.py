@@ -264,7 +264,7 @@ def tangent_line_at(curve: PlaneCurve, point: ProjPoint) -> PlaneCurve:
 @dataclass(frozen=True)
 class ExtensionFieldSingularity:
     """A potential singular locus component that is not rational: the
-    irreducible obstruction factor and where it arose."""
+    squarefree obstruction factor and where it arose."""
 
     factor: Poly
     context: str
@@ -319,7 +319,7 @@ def _map_point(m: tuple[tuple[int, int, int], ...], q: ProjPoint) -> ProjPoint:
 
 def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     """All rational singular points with multiplicities, sorted by
-    coordinates when the first search is blocker-free.
+    coordinates when a search is blocker-free.
 
     Works projectively: the rational roots of one exact (x, z)-eliminant
     of two partial derivatives give candidate lines through (0 : 1 : 0),
@@ -327,46 +327,36 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     eliminant is checked against a second eliminant modulo one prime;
     only when that check fails is the second formed exactly, and a factor
     it shares, or an irrational y-locus on a candidate line, triggers a
-    retry in sheared coordinates.  Whatever survives every shear is
-    reported as a blocker rather than ignored.
+    retry in the next frame.  Whatever survives every frame is reported,
+    as found in the unsheared frame, as a blocker rather than ignored.
 
-    The first search projects from the coordinate vertex e_v of least
-    deg_v F, after swapping v with y (ties keep y).  The v^k coefficient
-    of F is a form of degree d - k in the other two variables, so F has
-    multiplicity m = d - deg_v F at e_v: the vertex of highest
-    multiplicity.  The partials then have y-degree at most d - m, so
-    Res_y of two of them has degree at most (d-1)^2 - (m-1)^2 instead of
-    (d-1)^2, and each of its evaluation points runs Euclid on degree
+    The first frame projects from the coordinate vertex e_v of least
+    deg_v F, after swapping v with y (ties keep y); the shears follow.
+    The v^k coefficient of F is a form of degree d - k in the other two
+    variables, so F has multiplicity m = d - deg_v F at e_v: the vertex of
+    highest multiplicity.  The partials then have y-degree at most d - m,
+    so Res_y of two of them has degree at most (d-1)^2 - (m-1)^2 instead
+    of (d-1)^2, and each of its evaluation points runs Euclid on degree
     d - m.  This is sound because a rational singular point and its
     multiplicity do not depend on the frame: a blocker-free search in any
     frame certifies the whole locus, and its points are mapped back.
-    Only when that search reports a blocker do the shears run, from the
-    unswapped frame, which also supplies the blockers then reported.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
     v = min(range(3), key=lambda i: (curve.poly.degree_in(i), i != 1))
-    if v != 1:
-        rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        rows[1], rows[v] = rows[v], rows[1]
-        swap = tuple(rows)
-        raw = _singular_search(_apply_matrix(curve.poly, swap))
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rows[1], rows[v] = rows[v], rows[1]
+    unsheared = None
+    # the swap is the unsheared frame when v is y: run it once
+    for m in dict.fromkeys((tuple(rows), *_SHEARS)):
+        raw = _singular_search(_apply_matrix(curve.poly, m))
         if not raw.blockers:
-            points = [(_map_point(swap, q), k) for q, k in raw.points]
+            points = [(_map_point(m, q), k) for q, k in raw.points]
             return SingularLocus(sorted(points, key=lambda t: t[0].coords()), [])
-    best: SingularLocus | None = None
-    for m in _SHEARS:
-        g = _apply_matrix(curve.poly, m)
-        raw = _singular_search(g)
-        mapped = SingularLocus(
-            [(_map_point(m, q), k) for q, k in raw.points], raw.blockers
-        )
-        if not raw.blockers:
-            return mapped
-        if best is None:
-            best = mapped
-    assert best is not None
-    return best
+        if m == _SHEARS[0]:
+            unsheared = raw
+    assert unsheared is not None
+    return unsheared
 
 
 def _singular_search(f: Poly) -> SingularLocus:
@@ -405,7 +395,7 @@ def _singular_search(f: Poly) -> SingularLocus:
     lines, l1 = _rational_lines(e1)
     blockers: list[ExtensionFieldSingularity] = []
     if uniroots.deg(l1) > 0:
-        common = _irrational_common_factor(l1, pairs[i + 1:])
+        common = uniroots.squarefree_part_int(_irrational_common_factor(l1, pairs[i + 1:]))
         if uniroots.deg(common) > 0:
             blockers.append(
                 ExtensionFieldSingularity(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import Iterator
 
 from .dualgraph import GraphError, WeightedDualGraph
 from .resolution import ResolutionResult
@@ -267,74 +268,23 @@ class Completion:
         return out
 
 
-def _eligible(g: WeightedDualGraph) -> list[str]:
-    return [
+def _contractions(
+    g: WeightedDualGraph, budget: int, seq: tuple[str, ...] = ()
+) -> Iterator[tuple[tuple[str, ...], WeightedDualGraph]]:
+    """Each maximal sequence of at most `budget` contractions of loop-free
+    (-1)-curves other than E0' and the section, depth first in vertex
+    order, with the graph it leaves.  A branch that still has a (-1)-curve
+    to contract when the budget is spent yields nothing."""
+    eligible = [
         v
         for v in g.vertices
         if v not in (_SECTION, _E0P) and g.weight(v) == -1 and g.loops(v) == 0
     ]
-
-
-def _finalize(
-    g: WeightedDualGraph,
-    e0: str,
-    e0p: str | None,
-    seq: tuple[str, ...],
-    results: list[Completion],
-    seen: set,
-    case: str,
-) -> None:
-    sec_edges = g.neighbors(_SECTION)
-    fiber = g.copy()
-    fiber.remove_vertex(_SECTION)
-    if len(fiber) != 9:
-        return
-    found = _kodaira(fiber)
-    if found is None:
-        return
-    tag, mults = found
-    order = {v: i for i, v in enumerate(fiber.vertices)}
-    pairing = sum(k * mults[order[u]] for u, k in sec_edges)
-    if pairing != 1:
-        return
-    key = (e0, e0p, frozenset(seq))
-    if key in seen:
-        return
-    seen.add(key)
-    results.append(
-        Completion(
-            e0=e0,
-            e0_prime=e0p,
-            contractions=seq,
-            kodaira=tag,
-            fiber=FiberConfig(fiber, tuple(mults), case=case),
-            section_pairing=pairing,
-        )
-    )
-
-
-def _search(
-    g: WeightedDualGraph,
-    e0: str,
-    e0p: str | None,
-    seq: list[str],
-    budget: int,
-    results: list[Completion],
-    seen: set,
-    case: str,
-) -> None:
-    elig = _eligible(g)
-    if not elig:
-        _finalize(g, e0, e0p, tuple(seq), results, seen, case)
-        return
-    if len(seq) >= budget:
-        # contractions remain but the budget is spent: not a maximal
-        # sequence of admissible length
-        return
-    for v in elig:
-        seq.append(v)
-        _search(blow_down(g, v), e0, e0p, seq, budget, results, seen, case)
-        seq.pop()
+    if not eligible:
+        yield seq, g
+    elif len(seq) < budget:
+        for v in eligible:
+            yield from _contractions(blow_down(g, v), budget, seq + (v,))
 
 
 def contraction_budget(res: ResolutionResult) -> int:
@@ -344,9 +294,11 @@ def contraction_budget(res: ResolutionResult) -> int:
     return len(res.records) + 1 + res.strict_self_intersection - 10
 
 
-def complete_and_classify(res: ResolutionResult, case: str) -> list[Completion]:
-    """Every way to finish the resolution's fiber part into a recognized
-    9-component fiber.
+def complete_and_classify(
+    res: ResolutionResult, case: str
+) -> tuple[FiberConfig, list[Completion]]:
+    """The resolution's fiber part, and every way to finish it into a
+    recognized 9-component fiber.
 
     Builds the fiber part with `build_F0`, attaches one new (-1)-curve E0
     by a single edge (CASE_ON), plus one new (-2)-curve E0' by a single
@@ -354,7 +306,7 @@ def complete_and_classify(res: ResolutionResult, case: str) -> list[Completion]:
     then runs every maximal contraction sequence of length at most
     `contraction_budget(res)` and keeps the outcomes that are recognized
     Kodaira fibers with exactly 9 components whose pairing with the
-    section is 1.
+    section is 1, once per choice of E0, E0' and set of contracted curves.
     """
     budget = contraction_budget(res)
     if budget < 1:
@@ -377,5 +329,20 @@ def complete_and_classify(res: ResolutionResult, case: str) -> list[Completion]:
                 contact = f0.section_contact
             g.add_vertex(_SECTION, 0)
             g.add_edge(_SECTION, contact)
-            _search(g, u, w, [], budget, results, seen, case)
-    return results
+            for seq, leaf in _contractions(g, budget):
+                fiber = leaf.copy()
+                fiber.remove_vertex(_SECTION)
+                found = _kodaira(fiber) if len(fiber) == 9 else None
+                if found is None:
+                    continue
+                tag, mults = found
+                order = {v: i for i, v in enumerate(fiber.vertices)}
+                pairing = sum(k * mults[order[v]] for v, k in leaf.neighbors(_SECTION))
+                key = (u, w, frozenset(seq))
+                if pairing != 1 or key in seen:
+                    continue
+                seen.add(key)
+                results.append(
+                    Completion(u, w, seq, tag, FiberConfig(fiber, tuple(mults), case=case), pairing)
+                )
+    return f0, results

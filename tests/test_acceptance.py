@@ -151,7 +151,7 @@ def test_criterion_08_fiber_completion_search():
         n = res.strict_self_intersection
         assert n == 3
         assert contraction_budget(res) == len(res.records) + 1 + n - 10
-        done = complete_and_classify(res, CASE_OFF)
+        _, done = complete_and_classify(res, CASE_OFF)
         assert done and {c.kodaira for c in done} == {"I4*"}
         for comp in done:
             labels = comp.fiber.graph.vertices
@@ -159,7 +159,7 @@ def test_criterion_08_fiber_completion_search():
             assert all(comp.fiber.graph.weight(v) == -2 for v in labels)
             assert comp.section_pairing == 1
         # forcing the wrong case must find nothing
-        wrong = complete_and_classify(res, CASE_ON)
+        _, wrong = complete_and_classify(res, CASE_ON)
         assert wrong == []
 
         # the square-6 quartic: second base point on the last curve
@@ -167,7 +167,7 @@ def test_criterion_08_fiber_completion_search():
         n = res.strict_self_intersection
         assert n == 6
         assert contraction_budget(res) == len(res.records) + 1 + n - 10
-        done = complete_and_classify(res, CASE_ON)
+        _, done = complete_and_classify(res, CASE_ON)
         assert done and {c.kodaira for c in done} == {"II*"}
         for comp in done:
             assert len(comp.fiber.graph.vertices) == 9

@@ -64,6 +64,15 @@ def test_analyze_reducible_curve_is_negative_genus_error(capsys):
     assert err == "error: negative genus: the curve is reducible or the locus is wrong\n"
 
 
+def test_analyze_reports_an_irrational_component_once(capsys):
+    # the eliminants share (x^2 - 2 z^2)^2: the nodes on x = ±sqrt(2) z
+    # lie on both lines y = ±sqrt(3) z
+    code, out, err = run_cli(capsys, "analyze", "(x^2-2*z^2)*(y^2-3*z^2)")
+    assert code == 1
+    assert out == ""
+    assert err == "error: singular locus has components outside Q: x^2 - 2*z^2\n"
+
+
 @pytest.mark.parametrize(
     "exc, reason",
     [(MemoryError, "out of memory"), (RecursionError, "maximum recursion depth exceeded")],
@@ -327,6 +336,23 @@ def test_fiber_on_case_reports_no_completion(capsys):
     assert "no completion found" in out
 
 
+def test_fiber_prints_the_part_the_search_ran_on(capsys, monkeypatch):
+    from unicusp import fibers
+
+    built = []
+    build = fibers.build_F0
+
+    def recorded(res, case):
+        built.append(build(res, case))
+        return built[-1]
+
+    monkeypatch.setattr(fibers, "build_F0", recorded)
+    code, out, _ = run_cli(capsys, "fiber", "corpus:image-quintic", "--case", "off", "--json")
+    assert code == 0
+    assert len(built) == 1
+    assert json.loads(out)["fiber_part"] == built[0].as_json()
+
+
 def test_fiber_rejects_wrong_curve(capsys):
     code, _, err = run_cli(capsys, "fiber", "x*z - y^2", "--case", "off")
     assert code == 1
@@ -526,11 +552,14 @@ def test_verify_corpus_json_matches_golden_output(capsys):
 
 
 @pytest.mark.parametrize("case", ["on", "off"])
-@pytest.mark.parametrize("name", ["cusp-quartic", "image-quintic"])
+@pytest.mark.parametrize("name", ["cusp-quartic", "image-quintic", "image-deg15"])
 def test_fiber_json_matches_golden_output(capsys, name, case):
     # tests/data/fiber_<name>_<case>.json is `fiber corpus:<name> --case
     # <case> --json` at a=1,b=1,c=0, as printed while the fiber stage still
-    # took n, the case and the budget as separate arguments.
+    # took n, the case and the budget as separate arguments (the two
+    # image-deg15 files: while the completion search was still a recursion
+    # that threaded its state through every call).  image-deg15 is the one
+    # corpus search with a budget above 1.
     golden = Path(__file__).parent / "data" / f"fiber_{name}_{case}.json"
     code, out, _ = run_cli(capsys, "fiber", f"corpus:{name}", "--case", case, "--json")
     assert code == 0

@@ -798,7 +798,8 @@ def _singular_search_reference(f: Poly) -> SingularLocus:
 
     Candidate lines are the rational roots of the gcd of the first two
     nonzero eliminants, and (1 : 0) when both vanish there; the blocker is
-    what is left of that gcd once its rational linear factors are removed.
+    the squarefree part of what is left of that gcd once its rational
+    linear factors are removed.
     The eliminants are Poly forms from the public resultant_wrt, and a
     point is kept when its multiplicity is at least 2.
     """
@@ -829,7 +830,8 @@ def _singular_search_reference(f: Poly) -> SingularLocus:
         if uniroots.deg(leftover) > 0:
             blockers.append(
                 ExtensionFieldSingularity(
-                    curves._uni_to_binary(leftover), "common eliminant factor without rational roots"
+                    curves._uni_to_binary(uniroots.squarefree_part_int(leftover)),
+                    "common eliminant factor without rational roots",
                 )
             )
     points = []
@@ -874,12 +876,12 @@ def _assert_search_agrees(f: Poly) -> tuple:
         (
             "(y^2*z-x^3)*(x^2-2*z^2)",
             [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(0, 1, 0), 3)],
-            "x^4 - 4*x^2*z^2 + 4*z^4",
+            "x^2 - 2*z^2",
         ),
         (
             "(x^2-2*z^2)*(y^2-3*z^2)",
             [(ProjPoint.of(0, 1, 0), 2), (ProjPoint.of(1, 0, 0), 2)],
-            "x^4 - 4*x^2*z^2 + 4*z^4",
+            "x^2 - 2*z^2",
         ),
     ],
 )
@@ -917,7 +919,7 @@ def test_analyze_with_an_irrational_singular_point_exits_one():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (
-        "error: singular locus has components outside Q: x^4 - 4*x^2*z^2 + 4*z^4\n"
+        "error: singular locus has components outside Q: x^2 - 2*z^2\n"
     )
 
 
@@ -1057,3 +1059,26 @@ def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():
     assert [b.as_json() for b in locus.blockers] == [
         {"factor": "x^4 - 8*z^4", "context": "common eliminant factor without rational roots"}
     ]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_a_locus_certified_by_a_later_shear_is_sorted(k, monkeypatch):
+    # Every frame but the k-th shear reports a blocker, so the k-th
+    # certifies the four lines' six nodes and its points are mapped back.
+    from unicusp import curves
+
+    curve = make_curve(parse_poly("x*y*z*(x+y+z)"))
+    want = find_rational_singular_points(curve)
+    assert len(want.points) == 6 and want.blockers == []
+    certifying = curves._apply_matrix(curve.poly, curves._SHEARS[k])
+    search = curves._singular_search
+
+    def blocked(f):
+        raw = search(f)
+        if f == certifying:
+            return raw
+        return SingularLocus(raw.points, [ExtensionFieldSingularity(f, "forced")])
+
+    monkeypatch.setattr(curves, "_singular_search", blocked)
+    got = find_rational_singular_points(curve)
+    assert (got.points, got.blockers) == (want.points, [])

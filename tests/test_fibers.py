@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -380,20 +381,25 @@ def test_classify_matches_reference_on_fiber_families():
 
 def test_classify_matches_reference_on_corpus_searches(monkeypatch):
     seen = []
-    finalize = fibers._finalize
+    contractions = fibers._contractions
 
-    def recorded(g, *args):
-        fiber = g.copy()
-        fiber.remove_vertex(fibers._SECTION)
-        seen.append(fiber)
-        finalize(g, *args)
+    def recorded(g, budget, seq=()):
+        # the recursion re-enters this name: record the leaves once, at
+        # the top-level call
+        for found in contractions(g, budget, seq):
+            if not seq:
+                fiber = found[1].copy()
+                fiber.remove_vertex(fibers._SECTION)
+                seen.append(fiber)
+            yield found
 
-    monkeypatch.setattr(fibers, "_finalize", recorded)
+    monkeypatch.setattr(fibers, "_contractions", recorded)
     for ps in DEFAULT_PARAMS:
         for name in ("cusp-quartic", "image-quintic", "image-deg15"):
             res = analysis(name, ps)["report"].resolution
             for case in (CASE_ON, CASE_OFF):
                 complete_and_classify(res, case)
+    assert len(seen) == 512
     tags = _same_as_reference(seen)
     assert tags["II*"] and tags["I4*"] and tags[UNRECOGNIZED]
 
@@ -577,7 +583,8 @@ def test_build_f0_validation():
 def test_quintic_off_case_completion():
     res = _quintic_resolution()
     assert contraction_budget(res) == 1
-    found = complete_and_classify(res, CASE_OFF)
+    part, found = complete_and_classify(res, CASE_OFF)
+    assert part == build_F0(res, CASE_OFF)
     assert [c.kodaira for c in found] == ["I4*"]
     comp = found[0]
     fib = comp.fiber
@@ -591,7 +598,8 @@ def test_quintic_off_case_completion():
 
 
 def test_quintic_on_case_has_no_completion():
-    assert complete_and_classify(_quintic_resolution(), CASE_ON) == []
+    part, found = complete_and_classify(_quintic_resolution(), CASE_ON)
+    assert found == [] and part.section_contact == "T2"
 
 
 def test_budget_validation():
@@ -611,3 +619,169 @@ def test_fiber_config_json_and_dot():
     assert data["case"] == CASE_OFF
     dot = fib.to_dot()
     assert "x1" in dot
+
+
+# -- the completion search against the recursion it replaced -------------------
+
+
+def _eligible(g: WeightedDualGraph) -> list[str]:
+    return [
+        v
+        for v in g.vertices
+        if v not in (fibers._SECTION, fibers._E0P) and g.weight(v) == -1 and g.loops(v) == 0
+    ]
+
+
+def _finalize(
+    g: WeightedDualGraph,
+    e0: str,
+    e0p: str | None,
+    seq: tuple[str, ...],
+    results: list[Completion],
+    seen: set,
+    case: str,
+) -> None:
+    sec_edges = g.neighbors(fibers._SECTION)
+    fiber = g.copy()
+    fiber.remove_vertex(fibers._SECTION)
+    if len(fiber) != 9:
+        return
+    found = fibers._kodaira(fiber)
+    if found is None:
+        return
+    tag, mults = found
+    order = {v: i for i, v in enumerate(fiber.vertices)}
+    pairing = sum(k * mults[order[u]] for u, k in sec_edges)
+    if pairing != 1:
+        return
+    key = (e0, e0p, frozenset(seq))
+    if key in seen:
+        return
+    seen.add(key)
+    results.append(
+        Completion(
+            e0=e0,
+            e0_prime=e0p,
+            contractions=seq,
+            kodaira=tag,
+            fiber=FiberConfig(fiber, tuple(mults), case=case),
+            section_pairing=pairing,
+        )
+    )
+
+
+def _search(
+    g: WeightedDualGraph,
+    e0: str,
+    e0p: str | None,
+    seq: list[str],
+    budget: int,
+    results: list[Completion],
+    seen: set,
+    case: str,
+) -> None:
+    elig = _eligible(g)
+    if not elig:
+        _finalize(g, e0, e0p, tuple(seq), results, seen, case)
+        return
+    if len(seq) >= budget:
+        # contractions remain but the budget is spent: not a maximal
+        # sequence of admissible length
+        return
+    for v in elig:
+        seq.append(v)
+        _search(blow_down(g, v), e0, e0p, seq, budget, results, seen, case)
+        seq.pop()
+
+
+def _complete_reference(res, case) -> list[Completion]:
+    """complete_and_classify's completions by the recursive search that
+    threaded its state through every call."""
+    budget = contraction_budget(res)
+    f0 = build_F0(res, case)
+    targets = f0.graph.vertices
+    results: list[Completion] = []
+    seen: set = set()
+    e0p_targets = list(targets) if case == CASE_OFF else [None]
+    for u in targets:
+        for w in e0p_targets:
+            g = f0.graph.copy()
+            g.add_vertex(fibers._E0, -1)
+            g.add_edge(fibers._E0, u)
+            if case == CASE_OFF:
+                g.add_vertex(fibers._E0P, -2)
+                g.add_edge(fibers._E0P, w)
+                contact = fibers._E0P
+            else:
+                contact = f0.section_contact
+            g.add_vertex(fibers._SECTION, 0)
+            g.add_edge(fibers._SECTION, contact)
+            _search(g, u, w, [], budget, results, seen, case)
+    return results
+
+
+def _completions_json(found):
+    return [c.as_json() for c in found]
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+@pytest.mark.parametrize("name", ["cusp-quartic", "image-quintic", "image-deg15"])
+def test_completions_match_the_reference_on_the_corpus(name, ps):
+    res = analysis(name, ps)["report"].resolution
+    for case in (CASE_ON, CASE_OFF):
+        part, found = complete_and_classify(res, case)
+        assert part == build_F0(res, case)
+        assert _completions_json(found) == _completions_json(_complete_reference(res, case))
+
+
+def _two_blowups_off_a_fiber(records):
+    """A stand-in for a resolution with (C')^2 = 3 whose fiber part
+    (CASE_ON) is II* with two of its components blown up once more.
+
+    The long arm HUB-A1-A2-A3-T1-T2 of II* ends in the chain build_F0
+    adds (A3 meets C'), so the section meets T2, of multiplicity 1.  The
+    short arm B0 and the tip C1 of the middle arm have weight -3, and a
+    (-1)-curve X meets C1: with E0 on B0, X and E0 are disjoint and both
+    contractible, and two contractions in either order give II*.
+    """
+    g = WeightedDualGraph()
+    for v, w in [("HUB", -2), ("A1", -2), ("A2", -2), ("A3", -1), ("B0", -3)]:
+        g.add_vertex(v, w)
+    for v, w in [("C0", -2), ("C1", -3), ("X", -1), ("C'", 2)]:
+        g.add_vertex(v, w)
+    for a, b in [("HUB", "A1"), ("A1", "A2"), ("A2", "A3"), ("A3", "C'")]:
+        g.add_edge(a, b)
+    for a, b in [("HUB", "B0"), ("HUB", "C0"), ("C0", "C1"), ("C1", "X")]:
+        g.add_edge(a, b)
+    res = _quintic_resolution()
+    assert res.strict_self_intersection == 3
+    return dataclasses.replace(res, graph=g, records=res.records[:1] * records)
+
+
+def test_a_contracted_set_reached_in_two_orders_completes_once():
+    res = _two_blowups_off_a_fiber(records=8)
+    assert contraction_budget(res) == 2
+    part, found = complete_and_classify(res, CASE_ON)
+    # the search reaches {X, E0} from E0 on B0 in both orders
+    g = part.graph.copy()
+    g.add_vertex(fibers._E0, -1)
+    g.add_edge(fibers._E0, "B0")
+    g.add_vertex(fibers._SECTION, 0)
+    g.add_edge(fibers._SECTION, "T2")
+    orders = [seq for seq, _ in fibers._contractions(g, 2) if set(seq) == {"X", fibers._E0}]
+    assert orders == [("X", fibers._E0), (fibers._E0, "X")]
+    keys = Counter((c.e0, c.e0_prime, frozenset(c.contractions)) for c in found)
+    assert keys[("B0", None, frozenset({"X", fibers._E0}))] == 1
+    assert set(keys.values()) == {1}
+    assert [c.kodaira for c in found if c.e0 == "B0"] == ["II*"]
+    assert _completions_json(found) == _completions_json(_complete_reference(res, CASE_ON))
+
+
+def test_a_completion_one_contraction_over_the_budget_is_not_found():
+    # the same part needs two contractions to reach nine components
+    roomy = _two_blowups_off_a_fiber(records=8)
+    assert [len(c.contractions) for c in complete_and_classify(roomy, CASE_ON)[1]] == [2]
+    tight = _two_blowups_off_a_fiber(records=7)
+    assert contraction_budget(tight) == 1
+    assert complete_and_classify(tight, CASE_ON)[1] == []
+    assert _complete_reference(tight, CASE_ON) == []

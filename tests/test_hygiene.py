@@ -190,3 +190,60 @@ def test_every_definition_is_referenced(path):
     assert not stale, f"{path.name} defines what nothing references: " + ", ".join(
         f"{name} (line {line})" for name, line in stale
     )
+
+
+# -- every parameter is read ------------------------------------------------
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(function, parameter, line) for each parameter that its function's
+    body never reads; self, cls and the registered builders, which share
+    one signature, are exempt."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any(_decorator_name(d) in REGISTERING for d in fn.decorator_list):
+            continue
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+        read = {
+            node.id
+            for stmt in fn.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        out += [
+            (fn.name, a.arg, a.lineno)
+            for a in params
+            if a is not None and a.arg not in ("self", "cls") and a.arg not in read
+        ]
+    return out
+
+
+def test_the_check_sees_an_unread_parameter():
+    tree = ast.parse(
+        "def f(a, b, *rest, c=1, **kw):\n"
+        "    def inner(d):\n"
+        "        return a + d\n"
+        "    b = 2\n"
+        "    return inner(kw)\n"
+        "class K:\n"
+        "    def m(self, e):\n"
+        "        return lambda: e\n"
+        "    @classmethod\n"
+        "    def n(cls, f):\n"
+        "        pass\n"
+        "@_curve('c')\n"
+        "def built(ps):\n"
+        "    return 1\n"
+    )
+    assert _unread_parameters(tree) == [("f", "b", 1), ("f", "rest", 1), ("f", "c", 1), ("n", "f", 10)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(ast.parse(path.read_text(), filename=str(path)))
+    assert not unread, f"{path.name} has parameters that nothing reads: " + ", ".join(
+        f"{arg} of {name} (line {line})" for name, arg, line in unread
+    )
