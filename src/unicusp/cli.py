@@ -130,10 +130,11 @@ def cmd_analyze(args) -> int:
         lines.append("smooth: no singular points")
     for point, mult in report.singular_points:
         lines.append(f"singular point {point} with multiplicity {mult}")
-    if report.unicuspidal:
+    res = report.resolution
+    if res is not None:
         lines.append(
-            f"cusp multiplicity sequence {report.multiplicity_sequence}, "
-            f"strict transform square {report.strict_self_intersection}"
+            f"cusp multiplicity sequence {res.multiplicity_sequence}, "
+            f"strict transform square {res.strict_self_intersection}"
         )
     lines.append(f"verdict: {report.verdict}")
     for note in report.notes:
@@ -144,13 +145,9 @@ def cmd_analyze(args) -> int:
         payload["at_point"] = {"P": point.as_json(), "multiplicity": mult}
         lines.append(f"multiplicity at {point}: {mult}")
     dots = []
-    if args.dot and report.resolution is not None:
+    if args.dot and res is not None:
         dots.append(
-            _write_dot(
-                args.dot,
-                f"resolution-{name}.dot",
-                report.resolution.graph.to_dot(f"resolution_{name}"),
-            )
+            _write_dot(args.dot, f"resolution-{name}.dot", res.graph.to_dot(f"resolution_{name}"))
         )
     if dots:
         payload["dot_files"] = dots
@@ -257,11 +254,11 @@ def cmd_fiber(args) -> int:
     name, curve = _resolve_curve(args.curve, ps)
     case = CASE_ON if args.case == "on" else CASE_OFF
     report = classify(curve)
-    if not report.unicuspidal or report.resolution is None:
+    res = report.resolution
+    if res is None:
         raise CurveError(
             f"fiber search needs a unicuspidal curve; got verdict {report.verdict}"
         )
-    res = report.resolution
     f0, completions = complete_and_classify(res, case)
     budget = contraction_budget(res)
     payload = {
@@ -333,13 +330,21 @@ def cmd_verify_corpus(args) -> int:
 # -- the parser ---------------------------------------------------------------
 
 
-def _add_common(sub, point=False):
-    sub.add_argument("--params", help="rational parameters, e.g. a=1,b=1,c=0")
-    sub.add_argument("--json", action="store_true", help="emit one JSON document")
-    sub.add_argument("--dot", metavar="DIR", help="write graphviz files into DIR")
-    sub.add_argument("--timing", action="store_true", help="report elapsed time")
-    if point:
-        sub.add_argument("--point", help="projective point x,y,z")
+# The shared flags.  Every subcommand takes --json and --timing (read by
+# _emit); each of the others is registered only where its command reads it.
+_FLAGS = {
+    "--params": {"help": "rational parameters, e.g. a=1,b=1,c=0"},
+    "--json": {"action": "store_true", "help": "emit one JSON document"},
+    "--dot": {"metavar": "DIR", "help": "write graphviz files into DIR"},
+    "--timing": {"action": "store_true", "help": "report elapsed time"},
+    "--point": {"help": "projective point x,y,z"},
+}
+
+
+def _add_common(sub, *flags: str) -> None:
+    for flag, kwargs in _FLAGS.items():
+        if flag in ("--json", "--timing", *flags):
+            sub.add_argument(flag, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -351,18 +356,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="full dossier for one curve")
     p.add_argument("curve", help="polynomial text or corpus:NAME")
-    _add_common(p, point=True)
+    _add_common(p, "--params", "--dot", "--point")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("intersect", help="intersection cycle of two curves")
     p.add_argument("curve1")
     p.add_argument("curve2")
-    _add_common(p)
+    _add_common(p, "--params")
     p.set_defaults(func=cmd_intersect)
 
     p = subs.add_parser("resolve", help="minimal embedded resolution at a point")
     p.add_argument("curve")
-    _add_common(p, point=True)
+    _add_common(p, "--params", "--dot", "--point")
     p.set_defaults(func=cmd_resolve)
 
     p = subs.add_parser("transform", help="strict transform under a plane map")
@@ -373,14 +378,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help="extra exceptional curve to divide out (repeatable)",
     )
-    _add_common(p)
+    _add_common(p, "--params")
     p.set_defaults(func=cmd_transform)
 
     p = subs.add_parser("fiber", help="build and complete the fiber over a cusp")
     p.add_argument("curve")
     p.add_argument("--case", choices=("on", "off"), required=True,
                    help="where the second base point sits")
-    _add_common(p)
+    _add_common(p, "--params", "--dot")
     p.set_defaults(func=cmd_fiber)
 
     p = subs.add_parser("verify-corpus", help="recheck every built-in expectation")

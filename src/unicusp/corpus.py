@@ -435,11 +435,12 @@ def analysis(name: str, ps: ParamSet) -> dict:
     if out["smooth"]:
         return out
     out["singular-points"] = report.singular_points
-    out["unicuspidal"] = report.unicuspidal
-    if report.unicuspidal:
-        out["cusp"] = report.cusp
-        out["multiplicity-sequence"] = report.multiplicity_sequence
-        out["strict-self-intersection"] = report.strict_self_intersection
+    res = report.resolution
+    out["unicuspidal"] = res is not None
+    if res is not None:
+        out["cusp"] = res.point
+        out["multiplicity-sequence"] = res.multiplicity_sequence
+        out["strict-self-intersection"] = res.strict_self_intersection
     out["verdict"] = report.verdict
     out["report"] = report
     return out

@@ -24,7 +24,6 @@ from .poly import (
     gcd,
     normalized,
     poly_to_text,
-    proportional,
     radical,
     strip_factors,
 )
@@ -81,16 +80,18 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
     degrees = {p.total_degree() for p in nonzero}
     if len(degrees) != 1:
         raise CremonaError(f"map components have different degrees {sorted(degrees)}")
-    if len(nonzero) == 1 or all(proportional(nonzero[0], p) for p in nonzero[1:]):
-        raise CremonaError("map components are proportional: the image is a point")
     if _jacobian_vanishes(comps, degrees.pop()):
-        raise CremonaError("the Jacobian determinant of the map vanishes: the image is a curve")
+        raise CremonaError(
+            "the Jacobian determinant of the map vanishes: the image is a point or a curve"
+        )
     return CremonaMap(comps, tuple(warnings))
 
 
 def _jacobian_vanishes(comps: tuple[Poly, Poly, Poly], d: int) -> bool:
     """True iff det(dp_i/dx_j) is identically zero, i.e. (in characteristic
-    0) the components are algebraically dependent and the image is a curve.
+    0) the components are algebraically dependent and the image is a point
+    or a curve.  Proportional components, or a single nonzero one, are
+    constants once their gcd is divided out: d = 0 and J = 0.
 
     The determinant J is a form of degree D = 3(d - 1), and J(x, y, 1) is
     a polynomial of degree at most D that is zero only when J is.  A

@@ -625,12 +625,6 @@ class IntersectionCycle:
             "bezout": self.bezout,
         }
 
-    def multiplicity_of(self, point: ProjPoint) -> int:
-        for p, m in self.points:
-            if p == point:
-                return m
-        return 0
-
 
 def intersection_cycle(c1: PlaneCurve, c2: PlaneCurve) -> IntersectionCycle:
     """Locate all rational intersection points with local multiplicities.

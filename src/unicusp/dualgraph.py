@@ -32,18 +32,18 @@ class WeightedDualGraph:
         self._loops[label] = loops
 
     def _key(self, a: str, b: str) -> tuple[str, str]:
+        for v in (a, b):
+            if v not in self._weights:
+                raise GraphError(f"unknown vertex {v!r}")
         ia, ib = self._order.index(a), self._order.index(b)
         return (a, b) if ia <= ib else (b, a)
 
     def add_edge(self, a: str, b: str, mult: int = 1) -> None:
         if a == b:
             raise GraphError("use add_loop for self-edges")
-        for v in (a, b):
-            if v not in self._weights:
-                raise GraphError(f"unknown vertex {v!r}")
+        k = self._key(a, b)
         if mult <= 0:
             raise GraphError("edge multiplicity must be positive")
-        k = self._key(a, b)
         self._edges[k] = self._edges.get(k, 0) + mult
 
     def remove_edge(self, a: str, b: str) -> None:
@@ -61,6 +61,18 @@ class WeightedDualGraph:
         if label not in self._weights:
             raise GraphError(f"unknown vertex {label!r}")
         self._weights[label] += delta
+
+    def blow_up(self, label: str, through: tuple[str, ...]) -> None:
+        """Blow up a point on the curves `through` (at most two, meeting
+        transversally there), the inverse of `fibers.blow_down`: the new
+        (-1)-curve `label` meets each of them once, each loses 1 in weight,
+        and two of them stop meeting."""
+        self.add_vertex(label, -1)
+        for v in through:
+            self.bump_weight(v, -1)
+            self.add_edge(label, v)
+        if len(through) == 2:
+            self.remove_edge(*through)
 
     def remove_vertex(self, label: str) -> None:
         if label not in self._weights:

@@ -224,24 +224,14 @@ def build_F0(res: ResolutionResult, case: str) -> FiberConfig:
     if len(attached) != 1:
         raise GraphError("strict transform must meet exactly one exceptional curve")
     prev = attached[0][0]
-    chain = [f"T{i}" for i in range(1, n)]
-    for t in chain:
-        g.add_vertex(t, -1)
-        g.bump_weight(prev, -1)
-        g.remove_edge(cp, prev)
-        g.add_edge(prev, t)
-        g.add_edge(cp, t)
-        prev = t
-    last = chain[-1]
-    if case == CASE_ON:
-        g.bump_weight(last, -1)
-        g.remove_edge(cp, last)
-        contact = last
-    else:
-        g.remove_vertex(last)
-        contact = None
-    g.remove_vertex(cp)
-    return FiberConfig(graph=g, case=case, section_contact=contact)
+    for i in range(1, n):
+        g.blow_up(f"T{i}", (cp, prev))
+        prev = f"T{i}"
+    on = case == CASE_ON
+    g.blow_up("Q", (cp, prev) if on else (cp,))
+    for v in ("Q", cp) if on else ("Q", cp, prev):
+        g.remove_vertex(v)
+    return FiberConfig(graph=g, case=case, section_contact=prev if on else None)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ raise it.  The delta invariant and genus are still available for them
 through the general infinitely-near-point recursion used by genus_of.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import uniroots
@@ -31,7 +31,7 @@ from .curves import (
     find_rational_singular_points,
     germ_at,
     germ_order,
-    intersection_cycle,
+    intersection_multiplicity,
     tangent_line_at,
 )
 from .dualgraph import WeightedDualGraph
@@ -80,15 +80,7 @@ class ResolutionResult:
             "strict_self_intersection": self.strict_self_intersection,
             "d0": self.d0,
             "graph": self.graph.to_json(),
-            "blowups": [
-                {
-                    "index": r.index,
-                    "multiplicity": r.multiplicity,
-                    "label": r.label,
-                    "center_on": list(r.center_on),
-                }
-                for r in self.records
-            ],
+            "blowups": [asdict(r) for r in self.records],
         }
 
 
@@ -156,13 +148,8 @@ def minimal_embedded_resolution(
         label = f"E{index}"
         m = germ_order(g)
         r = cone_direction(g, m)
-        graph.add_vertex(label, -1)
         centers = tuple(lab for lab, _ in exc)
-        for lab, _ in exc:
-            graph.bump_weight(lab, -1)
-            graph.add_edge(label, lab)
-        if len(exc) == 2:
-            graph.remove_edge(exc[0][0], exc[1][0])
+        graph.blow_up(label, centers)
         # The new curve is the axis y = 0 of the vertical chart and x = 0
         # of the others.  An old one reaches the next center only as the
         # other axis: x = 0 in the vertical chart, y = 0 in the chart r = 0.
@@ -270,37 +257,33 @@ VERDICT_ALARM = "ALARM"
 
 @dataclass
 class ClassificationReport:
-    """Full dossier for the unicuspidal-genus-one classification."""
+    """Full dossier for the unicuspidal-genus-one classification.
+
+    `resolution` is the cusp's minimal embedded resolution, None unless the
+    curve is unicuspidal; the cusp, its sequences and (C')^2 are read off it.
+    """
 
     degree: int
     genus: int
     singular_points: list[tuple[ProjPoint, int]]
-    unicuspidal: bool
-    cusp: ProjPoint | None = None
-    multiplicity_sequence: tuple[int, ...] | None = None
-    full_sequence: tuple[int, ...] | None = None
-    strict_self_intersection: int | None = None
+    resolution: ResolutionResult | None = None
     tangent_contact_only: bool | None = None
     verdict: str = VERDICT_OUT_OF_SCOPE
     notes: list[str] = field(default_factory=list)
-    resolution: ResolutionResult | None = None
 
     def as_json(self) -> dict:
+        res = self.resolution
         return {
             "degree": self.degree,
             "genus": self.genus,
             "singular_points": [
                 {"P": p.as_json(), "multiplicity": m} for p, m in self.singular_points
             ],
-            "unicuspidal": self.unicuspidal,
-            "cusp": self.cusp.as_json() if self.cusp else None,
-            "multiplicity_sequence": list(self.multiplicity_sequence)
-            if self.multiplicity_sequence is not None
-            else None,
-            "full_sequence": list(self.full_sequence)
-            if self.full_sequence is not None
-            else None,
-            "strict_self_intersection": self.strict_self_intersection,
+            "unicuspidal": res is not None,
+            "cusp": res.point.as_json() if res else None,
+            "multiplicity_sequence": list(res.multiplicity_sequence) if res else None,
+            "full_sequence": list(res.full_sequence) if res else None,
+            "strict_self_intersection": res.strict_self_intersection if res else None,
             "tangent_contact_only": self.tangent_contact_only,
             "verdict": self.verdict,
             "notes": self.notes,
@@ -332,7 +315,7 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
         degree=d,
         genus=genus,
         singular_points=list(locus.points),
-        unicuspidal=False,
+        resolution=res,
     )
     if len(locus.points) != 1:
         report.notes.append(
@@ -344,17 +327,8 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
         report.notes.append("the singular point is not a cusp (several branches)")
         return report
 
-    point = res.point
-    report.unicuspidal = True
-    report.cusp = point
-    report.multiplicity_sequence = res.multiplicity_sequence
-    report.full_sequence = res.full_sequence
-    report.strict_self_intersection = res.strict_self_intersection
-    report.resolution = res
-
-    tangent = tangent_line_at(curve, point)
-    cycle = intersection_cycle(curve, tangent)
-    contact_only = cycle.multiplicity_of(point) == d
+    tangent = tangent_line_at(curve, res.point)
+    contact_only = intersection_multiplicity(curve, tangent, res.point) == d
     report.tangent_contact_only = contact_only
 
     if genus != 1:

@@ -173,6 +173,22 @@ def test_missing_subcommand_exits_two():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-corpus", "--params", "a=5"],
+        ["verify-corpus", "--dot", "out"],
+        ["intersect", "x*z - y^2", "x", "--dot", "out"],
+        ["transform", "y^2*z - x^3", "--dot", "out"],
+    ],
+)
+def test_a_flag_the_command_never_reads_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_json_output_is_reproducible(capsys):
     _, first, _ = run_cli(capsys, "analyze", "x*z - y^2", "--json")
     _, second, _ = run_cli(capsys, "analyze", "x*z - y^2", "--json")
@@ -302,7 +318,9 @@ def test_transform_of_exceptional_curve_is_domain_error(capsys):
 def test_transform_rejects_a_map_onto_a_curve(capsys, curve, plane_map):
     code, out, err = run_cli(capsys, "transform", curve, "--map", plane_map)
     assert (code, out) == (1, "")
-    assert err == "error: the Jacobian determinant of the map vanishes: the image is a curve\n"
+    assert err == (
+        "error: the Jacobian determinant of the map vanishes: the image is a point or a curve\n"
+    )
 
 
 # -- fiber ---------------------------------------------------------------------
@@ -562,5 +580,32 @@ def test_fiber_json_matches_golden_output(capsys, name, case):
     # corpus search with a budget above 1.
     golden = Path(__file__).parent / "data" / f"fiber_{name}_{case}.json"
     code, out, _ = run_cli(capsys, "fiber", f"corpus:{name}", "--case", case, "--json")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rational-quintic", "image-quintic", "image-deg15", "cusp-quartic", "node-cubic", "conic"],
+)
+def test_analyze_json_matches_golden_output(capsys, name):
+    # tests/data/analyze_<name>.json is `analyze corpus:<name> --json` at
+    # a=1,b=1,c=0, as printed while the classification report still copied
+    # the cusp, the sequences and the square out of its resolution: the
+    # four resolved cusps, a singular point that is not a cusp, and a
+    # smooth curve.
+    golden = Path(__file__).parent / "data" / f"analyze_{name}.json"
+    code, out, _ = run_cli(capsys, "analyze", f"corpus:{name}", "--json")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["rational-quintic", "image-quintic", "image-deg15", "cusp-quartic"])
+def test_resolve_json_matches_golden_output(capsys, name):
+    # tests/data/resolve_<name>.json is `resolve corpus:<name> --json` at
+    # a=1,b=1,c=0, as printed while the resolution loop and the fiber chain
+    # each wrote out the point-blowup rule on the dual graph themselves.
+    golden = Path(__file__).parent / "data" / f"resolve_{name}.json"
+    code, out, _ = run_cli(capsys, "resolve", f"corpus:{name}", "--json")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")

@@ -334,7 +334,7 @@ def test_the_curve_checks_never_reach_the_multivariate_gcd(monkeypatch):
 
     built = [(name, ps, curve_by_name(name, ps)) for ps in DEFAULT_PARAMS for name in corpus.CURVES]
     cusps = [
-        (curve, corpus.analysis(name, ps)["report"].cusp)
+        (curve, corpus.analysis(name, ps)["report"].resolution.point)
         for name, ps, curve in built
         if corpus.analysis(name, ps).get("unicuspidal")
     ]
@@ -682,7 +682,7 @@ def test_high_contact_cycles_of_image_deg15(ps):
     quintic = curve_by_name("rational-quintic", ps)
     cyc = intersection_cycle(deg15, quintic)
     assert (cyc.residual, cyc.bezout) == (0, 75)
-    assert cyc.multiplicity_of(origin) == 74
+    assert dict(cyc.points)[origin] == 74
     [(other, m)] = [(q, m) for q, m in cyc.points if q != origin]
     assert m == 1
     assert deg15.poly.evaluate(other.coords()) == quintic.poly.evaluate(other.coords()) == 0

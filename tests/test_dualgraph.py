@@ -54,6 +54,36 @@ def test_loops_count_in_self_intersection():
     assert g.self_intersection("A") == -1
 
 
+def test_unknown_labels_raise_graph_error():
+    g = WeightedDualGraph()
+    g.add_vertex("A", -1)
+    for query in (g.remove_edge, g.edge_mult):
+        with pytest.raises(GraphError, match="unknown vertex 'B'"):
+            query("A", "B")
+    with pytest.raises(GraphError, match="unknown vertex 'B'"):
+        g.neighbors("B")
+
+
+def test_blow_up_on_a_point_of_two_curves():
+    # the new (-1)-curve meets both curves once, each loses 1 in weight,
+    # and the two stop meeting
+    g, _ = chain([-2, -3])
+    g.blow_up("E", ("V0", "V1"))
+    assert g.vertices == ["V0", "V1", "E"]
+    assert [g.weight(v) for v in g.vertices] == [-3, -4, -1]
+    assert g.edges() == [("V0", "E", 1), ("V1", "E", 1)]
+
+
+def test_blow_up_on_one_curve_and_off_every_curve():
+    g, _ = chain([-2, -3])
+    g.blow_up("E", ("V1",))
+    g.blow_up("F", ())
+    assert [g.weight(v) for v in g.vertices] == [-2, -4, -1, -1]
+    assert g.edges() == [("V0", "V1", 1), ("V1", "E", 1)]
+    with pytest.raises(GraphError, match="unknown vertex 'W'"):
+        g.blow_up("G", ("W",))
+
+
 def test_remove_vertex_cleans_edges():
     g, labels = chain([-2, -1, -2])
     g.remove_vertex("V1")

@@ -468,6 +468,17 @@ def test_blow_down_three_neighbors_pairwise_edges():
     assert h.edge_mult("B", "C") == 1
 
 
+@pytest.mark.parametrize("through", [(), ("A",), ("A", "B")])
+def test_blow_down_undoes_blow_up(through):
+    g = WeightedDualGraph()
+    g.add_vertex("A", -2)
+    g.add_vertex("B", 1)
+    g.add_edge("A", "B")
+    h = g.copy()
+    h.blow_up("E", through)
+    assert blow_down(h, "E") == g
+
+
 def test_blow_down_preconditions():
     g = WeightedDualGraph()
     g.add_vertex("V", -2)

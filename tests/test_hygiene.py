@@ -1,10 +1,15 @@
 """Static checks on the package source."""
 
+import argparse
 import ast
 import functools
+import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from unicusp import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "unicusp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -247,3 +252,53 @@ def test_every_parameter_is_read(path):
     assert not unread, f"{path.name} has parameters that nothing reads: " + ", ".join(
         f"{arg} of {name} (line {line})" for name, arg, line in unread
     )
+
+
+# -- every CLI flag is read -------------------------------------------------
+
+
+def _read_off_args(*functions) -> set[str]:
+    """Each attribute that the functions read as args.<name>."""
+    trees = [ast.parse(textwrap.dedent(inspect.getsource(fn))) for fn in functions]
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def _unread_flags(parser: argparse.ArgumentParser, emit) -> list[str]:
+    """'command: dest' for each option of a subcommand that neither its
+    func nor `emit` reads as args.<dest>."""
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    out = []
+    for name, sub in subs.choices.items():
+        read = _read_off_args(sub.get_default("func"), emit)
+        out += [
+            f"{name}: {a.dest}"
+            for a in sub._actions
+            if a.option_strings and a.dest != "help" and a.dest not in read
+        ]
+    return out
+
+
+def test_the_check_sees_an_unread_flag():
+    def cmd(args):
+        return args.used
+
+    def emit(args, payload, lines):
+        return args.shown
+
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers().add_parser("c")
+    for flag in ("--used", "--shown", "--stale"):
+        sub.add_argument(flag)
+    sub.set_defaults(func=cmd)
+    assert _unread_flags(parser, emit) == ["c: stale"]
+
+
+def test_every_cli_flag_is_read():
+    stale = _unread_flags(cli._build_parser(), cli._emit)
+    assert not stale, "flags that their command never reads: " + ", ".join(stale)

@@ -116,14 +116,14 @@ def test_genus():
 
 def test_classify_out_of_scope_genus_zero():
     report = classify(CUSP_CUBIC)
-    assert report.unicuspidal
+    assert report.resolution is not None
     assert report.genus == 0
     assert report.verdict == VERDICT_OUT_OF_SCOPE
 
 
 def test_classify_smooth_curve():
     report = classify(make_curve(X**3 + Y**3 + Z**3))
-    assert not report.unicuspidal
+    assert report.resolution is None
     assert report.verdict == VERDICT_OUT_OF_SCOPE
 
 
@@ -131,10 +131,10 @@ def test_classify_ams_quartic():
     quartic = make_curve((Y * Z + X**2) ** 2 - X**3 * Z + X * Z**3)
     report = classify(quartic)
     assert report.genus == 1
-    assert report.unicuspidal
-    assert report.cusp == ProjPoint.of(0, 1, 0)
-    assert report.multiplicity_sequence == (2, 2)
-    assert report.strict_self_intersection == 6
+    res = report.resolution
+    assert res.point == ProjPoint.of(0, 1, 0)
+    assert res.multiplicity_sequence == (2, 2)
+    assert res.strict_self_intersection == 6
     assert report.tangent_contact_only
     assert report.verdict == VERDICT_AMS
 
@@ -208,12 +208,12 @@ def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
     monkeypatch.setattr(resolution, "delta_invariant", counted)
     for curve, genus in zip(curves, genera):
         report = classify(curve)
-        assert report.unicuspidal and report.genus == genus
         res = report.resolution
+        assert res is not None and report.genus == genus
         assert res.delta == sum(m * (m - 1) // 2 for m in res.full_sequence)
     assert walked == []
     report = classify(nodal)
-    assert not report.unicuspidal and report.genus == 0
+    assert report.resolution is None and report.genus == 0
     assert report.notes == ["the singular point is not a cusp (several branches)"]
     assert len(walked) == 1
     with pytest.raises(CurveError, match="negative genus"):
@@ -234,8 +234,8 @@ def test_genus_one_square_is_three_d_minus_full_sequence(name, three_d, total, s
     # (d-1)(d-2) - 2 fixes sum m_i^2 = d^2 - 3d + sum m_i over the full
     # sequence, so (C')^2 = d^2 - sum m_i^2 = 3d - sum m_i.
     report = analysis(name, ps)["report"]
-    assert report.genus == 1 and report.unicuspidal
     res = report.resolution
+    assert report.genus == 1 and res is not None
     assert 3 * res.degree == three_d
     assert sum(res.full_sequence) == total
     assert res.strict_self_intersection == three_d - total == square
