@@ -200,9 +200,9 @@ def build_F0(res: ResolutionResult, case: str) -> FiberConfig:
 
     Starting from the resolution graph (exceptional curves plus the strict
     transform C' of self-intersection n = res.strict_self_intersection),
-    blow up the point C'&D0 a total of n-1 times, producing a chain
-    T1..T_{n-1} hanging off D0 with C' moved to the end of the chain, then
-    blow up once more at a point Q of C'.  The candidate fiber part drops
+    blow up the point C'&D0, D0 = res.d0, a total of n-1 times, producing a
+    chain T1..T_{n-1} hanging off D0 with C' moved to the end of the chain,
+    then blow up once more at a point Q of C'.  The candidate fiber part drops
     C' and the last exceptional curve; where Q sits decides the case:
 
     - CASE_ON  (Q = C' & T_{n-1}): T_{n-1} drops to -2 and stays in the
@@ -217,13 +217,7 @@ def build_F0(res: ResolutionResult, case: str) -> FiberConfig:
     if n < 3:
         raise GraphError(f"need self-intersection n >= 3 to build a fiber part, got {n}")
     g = res.graph.copy()
-    cp = "C'"
-    if cp not in g:
-        raise GraphError("resolution graph lacks a strict transform vertex")
-    attached = g.neighbors(cp)
-    if len(attached) != 1:
-        raise GraphError("strict transform must meet exactly one exceptional curve")
-    prev = attached[0][0]
+    cp, prev = "C'", res.d0
     for i in range(1, n):
         g.blow_up(f"T{i}", (cp, prev))
         prev = f"T{i}"

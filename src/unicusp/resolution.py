@@ -1,13 +1,13 @@
 """Embedded resolution of rational curve singularities by blowing up.
 
 The resolver follows one unibranch germ through a tower of point blowups
-in exact local coordinates, recording the multiplicity at every center,
-maintaining the weighted dual graph of exceptional curves, and stopping at
-the first moment the total transform is simple normal crossings: the
-strict transform is smooth, meets exactly one exceptional curve, and meets
-it transversally away from corners.  That moment is read off the blowup
-record (a blowup of multiplicity 1 whose new curve is the only one through
-the next center), so the last strict transform is never formed.
+in exact local coordinates, recording the multiplicity at every center and
+the exceptional curves through it, and stopping at the first moment the
+total transform is simple normal crossings: the strict transform is
+smooth, meets exactly one exceptional curve, and meets it transversally
+away from corners.  That moment is read off the blowup record (a blowup
+of multiplicity 1 whose new curve is the only one through the next
+center), so the last strict transform is never formed.
 
 The order and the tangent direction of each germ come from the germ
 reader in `curves` (`germ_order`, `cone_direction`), where
@@ -58,17 +58,35 @@ class BlowupRecord:
 
 @dataclass
 class ResolutionResult:
-    """Minimal embedded resolution of one singular point."""
+    """Minimal embedded resolution of one singular point: its blowup record.
+
+    The rest is derived from the record here: the sequences, delta =
+    sum m(m-1)/2, (C')^2 = d^2 - sum m^2, the last curve D0, which C' meets,
+    and the dual graph, the fold of `WeightedDualGraph.blow_up` plus C' on D0.
+    """
 
     point: ProjPoint
     degree: int
     records: list[BlowupRecord]
-    multiplicity_sequence: tuple[int, ...]
-    full_sequence: tuple[int, ...]
-    delta: int
-    graph: WeightedDualGraph
-    d0: str
-    strict_self_intersection: int
+    multiplicity_sequence: tuple[int, ...] = field(init=False)
+    full_sequence: tuple[int, ...] = field(init=False)
+    delta: int = field(init=False)
+    graph: WeightedDualGraph = field(init=False)
+    d0: str = field(init=False)
+    strict_self_intersection: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        seq = tuple(r.multiplicity for r in self.records)
+        self.full_sequence = seq
+        self.multiplicity_sequence = tuple(k for k in seq if k >= 2)
+        self.delta = sum(k * (k - 1) // 2 for k in seq)
+        self.strict_self_intersection = self.degree ** 2 - sum(k * k for k in seq)
+        self.d0 = self.records[-1].label
+        self.graph = WeightedDualGraph()
+        for r in self.records:
+            self.graph.blow_up(r.label, r.center_on)
+        self.graph.add_vertex("C'", self.strict_self_intersection)
+        self.graph.add_edge("C'", self.d0)
 
     def as_json(self) -> dict:
         return {
@@ -131,9 +149,7 @@ def minimal_embedded_resolution(
     if m < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
-    graph = WeightedDualGraph()
     records: list[BlowupRecord] = []
-    seq: list[int] = []
     # The exceptional curves through the center, newest first, each with
     # the chart axis it lies on: 0 for x = 0, 1 for y = 0.  The axes differ,
     # so at most two curves pass through a center.
@@ -148,36 +164,18 @@ def minimal_embedded_resolution(
         label = f"E{index}"
         m = germ_order(g)
         r = cone_direction(g, m)
-        centers = tuple(lab for lab, _ in exc)
-        graph.blow_up(label, centers)
         # The new curve is the axis y = 0 of the vertical chart and x = 0
         # of the others.  An old one reaches the next center only as the
         # other axis: x = 0 in the vertical chart, y = 0 in the chart r = 0.
         axis = 1 if r is None else 0
         kept = [(lab, a) for lab, a in exc if a != axis and (r is None or r == 0)]
-        records.append(BlowupRecord(index, m, label, centers))
-        seq.append(m)
+        records.append(BlowupRecord(index, m, label, tuple(lab for lab, _ in exc)))
         exc = [(label, axis)] + kept
         if m == 1 and len(exc) == 1:
             break
         g = blow_up_once(g, m, r)
 
-    d0 = exc[0][0]
-    sq = curve.degree ** 2 - sum(k * k for k in seq)
-    graph.add_vertex("C'", sq)
-    graph.add_edge("C'", d0)
-    delta = sum(k * (k - 1) // 2 for k in seq)
-    return ResolutionResult(
-        point=point,
-        degree=curve.degree,
-        records=records,
-        multiplicity_sequence=tuple(k for k in seq if k >= 2),
-        full_sequence=tuple(seq),
-        delta=delta,
-        graph=graph,
-        d0=d0,
-        strict_self_intersection=sq,
-    )
+    return ResolutionResult(point=point, degree=curve.degree, records=records)
 
 
 # -- delta invariant and genus ---------------------------------------------

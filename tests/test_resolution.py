@@ -1,12 +1,25 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicusp import resolution
 from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
-from unicusp.curves import ProjPoint, cone_direction, germ_at, germ_order, make_curve
+from unicusp.curves import (
+    ProjPoint,
+    _local_numbers,
+    chart_of,
+    cone_direction,
+    germ_at,
+    germ_order,
+    make_curve,
+)
 from unicusp.dualgraph import WeightedDualGraph
+from unicusp.fibers import intersection_matrix
 from unicusp.poly import ONE, Poly, X, Y, Z, exact_divide
 from unicusp.resolution import (
     BlowupRecord,
@@ -277,11 +290,14 @@ def _transform_old_exceptional_reference(lin: Poly, r: Fraction | None) -> Poly 
     return Y if a + b * r == 0 else None
 
 
-def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
+def _resolution_reference(curve, point, step_limit=None) -> dict:
     """The resolution loop that forms every strict transform and stops when
     the last one is smooth and transversal to the only exceptional curve
     through its point: the oracle for minimal_embedded_resolution, which
     reads the stop off the blowup record instead.
+
+    It builds its own graph, sequences and invariants along the way, not by
+    folding its records, and returns them in the shape of `as_json`.
     """
     g = germ_at(curve.poly, point)
     if g.is_zero():
@@ -331,22 +347,26 @@ def _resolution_reference(curve, point, step_limit=None) -> ResolutionResult:
     sq = curve.degree ** 2 - sum(k * k for k in seq)
     graph.add_vertex("C'", sq)
     graph.add_edge("C'", d0)
-    return ResolutionResult(
-        point=point,
-        degree=curve.degree,
-        records=records,
-        multiplicity_sequence=tuple(k for k in seq if k >= 2),
-        full_sequence=tuple(seq),
-        delta=sum(k * (k - 1) // 2 for k in seq),
-        graph=graph,
-        d0=d0,
-        strict_self_intersection=sq,
-    )
+    return {
+        "point": point.as_json(),
+        "degree": curve.degree,
+        "multiplicity_sequence": [k for k in seq if k >= 2],
+        "full_sequence": seq,
+        "delta": sum(k * (k - 1) // 2 for k in seq),
+        "strict_self_intersection": sq,
+        "d0": d0,
+        "graph": graph.to_json(),
+        "blowups": [dataclasses.asdict(r) for r in records],
+    }
+
+
+def _resolved_json(*args) -> dict:
+    return minimal_embedded_resolution(*args).as_json()
 
 
 def _outcome(fn, *args):
     try:
-        return fn(*args).as_json()
+        return fn(*args)
     except CurveError as exc:
         return (type(exc).__name__, str(exc))
 
@@ -365,8 +385,33 @@ TEST_POINTS = DEFAULT_PARAMS + (param_set("-2/3", "3/2", 1), param_set(3, "-1/3"
 def test_stop_rule_matches_reference_on_corpus_cusps(name, ps):
     curve = curve_by_name(name, ps)
     res = minimal_embedded_resolution(curve, CUSPS[name])
-    assert res.as_json() == _resolution_reference(curve, CUSPS[name]).as_json()
+    assert res.as_json() == _resolution_reference(curve, CUSPS[name])
+    _assert_exceptional_part_unimodular(res.graph)
     assert res.delta == delta_invariant(germ_at(curve.poly, CUSPS[name]))
+
+
+def _milnor_number(curve, point) -> int:
+    """mu_P = I_P(F_i, F_j) for the chart (i, j) at P: the dehomogenised
+    partials are the partials of the local equation.  No blowup is made."""
+    i, j = chart_of(point)
+    return dict(_local_numbers(curve.poly.partial(i), curve.poly.partial(j)))[point]
+
+
+@pytest.mark.parametrize("ps", TEST_POINTS, ids=lambda ps: ps.label)
+@pytest.mark.parametrize("name", sorted(CUSPS))
+def test_milnor_number_is_twice_delta_on_corpus_cusps(name, ps):
+    # 2 delta = mu + r - 1 (Milnor 1968, Thm 10.5), with r = 1 branch
+    curve, point = curve_by_name(name, ps), CUSPS[name]
+    delta = minimal_embedded_resolution(curve, point).delta
+    assert _milnor_number(curve, point) == 2 * delta == 2 * delta_invariant(germ_at(curve.poly, point))
+
+
+@pytest.mark.parametrize("ps", TEST_POINTS, ids=lambda ps: ps.label)
+def test_milnor_number_of_the_node_counts_two_branches(ps):
+    curve = curve_by_name("node-cubic", ps)
+    mu = _milnor_number(curve, ORIGIN)
+    assert mu == 1
+    assert 2 * delta_invariant(germ_at(curve.poly, ORIGIN)) == mu + 2 - 1
 
 
 def test_step_limit_matches_reference():
@@ -375,7 +420,7 @@ def test_step_limit_matches_reference():
     n = len(minimal_embedded_resolution(curve, point).records)
     for limit in range(n + 1):
         want = _outcome(_resolution_reference, curve, point, limit)
-        assert _outcome(minimal_embedded_resolution, curve, point, limit) == want
+        assert _outcome(_resolved_json, curve, point, limit) == want
 
 
 COPRIME_PAIRS = (
@@ -402,12 +447,63 @@ def test_stop_rule_matches_reference_on_seeded_cusps():
     resolved = 0
     for _ in range(60):
         curve = make_curve(_seeded_cusp(rng))
-        got = _outcome(minimal_embedded_resolution, curve, origin)
+        got = _outcome(_resolved_json, curve, origin)
         assert got == _outcome(_resolution_reference, curve, origin), curve.poly
         if isinstance(got, dict):
             resolved += 1
             assert got["delta"] == delta_invariant(germ_at(curve.poly, origin))
     assert resolved == 60
+
+
+# -- the fold over a record ---------------------------------------------------
+
+
+def _records_of_charts(steps) -> list[BlowupRecord]:
+    """The record of blowups with multiplicities m made in charts r (None
+    vertical, 0, or 1 for a generic direction), with the resolution loop's
+    rule for the exceptional curves through each next center."""
+    records: list[BlowupRecord] = []
+    exc: list[tuple[str, int]] = []
+    for index, (r, m) in enumerate(steps, 1):
+        label = f"E{index}"
+        records.append(BlowupRecord(index, m, label, tuple(lab for lab, _ in exc)))
+        axis = 1 if r is None else 0
+        exc = [(label, axis)] + [(lab, a) for lab, a in exc if a != axis and (r is None or r == 0)]
+    return records
+
+
+def _assert_exceptional_part_unimodular(graph: WeightedDualGraph) -> None:
+    """The exceptional curves' intersection matrix M is negative definite
+    with determinant (-1)^n: Gaussian elimination of -M without row
+    exchanges has positive pivots (Sylvester) whose product is 1."""
+    exceptional = graph.copy()
+    exceptional.remove_vertex("C'")
+    _, mat = intersection_matrix(exceptional)
+    a = [[Fraction(-v) for v in row] for row in mat]
+    pivots = []
+    for k in range(len(a)):
+        pivots.append(a[k][k])
+        assert pivots[-1] > 0
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            for j in range(k, len(a)):
+                a[i][j] -= f * a[k][j]
+    assert math.prod(pivots) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from((None, 0, 1)), st.integers(1, 4)), min_size=1, max_size=20
+    )
+)
+def test_any_record_folds_to_a_resolution_graph(steps):
+    records = _records_of_charts(steps)
+    res = ResolutionResult(ORIGIN, 10, records)
+    _assert_exceptional_part_unimodular(res.graph)
+    assert res.graph.vertices == [r.label for r in records] + ["C'"]
+    assert res.d0 == records[-1].label
+    assert res.graph.neighbors("C'") == [(res.d0, 1)]
 
 
 # -- the chart map against the product image and exact division ----------------
