@@ -452,10 +452,15 @@ def _eliminant_y(a: Poly, b: Poly) -> tuple[list[int], int] | None:
     """The eliminant e = Res_y(a, b) of two forms, a binary form in
     (x, z), as the integer coefficients of e(t, 1) (up to a rational
     scale) and the degree of e; None when e is zero.  A form free of y is
-    its own eliminant."""
-    for h in (a, b):
-        if h.degree_in(1) == 0:
-            return primitive_rows(dehomogenize(h, 2), 1, 0)[0], h.total_degree()
+    its own eliminant; when both are, their common zeros are those of
+    their gcd, whose degree is that of the gcd of the (t, 1) lists plus
+    the smaller deficit at (1 : 0)."""
+    free = [h for h in (a, b) if h.degree_in(1) == 0]
+    if free:
+        rows = [primitive_rows(dehomogenize(h, 2), 1, 0)[0] for h in free]
+        deficit = min(h.total_degree() - uniroots.deg(r) for h, r in zip(free, rows))
+        g = rows[0] if len(rows) == 1 else uniroots.gcd_int(*rows)
+        return g, uniroots.deg(g) + deficit
     coeffs = form_resultant_int(a, b, 1, 0)
     if not coeffs:
         return None

@@ -1,14 +1,13 @@
 """Weighted dual graphs of curve configurations.
 
-Vertices are labeled curve components carrying an integer weight (the
-self-intersection of the underlying smooth component) and a loop count
-(self-tangencies or nodes acquired by pushing components together).
-Edges carry multiplicities.  The divisor-theoretic square of a component
-is weight + 2*loops.  Vertex order is creation order and all exports
-(JSON, DOT) are deterministic.
+Vertices are labeled curve components carrying an integer weight and a
+loop count.  A loop is a node of the component (as in an I1 fiber) and
+adds 2 to its square; `fibers.intersection_matrix` is the one place that
+reads that square off a vertex.  Edges carry multiplicities.  Three
+per-vertex tables hold the graph: weights, loops and a symmetric
+adjacency.  Vertex order is creation order and all exports (JSON, DOT)
+are deterministic.
 """
-
-from fractions import Fraction
 
 
 class GraphError(ValueError):
@@ -17,49 +16,44 @@ class GraphError(ValueError):
 
 class WeightedDualGraph:
     def __init__(self) -> None:
-        self._order: list[str] = []
         self._weights: dict[str, int] = {}
         self._loops: dict[str, int] = {}
-        self._edges: dict[tuple[str, str], int] = {}
+        self._adj: dict[str, dict[str, int]] = {}
 
     # -- construction ---------------------------------------------------
 
     def add_vertex(self, label: str, weight: int, loops: int = 0) -> None:
         if label in self._weights:
             raise GraphError(f"duplicate vertex {label!r}")
-        self._order.append(label)
         self._weights[label] = weight
         self._loops[label] = loops
+        self._adj[label] = {}
 
-    def _key(self, a: str, b: str) -> tuple[str, str]:
-        for v in (a, b):
+    def _require(self, *labels: str) -> None:
+        for v in labels:
             if v not in self._weights:
                 raise GraphError(f"unknown vertex {v!r}")
-        ia, ib = self._order.index(a), self._order.index(b)
-        return (a, b) if ia <= ib else (b, a)
 
     def add_edge(self, a: str, b: str, mult: int = 1) -> None:
         if a == b:
             raise GraphError("use add_loop for self-edges")
-        k = self._key(a, b)
+        self._require(a, b)
         if mult <= 0:
             raise GraphError("edge multiplicity must be positive")
-        self._edges[k] = self._edges.get(k, 0) + mult
+        self._adj[a][b] = self._adj[b][a] = self._adj[a].get(b, 0) + mult
 
     def remove_edge(self, a: str, b: str) -> None:
-        k = self._key(a, b)
-        if k not in self._edges:
+        self._require(a, b)
+        if b not in self._adj[a]:
             raise GraphError(f"no edge between {a!r} and {b!r}")
-        del self._edges[k]
+        del self._adj[a][b], self._adj[b][a]
 
     def add_loop(self, label: str, count: int = 1) -> None:
-        if label not in self._weights:
-            raise GraphError(f"unknown vertex {label!r}")
+        self._require(label)
         self._loops[label] += count
 
     def bump_weight(self, label: str, delta: int) -> None:
-        if label not in self._weights:
-            raise GraphError(f"unknown vertex {label!r}")
+        self._require(label)
         self._weights[label] += delta
 
     def blow_up(self, label: str, through: tuple[str, ...]) -> None:
@@ -75,25 +69,22 @@ class WeightedDualGraph:
             self.remove_edge(*through)
 
     def remove_vertex(self, label: str) -> None:
-        if label not in self._weights:
-            raise GraphError(f"unknown vertex {label!r}")
-        self._order.remove(label)
-        del self._weights[label]
-        del self._loops[label]
-        for k in [k for k in self._edges if label in k]:
-            del self._edges[k]
+        self._require(label)
+        del self._weights[label], self._loops[label]
+        for v in self._adj.pop(label):
+            del self._adj[v][label]
 
     # -- queries ----------------------------------------------------------
 
     @property
     def vertices(self) -> list[str]:
-        return list(self._order)
+        return list(self._weights)
 
     def __contains__(self, label: str) -> bool:
         return label in self._weights
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._weights)
 
     def weight(self, label: str) -> int:
         return self._weights[label]
@@ -101,86 +92,67 @@ class WeightedDualGraph:
     def loops(self, label: str) -> int:
         return self._loops[label]
 
-    def self_intersection(self, label: str) -> int:
-        """Square of the component as a divisor: weight + 2*loops."""
-        return self._weights[label] + 2 * self._loops[label]
-
     def edge_mult(self, a: str, b: str) -> int:
         if a == b:
             raise GraphError("use loops() for self-incidence")
-        return self._edges.get(self._key(a, b), 0)
+        self._require(a, b)
+        return self._adj[a].get(b, 0)
 
     def neighbors(self, label: str) -> list[tuple[str, int]]:
-        out = []
-        for v in self._order:
-            if v == label:
-                continue
-            m = self._edges.get(self._key(label, v), 0)
-            if m:
-                out.append((v, m))
-        return out
+        """(neighbour, multiplicity) pairs in vertex order."""
+        self._require(label)
+        adj = self._adj[label]
+        return [(v, adj[v]) for v in self._weights if v in adj]
 
     def degree(self, label: str) -> int:
         """Total edge multiplicity at the vertex, loops not counted."""
         return sum(m for _, m in self.neighbors(label))
 
     def edges(self) -> list[tuple[str, str, int]]:
-        idx = {v: i for i, v in enumerate(self._order)}
-        return sorted(
-            ((a, b, m) for (a, b), m in self._edges.items()),
-            key=lambda t: (idx[t[0]], idx[t[1]]),
-        )
+        """Each edge once as (a, b, m), a before b, in vertex order."""
+        verts = self.vertices
+        out = []
+        for i, a in enumerate(verts):
+            adj = self._adj[a]
+            out.extend((a, b, adj[b]) for b in verts[i + 1:] if b in adj)
+        return out
 
     def is_connected(self) -> bool:
-        if not self._order:
+        if not self._weights:
             return True
-        seen = {self._order[0]}
-        stack = [self._order[0]]
+        stack = [next(iter(self._weights))]
+        seen = set(stack)
         while stack:
-            v = stack.pop()
-            for w, _ in self.neighbors(v):
+            for w in self._adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self._order)
+        return len(seen) == len(self._weights)
 
     def copy(self) -> "WeightedDualGraph":
         g = WeightedDualGraph()
-        g._order = list(self._order)
         g._weights = dict(self._weights)
         g._loops = dict(self._loops)
-        g._edges = dict(self._edges)
+        g._adj = {v: dict(adj) for v, adj in self._adj.items()}
         return g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDualGraph):
             return NotImplemented
         return (
-            self._order == other._order
+            self.vertices == other.vertices
             and self._weights == other._weights
             and self._loops == other._loops
-            and self._edges == other._edges
+            and self._adj == other._adj
         )
-
-    # -- intersection calculus -------------------------------------------
-
-    def divisor_square(self, coeffs: dict[str, int | Fraction]) -> Fraction:
-        """(sum coeffs[v] * v)^2 under the intersection pairing."""
-        total = Fraction(0)
-        labels = [v for v in self._order if coeffs.get(v)]
-        for i, a in enumerate(labels):
-            total += Fraction(coeffs[a]) ** 2 * self.self_intersection(a)
-            for b in labels[i + 1:]:
-                total += 2 * Fraction(coeffs[a]) * Fraction(coeffs[b]) * self.edge_mult(a, b)
-        return total
 
     # -- exports -----------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "vertices": [
-                {"label": v, "weight": self._weights[v], "loops": self._loops[v]}
-                for v in self._order
+                {"label": v, "weight": w, "loops": self._loops[v]}
+                for v, w in self._weights.items()
             ],
             "edges": [{"a": a, "b": b, "m": m} for a, b, m in self.edges()],
         }
@@ -188,16 +160,15 @@ class WeightedDualGraph:
     def to_dot(self, name: str = "dualgraph", annotations: dict[str, str] | None = None) -> str:
         lines = [f'graph "{name}" {{']
         lines.append("  node [shape=circle];")
-        for v in self._order:
+        for v, w in self._weights.items():
             extra = ""
             if annotations and v in annotations:
                 extra = f"\\n{annotations[v]}"
-            lines.append(f'  "{v}" [label="{v}\\n({self._weights[v]}){extra}"];')
+            lines.append(f'  "{v}" [label="{v}\\n({w}){extra}"];')
         for a, b, m in self.edges():
             attr = f' [label="{m}"]' if m > 1 else ""
             lines.append(f'  "{a}" -- "{b}"{attr};')
-        for v in self._order:
-            for _ in range(self._loops[v]):
-                lines.append(f'  "{v}" -- "{v}";')
+        for v, k in self._loops.items():
+            lines.extend([f'  "{v}" -- "{v}";'] * k)
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -1,8 +1,8 @@
 """Intersection-graph calculus for degenerate fibers of elliptic fibrations.
 
 A candidate fiber is a weighted multigraph: vertices are irreducible
-components (weight = self-intersection, loops = self-tangencies counted as
-nodes of the component), edges carry intersection multiplicities.  A graph
+components with a weight and a number of loops (nodes of the component,
+as in I1), edges carry intersection multiplicities.  A graph
 supports a fiber when the intersection matrix has a one-dimensional kernel
 spanned by a positive vector: F = sum n_i E_i with F.E_j = 0 for every j.
 
@@ -38,9 +38,9 @@ _E0P = "E0'"
 def intersection_matrix(g: WeightedDualGraph) -> tuple[list[str], list[list[int]]]:
     """Vertex order and the symmetric intersection matrix of the graph.
 
-    Diagonal entries are weight + 2*loops (a loop contributes twice to the
-    self-intersection of the reduced component), off-diagonal entries are
-    edge multiplicities.
+    This is the graph's one intersection pairing.  Diagonal entries are
+    the squares of the components, weight + 2*loops (a loop is a node and
+    adds 2, as in I1), off-diagonal entries are edge multiplicities.
     """
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
@@ -138,9 +138,11 @@ def classify_kodaira(g: WeightedDualGraph) -> str:
 def blow_down(g: WeightedDualGraph, v: str) -> WeightedDualGraph:
     """Contract a loop-free (-1)-vertex and rewire its neighbors.
 
-    Every former neighbor with incidence k gains k^2 in weight and
-    k*(k-1)/2 loops; every pair of former neighbors gains an edge of
-    multiplicity k1*k2.
+    Every former neighbor with incidence k gains k^2 in its square: k in
+    weight and k*(k-1)/2 loops, each worth 2.  Every pair of former
+    neighbors gains an edge of multiplicity k1*k2.  So the intersection
+    pairing of the other components is kept: contracting the E of a
+    blown-up I1, met twice by a curve of weight -4, gives I1 back.
     """
     if v not in g:
         raise GraphError(f"unknown vertex {v!r}")
@@ -152,9 +154,8 @@ def blow_down(g: WeightedDualGraph, v: str) -> WeightedDualGraph:
     out = g.copy()
     out.remove_vertex(v)
     for u, k in nbrs:
-        out.bump_weight(u, k * k)
-        if k >= 2:
-            out.add_loop(u, k * (k - 1) // 2)
+        out.bump_weight(u, k)
+        out.add_loop(u, k * (k - 1) // 2)
     for i in range(len(nbrs)):
         for j in range(i + 1, len(nbrs)):
             (u, ku), (w, kw) = nbrs[i], nbrs[j]

@@ -34,12 +34,20 @@ from unicusp.fibers import (
     blow_down,
     complete_and_classify,
     contraction_budget,
+    intersection_matrix,
     solve_multiplicities,
 )
 from unicusp.poly import ONE, Poly, X, Y, Z, exact_divide, proportional
 
 ELLIPTIC_UNICUSPIDAL = {"image-quintic", "image-deg15", "cusp-quartic"}
 RESOLVED = {"rational-quintic", "image-quintic", "image-deg15", "cusp-quartic"}
+
+
+def divisor_square(g, coeffs):
+    """(sum coeffs[v] * v)^2 under the pairing of `intersection_matrix`."""
+    verts, mat = intersection_matrix(g)
+    vec = [coeffs.get(v, 0) for v in verts]
+    return sum(a * b * mat[i][j] for i, a in enumerate(vec) for j, b in enumerate(vec))
 
 
 def _cycle(c1, c2):
@@ -289,7 +297,7 @@ def test_criterion_10_property_suites():
             sol = solve_multiplicities(g)
             assert sol is not None
             assert dict(zip(g.vertices, sol)) == mults
-            assert g.divisor_square(mults) == 0
+            assert divisor_square(g, mults) == 0
         for label in reversed(stack):
             g = blow_down(g, label)
         assert g == base

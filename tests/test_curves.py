@@ -1061,6 +1061,31 @@ def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, m", [("x^3 + x*z^2", 3), ("x^4 + x^2*z^2 + z^4", 4)]
+)
+def test_a_curve_free_of_y_is_certified_in_one_frame(text, m, monkeypatch):
+    # F misses y, so F_y = 0 and both live partials F_x, F_z are free of
+    # y.  Their common zeros are those of their gcd, a constant here: no
+    # line with an irrational direction is left, and the unsheared frame
+    # certifies the only singular point, the vertex (0 : 1 : 0).
+    from unicusp import curves
+
+    curve = make_curve(parse_poly(text))
+    assert curves._singular_search(curve.poly).blockers == []
+    frames = []
+    search = curves._singular_search
+
+    def counted(f):
+        frames.append(f)
+        return search(f)
+
+    monkeypatch.setattr(curves, "_singular_search", counted)
+    locus = find_rational_singular_points(curve)
+    assert (locus.points, locus.blockers) == ([(ProjPoint.of(0, 1, 0), m)], [])
+    assert len(frames) == 1
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_a_locus_certified_by_a_later_shear_is_sorted(k, monkeypatch):
     # Every frame but the k-th shear reports a blocker, so the k-th

@@ -32,6 +32,13 @@ from unicusp.resolution import minimal_embedded_resolution
 # -- graph builders used throughout ------------------------------------------
 
 
+def divisor_square(g, coeffs):
+    """(sum coeffs[v] * v)^2 under the pairing of `intersection_matrix`."""
+    verts, mat = intersection_matrix(g)
+    vec = [coeffs.get(v, 0) for v in verts]
+    return sum(a * b * mat[i][j] for i, a in enumerate(vec) for j, b in enumerate(vec))
+
+
 def cycle_fiber(n):
     """I_n for n >= 3: a cycle of (-2)-curves."""
     g = WeightedDualGraph()
@@ -444,15 +451,31 @@ def test_blow_down_two_neighbors():
 
 
 def test_blow_down_multiplicity_two_contact():
-    # contracting a (-1) met twice by one curve adds 4 to the weight
-    # and a loop worth k(k-1)/2 = 1
+    # contracting a (-1) met twice by one curve adds k^2 = 4 to its square:
+    # k = 2 to the weight and k(k-1)/2 = 1 loop, worth 2
     g = WeightedDualGraph()
     g.add_vertex("E", -1)
     g.add_vertex("A", -2)
     g.add_edge("E", "A", 2)
     h = blow_down(g, "E")
-    assert h.weight("A") == 2
+    assert h.weight("A") == 0
     assert h.loops("A") == 1
+    assert divisor_square(h, {"A": 1}) == divisor_square(g, {"A": 1}) + 4
+
+
+def test_blow_down_of_the_blown_up_node_of_i1_is_i1():
+    # blowing up the node of I1 leaves C~ of weight -4 meeting E twice;
+    # contracting E must give back I1, with its null vector [1]
+    i1 = WeightedDualGraph()
+    i1.add_vertex("C", -2, loops=1)
+    g = WeightedDualGraph()
+    g.add_vertex("C", -4)
+    g.add_vertex("E", -1)
+    g.add_edge("C", "E", 2)
+    assert solve_multiplicities(g) == [1, 2]
+    h = blow_down(g, "E")
+    assert h == i1
+    assert solve_multiplicities(h) == solve_multiplicities(i1) == [1]
 
 
 def test_blow_down_three_neighbors_pairwise_edges():
@@ -546,7 +569,7 @@ def test_blowup_blowdown_conservation_randomized():
             sol = solve_multiplicities(g)
             assert sol is not None
             assert dict(zip(g.vertices, sol)) == m
-            assert g.divisor_square(m) == 0
+            assert divisor_square(g, m) == 0
         # contract back in reverse order and land on the start
         for label in reversed(stack):
             g = blow_down(g, label)

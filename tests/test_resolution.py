@@ -414,6 +414,21 @@ def test_milnor_number_of_the_node_counts_two_branches(ps):
     assert 2 * delta_invariant(germ_at(curve.poly, ORIGIN)) == mu + 2 - 1
 
 
+@pytest.mark.parametrize("ps", TEST_POINTS, ids=lambda ps: ps.label)
+@pytest.mark.parametrize(
+    "name, point, branches",
+    [(name, CUSPS[name], 1) for name in sorted(CUSPS)] + [("node-cubic", ORIGIN, 2)],
+)
+def test_genus_by_milnor_numbers(name, point, branches, ps):
+    # g = (d-1)(d-2)/2 - sum_P delta_P, with 2 delta_P = mu_P + r_P - 1
+    # (Milnor 1968, Thm 10.5) over the one singular point P of each curve;
+    # mu_P is read in the chart at P, with no blowup and no delta_invariant
+    curve = curve_by_name(name, ps)
+    d, twice_delta = curve.degree, _milnor_number(curve, point) + branches - 1
+    assert twice_delta % 2 == 0
+    assert genus_of(curve) == (d - 1) * (d - 2) // 2 - twice_delta // 2
+
+
 def test_step_limit_matches_reference():
     curve = curve_by_name("cusp-quartic", DEFAULT_PARAMS[0])
     point = CUSPS["cusp-quartic"]
