@@ -11,7 +11,6 @@ and printing is graded lexicographic with x > y > z.
 
 import heapq
 from fractions import Fraction
-from itertools import islice
 from math import gcd as _int_gcd
 from math import lcm
 from typing import Iterable, Iterator, Mapping
@@ -78,17 +77,6 @@ def _packed_horner(nested: dict, tables: list[list[Packed]]) -> Packed:
             for k, v in (_packed_horner(c, inner) if inner else c).items():
                 acc[k] = acc.get(k, 0) + v
     return acc
-
-
-def _unpack(val: int, size: int) -> list[int]:
-    """The slots of a packed value, lowest first: the c_j with
-    val = sum c_j * 2^(8*size*j) and |c_j| < 2^(8*size - 1)."""
-    width = 8 * size
-    n = abs(val).bit_length() // width + 1
-    # Adding 2^(width-1) to every slot makes each one a nonnegative byte string.
-    raw = (val + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")).to_bytes(n * size, "little")
-    half = 1 << (width - 1)
-    return [int.from_bytes(raw[j * size : (j + 1) * size], "little") - half for j in range(n)]
 
 
 class Poly:
@@ -320,7 +308,7 @@ class Poly:
         sum |v|*|psi_0|^a*|psi_1|^b*|psi_2|^c in absolute value, |psi| the
         sum of the absolute coefficients, so W is that bound's bit length
         plus a sign bit, rounded up to whole bytes, and the slots are read
-        back with int.to_bytes and int.from_bytes.  t is the variable in
+        back by `uniroots.unpack_slots`.  t is the variable in
         which the result can have the largest degree (y on ties).  When
         self is homogeneous and the images are nonzero forms of one degree
         k, the images are evaluated at z = 1, which merges no terms, and
@@ -389,7 +377,7 @@ class Poly:
             if not val:
                 continue
             exps[u], exps[w] = divmod(key, stride)
-            for j, c in enumerate(_unpack(val, size)):
+            for j, c in enumerate(uniroots.unpack_slots(val, size)):
                 if c:
                     exps[t] = j
                     if degree >= 0:
@@ -838,13 +826,20 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int) -> list[int] | N
     With prime = 0 the list is exact; otherwise it is reduced modulo
     prime, and it is None when prime divides a v-leading row of P or Q as
     a whole (no evaluation point then keeps the formal degrees), the
-    convention of `sample_points`.
+    convention of `sample_points`.  A prime given here must exceed the
+    degree bound below by far, as the primes from `uniroots.large_primes`
+    do: the run of points below needs bound + 1 consecutive residues at
+    which neither leading row vanishes.
 
     The degree in w is at most the Sylvester bound n*deg_w p + m*deg_w q,
     and at most n*D_p + m*D_q - m*n with D the total degree: that is the
     degree of the resultant of p and q homogenized, a form in w and the
-    new variable that has Res_v(p, q) as its dehomogenization.  One more
-    point than the smaller bound comes from `sample_points`.
+    new variable that has Res_v(p, q) as its dehomogenization.  The points
+    are the first run of bound + 1 consecutive integers that
+    `sample_points` yields; after a t it skips, the run starts again.  On
+    a run, Newton's forward form divides only by j! for j <= bound, and
+    two points differ by at most bound: both are units modulo every prime
+    above the bound.
 
     Modulo a prime, each point takes one Euclid modulo the prime, and one
     interpolation gives the image.  Exactly, it is Collins' modular
@@ -854,9 +849,9 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int) -> list[int] | N
     hold there.  At each point one inverse-free Euclid modulo M gives
     Res(P, Q)(t) mod M; where a later leading coefficient is a zero
     divisor mod M, that point alone takes one Euclid per prime, combined
-    by CRT.  One interpolation modulo M recovers the coefficients: the
-    points differ by far less than 2**30, so their differences are units
-    modulo M.
+    by CRT.  One interpolation modulo M (`uniroots.interpolate_mod_p`)
+    recovers the coefficients: every prime exceeds 2**30, far above the
+    bound, so j! is a unit modulo M.
 
     The primes stop once M**2 > 4 * (sum_k |P_k|**2)**n *
     (sum_k |Q_k|**2)**m, where P_k, Q_k are the v-coefficients and |.| is
@@ -876,7 +871,13 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int) -> list[int] | N
     pl, ql = primitive_rows(p, v, w), primitive_rows(q, v, w)
     if prime and not (any(c % prime for c in pl[-1]) and any(c % prime for c in ql[-1])):
         return None
-    points = list(islice(sample_points(pl, ql, prime), bound + 1))
+    points: list[tuple[int, list[int], list[int]]] = []
+    for point in sample_points(pl, ql, prime):
+        if points and point[0] != points[-1][0] + 1:
+            points = []
+        points.append(point)
+        if len(points) > bound:
+            break
     if prime:
         primes, modulus = [prime], prime
     else:
@@ -901,7 +902,7 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int) -> list[int] | N
                 [value] = uniroots.crt_merge([value], done, [image], r)
                 done *= r
         residues.append(value)
-    coeffs = uniroots.interpolate_mod_p([t for t, _, _ in points], residues, modulus)
+    coeffs = uniroots.interpolate_mod_p(points[0][0], residues, modulus)
     if not prime:
         half = modulus // 2
         coeffs = [c - modulus if c > half else c for c in coeffs]
@@ -921,13 +922,21 @@ def primitive_rows(f: Poly, v: int, w: int) -> list[list[int]]:
 def sample_points(
     pl: list[list[int]], ql: list[list[int]], prime: int
 ) -> Iterator[tuple[int, list[int], list[int]]]:
-    """The integers t in 0, 1, -1, 2, -2, ... at which neither leading row
+    """The integers t = 0, 1, 2, ... at which neither leading row
     (pl[-1], ql[-1]) vanishes, over Z when prime is 0 and modulo prime
     otherwise, each with every row of pl and ql evaluated at t: the
     coefficient lists in v of both inputs at w = t.
 
+    Between two skipped t the points are consecutive integers.  On a run
+    of n of them, Newton's forward form divides only by j! for j < n, and
+    two points differ by less than n, so both are units modulo any prime
+    at least n (`uniroots.interpolate_mod_p`).
+
     The caller takes finitely many, and makes sure that they exist: a
-    leading row that is nonzero (modulo prime) has finitely many roots.
+    leading row that is nonzero (modulo prime) has finitely many roots,
+    and modulo prime at most its degree among any prime consecutive t, so
+    a run of n points exists when the prime is large beside n and the
+    degree.
     """
     t = 0
     while True:
@@ -938,4 +947,4 @@ def sample_points(
                 [uniroots.eval_uni_int(cs, t) for cs in pl[:-1]] + [lp],
                 [uniroots.eval_uni_int(cs, t) for cs in ql[:-1]] + [lq],
             )
-        t = -t if t > 0 else 1 - t
+        t += 1

@@ -7,11 +7,12 @@ reconstruction and then verified exactly, so the answers are certificates
 rather than heuristics.  Gcds of integer polynomials run modulo several
 primes with an exact trial-division check at the end.  The modular
 helpers (Euclid, resultant, interpolation, CRT) also serve the multivariate
-resultant in `poly`.
+resultant in `poly`, and the slot decoder of packed ints serves
+`Poly.substitute`.
 """
 
 from fractions import Fraction
-from math import gcd as _gcd, isqrt
+from math import factorial, gcd as _gcd, isqrt, prod
 
 # -- basic list-polynomial operations ------------------------------------
 
@@ -233,28 +234,70 @@ def resultant_mod_p(a: list[int], b: list[int], m: int) -> int | None:
     return num * inv % m
 
 
-def interpolate_mod_p(xs: list[int], ys: list[int], modulus: int) -> list[int]:
-    """Coefficients (low to high, length len(xs)) of the polynomial of
-    degree below len(xs) through the points (xs[i], ys[i]) modulo
-    `modulus`: a prime, or any modulus coprime to every difference of two
-    xs (Newton's divided differences only divide by those)."""
-    n = len(xs)
-    inv: dict[int, int] = {}
-    coef = [y % modulus for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            d = xs[i] - xs[i - j]
-            if d not in inv:
-                inv[d] = pow(d, -1, modulus)
-            coef[i] = (coef[i] - coef[i - 1]) * inv[d] % modulus
-    poly = [0] * n
-    for i in range(n - 1, -1, -1):
-        # poly <- poly * (x - xs[i]) + coef[i]; its degree stays below n - i.
-        root = xs[i]
-        for k in range(n - 1 - i, 0, -1):
-            poly[k] = (poly[k - 1] - root * poly[k]) % modulus
-        poly[0] = (coef[i] - root * poly[0]) % modulus
-    return poly
+def unpack_slots(val: int, size: int) -> list[int]:
+    """The slots of a packed value, lowest first: the c_j with
+    val = sum c_j * 2^(8*size*j) and |c_j| < 2^(8*size - 1)."""
+    width = 8 * size
+    n = abs(val).bit_length() // width + 1
+    # Adding 2^(width-1) to every slot makes each one a nonnegative byte string.
+    raw = (val + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")).to_bytes(n * size, "little")
+    half = 1 << (width - 1)
+    return [int.from_bytes(raw[j * size : (j + 1) * size], "little") - half for j in range(n)]
+
+
+def interpolate_mod_p(x0: int, ys: list[int], modulus: int) -> list[int]:
+    """Coefficients (low to high, length n = len(ys), in [0, modulus)) of
+    the polynomial of degree below n through the points (x0 + i, ys[i])
+    modulo `modulus`.
+
+    At consecutive points Newton's forward form is
+        sum_j e_j * (x - x0) * (x - x0 - 1) * ... * (x - x0 - j + 1),
+    e_j = Delta^j y_0 / j!, so it divides only by j! for j < n: the modulus
+    must be a prime at least n or a product of such primes (any product of
+    primes from `large_primes` while n < 2**30).  Each step runs on one
+    Kronecker-packed int, a list of integers in slots of whole bytes with a
+    sign bit (decoded by `unpack_slots`):
+
+    - forward differences: the ys, reduced into [0, modulus), are packed
+      lowest first.  The lowest slot is the next Delta^j y_0; taking it
+      out, shifting down one slot and subtracting the old value gives the
+      next difference of the sequence, extended by zeros, in every slot at
+      once.  |Delta^j y_i| < 2^j * M for M = modulus, so bits(M) + n bits
+      and a sign bit hold every slot;
+    - one inverse of (n-1)!; then 1/(j-1)! = j * (1/j!);
+    - Newton's form to coefficients by Horner with x -> 2^W:
+      acc <- (acc << W) - (x0 + j) * acc + e_j.  Each coefficient of every
+      acc is below n * M * prod_{i < n-1} (1 + |x0 + i|) in absolute value,
+      so W is that bound's bit length and a sign bit; the slots are decoded
+      once and reduced modulo M.
+    """
+    n = len(ys)
+    if not n:
+        return []
+    size = (modulus.bit_length() + n) // 8 + 1
+    width = 8 * size
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    packed = int.from_bytes(b"".join((y % modulus).to_bytes(size, "little") for y in ys), "little")
+    diffs = []
+    for _ in range(n):
+        low = packed & mask
+        if low >= half:
+            low -= 1 << width
+        diffs.append(low)
+        packed = ((packed - low) >> width) - packed
+    inv = pow(factorial(n - 1), -1, modulus)
+    newton = [0] * n
+    for j in range(n - 1, -1, -1):
+        newton[j] = diffs[j] * inv % modulus
+        inv = inv * j % modulus
+    bound = n * modulus * prod(1 + abs(x0 + i) for i in range(n - 1))
+    size = bound.bit_length() // 8 + 1
+    width = 8 * size
+    acc = 0
+    for j in range(n - 1, -1, -1):
+        acc = (acc << width) - (x0 + j) * acc + newton[j]
+    coeffs = [c % modulus for c in unpack_slots(acc, size)]
+    return coeffs + [0] * (n - len(coeffs))
 
 
 def crt_merge(residues: list[int], modulus: int, new: list[int], p: int) -> list[int]:

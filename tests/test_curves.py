@@ -1031,9 +1031,9 @@ def test_image_deg15_search_eliminates_the_variable_of_least_degree(ps, monkeypa
     sizes = []
     interpolate = uniroots.interpolate_mod_p
 
-    def spy(xs, ys, modulus):
-        sizes.append(len(xs))
-        return interpolate(xs, ys, modulus)
+    def spy(x0, ys, modulus):
+        sizes.append(len(ys))
+        return interpolate(x0, ys, modulus)
 
     monkeypatch.setattr(uniroots, "interpolate_mod_p", spy)
     locus = find_rational_singular_points(curve)

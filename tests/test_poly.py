@@ -796,8 +796,8 @@ def test_resultant_wrt_skips_bad_primes_and_points():
 
     first = next(uniroots.large_primes())
     # p's y-leading coefficient is 0 mod the first prime, so that prime is
-    # skipped; the leading coefficients vanish at x = 0, -1, -2, so those
-    # evaluation points are skipped.
+    # skipped.  The leading coefficients vanish at x = 0, -1, -2; the points
+    # run upward from 0, so only x = 0 is skipped and the run starts at 1.
     p = first * Y**5 * X**2 + X * (X - 1) * Y**4 + 3 * Y + X - 2
     q = (X + 2) * (X + 1) * Y**5 - Y**3 + Fraction(1, 7) * X**3 * Y + 1
     _assert_resultant_agrees(p, q, 1)
@@ -821,6 +821,48 @@ def test_resultant_wrt_falls_back_to_per_prime_euclid():
     p = Y**5 + first * Y**3 + X * Y**2 + X**2 + 5
     q = Y**4 + X**3 * Y + 1
     _assert_resultant_agrees(p, q, 1)
+
+
+def _interpolation_spy(monkeypatch):
+    """Record (x0, number of points) of every interpolation."""
+    from unicusp import uniroots
+
+    runs = []
+    interpolate = uniroots.interpolate_mod_p
+
+    def spy(x0, ys, modulus):
+        runs.append((x0, len(ys)))
+        return interpolate(x0, ys, modulus)
+
+    monkeypatch.setattr(uniroots, "interpolate_mod_p", spy)
+    return runs
+
+
+def test_resultant_int_restarts_the_run_after_a_skipped_point(monkeypatch):
+    # The y-leading rows x (of p) and x - 3 (of q) vanish over Z at x = 0
+    # and x = 3.  The bound is min(2*2 + 3*1, 2*4 + 3*3 - 3*2) = 7, so the
+    # run 1, 2 is cut at 3 and the 8 points are 4, ..., 11.
+    runs = _interpolation_spy(monkeypatch)
+    p = X * Y**3 + (X**2 - 1) * Y + 2
+    q = (X - 3) * Y**2 + X * Y - 5
+    _assert_resultant_agrees(p, q, 1)
+    assert runs == [(4, 8)]
+
+
+def test_form_resultant_int_restarts_the_run_where_a_row_vanishes_mod_the_prime(monkeypatch):
+    # Dehomogenized, p's y-leading row x + prime - 5 vanishes modulo the
+    # prime at x = 5, inside the first window 1, ..., 12 (q's row x vanishes
+    # at 0; the bound is min(2*3 + 3*3, 2*4 + 3*3 - 3*2) = 11).  The run
+    # restarts at 6, and the image is still the reduced exact resultant.
+    from unicusp import uniroots
+
+    prime = next(uniroots.large_primes())
+    p = (X + (prime - 5) * Z) * Y**3 + X**3 * Y + Z**4
+    q = X * Y**2 + Y * Z**2 - X**3
+    runs = _interpolation_spy(monkeypatch)
+    image = form_resultant_int(p, q, 1, prime)
+    assert runs == [(6, 12)]
+    assert image == _image_from_exact(p, q, prime)
 
 
 def _image_from_exact(p, q, prime):

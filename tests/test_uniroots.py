@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unicusp import uniroots as ur
 
@@ -93,21 +96,105 @@ def test_newton_interpolate():
     assert coeffs == [F(1), F(0), F(1)]
 
 
+def _interpolate_reference(xs, ys, modulus):
+    """Newton's divided differences modulo `modulus` at any points whose
+    differences are units: the quadratic loop interpolate_mod_p replaced."""
+    n = len(xs)
+    inv: dict[int, int] = {}
+    coef = [y % modulus for y in ys]
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            d = xs[i] - xs[i - j]
+            if d not in inv:
+                inv[d] = pow(d, -1, modulus)
+            coef[i] = (coef[i] - coef[i - 1]) * inv[d] % modulus
+    poly = [0] * n
+    for i in range(n - 1, -1, -1):
+        # poly <- poly * (x - xs[i]) + coef[i]; its degree stays below n - i.
+        root = xs[i]
+        for k in range(n - 1 - i, 0, -1):
+            poly[k] = (poly[k - 1] - root * poly[k]) % modulus
+        poly[0] = (coef[i] - root * poly[0]) % modulus
+    return poly
+
+
+def _large_prime_products():
+    """One prime from large_primes(), a product of two, a product of 12."""
+    primes = ur.large_primes()
+    first = [next(primes) for _ in range(12)]
+    return (first[0], first[0] * first[1], math.prod(first))
+
+
+_MODULI = _large_prime_products()
+
+
+@st.composite
+def _interpolation_cases(draw):
+    """(x0, ys, modulus) with n = len(ys) in 1..200 and x0 in 0..6.  Besides
+    random values, the ys may all be modulus - 1, or alternate between 0
+    and modulus - 1: those make the forward differences and the Newton
+    coefficients as large as they get, so a slot width short by a few bits
+    overflows."""
+    modulus = draw(st.sampled_from(_MODULI))
+    n, x0 = draw(st.integers(1, 200)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(("random", "top", "alternating")))
+    if kind == "top":
+        ys = [modulus - 1] * n
+    elif kind == "alternating":
+        ys = [(modulus - 1) * (i % 2) for i in range(n)]
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        ys = [rng.randrange(-modulus, 2 * modulus) for _ in range(n)]
+    return x0, ys, modulus
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_interpolation_cases())
+def test_interpolate_mod_p_agrees_with_newton_reference(case):
+    x0, ys, modulus = case
+    n = len(ys)
+    got = ur.interpolate_mod_p(x0, ys, modulus)
+    assert got == _interpolate_reference(list(range(x0, x0 + n)), ys, modulus)
+
+
+def test_interpolate_mod_p_at_the_largest_values_and_run():
+    # The generated cases draw these shapes too; here each one is also
+    # taken at the longest run, for every modulus.
+    for modulus in _MODULI:
+        for ys in ([modulus - 1] * 200, [(modulus - 1) * (i % 2) for i in range(200)]):
+            for x0 in (0, 6):
+                want = _interpolate_reference(list(range(x0, x0 + 200)), ys, modulus)
+                assert ur.interpolate_mod_p(x0, ys, modulus) == want
+
+
 def test_interpolate_mod_product_of_primes_is_crt_of_per_prime_results():
-    # The xs differences are below 2**30, so they are units modulo the
-    # product of two primes from large_primes().
+    # On a run of consecutive points Newton's form divides only by j! for
+    # j below the run's length, a unit modulo the product of two primes
+    # from large_primes().
     rng = random.Random(4401)
     primes = ur.large_primes()
     p1, p2 = next(primes), next(primes)
-    xs = [0, 1, -1, 2, -2, 3, 5, -7, 11]
-    for _ in range(5):
-        ys = [rng.randint(-(10**40), 10**40) for _ in xs]
-        per_prime = ur.crt_merge(ur.interpolate_mod_p(xs, ys, p1), p1, ur.interpolate_mod_p(xs, ys, p2), p2)
-        assert ur.interpolate_mod_p(xs, ys, p1 * p2) == per_prime
-    # A polynomial with coefficients below half the modulus comes back exactly.
-    coeffs = [rng.randint(-(2**50), 2**50) for _ in xs]
-    got = ur.interpolate_mod_p(xs, [ur.eval_uni_int(coeffs, x) for x in xs], p1 * p2)
-    assert [c - p1 * p2 if c > p1 * p2 // 2 else c for c in got] == coeffs
+    for x0, n in ((0, 1), (0, 9), (3, 9), (5, 40)):
+        for _ in range(5):
+            ys = [rng.randint(-(10**40), 10**40) for _ in range(n)]
+            per_prime = ur.crt_merge(ur.interpolate_mod_p(x0, ys, p1), p1, ur.interpolate_mod_p(x0, ys, p2), p2)
+            assert ur.interpolate_mod_p(x0, ys, p1 * p2) == per_prime
+        # A polynomial with coefficients below half the modulus comes back exactly.
+        coeffs = [rng.randint(-(2**50), 2**50) for _ in range(n)]
+        got = ur.interpolate_mod_p(x0, [ur.eval_uni_int(coeffs, x0 + i) for i in range(n)], p1 * p2)
+        assert [c - p1 * p2 if c > p1 * p2 // 2 else c for c in got] == coeffs
+    assert ur.interpolate_mod_p(4, [], p1) == []
+
+
+def test_unpack_slots_reads_signed_slots_of_whole_bytes():
+    rng = random.Random(4402)
+    for size in (1, 2, 5):
+        half = 1 << (8 * size - 1)
+        for _ in range(20):
+            slots = [rng.randrange(-half + 1, half) for _ in range(rng.randint(1, 12))] + [rng.randrange(1, half)]
+            val = sum(c << (8 * size * j) for j, c in enumerate(slots))
+            assert ur.unpack_slots(val, size) == slots
+            assert ur.unpack_slots(-val, size) == [-c for c in slots]
 
 
 def _random_int_poly(rng, d):
@@ -233,6 +320,80 @@ def test_rational_roots_skip_primes_that_divide_the_lead_or_a_difference():
     # Both at once, with repeated roots.
     f = mul_uni(mul_uni([-5, 101], [-5, 101]), mul_uni([-1, 1], [-102, 1]))
     assert _assert_rational_roots_agree(f) == {F(5, 101): 2, F(1): 1, F(102): 1}
+
+
+# -- differential fuzz against sympy for the readers of the eliminant --------
+
+# The cofactor of e1 = Res_y of two partials of image-deg15 at (a, b, c) =
+# (1, 1, 0), as the singular search forms it: e1(t, 1) = t^155 times this.
+_IMAGE_DEG15_E1_COFACTOR = [
+    1133952082255872,
+    -10109488816929024,
+    -372734840195472384,
+    -680211306348782400,
+    -1971440545658544000,
+    -3972173589105663600,
+    -9558873900653760000,
+    -32324555624528947500,
+    47658796293565125000,
+    34176488588538187500,
+    -44885150081021250000,
+    2176912656425390625,
+]
+_IMAGE_DEG15_E1 = [0] * 155 + _IMAGE_DEG15_E1_COFACTOR
+
+
+def _sympy_list(f):
+    import sympy
+
+    return sympy.Poly(list(reversed(f)), sympy.symbols("x"))
+
+
+def _primitive_from_sympy(p):
+    return ur.primitive_int([] if p.is_zero else [int(c) for c in reversed(p.all_coeffs())])
+
+
+@st.composite
+def _eliminant_like(draw, max_power=160):
+    """t^k * g(t) * prod (w*t - u)^e, the shape of the singular search's
+    eliminants: a power of t up to e1's 155 and beyond, a cofactor of
+    degree up to 11 with large coefficients, and rational linear factors,
+    some repeated."""
+    k = draw(st.sampled_from((0, 1, 155)) | st.integers(0, max_power))
+    g = draw(st.lists(st.integers(-(10**20), 10**20), max_size=11))
+    f = [0] * k + g + [draw(st.integers(1, 10**6) | st.integers(-(10**6), -1))]
+    for u, w, e in draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 12), st.integers(1, 3)), max_size=3)):
+        for _ in range(e):
+            f = mul_uni(f, [-u, w])
+    return f
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_eliminant_like())
+def test_rational_roots_int_matches_sympy_on_eliminant_shapes(f):
+    _assert_rational_roots_agree(f)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_eliminant_like())
+def test_squarefree_part_int_matches_sympy_on_eliminant_shapes(f):
+    assert ur.squarefree_part_int(f) == _primitive_from_sympy(_sympy_list(f).sqf_part())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_eliminant_like(max_power=80), _eliminant_like(max_power=80), _eliminant_like(max_power=80))
+def test_gcd_int_matches_sympy_on_eliminant_shapes(f, g, h):
+    a, b = mul_uni(f, h), mul_uni(g, h)
+    assert ur.gcd_int(a, b) == _primitive_from_sympy(_sympy_list(a).gcd(_sympy_list(b)))
+
+
+def test_eliminant_readers_match_sympy_on_image_deg15_e1():
+    e1 = _IMAGE_DEG15_E1
+    assert _assert_rational_roots_agree(e1)[F(0)] == 155
+    assert ur.squarefree_part_int(e1) == _primitive_from_sympy(_sympy_list(e1).sqf_part())
+    for other in (e1, ur.derivative(e1), [0] * 150 + [1, 2, 3], _IMAGE_DEG15_E1_COFACTOR):
+        want = _primitive_from_sympy(_sympy_list(e1).gcd(_sympy_list(other)))
+        assert ur.gcd_int(e1, other) == want
 
 
 def test_prime_test_matches_sympy():
