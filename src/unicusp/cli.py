@@ -17,9 +17,10 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
-from .corpus import CorpusError, ParamSet, curve_by_name, load_corpus, run_corpus
+from .corpus import CorpusError, ParamSet, curve_by_name, load_corpus, param_set, run_corpus
 from .cremona import make_map, quintic_involution, strict_transform
 from .curves import (
     CurveError,
@@ -45,7 +46,7 @@ class UsageError(ValueError):
 
 
 def _parse_params(text: str | None) -> ParamSet:
-    ps = {"a": Fraction(1), "b": Fraction(1), "c": Fraction(0)}
+    ps = asdict(param_set())
     if text:
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -61,7 +62,7 @@ def _parse_params(text: str | None) -> ParamSet:
                 ps[key] = Fraction(value.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad rational in --params: {value!r}") from exc
-    return ParamSet(ps["a"], ps["b"], ps["c"])
+    return ParamSet(**ps)
 
 
 def _resolve_curve(text: str, ps: ParamSet) -> tuple[str, PlaneCurve]:
@@ -93,15 +94,16 @@ def _parse_point(text: str) -> ProjPoint:
         raise UsageError(str(exc)) from exc
 
 
-def _write_dot(directory: str, name: str, content: str) -> str:
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(content)
-    return path
-
-
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: list[str], dots: dict[str, str] | None = None) -> None:
+    """Print the payload as JSON or the text lines.  With --dot, first write
+    `dots`, a map from file name to DOT text, into that directory."""
+    if dots and args.dot:
+        os.makedirs(args.dot, exist_ok=True)
+        payload["dot_files"] = [os.path.join(args.dot, name) for name in dots]
+        for path, text in zip(payload["dot_files"], dots.values()):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            text_lines.append(f"wrote {path}")
     if args.json:
         payload = {"schema": SCHEMA, **payload}
         payload["timing"] = round(time.perf_counter() - args._t0, 3) if args.timing else None
@@ -144,15 +146,8 @@ def cmd_analyze(args) -> int:
         mult = multiplicity_at(curve, point)
         payload["at_point"] = {"P": point.as_json(), "multiplicity": mult}
         lines.append(f"multiplicity at {point}: {mult}")
-    dots = []
-    if args.dot and res is not None:
-        dots.append(
-            _write_dot(args.dot, f"resolution-{name}.dot", res.graph.to_dot(f"resolution_{name}"))
-        )
-    if dots:
-        payload["dot_files"] = dots
-        lines.extend(f"wrote {p}" for p in dots)
-    _emit(args, payload, lines)
+    dots = {f"resolution-{name}.dot": res.graph.to_dot(f"resolution_{name}")} if res else {}
+    _emit(args, payload, lines, dots)
     return 0
 
 
@@ -204,13 +199,7 @@ def cmd_resolve(args) -> int:
     for rec in res.records:
         on = ", ".join(rec.center_on) if rec.center_on else "the curve alone"
         lines.append(f"  blowup {rec.index}: multiplicity {rec.multiplicity}, center on {on}")
-    if args.dot:
-        path = _write_dot(
-            args.dot, f"resolution-{name}.dot", res.graph.to_dot(f"resolution_{name}")
-        )
-        payload["dot_files"] = [path]
-        lines.append(f"wrote {path}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, {f"resolution-{name}.dot": res.graph.to_dot(f"resolution_{name}")})
     return 0
 
 
@@ -241,7 +230,7 @@ def cmd_transform(args) -> int:
         "image": str(image),
     }
     lines = [
-        f"map: ({', '.join(str(p) for p in m.components)})",
+        f"map: {m}",
         f"strict transform of {name} has degree {image.degree}:",
         f"  {image}",
     ]
@@ -281,22 +270,11 @@ def cmd_fiber(args) -> int:
             f"completion {i}: type {comp.kodaira} after contracting "
             f"{', '.join(comp.contractions) or 'nothing'}"
         )
-    dots = []
-    if args.dot:
-        dots.append(_write_dot(args.dot, f"fiber-{name}-part.dot", f0.to_dot("fiber_part")))
-        for i, comp in enumerate(completions):
-            slug = comp.kodaira.replace("*", "star")
-            dots.append(
-                _write_dot(
-                    args.dot,
-                    f"fiber-{name}-{i}-{slug}.dot",
-                    comp.fiber.to_dot(f"fiber_{slug}"),
-                )
-            )
-    if dots:
-        payload["dot_files"] = dots
-        lines.extend(f"wrote {p}" for p in dots)
-    _emit(args, payload, lines)
+    dots = {f"fiber-{name}-part.dot": f0.to_dot("fiber_part")}
+    for i, comp in enumerate(completions):
+        slug = comp.kodaira.replace("*", "star")
+        dots[f"fiber-{name}-{i}-{slug}.dot"] = comp.fiber.to_dot(f"fiber_{slug}")
+    _emit(args, payload, lines, dots)
     return 0
 
 
@@ -331,7 +309,8 @@ def cmd_verify_corpus(args) -> int:
 
 
 # The shared flags.  Every subcommand takes --json and --timing (read by
-# _emit); each of the others is registered only where its command reads it.
+# _emit); each of the others is registered only where its command reads it,
+# --dot where its command hands _emit the files to write.
 _FLAGS = {
     "--params": {"help": "rational parameters, e.g. a=1,b=1,c=0"},
     "--json": {"action": "store_true", "help": "emit one JSON document"},

@@ -11,7 +11,7 @@ the curve corpus is built from.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import PlaneCurve, make_curve, repeated_factor
@@ -38,7 +38,6 @@ class CremonaError(ValueError):
 @dataclass(frozen=True)
 class CremonaMap:
     components: tuple[Poly, Poly, Poly]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     @property
     def degree(self) -> int:
@@ -51,7 +50,6 @@ class CremonaMap:
         return {
             "components": [poly_to_text(p) for p in self.components],
             "degree": self.degree,
-            "warnings": list(self.warnings),
         }
 
     def __str__(self) -> str:
@@ -59,7 +57,7 @@ class CremonaMap:
 
 
 def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
-    """Validate a component triple, dividing out any common factor."""
+    """Validate a component triple, dividing out (and logging) any common factor."""
     comps = (p1, p2, p3)
     nonzero = [p for p in comps if not p.is_zero()]
     if not nonzero:
@@ -67,7 +65,6 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
     for p in nonzero:
         if not p.is_homogeneous():
             raise CremonaError(f"map component {poly_to_text(p)} is not homogeneous")
-    warnings: list[str] = []
     g = nonzero[0]
     for p in nonzero[1:]:
         g = gcd(g, p)
@@ -75,7 +72,7 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
         comps = tuple(
             Poly.zero() if p.is_zero() else exact_divide(p, g) for p in comps
         )
-        warnings.append(f"divided out common factor {poly_to_text(g)}")
+        logger.warning("divided out common factor %s", poly_to_text(g))
         nonzero = [p for p in comps if not p.is_zero()]
     degrees = {p.total_degree() for p in nonzero}
     if len(degrees) != 1:
@@ -84,7 +81,7 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
         raise CremonaError(
             "the Jacobian determinant of the map vanishes: the image is a point or a curve"
         )
-    return CremonaMap(comps, tuple(warnings))
+    return CremonaMap(comps)
 
 
 def _jacobian_vanishes(comps: tuple[Poly, Poly, Poly], d: int) -> bool:
@@ -155,7 +152,7 @@ def strict_transform(
 
 def compose_reduce(outer: CremonaMap, inner: CremonaMap) -> CremonaMap:
     """Componentwise composition; `make_map` divides out the shared factor
-    and records it as a warning."""
+    and logs it."""
     comps = tuple(p.substitute(inner.components) for p in outer.components)
     if not any(comps):
         raise CremonaError("composition degenerates: all components vanish")

@@ -536,18 +536,13 @@ def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
 def is_smooth(curve: PlaneCurve) -> bool:
     """True when the curve has no singular points over any extension of Q.
 
-    Raises IrrationalLocusError when part of the locus cannot be decided
-    rationally even after shearing.
+    With no rational singular point, `SingularLocus.require_rational` raises
+    IrrationalLocusError if part of the locus is undecided even after shearing.
     """
     locus = find_rational_singular_points(curve)
     if locus.points:
         return False
-    if locus.blockers:
-        raise IrrationalLocusError(
-            "cannot certify smoothness: undecided locus "
-            + "; ".join(str(b.factor) for b in locus.blockers),
-            locus.blockers,
-        )
+    locus.require_rational()
     return True
 
 

@@ -41,7 +41,7 @@ STEP_BUDGET = 100
 
 
 class ResolutionIncompleteError(CurveError):
-    """A caller-imposed step limit ran out before normal crossings."""
+    """The step limit ran out before normal crossings."""
 
     def __init__(self, steps_done: int):
         super().__init__(f"normal crossings not reached within {steps_done} blowups")
@@ -136,9 +136,9 @@ def minimal_embedded_resolution(
     older exceptional curve passes through that point.  The strict
     transform is formed only when another blowup follows.
 
-    `step_limit` caps the number of blowups; running out raises
-    ResolutionIncompleteError, which certifies that no shorter blowup
-    sequence reaches normal crossings.
+    `step_limit` caps the number of blowups, STEP_BUDGET when None; running
+    out raises ResolutionIncompleteError, which certifies that no shorter
+    blowup sequence reaches normal crossings.
     """
     g = germ_at(curve.poly, point)
     if g.is_zero():
@@ -149,6 +149,7 @@ def minimal_embedded_resolution(
     if m < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
+    limit = STEP_BUDGET if step_limit is None else step_limit
     records: list[BlowupRecord] = []
     # The exceptional curves through the center, newest first, each with
     # the chart axis it lies on: 0 for x = 0, 1 for y = 0.  The axes differ,
@@ -156,10 +157,8 @@ def minimal_embedded_resolution(
     exc: list[tuple[str, int]] = []
 
     while True:
-        if step_limit is not None and len(records) >= step_limit:
+        if len(records) >= limit:
             raise ResolutionIncompleteError(len(records))
-        if len(records) >= STEP_BUDGET:
-            raise CurveError(f"resolution exceeded {STEP_BUDGET} blowups")
         index = len(records) + 1
         label = f"E{index}"
         m = germ_order(g)

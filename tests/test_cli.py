@@ -295,6 +295,15 @@ def test_transform_squaring_map(capsys):
     assert json.loads(out)["degree"] == 4
 
 
+def test_transform_reports_a_reduced_map_on_stderr():
+    # make_map logs the factor it divides out; the CLI prints that on stderr
+    # and the stdout stays that of the reduced map (y, z, x).
+    proc = _run_module("transform", "corpus:conic", "--map", "x*y;x*z;x*x")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "map: (y, z, x)\nstrict transform of conic has degree 2:\n  x*y - z^2\n"
+    assert proc.stderr == "divided out common factor x\n"
+
+
 def test_transform_map_needs_three_pieces(capsys):
     code, _, err = run_cli(capsys, "transform", "y^2*z - x^3", "--map", "x;y")
     assert code == 2

@@ -904,6 +904,7 @@ def test_irrational_singular_points_are_reported_as_blockers(text, points, block
         with pytest.raises(IrrationalLocusError) as info:
             is_smooth(curve)
         assert [str(b.factor) for b in info.value.blockers] == [blocker]
+        assert str(info.value) == f"singular locus has components outside Q: {blocker}"
     _assert_search_agrees(curve.poly)
 
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unicusp.parse import ParseError, parse_poly
-from unicusp.poly import X, Y, Z, Poly
+from unicusp.poly import X, Y, Z, Poly, poly_to_text
 
 
 def test_simple_forms():
@@ -48,8 +50,6 @@ def test_errors():
 
 
 def test_round_trip_through_text():
-    from unicusp.poly import poly_to_text
-
     cases = [
         X * Z - Y**2,
         X**5 - 2 * X * Y * Z**3 + Fraction(7, 2) * Y**4 * Z,
@@ -57,3 +57,29 @@ def test_round_trip_through_text():
     ]
     for p in cases:
         assert parse_poly(poly_to_text(p)) == p
+
+
+# Every monomial in x, y, z of total degree at most 6.
+_MONOMIALS = [(a, b, c) for a in range(7) for b in range(7 - a) for c in range(7 - a - b)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.sampled_from(_MONOMIALS),
+        st.fractions(min_value=-100, max_value=100, max_denominator=30),
+        max_size=10,
+    )
+)
+@example({})
+@example({(0, 0, 0): Fraction(-7, 3)})
+@example({(6, 0, 0): -1, (0, 3, 3): Fraction(1, 2), (0, 0, 0): -5})
+@example({(0, 0, 6): Fraction(-2, 9), (1, 0, 0): 1})
+def test_text_round_trip_of_random_polys(terms):
+    # Any Poly of degree <= 6 over Q, negative leading coefficients and
+    # constants included, parses back from its text, which it prints again.
+    p = Poly(terms)
+    text = poly_to_text(p)
+    q = parse_poly(text)
+    assert q == p
+    assert poly_to_text(q) == text

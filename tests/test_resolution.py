@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unicusp import resolution
+from unicusp.cli import main
 from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
 from unicusp.curves import (
     ProjPoint,
@@ -307,6 +308,7 @@ def _resolution_reference(curve, point, step_limit=None) -> dict:
     if germ_order(g) < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
+    limit = resolution.STEP_BUDGET if step_limit is None else step_limit
     graph = WeightedDualGraph()
     records: list[BlowupRecord] = []
     seq: list[int] = []
@@ -316,10 +318,8 @@ def _resolution_reference(curve, point, step_limit=None) -> dict:
         m = germ_order(g)
         if m == 1 and len(exc) == 1 and _is_transverse(g, exc[0][1]):
             break
-        if step_limit is not None and len(records) >= step_limit:
+        if len(records) >= limit:
             raise ResolutionIncompleteError(len(records))
-        if len(records) >= resolution.STEP_BUDGET:
-            raise CurveError(f"resolution exceeded {resolution.STEP_BUDGET} blowups")
         index = len(records) + 1
         label = f"E{index}"
         r = cone_direction(g, m)
@@ -436,6 +436,23 @@ def test_step_limit_matches_reference():
     for limit in range(n + 1):
         want = _outcome(_resolution_reference, curve, point, limit)
         assert _outcome(_resolved_json, curve, point, limit) == want
+
+
+def test_step_budget_is_the_default_limit(monkeypatch, capsys):
+    # STEP_BUDGET is read at call time, and running out of it is the same
+    # ResolutionIncompleteError as running out of an explicit step_limit.
+    monkeypatch.setattr(resolution, "STEP_BUDGET", 2)
+    curve = curve_by_name("image-deg15", DEFAULT_PARAMS[0])
+    with pytest.raises(ResolutionIncompleteError) as info:
+        minimal_embedded_resolution(curve, CUSPS["image-deg15"])
+    assert info.value.steps_done == 2
+    assert _outcome(_resolution_reference, curve, CUSPS["image-deg15"]) == (
+        "ResolutionIncompleteError", "normal crossings not reached within 2 blowups"
+    )
+    assert main(["resolve", "corpus:image-deg15"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: normal crossings not reached within 2 blowups\n"
 
 
 COPRIME_PAIRS = (
