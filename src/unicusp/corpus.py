@@ -506,15 +506,12 @@ def check_fact(name: str, fact: ExpectedFact, ps: ParamSet) -> CheckResult:
         got = fiber_outcomes(name, CASE_ON, ps)
     elif key == "fiber-off":
         got = fiber_outcomes(name, CASE_OFF, ps)
-    elif key in ("cusp", "singular-point"):
-        data = analysis(name, ps)
-        pt = data.get("cusp") if key == "cusp" else None
-        if pt is None:
-            pts = data.get("singular-points", [])
-            pt = pts[0][0] if len(pts) == 1 else None
-        want_pt = POINTS[str(want)](ps)
-        got = str(pt) if pt is not None else None
-        want = str(want_pt)
+    elif key == "cusp":
+        pt = analysis(name, ps).get("cusp")
+        got, want = (str(pt) if pt is not None else None), str(POINTS[str(want)](ps))
+    elif key == "singular-point":
+        pts = analysis(name, ps).get("singular-points", [])
+        got, want = (str(pts[0][0]) if len(pts) == 1 else None), str(POINTS[str(want)](ps))
     else:
         got = analysis(name, ps).get(key)
     ok = _norm(got) == _norm(want)

@@ -442,8 +442,7 @@ def poly_to_text(p: Poly) -> str:
     """Canonical text: descending graded-lex, explicit '*' and '^'.
 
     The output always re-parses to the same polynomial; a negative leading
-    coefficient is written as an explicit rational factor (e.g. "-1*x")
-    because the grammar has no unary minus.
+    coefficient keeps its magnitude as an explicit factor ("-1*x").
     """
     if p.is_zero():
         return "0"

@@ -37,11 +37,9 @@ from .curves import (
 from .dualgraph import WeightedDualGraph
 from .poly import ONE, Poly, X, Y, exact_divide
 
-STEP_BUDGET = 100
-
 
 class ResolutionIncompleteError(CurveError):
-    """The step limit ran out before normal crossings."""
+    """Normal crossings not reached within the bound: the germ is not reduced."""
 
     def __init__(self, steps_done: int):
         super().__init__(f"normal crossings not reached within {steps_done} blowups")
@@ -122,9 +120,7 @@ def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
     return strict.substitute((X, Y + r, ONE)) if r else strict
 
 
-def minimal_embedded_resolution(
-    curve: PlaneCurve, point: ProjPoint, step_limit: int | None = None
-) -> ResolutionResult:
+def minimal_embedded_resolution(curve: PlaneCurve, point: ProjPoint) -> ResolutionResult:
     """Resolve one singular point of a curve by iterated point blowups
     until the total transform is simple normal crossings.
 
@@ -136,9 +132,19 @@ def minimal_embedded_resolution(
     older exceptional curve passes through that point.  The strict
     transform is formed only when another blowup follows.
 
-    `step_limit` caps the number of blowups, STEP_BUDGET when None; running
-    out raises ResolutionIncompleteError, which certifies that no shorter
-    blowup sequence reaches normal crossings.
+    A reduced unibranch germ of a degree-d curve stops within
+    (d - 1)(d - 2) + 1 blowups.  Let k be the number of centres of
+    multiplicity >= 2 and m_k the last of those.  After the k-th blowup C'
+    is smooth and meets E_k at one point with intersection m_k.  The later
+    centres are proximate to E_k, each of multiplicity 1, so by the
+    proximity equality there are exactly m_k of them (Casas-Alvero,
+    *Singularities of Plane Curves*, ch. 3): n = k + m_k.  The k nonzero
+    terms of 2 delta = sum m_i(m_i - 1) are each >= 2 and the last is
+    >= m_k, so n <= 2 delta + 1.  A unibranch point lies on one component,
+    of degree d' <= d and genus (d' - 1)(d' - 2)/2 - delta >= 0, so
+    2 delta <= (d - 1)(d - 2).  A germ still going at the bound is not
+    reduced (a PlaneCurve built without make_curve): that raises
+    ResolutionIncompleteError.
     """
     g = germ_at(curve.poly, point)
     if g.is_zero():
@@ -149,17 +155,14 @@ def minimal_embedded_resolution(
     if m < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
-    limit = STEP_BUDGET if step_limit is None else step_limit
+    d = curve.degree
     records: list[BlowupRecord] = []
     # The exceptional curves through the center, newest first, each with
     # the chart axis it lies on: 0 for x = 0, 1 for y = 0.  The axes differ,
     # so at most two curves pass through a center.
     exc: list[tuple[str, int]] = []
 
-    while True:
-        if len(records) >= limit:
-            raise ResolutionIncompleteError(len(records))
-        index = len(records) + 1
+    for index in range(1, (d - 1) * (d - 2) + 2):
         label = f"E{index}"
         m = germ_order(g)
         r = cone_direction(g, m)
@@ -171,10 +174,9 @@ def minimal_embedded_resolution(
         records.append(BlowupRecord(index, m, label, tuple(lab for lab, _ in exc)))
         exc = [(label, axis)] + kept
         if m == 1 and len(exc) == 1:
-            break
+            return ResolutionResult(point=point, degree=d, records=records)
         g = blow_up_once(g, m, r)
-
-    return ResolutionResult(point=point, degree=curve.degree, records=records)
+    raise ResolutionIncompleteError(len(records))
 
 
 # -- delta invariant and genus ---------------------------------------------

@@ -313,6 +313,13 @@ def crt_merge(residues: list[int], modulus: int, new: list[int], p: int) -> list
 def gcd_int(a: list[int], b: list[int]) -> list[int]:
     """Gcd of a and b as polynomials over Q, returned primitive in Z[x]
     with positive leading coefficient.  Certified by exact trial division.
+
+    The loop over `large_primes` ends.  Primes dividing a leading
+    coefficient are skipped; of the rest, only the finitely many dividing
+    the resultant of the cofactors give an image of too high a degree, and
+    a lower one replaces it.  Once the product of the lucky primes exceeds
+    twice the largest coefficient of (lead / lc G)*G, for G the gcd, the
+    candidate is G.  So the number of primes grows with the bit size of a, b.
     """
     a, b = primitive_int(a), primitive_int(b)
     if not a:
@@ -325,13 +332,9 @@ def gcd_int(a: list[int], b: list[int]) -> list[int]:
     best_deg: int | None = None
     residues: list[int] = []
     modulus = 1
-    tried = 0
     for p in large_primes():
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
-        tried += 1
-        if tried > 120:
-            break
         g = gcd_mod_p(a, b, p)
         d = deg(g)
         if d == 0:
@@ -347,7 +350,6 @@ def gcd_int(a: list[int], b: list[int]) -> list[int]:
         cand = primitive_int([c - modulus if c > half else c for c in residues])
         if divide_exact_int(a, cand) is not None and divide_exact_int(b, cand) is not None:
             return cand
-    raise ArithmeticError("modular gcd failed to stabilize")
 
 
 def squarefree_part_int(a: list[int]) -> list[int]:

@@ -82,6 +82,9 @@ def test_ams_family_member(seed):
     assert report.resolution.strict_self_intersection == 6
     assert report.tangent_contact_only is True
     assert report.genus == 1
+    # the blowup count n = #(m >= 2) + m_last under minimal_embedded_resolution's bound
+    res, ms = report.resolution, report.resolution.multiplicity_sequence
+    assert len(res.records) == len(ms) + ms[-1] <= 2 * res.delta + 1 <= (d - 1) * (d - 2) + 1
 
     cycle = intersection_cycle(curve, line)
     assert (cycle.points, cycle.residual) == ([(ProjPoint.of(0, 1, 0), d)], 0)

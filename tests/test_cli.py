@@ -546,6 +546,25 @@ def test_console_script_runs():
     assert "cannot parse" in proc.stderr
 
 
+# N = 2^4000 + 1: the common factor y - N that the singular search and the
+# intersection cycle split off needs well over a hundred primes near 2^30
+BIG_N = 2**4000 + 1
+
+
+def test_analyze_with_a_huge_coordinate_finishes():
+    proc = _run_module("analyze", f"(y - {BIG_N}*z)^2*z - x^3", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["cusp"] == [0, BIG_N, 1]
+    assert (doc["genus"], doc["verdict"]) == (0, "OUT_OF_SCOPE")
+
+
+def test_intersect_with_a_huge_coordinate_finishes():
+    proc = _run_module("intersect", f"y - {BIG_N}*z", f"y^2 - {BIG_N}*y*z + x*z", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["cycle"]["residual"] == 0
+
+
 def test_intersect_image_deg15_node_cubic_finishes():
     # Local number 43 at the cusp: the eliminant has degree 45.
     proc = _run_module("intersect", "corpus:image-deg15", "corpus:node-cubic", "--json")

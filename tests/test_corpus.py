@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from unicusp.cli import main
 from unicusp.corpus import (
     BASIS_ELEMENTARY,
     CORPUS,
@@ -95,6 +96,24 @@ def test_check_fact_flags_a_corrupted_value():
     assert res.expected == "6" and res.got == "1"
     j = res.as_json()
     assert set(j) == {"entry", "params", "fact", "expected", "got", "ok"}
+
+
+def test_cusp_fact_fails_on_a_node(tmp_path, capsys):
+    # the node cubic's one singular point is no cusp, so a cusp fact placing
+    # one there fails; the singular-point fact on the same point holds
+    ps = DEFAULT_PARAMS[0]
+    res = check_fact("node-cubic", ExpectedFact("cusp", "contact", "hand-check"), ps)
+    assert not res.ok and res.got == "None"
+    assert check_fact("node-cubic", ExpectedFact("singular-point", "contact", "hand-check"), ps).ok
+    doc = {
+        "schema": CORPUS_SCHEMA,
+        "entries": [{"name": "node-cubic", "facts": [{"key": "cusp", "value": "contact"}]}],
+    }
+    path = tmp_path / "node-cusp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify-corpus", str(path)]) == 1
+    out, _ = capsys.readouterr()
+    assert "FAIL node-cubic" in out and " cusp: expected " in out
 
 
 def test_check_pair_reports_cycle_strings():

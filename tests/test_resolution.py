@@ -11,6 +11,7 @@ from unicusp import resolution
 from unicusp.cli import main
 from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
 from unicusp.curves import (
+    PlaneCurve,
     ProjPoint,
     _local_numbers,
     chart_of,
@@ -27,7 +28,9 @@ from unicusp.resolution import (
     NotUnibranchError,
     ResolutionIncompleteError,
     ResolutionResult,
+    VERDICT_ALARM,
     VERDICT_AMS,
+    VERDICT_NON_AMS,
     VERDICT_NON_AMS_MAX,
     VERDICT_OUT_OF_SCOPE,
     classify,
@@ -101,13 +104,17 @@ def test_off_curve_point_rejected():
 
 
 def test_step_limit_certifies_minimality():
-    res = minimal_embedded_resolution(CUSP_CUBIC, ORIGIN)
-    n = len(res.records)
-    for limit in range(1, n):
-        with pytest.raises(ResolutionIncompleteError):
-            minimal_embedded_resolution(CUSP_CUBIC, ORIGIN, step_limit=limit)
-    again = minimal_embedded_resolution(CUSP_CUBIC, ORIGIN, step_limit=n)
-    assert len(again.records) == n
+    # n = #(m >= 2) + m_last <= 2 delta + 1 <= (d - 1)(d - 2) + 1: the bound
+    # in minimal_embedded_resolution, on the corpus cusps and the seeded ones
+    # (the AMS family checks it in tests/test_ams_family.py)
+    cases = [(curve_by_name(name, ps), CUSPS[name]) for ps in TEST_POINTS for name in sorted(CUSPS)]
+    rng = random.Random(9090)
+    cases += [(make_curve(_seeded_cusp(rng)), ORIGIN) for _ in range(60)]
+    for curve, point in cases:
+        res = minimal_embedded_resolution(curve, point)
+        ms, d = res.multiplicity_sequence, curve.degree
+        delta = delta_invariant(germ_at(curve.poly, point))
+        assert len(res.records) == len(ms) + ms[-1] <= 2 * delta + 1 <= (d - 1) * (d - 2) + 1, curve.poly
 
 
 def test_delta_invariants():
@@ -235,6 +242,47 @@ def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
     assert len(walked) == 4
 
 
+def _chain_records(ms) -> list[BlowupRecord]:
+    return [BlowupRecord(i + 1, m, f"E{i + 1}", (f"E{i}",) if i else ()) for i, m in enumerate(ms)]
+
+
+@pytest.mark.parametrize(
+    "ms, contact, verdict, notes",
+    [
+        ((2, 2, 1), 4, VERDICT_ALARM,
+         ["self-intersection 7 contradicts the sharp bounds (only <=3 or exactly 6 occur)"]),
+        ((2, 2, 2), 3, VERDICT_ALARM,
+         ["self-intersection 4 contradicts the sharp bounds (only <=3 or exactly 6 occur)"]),
+        ((2, 2, 1, 1, 1), 3, VERDICT_ALARM,
+         ["self-intersection 5 contradicts the sharp bounds (only <=3 or exactly 6 occur)"]),
+        ((2, 2, 1, 1), 3, VERDICT_ALARM,
+         ["square 6 without full tangent contact contradicts the equality case"]),
+        ((2, 2, 2, 1), 4, VERDICT_ALARM, ["full tangent contact forces square 6, but the square is 3"]),
+        ((2, 2, 2, 1, 1), 3, VERDICT_NON_AMS, []),
+    ],
+)
+def test_classify_verdict_table(monkeypatch, ms, contact, verdict, notes):
+    # (C')^2 = 16 - sum m^2 on the quartic, genus 1, and the tangent's
+    # contact at the cusp, each set by hand; the rest is classify's table
+    curve, cusp = curve_by_name("cusp-quartic", DEFAULT_PARAMS[0]), CUSPS["cusp-quartic"]
+    res = ResolutionResult(cusp, curve.degree, _chain_records(ms))
+    monkeypatch.setattr(resolution, "minimal_embedded_resolution", lambda c, p: res)
+    monkeypatch.setattr(resolution, "_genus", lambda *args: 1)
+    monkeypatch.setattr(resolution, "intersection_multiplicity", lambda *args: contact)
+    report = classify(curve)
+    assert report.resolution is res and report.genus == 1
+    assert report.tangent_contact_only is (contact == curve.degree)
+    assert (report.verdict, report.notes) == (verdict, notes)
+
+
+def test_delta_gives_up_on_an_irrational_repeated_tangent(capsys):
+    # two branches tangent to y = sqrt(2) x and to y = -sqrt(2) x
+    assert main(["analyze", "(y^2 - 2*x^2)^2*z + x^5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: repeated tangent direction outside Q; delta invariant not computable exactly\n"
+
+
 # -- the genus-one identity -----------------------------------------------------
 
 
@@ -291,7 +339,7 @@ def _transform_old_exceptional_reference(lin: Poly, r: Fraction | None) -> Poly 
     return Y if a + b * r == 0 else None
 
 
-def _resolution_reference(curve, point, step_limit=None) -> dict:
+def _resolution_reference(curve, point) -> dict:
     """The resolution loop that forms every strict transform and stops when
     the last one is smooth and transversal to the only exceptional curve
     through its point: the oracle for minimal_embedded_resolution, which
@@ -308,7 +356,7 @@ def _resolution_reference(curve, point, step_limit=None) -> dict:
     if germ_order(g) < 2:
         raise CurveError("point is a smooth point; nothing to resolve")
 
-    limit = resolution.STEP_BUDGET if step_limit is None else step_limit
+    limit = (curve.degree - 1) * (curve.degree - 2) + 1
     graph = WeightedDualGraph()
     records: list[BlowupRecord] = []
     seq: list[int] = []
@@ -429,30 +477,35 @@ def test_genus_by_milnor_numbers(name, point, branches, ps):
     assert genus_of(curve) == (d - 1) * (d - 2) // 2 - twice_delta // 2
 
 
+# y^2 with a spare factor z^(d-2), built without make_curve: a germ that is
+# not reduced, which no blowup bound can resolve
+DOUBLE_LINES = (PlaneCurve(Y**2 * Z, 3), PlaneCurve(Y**2 * Z**2, 4))
+
+
 def test_step_limit_matches_reference():
-    curve = curve_by_name("cusp-quartic", DEFAULT_PARAMS[0])
-    point = CUSPS["cusp-quartic"]
-    n = len(minimal_embedded_resolution(curve, point).records)
-    for limit in range(n + 1):
-        want = _outcome(_resolution_reference, curve, point, limit)
-        assert _outcome(_resolved_json, curve, point, limit) == want
+    want = ("ResolutionIncompleteError", "normal crossings not reached within 3 blowups")
+    assert _outcome(_resolved_json, DOUBLE_LINES[0], ORIGIN) == want
+    assert _outcome(_resolution_reference, DOUBLE_LINES[0], ORIGIN) == want
 
 
-def test_step_budget_is_the_default_limit(monkeypatch, capsys):
-    # STEP_BUDGET is read at call time, and running out of it is the same
-    # ResolutionIncompleteError as running out of an explicit step_limit.
-    monkeypatch.setattr(resolution, "STEP_BUDGET", 2)
-    curve = curve_by_name("image-deg15", DEFAULT_PARAMS[0])
-    with pytest.raises(ResolutionIncompleteError) as info:
-        minimal_embedded_resolution(curve, CUSPS["image-deg15"])
-    assert info.value.steps_done == 2
-    assert _outcome(_resolution_reference, curve, CUSPS["image-deg15"]) == (
-        "ResolutionIncompleteError", "normal crossings not reached within 2 blowups"
-    )
-    assert main(["resolve", "corpus:image-deg15"]) == 1
+def test_the_bound_admits_a_cusp_past_a_hundred_blowups(capsys):
+    # y^2 = x^199 (A_198): 99 blowups of multiplicity 2, then 2 of multiplicity 1
+    assert main(["resolve", "y^2*z^197 - x^199", "--point", "0,0,1"]) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: normal crossings not reached within 2 blowups\n"
+    assert err == ""
+    assert out.splitlines()[:2] == [
+        "resolved curve at (0 : 0 : 1) in 101 blowups",
+        f"multiplicity sequence {(2,) * 99}",
+    ]
+
+
+def test_step_budget_is_the_default_limit():
+    # the only limit is the bound (d - 1)(d - 2) + 1 that the degree gives
+    for curve in DOUBLE_LINES:
+        with pytest.raises(ResolutionIncompleteError) as info:
+            minimal_embedded_resolution(curve, ORIGIN)
+        d = curve.degree
+        assert info.value.steps_done == (d - 1) * (d - 2) + 1 == {3: 3, 4: 7}[d]
 
 
 COPRIME_PAIRS = (

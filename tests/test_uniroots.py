@@ -64,6 +64,52 @@ def test_gcd_int_via_modular():
     assert g == [-1, 1]
 
 
+# a common factor x - N whose coefficients need well over a hundred primes
+# near 2^30
+BIG_N = 2**4000 + 1
+
+
+def _spy_gcd_mod_p(monkeypatch) -> list[tuple[int, int]]:
+    """Record (p, degree of the image) for every prime gcd_int reduces by."""
+    seen, real = [], ur.gcd_mod_p
+
+    def spy(a, b, p):
+        g = real(a, b, p)
+        seen.append((p, ur.deg(g)))
+        return g
+
+    monkeypatch.setattr(ur, "gcd_mod_p", spy)
+    return seen
+
+
+def test_gcd_int_runs_until_the_candidate_divides(monkeypatch):
+    # (x - N)(x + 1) and (x - N)(x + 2)
+    seen = _spy_gcd_mod_p(monkeypatch)
+    assert ur.gcd_int([-BIG_N, 1 - BIG_N, 1], [-2 * BIG_N, 2 - BIG_N, 1]) == [-BIG_N, 1]
+    assert len(seen) > 120 and {d for _, d in seen} == {1}
+
+
+def test_gcd_int_skips_a_prime_dividing_a_leading_coefficient(monkeypatch):
+    # (p1 x + 1)(x - 1) and (x - 1)(x + 2): p1 would drop the degree of a
+    primes = ur.large_primes()
+    p1, p2 = next(primes), next(primes)
+    seen = _spy_gcd_mod_p(monkeypatch)
+    a = [int(c) for c in mul_uni([1, p1], [-1, 1])]
+    assert ur.gcd_int(a, [-2, 1, 1]) == [-1, 1]
+    assert seen == [(p2, 1)]
+
+
+def test_gcd_int_skips_an_image_of_higher_degree(monkeypatch):
+    # (x - N) x and (x - N)(x - p2): modulo p2 the cofactors share x
+    primes = ur.large_primes()
+    p1, p2 = next(primes), next(primes)
+    seen = _spy_gcd_mod_p(monkeypatch)
+    a = [0, -BIG_N, 1]
+    b = [int(c) for c in mul_uni([-BIG_N, 1], [-p2, 1])]
+    assert ur.gcd_int(a, b) == [-BIG_N, 1]
+    assert seen[:2] == [(p1, 1), (p2, 2)] and len(seen) > 2
+
+
 def test_rational_roots():
     # 2x^3 - 3x^2 - 3x + 2 has roots -1, 1/2, 2
     roots, _ = ur.rational_roots_int([2, -3, -3, 2])
