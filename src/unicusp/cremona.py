@@ -43,9 +43,6 @@ class CremonaMap:
     def degree(self) -> int:
         return max(p.total_degree() for p in self.components if not p.is_zero())
 
-    def apply(self, point: tuple[Fraction, Fraction, Fraction]) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(p.evaluate(point) for p in self.components)
-
     def as_json(self) -> dict:
         return {
             "components": [poly_to_text(p) for p in self.components],

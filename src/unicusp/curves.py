@@ -317,7 +317,17 @@ def _map_point(m: tuple[tuple[int, int, int], ...], q: ProjPoint) -> ProjPoint:
     return ProjPoint.of(*img)
 
 
-def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
+def projection_vertex(curve: PlaneCurve) -> ProjPoint:
+    """The coordinate vertex e_v of least deg_v F, ties preferring y: the
+    vertex of highest multiplicity, d - deg_v F, and the centre of the
+    first frame of `find_rational_singular_points`."""
+    v = min(range(3), key=lambda i: (curve.poly.degree_in(i), i != 1))
+    return ProjPoint.of(*(int(i == v) for i in range(3)))
+
+
+def find_rational_singular_points(
+    curve: PlaneCurve, vertex: tuple[ProjPoint, int] | None = None
+) -> SingularLocus:
     """All rational singular points with multiplicities, sorted by
     coordinates when a search is blocker-free.
 
@@ -340,16 +350,25 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     d - m.  This is sound because a rational singular point and its
     multiplicity do not depend on the frame: a blocker-free search in any
     frame certifies the whole locus, and its points are mapped back.
+
+    `vertex`, when given, is (P, delta) for a unibranch singular point P
+    of the curve and its delta invariant, read off P's resolution.  When P
+    is e_v, the first frame's search divides a known factor out of its
+    eliminant (`_vertex_factor`); every other frame, and every other
+    `vertex`, takes the search without it.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
-    v = min(range(3), key=lambda i: (curve.poly.degree_in(i), i != 1))
+    centre = projection_vertex(curve)
+    v = centre.coords().index(1)
     rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     rows[1], rows[v] = rows[v], rows[1]
+    first = tuple(rows)
+    delta = vertex[1] if vertex is not None and vertex[0] == centre else None
     unsheared = None
     # the swap is the unsheared frame when v is y: run it once
-    for m in dict.fromkeys((tuple(rows), *_SHEARS)):
-        raw = _singular_search(_apply_matrix(curve.poly, m))
+    for m in dict.fromkeys((first, *_SHEARS)):
+        raw = _singular_search(_apply_matrix(curve.poly, m), delta if m == first else None)
         if not raw.blockers:
             points = [(_map_point(m, q), k) for q, k in raw.points]
             return SingularLocus(sorted(points, key=lambda t: t[0].coords()), [])
@@ -359,7 +378,7 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     return unsheared
 
 
-def _singular_search(f: Poly) -> SingularLocus:
+def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     """Singular points of f with multiplicities, plus blockers.
 
     A singular point lies on the line through (0 : 1 : 0) whose direction
@@ -373,6 +392,10 @@ def _singular_search(f: Poly) -> SingularLocus:
     next pair by `_irrational_common_factor`.  Every point found zeroes
     all three partials, so by Euler's formula it lies on f and is
     singular; its multiplicity is the order of its germ.
+
+    `delta`, when not None, is the delta invariant of (0 : 1 : 0), a
+    unibranch singular point of f.  The first pair is then (F_x, F_z),
+    and e1 is formed with the factor that `_vertex_factor` proves.
     """
     partials = [f.partial(i) for i in range(3)]
     live = [p for p in partials if not p.is_zero()]
@@ -380,13 +403,22 @@ def _singular_search(f: Poly) -> SingularLocus:
         # f uses a single variable; squarefree => a line, handled earlier.
         raise CurveError("degenerate curve: fewer than two nonzero partials")
 
-    pairs = [
-        (a, b)
-        for a, b in ((live[0], live[1]), (live[0], live[-1]), (live[1], live[-1]))
-        if a is not b
-    ]
+    factor = None
+    if delta is None:
+        pairs = [
+            (a, b)
+            for a, b in ((live[0], live[1]), (live[0], live[-1]), (live[1], live[-1]))
+            if a is not b
+        ]
+    else:
+        # The point is unibranch of multiplicity >= 2 on a reduced curve,
+        # so no partial is zero (a zero F_y would make f a union of lines
+        # through the point).
+        fx, fy, fz = partials
+        pairs = [(fx, fz), (fx, fy), (fy, fz)]
+        factor = _vertex_factor(f, fx, fz, delta)
     for i, (a, b) in enumerate(pairs):
-        e1 = _eliminant_y(a, b)
+        e1 = _eliminant_y(a, b, factor if i == 0 else None)
         if e1 is not None:
             break
     else:
@@ -413,6 +445,39 @@ def _singular_search(f: Poly) -> SingularLocus:
         points.append(ProjPoint.of(0, 1, 0))
     out = sorted(((q, germ_order(germ_at(f, q))) for q in points), key=lambda t: t[0].coords())
     return SingularLocus(out, blockers)
+
+
+def _vertex_factor(f: Poly, fx: Poly, fz: Poly, delta: int) -> tuple[int, int, int]:
+    """The linear factor (a, b, k) that Res_y(F_x, F_z) is known to have:
+    (b*x - a*z)**k divides it, where (a : b) is the direction (x : z) of
+    the tangent line at Q = (0 : 1 : 0), a unibranch singular point of f
+    of multiplicity m with delta invariant `delta`, and k = mu_Q - r*s,
+    with mu_Q = 2*delta, r = ord_Q F_x and s = ord_Q F_z.
+
+    In the chart y = 1, F_x and F_z are the partials g_x and g_z of the
+    germ g of f at Q, so I_Q(F_x, F_z) is the Milnor number mu_Q, which is
+    2*delta for one branch (Milnor's formula mu = 2*delta - branches + 1).
+    Q's tangent cone is l**m for the tangent l = alpha*x + beta*z, and at
+    least one of alpha, beta is not zero.  The degree m - 1 parts of g_x
+    and g_z are m*alpha*l**(m-1) and m*beta*l**(m-1), so one of the two
+    partials has the cone l**(m-1), and its strict transform under the
+    blowup of Q meets the exceptional curve only at the point p_l of
+    direction l.  By Noether's formula (Fulton, Algebraic Curves, ch. 7),
+    mu_Q = r*s + the sum, over the points p of the exceptional curve, of
+    the intersection numbers of the strict transforms at p; only p_l can
+    lie on both, so that sum is I_{p_l} = mu_Q - r*s.  After the blowup
+    the projection from Q is a morphism to the lines through Q, and the
+    order of the eliminant at the line l counts the intersections of the
+    two strict transforms on the fibre over l (the resultant argument of
+    Fulton, 5.1), p_l among them.  So ord_l Res_y(F_x, F_z) >= I_{p_l} = k.
+    """
+    q = ProjPoint.of(0, 1, 0)
+    g = germ_at(f, q)
+    slope = cone_direction(g, germ_order(g))
+    k = 2 * delta - germ_order(germ_at(fx, q)) * germ_order(germ_at(fz, q))
+    # The cone is (z - slope*x)**m in the germ's (x, z), direction
+    # (1 : slope); slope is None for the cone x**m, direction (0 : 1).
+    return (0, 1, k) if slope is None else (slope.denominator, slope.numerator, k)
 
 
 def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> list[int]:
@@ -448,20 +513,23 @@ def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> l
     return l1
 
 
-def _eliminant_y(a: Poly, b: Poly) -> tuple[list[int], int] | None:
+def _eliminant_y(
+    a: Poly, b: Poly, factor: tuple[int, int, int] | None = None
+) -> tuple[list[int], int] | None:
     """The eliminant e = Res_y(a, b) of two forms, a binary form in
     (x, z), as the integer coefficients of e(t, 1) (up to a rational
     scale) and the degree of e; None when e is zero.  A form free of y is
     its own eliminant; when both are, their common zeros are those of
     their gcd, whose degree is that of the gcd of the (t, 1) lists plus
-    the smaller deficit at (1 : 0)."""
+    the smaller deficit at (1 : 0).  A known `factor` of e goes to
+    `form_resultant_int`."""
     free = [h for h in (a, b) if h.degree_in(1) == 0]
     if free:
         rows = [primitive_rows(dehomogenize(h, 2), 1, 0)[0] for h in free]
         deficit = min(h.total_degree() - uniroots.deg(r) for h, r in zip(free, rows))
         g = rows[0] if len(rows) == 1 else uniroots.gcd_int(*rows)
         return g, uniroots.deg(g) + deficit
-    coeffs = form_resultant_int(a, b, 1, 0)
+    coeffs = form_resultant_int(a, b, 1, 0, factor)
     if not coeffs:
         return None
     m, n = a.degree_in(1), b.degree_in(1)

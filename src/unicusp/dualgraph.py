@@ -92,12 +92,6 @@ class WeightedDualGraph:
     def loops(self, label: str) -> int:
         return self._loops[label]
 
-    def edge_mult(self, a: str, b: str) -> int:
-        if a == b:
-            raise GraphError("use loops() for self-incidence")
-        self._require(a, b)
-        return self._adj[a].get(b, 0)
-
     def neighbors(self, label: str) -> list[tuple[str, int]]:
         """(neighbour, multiplicity) pairs in vertex order."""
         self._require(label)

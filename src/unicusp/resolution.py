@@ -32,6 +32,8 @@ from .curves import (
     germ_at,
     germ_order,
     intersection_multiplicity,
+    multiplicity_at,
+    projection_vertex,
     tangent_line_at,
 )
 from .dualgraph import WeightedDualGraph
@@ -289,6 +291,14 @@ class ClassificationReport:
         }
 
 
+def _unibranch_resolution(curve: PlaneCurve, point: ProjPoint) -> ResolutionResult | None:
+    """The resolution of a singular point; None when it has several branches."""
+    try:
+        return minimal_embedded_resolution(curve, point)
+    except NotUnibranchError:
+        return None
+
+
 def classify(curve: PlaneCurve) -> ClassificationReport:
     """Decide where a curve sits relative to the sharp bounds for
     unicuspidal curves of genus one.
@@ -299,15 +309,22 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
     unicuspidal of genus one; ALARM when computed invariants land in a
     combination the bounds exclude (a would-be counterexample, worth
     rechecking by hand).
+
+    The most singular coordinate vertex, the centre of the singular
+    search's first frame, is resolved before the search when it has
+    multiplicity >= 2 and one branch: the search divides a factor read off
+    its delta out of its eliminant, and when the locus is that one point,
+    its resolution is the cusp's.
     """
-    locus = find_rational_singular_points(curve).require_rational()
+    vertex = projection_vertex(curve)
+    res = _unibranch_resolution(curve, vertex) if multiplicity_at(curve, vertex) >= 2 else None
+    known = None if res is None else (vertex, res.delta)
+    locus = find_rational_singular_points(curve, known).require_rational()
     d = curve.degree
-    res = None
-    if len(locus.points) == 1:
-        try:
-            res = minimal_embedded_resolution(curve, locus.points[0][0])
-        except NotUnibranchError:
-            pass
+    if len(locus.points) != 1:
+        res = None
+    elif locus.points[0][0] != vertex:
+        res = _unibranch_resolution(curve, locus.points[0][0])
     genus = _genus(curve, locus, res)
 
     report = ClassificationReport(

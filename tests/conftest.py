@@ -1,5 +1,9 @@
 import re
 
+import pytest
+
+from unicusp import curves
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
 
@@ -20,3 +24,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for num in sorted(seen):
             terminalreporter.write_line(seen[num])
+
+
+@pytest.fixture
+def cut_eliminants(monkeypatch):
+    """Checks every eliminant that the singular search forms with a known
+    factor against the same pair's eliminant formed without it, and
+    collects those factors (a, b, k) in the list it returns."""
+    seen = []
+    real = curves._eliminant_y
+
+    def checked(a, b, factor=None):
+        got = real(a, b, factor)
+        if factor is not None:
+            assert got == real(a, b), (str(a), str(b), factor)
+            seen.append(factor)
+        return got
+
+    monkeypatch.setattr(curves, "_eliminant_y", checked)
+    return seen

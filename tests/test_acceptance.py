@@ -207,7 +207,7 @@ def _blow_up_smooth(g, mults, v, label):
 
 def _blow_up_node(g, mults, u, v, label):
     h = g.copy()
-    k = h.edge_mult(u, v)
+    k = dict(h.neighbors(u))[v]
     h.remove_edge(u, v)
     if k > 1:
         h.add_edge(u, v, k - 1)

@@ -24,6 +24,11 @@ from unicusp.curves import make_curve, repeated_factor
 from unicusp.poly import ONE, Poly, X, Y, Z, proportional
 
 
+def _apply(m, point):
+    """The image of a point: each component evaluated there."""
+    return tuple(c.evaluate(point) for c in m.components)
+
+
 def identity_map():
     return CremonaMap((X, Y, Z))
 
@@ -157,7 +162,7 @@ def test_make_map_divides_common_factor(caplog):
 def test_identity_map():
     m = identity_map()
     assert m.degree == 1
-    assert m.apply((Fraction(1), Fraction(2), Fraction(3))) == (1, 2, 3)
+    assert _apply(m, (Fraction(1), Fraction(2), Fraction(3))) == (1, 2, 3)
     assert str(m) == "(x, y, z)"
 
 
@@ -225,9 +230,9 @@ def test_is_involution_matches_the_gcd_rule():
 def test_involution_point_round_trip():
     h = quintic_involution(-2)
     p = (Fraction(1), Fraction(2), Fraction(5))
-    q = h.apply(p)
+    q = _apply(h, p)
     assert not projectively_equal(p, q)
-    assert projectively_equal(h.apply(q), p)
+    assert projectively_equal(_apply(h, q), p)
 
 
 @pytest.mark.parametrize("c", [0, 1, -2])

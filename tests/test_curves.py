@@ -699,9 +699,9 @@ def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     # (1 : -1 : 1); the fourth, (2 : 1 : -1), succeeds.
     calls = []
 
-    def counted(p, q, v, prime):
+    def counted(p, q, v, prime, factor=None):
         calls.append(v)
-        return form_resultant_int(p, q, v, prime)
+        return form_resultant_int(p, q, v, prime, factor)
 
     monkeypatch.setattr(curves, "form_resultant_int", counted)
     f, g = make_curve(Y**2 - X * Z), make_curve(Y**2 + X**2 - 2 * X * Z)
@@ -740,9 +740,9 @@ def test_intersection_cycle_rejects_a_line_with_an_irrational_common_point(monke
     assert sympy.factor(res / sympy.LC(sympy.Poly(res, x))) == x**3 * (x - 1) * (x + 1)
     calls = []
 
-    def counted(p, q, v, prime):
+    def counted(p, q, v, prime, factor=None):
         calls.append(v)
-        return form_resultant_int(p, q, v, prime)
+        return form_resultant_int(p, q, v, prime, factor)
 
     monkeypatch.setattr(curves, "form_resultant_int", counted)
     cyc = intersection_cycle(make_curve(fp), make_curve(gp))
@@ -792,9 +792,10 @@ def _infinity_root(e: Poly) -> bool:
     return e.terms.get((d, 0, 0), Fraction(0)) == 0
 
 
-def _singular_search_reference(f: Poly) -> SingularLocus:
+def _singular_search_reference(f: Poly, delta: int | None = None) -> SingularLocus:
     """The singular search with two exact eliminants: the oracle for
-    curves._singular_search, which forms only the first exactly.
+    curves._singular_search, which forms only the first exactly.  It
+    ignores `delta`, the vertex invariant the search may divide out.
 
     Candidate lines are the rational roots of the gcd of the first two
     nonzero eliminants, and (1 : 0) when both vanish there; the blocker is
@@ -1042,6 +1043,71 @@ def test_image_deg15_search_eliminates_the_variable_of_least_degree(ps, monkeypa
     assert sizes and max(sizes) <= (15 - 1) ** 2 - (6 - 1) ** 2 + 1
 
 
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_the_cut_eliminant_is_the_uncut_one_on_the_corpus(ps, cut_eliminants):
+    # classify hands the search the delta of each cusp that sits at the
+    # projection vertex: (0 : 0 : 1) for three of them, with the tangent
+    # x = 0, so the factor is t^k0 at t = 0; cusp-quartic's is at
+    # (0 : 1 : 0), with the tangent z = 0, so the factor sits at (1 : 0).
+    from unicusp import corpus
+    from unicusp.resolution import classify
+
+    for name in corpus.CURVES:
+        classify(curve_by_name(name, ps))
+    assert sorted(cut_eliminants) == [(0, 1, 8), (0, 1, 10), (0, 1, 150), (1, 0, 2)]
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
+    # The first frame of each corpus curve whose projection vertex is a
+    # unibranch singular point, searched with that point's delta.
+    from unicusp import corpus, curves
+    from unicusp.resolution import minimal_embedded_resolution
+
+    checked = 0
+    for name in corpus.CURVES:
+        curve = curve_by_name(name, ps)
+        vertex = curves.projection_vertex(curve)
+        if multiplicity_at(curve, vertex) < 2:
+            continue
+        try:
+            delta = minimal_embedded_resolution(curve, vertex).delta
+        except NotUnibranchError:
+            continue
+        v = vertex.coords().index(1)
+        swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
+        f = curves._apply_matrix(curve.poly, swap)
+        got = _locus_key(curves._singular_search(f, delta))
+        assert got == _locus_key(_singular_search_reference(f)), name
+        assert got[0] == [("(0 : 1 : 0)", multiplicity_at(curve, vertex))], name
+        checked += 1
+    assert checked == 4
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch, cut_eliminants):
+    # The cusp has multiplicity 6 and delta 90, so mu = 180.  In the search
+    # frame, F_x and F_z have orders 5 and 6 at the cusp, so k0 = 180 - 30 =
+    # 150, and the exact eliminant, of degree at most 166, is t^150 times a
+    # cofactor read from 166 - 150 + 1 = 17 values instead of 167.  The
+    # one-prime image of the next pair, (F_x, F_y), is not cut.
+    from unicusp.resolution import classify
+
+    sizes = []
+    interpolate = uniroots.interpolate_mod_p
+
+    def spy(x0, ys, modulus):
+        sizes.append(len(ys))
+        return interpolate(x0, ys, modulus)
+
+    monkeypatch.setattr(uniroots, "interpolate_mod_p", spy)
+    report = classify(curve_by_name("image-deg15", ps))
+    assert report.singular_points == [(ProjPoint.of(0, 0, 1), 6)]
+    assert report.resolution.delta == 90
+    assert cut_eliminants == [(0, 1, 150)]
+    assert sizes[:2] == [17, 167]
+
+
 def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():
     # The curve of test_irrational_singular_points_are_reported_as_blockers
     # with x and y exchanged: y has the largest degree, so the first search
@@ -1077,9 +1143,9 @@ def test_a_curve_free_of_y_is_certified_in_one_frame(text, m, monkeypatch):
     frames = []
     search = curves._singular_search
 
-    def counted(f):
+    def counted(f, delta):
         frames.append(f)
-        return search(f)
+        return search(f, delta)
 
     monkeypatch.setattr(curves, "_singular_search", counted)
     locus = find_rational_singular_points(curve)
@@ -1099,8 +1165,8 @@ def test_a_locus_certified_by_a_later_shear_is_sorted(k, monkeypatch):
     certifying = curves._apply_matrix(curve.poly, curves._SHEARS[k])
     search = curves._singular_search
 
-    def blocked(f):
-        raw = search(f)
+    def blocked(f, delta):
+        raw = search(f, delta)
         if f == certifying:
             return raw
         return SingularLocus(raw.points, [ExtensionFieldSingularity(f, "forced")])

@@ -32,6 +32,11 @@ from unicusp.resolution import minimal_embedded_resolution
 # -- graph builders used throughout ------------------------------------------
 
 
+def _edge_mult(g, a, b):
+    """Multiplicity of the edge a-b, 0 when there is none."""
+    return dict(g.neighbors(a)).get(b, 0)
+
+
 def divisor_square(g, coeffs):
     """(sum coeffs[v] * v)^2 under the pairing of `intersection_matrix`."""
     verts, mat = intersection_matrix(g)
@@ -447,7 +452,7 @@ def test_blow_down_two_neighbors():
     assert "E" not in h
     assert h.weight("A") == -1
     assert h.weight("B") == -2
-    assert h.edge_mult("A", "B") == 1
+    assert _edge_mult(h, "A", "B") == 1
 
 
 def test_blow_down_multiplicity_two_contact():
@@ -486,9 +491,9 @@ def test_blow_down_three_neighbors_pairwise_edges():
         g.add_edge("E", lab)
     g.add_edge("A", "B")  # existing edge accumulates
     h = blow_down(g, "E")
-    assert h.edge_mult("A", "B") == 2
-    assert h.edge_mult("A", "C") == 1
-    assert h.edge_mult("B", "C") == 1
+    assert _edge_mult(h, "A", "B") == 2
+    assert _edge_mult(h, "A", "C") == 1
+    assert _edge_mult(h, "B", "C") == 1
 
 
 @pytest.mark.parametrize("through", [(), ("A",), ("A", "B")])
@@ -531,7 +536,7 @@ def _blow_up_smooth(g, mults, v, label):
 
 def _blow_up_node(g, mults, u, v, label):
     h = g.copy()
-    k = h.edge_mult(u, v)
+    k = _edge_mult(h, u, v)
     h.remove_edge(u, v)
     if k > 1:
         h.add_edge(u, v, k - 1)

@@ -44,6 +44,11 @@ ORIGIN = ProjPoint.of(0, 0, 1)
 CUSP_CUBIC = make_curve(Y**2 * Z - X**3)
 
 
+def _edge_mult(g, a, b):
+    """Multiplicity of the edge a-b, 0 when there is none."""
+    return dict(g.neighbors(a)).get(b, 0)
+
+
 def test_ordinary_cusp_resolution():
     res = minimal_embedded_resolution(CUSP_CUBIC, ORIGIN)
     assert res.multiplicity_sequence == (2,)
@@ -55,11 +60,11 @@ def test_ordinary_cusp_resolution():
     assert g.weight("E1") == -3
     assert g.weight("E2") == -2
     assert g.weight("E3") == -1
-    assert g.edge_mult("E3", "E1") == 1
-    assert g.edge_mult("E3", "E2") == 1
-    assert g.edge_mult("E1", "E2") == 0
+    assert _edge_mult(g, "E3", "E1") == 1
+    assert _edge_mult(g, "E3", "E2") == 1
+    assert _edge_mult(g, "E1", "E2") == 0
     assert res.d0 == "E3"
-    assert g.edge_mult("C'", "E3") == 1
+    assert _edge_mult(g, "C'", "E3") == 1
     # 9 - 4 - 1 - 1
     assert res.strict_self_intersection == 3
 
@@ -169,10 +174,10 @@ def test_classify_carries_resolution():
     # frozen dual graph: E1(-2) - E2(-3) - E4(-1) - E3(-2), strict transform on E4
     g = res.graph
     assert [g.weight(f"E{i}") for i in (1, 2, 3, 4)] == [-2, -3, -2, -1]
-    assert g.edge_mult("E1", "E2") == 1
-    assert g.edge_mult("E2", "E4") == 1
-    assert g.edge_mult("E3", "E4") == 1
-    assert g.edge_mult("C'", "E4") == 1
+    assert _edge_mult(g, "E1", "E2") == 1
+    assert _edge_mult(g, "E2", "E4") == 1
+    assert _edge_mult(g, "E3", "E4") == 1
+    assert _edge_mult(g, "C'", "E4") == 1
     assert res.d0 == "E4"
 
 
@@ -538,6 +543,83 @@ def test_stop_rule_matches_reference_on_seeded_cusps():
             resolved += 1
             assert got["delta"] == delta_invariant(germ_at(curve.poly, origin))
     assert resolved == 60
+
+
+def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
+    # Each seeded cusp sits at its projection vertex with the tangent line
+    # y = 0, which puts the factor at (1 : 0) in the search frame; the
+    # same curves under y -> y + 2x have the tangent y + 2x = 0 and the
+    # factor at the rational root t = -1/2.  classify's locus is the
+    # search's without the cut.
+    from unicusp import curves
+
+    rng = random.Random(9090)
+    seeded = [_seeded_cusp(rng) for _ in range(60)]
+    for f in seeded + [f.substitute((X, Y + 2 * X, Z)) for f in seeded]:
+        curve = make_curve(f)
+        assert classify(curve).singular_points == curves.find_rational_singular_points(curve).points
+    roots = {(a, b) for a, b, k in cut_eliminants if k}
+    assert roots == {(1, 0), (1, -2)}
+    assert len(cut_eliminants) >= 100
+
+
+def _resolution_spy(monkeypatch) -> list:
+    """The points at which classify calls minimal_embedded_resolution."""
+    calls = []
+    real = resolution.minimal_embedded_resolution
+
+    def counted(curve, point):
+        calls.append(point)
+        return real(curve, point)
+
+    monkeypatch.setattr(resolution, "minimal_embedded_resolution", counted)
+    return calls
+
+
+def test_classify_resolves_a_cusp_at_the_vertex_once(monkeypatch):
+    # The cusp is resolved before the search, which then finds it alone.
+    calls = _resolution_spy(monkeypatch)
+    for ps in DEFAULT_PARAMS:
+        for name, point in sorted(CUSPS.items()):
+            calls.clear()
+            assert classify(curve_by_name(name, ps)).resolution.point == point
+            assert calls == [point], name
+
+
+@pytest.mark.parametrize("name", sorted(CUSPS))
+def test_a_cusp_moved_off_the_vertex_keeps_its_report(name, monkeypatch):
+    # Under this map of PGL(3) no vertex of the image is a singular point,
+    # so the search runs without the cut and the cusp is resolved after
+    # it, once.  The report is the unmoved one, its points mapped by M.
+    from unicusp import curves
+
+    ps = DEFAULT_PARAMS[0]
+    m = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
+    curve = curve_by_name(name, ps)
+    moved = make_curve(curves._apply_matrix(curve.poly, m))
+    calls = _resolution_spy(monkeypatch)
+    want = classify(curve)
+    calls.clear()
+    report = classify(moved)
+    assert calls == [report.resolution.point]
+    assert curves._map_point(m, report.resolution.point) == want.resolution.point
+    assert [(curves._map_point(m, q), k) for q, k in report.singular_points] == want.singular_points
+    got, expected = report.as_json(), want.as_json()
+    for key in ("singular_points", "cusp"):
+        del got[key], expected[key]
+    assert got == expected
+
+
+def test_a_node_at_the_vertex_takes_the_search_without_the_cut(monkeypatch, cut_eliminants):
+    # The nodal cubic's node is the vertex (0 : 0 : 1): its resolution
+    # stops at the first cone, the search forms no cut eliminant, and the
+    # report is the one for a node.
+    calls = _resolution_spy(monkeypatch)
+    report = classify(make_curve(Y**2 * Z - X**3 - X**2 * Z))
+    assert (report.singular_points, report.resolution, report.genus) == ([(ORIGIN, 2)], None, 0)
+    assert report.notes == ["the singular point is not a cusp (several branches)"]
+    assert calls == [ORIGIN]
+    assert cut_eliminants == []
 
 
 # -- the fold over a record ---------------------------------------------------
