@@ -386,9 +386,13 @@ def main(argv=None) -> int:
         # Flush here, so that a reader that has gone away is seen in this try.
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout (e.g. `| head`).  Point stdout at devnull
-        # so the flush at interpreter exit cannot raise a second time.
+    except OSError as exc:
+        # An output that cannot be written: a --dot path that is a file, a
+        # full disk, or a reader that closed stdout (e.g. `| head`), which
+        # needs no message.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise a second time.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

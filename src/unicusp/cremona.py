@@ -1,11 +1,11 @@
 """Birational self-maps of the projective plane.
 
 A map is a triple of coprime homogeneous polynomials of one degree.  The
-module provides pullback and strict transform of curves, composition with
-removal of the shared factor, involution testing, extension of (factored)
-affine-plane automorphisms to maps fixing the line z = 0, a parameterization
-checker, and the degree-five involution attached to the conic pencil that
-the curve corpus is built from.
+module provides pullback and strict transform of curves, involution
+testing, extension of (factored) affine-plane automorphisms to maps fixing
+the line z = 0, a parameterization checker, and the degree-five
+involution attached to the conic pencil that the curve corpus is built
+from.
 """
 
 from __future__ import annotations
@@ -145,18 +145,6 @@ def strict_transform(
         poly_to_text(witness),
     )
     return make_curve(radical(total))
-
-
-def compose_reduce(outer: CremonaMap, inner: CremonaMap) -> CremonaMap:
-    """Componentwise composition; `make_map` divides out the shared factor
-    and logs it."""
-    comps = tuple(p.substitute(inner.components) for p in outer.components)
-    if not any(comps):
-        raise CremonaError("composition degenerates: all components vanish")
-    try:
-        return make_map(*comps)
-    except CremonaError as err:
-        raise CremonaError(f"composition degenerates: {err}") from err
 
 
 def is_involution(m: CremonaMap) -> bool:

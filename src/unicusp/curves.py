@@ -292,8 +292,9 @@ class SingularLocus:
         return self
 
 
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _SHEARS: list[tuple[tuple[int, int, int], ...]] = [
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    _IDENTITY,
     ((1, 1, 0), (0, 1, 0), (0, 1, 1)),
     ((1, -1, 0), (0, 1, 0), (0, 1, 1)),
     ((1, 2, 0), (0, 1, 0), (0, -1, 1)),
@@ -325,6 +326,18 @@ def projection_vertex(curve: PlaneCurve) -> ProjPoint:
     return ProjPoint.of(*(int(i == v) for i in range(3)))
 
 
+def _tangent_frame(g: Poly) -> tuple[tuple[int, int, int], ...]:
+    """A change of (x, z) that fixes Q = (0 : 1 : 0) and moves Q's tangent
+    to z = 0, for the germ g at Q of a form whose tangent cone there is
+    the power of one line, with x in slot 0 and z in slot 1 (`germ_at`).
+    The cone x**m takes x <-> z; the cone (z - (p/q)*x)**m takes x -> q*x,
+    z -> p*x + z, which makes it (q*z)**m, and nothing for p = 0."""
+    slope = cone_direction(g, germ_order(g))
+    if slope is None:
+        return ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    return ((slope.denominator, 0, 0), (0, 1, 0), (slope.numerator, 0, 1))
+
+
 def find_rational_singular_points(
     curve: PlaneCurve, vertex: tuple[ProjPoint, int] | None = None
 ) -> SingularLocus:
@@ -353,18 +366,21 @@ def find_rational_singular_points(
 
     `vertex`, when given, is (P, delta) for a unibranch singular point P
     of the curve and its delta invariant, read off P's resolution.  When P
-    is e_v, the first frame's search divides a known factor out of its
-    eliminant (`_vertex_factor`); every other frame, and every other
+    is e_v, the first frame also moves P's tangent to z = 0
+    (`_tangent_frame`), and its search cuts a known power of z from its
+    eliminant (`_vertex_cut`); every other frame, and every other
     `vertex`, takes the search without it.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
     centre = projection_vertex(curve)
     v = centre.coords().index(1)
-    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    delta = vertex[1] if vertex is not None and vertex[0] == centre else None
+    # The germ at e_v has the swapped frame's (x, z) in its slots, and the
+    # swap after the tangent move permutes the move's rows.
+    rows = list(_IDENTITY if delta is None else _tangent_frame(germ_at(curve.poly, centre)))
     rows[1], rows[v] = rows[v], rows[1]
     first = tuple(rows)
-    delta = vertex[1] if vertex is not None and vertex[0] == centre else None
     unsheared = None
     # the swap is the unsheared frame when v is y: run it once
     for m in dict.fromkeys((first, *_SHEARS)):
@@ -394,8 +410,9 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     singular; its multiplicity is the order of its germ.
 
     `delta`, when not None, is the delta invariant of (0 : 1 : 0), a
-    unibranch singular point of f.  The first pair is then (F_x, F_z),
-    and e1 is formed with the factor that `_vertex_factor` proves.
+    unibranch singular point of f with the tangent z = 0.  The first pair
+    is then (F_x, F_z), and e1 is formed with the cut that `_vertex_cut`
+    proves.
     """
     partials = [f.partial(i) for i in range(3)]
     live = [p for p in partials if not p.is_zero()]
@@ -403,7 +420,7 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
         # f uses a single variable; squarefree => a line, handled earlier.
         raise CurveError("degenerate curve: fewer than two nonzero partials")
 
-    factor = None
+    cut = 0
     if delta is None:
         pairs = [
             (a, b)
@@ -416,9 +433,9 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
         # through the point).
         fx, fy, fz = partials
         pairs = [(fx, fz), (fx, fy), (fy, fz)]
-        factor = _vertex_factor(f, fx, fz, delta)
+        cut = _vertex_cut(fx, fz, delta)
     for i, (a, b) in enumerate(pairs):
-        e1 = _eliminant_y(a, b, factor if i == 0 else None)
+        e1 = _eliminant_y(a, b, cut if i == 0 else 0)
         if e1 is not None:
             break
     else:
@@ -447,37 +464,32 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     return SingularLocus(out, blockers)
 
 
-def _vertex_factor(f: Poly, fx: Poly, fz: Poly, delta: int) -> tuple[int, int, int]:
-    """The linear factor (a, b, k) that Res_y(F_x, F_z) is known to have:
-    (b*x - a*z)**k divides it, where (a : b) is the direction (x : z) of
-    the tangent line at Q = (0 : 1 : 0), a unibranch singular point of f
-    of multiplicity m with delta invariant `delta`, and k = mu_Q - r*s,
-    with mu_Q = 2*delta, r = ord_Q F_x and s = ord_Q F_z.
+def _vertex_cut(fx: Poly, fz: Poly, delta: int) -> int:
+    """The power k of z that Res_y(F_x, F_z) is known to have, where
+    Q = (0 : 1 : 0) is a unibranch singular point of f of multiplicity m
+    with the tangent z = 0 and delta invariant `delta`: k = mu_Q - r*s,
+    with mu_Q = 2*delta, r = ord_Q F_x and s = ord_Q F_z.  A form h has
+    the order deg h - deg_y h at Q: that is the least a + c over its terms
+    x**a * y**b * z**c.
 
     In the chart y = 1, F_x and F_z are the partials g_x and g_z of the
     germ g of f at Q, so I_Q(F_x, F_z) is the Milnor number mu_Q, which is
     2*delta for one branch (Milnor's formula mu = 2*delta - branches + 1).
-    Q's tangent cone is l**m for the tangent l = alpha*x + beta*z, and at
-    least one of alpha, beta is not zero.  The degree m - 1 parts of g_x
-    and g_z are m*alpha*l**(m-1) and m*beta*l**(m-1), so one of the two
-    partials has the cone l**(m-1), and its strict transform under the
-    blowup of Q meets the exceptional curve only at the point p_l of
-    direction l.  By Noether's formula (Fulton, Algebraic Curves, ch. 7),
-    mu_Q = r*s + the sum, over the points p of the exceptional curve, of
-    the intersection numbers of the strict transforms at p; only p_l can
-    lie on both, so that sum is I_{p_l} = mu_Q - r*s.  After the blowup
-    the projection from Q is a morphism to the lines through Q, and the
-    order of the eliminant at the line l counts the intersections of the
-    two strict transforms on the fibre over l (the resultant argument of
-    Fulton, 5.1), p_l among them.  So ord_l Res_y(F_x, F_z) >= I_{p_l} = k.
+    Q's tangent cone is c*z**m, so the degree m - 1 part of g_z is
+    c*m*z**(m-1), and the strict transform of g_z under the blowup of Q
+    meets the exceptional curve only at the point p of the direction
+    z = 0.  By Noether's formula (Fulton, Algebraic Curves, ch. 7),
+    mu_Q = r*s + the sum, over the points of the exceptional curve, of the
+    intersection numbers of the strict transforms there; only p can lie on
+    both, so that sum is I_p = mu_Q - r*s.  After the blowup the
+    projection from Q is a morphism to the lines through Q, and the order
+    of the eliminant at the line z = 0, the point (1 : 0) of (x : z),
+    counts the intersections of the two strict transforms on the fibre
+    over that line (the resultant argument of Fulton, 5.1), p among them.
+    So z**k divides Res_y(F_x, F_z).
     """
-    q = ProjPoint.of(0, 1, 0)
-    g = germ_at(f, q)
-    slope = cone_direction(g, germ_order(g))
-    k = 2 * delta - germ_order(germ_at(fx, q)) * germ_order(germ_at(fz, q))
-    # The cone is (z - slope*x)**m in the germ's (x, z), direction
-    # (1 : slope); slope is None for the cone x**m, direction (0 : 1).
-    return (0, 1, k) if slope is None else (slope.denominator, slope.numerator, k)
+    r, s = (h.total_degree() - h.degree_in(1) for h in (fx, fz))
+    return 2 * delta - r * s
 
 
 def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> list[int]:
@@ -513,23 +525,21 @@ def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> l
     return l1
 
 
-def _eliminant_y(
-    a: Poly, b: Poly, factor: tuple[int, int, int] | None = None
-) -> tuple[list[int], int] | None:
+def _eliminant_y(a: Poly, b: Poly, cut: int = 0) -> tuple[list[int], int] | None:
     """The eliminant e = Res_y(a, b) of two forms, a binary form in
     (x, z), as the integer coefficients of e(t, 1) (up to a rational
     scale) and the degree of e; None when e is zero.  A form free of y is
     its own eliminant; when both are, their common zeros are those of
     their gcd, whose degree is that of the gcd of the (t, 1) lists plus
-    the smaller deficit at (1 : 0).  A known `factor` of e goes to
-    `form_resultant_int`."""
+    the smaller deficit at (1 : 0).  A `cut` k, a known factor z**k of e,
+    goes to `form_resultant_int`."""
     free = [h for h in (a, b) if h.degree_in(1) == 0]
     if free:
         rows = [primitive_rows(dehomogenize(h, 2), 1, 0)[0] for h in free]
         deficit = min(h.total_degree() - uniroots.deg(r) for h, r in zip(free, rows))
         g = rows[0] if len(rows) == 1 else uniroots.gcd_int(*rows)
         return g, uniroots.deg(g) + deficit
-    coeffs = form_resultant_int(a, b, 1, 0, factor)
+    coeffs = form_resultant_int(a, b, 1, 0, cut)
     if not coeffs:
         return None
     m, n = a.degree_in(1), b.degree_in(1)

@@ -11,7 +11,7 @@ and printing is graded lexicographic with x > y > z.
 
 import heapq
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from math import gcd as _int_gcd
 from typing import Iterable, Iterator, Mapping
 
@@ -804,32 +804,25 @@ def resultant_wrt(p: Poly, q: Poly, v: int) -> Poly:
     return Poly(terms)
 
 
-def form_resultant_int(
-    p: Poly, q: Poly, v: int, prime: int, factor: tuple[int, int, int] | None = None
-) -> list[int] | None:
+def form_resultant_int(p: Poly, q: Poly, v: int, prime: int, cut: int = 0) -> list[int] | None:
     """`resultant_int` of two forms of positive v-degree, dehomogenized at
     the last variable other than v: the coefficients of Res_v(P, Q)(t, 1),
     t standing for the first other variable.
 
-    A known `factor` (a, b, k) says that (b*t - a*s)**k divides the binary
-    form Res_v(P, Q)(t, s), of degree n*deg p + m*deg q - m*n for the
-    v-degrees m, n.  With P = s**i * P1 and Q = s**j * Q1 for the
-    homogenized dehomogenizations P1, Q1, that form is s**(n*i + m*j) *
-    Res_v(P1, Q1), so at (a : b) = (1 : 0) the form that `resultant_int`
-    reads keeps s**(k - n*i - m*j).
+    A `cut` k says that s**k divides the binary form Res_v(P, Q)(t, s), of
+    degree n*deg p + m*deg q - m*n for the v-degrees m, n.  With P = s**i *
+    P1 and Q = s**j * Q1 for the homogenized dehomogenizations P1, Q1, that
+    form is s**(n*i + m*j) * Res_v(P1, Q1), so the form that
+    `resultant_int` reads keeps s**(k - n*i - m*j).
     """
     w, top = sorted({0, 1, 2} - {v})
     pd, qd = dehomogenize(p, top), dehomogenize(q, top)
-    if factor and not factor[1]:
-        m, n = p.degree_in(v), q.degree_in(v)
-        lost = n * (p.total_degree() - pd.total_degree()) + m * (q.total_degree() - qd.total_degree())
-        factor = (1, 0, max(factor[2] - lost, 0))
-    return resultant_int(pd, qd, v, w, prime, factor)
+    m, n = p.degree_in(v), q.degree_in(v)
+    lost = n * (p.total_degree() - pd.total_degree()) + m * (q.total_degree() - qd.total_degree())
+    return resultant_int(pd, qd, v, w, prime, max(cut - lost, 0))
 
 
-def resultant_int(
-    p: Poly, q: Poly, v: int, w: int, prime: int, factor: tuple[int, int, int] | None = None
-) -> list[int] | None:
+def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int, cut: int = 0) -> list[int] | None:
     """The coefficients (low to high, trimmed) in w of Res_v(P, Q), where
     p and q use no variable besides v and w, have positive v-degrees m and
     n, and P, Q are p, q divided by their contents.
@@ -874,37 +867,25 @@ def resultant_int(
     mean of |Res(P, Q)(w)|**2 over the unit circle, so every coefficient
     is below half of M and the symmetric residues are exact.
 
-    A `factor` (a, b, k) is a fact the caller knows about the result R:
-    the form of degree n*D_p + m*D_q - m*n above, R homogenized with s, is
-    divisible by (b*t - a*s)**k, t standing for w.  The interpolation
-    then reads only the cofactor C = R / (b*t - a*s)**k:
-    - at (a : b) = (1 : 0) the factor is s**k, so deg R <= n*D_p + m*D_q -
-      m*n - k, and that lowers the bound by up to k;
-    - at a finite root, the run skips each t at which b*t - a is zero
-      (modulo prime), and the product of primes keeps only primes dividing
-      no b*t - a of the run, so every such value is a unit modulo M.  Each
-      value R(t) becomes C(t) = R(t) / (b*t - a)**k modulo M, and bound -
-      k + 1 of them give C.  C is multiplied back by (b*t - a)**k before
-      the symmetric lift, so the bound above still covers every
-      coefficient that is lifted.
+    A `cut` k is a fact the caller knows about the result R: the form of
+    degree n*D_p + m*D_q - m*n above, R homogenized with s, is divisible
+    by s**k.  So deg R <= n*D_p + m*D_q - m*n - k, and that lowers the
+    bound by up to k.
     """
     m, n = p.degree_in(v), q.degree_in(v)
-    total = n * p.total_degree() + m * q.total_degree() - m * n
-    bound = min(n * p.degree_in(w) + m * q.degree_in(w), total)
-    a, b, k = factor or (0, 1, 0)
-    if k and not b:
-        bound, k = min(bound, total - k), 0
+    bound = min(
+        n * p.degree_in(w) + m * q.degree_in(w),
+        n * p.total_degree() + m * q.total_degree() - m * n - cut,
+    )
     pl, ql = primitive_rows(p, v, w), primitive_rows(q, v, w)
     if prime and not (any(c % prime for c in pl[-1]) and any(c % prime for c in ql[-1])):
         return None
     points: list[tuple[int, list[int], list[int]]] = []
     for point in sample_points(pl, ql, prime):
-        if k and not ((b * point[0] - a) % prime if prime else b * point[0] - a):
-            continue
         if points and point[0] != points[-1][0] + 1:
             points = []
         points.append(point)
-        if len(points) > bound - k:
+        if len(points) > bound:
             break
     if prime:
         primes, modulus = [prime], prime
@@ -915,11 +896,11 @@ def resultant_int(
         for r in uniroots.large_primes():
             if modulus * modulus > limit:
                 break
-            if all(lp[m] % r and lq[n] % r and (not k or (b * t - a) % r) for t, lp, lq in points):
+            if all(lp[m] % r and lq[n] % r for _, lp, lq in points):
                 primes.append(r)
                 modulus *= r
     residues = []
-    for t, lp, lq in points:
+    for _, lp, lq in points:
         value = uniroots.resultant_mod_p(lp, lq, modulus)
         if value is None:
             # A leading coefficient met on the way is a zero divisor modulo
@@ -929,15 +910,8 @@ def resultant_int(
                 image = uniroots.resultant_mod_p(lp, lq, r)
                 [value] = uniroots.crt_merge([value], done, [image], r)
                 done *= r
-        residues.append(value * pow(b * t - a, -k, modulus) if k else value)
+        residues.append(value)
     coeffs = uniroots.interpolate_mod_p(points[0][0], residues, modulus)
-    if k:
-        line = [comb(k, j) * b ** j * (-a) ** (k - j) % modulus for j in range(k + 1)]
-        product = [0] * (len(coeffs) + k)
-        for i, c in enumerate(coeffs):
-            for j, e in enumerate(line):
-                product[i + j] += c * e
-        coeffs = [c % modulus for c in product]
     if not prime:
         half = modulus // 2
         coeffs = [c - modulus if c > half else c for c in coeffs]

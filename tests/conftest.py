@@ -29,16 +29,16 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def cut_eliminants(monkeypatch):
     """Checks every eliminant that the singular search forms with a known
-    factor against the same pair's eliminant formed without it, and
-    collects those factors (a, b, k) in the list it returns."""
+    factor z**k, k > 0, against the same pair's eliminant formed without
+    it, and collects those cuts k in the list it returns."""
     seen = []
     real = curves._eliminant_y
 
-    def checked(a, b, factor=None):
-        got = real(a, b, factor)
-        if factor is not None:
-            assert got == real(a, b), (str(a), str(b), factor)
-            seen.append(factor)
+    def checked(a, b, cut=0):
+        got = real(a, b, cut)
+        if cut:
+            assert got == real(a, b), (str(a), str(b), cut)
+            seen.append(cut)
         return got
 
     monkeypatch.setattr(curves, "_eliminant_y", checked)

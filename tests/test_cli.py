@@ -587,6 +587,23 @@ def test_closed_stdout_exits_without_traceback():
     assert "Traceback" not in proc.stderr
 
 
+def test_a_dot_path_that_is_a_file_exits_with_one_error_line(tmp_path):
+    taken = tmp_path / "F"
+    taken.write_text("")
+    proc = _run_module("resolve", "corpus:cusp-quartic", "--dot", str(taken))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_full_stdout_exits_with_one_error_line():
+    # As in `unicusp analyze x > /dev/full`: every write fails with ENOSPC.
+    with open("/dev/full", "w") as full:
+        proc = _run_module("analyze", "x", stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_verify_corpus_json_matches_golden_output(capsys):
     # tests/data/verify_corpus.json is `verify-corpus --json` as printed
     # before the modular-resultant kernel changed; any change to the

@@ -12,7 +12,6 @@ from unicusp.cremona import (
     base_cubic,
     base_quintic,
     check_parameterization,
-    compose_reduce,
     extend_affine_automorphism,
     is_involution,
     make_map,
@@ -27,6 +26,18 @@ from unicusp.poly import ONE, Poly, X, Y, Z, proportional
 def _apply(m, point):
     """The image of a point: each component evaluated there."""
     return tuple(c.evaluate(point) for c in m.components)
+
+
+def compose_reduce(outer: CremonaMap, inner: CremonaMap) -> CremonaMap:
+    """Componentwise composition; `make_map` divides out the shared factor
+    and logs it."""
+    comps = tuple(p.substitute(inner.components) for p in outer.components)
+    if not any(comps):
+        raise CremonaError("composition degenerates: all components vanish")
+    try:
+        return make_map(*comps)
+    except CremonaError as err:
+        raise CremonaError(f"composition degenerates: {err}") from err
 
 
 def identity_map():

@@ -1043,24 +1043,48 @@ def test_image_deg15_search_eliminates_the_variable_of_least_degree(ps, monkeypa
     assert sizes and max(sizes) <= (15 - 1) ** 2 - (6 - 1) ** 2 + 1
 
 
+def test_the_tangent_frame_moves_the_cusp_tangent_to_z_0():
+    # Cusps l^3 * y^2 = k^5 at Q = (0 : 1 : 0), with the cones x^3, z^3 and
+    # (3z + 2x)^3, the slope -2/3: a swap, no move, and x -> 3x, z -> -2x + z.
+    # Each frame fixes Q and leaves a cone c*z^3 there.
+    from unicusp import curves
+
+    q = ProjPoint.of(0, 1, 0)
+    cases = [
+        (X, Z, ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+        (Z, X, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        (3 * Z + 2 * X, X, ((3, 0, 0), (0, 1, 0), (-2, 0, 1))),
+    ]
+    for line, other, want in cases:
+        f = line**3 * Y**2 - other**5
+        frame = curves._tangent_frame(germ_at(f, q))
+        assert frame == want, str(line)
+        assert curves._map_point(frame, q) == q
+        g = germ_at(curves._apply_matrix(f, frame), q)
+        assert germ_order(g) == 3
+        assert [bool(c) for c in curves.cone_coefficients(g, 3)] == [False, False, False, True]
+
+
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
 def test_the_cut_eliminant_is_the_uncut_one_on_the_corpus(ps, cut_eliminants):
     # classify hands the search the delta of each cusp that sits at the
     # projection vertex: (0 : 0 : 1) for three of them, with the tangent
-    # x = 0, so the factor is t^k0 at t = 0; cusp-quartic's is at
-    # (0 : 1 : 0), with the tangent z = 0, so the factor sits at (1 : 0).
+    # x = 0 in the swapped frame, which the tangent move swaps with z;
+    # cusp-quartic's is at (0 : 1 : 0), with the tangent z = 0 already.
+    # Each eliminant is cut at (1 : 0).
     from unicusp import corpus
     from unicusp.resolution import classify
 
     for name in corpus.CURVES:
         classify(curve_by_name(name, ps))
-    assert sorted(cut_eliminants) == [(0, 1, 8), (0, 1, 10), (0, 1, 150), (1, 0, 2)]
+    assert sorted(cut_eliminants) == [2, 8, 10, 150]
 
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
 def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
     # The first frame of each corpus curve whose projection vertex is a
-    # unibranch singular point, searched with that point's delta.
+    # unibranch singular point, with that point's tangent moved to z = 0,
+    # searched with that point's delta.
     from unicusp import corpus, curves
     from unicusp.resolution import minimal_embedded_resolution
 
@@ -1077,6 +1101,7 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
         v = vertex.coords().index(1)
         swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
         f = curves._apply_matrix(curve.poly, swap)
+        f = curves._apply_matrix(f, curves._tangent_frame(germ_at(f, ProjPoint.of(0, 1, 0))))
         got = _locus_key(curves._singular_search(f, delta))
         assert got == _locus_key(_singular_search_reference(f)), name
         assert got[0] == [("(0 : 1 : 0)", multiplicity_at(curve, vertex))], name
@@ -1085,12 +1110,15 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
 
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
-def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch, cut_eliminants):
+def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch):
     # The cusp has multiplicity 6 and delta 90, so mu = 180.  In the search
-    # frame, F_x and F_z have orders 5 and 6 at the cusp, so k0 = 180 - 30 =
-    # 150, and the exact eliminant, of degree at most 166, is t^150 times a
-    # cofactor read from 166 - 150 + 1 = 17 values instead of 167.  The
-    # one-prime image of the next pair, (F_x, F_y), is not cut.
+    # frame, whose tangent move swaps x and z, F_x and F_z have orders 6
+    # and 5 at the cusp, so k0 = 180 - 30 = 150, and the exact eliminant,
+    # a form of degree 14^2 - 30 = 166, is z^150 times a cofactor read from
+    # 166 - 150 + 1 = 17 values instead of 167.  The one-prime image of the
+    # next pair, (F_x, F_y), is not cut: in this frame it is a form of
+    # degree 160, read from 161 values.  (The `cut_eliminants` fixture
+    # would add the uncut e1's 167 values; the corpus test checks that.)
     from unicusp.resolution import classify
 
     sizes = []
@@ -1104,8 +1132,7 @@ def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch,
     report = classify(curve_by_name("image-deg15", ps))
     assert report.singular_points == [(ProjPoint.of(0, 0, 1), 6)]
     assert report.resolution.delta == 90
-    assert cut_eliminants == [(0, 1, 150)]
-    assert sizes[:2] == [17, 167]
+    assert sizes[:2] == [17, 161]
 
 
 def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():

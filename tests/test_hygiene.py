@@ -197,6 +197,52 @@ def test_every_definition_is_referenced(path):
     )
 
 
+# Definitions that no module of the package reads, kept for readers outside
+# it: a method that the README lists as public, and the two functions that
+# perfbench's tracer looks up by name.
+READ_OUTSIDE_SRC = {
+    ("poly.py", "lead_coeff"),
+    ("uniroots.py", "resultant_q"),
+    ("uniroots.py", "newton_interpolate"),
+}
+
+
+def _package_imports(trees) -> set[str]:
+    """The names that the modules import from the package itself."""
+    return {
+        alias.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+
+
+def test_the_check_counts_a_package_import_as_a_read():
+    tree = ast.parse("from .a import f, g as h\nfrom math import k\n")
+    assert _package_imports([tree]) == {"f", "g"}
+
+
+@functools.cache
+def _read_in_src() -> tuple[set[str], set[str]]:
+    """Names and attributes read in src/, package imports included."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))]
+    names, attrs = _names_and_attributes(trees)
+    return names | _package_imports(trees), attrs
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_read_in_src(path):
+    names, attrs = _read_in_src()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kept = {name for module, name in READ_OUTSIDE_SRC if module == path.name}
+    assert kept <= {name for name, _, _ in _definitions(tree)}, "a kept name is gone"
+    stale = [(name, line) for name, line in _unreferenced(tree, names, attrs) if name not in kept]
+    assert not stale, f"{path.name} defines what nothing in src/ reads: " + ", ".join(
+        f"{name} (line {line})" for name, line in stale
+    )
+
+
 # -- every parameter is read ------------------------------------------------
 
 

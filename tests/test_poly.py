@@ -869,29 +869,28 @@ def test_form_resultant_int_interpolates_only_the_cofactor_of_a_known_factor(mon
     # Res_y(y*z^2 - g, y^2*z^4 - h) is g^2 - h at z = 1, up to sign: with
     # g = x*(2x - 3z)^2 and h = x^2*(2x - 3z)^4 - x^2*(2x - 3z)^3 that is
     # x^2 * (2t - 3)^3, of degree 5 against the form's 2*3 + 6 - 2 = 10:
-    # roots t = 0 (order 2), 3/2 (order 3) and (1 : 0) (order 5).  Without
-    # a factor the run has 10 + 1 points; each known factor takes k of
-    # them away, and t = 0 is skipped when it is the root divided out.
+    # (1 : 0) is a root of order 5.  Without a cut the run has 10 + 1
+    # points; a cut k, a known factor s^k, takes k of them away.
     from unicusp import uniroots
 
     g = X * (2 * X - 3 * Z) ** 2
     p = Y * Z**2 - g
     q = Y**2 * Z**4 - X**2 * (2 * X - 3 * Z) ** 4 + X**2 * (2 * X - 3 * Z) ** 3
-    cases = {None: (0, 11), (0, 1, 2): (1, 9), (3, 2, 3): (0, 8), (1, 0, 5): (0, 6)}
+    cases = {0: (0, 11), 3: (0, 8), 5: (0, 6)}
     for prime in (0, 101, next(uniroots.large_primes())):
         want = form_resultant_int(p, q, 1, prime)
         assert uniroots.deg(want) == 5
-        for factor, run in cases.items():
+        for cut, run in cases.items():
             runs = _interpolation_spy(monkeypatch)
-            assert form_resultant_int(p, q, 1, prime, factor) == want, (prime, factor)
-            assert runs == [run], (prime, factor)
+            assert form_resultant_int(p, q, 1, prime, cut) == want, (prime, cut)
+            assert runs == [run], (prime, cut)
             monkeypatch.undo()
     # The form's degree counts the z-powers that dehomogenizing drops:
     # z*p and z^2*q have the eliminant z^(2*1 + 1*2) * (that of p, q), so
     # (1 : 0) has order 9 there, and the run keeps 10 - 5 + 1 points.
     want = form_resultant_int(p, q, 1, 0)
     runs = _interpolation_spy(monkeypatch)
-    assert form_resultant_int(Z * p, Z**2 * q, 1, 0, (1, 0, 9)) == want
+    assert form_resultant_int(Z * p, Z**2 * q, 1, 0, 9) == want
     assert runs == [(0, 6)]
 
 
