@@ -18,11 +18,9 @@ from .curves import (
     find_rational_singular_points,
     germ_at,
     intersection_cycle,
-    intersection_multiplicity,
     is_smooth,
     make_curve,
     multiplicity_at,
-    tangent_line_at,
 )
 from .resolution import (
     ClassificationReport,
@@ -90,11 +88,9 @@ __all__ = [
     "find_rational_singular_points",
     "germ_at",
     "intersection_cycle",
-    "intersection_multiplicity",
     "is_smooth",
     "make_curve",
     "multiplicity_at",
-    "tangent_line_at",
     "ClassificationReport",
     "NotUnibranchError",
     "ResolutionIncompleteError",

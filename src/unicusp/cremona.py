@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curves import PlaneCurve, make_curve, repeated_factor
+from .curves import PlaneCurve, repeated_factor
 from .poly import (
     Poly,
     X,
@@ -24,7 +24,6 @@ from .poly import (
     gcd,
     normalized,
     poly_to_text,
-    radical,
     strip_factors,
 )
 
@@ -127,8 +126,9 @@ def strict_transform(
     """Pullback with every power of the declared exceptional curves removed
     (on integer coefficients, by `strip_factors`).
 
-    The squarefree check runs once: any residual repeated factor (a missed
-    exceptional curve) is dropped via the radical, with a logged warning.
+    The squarefree check runs once.  A repeated factor left after that
+    is an exceptional curve missing from `exceptional`, so CremonaError is
+    raised naming the witness.
     """
     total = pullback(m, curve)
     if total.is_zero():
@@ -137,14 +137,13 @@ def strict_transform(
     if total.is_constant():
         raise CremonaError("curve is exceptional for the map: nothing remains")
     witness = repeated_factor(total)
-    if witness is None:
-        # make_curve's checks all hold: total is a squarefree nonconstant form
-        return PlaneCurve(normalized(total), total.total_degree())
-    logger.warning(
-        "strict transform has a repeated factor dividing %s; taking the radical",
-        poly_to_text(witness),
-    )
-    return make_curve(radical(total))
+    if witness is not None:
+        raise CremonaError(
+            f"strict transform has a repeated factor dividing {poly_to_text(witness)}: "
+            "an exceptional curve is missing"
+        )
+    # make_curve's checks all hold: total is a squarefree nonconstant form
+    return PlaneCurve(normalized(total), total.total_degree())
 
 
 def is_involution(m: CremonaMap) -> bool:

@@ -240,22 +240,32 @@ def multiplicity_at(curve: PlaneCurve, point: ProjPoint) -> int:
     return germ_order(g)
 
 
-def tangent_line_at(curve: PlaneCurve, point: ProjPoint) -> PlaneCurve:
-    """The unique tangent line at a point whose tangent cone is a power of
-    one line (smooth points and cusp-like points); NotUnibranchError when
-    the cone is not the power of one rational line."""
+def tangent_contact(curve: PlaneCurve, point: ProjPoint) -> int:
+    """I_P(C, T) for the tangent T at a point P of the curve whose tangent
+    cone is the power of one line (`cone_direction`).
+
+    For a line L that is not a component of C, I_P(C, L) is the order at P
+    of F restricted to L (Fulton, Algebraic Curves, ch. 3), and these
+    orders add up to d over the points of L by Bezout, so the answer is d
+    exactly when T meets C only at P.  In the chart of P, T is v = r*u, or
+    u = 0 when r is None; on u = q*t, v = p*t with r = p/q, and (p, q) =
+    (1, 0) for u = 0, the term k*u**a*v**b of the germ adds k*p**b*q**a at
+    t**(a + b).  The least a + b whose sum is nonzero is the order; when
+    every sum vanishes T is a component, and CurveError is raised.
+    """
     g = germ_at(curve.poly, point)
     m = germ_order(g)
     if m == 0:
         raise CurveError("point does not lie on the curve")
     r = cone_direction(g, m)
-    # lift the affine line a*u + b*v = 0 (u = 0, or v = r*u) to the plane
-    a, b = (Fraction(1), Fraction(0)) if r is None else (-r, Fraction(1))
-    i, j = chart_of(point)
-    coords = point.coords()
-    vi, vj, vk = Poly.variable(i), Poly.variable(j), Poly.variable(3 - i - j)
-    form = a * (vi - coords[i] * vk) + b * (vj - coords[j] * vk)
-    return make_curve(form)
+    p, q = (1, 0) if r is None else (r.numerator, r.denominator)
+    sums: dict[int, int] = {}
+    for (a, b, _), k in g._num.items():
+        sums[a + b] = sums.get(a + b, 0) + k * p ** b * q ** a
+    orders = [n for n, s in sums.items() if s]
+    if not orders:
+        raise CurveError("the tangent line is a component of the curve")
+    return min(orders)
 
 
 # -- singular locus -------------------------------------------------------
@@ -625,12 +635,6 @@ def is_smooth(curve: PlaneCurve) -> bool:
 
 
 # -- intersection theory --------------------------------------------------
-
-
-def intersection_multiplicity(c1: PlaneCurve, c2: PlaneCurve, point: ProjPoint) -> int:
-    """Local intersection number of two curves without a common component
-    at a rational point (0 when the point is not a common point)."""
-    return dict(_local_numbers(c1.poly, c2.poly)).get(point, 0)
 
 
 def _cycle_shears():

@@ -707,16 +707,6 @@ def squarefree_witness(p: Poly) -> Poly:
     return w
 
 
-def radical(p: Poly) -> Poly:
-    """Product of the distinct irreducible factors of p."""
-    w = squarefree_witness(p)
-    if w.is_constant():
-        return normalized(p)
-    r = exact_divide(p, w)
-    assert r is not None
-    return normalized(r)
-
-
 def dehomogenize(p: Poly, i: int) -> Poly:
     """p with variable i set to 1.
 

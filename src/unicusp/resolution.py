@@ -31,10 +31,9 @@ from .curves import (
     find_rational_singular_points,
     germ_at,
     germ_order,
-    intersection_multiplicity,
     multiplicity_at,
     projection_vertex,
-    tangent_line_at,
+    tangent_contact,
 )
 from .dualgraph import WeightedDualGraph
 from .poly import ONE, Poly, X, Y, exact_divide
@@ -343,8 +342,7 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
         report.notes.append("the singular point is not a cusp (several branches)")
         return report
 
-    tangent = tangent_line_at(curve, res.point)
-    contact_only = intersection_multiplicity(curve, tangent, res.point) == d
+    contact_only = tangent_contact(curve, res.point) == d
     report.tangent_contact_only = contact_only
 
     if genus != 1:

@@ -356,8 +356,7 @@ def squarefree_part_int(a: list[int]) -> list[int]:
     a = primitive_int(a)
     if deg(a) <= 0:
         return a
-    d = trim([i * a[i] for i in range(1, len(a))])
-    g = gcd_int(a, d)
+    g = gcd_int(a, derivative(a))
     if deg(g) == 0:
         return a
     q = divide_exact_int(a, g)

@@ -304,6 +304,20 @@ def test_transform_reports_a_reduced_map_on_stderr():
     assert proc.stderr == "divided out common factor x\n"
 
 
+def test_transform_without_an_exceptional_curve_is_refused():
+    # (x*z, y*z + x^2, z^2) contracts z = 0, and the pullback keeps z as a
+    # repeated factor when it is not declared
+    proc = _run_module("transform", "corpus:weierstrass-cubic", "--map", "x*z;y*z+x^2;z^2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: strict transform has a repeated factor dividing z: an exceptional curve is missing\n"
+    )
+    # and the pullback x^2 of the line x under the squaring map
+    proc = _run_module("transform", "x", "--map", "x^2;y^2;z^2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: strict transform has a repeated factor dividing x:")
+
+
 def test_transform_map_needs_three_pieces(capsys):
     code, _, err = run_cli(capsys, "transform", "y^2*z - x^3", "--map", "x;y")
     assert code == 2

@@ -20,6 +20,7 @@ from unicusp.cremona import (
     strict_transform,
 )
 from unicusp.curves import make_curve, repeated_factor
+from unicusp.parse import parse_poly
 from unicusp.poly import ONE, Poly, X, Y, Z, proportional
 
 
@@ -330,17 +331,17 @@ def test_exceptional_curve_has_no_strict_transform():
         strict_transform(h, conic, [conic])
 
 
-def test_undeclared_exceptional_factor_warns_and_is_dropped(caplog):
+def test_undeclared_exceptional_factor_is_refused():
+    # the pullback is f2^5 times the quintic: the conic, left out of the
+    # exceptional list, stays as a repeated factor and is named
     h = quintic_involution(0)
-    with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
-        result = strict_transform(h, contact_cubic(1, 1), [])
-    assert any("repeated factor" in rec.message for rec in caplog.records)
-    # the conic survives once (radical of f2^5 * quintic)
-    expected = base_conic() * quintic_image_formula(1, 1, 0)
-    assert proportional(result.poly, expected)
+    with pytest.raises(CremonaError, match="an exceptional curve is missing") as err:
+        strict_transform(h, contact_cubic(1, 1), [])
+    witness = parse_poly(str(err.value).split("dividing ")[1].split(":")[0])
+    assert proportional(witness, base_conic() ** 4)
 
 
-def test_strict_transform_certifies_once(monkeypatch, caplog):
+def test_strict_transform_certifies_once(monkeypatch):
     from unicusp import cremona, curves
 
     h = quintic_involution(0)
@@ -356,10 +357,10 @@ def test_strict_transform_certifies_once(monkeypatch, caplog):
     image = strict_transform(h, cubic, [conic])
     assert len(calls) == 1
     calls.clear()
-    with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
+    with pytest.raises(CremonaError, match="repeated factor"):
         strict_transform(h, cubic, [])
-    # the witness, then make_curve on the radical
-    assert len(calls) == 2
+    # the witness, then the refusal
+    assert len(calls) == 1
     monkeypatch.undo()
     assert image == make_curve(image.poly)
 

@@ -22,12 +22,11 @@ from unicusp.curves import (
     germ_at,
     germ_order,
     intersection_cycle,
-    intersection_multiplicity,
     is_smooth,
     make_curve,
     multiplicity_at,
     repeated_factor,
-    tangent_line_at,
+    tangent_contact,
 )
 from unicusp.corpus import DEFAULT_PARAMS, curve_by_name, param_set
 from unicusp.parse import parse_poly
@@ -238,8 +237,9 @@ def test_repeated_factor_decides_by_the_gcd_when_every_image_is_zero(monkeypatch
 
 
 def _tangent_line_reference(curve, point):
-    """The former tangent_line_at: the cone over its squarefree witness
-    must be a line whose m-th power is the cone."""
+    """The tangent line at a point, read off the tangent cone without
+    `cone_direction`: the cone over its squarefree witness must be a line
+    whose m-th power is the cone."""
     g = germ_at(curve.poly, point)
     m = min(a + b + c for (a, b, c) in g.terms)
     if m == 0:
@@ -261,17 +261,28 @@ def _tangent_line_reference(curve, point):
     return make_curve(form)
 
 
-def _tangent_outcome(fn, curve, point):
+def _intersection_number(c1, c2, point):
+    return dict(intersection_cycle(c1, c2).points).get(point, 0)
+
+
+def _outcome(fn, *args):
     try:
-        return fn(curve, point).poly
+        return fn(*args)
     except CurveError:
         return CurveError
 
 
 def _assert_tangent_agrees(curve, point):
-    got = _tangent_outcome(tangent_line_at, curve, point)
-    assert got == _tangent_outcome(_tangent_line_reference, curve, point), (curve.poly, point)
-    return got
+    """The reference tangent line at the point (CurveError when there is
+    none), once tangent_contact has been checked against the contact that
+    intersection_cycle gives that line: both answers, or both CurveError."""
+    line = _outcome(lambda: _tangent_line_reference(curve, point).poly)
+    want = line if line is CurveError else _outcome(_intersection_number, curve, make_curve(line), point)
+    got = _outcome(tangent_contact, curve, point)
+    assert got == want, (curve.poly, point)
+    if got is not CurveError:
+        assert got > multiplicity_at(curve, point), (curve.poly, point)
+    return line
 
 
 @pytest.mark.parametrize("ps", CORPUS_POINTS, ids=lambda ps: ps.label)
@@ -323,10 +334,6 @@ def test_tangent_line_matches_reference_at_special_germs():
         make_curve((X**2 + Y**2) * Z + X**3),  # two conjugate directions
     ):
         assert _assert_tangent_agrees(curve, origin) is CurveError
-    with pytest.raises(NotUnibranchError):
-        tangent_line_at(NODE_CUBIC, origin)
-    with pytest.raises(CurveError, match="does not lie"):
-        tangent_line_at(CONIC, ProjPoint.of(1, 1, 2))
 
 
 def test_the_curve_checks_never_reach_the_multivariate_gcd(monkeypatch):
@@ -347,7 +354,7 @@ def test_the_curve_checks_never_reach_the_multivariate_gcd(monkeypatch):
     for name, ps, curve in built:
         assert repeated_factor(curve.poly) is None, (name, ps.label)
     for curve, point in cusps:
-        assert tangent_line_at(curve, point).degree == 1
+        assert tangent_contact(curve, point) > multiplicity_at(curve, point)
 
 
 def test_proj_point_normalization():
@@ -392,34 +399,74 @@ def test_singular_locus_three_lines():
 
 
 def test_tangent_line():
-    t = tangent_line_at(CUSP_CUBIC, ProjPoint.of(0, 0, 1))
-    assert proportional(t.poly, Y)  # the cuspidal tangent y = 0
+    origin = ProjPoint.of(0, 0, 1)
+    assert proportional(_assert_tangent_agrees(CUSP_CUBIC, origin), Y)  # the cuspidal tangent y = 0
+    assert tangent_contact(CUSP_CUBIC, origin) == 3
     smooth_pt = ProjPoint.of(1, 1, 1)
-    t2 = tangent_line_at(CONIC, smooth_pt)
-    assert t2.poly.evaluate((1, 1, 1)) == 0
+    assert _assert_tangent_agrees(CONIC, smooth_pt).evaluate((1, 1, 1)) == 0
+    assert tangent_contact(CONIC, smooth_pt) == 2
 
 
 def test_tangent_line_rejects_off_curve_points():
-    with pytest.raises(CurveError):
-        tangent_line_at(CONIC, ProjPoint.of(1, 1, 7))
+    for point in (ProjPoint.of(1, 1, 7), ProjPoint.of(1, 1, 2)):
+        with pytest.raises(CurveError, match="does not lie"):
+            tangent_contact(CONIC, point)
+
+
+def test_tangent_contact_rejects_a_cone_of_several_lines():
+    # the node's cone y^2 - x^2 has two lines; x^3 - y^3 has one rational
+    # and two conjugate ones
+    for curve in (NODE_CUBIC, make_curve(X**3 - Y**3)):
+        with pytest.raises(NotUnibranchError):
+            tangent_contact(curve, ProjPoint.of(0, 0, 1))
+
+
+def test_tangent_contact_rejects_a_tangent_component():
+    # y*(y*z^3 - x^4): at the smooth point (1 : 0 : 0) the tangent is the
+    # component y = 0, and at (0 : 0 : 1) the tacnode's cone y^2 is its
+    # power, so every sum vanishes; the oracle's cycle is undefined too
+    curve = make_curve(Y * (Y * Z**3 - X**4))
+    for point in (ProjPoint.of(1, 0, 0), ProjPoint.of(0, 0, 1)):
+        with pytest.raises(CurveError, match="component"):
+            tangent_contact(curve, point)
+        assert _assert_tangent_agrees(curve, point) == Y
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
+def test_tangent_contact_at_the_corpus_cusps(ps):
+    # only the AMS quartic's cusp tangent meets it at the cusp alone
+    from unicusp import corpus
+
+    got = {}
+    for name in corpus.CURVES:
+        curve = curve_by_name(name, ps)
+        for point, _ in find_rational_singular_points(curve).points:
+            got[name] = (_outcome(tangent_contact, curve, point), curve.degree)
+    assert got == {
+        "node-cubic": (CurveError, 3),
+        "cusp-quartic": (4, 4),
+        "image-deg15": (12, 15),
+        "image-quintic": (4, 5),
+        "rational-quintic": (4, 5),
+    }
 
 
 def test_intersection_multiplicity_basics():
     origin = ProjPoint.of(0, 0, 1)
     line_x = make_curve(X)
     line_y = make_curve(Y)
-    assert intersection_multiplicity(line_x, line_y, origin) == 1
+    assert _intersection_number(line_x, line_y, origin) == 1
     # tangent line of the cusp meets the cubic with multiplicity 3 there
-    assert intersection_multiplicity(CUSP_CUBIC, make_curve(Y), origin) == 3
+    assert _intersection_number(CUSP_CUBIC, make_curve(Y), origin) == 3
     # and the other line x=0 with multiplicity 2
-    assert intersection_multiplicity(CUSP_CUBIC, line_x, origin) == 2
+    assert _intersection_number(CUSP_CUBIC, line_x, origin) == 2
     # disjoint at this point
-    assert intersection_multiplicity(CONIC, line_y, ProjPoint.of(0, 1, 0)) == 0
+    assert _intersection_number(CONIC, line_y, ProjPoint.of(0, 1, 0)) == 0
 
 
 def test_intersection_multiplicity_shared_component():
     with pytest.raises(CurveError):
-        intersection_multiplicity(CONIC, CONIC, ProjPoint.of(0, 0, 1))
+        _intersection_number(CONIC, CONIC, ProjPoint.of(0, 0, 1))
 
 
 def test_fulton_multiplicativity():
@@ -429,9 +476,9 @@ def test_fulton_multiplicativity():
     g = make_curve(X)
     h = make_curve(Y)
     gh = make_curve(X * Y)
-    assert intersection_multiplicity(f, gh, origin) == intersection_multiplicity(
+    assert _intersection_number(f, gh, origin) == _intersection_number(
         f, g, origin
-    ) + intersection_multiplicity(f, h, origin)
+    ) + _intersection_number(f, h, origin)
 
 
 def _fulton_reference(f: Poly, g: Poly) -> int:
@@ -709,7 +756,7 @@ def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     cyc = intersection_cycle(f, g)
     assert (cyc.points, cyc.residual) == (want, 0)
     assert len(calls) == 3
-    assert intersection_multiplicity(f, g, ProjPoint.of(0, 0, 1)) == 2
+    assert _intersection_number(f, g, ProjPoint.of(0, 0, 1)) == 2
     # With only the identity in the table, the shears to (k : 1 : 2^k) run:
     # k = 1 puts the centre on the line x = y through (0 : 0 : 1) and
     # (1 : 1 : 1), and k = 2 succeeds.

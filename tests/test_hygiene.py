@@ -348,3 +348,29 @@ def test_the_check_sees_an_unread_flag():
 def test_every_cli_flag_is_read():
     stale = _unread_flags(cli._build_parser(), cli._emit)
     assert not stale, "flags that their command never reads: " + ", ".join(stale)
+
+
+def _export_mismatch(tree: ast.Module) -> set[str]:
+    """The names in only one of `__all__` and the names the module imports."""
+    (exported,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    return set(exported) ^ set(_imported(tree))
+
+
+def test_the_check_sees_a_stale_export():
+    tree = ast.parse("from .a import b, c\n__all__ = ['b', 'tangent_line_at']\n")
+    assert _export_mismatch(tree) == {"c", "tangent_line_at"}
+
+
+def test_the_package_exports_what_it_imports():
+    import unicusp
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert not _export_mismatch(tree)
+    assert len(set(unicusp.__all__)) == len(unicusp.__all__)
+    namespace: dict = {}
+    exec("from unicusp import *", namespace)
+    assert set(unicusp.__all__) <= set(namespace)

@@ -18,7 +18,10 @@ from unicusp.curves import (
     cone_direction,
     germ_at,
     germ_order,
+    intersection_cycle,
     make_curve,
+    multiplicity_at,
+    tangent_contact,
 )
 from unicusp.dualgraph import WeightedDualGraph
 from unicusp.fibers import intersection_matrix
@@ -273,7 +276,7 @@ def test_classify_verdict_table(monkeypatch, ms, contact, verdict, notes):
     res = ResolutionResult(cusp, curve.degree, _chain_records(ms))
     monkeypatch.setattr(resolution, "minimal_embedded_resolution", lambda c, p: res)
     monkeypatch.setattr(resolution, "_genus", lambda *args: 1)
-    monkeypatch.setattr(resolution, "intersection_multiplicity", lambda *args: contact)
+    monkeypatch.setattr(resolution, "tangent_contact", lambda *args: contact)
     report = classify(curve)
     assert report.resolution is res and report.genus == 1
     assert report.tangent_contact_only is (contact == curve.degree)
@@ -519,6 +522,10 @@ COPRIME_PAIRS = (
 )
 
 
+# the tangent y = 0 of a seeded cusp, and its images of slope -2 and -3/2
+SLOPES = ((X, Y, Z), (X, Y + 2 * X, Z), (X, 2 * Y + 3 * X, Z))
+
+
 def _seeded_cusp(rng: random.Random) -> Poly:
     """y^a z^(b-a) - x^b plus up to four terms above its Newton polygon,
     sheared by x -> x + c*y: one branch at the origin, of degree b."""
@@ -557,7 +564,7 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
     rng = random.Random(9090)
     seeded = [_seeded_cusp(rng) for _ in range(60)]
     cuts = []
-    for image in ((X, Y, Z), (X, Y + 2 * X, Z), (X, 2 * Y + 3 * X, Z)):
+    for image in SLOPES:
         for f in seeded:
             curve = make_curve(f.substitute(image))
             assert classify(curve).singular_points == curves.find_rational_singular_points(curve).points
@@ -565,6 +572,58 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
         cut_eliminants.clear()
     # the searches of each kind whose known power z**k0 has k0 > 0
     assert cuts == [27, 29, 29]
+
+
+def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
+    # The seeded cusp of order m and degree d at (0 : 0 : 1) has the
+    # tangent y = 0, which meets it there only: no term x**i*z**(d - i)
+    # with i < d lies above its Newton polygon.  Adding one with m < i < d
+    # keeps the cone y**m and lowers the contact to i.  A form pulled back
+    # by a substitution has the tangent pulled back by it: y -> y + 2x and
+    # y -> 2y + 3x give the slopes -2 and -3/2, and the six permutations
+    # of (x, y, z) put the cusp at each coordinate vertex, with the tangent
+    # on either axis of its chart (vertical or horizontal).  I_P(C, T) read
+    # off intersection_cycle(C, T) is the oracle, beside the contact known
+    # by construction.
+    rng = random.Random(9090)
+    seeded = [(f, f.total_degree()) for f in (_seeded_cusp(rng) for _ in range(60))]
+    lowered = []
+    for f, d in seeded:
+        m = germ_order(germ_at(f, ORIGIN))
+        if m + 1 < d:
+            i = rng.randint(m + 1, d - 1)
+            lowered.append((f + X**i * Z ** (d - i), i))
+    cases = [(f, image, ORIGIN, want) for image in SLOPES for f, want in seeded + lowered]
+    for perm in ((X, Y, Z), (Y, X, Z), (X, Z, Y), (Z, X, Y), (Y, Z, X), (Z, Y, X)):
+        # F(perm) has the cusp at the vertex that z goes to
+        cusp = ProjPoint.of(*(int(v == perm[2]) for v in (X, Y, Z)))
+        cases += [(f, perm, cusp, want) for f, want in seeded[:20] + lowered[:20]]
+    for f, image, point, want in cases:
+        curve, tangent = make_curve(f.substitute(image)), make_curve(Y.substitute(image))
+        got = tangent_contact(curve, point)
+        assert got == want == dict(intersection_cycle(curve, tangent).points)[point], (curve.poly, point)
+        assert got > multiplicity_at(curve, point)
+    assert (len(seeded), len(lowered), len(cases)) == (60, 45, 555)
+
+
+def test_classify_reads_the_contact_off_the_germ(monkeypatch):
+    # The contact check builds no intersection cycle.
+    from unicusp import curves
+
+    def unreachable(*args):
+        raise AssertionError("the contact check formed an intersection cycle")
+
+    monkeypatch.setattr(curves, "_local_numbers", unreachable)
+    monkeypatch.setattr(curves, "intersection_cycle", unreachable)
+    want = {
+        "cusp-quartic": (VERDICT_AMS, True),
+        "image-deg15": (VERDICT_NON_AMS_MAX, False),
+        "image-quintic": (VERDICT_NON_AMS_MAX, False),
+        "rational-quintic": (VERDICT_OUT_OF_SCOPE, False),
+    }
+    for ps in DEFAULT_PARAMS:
+        reports = {name: classify(curve_by_name(name, ps)) for name in CUSPS}
+        assert {name: (r.verdict, r.tangent_contact_only) for name, r in reports.items()} == want
 
 
 def _resolution_spy(monkeypatch) -> list:
