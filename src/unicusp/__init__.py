@@ -15,6 +15,7 @@ from .curves import (
     IrrationalLocusError,
     PlaneCurve,
     ProjPoint,
+    ResolutionIncompleteError,
     find_rational_singular_points,
     germ_at,
     intersection_cycle,
@@ -25,7 +26,6 @@ from .curves import (
 from .resolution import (
     ClassificationReport,
     NotUnibranchError,
-    ResolutionIncompleteError,
     ResolutionResult,
     classify,
     delta_invariant,

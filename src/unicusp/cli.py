@@ -33,7 +33,7 @@ from .curves import (
 )
 from .fibers import CASE_OFF, CASE_ON, complete_and_classify, contraction_budget
 from .parse import ParseError, parse_poly
-from .resolution import classify, minimal_embedded_resolution
+from .resolution import classify, locus_resolution, minimal_embedded_resolution
 
 SCHEMA = 1
 
@@ -179,7 +179,7 @@ def cmd_resolve(args) -> int:
     ps = _parse_params(args.params)
     name, curve = _resolve_curve(args.curve, ps)
     if args.point:
-        point = _parse_point(args.point)
+        res = minimal_embedded_resolution(curve, _parse_point(args.point))
     else:
         locus = find_rational_singular_points(curve).require_rational()
         if len(locus.points) != 1:
@@ -187,11 +187,10 @@ def cmd_resolve(args) -> int:
                 f"need exactly one singular point to resolve without --point; "
                 f"found {len(locus.points)}"
             )
-        point = locus.points[0][0]
-    res = minimal_embedded_resolution(curve, point)
+        res = locus_resolution(curve, locus)
     payload = {"name": name, "params": ps.as_json(), **res.as_json()}
     lines = [
-        f"resolved {name} at {point} in {len(res.records)} blowups",
+        f"resolved {name} at {res.point} in {len(res.records)} blowups",
         f"multiplicity sequence {res.multiplicity_sequence}",
         f"full sequence {res.full_sequence}, delta {res.delta}",
         f"strict transform square {res.strict_self_intersection}",

@@ -8,10 +8,13 @@ a second eliminant, reduced modulo one prime, shows that no line of
 irrational direction holds a singular point; factors that cannot be
 excluded over Q are either separated by a deterministic sequence of
 unimodular coordinate shears or reported as structured blockers naming
-the offending factor, never silently dropped.
+the offending factor, never silently dropped.  The germ walk of the
+minimal embedded resolution (`blowup_records`) lives here too: the search
+runs it on its projection vertex and cuts the factors that the vertex's
+delta invariant proves out of its eliminants.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
 from math import comb, lcm
@@ -268,6 +271,111 @@ def tangent_contact(curve: PlaneCurve, point: ProjPoint) -> int:
     return min(orders)
 
 
+# -- the germ walk ---------------------------------------------------------
+
+
+class ResolutionIncompleteError(CurveError):
+    """Normal crossings not reached within the bound: the germ is not reduced."""
+
+    def __init__(self, steps_done: int):
+        super().__init__(f"normal crossings not reached within {steps_done} blowups")
+        self.steps_done = steps_done
+
+
+@dataclass(frozen=True)
+class BlowupRecord:
+    index: int
+    multiplicity: int
+    label: str
+    center_on: tuple[str, ...]
+
+
+def delta_of(records: list[BlowupRecord]) -> int:
+    """The delta invariant of a unibranch point, sum m(m-1)/2 over the
+    multiplicities of its blowup record."""
+    return sum(r.multiplicity * (r.multiplicity - 1) // 2 for r in records)
+
+
+def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
+    """Strict transform of a germ of multiplicity m at the origin under one
+    blowup, in the chart of tangent direction y = r*x (vertical x = 0 when r
+    is None).  The point of that direction is again the origin.
+
+    The total transform is an exponent relabel of g's terms: x^a*y^b goes to
+    x^a*y^(a+b) in the vertical chart and to x^(a+b)*y^b in the chart
+    y = r*x.  Dividing out the m-th power of the exceptional variable is a
+    shift of exponents that fails exactly when g has order below m, and only
+    r != 0 then needs a substitution, y -> y + r.
+    """
+    if r is None:
+        moved, exc_var = Poly._of({(a, a + b, 0): k for (a, b, _), k in g._num.items()}, g._den), Y
+    else:
+        moved, exc_var = Poly._of({(a + b, b, 0): k for (a, b, _), k in g._num.items()}, g._den), X
+    strict = exact_divide(moved, exc_var ** m)
+    assert strict is not None, "total transform must be divisible by the m-th power"
+    return strict.substitute((X, Y + r, ONE)) if r else strict
+
+
+def blowup_records(curve: PlaneCurve, point: ProjPoint) -> list[BlowupRecord]:
+    """Resolve one singular point of a curve by iterated point blowups
+    until the total transform is simple normal crossings, and return the
+    blowup record; NotUnibranchError when the point has several branches.
+
+    The stop test is read off the record.  The germ is one branch, so its
+    strict transform meets the new exceptional curve at one point only,
+    with intersection number the multiplicity m just blown up.  It is
+    therefore smooth and transversal to that curve exactly when m = 1, and
+    the total transform is normal crossings as soon as, in addition, no
+    older exceptional curve passes through that point.  The strict
+    transform is formed only when another blowup follows.
+
+    A reduced unibranch germ of a degree-d curve stops within
+    (d - 1)(d - 2) + 1 blowups.  Let k be the number of centres of
+    multiplicity >= 2 and m_k the last of those.  After the k-th blowup C'
+    is smooth and meets E_k at one point with intersection m_k.  The later
+    centres are proximate to E_k, each of multiplicity 1, so by the
+    proximity equality there are exactly m_k of them (Casas-Alvero,
+    *Singularities of Plane Curves*, ch. 3): n = k + m_k.  The k nonzero
+    terms of 2 delta = sum m_i(m_i - 1) are each >= 2 and the last is
+    >= m_k, so n <= 2 delta + 1.  A unibranch point lies on one component,
+    of degree d' <= d and genus (d' - 1)(d' - 2)/2 - delta >= 0, so
+    2 delta <= (d - 1)(d - 2).  A germ still going at the bound is not
+    reduced (a PlaneCurve built without make_curve): that raises
+    ResolutionIncompleteError.
+    """
+    g = germ_at(curve.poly, point)
+    if g.is_zero():
+        raise CurveError("the defining polynomial vanishes identically at the chart")
+    m = germ_order(g)
+    if m == 0:
+        raise CurveError("point does not lie on the curve")
+    if m < 2:
+        raise CurveError("point is a smooth point; nothing to resolve")
+
+    d = curve.degree
+    records: list[BlowupRecord] = []
+    # The exceptional curves through the center, newest first, each with
+    # the chart axis it lies on: 0 for x = 0, 1 for y = 0.  The axes differ,
+    # so at most two curves pass through a center.
+    exc: list[tuple[str, int]] = []
+
+    for index in range(1, (d - 1) * (d - 2) + 2):
+        label = f"E{index}"
+        m = germ_order(g)
+        r = cone_direction(g, m)
+        # The new curve is the axis y = 0 of the vertical chart and x = 0
+        # of the others.  An old one reaches the next center only as the
+        # other axis: x = 0 in the vertical chart, y = 0 in the chart r = 0.
+        axis = 1 if r is None else 0
+        kept = [(lab, a) for lab, a in exc if a != axis and (r is None or r == 0)]
+        records.append(BlowupRecord(index, m, label, tuple(lab for lab, _ in exc)))
+        exc = [(label, axis)] + kept
+        if m == 1 and len(exc) == 1:
+            return records
+        g = blow_up_once(g, m, r)
+    raise ResolutionIncompleteError(len(records))
+
+
 # -- singular locus -------------------------------------------------------
 
 
@@ -287,10 +395,29 @@ class ExtensionFieldSingularity:
 class SingularLocus:
     """Result of the rational singular point search: certified points with
     multiplicities, plus blockers for any part of the locus that could not
-    be decided over Q."""
+    be decided over Q.
+
+    `walk` is the germ walk the search made of its projection vertex P
+    when P is singular: (P, P's blowup record), or (P, the
+    NotUnibranchError that stopped it) when P has several branches; None
+    when no point was walked.  It is in no JSON and no comparison.
+    """
 
     points: list[tuple[ProjPoint, int]]
     blockers: list[ExtensionFieldSingularity]
+    walk: tuple[ProjPoint, list[BlowupRecord] | NotUnibranchError] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def walked(self, point: ProjPoint) -> list[BlowupRecord] | None:
+        """The record of the search's walk of the point; None when the
+        search did not walk it.  A point of several branches re-raises the
+        walk's NotUnibranchError."""
+        if self.walk is None or self.walk[0] != point:
+            return None
+        if isinstance(self.walk[1], NotUnibranchError):
+            raise self.walk[1]
+        return self.walk[1]
 
     def require_rational(self) -> "SingularLocus":
         if self.blockers:
@@ -348,9 +475,7 @@ def _tangent_frame(g: Poly) -> tuple[tuple[int, int, int], ...]:
     return ((slope.denominator, 0, 0), (0, 1, 0), (slope.numerator, 0, 1))
 
 
-def find_rational_singular_points(
-    curve: PlaneCurve, vertex: tuple[ProjPoint, int] | None = None
-) -> SingularLocus:
+def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     """All rational singular points with multiplicities, sorted by
     coordinates when a search is blocker-free.
 
@@ -358,10 +483,11 @@ def find_rational_singular_points(
     of two partial derivatives give candidate lines through (0 : 1 : 0),
     each decided by exact univariate gcds in y.  The rest of that
     eliminant is checked against a second eliminant modulo one prime;
-    only when that check fails is the second formed exactly, and a factor
-    it shares, or an irrational y-locus on a candidate line, triggers a
-    retry in the next frame.  Whatever survives every frame is reported,
-    as found in the unsheared frame, as a blocker rather than ignored.
+    only when that check fails is a second eliminant formed exactly, and a
+    factor it shares, or an irrational y-locus on a candidate line,
+    triggers a retry in the next frame.  Whatever survives every frame is
+    reported, as found in the unsheared frame, as a blocker rather than
+    ignored.
 
     The first frame projects from the coordinate vertex e_v of least
     deg_v F, after swapping v with y (ties keep y); the shears follow.
@@ -374,18 +500,25 @@ def find_rational_singular_points(
     multiplicity do not depend on the frame: a blocker-free search in any
     frame certifies the whole locus, and its points are mapped back.
 
-    `vertex`, when given, is (P, delta) for a unibranch singular point P
-    of the curve and its delta invariant, read off P's resolution.  When P
-    is e_v, the first frame also moves P's tangent to z = 0
-    (`_tangent_frame`), and its search cuts a known power of z from its
-    eliminant (`_vertex_cut`); every other frame, and every other
-    `vertex`, takes the search without it.
+    When m >= 2 the search first walks e_v's germ through its blowups
+    (`blowup_records`) and keeps the walk on the locus it returns
+    (`SingularLocus.walk`), so that no caller walks e_v again.  When e_v
+    is one branch, the first frame also moves its tangent to z = 0
+    (`_tangent_frame`), and that frame's search cuts the powers of z that
+    the walk's delta proves (`_vertex_cuts`); the other frames, and a
+    vertex of several branches, take the search without them.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
     centre = projection_vertex(curve)
     v = centre.coords().index(1)
-    delta = vertex[1] if vertex is not None and vertex[0] == centre else None
+    walk = None
+    if curve.degree - curve.poly.degree_in(v) >= 2:
+        try:
+            walk = (centre, blowup_records(curve, centre))
+        except NotUnibranchError as exc:
+            walk = (centre, exc)
+    delta = None if walk is None or isinstance(walk[1], NotUnibranchError) else delta_of(walk[1])
     # The germ at e_v has the swapped frame's (x, z) in its slots, and the
     # swap after the tangent move permutes the move's rows.
     rows = list(_IDENTITY if delta is None else _tangent_frame(germ_at(curve.poly, centre)))
@@ -397,11 +530,11 @@ def find_rational_singular_points(
         raw = _singular_search(_apply_matrix(curve.poly, m), delta if m == first else None)
         if not raw.blockers:
             points = [(_map_point(m, q), k) for q, k in raw.points]
-            return SingularLocus(sorted(points, key=lambda t: t[0].coords()), [])
+            return SingularLocus(sorted(points, key=lambda t: t[0].coords()), [], walk)
         if m == _SHEARS[0]:
             unsheared = raw
     assert unsheared is not None
-    return unsheared
+    return SingularLocus(unsheared.points, unsheared.blockers, walk)
 
 
 def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
@@ -414,15 +547,17 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     rational roots, and (1 : 0) when that list falls short of the degree
     of e1, are the candidate lines (`_rational_lines`), each decided
     exactly by `_points_on_line`.  What is left of e1(t, 1) once its
-    rational linear factors are divided out, L1, is checked against the
-    next pair by `_irrational_common_factor`.  Every point found zeroes
-    all three partials, so by Euler's formula it lies on f and is
-    singular; its multiplicity is the order of its germ.
+    rational linear factors are divided out, L1, is checked by
+    `_irrational_common_factor`, one prime first, against the eliminant
+    of the next pair.  Every point found zeroes all three partials, so by
+    Euler's formula it lies on f and is singular; its multiplicity is the
+    order of its germ.
 
     `delta`, when not None, is the delta invariant of (0 : 1 : 0), a
     unibranch singular point of f with the tangent z = 0.  The first pair
-    is then (F_x, F_z), and e1 is formed with the cut that `_vertex_cut`
-    proves.
+    is then (F_x, F_z), e1 is formed with the cut k0 and the one-prime
+    check takes Res_y(F_z, F) with the cut k1, both proved by
+    `_vertex_cuts`: F vanishes at every singular point by Euler's formula.
     """
     partials = [f.partial(i) for i in range(3)]
     live = [p for p in partials if not p.is_zero()]
@@ -430,7 +565,7 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
         # f uses a single variable; squarefree => a line, handled earlier.
         raise CurveError("degenerate curve: fewer than two nonzero partials")
 
-    cut = 0
+    cut, check = 0, None
     if delta is None:
         pairs = [
             (a, b)
@@ -443,7 +578,8 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
         # through the point).
         fx, fy, fz = partials
         pairs = [(fx, fz), (fx, fy), (fy, fz)]
-        cut = _vertex_cut(fx, fz, delta)
+        cut, check_cut = _vertex_cuts(f, fx, fz, delta)
+        check = (fz, f, check_cut)
     for i, (a, b) in enumerate(pairs):
         e1 = _eliminant_y(a, b, cut if i == 0 else 0)
         if e1 is not None:
@@ -454,7 +590,10 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     lines, l1 = _rational_lines(e1)
     blockers: list[ExtensionFieldSingularity] = []
     if uniroots.deg(l1) > 0:
-        common = uniroots.squarefree_part_int(_irrational_common_factor(l1, pairs[i + 1:]))
+        rest = pairs[i + 1:]
+        if check is None and rest:
+            check = (*rest[0], 0)
+        common = uniroots.squarefree_part_int(_irrational_common_factor(l1, check, rest))
         if uniroots.deg(common) > 0:
             blockers.append(
                 ExtensionFieldSingularity(
@@ -474,58 +613,76 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     return SingularLocus(out, blockers)
 
 
-def _vertex_cut(fx: Poly, fz: Poly, delta: int) -> int:
-    """The power k of z that Res_y(F_x, F_z) is known to have, where
-    Q = (0 : 1 : 0) is a unibranch singular point of f of multiplicity m
-    with the tangent z = 0 and delta invariant `delta`: k = mu_Q - r*s,
-    with mu_Q = 2*delta, r = ord_Q F_x and s = ord_Q F_z.  A form h has
-    the order deg h - deg_y h at Q: that is the least a + c over its terms
+def _vertex_cuts(f: Poly, fx: Poly, fz: Poly, delta: int) -> tuple[int, int]:
+    """The powers k0 of z in Res_y(F_x, F_z) and k1 of z in Res_y(F_z, F)
+    that are known when Q = (0 : 1 : 0) is a unibranch singular point of f
+    of multiplicity m with the tangent z = 0 and delta invariant `delta`:
+    k0 = mu_Q - r*s, with mu_Q = 2*delta, r = ord_Q F_x and s = ord_Q F_z,
+    and k1 = 2*delta - (m - 1)**2.  A form h has the order
+    deg h - deg_y h at Q: that is the least a + c over its terms
     x**a * y**b * z**c.
 
-    In the chart y = 1, F_x and F_z are the partials g_x and g_z of the
-    germ g of f at Q, so I_Q(F_x, F_z) is the Milnor number mu_Q, which is
-    2*delta for one branch (Milnor's formula mu = 2*delta - branches + 1).
-    Q's tangent cone is c*z**m, so the degree m - 1 part of g_z is
-    c*m*z**(m-1), and the strict transform of g_z under the blowup of Q
-    meets the exceptional curve only at the point p of the direction
-    z = 0.  By Noether's formula (Fulton, Algebraic Curves, ch. 7),
-    mu_Q = r*s + the sum, over the points of the exceptional curve, of the
-    intersection numbers of the strict transforms there; only p can lie on
-    both, so that sum is I_p = mu_Q - r*s.  After the blowup the
-    projection from Q is a morphism to the lines through Q, and the order
-    of the eliminant at the line z = 0, the point (1 : 0) of (x : z),
-    counts the intersections of the two strict transforms on the fibre
-    over that line (the resultant argument of Fulton, 5.1), p among them.
-    So z**k divides Res_y(F_x, F_z).
+    In the chart y = 1, F, F_x and F_z are the germ g of f at Q and its
+    partials g_x and g_z, so I_Q(F_x, F_z) is the Milnor number mu_Q,
+    which is 2*delta for one branch (Milnor's formula mu = 2*delta -
+    branches + 1).  Q's tangent cone is c*z**m, so the degree m - 1 part
+    of g_z is c*m*z**(m-1): s = m - 1, and the strict transforms of g and
+    of g_z under the blowup of Q meet the exceptional curve only at the
+    point p of the direction z = 0.  By Noether's formula (Fulton,
+    Algebraic Curves, ch. 7), I_Q(A, B) = ord_Q A * ord_Q B + the sum,
+    over the points of the exceptional curve, of the intersection numbers
+    of the strict transforms of A and B there; for the pairs below only p
+    can lie on both, so that sum is I_p.  After the blowup the projection
+    from Q is a morphism to the lines through Q, and the order of the
+    eliminant at the line z = 0, the point (1 : 0) of (x : z), counts the
+    intersections of the two strict transforms on the fibre over that
+    line (the resultant argument of Fulton, 5.1), p among them.  So
+    z**I_p divides Res_y(A, B).
+
+    For (F_x, F_z), I_p = mu_Q - r*s = k0.  For (F_z, F), Teissier's
+    lemma gives I_Q(g, g_z) = mu_Q + I_Q(g, x) - 1: on each branch phi(s)
+    of g_z = 0, d/ds g(phi) = g_x(phi) * x'(s), so I(g, phi) =
+    I(g_x, phi) + I(x, phi); summing over the branches gives
+    I(g, g_z) = I(g_x, g_z) + I(x, g_z) = mu_Q + ord g_z(0, z) =
+    mu_Q + m - 1, because x = 0 is not the tangent.  F and F_z have the
+    orders m and m - 1 at Q, so I_p = 2*delta + m - 1 - m*(m - 1) =
+    2*delta - (m - 1)**2 = k1.
     """
     r, s = (h.total_degree() - h.degree_in(1) for h in (fx, fz))
-    return 2 * delta - r * s
+    m = f.total_degree() - f.degree_in(1)
+    return 2 * delta - r * s, 2 * delta - (m - 1) ** 2
 
 
-def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly]]) -> list[int]:
+def _irrational_common_factor(
+    l1: list[int], check: tuple[Poly, Poly, int] | None, rest: list[tuple[Poly, Poly]]
+) -> list[int]:
     """The part of l1 shared with the next nonzero eliminant of the pairs
     in `rest`, as a primitive integer list ([1] when none); l1 itself when
     no later pair has a nonzero eliminant.
 
-    l1 is e1(t, 1) without its rational linear factors, of positive degree.
-    Certificate first, when both partials of the next pair involve y (else
-    that eliminant is a partial itself, exact for free): take the first
-    prime p near 2**30 with p not dividing lc(l1), and the image modulo p
-    of the next pair's eliminant.  Suppose a primitive D in Z[t] of
+    l1 is e1(t, 1) without its rational linear factors, of positive
+    degree.  `check` is (A, B, k): two forms whose common zeros hold every
+    singular point, and a known factor z**k of their eliminant, which
+    lowers its degree bound (`form_resultant_int`) and leaves its values
+    at (t, 1) as they are.  Certificate first, when A and B both involve y
+    (else that eliminant is a form itself, exact for free): take the
+    first prime p near 2**30 with p not dividing lc(l1), and the image
+    modulo p of Res_y(A, B)(t, 1).  Suppose a primitive D in Z[t] of
     positive degree divided both l1 and that eliminant over Q.  By Gauss's
     lemma D divides l1 and the integral resultant behind the image in
     Z[t], so lc(D) divides lc(l1), p does not divide lc(D), and D mod p is
     a factor of positive degree of both l1 mod p and the image.  So a
-    constant gcd modulo p proves that no factor is shared, and with it that
-    no singular point lies on a line with an irrational direction.
+    constant gcd modulo p proves that no factor is shared, and with it
+    that no singular point lies on a line with an irrational direction.
     Otherwise (an irrational singular point, or an unlucky prime) the
-    eliminant is formed exactly and the exact gcd returned.
+    eliminants of `rest` are formed exactly and the exact gcd with the
+    first nonzero one returned.
     """
-    if rest:
-        a, b = rest[0]
+    if check is not None:
+        a, b, cut = check
         if a.degree_in(1) > 0 and b.degree_in(1) > 0:
             p = next(q for q in uniroots.large_primes() if l1[-1] % q)
-            image = form_resultant_int(a, b, 1, p)
+            image = form_resultant_int(a, b, 1, p, cut)
             if image and uniroots.deg(uniroots.gcd_mod_p(l1, image, p)) == 0:
                 return [1]
     for a, b in rest:

@@ -9,50 +9,40 @@ away from corners.  That moment is read off the blowup record (a blowup
 of multiplicity 1 whose new curve is the only one through the next
 center), so the last strict transform is never formed.
 
-The order and the tangent direction of each germ come from the germ
-reader in `curves` (`germ_order`, `cone_direction`), where
-NotUnibranchError is defined: multibranch germs (nodes, tacnodes, ...)
-raise it.  The delta invariant and genus are still available for them
-through the general infinitely-near-point recursion used by genus_of.
+The walk and its record live in `curves` (`blowup_records`, `blow_up_once`),
+beside the germ reader (`germ_order`, `cone_direction`) that gives each
+centre's order and tangent direction, because the singular search walks
+its projection vertex itself and keeps the record on the locus it returns.
+Multibranch germs (nodes, tacnodes, ...) raise NotUnibranchError there.
+The delta invariant and genus are still available for them through the
+general infinitely-near-point recursion used by genus_of.
 """
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
-from . import uniroots
+from . import poly, uniroots
 from .curves import (
+    BlowupRecord,
     CurveError,
     NotUnibranchError,
     PlaneCurve,
     ProjPoint,
     SingularLocus,
+    blow_up_once,
+    blowup_records,
     cone_coefficients,
-    cone_direction,
+    delta_of,
     find_rational_singular_points,
     germ_at,
     germ_order,
-    multiplicity_at,
-    projection_vertex,
     tangent_contact,
 )
 from .dualgraph import WeightedDualGraph
-from .poly import ONE, Poly, X, Y, exact_divide
+from .poly import Poly
 
-
-class ResolutionIncompleteError(CurveError):
-    """Normal crossings not reached within the bound: the germ is not reduced."""
-
-    def __init__(self, steps_done: int):
-        super().__init__(f"normal crossings not reached within {steps_done} blowups")
-        self.steps_done = steps_done
-
-
-@dataclass(frozen=True)
-class BlowupRecord:
-    index: int
-    multiplicity: int
-    label: str
-    center_on: tuple[str, ...]
+# perfbench's tracer test reads the division inside `curves.blow_up_once`
+# under this name (ROADMAP item 3).
+exact_divide = poly.exact_divide
 
 
 @dataclass
@@ -78,7 +68,7 @@ class ResolutionResult:
         seq = tuple(r.multiplicity for r in self.records)
         self.full_sequence = seq
         self.multiplicity_sequence = tuple(k for k in seq if k >= 2)
-        self.delta = sum(k * (k - 1) // 2 for k in seq)
+        self.delta = delta_of(self.records)
         self.strict_self_intersection = self.degree ** 2 - sum(k * k for k in seq)
         self.d0 = self.records[-1].label
         self.graph = WeightedDualGraph()
@@ -101,83 +91,23 @@ class ResolutionResult:
         }
 
 
-def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
-    """Strict transform of a germ of multiplicity m at the origin under one
-    blowup, in the chart of tangent direction y = r*x (vertical x = 0 when r
-    is None).  The point of that direction is again the origin.
-
-    The total transform is an exponent relabel of g's terms: x^a*y^b goes to
-    x^a*y^(a+b) in the vertical chart and to x^(a+b)*y^b in the chart
-    y = r*x.  Dividing out the m-th power of the exceptional variable is a
-    shift of exponents that fails exactly when g has order below m, and only
-    r != 0 then needs a substitution, y -> y + r.
-    """
-    if r is None:
-        moved, exc_var = Poly._of({(a, a + b, 0): k for (a, b, _), k in g._num.items()}, g._den), Y
-    else:
-        moved, exc_var = Poly._of({(a + b, b, 0): k for (a, b, _), k in g._num.items()}, g._den), X
-    strict = exact_divide(moved, exc_var ** m)
-    assert strict is not None, "total transform must be divisible by the m-th power"
-    return strict.substitute((X, Y + r, ONE)) if r else strict
-
-
 def minimal_embedded_resolution(curve: PlaneCurve, point: ProjPoint) -> ResolutionResult:
     """Resolve one singular point of a curve by iterated point blowups
-    until the total transform is simple normal crossings.
+    until the total transform is simple normal crossings: the result of its
+    record, `curves.blowup_records`, which holds the stop rule and the
+    bound on the number of blowups."""
+    return ResolutionResult(point, curve.degree, blowup_records(curve, point))
 
-    The stop test is read off the record.  The germ is one branch, so its
-    strict transform meets the new exceptional curve at one point only,
-    with intersection number the multiplicity m just blown up.  It is
-    therefore smooth and transversal to that curve exactly when m = 1, and
-    the total transform is normal crossings as soon as, in addition, no
-    older exceptional curve passes through that point.  The strict
-    transform is formed only when another blowup follows.
 
-    A reduced unibranch germ of a degree-d curve stops within
-    (d - 1)(d - 2) + 1 blowups.  Let k be the number of centres of
-    multiplicity >= 2 and m_k the last of those.  After the k-th blowup C'
-    is smooth and meets E_k at one point with intersection m_k.  The later
-    centres are proximate to E_k, each of multiplicity 1, so by the
-    proximity equality there are exactly m_k of them (Casas-Alvero,
-    *Singularities of Plane Curves*, ch. 3): n = k + m_k.  The k nonzero
-    terms of 2 delta = sum m_i(m_i - 1) are each >= 2 and the last is
-    >= m_k, so n <= 2 delta + 1.  A unibranch point lies on one component,
-    of degree d' <= d and genus (d' - 1)(d' - 2)/2 - delta >= 0, so
-    2 delta <= (d - 1)(d - 2).  A germ still going at the bound is not
-    reduced (a PlaneCurve built without make_curve): that raises
-    ResolutionIncompleteError.
-    """
-    g = germ_at(curve.poly, point)
-    if g.is_zero():
-        raise CurveError("the defining polynomial vanishes identically at the chart")
-    m = germ_order(g)
-    if m == 0:
-        raise CurveError("point does not lie on the curve")
-    if m < 2:
-        raise CurveError("point is a smooth point; nothing to resolve")
-
-    d = curve.degree
-    records: list[BlowupRecord] = []
-    # The exceptional curves through the center, newest first, each with
-    # the chart axis it lies on: 0 for x = 0, 1 for y = 0.  The axes differ,
-    # so at most two curves pass through a center.
-    exc: list[tuple[str, int]] = []
-
-    for index in range(1, (d - 1) * (d - 2) + 2):
-        label = f"E{index}"
-        m = germ_order(g)
-        r = cone_direction(g, m)
-        # The new curve is the axis y = 0 of the vertical chart and x = 0
-        # of the others.  An old one reaches the next center only as the
-        # other axis: x = 0 in the vertical chart, y = 0 in the chart r = 0.
-        axis = 1 if r is None else 0
-        kept = [(lab, a) for lab, a in exc if a != axis and (r is None or r == 0)]
-        records.append(BlowupRecord(index, m, label, tuple(lab for lab, _ in exc)))
-        exc = [(label, axis)] + kept
-        if m == 1 and len(exc) == 1:
-            return ResolutionResult(point=point, degree=d, records=records)
-        g = blow_up_once(g, m, r)
-    raise ResolutionIncompleteError(len(records))
+def locus_resolution(curve: PlaneCurve, locus: SingularLocus) -> ResolutionResult:
+    """The minimal embedded resolution of the one point of a one-point
+    locus, read off the search's walk when the search walked that point
+    (`SingularLocus.walked`), so that no point is walked twice."""
+    point = locus.points[0][0]
+    records = locus.walked(point)
+    if records is None:
+        return minimal_embedded_resolution(curve, point)
+    return ResolutionResult(point, curve.degree, records)
 
 
 # -- delta invariant and genus ---------------------------------------------
@@ -227,17 +157,19 @@ def genus_of(curve: PlaneCurve) -> int:
 def _genus(curve: PlaneCurve, locus: SingularLocus, res: ResolutionResult | None = None) -> int:
     """Arithmetic genus minus the delta invariants of the locus.
 
-    `res`, the resolution of a one-point locus, gives delta from its
-    multiplicity sequence, sum m(m-1)/2, with no second walk over the
-    blowups.
+    `res`, the resolution of a one-point locus, and otherwise the search's
+    walk of a point (`SingularLocus.walked`), give delta from the record,
+    sum m(m-1)/2, with no second walk over the blowups; the other points,
+    and a walked point of several branches, take `delta_invariant`.
     """
     d = curve.degree
     g = (d - 1) * (d - 2) // 2
-    if res is not None:
-        g -= res.delta
-    else:
-        for point, _ in locus.points:
-            g -= delta_invariant(germ_at(curve.poly, point))
+    for point, _ in locus.points:
+        try:
+            records = res.records if res is not None else locus.walked(point)
+        except NotUnibranchError:
+            records = None
+        g -= delta_invariant(germ_at(curve.poly, point)) if records is None else delta_of(records)
     if g < 0:
         raise CurveError(
             "negative genus: the curve is reducible or the locus is wrong"
@@ -290,14 +222,6 @@ class ClassificationReport:
         }
 
 
-def _unibranch_resolution(curve: PlaneCurve, point: ProjPoint) -> ResolutionResult | None:
-    """The resolution of a singular point; None when it has several branches."""
-    try:
-        return minimal_embedded_resolution(curve, point)
-    except NotUnibranchError:
-        return None
-
-
 def classify(curve: PlaneCurve) -> ClassificationReport:
     """Decide where a curve sits relative to the sharp bounds for
     unicuspidal curves of genus one.
@@ -309,21 +233,18 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
     combination the bounds exclude (a would-be counterexample, worth
     rechecking by hand).
 
-    The most singular coordinate vertex, the centre of the singular
-    search's first frame, is resolved before the search when it has
-    multiplicity >= 2 and one branch: the search divides a factor read off
-    its delta out of its eliminant, and when the locus is that one point,
-    its resolution is the cusp's.
+    The one point of a one-point locus is resolved by `locus_resolution`:
+    when it is the singular search's projection vertex, the search has
+    already walked it, and its record is read off the locus.
     """
-    vertex = projection_vertex(curve)
-    res = _unibranch_resolution(curve, vertex) if multiplicity_at(curve, vertex) >= 2 else None
-    known = None if res is None else (vertex, res.delta)
-    locus = find_rational_singular_points(curve, known).require_rational()
+    locus = find_rational_singular_points(curve).require_rational()
     d = curve.degree
-    if len(locus.points) != 1:
-        res = None
-    elif locus.points[0][0] != vertex:
-        res = _unibranch_resolution(curve, locus.points[0][0])
+    res = None
+    if len(locus.points) == 1:
+        try:
+            res = locus_resolution(curve, locus)
+        except NotUnibranchError:
+            pass
     genus = _genus(curve, locus, res)
 
     report = ClassificationReport(

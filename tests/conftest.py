@@ -28,18 +28,20 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def cut_eliminants(monkeypatch):
-    """Checks every eliminant that the singular search forms with a known
-    factor z**k, k > 0, against the same pair's eliminant formed without
-    it, and collects those cuts k in the list it returns."""
+    """Checks every resultant that the singular search forms with a known
+    factor z**k, k > 0, against the same pair's resultant formed without
+    it: the exact eliminant e1, and the one-prime image of the
+    certificate modulo the same prime.  Collects those cuts k in the list
+    it returns."""
     seen = []
-    real = curves._eliminant_y
+    real = curves.form_resultant_int
 
-    def checked(a, b, cut=0):
-        got = real(a, b, cut)
+    def checked(a, b, v, prime, cut=0):
+        got = real(a, b, v, prime, cut)
         if cut:
-            assert got == real(a, b), (str(a), str(b), cut)
+            assert got == real(a, b, v, prime), (str(a), str(b), prime, cut)
             seen.append(cut)
         return got
 
-    monkeypatch.setattr(curves, "_eliminant_y", checked)
+    monkeypatch.setattr(curves, "form_resultant_int", checked)
     return seen

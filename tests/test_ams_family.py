@@ -79,9 +79,9 @@ def test_ams_family_member(seed, cut_eliminants):
 
     report = classify(curve)
     # the cusp (0 : 1 : 0) is the projection vertex, its tangent already
-    # the line z = 0: the search's eliminant takes one cut, and the cut one
-    # is the uncut one
-    assert len(cut_eliminants) == 1
+    # the line z = 0: the search's eliminant and its certificate's image
+    # take one cut each, and each cut one is the uncut one
+    assert len(cut_eliminants) == 2
     assert report.verdict == VERDICT_AMS
     assert report.resolution.strict_self_intersection == 6
     assert report.tangent_contact_only is True

@@ -1114,17 +1114,19 @@ def test_the_tangent_frame_moves_the_cusp_tangent_to_z_0():
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
 def test_the_cut_eliminant_is_the_uncut_one_on_the_corpus(ps, cut_eliminants):
-    # classify hands the search the delta of each cusp that sits at the
-    # projection vertex: (0 : 0 : 1) for three of them, with the tangent
+    # The search walks each cusp that sits at its projection vertex and
+    # cuts with its delta: (0 : 0 : 1) for three of them, with the tangent
     # x = 0 in the swapped frame, which the tangent move swaps with z;
     # cusp-quartic's is at (0 : 1 : 0), with the tangent z = 0 already.
-    # Each eliminant is cut at (1 : 0).
+    # Each eliminant e1 is cut at (1 : 0) by k0, and each certificate
+    # image by k1: (2, 3) on cusp-quartic, (8, 9) on image-quintic,
+    # (10, 11) on rational-quintic and (150, 155) on image-deg15.
     from unicusp import corpus
     from unicusp.resolution import classify
 
     for name in corpus.CURVES:
         classify(curve_by_name(name, ps))
-    assert sorted(cut_eliminants) == [2, 8, 10, 150]
+    assert sorted(cut_eliminants) == [2, 3, 8, 9, 10, 11, 150, 155]
 
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
@@ -1156,18 +1158,8 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
     assert checked == 4
 
 
-@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
-def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch):
-    # The cusp has multiplicity 6 and delta 90, so mu = 180.  In the search
-    # frame, whose tangent move swaps x and z, F_x and F_z have orders 6
-    # and 5 at the cusp, so k0 = 180 - 30 = 150, and the exact eliminant,
-    # a form of degree 14^2 - 30 = 166, is z^150 times a cofactor read from
-    # 166 - 150 + 1 = 17 values instead of 167.  The one-prime image of the
-    # next pair, (F_x, F_y), is not cut: in this frame it is a form of
-    # degree 160, read from 161 values.  (The `cut_eliminants` fixture
-    # would add the uncut e1's 167 values; the corpus test checks that.)
-    from unicusp.resolution import classify
-
+def _interpolation_sizes(monkeypatch) -> list:
+    """The number of values each interpolation reads."""
     sizes = []
     interpolate = uniroots.interpolate_mod_p
 
@@ -1176,10 +1168,39 @@ def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch)
         return interpolate(x0, ys, modulus)
 
     monkeypatch.setattr(uniroots, "interpolate_mod_p", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch):
+    # The cusp has multiplicity 6 and delta 90, so mu = 180.  In the search
+    # frame, whose tangent move swaps x and z, F_x and F_z have orders 6
+    # and 5 at the cusp, so k0 = 180 - 30 = 150, and the exact eliminant,
+    # a form of degree 14^2 - 30 = 166, is z^150 times a cofactor read from
+    # 166 - 150 + 1 = 17 values instead of 167.  The one-prime image of the
+    # certificate, Res_y(F_z, F), a form of degree 9*14 + 9*15 - 9*9 = 180,
+    # is z^155 times a cofactor, k1 = 180 - (6 - 1)^2 = 155, read from
+    # 180 - 155 + 1 = 26 values instead of the 161 that the uncut (F_x, F_y)
+    # took.  (The `cut_eliminants` fixture would add the uncut values; the
+    # corpus test checks those.)
+    from unicusp.resolution import classify
+
+    sizes = _interpolation_sizes(monkeypatch)
     report = classify(curve_by_name("image-deg15", ps))
     assert report.singular_points == [(ProjPoint.of(0, 0, 1), 6)]
     assert report.resolution.delta == 90
-    assert sizes[:2] == [17, 161]
+    assert sizes[:2] == [17, 26]
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_the_bare_search_interpolates_only_the_cofactors_on_image_deg15(ps, monkeypatch):
+    # The search walks its own vertex, so a caller that hands it nothing,
+    # as is_smooth and genus_of do, takes both cuts too: 17 + 26 values
+    # where it took 167 + 167 uncut.
+    sizes = _interpolation_sizes(monkeypatch)
+    locus = find_rational_singular_points(curve_by_name("image-deg15", ps))
+    assert (locus.points, locus.blockers) == ([(ProjPoint.of(0, 0, 1), 6)], [])
+    assert sizes == [17, 26]
 
 
 def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():

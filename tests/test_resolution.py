@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,9 +14,11 @@ from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
 from unicusp.curves import (
     PlaneCurve,
     ProjPoint,
+    ResolutionIncompleteError,
     _local_numbers,
     chart_of,
     cone_direction,
+    find_rational_singular_points,
     germ_at,
     germ_order,
     intersection_cycle,
@@ -29,7 +32,6 @@ from unicusp.poly import ONE, Poly, X, Y, Z, exact_divide
 from unicusp.resolution import (
     BlowupRecord,
     NotUnibranchError,
-    ResolutionIncompleteError,
     ResolutionResult,
     VERDICT_ALARM,
     VERDICT_AMS,
@@ -44,6 +46,7 @@ from unicusp.resolution import (
 from unicusp.curves import CurveError
 
 ORIGIN = ProjPoint.of(0, 0, 1)
+Q = ProjPoint.of(0, 1, 0)
 CUSP_CUBIC = make_curve(Y**2 * Z - X**3)
 
 
@@ -274,7 +277,7 @@ def test_classify_verdict_table(monkeypatch, ms, contact, verdict, notes):
     # contact at the cusp, each set by hand; the rest is classify's table
     curve, cusp = curve_by_name("cusp-quartic", DEFAULT_PARAMS[0]), CUSPS["cusp-quartic"]
     res = ResolutionResult(cusp, curve.degree, _chain_records(ms))
-    monkeypatch.setattr(resolution, "minimal_embedded_resolution", lambda c, p: res)
+    monkeypatch.setattr(resolution, "locus_resolution", lambda c, locus: res)
     monkeypatch.setattr(resolution, "_genus", lambda *args: 1)
     monkeypatch.setattr(resolution, "tangent_contact", lambda *args: contact)
     report = classify(curve)
@@ -462,6 +465,46 @@ def test_milnor_number_is_twice_delta_on_corpus_cusps(name, ps):
     assert _milnor_number(curve, point) == 2 * delta == 2 * delta_invariant(germ_at(curve.poly, point))
 
 
+def _search_frame(curve, vertex) -> Poly:
+    """F in the frame that the singular search takes when a coordinate
+    vertex is its projection vertex: the vertex swapped to
+    Q = (0 : 1 : 0), then its tangent moved to z = 0."""
+    from unicusp import curves
+
+    v = vertex.coords().index(1)
+    swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
+    f = curves._apply_matrix(curve.poly, swap)
+    return curves._apply_matrix(f, curves._tangent_frame(germ_at(f, Q)))
+
+
+def _assert_certificate_contact(curve, cusp) -> None:
+    # I_Q(F_z, F) = mu + m - 1 = 2 delta + m - 1 (Teissier's lemma, with
+    # x = 0 transversal to the tangent z = 0), the number behind the cut
+    # k1 = 2 delta - (m - 1)^2 of the search's certificate; mu = I_Q(F_x, F_z)
+    # = 2 delta is the one behind k0.
+    f = _search_frame(curve, cusp)
+    delta = delta_invariant(germ_at(f, Q))
+    m = germ_order(germ_at(f, Q))
+    assert dict(_local_numbers(f.partial(2), f))[Q] == 2 * delta + m - 1, curve.poly
+    assert dict(_local_numbers(f.partial(0), f.partial(2)))[Q] == 2 * delta, curve.poly
+
+
+@pytest.mark.parametrize("ps", TEST_POINTS, ids=lambda ps: ps.label)
+@pytest.mark.parametrize("name", sorted(CUSPS))
+def test_the_certificate_pair_meets_at_the_cusp_by_teissier_on_corpus_cusps(name, ps):
+    _assert_certificate_contact(curve_by_name(name, ps), CUSPS[name])
+
+
+def test_the_certificate_pair_meets_at_the_cusp_by_teissier_on_seeded_cusps():
+    # the 60 seeded cusps under each of SLOPES: the tangent move with
+    # q = 1 and with q = 2
+    rng = random.Random(9090)
+    seeded = [_seeded_cusp(rng) for _ in range(60)]
+    for image in SLOPES:
+        for f in seeded:
+            _assert_certificate_contact(make_curve(f.substitute(image)), ORIGIN)
+
+
 @pytest.mark.parametrize("ps", TEST_POINTS, ids=lambda ps: ps.label)
 def test_milnor_number_of_the_node_counts_two_branches(ps):
     curve = curve_by_name("node-cubic", ps)
@@ -558,7 +601,7 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
     # the same curves under y -> y + 2x have the tangent y + 2x = 0, which
     # the tangent move takes from z = -2x to z = 0, and under
     # y -> 2y + 3x the tangent z = -(3/2)x, which it moves with x -> 2x.
-    # classify's locus is the search's without the cut.
+    # classify's locus is the direct search's, and both searches cut.
     from unicusp import curves
 
     rng = random.Random(9090)
@@ -570,8 +613,11 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
             assert classify(curve).singular_points == curves.find_rational_singular_points(curve).points
         cuts.append(len(cut_eliminants))
         cut_eliminants.clear()
-    # the searches of each kind whose known power z**k0 has k0 > 0
-    assert cuts == [27, 29, 29]
+    # Each curve is searched twice, by classify and directly.  Per search,
+    # e1 takes a cut where k0 > 0 (27, 29 and 29 of the 60 curves) and the
+    # certificate's one-prime image one where k1 > 0 (42 of each 60):
+    # 2 * (27 + 42) = 138 and 2 * (29 + 42) = 142.
+    assert cuts == [138, 142, 142]
 
 
 def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
@@ -627,20 +673,26 @@ def test_classify_reads_the_contact_off_the_germ(monkeypatch):
 
 
 def _resolution_spy(monkeypatch) -> list:
-    """The points at which classify calls minimal_embedded_resolution."""
+    """The points whose blowups the germ walk, `blowup_records`, follows:
+    the search calls it from `curves`, minimal_embedded_resolution from
+    `resolution`."""
+    from unicusp import curves
+
     calls = []
-    real = resolution.minimal_embedded_resolution
+    real = curves.blowup_records
 
     def counted(curve, point):
         calls.append(point)
         return real(curve, point)
 
-    monkeypatch.setattr(resolution, "minimal_embedded_resolution", counted)
+    for module in (curves, resolution):
+        monkeypatch.setattr(module, "blowup_records", counted)
     return calls
 
 
 def test_classify_resolves_a_cusp_at_the_vertex_once(monkeypatch):
-    # The cusp is resolved before the search, which then finds it alone.
+    # The search walks the cusp at its projection vertex, finds it alone,
+    # and classify reads the cusp's resolution off that walk.
     calls = _resolution_spy(monkeypatch)
     for ps in DEFAULT_PARAMS:
         for name, point in sorted(CUSPS.items()):
@@ -652,8 +704,8 @@ def test_classify_resolves_a_cusp_at_the_vertex_once(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CUSPS))
 def test_a_cusp_moved_off_the_vertex_keeps_its_report(name, monkeypatch):
     # Under this map of PGL(3) no vertex of the image is a singular point,
-    # so the search runs without the cut and the cusp is resolved after
-    # it, once.  The report is the unmoved one, its points mapped by M.
+    # so the search walks no point and runs without the cut, and the cusp
+    # is resolved after it, once.  The report is the unmoved one, its points mapped by M.
     from unicusp import curves
 
     ps = DEFAULT_PARAMS[0]
@@ -674,15 +726,83 @@ def test_a_cusp_moved_off_the_vertex_keeps_its_report(name, monkeypatch):
 
 
 def test_a_node_at_the_vertex_takes_the_search_without_the_cut(monkeypatch, cut_eliminants):
-    # The nodal cubic's node is the vertex (0 : 0 : 1): its resolution
-    # stops at the first cone, the search forms no cut eliminant, and the
-    # report is the one for a node.
+    # The nodal cubic's node is the vertex (0 : 0 : 1): the search's walk
+    # stops at the first cone, the search forms no cut eliminant, classify
+    # does not walk the node again, and the report is the one for a node.
     calls = _resolution_spy(monkeypatch)
     report = classify(make_curve(Y**2 * Z - X**3 - X**2 * Z))
     assert (report.singular_points, report.resolution, report.genus) == ([(ORIGIN, 2)], None, 0)
     assert report.notes == ["the singular point is not a cusp (several branches)"]
     assert calls == [ORIGIN]
     assert cut_eliminants == []
+
+
+def test_resolve_without_a_point_walks_each_point_once(monkeypatch, capsys):
+    # resolve without --point reads a cusp at the projection vertex off the
+    # search's walk, walks a cusp off the vertex once, after the search,
+    # and fails on a node at the vertex with the walk's own error.
+    from unicusp import curves
+    from unicusp.poly import poly_to_text
+
+    ps = DEFAULT_PARAMS[0]
+    m = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
+    moved = make_curve(curves._apply_matrix(curve_by_name("cusp-quartic", ps).poly, m))
+    cases = [(f"corpus:{name}", curve_by_name(name, ps), point) for name, point in sorted(CUSPS.items())]
+    cases.append((poly_to_text(moved.poly), moved, ProjPoint.of(1, -3, 1)))
+    want = [json.loads(json.dumps(minimal_embedded_resolution(c, p).as_json())) for _, c, p in cases]
+    calls = _resolution_spy(monkeypatch)
+    for (text, _, point), expected in zip(cases, want):
+        calls.clear()
+        assert main(["resolve", text, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("schema", "timing", "name", "params"):
+            del payload[key]
+        assert payload == expected, text
+        assert calls == [point], text
+    calls.clear()
+    assert main(["resolve", "y^2*z - x^3 - x^2*z"]) == 1
+    assert capsys.readouterr().err == "error: tangent cone is not the power of a single line; the germ splits\n"
+    assert calls == [ORIGIN]
+
+
+def test_genus_of_walks_each_point_once(monkeypatch):
+    # genus_of takes delta off the search's walk of a cusp at the projection
+    # vertex; delta_invariant follows only a point of several branches.
+    ps = DEFAULT_PARAMS[1]
+    cases = [(curve_by_name(name, ps), point) for name, point in sorted(CUSPS.items())]
+    nodal = make_curve(Y**2 * Z - X**3 - X**2 * Z)
+    want = [
+        (c.degree - 1) * (c.degree - 2) // 2 - delta_invariant(germ_at(c.poly, p))
+        for c, p in cases + [(nodal, ORIGIN)]
+    ]
+    calls = _resolution_spy(monkeypatch)
+    walked = []
+    real = resolution.delta_invariant
+
+    def counted(g):
+        walked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(resolution, "delta_invariant", counted)
+    for (curve, point), genus in zip(cases, want):
+        calls.clear()
+        assert genus_of(curve) == genus
+        assert calls == [point]
+    assert walked == []
+    calls.clear()
+    assert genus_of(nodal) == want[-1] == 0
+    assert calls == [ORIGIN]
+    assert len(walked) == 1
+
+
+def test_a_non_reduced_vertex_stops_the_search():
+    # (y^2 z - x^3)^2, built without make_curve: the search walks its
+    # projection vertex, the doubled cusp (0 : 0 : 1), whose germ no blowup
+    # bound resolves.
+    curve = PlaneCurve((Y**2 * Z - X**3) ** 2, 6)
+    with pytest.raises(ResolutionIncompleteError) as info:
+        find_rational_singular_points(curve)
+    assert info.value.steps_done == 5 * 4 + 1
 
 
 # -- the fold over a record ---------------------------------------------------
@@ -740,7 +860,10 @@ def test_any_record_folds_to_a_resolution_graph(steps):
 
 
 def _blow_up_inputs(run) -> list[tuple[Poly, int, Fraction | None]]:
-    """Every (g, m, r) that blow_up_once receives while run() runs."""
+    """Every (g, m, r) that blow_up_once receives while run() runs: from
+    the germ walk in `curves` and from delta_invariant in `resolution`."""
+    from unicusp import curves
+
     seen = []
     real = resolution.blow_up_once
 
@@ -749,7 +872,8 @@ def _blow_up_inputs(run) -> list[tuple[Poly, int, Fraction | None]]:
         return real(g, m, r)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolution, "blow_up_once", recorded)
+        for module in (curves, resolution):
+            mp.setattr(module, "blow_up_once", recorded)
         run()
     return seen
 
@@ -767,8 +891,10 @@ def _assert_charts_relabel(inputs) -> None:
     """The total transform is a relabel of exponents, not a product image:
     each chart map divides once, by the m-th power of the exceptional
     variable, and substitutes only for r != 0, the shift y -> y + r."""
+    from unicusp import curves
+
     calls = []
-    real_divide, real_substitute = resolution.exact_divide, Poly.substitute
+    real_divide, real_substitute = curves.exact_divide, Poly.substitute
 
     def divide(p, q):
         calls.append(("divide", q))
@@ -779,7 +905,7 @@ def _assert_charts_relabel(inputs) -> None:
         return real_substitute(self, images)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolution, "exact_divide", divide)
+        mp.setattr(curves, "exact_divide", divide)
         mp.setattr(Poly, "substitute", substitute)
         for g, m, r in inputs:
             calls.clear()
