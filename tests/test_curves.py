@@ -1077,14 +1077,7 @@ def test_image_deg15_search_eliminates_the_variable_of_least_degree(ps, monkeypa
     # through more than 172 points (197 when y is eliminated).
     curve = curve_by_name("image-deg15", ps)
     assert [curve.poly.degree_in(i) for i in range(3)] == [15, 15, 9]
-    sizes = []
-    interpolate = uniroots.interpolate_mod_p
-
-    def spy(x0, ys, modulus):
-        sizes.append(len(ys))
-        return interpolate(x0, ys, modulus)
-
-    monkeypatch.setattr(uniroots, "interpolate_mod_p", spy)
+    sizes = _interpolation_sizes(monkeypatch)
     locus = find_rational_singular_points(curve)
     assert (locus.points, locus.blockers) == ([(ProjPoint.of(0, 0, 1), 6)], [])
     assert sizes and max(sizes) <= (15 - 1) ** 2 - (6 - 1) ** 2 + 1
