@@ -2,13 +2,13 @@
 
 Curves are squarefree homogeneous polynomials in x, y, z up to scalar.
 Points are exact rational projective points.  The singular-locus search is
-certified: eliminating y from a pair of partial derivatives yields a
-binary form in (x, z) whose rational roots give all candidate lines, and
-a second eliminant, reduced modulo one prime, shows that no line of
-irrational direction holds a singular point; factors that cannot be
-excluded over Q are either separated by a deterministic sequence of
-unimodular coordinate shears or reported as structured blockers naming
-the offending factor, never silently dropped.  The germ walk of the
+certified: eliminating y from a pair of forms among F and its partial
+derivatives yields a binary form in (x, z) whose rational roots give all
+candidate lines, and the eliminant of the next pair, reduced modulo one
+prime, shows that no line of irrational direction holds a singular
+point; factors that cannot be excluded over Q are either separated by
+the unimodular shears of `_shears` or reported as structured blockers
+naming the offending factor, never silently dropped.  The germ walk of the
 minimal embedded resolution (`blowup_records`) lives here too: the search
 runs it on its projection vertex and cuts the factors that the vertex's
 delta invariant proves out of its eliminants.
@@ -96,8 +96,8 @@ def make_curve(p: Poly) -> PlaneCurve:
     """Validate and wrap a defining polynomial.
 
     Requires a nonzero homogeneous squarefree polynomial of degree >= 1;
-    failures raise CurveError, and the squarefree failure names a repeated
-    factor as a witness.
+    failures raise CurveError, and the squarefree failure names the
+    witness of `repeated_factor`.
     """
     if p.is_zero():
         raise CurveError("the zero polynomial defines no curve")
@@ -108,13 +108,14 @@ def make_curve(p: Poly) -> PlaneCurve:
         raise CurveError("a curve must have degree at least 1")
     witness = repeated_factor(p)
     if witness is not None:
-        raise CurveError(f"polynomial is not squarefree; repeated part divides {witness}")
+        raise CurveError(f"polynomial is not squarefree; the square of {witness} divides it")
     return PlaneCurve(normalized(p), d)
 
 
 def repeated_factor(p: Poly) -> Poly | None:
-    """None when p is squarefree, otherwise a nonconstant witness dividing
-    the repeated part.
+    """None when p is squarefree, otherwise a witness whose square divides
+    p: a variable, or else the product of the repeated factors of p, each
+    taken once, which is w / gcd(w, grad w) for w = gcd(p, grad p).
 
     Certified by evaluation modulo one prime.  After the variable factors
     are split off and z is set to 1, q has a repeated factor involving v
@@ -153,7 +154,9 @@ def repeated_factor(p: Poly) -> Poly | None:
         points = islice(sample_points(rows, drows, prime), bound + 1)
         if not any(uniroots.resultant_mod_p(a, b, prime) for _, a, b in points):
             witness = squarefree_witness(p)
-            return None if witness.is_constant() else normalized(witness)
+            if witness.is_constant():
+                return None
+            return normalized(exact_divide(witness, squarefree_witness(witness)))
     return None
 
 
@@ -430,15 +433,23 @@ class SingularLocus:
 
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_SHEARS: list[tuple[tuple[int, int, int], ...]] = [
-    _IDENTITY,
-    ((1, 1, 0), (0, 1, 0), (0, 1, 1)),
-    ((1, -1, 0), (0, 1, 0), (0, 1, 1)),
-    ((1, 2, 0), (0, 1, 0), (0, -1, 1)),
-    ((1, 0, 1), (1, 1, 0), (0, 0, 1)),
-    ((1, 3, 0), (0, 1, 0), (0, 2, 1)),
-    ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
-]
+
+
+def _shears():
+    """The identity, then for k = 1, 2, ... the shear taking the centre
+    (0 : 1 : 0) to (k : 1 : 2**k).
+
+    No two of these centres are equal, and no curve holds infinitely many
+    of them: P(k, 1, 2**k) is dominated by its top power of 2**k once k is
+    large.
+    """
+    yield _IDENTITY
+    for k in count(1):
+        yield ((1, k, 0), (0, 1, 0), (0, 2 ** k, 1))
+
+
+# The frames the singular search tries after its first one.
+_SHEARS = list(islice(_shears(), 7))
 
 
 def _apply_matrix(p: Poly, m: tuple[tuple[int, int, int], ...]) -> Poly:
@@ -480,17 +491,19 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     coordinates when a search is blocker-free.
 
     Works projectively: the rational roots of one exact (x, z)-eliminant
-    of two partial derivatives give candidate lines through (0 : 1 : 0),
-    each decided by exact univariate gcds in y.  The rest of that
-    eliminant is checked against a second eliminant modulo one prime;
-    only when that check fails is a second eliminant formed exactly, and a
-    factor it shares, or an irrational y-locus on a candidate line,
-    triggers a retry in the next frame.  Whatever survives every frame is
-    reported, as found in the unsheared frame, as a blocker rather than
-    ignored.
+    of a pair of forms among F and its partials give candidate lines
+    through (0 : 1 : 0), each decided by exact univariate gcds in y
+    (`_singular_search`, which lists the pairs).  The rest of that
+    eliminant is checked against the next pair's eliminant modulo one
+    prime; only when that check fails are the later eliminants formed
+    exactly, and a factor they share, or an irrational y-locus on a
+    candidate line, triggers a retry in the next frame.  Whatever survives
+    every frame is reported, as found in the unsheared frame, as a blocker
+    rather than ignored.
 
     The first frame projects from the coordinate vertex e_v of least
-    deg_v F, after swapping v with y (ties keep y); the shears follow.
+    deg_v F, after swapping v with y (ties keep y); the first seven frames
+    of `_shears`, the identity first, follow.
     The v^k coefficient of F is a form of degree d - k in the other two
     variables, so F has multiplicity m = d - deg_v F at e_v: the vertex of
     highest multiplicity.  The partials then have y-degree at most d - m,
@@ -505,8 +518,9 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     (`SingularLocus.walk`), so that no caller walks e_v again.  When e_v
     is one branch, the first frame also moves its tangent to z = 0
     (`_tangent_frame`), and that frame's search cuts the powers of z that
-    the walk's delta proves (`_vertex_cuts`); the other frames, and a
-    vertex of several branches, take the search without them.
+    the walk's delta proves (`_vertex_cuts`) from its first two pairs; the
+    other frames, and a vertex of several branches, take the same pairs
+    without them.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
@@ -531,7 +545,7 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
         if not raw.blockers:
             points = [(_map_point(m, q), k) for q, k in raw.points]
             return SingularLocus(sorted(points, key=lambda t: t[0].coords()), [], walk)
-        if m == _SHEARS[0]:
+        if m == _IDENTITY:
             unsheared = raw
     assert unsheared is not None
     return SingularLocus(unsheared.points, unsheared.blockers, walk)
@@ -540,48 +554,38 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
 def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     """Singular points of f with multiplicities, plus blockers.
 
-    A singular point lies on the line through (0 : 1 : 0) whose direction
-    (x : z) is a common root of the eliminants e = Res_y of the pairs of
-    nonzero partials.  Only the first nonzero eliminant e1 is formed
-    exactly, as the integer list of e1(t, 1) (`_eliminant_y`): its
-    rational roots, and (1 : 0) when that list falls short of the degree
-    of e1, are the candidate lines (`_rational_lines`), each decided
-    exactly by `_points_on_line`.  What is left of e1(t, 1) once its
-    rational linear factors are divided out, L1, is checked by
-    `_irrational_common_factor`, one prime first, against the eliminant
-    of the next pair.  Every point found zeroes all three partials, so by
-    Euler's formula it lies on f and is singular; its multiplicity is the
-    order of its germ.
-
-    `delta`, when not None, is the delta invariant of (0 : 1 : 0), a
-    unibranch singular point of f with the tangent z = 0.  The first pair
-    is then (F_x, F_z), e1 is formed with the cut k0 and the one-prime
-    check takes Res_y(F_z, F) with the cut k1, both proved by
-    `_vertex_cuts`: F vanishes at every singular point by Euler's formula.
+    A singular point zeroes the three partials, and F by Euler's formula,
+    so it lies on the line through (0 : 1 : 0) whose direction (x : z) is a
+    common root of the eliminants e = Res_y of the pairs (F_x, F_z),
+    (F_z, F), (F_x, F_y) and (F_y, F_z), in that order, leaving out a pair
+    with a zero partial.  Each pair carries a known factor z**k of its
+    eliminant: k0 and k1 from `_vertex_cuts` for the first two when
+    `delta` is the delta invariant of (0 : 1 : 0), a unibranch singular
+    point of f with the tangent z = 0, and 0 otherwise.  Only the first
+    nonzero eliminant e1 is formed exactly, as the integer list of
+    e1(t, 1) (`_eliminant_y`): its rational roots, and (1 : 0) when that
+    list falls short of the degree of e1, are the candidate lines
+    (`_rational_lines`), each decided exactly by `_points_on_line`.  What
+    is left of e1(t, 1) once its rational linear factors are divided out,
+    L1, is checked by `_irrational_common_factor` against the later pairs.
+    Every point found zeroes all three partials, so it lies on f and is
+    singular; its multiplicity is the order of its germ.
     """
     partials = [f.partial(i) for i in range(3)]
+    fx, fy, fz = partials
     live = [p for p in partials if not p.is_zero()]
     if len(live) < 2:
         # f uses a single variable; squarefree => a line, handled earlier.
         raise CurveError("degenerate curve: fewer than two nonzero partials")
 
-    cut, check = 0, None
-    if delta is None:
-        pairs = [
-            (a, b)
-            for a, b in ((live[0], live[1]), (live[0], live[-1]), (live[1], live[-1]))
-            if a is not b
-        ]
-    else:
-        # The point is unibranch of multiplicity >= 2 on a reduced curve,
-        # so no partial is zero (a zero F_y would make f a union of lines
-        # through the point).
-        fx, fy, fz = partials
-        pairs = [(fx, fz), (fx, fy), (fy, fz)]
-        cut, check_cut = _vertex_cuts(f, fx, fz, delta)
-        check = (fz, f, check_cut)
-    for i, (a, b) in enumerate(pairs):
-        e1 = _eliminant_y(a, b, cut if i == 0 else 0)
+    k0, k1 = (0, 0) if delta is None else _vertex_cuts(f, fx, fz, delta)
+    pairs = [
+        (a, b, k)
+        for a, b, k in ((fx, fz, k0), (fz, f, k1), (fx, fy, 0), (fy, fz, 0))
+        if not (a.is_zero() or b.is_zero())
+    ]
+    for i, (a, b, k) in enumerate(pairs):
+        e1 = _eliminant_y(a, b, k)
         if e1 is not None:
             break
     else:
@@ -590,10 +594,7 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     lines, l1 = _rational_lines(e1)
     blockers: list[ExtensionFieldSingularity] = []
     if uniroots.deg(l1) > 0:
-        rest = pairs[i + 1:]
-        if check is None and rest:
-            check = (*rest[0], 0)
-        common = uniroots.squarefree_part_int(_irrational_common_factor(l1, check, rest))
+        common = uniroots.squarefree_part_int(_irrational_common_factor(l1, pairs[i + 1:]))
         if uniroots.deg(common) > 0:
             blockers.append(
                 ExtensionFieldSingularity(
@@ -653,40 +654,38 @@ def _vertex_cuts(f: Poly, fx: Poly, fz: Poly, delta: int) -> tuple[int, int]:
     return 2 * delta - r * s, 2 * delta - (m - 1) ** 2
 
 
-def _irrational_common_factor(
-    l1: list[int], check: tuple[Poly, Poly, int] | None, rest: list[tuple[Poly, Poly]]
-) -> list[int]:
+def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly, int]]) -> list[int]:
     """The part of l1 shared with the next nonzero eliminant of the pairs
     in `rest`, as a primitive integer list ([1] when none); l1 itself when
     no later pair has a nonzero eliminant.
 
     l1 is e1(t, 1) without its rational linear factors, of positive
-    degree.  `check` is (A, B, k): two forms whose common zeros hold every
-    singular point, and a known factor z**k of their eliminant, which
-    lowers its degree bound (`form_resultant_int`) and leaves its values
-    at (t, 1) as they are.  Certificate first, when A and B both involve y
-    (else that eliminant is a form itself, exact for free): take the
-    first prime p near 2**30 with p not dividing lc(l1), and the image
-    modulo p of Res_y(A, B)(t, 1).  Suppose a primitive D in Z[t] of
-    positive degree divided both l1 and that eliminant over Q.  By Gauss's
-    lemma D divides l1 and the integral resultant behind the image in
-    Z[t], so lc(D) divides lc(l1), p does not divide lc(D), and D mod p is
-    a factor of positive degree of both l1 mod p and the image.  So a
-    constant gcd modulo p proves that no factor is shared, and with it
-    that no singular point lies on a line with an irrational direction.
-    Otherwise (an irrational singular point, or an unlucky prime) the
-    eliminants of `rest` are formed exactly and the exact gcd with the
-    first nonzero one returned.
+    degree.  Each pair of `rest` is (A, B, k): two forms whose common
+    zeros hold every singular point, and a known factor z**k of their
+    eliminant, which lowers its degree bound (`form_resultant_int`) and
+    leaves its values at (t, 1) as they are.  Certificate first, from the
+    first pair when A and B both involve y (else that eliminant is a form
+    itself, exact for free): take the first prime p near 2**30 with p not
+    dividing lc(l1), and the image modulo p of Res_y(A, B)(t, 1).  Suppose
+    a primitive D in Z[t] of positive degree divided both l1 and that
+    eliminant over Q.  By Gauss's lemma D divides l1 and the integral
+    resultant behind the image in Z[t], so lc(D) divides lc(l1), p does
+    not divide lc(D), and D mod p is a factor of positive degree of both
+    l1 mod p and the image.  So a constant gcd modulo p proves that no
+    factor is shared, and with it that no singular point lies on a line
+    with an irrational direction.  Otherwise (an irrational singular
+    point, or an unlucky prime) the eliminants of `rest` are formed
+    exactly, with their cuts, and the exact gcd with the first nonzero one
+    returned.
     """
-    if check is not None:
-        a, b, cut = check
-        if a.degree_in(1) > 0 and b.degree_in(1) > 0:
-            p = next(q for q in uniroots.large_primes() if l1[-1] % q)
-            image = form_resultant_int(a, b, 1, p, cut)
-            if image and uniroots.deg(uniroots.gcd_mod_p(l1, image, p)) == 0:
-                return [1]
-    for a, b in rest:
-        e2 = _eliminant_y(a, b)
+    if rest and all(h.degree_in(1) > 0 for h in rest[0][:2]):
+        a, b, cut = rest[0]
+        p = next(q for q in uniroots.large_primes() if l1[-1] % q)
+        image = form_resultant_int(a, b, 1, p, cut)
+        if image and uniroots.deg(uniroots.gcd_mod_p(l1, image, p)) == 0:
+            return [1]
+    for a, b, cut in rest:
+        e2 = _eliminant_y(a, b, cut)
         if e2 is not None:
             return uniroots.gcd_int(l1, e2[0])
     return l1
@@ -794,45 +793,31 @@ def is_smooth(curve: PlaneCurve) -> bool:
 # -- intersection theory --------------------------------------------------
 
 
-def _cycle_shears():
-    """_SHEARS, then for k = 1, 2, ... the shear taking the centre
-    (0 : 1 : 0) to (k : 1 : 2**k).
-
-    No curve holds infinitely many of the later centres: P(k, 1, 2**k) is
-    dominated by its top power of 2**k once k is large.
-    """
-    yield from _SHEARS
-    for k in count(1):
-        yield ((1, k, 0), (0, 1, 0), (0, 2 ** k, 1))
-
-
 def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
     """Rational common points of two forms with their local intersection
     numbers, sorted by coordinates.
 
-    In sheared coordinates where the centre (0 : 1 : 0) lies on neither
-    curve, e = Res_y(f, g) is a binary form of degree deg f * deg g in
-    (x, z).  It is zero exactly when f and g share a component, and on a
-    line through the centre that meets f and g in a single point P, the
-    order of e is I_P(f, g) (Fulton, Algebraic Curves, 5.1).  A rational
-    point lies on a rational line through the centre, so the rational
-    roots t of e(t, 1), read off its integer list (`_eliminant_y`), and
-    (1 : 0) with order the degree deficit deg e - deg e(t, 1), give every
-    rational point (`_rational_lines`).  `_points_on_line` certifies that
+    In a frame of `_shears` whose centre, the image of (0 : 1 : 0), lies
+    on neither curve, e = Res_y(f, g) is a binary form of degree
+    deg f * deg g in (x, z).  It is zero exactly when f and g share a
+    component, and on a line through the centre that meets f and g in a
+    single point P, the order of e is I_P(f, g) (Fulton, Algebraic
+    Curves, 5.1).  A rational point lies on a rational line through the
+    centre, so the rational roots t of e(t, 1), read off its integer list
+    (`_eliminant_y`), and (1 : 0) with order the degree deficit
+    deg e - deg e(t, 1), give every rational point (`_rational_lines`).  `_points_on_line` certifies that
     each line holds one common point: one rational root of the gcd of the
     two restrictions and no blocker.  When a line holds two, the next
-    shear is tried; only finitely many centres lie on a curve or on a line
-    through two of the finitely many common points, so the search ends.
+    frame is tried; its centres are distinct, and only finitely many of
+    them lie on a curve or on a line through two of the finitely many
+    common points, so the search ends.
     """
     if f.is_zero() or g.is_zero():
         raise CurveError("the zero polynomial defines no curve")
-    tried: set[tuple[int, int, int]] = set()
-    for m in _cycle_shears():
-        # Every centre has y = 1, so equal points are equal tuples.
+    for m in _shears():
         centre = (m[0][1], m[1][1], m[2][1])
-        if centre in tried or f.evaluate(centre) == 0 or g.evaluate(centre) == 0:
+        if f.evaluate(centre) == 0 or g.evaluate(centre) == 0:
             continue
-        tried.add(centre)
         fm, gm = _apply_matrix(f, m), _apply_matrix(g, m)
         e = _eliminant_y(fm, gm)
         if e is None:

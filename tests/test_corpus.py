@@ -138,8 +138,8 @@ def test_run_corpus_with_no_expectations_runs_only_self_checks():
 
 
 def test_run_corpus_subset():
-    results = run_corpus(entries=(entry("line-x"),), pairs=(), params=(param_set(),))
-    assert results
+    results = run_corpus(entries=(entry("line-x"),), pairs=())
+    assert len(results) == 2 * len(entry("line-x").facts)
     assert {r.entry for r in results} == {"line-x"}
     assert all(r.ok for r in results)
 
@@ -219,5 +219,6 @@ def test_loaded_expectations_can_be_run(tmp_path):
     path = tmp_path / "small.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     entries, pairs = load_corpus(str(path))
-    results = run_corpus(entries=entries, pairs=pairs, params=(param_set(),))
-    assert [r.ok for r in results] == [True, True]
+    results = run_corpus(entries=entries, pairs=pairs)
+    # one fact and one pair, each at both DEFAULT_PARAMS points
+    assert [r.ok for r in results] == [True] * 4

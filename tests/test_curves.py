@@ -187,9 +187,30 @@ def test_repeated_factor_matches_reference_on_strict_transforms(ps):
                 # What strict_transform hands to repeated_factor.
                 assert _assert_repeated_factor_agrees(stripped) is None, name
             if total.total_degree() <= 10:
-                # Unstripped, the pullback keeps powers of the conic.
-                witnesses += _assert_repeated_factor_agrees(total) is not None
+                # Unstripped, the pullback keeps powers of the conic, and the
+                # witness names each repeated factor once.
+                got = repeated_factor(total)
+                assert (got is None) == (_repeated_factor_reference(total) is None), name
+                want = _repeated_factors_by_sympy(total)
+                assert (got is None) == (want is None), name
+                if got is not None:
+                    assert proportional(got, want), name
+                    witnesses += 1
     assert witnesses >= 2
+
+
+def _repeated_factors_by_sympy(p: Poly) -> Poly | None:
+    """The product of the factors of p of multiplicity >= 2, each taken
+    once, from sympy's squarefree factorization; None when p has none."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    _, parts = sympy.sqf_list(sympy.sympify(poly_to_text(p).replace("^", "**")), x, y, z)
+    repeated = [base for base, k in parts if k >= 2]
+    if not repeated:
+        return None
+    terms = sympy.Poly(sympy.Mul(*repeated), x, y, z).terms()
+    return Poly({e: Fraction(int(c.p), int(c.q)) for e, c in terms})
 
 
 def _random_form(rng: random.Random, d: int) -> Poly:
@@ -740,10 +761,9 @@ def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     from unicusp import curves
 
     # The line x = z through the centre (0 : 1 : 0) holds the common points
-    # (1 : 1 : 1) and (1 : -1 : 1), so the first shear is rejected.  The
-    # second centre (1 : 1 : 1) is a common point and is skipped; the line
-    # x = -y through the third, (-1 : 1 : 1), holds (0 : 0 : 1) and
-    # (1 : -1 : 1); the fourth, (2 : 1 : -1), succeeds.
+    # (1 : 1 : 1) and (1 : -1 : 1), so the identity is rejected.  The shear
+    # to (1 : 1 : 2) puts the centre on the line x = y through (0 : 0 : 1)
+    # and (1 : 1 : 1), and the one to (2 : 1 : 4) succeeds.
     calls = []
 
     def counted(p, q, v, prime, factor=None):
@@ -757,14 +777,6 @@ def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     assert (cyc.points, cyc.residual) == (want, 0)
     assert len(calls) == 3
     assert _intersection_number(f, g, ProjPoint.of(0, 0, 1)) == 2
-    # With only the identity in the table, the shears to (k : 1 : 2^k) run:
-    # k = 1 puts the centre on the line x = y through (0 : 0 : 1) and
-    # (1 : 1 : 1), and k = 2 succeeds.
-    monkeypatch.setattr(curves, "_SHEARS", curves._SHEARS[:1])
-    calls.clear()
-    cyc = intersection_cycle(f, g)
-    assert (cyc.points, cyc.residual) == (want, 0)
-    assert len(calls) == 3
 
 
 def test_intersection_cycle_rejects_a_line_with_an_irrational_common_point(monkeypatch):
@@ -774,7 +786,10 @@ def test_intersection_cycle_rejects_a_line_with_an_irrational_common_point(monke
 
     # The line x = 0 through the centre (0 : 1 : 0) holds (0 : 0 : 1) and
     # the conjugate pair (0 : ±sqrt(2) : 1): one rational common point and
-    # a blocker, so the unsheared coordinates are rejected.
+    # a blocker, so the unsheared coordinates are rejected.  The shear to
+    # (1 : 1 : 2) puts the centre on the line x = y through (0 : 0 : 1),
+    # (1 : 1 : 1) and (-1 : -1 : 1), and the one to (2 : 1 : 4) succeeds:
+    # three eliminants.
     fp, gp = Y**3 - 2 * Y * Z**2 + X * Z**2, Y**3 - 2 * Y * Z**2 + X * Y**2
     found, blockers = curves._points_on_line([fp, gp], Fraction(0), Fraction(1))
     assert found == [ProjPoint.of(0, 0, 1)]
@@ -800,7 +815,7 @@ def test_intersection_cycle_rejects_a_line_with_an_irrational_common_point(monke
         (ProjPoint.of(1, 1, 1), 1),
     ]
     assert (cyc.residual, cyc.bezout) == (2, 9)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_cycle_respects_bezout_on_cubics():
@@ -1149,6 +1164,56 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
         assert got[0] == [("(0 : 1 : 0)", multiplicity_at(curve, vertex))], name
         checked += 1
     assert checked == 4
+
+
+@pytest.mark.parametrize("name", ["cusp-quartic", "image-quintic", "rational-quintic"])
+def test_a_failed_certificate_falls_back_to_the_cut_certificate_pair(name, monkeypatch):
+    # Each cusp sits at its curve's projection vertex.  An image that reads
+    # zero modulo the certificate's prime (an unlucky prime) makes the
+    # search form the next pair exactly: in the vertex frame that is
+    # Res_y(F_z, F), with the cut k1 of _vertex_cuts, and the locus stays
+    # the one the certificate gave.
+    from unicusp import curves
+    from unicusp.resolution import minimal_embedded_resolution
+
+    curve = curve_by_name(name, DEFAULT_PARAMS[0])
+    vertex = curves.projection_vertex(curve)
+    delta = minimal_embedded_resolution(curve, vertex).delta
+    v = vertex.coords().index(1)
+    swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
+    f = curves._apply_matrix(curve.poly, swap)
+    f = curves._apply_matrix(f, curves._tangent_frame(germ_at(f, ProjPoint.of(0, 1, 0))))
+    fx, fz = f.partial(0), f.partial(2)
+    k0, k1 = curves._vertex_cuts(f, fx, fz, delta)
+    want = find_rational_singular_points(curve)
+
+    exact, real = [], curves.form_resultant_int
+
+    def unlucky(a, b, var, prime, cut=0):
+        if prime:
+            return []
+        exact.append((a, b, var, cut))
+        return real(a, b, var, prime, cut)
+
+    monkeypatch.setattr(curves, "form_resultant_int", unlucky)
+    got = find_rational_singular_points(curve)
+    assert exact == [(fx, fz, 1, k0), (fz, f, 1, k1)]
+    assert k1 > 0
+    assert (got.points, got.blockers) == (want.points, want.blockers)
+    assert [q for q, _ in got.points] == [vertex] and got.blockers == []
+
+
+def test_the_shears_start_at_the_identity_with_distinct_centres():
+    from itertools import islice
+
+    from unicusp import curves
+
+    frames = list(islice(curves._shears(), 40))
+    assert frames[0] == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert curves._SHEARS == frames[:7]
+    centres = [curves._map_point(m, ProjPoint.of(0, 1, 0)) for m in frames]
+    assert centres[1:3] == [ProjPoint.of(1, 1, 2), ProjPoint.of(2, 1, 4)]
+    assert len(set(centres)) == len(centres)
 
 
 def _interpolation_sizes(monkeypatch) -> list:
