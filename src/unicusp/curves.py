@@ -189,15 +189,14 @@ def germ_at(p: Poly, point: ProjPoint) -> Poly:
 
 
 class NotUnibranchError(CurveError):
-    """The germ is not a single analytic branch; carries the tangent cone."""
-
-    def __init__(self, message: str, cone: Poly):
-        super().__init__(message)
-        self.cone = cone
+    """The germ is not a single analytic branch."""
 
 
 def germ_order(g: Poly) -> int:
-    """Order of a nonzero germ at the origin: its multiplicity there."""
+    """Order of a germ at the origin: its multiplicity there.  A zero germ
+    has none (the curve through it is not reduced): CurveError."""
+    if g.is_zero():
+        raise CurveError("zero germ: the input is not a reduced curve")
     return min(a + b + c for (a, b, c) in g._num)
 
 
@@ -224,26 +223,17 @@ def cone_direction(g: Poly, m: int) -> Fraction | None:
     if t == 0:
         return None
     if t < m:
-        raise NotUnibranchError(
-            "tangent cone has several directions; the germ is not one branch",
-            g.homogeneous_part(m),
-        )
+        raise NotUnibranchError("tangent cone has several directions; the germ is not one branch")
     r = Fraction(-coeffs[m - 1], m * coeffs[m])
     # (v - r*u)**m has the coefficient comb(m, b) * (-r)**(m - b) at v**b
     if any(c != coeffs[m] * comb(m, b) * (-r) ** (m - b) for b, c in enumerate(coeffs)):
-        raise NotUnibranchError(
-            "tangent cone is not the power of a single line; the germ splits",
-            g.homogeneous_part(m),
-        )
+        raise NotUnibranchError("tangent cone is not the power of a single line; the germ splits")
     return r
 
 
 def multiplicity_at(curve: PlaneCurve, point: ProjPoint) -> int:
     """Multiplicity of the curve at the point (0 when off the curve)."""
-    g = germ_at(curve.poly, point)
-    if g.is_zero():
-        raise CurveError("zero germ: the input is not a reduced curve")
-    return germ_order(g)
+    return germ_order(germ_at(curve.poly, point))
 
 
 def tangent_contact(curve: PlaneCurve, point: ProjPoint) -> int:
@@ -671,18 +661,18 @@ def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly, int]])
     eliminant over Q.  By Gauss's lemma D divides l1 and the integral
     resultant behind the image in Z[t], so lc(D) divides lc(l1), p does
     not divide lc(D), and D mod p is a factor of positive degree of both
-    l1 mod p and the image.  So a constant gcd modulo p proves that no
-    factor is shared, and with it that no singular point lies on a line
-    with an irrational direction.  Otherwise (an irrational singular
-    point, or an unlucky prime) the eliminants of `rest` are formed
-    exactly, with their cuts, and the exact gcd with the first nonzero one
-    returned.
+    l1 mod p and the image, so their resultant modulo p is zero.  So a
+    nonzero resultant modulo p proves that no factor is shared, and with
+    it that no singular point lies on a line with an irrational
+    direction.  Otherwise (an irrational singular point, or an unlucky
+    prime) the eliminants of `rest` are formed exactly, with their cuts,
+    and the exact gcd with the first nonzero one returned.
     """
     if rest and all(h.degree_in(1) > 0 for h in rest[0][:2]):
         a, b, cut = rest[0]
         p = next(q for q in uniroots.large_primes() if l1[-1] % q)
         image = form_resultant_int(a, b, 1, p, cut)
-        if image and uniroots.deg(uniroots.gcd_mod_p(l1, image, p)) == 0:
+        if uniroots.resultant_mod_p(l1, image, p):
             return [1]
     for a, b, cut in rest:
         e2 = _eliminant_y(a, b, cut)

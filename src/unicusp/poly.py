@@ -394,9 +394,6 @@ class Poly:
             total += k * n0 ** a * n1 ** b * n2 ** c * d ** (top - a - b - c)
         return Fraction(total, self._den * d ** top)
 
-    def homogeneous_part(self, d: int) -> "Poly":
-        return Poly._of({e: k for e, k in self._num.items() if e[0] + e[1] + e[2] == d}, self._den)
-
     def coeffs_wrt(self, i: int) -> dict[int, "Poly"]:
         """Coefficients as polynomials in the other two variables."""
         out: dict[int, IntTerms] = {}

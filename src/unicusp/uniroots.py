@@ -5,10 +5,12 @@ root extraction avoids integer factorization entirely: roots are found
 modulo a prime, lifted quadratically, recognized by rational
 reconstruction and then verified exactly, so the answers are certificates
 rather than heuristics.  Gcds of integer polynomials run modulo several
-primes with an exact trial-division check at the end.  The modular
-helpers (Euclid, resultant, interpolation, CRT) also serve the multivariate
-resultant in `poly`, and the slot decoder of packed ints serves
-`Poly.substitute`.
+primes with an exact trial-division check at the end.  One inverse-free
+Euclid modulo m gives both the resultant and the gcd modulo a prime, and
+so every coprimality test modulo a prime: for nonzero a and b,
+Res(a, b) = 0 exactly when gcd(a, b) is not constant.  The modular helpers (resultant,
+interpolation, CRT) also serve the multivariate resultant in `poly`, and
+the slot decoder of packed ints serves `Poly.substitute`.
 """
 
 from fractions import Fraction
@@ -104,25 +106,6 @@ def _mod_monic(a: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _mod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    r = list(a)
-    db = deg(b)
-    inv = pow(b[-1], -1, p)
-    while len(r) > db:
-        f = r.pop() * inv % p
-        k = len(r) - db
-        r[k:] = [(c - f * d) % p for c, d in zip(r[k:], b)]
-        trim(r)
-    return r
-
-
-def gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _mod_reduce(a, p), _mod_reduce(b, p)
-    while b:
-        a, b = b, _mod_rem(a, b, p)
-    return _mod_monic(a, p) if a else []
-
-
 # Miller-Rabin with the bases 2, 3, 5, 7 decides primality exactly for
 # every n below this bound (Jaeschke, Math. Comp. 61, 1993): the smallest
 # composite that passes all four is 3215031751.  The primes asked for here
@@ -181,10 +164,10 @@ def large_primes():
         i += 1
 
 
-def resultant_mod_p(a: list[int], b: list[int], m: int) -> int | None:
-    """Sylvester resultant (rows of a first) of a and b modulo any m > 1,
-    by an inverse-free Euclid, or None when m shares a factor with a
-    leading coefficient met on the way (never for a prime m).
+def _euclid_mod(a: list[int], b: list[int], m: int) -> tuple[int, int, list[int]]:
+    """The inverse-free Euclid modulo m > 1 behind `resultant_mod_p` and
+    `gcd_mod_p`: (num, den, g) with num = den * Res(a, b) (mod m), rows of
+    a first, and g the last nonzero remainder ([] when a and b are both 0).
 
     Each pseudo-remainder row is r <- lc(b)*r - f*x**k*b with f the leading
     coefficient of r, so after `rows` rows lc(b)**rows * a = q*b + r.  These
@@ -192,11 +175,12 @@ def resultant_mod_p(a: list[int], b: list[int], m: int) -> int | None:
         lc(b)**(rows * deg b) * Res(a, b)
             = (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * Res(b, r),
     where deg r may be any formal degree (here: after reduction mod m).
-    The sign and the powers on the right accumulate in a numerator, the
-    powers on the left in a denominator, so num = den * Res(a, b) (mod m)
-    always holds and one inversion at the end gives the resultant.  For a
-    prime m trimming keeps every leading coefficient nonzero, so den is a
-    unit.
+    The sign and the powers on the right accumulate in num, the powers on
+    the left in den.  For a prime m trimming keeps every leading
+    coefficient nonzero, so den is a unit, and each remainder is a unit
+    times the one of the monic Euclid over GF(m): g is the gcd up to a
+    unit, and for a and b nonzero mod m, Res(a, b) = 0 exactly when g is
+    not constant.
 
     The degrees are taken from a and b after reduction mod m, so the caller
     keeps both leading coefficients units mod m when the formal degrees
@@ -204,7 +188,7 @@ def resultant_mod_p(a: list[int], b: list[int], m: int) -> int | None:
     """
     a, b = _mod_reduce(a, m), _mod_reduce(b, m)
     if not a or not b:
-        return 0
+        return 0, 1, a or b
     num = den = 1
     while len(b) > 1:
         lb, db = b[-1], deg(b)
@@ -219,19 +203,31 @@ def resultant_mod_p(a: list[int], b: list[int], m: int) -> int | None:
             rows += 1
         den = den * pow(lb, rows * db, m) % m
         if not r:
-            num = 0
-            break
+            return 0, den, b
         if deg(a) * db % 2:
             num = -num
         num = num * pow(lb, len(a) - len(r), m) % m
         a, b = b, r
-    else:
-        num = num * pow(b[0], deg(a), m) % m
+    return num * pow(b[0], deg(a), m) % m, den, b
+
+
+def resultant_mod_p(a: list[int], b: list[int], m: int) -> int | None:
+    """Sylvester resultant (rows of a first) of a and b modulo any m > 1,
+    by `_euclid_mod` and one inversion at the end, or None when m shares a
+    factor with a leading coefficient met on the way (never for a prime m)."""
+    num, den, _ = _euclid_mod(a, b, m)
     try:
         inv = pow(den, -1, m)
     except ValueError:  # den shares a factor with m
         return None
     return num * inv % m
+
+
+def gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b over GF(p), p prime: the last remainder of
+    `_euclid_mod` made monic ([] when a and b are both 0 mod p)."""
+    g = _euclid_mod(a, b, p)[2]
+    return _mod_monic(g, p) if g else []
 
 
 def unpack_slots(val: int, size: int) -> list[int]:
@@ -391,10 +387,11 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
 
     Roots of the squarefree part fs are found by trying every residue
     modulo a small prime p, the first from max(2 * deg, 101) that divides
-    neither lc(fs) nor the discriminant of fs.  The root set is complete:
-    a root u/w in lowest terms has w | lc(fs), so p does not divide w and
-    u/w reduces to a root mod p, a simple one because fs stays squarefree
-    mod p.  A simple root lifts uniquely to a large power of p (Newton),
+    neither lc(fs) nor the discriminant of fs, so neither lc(fs) nor
+    Res(fs, fs') = +-lc(fs) * disc(fs).  The root set is complete: a root
+    u/w in lowest terms has w | lc(fs), so p does not divide w and u/w
+    reduces to a root mod p, a simple one because fs stays squarefree mod
+    p.  A simple root lifts uniquely to a large power of p (Newton),
     rational reconstruction recovers u/w from the lift, and exact
     division by w*x - u discards the residues that are not rational
     roots: they leave a remainder.
@@ -422,7 +419,7 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     target = 2 * bound * bound + 1
     p = next(
         q for q in _primes_from(max(2 * deg(fs), 101))
-        if fs[-1] % q and deg(gcd_mod_p(fs, dfs, q)) == 0
+        if fs[-1] % q and resultant_mod_p(fs, dfs, q)
     )
     fp = _mod_reduce(fs, p)
     candidates: list[Fraction] = []

@@ -14,6 +14,7 @@ from unicusp.curves import (
     ExtensionFieldSingularity,
     IrrationalLocusError,
     NotUnibranchError,
+    PlaneCurve,
     ProjPoint,
     SingularLocus,
     _local_numbers,
@@ -265,7 +266,7 @@ def _tangent_line_reference(curve, point):
     m = min(a + b + c for (a, b, c) in g.terms)
     if m == 0:
         raise CurveError("point does not lie on the curve")
-    cone = g.homogeneous_part(m)
+    cone = Poly({e: k for e, k in g.terms.items() if sum(e) == m})
     w = squarefree_witness(cone)
     line = cone if w.is_constant() else exact_divide(cone, w)
     assert line is not None
@@ -432,6 +433,14 @@ def test_tangent_line_rejects_off_curve_points():
     for point in (ProjPoint.of(1, 1, 7), ProjPoint.of(1, 1, 2)):
         with pytest.raises(CurveError, match="does not lie"):
             tangent_contact(CONIC, point)
+
+
+def test_tangent_contact_rejects_a_zero_germ():
+    # the zero form, built without make_curve: no germ has an order
+    curve = PlaneCurve(Poly(), 3)
+    for fn in (multiplicity_at, tangent_contact):
+        with pytest.raises(CurveError, match="zero germ: the input is not a reduced curve"):
+            fn(curve, ProjPoint.of(0, 0, 1))
 
 
 def test_tangent_contact_rejects_a_cone_of_several_lines():

@@ -4,6 +4,7 @@ import argparse
 import ast
 import functools
 import inspect
+import re
 import textwrap
 from pathlib import Path
 
@@ -205,6 +206,26 @@ READ_OUTSIDE_SRC = {
     ("uniroots.py", "resultant_q"),
     ("uniroots.py", "newton_interpolate"),
 }
+
+
+def _unread_outside_src(names, texts) -> list[str]:
+    """The names that no text mentions as a whole word."""
+    return sorted(name for name in names if not any(re.search(rf"\b{name}\b", t) for t in texts))
+
+
+def test_the_check_sees_a_kept_name_that_nothing_outside_reads():
+    texts = ["ur.resultant_q(a, b)", "`lead_coeff`", "_newton_interpolate_ref"]
+    names = {"resultant_q", "lead_coeff", "newton_interpolate"}
+    assert _unread_outside_src(names, texts) == ["newton_interpolate"]
+
+
+def test_every_kept_name_is_read_outside_src():
+    # this file names every kept name, so it does not count as a reader
+    paths = [p for d in ("tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    texts = [p.read_text() for p in paths if p.resolve() != Path(__file__).resolve()]
+    texts.append((ROOT / "README.md").read_text())
+    unread = _unread_outside_src({name for _, name in READ_OUTSIDE_SRC}, texts)
+    assert not unread, "kept for a reader outside src/ that is gone: " + ", ".join(unread)
 
 
 def _package_imports(trees) -> set[str]:

@@ -129,7 +129,7 @@ def test_step_limit_certifies_minimality():
 
 
 def test_delta_invariants():
-    node_germ = germ_at((Y**2 * Z - X**2 * (X + Z)).homogeneous_part(3), ORIGIN)
+    node_germ = germ_at(Y**2 * Z - X**2 * (X + Z), ORIGIN)
     assert delta_invariant(node_germ) == 1
     cusp_germ = germ_at(CUSP_CUBIC.poly, ORIGIN)
     assert delta_invariant(cusp_germ) == 1
@@ -318,9 +318,8 @@ def test_genus_one_square_is_three_d_minus_full_sequence(name, three_d, total, s
 
 
 def _is_transverse(g: Poly, exc_lin: Poly) -> bool:
-    lin = g.homogeneous_part(1)
-    a1 = lin.terms.get((1, 0, 0), Fraction(0))
-    b1 = lin.terms.get((0, 1, 0), Fraction(0))
+    a1 = g.terms.get((1, 0, 0), Fraction(0))
+    b1 = g.terms.get((0, 1, 0), Fraction(0))
     a2 = exc_lin.terms.get((1, 0, 0), Fraction(0))
     b2 = exc_lin.terms.get((0, 1, 0), Fraction(0))
     return a1 * b2 - a2 * b1 != 0

@@ -313,6 +313,55 @@ def test_resultant_mod_product_is_none_at_a_zero_divisor_leading_coefficient():
         assert ur.resultant_mod_p(a, b, m) == _resultant_q_mod(a, b, m)
 
 
+# p = 2, primes below the degrees drawn (up to 10) and a prime near 2^30
+_EUCLID_PRIMES = (2, 3, 5, 7, 101, 1073741827)
+
+
+@st.composite
+def _pairs_mod_p(draw):
+    """Two integer lists with a drawn common factor (a constant or a zero
+    one too), and a prime."""
+    coeffs = st.lists(st.integers(-40, 40), min_size=1, max_size=6)
+    common, u, v = draw(coeffs), draw(coeffs), draw(coeffs)
+    return mul_uni(common, u), mul_uni(common, v), draw(st.sampled_from(_EUCLID_PRIMES))
+
+
+def _gf_p(a, p):
+    import sympy
+
+    return sympy.Poly(list(reversed(a)) or [0], sympy.symbols("x"), modulus=p)
+
+
+def _sylvester_mod_p(a, b, p):
+    """Res(a, b) over GF(p), rows of a first: the determinant of the
+    Sylvester matrix of the reduced lists, 0 when one of them is zero.
+    (sympy's `resultant` is not used: it gives Res(x, x^3 + 1) = -1.)"""
+    import sympy
+    from sympy.polys.subresultants_qq_zz import sylvester
+
+    x = sympy.symbols("x")
+    a, b = (ur.trim([c % p for c in f]) for f in (a, b))
+    if not a or not b:
+        return 0
+    fa, fb = (sum(c * x**i for i, c in enumerate(f)) for f in (a, b))
+    return int(sylvester(fa, fb, x).det()) % p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_pairs_mod_p())
+def test_gcd_mod_p_and_resultant_mod_p_agree_with_sympy_over_gf_p(case):
+    a, b, p = case
+    g = ur.gcd_mod_p(a, b, p)
+    want = _gf_p(a, p).gcd(_gf_p(b, p))
+    assert g == ([] if want.is_zero else [int(c) % p for c in reversed(want.monic().all_coeffs())])
+    res = ur.resultant_mod_p(a, b, p)
+    assert res == _sylvester_mod_p(a, b, p)
+    if any(c % p for c in a) and any(c % p for c in b):
+        assert (res != 0) == (g == [1])
+    else:  # Res(0, b) = 0 even for a constant b, whose gcd with 0 is 1
+        assert res == 0
+
+
 def _sympy_rational_roots(f):
     import sympy
 
