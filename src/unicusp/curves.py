@@ -8,16 +8,19 @@ candidate lines, and the eliminant of the next pair, reduced modulo one
 prime, shows that no line of irrational direction holds a singular
 point; factors that cannot be excluded over Q are either separated by
 the unimodular shears of `_shears` or reported as structured blockers
-naming the offending factor, never silently dropped.  The germ walk of the
-minimal embedded resolution (`blowup_records`) lives here too: the search
-runs it on its projection vertex and cuts the factors that the vertex's
-delta invariant proves out of its eliminants.
+naming the offending factor, never silently dropped.  The germ walk
+(`germ_walk`) lives here too: one preorder walk of a germ's infinitely
+near points, which gives delta for any germ whose repeated tangent
+directions are rational and, for one branch, the minimal embedded
+resolution's record.  The search runs it on its projection vertex and
+cuts the factors that the vertex's delta invariant proves out of its
+eliminants.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, lcm
+from math import lcm
 
 from . import uniroots
 from .poly import (
@@ -211,24 +214,37 @@ def cone_coefficients(g: Poly, m: int) -> list[int]:
     return coeffs
 
 
-def cone_direction(g: Poly, m: int) -> Fraction | None:
-    """The unique tangent direction of a germ of order m.
-
-    Returns r when the cone is a scalar times (v - r*u)^m, None when it is
-    a scalar times u^m (the vertical direction), and raises
-    NotUnibranchError otherwise.
-    """
+def tangent_directions(g: Poly, m: int) -> tuple[list[tuple[Fraction | None, int]], bool]:
+    """The rational tangent directions of a germ of order m with their
+    multiplicities in the cone, u = 0 (None) first, and whether the cone has
+    a repeated factor outside Q.  With c_b the cone's coefficients and t the
+    last b with c_b != 0, u = 0 divides it m - t times, and the lines v = r*u
+    are the roots of the sum of c_b * s**b (`uniroots.rational_roots_int`)."""
     coeffs = cone_coefficients(g, m)
     t = max(k for k, c in enumerate(coeffs) if c)
-    if t == 0:
+    roots, rest = uniroots.rational_roots_int(coeffs[: t + 1])
+    dirs: list[tuple[Fraction | None, int]] = [(None, m - t)] if t < m else []
+    return dirs + list(roots.items()), uniroots.deg(uniroots.squarefree_part_int(rest)) < uniroots.deg(rest)
+
+
+def _split_reason(dirs: list[tuple[Fraction | None, int]], m: int) -> str | None:
+    """Why a cone of order m with these rational directions is not the
+    m-th power of one line, so that its germ is not one branch; or None."""
+    if len(dirs) == 1 and dirs[0][1] == m:
         return None
-    if t < m:
-        raise NotUnibranchError("tangent cone has several directions; the germ is not one branch")
-    r = Fraction(-coeffs[m - 1], m * coeffs[m])
-    # (v - r*u)**m has the coefficient comb(m, b) * (-r)**(m - b) at v**b
-    if any(c != coeffs[m] * comb(m, b) * (-r) ** (m - b) for b, c in enumerate(coeffs)):
-        raise NotUnibranchError("tangent cone is not the power of a single line; the germ splits")
-    return r
+    if dirs and dirs[0][0] is None:
+        return "tangent cone has several directions; the germ is not one branch"
+    return "tangent cone is not the power of a single line; the germ splits"
+
+
+def cone_direction(g: Poly, m: int) -> Fraction | None:
+    """The tangent direction of a germ of order m whose cone is the m-th
+    power of one line, r for v = r*u and None for u = 0; else NotUnibranchError."""
+    dirs, _ = tangent_directions(g, m)
+    reason = _split_reason(dirs, m)
+    if reason:
+        raise NotUnibranchError(reason)
+    return dirs[0][0]
 
 
 def multiplicity_at(curve: PlaneCurve, point: ProjPoint) -> int:
@@ -284,8 +300,7 @@ class BlowupRecord:
 
 
 def delta_of(records: list[BlowupRecord]) -> int:
-    """The delta invariant of a unibranch point, sum m(m-1)/2 over the
-    multiplicities of its blowup record."""
+    """sum m(m-1)/2 over a record: the delta of the germ walked to it."""
     return sum(r.multiplicity * (r.multiplicity - 1) // 2 for r in records)
 
 
@@ -309,64 +324,84 @@ def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
     return strict.substitute((X, Y + r, ONE)) if r else strict
 
 
-def blowup_records(curve: PlaneCurve, point: ProjPoint) -> list[BlowupRecord]:
-    """Resolve one singular point of a curve by iterated point blowups
-    until the total transform is simple normal crossings, and return the
-    blowup record; NotUnibranchError when the point has several branches.
+@dataclass(frozen=True)
+class GermWalk:
+    """What `germ_walk` found: the records of the points it visited, why
+    the germ is not one branch (`split`, None when it is), and whether
+    every repeated tangent direction was rational (`exact`)."""
 
-    The stop test is read off the record.  The germ is one branch, so its
-    strict transform meets the new exceptional curve at one point only,
-    with intersection number the multiplicity m just blown up.  It is
-    therefore smooth and transversal to that curve exactly when m = 1, and
-    the total transform is normal crossings as soon as, in addition, no
-    older exceptional curve passes through that point.  The strict
-    transform is formed only when another blowup follows.
+    records: list[BlowupRecord]
+    split: str | None
+    exact: bool
 
-    A reduced unibranch germ of a degree-d curve stops within
-    (d - 1)(d - 2) + 1 blowups.  Let k be the number of centres of
-    multiplicity >= 2 and m_k the last of those.  After the k-th blowup C'
-    is smooth and meets E_k at one point with intersection m_k.  The later
-    centres are proximate to E_k, each of multiplicity 1, so by the
-    proximity equality there are exactly m_k of them (Casas-Alvero,
-    *Singularities of Plane Curves*, ch. 3): n = k + m_k.  The k nonzero
-    terms of 2 delta = sum m_i(m_i - 1) are each >= 2 and the last is
-    >= m_k, so n <= 2 delta + 1.  A unibranch point lies on one component,
-    of degree d' <= d and genus (d' - 1)(d' - 2)/2 - delta >= 0, so
-    2 delta <= (d - 1)(d - 2).  A germ still going at the bound is not
-    reduced (a PlaneCurve built without make_curve): that raises
-    ResolutionIncompleteError.
+    @property
+    def delta(self) -> int:
+        if not self.exact:
+            raise CurveError("repeated tangent direction outside Q; delta invariant not computable exactly")
+        return delta_of(self.records)
+
+
+def germ_walk(g: Poly, d: int) -> GermWalk:
+    """The infinitely near points of a germ g of a degree-d curve, in
+    preorder.  A point of multiplicity m >= 2 has a child for each rational
+    direction of multiplicity >= 2 in its cone (`tangent_directions`); one
+    of multiplicity 1 has its direction as a child while an older
+    exceptional curve passes there.  Only children get a strict transform.
+
+    The strict transform meets the new exceptional curve at a direction
+    with intersection number the direction's multiplicity, so a point of
+    multiplicity >= 2 lies in a repeated direction: when those are rational
+    (`exact`), the walk holds every point of delta = sum m(m-1)/2 (Noether's
+    formula; Casas-Alvero, *Singularities of Plane Curves*, ch. 3).  The
+    germ is one branch exactly when every cone is the m-th power of one
+    line (`split` names the first that is not; x(y^2 - x^3) walks to the
+    chain (3, 1, 1) with two branches).  Then the walk is the minimal
+    embedded resolution: the strict transform is smooth and transversal to
+    the new curve exactly after a blowup of multiplicity 1, and the total
+    transform is normal crossings once no older curve passes there too.
+
+    A reduced germ walks to at most (d - 1)(d - 2) + 1 points.  With m1 the
+    root's multiplicity, each other point of multiplicity >= 2 adds at
+    least 1 to delta: there are s <= delta - m1(m1 - 1)/2 + 1 of them.  A
+    point of multiplicity 1 lies on E_p for the point p of multiplicity
+    >= 2 that it follows (the smooth transform stays tangent to E_p), as do
+    p's children, so the proximity inequality m_p >= the sum of m_q over
+    the q on E_p (Casas-Alvero, ch. 3), from the leaves up, leaves t <= m1
+    points of multiplicity 1.  The r <= m1 components through the point
+    make a reduced curve of degree at most d, so delta <= (d - 1)(d - 2)/2
+    + r - 1 by the genus formula, and s + t <= (d - 1)(d - 2)/2 + 2*m1 -
+    m1(m1 - 1)/2 <= (d - 1)(d - 2)/2 + 3: within the bound for d >= 4.  For
+    d <= 3: a smooth point, a node or three concurrent lines walk to 1
+    point, a conic and its tangent to 2, a cusp to 3.  A walk at the bound
+    with points left has a germ that is not reduced: ResolutionIncompleteError.
     """
-    g = germ_at(curve.poly, point)
-    if g.is_zero():
-        raise CurveError("the defining polynomial vanishes identically at the chart")
-    m = germ_order(g)
-    if m == 0:
-        raise CurveError("point does not lie on the curve")
-    if m < 2:
-        raise CurveError("point is a smooth point; nothing to resolve")
-
-    d = curve.degree
+    limit = (d - 1) * (d - 2) + 1
     records: list[BlowupRecord] = []
-    # The exceptional curves through the center, newest first, each with
-    # the chart axis it lies on: 0 for x = 0, 1 for y = 0.  The axes differ,
-    # so at most two curves pass through a center.
-    exc: list[tuple[str, int]] = []
-
-    for index in range(1, (d - 1) * (d - 2) + 2):
-        label = f"E{index}"
+    split, exact = None, True
+    # Each point waits with the exceptional curves through it, newest
+    # first, each as the chart axis it lies on: 0 for x = 0, 1 for y = 0.
+    stack: list[tuple[Poly, list[tuple[str, int]]]] = [(g, [])]
+    while stack:
+        if len(records) == limit:
+            raise ResolutionIncompleteError(limit)
+        g, exc = stack.pop()
         m = germ_order(g)
-        r = cone_direction(g, m)
-        # The new curve is the axis y = 0 of the vertical chart and x = 0
-        # of the others.  An old one reaches the next center only as the
-        # other axis: x = 0 in the vertical chart, y = 0 in the chart r = 0.
-        axis = 1 if r is None else 0
-        kept = [(lab, a) for lab, a in exc if a != axis and (r is None or r == 0)]
-        records.append(BlowupRecord(index, m, label, tuple(lab for lab, _ in exc)))
-        exc = [(label, axis)] + kept
-        if m == 1 and len(exc) == 1:
-            return records
-        g = blow_up_once(g, m, r)
-    raise ResolutionIncompleteError(len(records))
+        dirs, repeated_outside_q = tangent_directions(g, m)
+        split = split or _split_reason(dirs, m)
+        exact = exact and not repeated_outside_q
+        label = f"E{len(records) + 1}"
+        records.append(BlowupRecord(len(records) + 1, m, label, tuple(lab for lab, _ in exc)))
+        children = []
+        for r, k in dirs:
+            # The new curve is the axis y = 0 of the vertical chart and
+            # x = 0 of the others.  An old one reaches the child only as
+            # the other axis: x = 0 in the vertical chart, y = 0 in r = 0.
+            axis = 1 if r is None else 0
+            kept = [(lab, a) for lab, a in exc if a != axis and (r is None or r == 0)]
+            if k >= 2 or (m == 1 and kept):
+                children.append((blow_up_once(g, m, r), [(label, axis)] + kept))
+        stack.extend(reversed(children))
+    return GermWalk(records, split, exact)
 
 
 # -- singular locus -------------------------------------------------------
@@ -391,26 +426,17 @@ class SingularLocus:
     be decided over Q.
 
     `walk` is the germ walk the search made of its projection vertex P
-    when P is singular: (P, P's blowup record), or (P, the
-    NotUnibranchError that stopped it) when P has several branches; None
-    when no point was walked.  It is in no JSON and no comparison.
+    when P is singular, (P, `germ_walk` of P's germ), and None when no
+    point was walked.  It is in no JSON and no comparison.
     """
 
     points: list[tuple[ProjPoint, int]]
     blockers: list[ExtensionFieldSingularity]
-    walk: tuple[ProjPoint, list[BlowupRecord] | NotUnibranchError] | None = field(
-        default=None, compare=False, repr=False
-    )
+    walk: tuple[ProjPoint, GermWalk] | None = field(default=None, compare=False, repr=False)
 
-    def walked(self, point: ProjPoint) -> list[BlowupRecord] | None:
-        """The record of the search's walk of the point; None when the
-        search did not walk it.  A point of several branches re-raises the
-        walk's NotUnibranchError."""
-        if self.walk is None or self.walk[0] != point:
-            return None
-        if isinstance(self.walk[1], NotUnibranchError):
-            raise self.walk[1]
-        return self.walk[1]
+    def walked(self, point: ProjPoint) -> GermWalk | None:
+        """The search's walk of the point, None when it did not walk it."""
+        return self.walk[1] if self.walk is not None and self.walk[0] == point else None
 
     def require_rational(self) -> "SingularLocus":
         if self.blockers:
@@ -503,29 +529,27 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     multiplicity do not depend on the frame: a blocker-free search in any
     frame certifies the whole locus, and its points are mapped back.
 
-    When m >= 2 the search first walks e_v's germ through its blowups
-    (`blowup_records`) and keeps the walk on the locus it returns
-    (`SingularLocus.walk`), so that no caller walks e_v again.  When e_v
-    is one branch, the first frame also moves its tangent to z = 0
-    (`_tangent_frame`), and that frame's search cuts the powers of z that
-    the walk's delta proves (`_vertex_cuts`) from its first two pairs; the
-    other frames, and a vertex of several branches, take the same pairs
-    without them.
+    When m >= 2 the search first walks e_v's germ (`germ_walk`) and keeps
+    the walk on the locus it returns (`SingularLocus.walk`), so that no
+    caller walks e_v again.  When e_v is one branch, the first frame also
+    moves its tangent to z = 0 (`_tangent_frame`), and that frame's search
+    cuts the powers of z that the walk's delta proves (`_vertex_cuts`)
+    from its first two pairs; the other frames, and a vertex of several
+    branches, take the same pairs without them.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
     centre = projection_vertex(curve)
     v = centre.coords().index(1)
-    walk = None
+    walk = delta = None
+    rows = list(_IDENTITY)
     if curve.degree - curve.poly.degree_in(v) >= 2:
-        try:
-            walk = (centre, blowup_records(curve, centre))
-        except NotUnibranchError as exc:
-            walk = (centre, exc)
-    delta = None if walk is None or isinstance(walk[1], NotUnibranchError) else delta_of(walk[1])
-    # The germ at e_v has the swapped frame's (x, z) in its slots, and the
-    # swap after the tangent move permutes the move's rows.
-    rows = list(_IDENTITY if delta is None else _tangent_frame(germ_at(curve.poly, centre)))
+        g = germ_at(curve.poly, centre)
+        walk = (centre, germ_walk(g, curve.degree))
+        if walk[1].split is None:
+            # The germ at e_v has the swapped frame's (x, z) in its slots.
+            delta, rows = walk[1].delta, list(_tangent_frame(g))
+    # The swap after the tangent move permutes the move's rows.
     rows[1], rows[v] = rows[v], rows[1]
     first = tuple(rows)
     unsheared = None

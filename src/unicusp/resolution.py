@@ -1,47 +1,42 @@
 """Embedded resolution of rational curve singularities by blowing up.
 
-The resolver follows one unibranch germ through a tower of point blowups
-in exact local coordinates, recording the multiplicity at every center and
-the exceptional curves through it, and stopping at the first moment the
-total transform is simple normal crossings: the strict transform is
-smooth, meets exactly one exceptional curve, and meets it transversally
-away from corners.  That moment is read off the blowup record (a blowup
-of multiplicity 1 whose new curve is the only one through the next
-center), so the last strict transform is never formed.
-
-The walk and its record live in `curves` (`blowup_records`, `blow_up_once`),
-beside the germ reader (`germ_order`, `cone_direction`) that gives each
-centre's order and tangent direction, because the singular search walks
-its projection vertex itself and keeps the record on the locus it returns.
-Multibranch germs (nodes, tacnodes, ...) raise NotUnibranchError there.
-The delta invariant and genus are still available for them through the
-general infinitely-near-point recursion used by genus_of.
+The resolver follows one unibranch germ through point blowups in exact
+local coordinates, recording the multiplicity at every center and the
+exceptional curves through it, and stops at the first moment the total
+transform is simple normal crossings, read off the record, so the last
+strict transform is never formed.  The walk lives in `curves`
+(`germ_walk`), because the singular search walks its projection vertex
+itself and keeps the walk on the locus it returns.  One walk serves every
+germ: its record is the resolution of one branch, and sum m(m-1)/2 over it
+is the delta invariant of any germ whose repeated tangent directions are
+rational.  A walk of several branches (nodes, tacnodes, ...) has no
+resolution: NotUnibranchError.
 """
 
 from dataclasses import asdict, dataclass, field
 
-from . import poly, uniroots
+from . import curves, poly
 from .curves import (
     BlowupRecord,
     CurveError,
+    GermWalk,
     NotUnibranchError,
     PlaneCurve,
     ProjPoint,
     SingularLocus,
-    blow_up_once,
-    blowup_records,
-    cone_coefficients,
     delta_of,
     find_rational_singular_points,
     germ_at,
     germ_order,
+    germ_walk,
     tangent_contact,
 )
 from .dualgraph import WeightedDualGraph
 from .poly import Poly
 
-# perfbench's tracer test reads the division inside `curves.blow_up_once`
-# under this name (ROADMAP item 3).
+# perfbench's tracer reads the chart map of `curves.germ_walk`, and the
+# division inside it, under these names (ROADMAP item 3).
+blow_up_once = curves.blow_up_once
 exact_divide = poly.exact_divide
 
 
@@ -92,11 +87,16 @@ class ResolutionResult:
 
 
 def minimal_embedded_resolution(curve: PlaneCurve, point: ProjPoint) -> ResolutionResult:
-    """Resolve one singular point of a curve by iterated point blowups
-    until the total transform is simple normal crossings: the result of its
-    record, `curves.blowup_records`, which holds the stop rule and the
-    bound on the number of blowups."""
-    return ResolutionResult(point, curve.degree, blowup_records(curve, point))
+    """Resolve one singular point of a curve by point blowups until the
+    total transform is simple normal crossings: the walk of its germ,
+    `curves.germ_walk`, holds the stop rule and the bound on the blowups."""
+    g = germ_at(curve.poly, point)
+    m = germ_order(g)
+    if m == 0:
+        raise CurveError("point does not lie on the curve")
+    if m < 2:
+        raise CurveError("point is a smooth point; nothing to resolve")
+    return _resolved(point, curve.degree, germ_walk(g, curve.degree))
 
 
 def locus_resolution(curve: PlaneCurve, locus: SingularLocus) -> ResolutionResult:
@@ -104,45 +104,26 @@ def locus_resolution(curve: PlaneCurve, locus: SingularLocus) -> ResolutionResul
     locus, read off the search's walk when the search walked that point
     (`SingularLocus.walked`), so that no point is walked twice."""
     point = locus.points[0][0]
-    records = locus.walked(point)
-    if records is None:
-        return minimal_embedded_resolution(curve, point)
-    return ResolutionResult(point, curve.degree, records)
+    walk = locus.walked(point)
+    return minimal_embedded_resolution(curve, point) if walk is None else _resolved(point, curve.degree, walk)
+
+
+def _resolved(point: ProjPoint, degree: int, walk: GermWalk) -> ResolutionResult:
+    """The resolution a walk records; NotUnibranchError unless one branch."""
+    if walk.split is not None:
+        raise NotUnibranchError(walk.split)
+    return ResolutionResult(point, degree, walk.records)
 
 
 # -- delta invariant and genus ---------------------------------------------
 
 
 def delta_invariant(g: Poly) -> int:
-    """Delta invariant of a germ at the origin via infinitely near points.
-
-    Works for any (possibly multibranch) germ whose repeated tangent
-    directions stay rational all the way down; raises CurveError when a
-    repeated direction leaves Q, since the contribution of its conjugates
-    could not be followed exactly.
-    """
-    m = germ_order(g)
-    if m <= 1:
-        return 0
-    total = m * (m - 1) // 2
-    coeffs = cone_coefficients(g, m)
-    t = max(k for k, c in enumerate(coeffs) if c)
-    # vertical direction u = 0 with multiplicity m - t
-    if m - t >= 2:
-        total += delta_invariant(blow_up_once(g, m, None))
-    roots, leftover = uniroots.rational_roots_int(coeffs[: t + 1])
-    for r, mu in roots.items():
-        if mu < 2:
-            continue
-        total += delta_invariant(blow_up_once(g, m, r))
-    if uniroots.deg(leftover) > 0:
-        sq = uniroots.squarefree_part_int(leftover)
-        if uniroots.deg(sq) != uniroots.deg(leftover):
-            raise CurveError(
-                "repeated tangent direction outside Q; delta invariant "
-                "not computable exactly"
-            )
-    return total
+    """Delta invariant of a germ at the origin, sum m(m-1)/2 over its walk
+    (`curves.germ_walk`, bounded by the germ's own degree), for any germ
+    whose repeated tangent directions stay rational; CurveError when one
+    leaves Q, as the walk cannot follow its conjugates exactly."""
+    return germ_walk(g, g.total_degree()).delta
 
 
 def genus_of(curve: PlaneCurve) -> int:
@@ -155,21 +136,15 @@ def genus_of(curve: PlaneCurve) -> int:
 
 
 def _genus(curve: PlaneCurve, locus: SingularLocus, res: ResolutionResult | None = None) -> int:
-    """Arithmetic genus minus the delta invariants of the locus.
-
-    `res`, the resolution of a one-point locus, and otherwise the search's
-    walk of a point (`SingularLocus.walked`), give delta from the record,
-    sum m(m-1)/2, with no second walk over the blowups; the other points,
-    and a walked point of several branches, take `delta_invariant`.
-    """
+    """Arithmetic genus minus the delta invariants of the locus: `res`, the
+    resolution of a one-point locus, or else the search's walk of a point
+    (`SingularLocus.walked`) gives delta with no second walk, and the
+    other points take `delta_invariant`."""
     d = curve.degree
     g = (d - 1) * (d - 2) // 2
     for point, _ in locus.points:
-        try:
-            records = res.records if res is not None else locus.walked(point)
-        except NotUnibranchError:
-            records = None
-        g -= delta_invariant(germ_at(curve.poly, point)) if records is None else delta_of(records)
+        known = res or locus.walked(point)
+        g -= delta_invariant(germ_at(curve.poly, point)) if known is None else known.delta
     if g < 0:
         raise CurveError(
             "negative genus: the curve is reducible or the locus is wrong"

@@ -3,10 +3,14 @@
 import argparse
 import ast
 import functools
+import importlib
+import importlib.util
 import inspect
 import re
+import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -226,6 +230,40 @@ def test_every_kept_name_is_read_outside_src():
     texts.append((ROOT / "README.md").read_text())
     unread = _unread_outside_src({name for _, name in READ_OUTSIDE_SRC}, texts)
     assert not unread, "kept for a reader outside src/ that is gone: " + ", ".join(unread)
+
+
+def _unresolved(targets) -> list[str]:
+    """The names module.attr of the targets that are no callable of their
+    home module, unicusp.<module>; attr may name a method, Class.method."""
+    out = []
+    for t in targets:
+        obj = importlib.import_module(f"unicusp.{t.module}")
+        for part in t.attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            out.append(f"{t.module}.{t.attr}")
+    return out
+
+
+def test_the_check_sees_a_target_that_is_gone():
+    targets = [
+        SimpleNamespace(module=module, attr=attr)
+        for module, attr in (("poly", "Poly.substitute"), ("resolution", "blowup_records"), ("curves", "Poly.gone"))
+    ]
+    assert _unresolved(targets) == ["resolution.blowup_records", "curves.Poly.gone"]
+
+
+def test_every_perfbench_target_resolves(monkeypatch):
+    # perfbench's tracer looks its targets up by name when a traced run
+    # starts; a name that moves or goes fails here, not only there.  Its
+    # dataclasses need the module in sys.modules while it loads.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TARGETS) > 20
+    missing = _unresolved(tracing.TARGETS)
+    assert not missing, "perfbench traces names that are gone: " + ", ".join(missing)
 
 
 def _package_imports(trees) -> set[str]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unicusp import resolution
+from unicusp import curves, resolution, uniroots
 from unicusp.cli import main
 from unicusp.corpus import DEFAULT_PARAMS, analysis, curve_by_name, param_set
 from unicusp.curves import (
@@ -124,7 +124,7 @@ def test_step_limit_certifies_minimality():
     for curve, point in cases:
         res = minimal_embedded_resolution(curve, point)
         ms, d = res.multiplicity_sequence, curve.degree
-        delta = delta_invariant(germ_at(curve.poly, point))
+        delta = _delta_reference(germ_at(curve.poly, point))
         assert len(res.records) == len(ms) + ms[-1] <= 2 * delta + 1 <= (d - 1) * (d - 2) + 1, curve.poly
 
 
@@ -224,11 +224,13 @@ def test_classify_rejects_negative_genus():
 
 def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
     # A one-point unibranch locus takes delta = sum m(m-1)/2 from the
-    # resolution's record; delta_invariant walks only multibranch or
-    # several-point loci.
+    # resolution's record, and a point the search walked, such as the
+    # nodal cubic's node at its projection vertex, from that walk;
+    # delta_invariant walks only the points of a several-point locus that
+    # the search did not walk: two of the three nodes of xyz = 0.
     ps = DEFAULT_PARAMS[1]
-    curves = [curve_by_name(name, ps) for name in sorted(CUSPS)] + [CUSP_CUBIC]
-    genera = [genus_of(c) for c in curves]
+    cusps = [curve_by_name(name, ps) for name in sorted(CUSPS)] + [CUSP_CUBIC]
+    genera = [genus_of(c) for c in cusps]
     nodal = make_curve(Y**2 * Z - X**3 - X**2 * Z)
     walked = []
     real = resolution.delta_invariant
@@ -238,7 +240,7 @@ def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(resolution, "delta_invariant", counted)
-    for curve, genus in zip(curves, genera):
+    for curve, genus in zip(cusps, genera):
         report = classify(curve)
         res = report.resolution
         assert res is not None and report.genus == genus
@@ -247,10 +249,10 @@ def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
     report = classify(nodal)
     assert report.resolution is None and report.genus == 0
     assert report.notes == ["the singular point is not a cusp (several branches)"]
-    assert len(walked) == 1
+    assert walked == []
     with pytest.raises(CurveError, match="negative genus"):
         classify(make_curve(X * Y * Z))
-    assert len(walked) == 4
+    assert len(walked) == 2
 
 
 def _chain_records(ms) -> list[BlowupRecord]:
@@ -294,6 +296,103 @@ def test_delta_gives_up_on_an_irrational_repeated_tangent(capsys):
     assert err == "error: repeated tangent direction outside Q; delta invariant not computable exactly\n"
 
 
+IRRATIONAL = "repeated tangent direction outside Q; delta invariant not computable exactly"
+
+
+def test_an_irrational_double_direction_keeps_the_search(capsys):
+    # The cone (y^2 - 2x^2)^2 of the projection vertex (0 : 0 : 1) is the
+    # square of two conjugate lines.  The search walks that point and
+    # finds it; only the readers of delta refuse it, and the resolution
+    # refuses it as a germ of several branches.
+    text = "(y^2 - 2*x^2)^2*z + x^5"
+    curve = make_curve((Y**2 - 2 * X**2) ** 2 * Z + X**5)
+    locus = find_rational_singular_points(curve)
+    assert (locus.points, locus.blockers) == ([(ORIGIN, 4)], [])
+    g = germ_at(curve.poly, ORIGIN)
+    for fn, arg in ((genus_of, curve), (classify, curve), (delta_invariant, g), (_delta_reference, g)):
+        with pytest.raises(CurveError) as info:
+            fn(arg)
+        assert str(info.value) == IRRATIONAL, fn.__name__
+    with pytest.raises(NotUnibranchError):
+        minimal_embedded_resolution(curve, ORIGIN)
+    assert main(["resolve", text]) == 1
+    assert capsys.readouterr().err == "error: tangent cone is not the power of a single line; the germ splits\n"
+
+
+def test_a_germ_that_is_not_reduced_ends_at_the_bound():
+    # Under each blowup in the direction y = 0, y^2 gives y^2 back, so its
+    # walk never ends; the bound of its degree, (2 - 1)(2 - 2) + 1 = 1
+    # point, stops delta_invariant, and 21 stops the doubled cusp's germ,
+    # of degree 6.  genus_of on a curve built without make_curve, a doubled
+    # conic and a line, stops in the search's walk of its vertex.
+    for g, steps in ((Y**2, 1), ((Y**2 - X**3) ** 2, 21)):
+        with pytest.raises(ResolutionIncompleteError) as info:
+            delta_invariant(g)
+        assert info.value.steps_done == steps
+    with pytest.raises(ResolutionIncompleteError) as info:
+        genus_of(PlaneCurve((X * Z - Y**2) ** 2 * X, 5))
+    assert info.value.steps_done == 4 * 3 + 1
+
+
+def test_a_chain_of_two_branches_has_no_resolution():
+    # x(y^2 z - x^3) at (0 : 0 : 1): the cone x*y^2 has the simple direction
+    # of the line x = 0 and the double one of the cusp, so the walk is the
+    # chain (3, 1, 1), which ends at multiplicity 1; yet the germ has two
+    # branches, and delta = 0 + 1 + I(x, y^2 - x^3) = 3.
+    curve = make_curve(X * (Y**2 * Z - X**3))
+    g = germ_at(curve.poly, ORIGIN)
+    walk = curves.germ_walk(g, curve.degree)
+    assert [r.multiplicity for r in walk.records] == [3, 1, 1]
+    assert walk.split == "tangent cone has several directions; the germ is not one branch"
+    with pytest.raises(NotUnibranchError, match="several directions"):
+        minimal_embedded_resolution(curve, ORIGIN)
+    assert walk.delta == delta_invariant(g) == _delta_reference(g) == 3
+    locus = find_rational_singular_points(curve)
+    assert locus.walked(ORIGIN) == walk
+
+
+def _seeded_germ(rng: random.Random) -> tuple[list[Poly], Poly]:
+    """One to three branches through the origin, one with probability
+    1/2, and their product.  Each is (y - J(x))**a - c*x**b with a and b
+    coprime, one branch (x = t**a, y - J = c**(1/a) * t**b), where J is
+    the germ's jet j1*x + j2*x**2 + j3*x**3 cut after a random order, so
+    that branches share jets; distinct ones make a reduced germ."""
+    jet = [rng.randint(-2, 2) for _ in range(3)]
+    branches = []
+    for _ in range(rng.choice((1, 1, 1, 2, 2, 3))):
+        k = rng.randint(1, 3)
+        a = rng.choice((1, 2, 2, 3))
+        b = rng.choice([b for b in range(a + 1, a + 5) if math.gcd(a, b) == 1])
+        y = Y - sum((c * X ** (i + 1) for i, c in enumerate(jet[:k])), Poly())
+        branches.append(y**a - rng.choice((-1, 1, 2, 3)) * X**b)
+    return branches, math.prod(branches, start=ONE)
+
+
+def test_the_walk_matches_the_recursion_on_seeded_germs():
+    # delta from the walk against the recursion, on 1000 reduced germs of
+    # degree d, about half of them multibranch; the walk is one branch
+    # exactly when the germ is, and stays within (d - 1)(d - 2) + 1
+    # points, which a smooth germ of degree 1 or 2 (1 point) and a cusp of
+    # degree 3 ((2, 1, 1)) reach.
+    rng = random.Random(2024)
+    germs, multibranch, at_bound = 0, 0, []
+    while germs < 1000:
+        branches, g = _seeded_germ(rng)
+        if len(set(branches)) < len(branches):
+            continue
+        germs += 1
+        d = g.total_degree()
+        walk = curves.germ_walk(g, d)
+        assert walk.delta == _delta_reference(g), g
+        assert (walk.split is None) == (len(branches) == 1), g
+        assert len(walk.records) <= (d - 1) * (d - 2) + 1, g
+        multibranch += len(branches) > 1
+        if len(walk.records) == (d - 1) * (d - 2) + 1:
+            at_bound.append(d)
+    assert 400 <= multibranch <= 600
+    assert set(at_bound) == {1, 2, 3}
+
+
 # -- the genus-one identity -----------------------------------------------------
 
 
@@ -335,6 +434,30 @@ def _blow_up_once_reference(g: Poly, m: int, r: Fraction | None) -> Poly:
     strict = exact_divide(moved, exc_var ** m)
     assert strict is not None, "total transform must be divisible by the m-th power"
     return strict
+
+
+def _delta_reference(g: Poly) -> int:
+    """Delta invariant of a germ at the origin by recursion over its
+    infinitely near points: m(m-1)/2, plus the delta of the strict
+    transform (formed by `_blow_up_once_reference`) at each direction of
+    multiplicity >= 2, vertical first; CurveError when a repeated
+    direction leaves Q.  The oracle for the germ walk's delta, free of its
+    stack, its stop rule and its bound."""
+    m = germ_order(g)
+    if m <= 1:
+        return 0
+    total = m * (m - 1) // 2
+    coeffs = curves.cone_coefficients(g, m)
+    t = max(k for k, c in enumerate(coeffs) if c)
+    if m - t >= 2:
+        total += _delta_reference(_blow_up_once_reference(g, m, None))
+    roots, leftover = uniroots.rational_roots_int(coeffs[: t + 1])
+    for r, mu in roots.items():
+        if mu >= 2:
+            total += _delta_reference(_blow_up_once_reference(g, m, r))
+    if uniroots.deg(leftover) > uniroots.deg(uniroots.squarefree_part_int(leftover)):
+        raise CurveError("repeated tangent direction outside Q; delta invariant not computable exactly")
+    return total
 
 
 def _transform_old_exceptional_reference(lin: Poly, r: Fraction | None) -> Poly | None:
@@ -445,7 +568,7 @@ def test_stop_rule_matches_reference_on_corpus_cusps(name, ps):
     res = minimal_embedded_resolution(curve, CUSPS[name])
     assert res.as_json() == _resolution_reference(curve, CUSPS[name])
     _assert_exceptional_part_unimodular(res.graph)
-    assert res.delta == delta_invariant(germ_at(curve.poly, CUSPS[name]))
+    assert res.delta == _delta_reference(germ_at(curve.poly, CUSPS[name]))
 
 
 def _milnor_number(curve, point) -> int:
@@ -461,15 +584,13 @@ def test_milnor_number_is_twice_delta_on_corpus_cusps(name, ps):
     # 2 delta = mu + r - 1 (Milnor 1968, Thm 10.5), with r = 1 branch
     curve, point = curve_by_name(name, ps), CUSPS[name]
     delta = minimal_embedded_resolution(curve, point).delta
-    assert _milnor_number(curve, point) == 2 * delta == 2 * delta_invariant(germ_at(curve.poly, point))
+    assert _milnor_number(curve, point) == 2 * delta == 2 * _delta_reference(germ_at(curve.poly, point))
 
 
 def _search_frame(curve, vertex) -> Poly:
     """F in the frame that the singular search takes when a coordinate
     vertex is its projection vertex: the vertex swapped to
     Q = (0 : 1 : 0), then its tangent moved to z = 0."""
-    from unicusp import curves
-
     v = vertex.coords().index(1)
     swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
     f = curves._apply_matrix(curve.poly, swap)
@@ -482,7 +603,7 @@ def _assert_certificate_contact(curve, cusp) -> None:
     # k1 = 2 delta - (m - 1)^2 of the search's certificate; mu = I_Q(F_x, F_z)
     # = 2 delta is the one behind k0.
     f = _search_frame(curve, cusp)
-    delta = delta_invariant(germ_at(f, Q))
+    delta = _delta_reference(germ_at(f, Q))
     m = germ_order(germ_at(f, Q))
     assert dict(_local_numbers(f.partial(2), f))[Q] == 2 * delta + m - 1, curve.poly
     assert dict(_local_numbers(f.partial(0), f.partial(2)))[Q] == 2 * delta, curve.poly
@@ -509,7 +630,7 @@ def test_milnor_number_of_the_node_counts_two_branches(ps):
     curve = curve_by_name("node-cubic", ps)
     mu = _milnor_number(curve, ORIGIN)
     assert mu == 1
-    assert 2 * delta_invariant(germ_at(curve.poly, ORIGIN)) == mu + 2 - 1
+    assert 2 * _delta_reference(germ_at(curve.poly, ORIGIN)) == mu + 2 - 1
 
 
 @pytest.mark.parametrize("ps", TEST_POINTS, ids=lambda ps: ps.label)
@@ -590,7 +711,7 @@ def test_stop_rule_matches_reference_on_seeded_cusps():
         assert got == _outcome(_resolution_reference, curve, origin), curve.poly
         if isinstance(got, dict):
             resolved += 1
-            assert got["delta"] == delta_invariant(germ_at(curve.poly, origin))
+            assert got["delta"] == _delta_reference(germ_at(curve.poly, origin))
     assert resolved == 60
 
 
@@ -601,8 +722,6 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
     # the tangent move takes from z = -2x to z = 0, and under
     # y -> 2y + 3x the tangent z = -(3/2)x, which it moves with x -> 2x.
     # classify's locus is the direct search's, and both searches cut.
-    from unicusp import curves
-
     rng = random.Random(9090)
     seeded = [_seeded_cusp(rng) for _ in range(60)]
     cuts = []
@@ -653,8 +772,6 @@ def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
 
 def test_classify_reads_the_contact_off_the_germ(monkeypatch):
     # The contact check builds no intersection cycle.
-    from unicusp import curves
-
     def unreachable(*args):
         raise AssertionError("the contact check formed an intersection cycle")
 
@@ -672,20 +789,18 @@ def test_classify_reads_the_contact_off_the_germ(monkeypatch):
 
 
 def _resolution_spy(monkeypatch) -> list:
-    """The points whose blowups the germ walk, `blowup_records`, follows:
-    the search calls it from `curves`, minimal_embedded_resolution from
-    `resolution`."""
-    from unicusp import curves
-
+    """The germs that the germ walk, `germ_walk`, follows: the search
+    calls it from `curves`, minimal_embedded_resolution and
+    delta_invariant from `resolution`."""
     calls = []
-    real = curves.blowup_records
+    real = curves.germ_walk
 
-    def counted(curve, point):
-        calls.append(point)
-        return real(curve, point)
+    def counted(g, d):
+        calls.append(g)
+        return real(g, d)
 
     for module in (curves, resolution):
-        monkeypatch.setattr(module, "blowup_records", counted)
+        monkeypatch.setattr(module, "germ_walk", counted)
     return calls
 
 
@@ -696,8 +811,9 @@ def test_classify_resolves_a_cusp_at_the_vertex_once(monkeypatch):
     for ps in DEFAULT_PARAMS:
         for name, point in sorted(CUSPS.items()):
             calls.clear()
-            assert classify(curve_by_name(name, ps)).resolution.point == point
-            assert calls == [point], name
+            curve = curve_by_name(name, ps)
+            assert classify(curve).resolution.point == point
+            assert calls == [germ_at(curve.poly, point)], name
 
 
 @pytest.mark.parametrize("name", sorted(CUSPS))
@@ -705,8 +821,6 @@ def test_a_cusp_moved_off_the_vertex_keeps_its_report(name, monkeypatch):
     # Under this map of PGL(3) no vertex of the image is a singular point,
     # so the search walks no point and runs without the cut, and the cusp
     # is resolved after it, once.  The report is the unmoved one, its points mapped by M.
-    from unicusp import curves
-
     ps = DEFAULT_PARAMS[0]
     m = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
     curve = curve_by_name(name, ps)
@@ -715,7 +829,7 @@ def test_a_cusp_moved_off_the_vertex_keeps_its_report(name, monkeypatch):
     want = classify(curve)
     calls.clear()
     report = classify(moved)
-    assert calls == [report.resolution.point]
+    assert calls == [germ_at(moved.poly, report.resolution.point)]
     assert curves._map_point(m, report.resolution.point) == want.resolution.point
     assert [(curves._map_point(m, q), k) for q, k in report.singular_points] == want.singular_points
     got, expected = report.as_json(), want.as_json()
@@ -726,13 +840,15 @@ def test_a_cusp_moved_off_the_vertex_keeps_its_report(name, monkeypatch):
 
 def test_a_node_at_the_vertex_takes_the_search_without_the_cut(monkeypatch, cut_eliminants):
     # The nodal cubic's node is the vertex (0 : 0 : 1): the search's walk
-    # stops at the first cone, the search forms no cut eliminant, classify
-    # does not walk the node again, and the report is the one for a node.
+    # ends at the first cone, of two lines, the search forms no cut
+    # eliminant, classify does not walk the node again, and the report is
+    # the one for a node.
     calls = _resolution_spy(monkeypatch)
-    report = classify(make_curve(Y**2 * Z - X**3 - X**2 * Z))
+    nodal = make_curve(Y**2 * Z - X**3 - X**2 * Z)
+    report = classify(nodal)
     assert (report.singular_points, report.resolution, report.genus) == ([(ORIGIN, 2)], None, 0)
     assert report.notes == ["the singular point is not a cusp (several branches)"]
-    assert calls == [ORIGIN]
+    assert calls == [germ_at(nodal.poly, ORIGIN)]
     assert cut_eliminants == []
 
 
@@ -740,7 +856,6 @@ def test_resolve_without_a_point_walks_each_point_once(monkeypatch, capsys):
     # resolve without --point reads a cusp at the projection vertex off the
     # search's walk, walks a cusp off the vertex once, after the search,
     # and fails on a node at the vertex with the walk's own error.
-    from unicusp import curves
     from unicusp.poly import poly_to_text
 
     ps = DEFAULT_PARAMS[0]
@@ -750,28 +865,28 @@ def test_resolve_without_a_point_walks_each_point_once(monkeypatch, capsys):
     cases.append((poly_to_text(moved.poly), moved, ProjPoint.of(1, -3, 1)))
     want = [json.loads(json.dumps(minimal_embedded_resolution(c, p).as_json())) for _, c, p in cases]
     calls = _resolution_spy(monkeypatch)
-    for (text, _, point), expected in zip(cases, want):
+    for (text, curve, point), expected in zip(cases, want):
         calls.clear()
         assert main(["resolve", text, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         for key in ("schema", "timing", "name", "params"):
             del payload[key]
         assert payload == expected, text
-        assert calls == [point], text
+        assert calls == [germ_at(curve.poly, point)], text
     calls.clear()
     assert main(["resolve", "y^2*z - x^3 - x^2*z"]) == 1
     assert capsys.readouterr().err == "error: tangent cone is not the power of a single line; the germ splits\n"
-    assert calls == [ORIGIN]
+    assert calls == [germ_at(make_curve(Y**2 * Z - X**3 - X**2 * Z).poly, ORIGIN)]
 
 
 def test_genus_of_walks_each_point_once(monkeypatch):
-    # genus_of takes delta off the search's walk of a cusp at the projection
-    # vertex; delta_invariant follows only a point of several branches.
+    # genus_of takes delta off the search's walk of the projection vertex,
+    # a cusp or the nodal cubic's node, so delta_invariant walks no point.
     ps = DEFAULT_PARAMS[1]
     cases = [(curve_by_name(name, ps), point) for name, point in sorted(CUSPS.items())]
     nodal = make_curve(Y**2 * Z - X**3 - X**2 * Z)
     want = [
-        (c.degree - 1) * (c.degree - 2) // 2 - delta_invariant(germ_at(c.poly, p))
+        (c.degree - 1) * (c.degree - 2) // 2 - _delta_reference(germ_at(c.poly, p))
         for c, p in cases + [(nodal, ORIGIN)]
     ]
     calls = _resolution_spy(monkeypatch)
@@ -786,12 +901,12 @@ def test_genus_of_walks_each_point_once(monkeypatch):
     for (curve, point), genus in zip(cases, want):
         calls.clear()
         assert genus_of(curve) == genus
-        assert calls == [point]
+        assert calls == [germ_at(curve.poly, point)]
     assert walked == []
     calls.clear()
     assert genus_of(nodal) == want[-1] == 0
-    assert calls == [ORIGIN]
-    assert len(walked) == 1
+    assert calls == [germ_at(nodal.poly, ORIGIN)]
+    assert walked == []
 
 
 def test_a_non_reduced_vertex_stops_the_search():
@@ -859,20 +974,17 @@ def test_any_record_folds_to_a_resolution_graph(steps):
 
 
 def _blow_up_inputs(run) -> list[tuple[Poly, int, Fraction | None]]:
-    """Every (g, m, r) that blow_up_once receives while run() runs: from
-    the germ walk in `curves` and from delta_invariant in `resolution`."""
-    from unicusp import curves
-
+    """Every (g, m, r) that blow_up_once receives from the germ walk in
+    `curves` while run() runs."""
     seen = []
-    real = resolution.blow_up_once
+    real = curves.blow_up_once
 
     def recorded(g, m, r):
         seen.append((g, m, r))
         return real(g, m, r)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (curves, resolution):
-            mp.setattr(module, "blow_up_once", recorded)
+        mp.setattr(curves, "blow_up_once", recorded)
         run()
     return seen
 
@@ -890,8 +1002,6 @@ def _assert_charts_relabel(inputs) -> None:
     """The total transform is a relabel of exponents, not a product image:
     each chart map divides once, by the m-th power of the exceptional
     variable, and substitutes only for r != 0, the shift y -> y + r."""
-    from unicusp import curves
-
     calls = []
     real_divide, real_substitute = curves.exact_divide, Poly.substitute
 
@@ -918,11 +1028,11 @@ def _assert_charts_relabel(inputs) -> None:
 def test_blow_up_once_matches_reference_on_corpus_blowups():
     from unicusp.corpus import CURVES
 
-    curves = [curve_by_name(name, ps) for ps in DEFAULT_PARAMS for name in CURVES]
-    assert len(curves) == 24
+    corpus = [curve_by_name(name, ps) for ps in DEFAULT_PARAMS for name in CURVES]
+    assert len(corpus) == 24
 
     def run():
-        for curve in curves:
+        for curve in corpus:
             classify(curve)
 
     cases = _assert_charts_match_reference(_blow_up_inputs(run))
@@ -931,12 +1041,11 @@ def test_blow_up_once_matches_reference_on_corpus_blowups():
 
 def test_blow_up_once_matches_reference_on_seeded_cusps():
     rng = random.Random(9090)
-    curves = [make_curve(_seeded_cusp(rng)) for _ in range(60)]
+    seeded = [make_curve(_seeded_cusp(rng)) for _ in range(60)]
 
     def run():
-        for curve in curves:
+        for curve in seeded:
             minimal_embedded_resolution(curve, ORIGIN)
-            delta_invariant(germ_at(curve.poly, ORIGIN))
 
     # A seeded cusp has the one Puiseux pair (a, b), so every tangent
     # direction in its resolution is a chart axis: no shift in y occurs.
