@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import uniroots
 from .curves import PlaneCurve, repeated_factor
 from .poly import (
     Poly,
@@ -53,7 +54,9 @@ class CremonaMap:
 
 
 def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
-    """Validate a component triple, dividing out (and logging) any common factor."""
+    """Validate a component triple, dividing out (and logging) any common
+    factor.  The gcd runs only when `_coprime_on_line` cannot certify the
+    components coprime."""
     comps = (p1, p2, p3)
     nonzero = [p for p in comps if not p.is_zero()]
     if not nonzero:
@@ -61,15 +64,16 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
     for p in nonzero:
         if not p.is_homogeneous():
             raise CremonaError(f"map component {poly_to_text(p)} is not homogeneous")
-    g = nonzero[0]
-    for p in nonzero[1:]:
-        g = gcd(g, p)
-    if g.total_degree() > 0:
-        comps = tuple(
-            Poly.zero() if p.is_zero() else exact_divide(p, g) for p in comps
-        )
-        logger.warning("divided out common factor %s", poly_to_text(g))
-        nonzero = [p for p in comps if not p.is_zero()]
+    if not _coprime_on_line(nonzero):
+        g = nonzero[0]
+        for p in nonzero[1:]:
+            g = gcd(g, p)
+        if g.total_degree() > 0:
+            comps = tuple(
+                Poly.zero() if p.is_zero() else exact_divide(p, g) for p in comps
+            )
+            logger.warning("divided out common factor %s", poly_to_text(g))
+            nonzero = [p for p in comps if not p.is_zero()]
     degrees = {p.total_degree() for p in nonzero}
     if len(degrees) != 1:
         raise CremonaError(f"map components have different degrees {sorted(degrees)}")
@@ -78,6 +82,28 @@ def make_map(p1: Poly, p2: Poly, p3: Poly) -> CremonaMap:
             "the Jacobian determinant of the map vanishes: the image is a point or a curve"
         )
     return CremonaMap(comps)
+
+
+def _coprime_on_line(forms: list[Poly]) -> bool:
+    """True when the first prime of `uniroots.large_primes` certifies that
+    the nonzero forms have no common factor, so that `make_map` needs no
+    gcd; False when it cannot tell.
+
+    A common factor G of positive degree restricts to the line z = x + y
+    either as zero, when the line is a component of G, or as a binary form
+    of degree deg G; either way the restrictions share a root on the line.
+    So restrictions that share no root, which `uniroots.coprime_mod_p`
+    certifies from their integer lists at (t : 1 : t + 1) and their
+    formal degrees, prove the forms coprime.
+    """
+    restricted = []
+    for p in forms:
+        d = p.total_degree()
+        row = [0] * (d + 1)
+        for (a, _, _), k in p.substitute((X, Y, X + Y))._num.items():
+            row[a] = k
+        restricted.append((row, d))
+    return uniroots.coprime_mod_p(restricted, next(uniroots.large_primes()))
 
 
 def _jacobian_vanishes(comps: tuple[Poly, Poly, Poly], d: int) -> bool:

@@ -3,8 +3,10 @@
 Curves are squarefree homogeneous polynomials in x, y, z up to scalar.
 Points are exact rational projective points.  The singular-locus search is
 certified: eliminating y from a pair of forms among F and its partial
-derivatives yields a binary form in (x, z) whose rational roots give all
-candidate lines, and the eliminant of the next pair, reduced modulo one
+derivatives yields a binary form in (x, z).  Two such forms that are
+coprime modulo one prime show that no point off the centre of projection
+is singular.  Otherwise the rational roots of the first give all
+candidate lines, and the eliminant of the next pair, reduced modulo the
 prime, shows that no line of irrational direction holds a singular
 point; factors that cannot be excluded over Q are either separated by
 the unimodular shears of `_shears` or reported as structured blockers
@@ -180,15 +182,16 @@ def germ_at(p: Poly, point: ProjPoint) -> Poly:
     """Bivariate local equation at the point, centered at the origin.
 
     Slot 0 carries the first chart variable, slot 1 the second (see
-    chart_of); slot 2 is unused.
+    chart_of); slot 2 is unused.  Moving p into the chart is an exponent
+    relabel, `dehomogenize` and then the chart's variables into slots 0
+    and 1; only a point off the chart's origin then needs a substitution,
+    the shift to it.
     """
     i, j = chart_of(point)
-    coords = point.coords()
-    imgs: list[Poly] = [ONE, ONE, ONE]
-    imgs[i] = X + coords[i]
-    imgs[j] = Y + coords[j]
-    imgs[3 - i - j] = ONE
-    return p.substitute((imgs[0], imgs[1], imgs[2]))
+    g = dehomogenize(p, 3 - i - j)
+    g = Poly._of({(e[i], e[j], 0): k for e, k in g._num.items()}, g._den)
+    a, b = point.coords()[i], point.coords()[j]
+    return g.substitute((X + a, Y + b, ONE)) if a or b else g
 
 
 class NotUnibranchError(CurveError):
@@ -506,16 +509,20 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     """All rational singular points with multiplicities, sorted by
     coordinates when a search is blocker-free.
 
-    Works projectively: the rational roots of one exact (x, z)-eliminant
-    of a pair of forms among F and its partials give candidate lines
-    through (0 : 1 : 0), each decided by exact univariate gcds in y
-    (`_singular_search`, which lists the pairs).  The rest of that
-    eliminant is checked against the next pair's eliminant modulo one
-    prime; only when that check fails are the later eliminants formed
-    exactly, and a factor they share, or an irrational y-locus on a
-    candidate line, triggers a retry in the next frame.  Whatever survives
-    every frame is reported, as found in the unsheared frame, as a blocker
-    rather than ignored.
+    Works projectively, in frames that project from (0 : 1 : 0), with
+    (x, z)-eliminants of pairs of forms among F and its partials
+    (`_singular_search`, which lists the pairs).  Certificate first: when
+    the first two eliminants, less the powers of z the centre is known to
+    give them, are coprime modulo one prime, no point but the centre is
+    singular, and no eliminant is formed exactly.  Otherwise the rational
+    roots of one exact eliminant give candidate lines through the centre,
+    each decided by exact univariate gcds in y.  The rest of that
+    eliminant is checked against the next pair's image modulo the prime;
+    only when that check fails are the later eliminants formed exactly,
+    and a factor they share, or an irrational y-locus on a candidate line,
+    triggers a retry in the next frame.  Whatever survives every frame is
+    reported, as found in the unsheared frame, as a blocker rather than
+    ignored.
 
     The first frame projects from the coordinate vertex e_v of least
     deg_v F, after swapping v with y (ties keep y); the first seven frames
@@ -575,15 +582,22 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     with a zero partial.  Each pair carries a known factor z**k of its
     eliminant: k0 and k1 from `_vertex_cuts` for the first two when
     `delta` is the delta invariant of (0 : 1 : 0), a unibranch singular
-    point of f with the tangent z = 0, and 0 otherwise.  Only the first
-    nonzero eliminant e1 is formed exactly, as the integer list of
-    e1(t, 1) (`_eliminant_y`): its rational roots, and (1 : 0) when that
-    list falls short of the degree of e1, are the candidate lines
-    (`_rational_lines`), each decided exactly by `_points_on_line`.  What
-    is left of e1(t, 1) once its rational linear factors are divided out,
-    L1, is checked by `_irrational_common_factor` against the later pairs.
-    Every point found zeroes all three partials, so it lies on f and is
-    singular; its multiplicity is the order of its germ.
+    point of f with the tangent z = 0, and 0 otherwise.
+
+    Certificate first: the images modulo the first prime p of
+    `uniroots.large_primes` of the first two pairs' cut eliminants
+    e/z**k (`_cut_image`).  When they share no root (`uniroots.coprime_mod_p`),
+    no point but (0 : 1 : 0) is singular, and no eliminant is formed
+    exactly.  Otherwise only the first nonzero eliminant e1 is formed
+    exactly, as the integer list of e1(t, 1) (`_eliminant_y`): its
+    rational roots, and (1 : 0) when that list falls short of the degree
+    of e1, are the candidate lines (`_rational_lines`), each decided
+    exactly by `_points_on_line`.  What is left of e1(t, 1) once its
+    rational linear factors are divided out, L1, is checked by
+    `_irrational_common_factor` against the later pairs, starting from the
+    image already formed.  Every point found zeroes all three partials, so
+    it lies on f and is singular; its multiplicity is the order of its
+    germ.
     """
     partials = [f.partial(i) for i in range(3)]
     fx, fy, fz = partials
@@ -598,34 +612,70 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
         for a, b, k in ((fx, fz, k0), (fz, f, k1), (fx, fy, 0), (fy, fz, 0))
         if not (a.is_zero() or b.is_zero())
     ]
-    for i, (a, b, k) in enumerate(pairs):
-        e1 = _eliminant_y(a, b, k)
-        if e1 is not None:
-            break
-    else:
-        raise CurveError("partial derivatives are pairwise degenerate; cannot certify locus")
-
-    lines, l1 = _rational_lines(e1)
-    blockers: list[ExtensionFieldSingularity] = []
-    if uniroots.deg(l1) > 0:
-        common = uniroots.squarefree_part_int(_irrational_common_factor(l1, pairs[i + 1:]))
-        if uniroots.deg(common) > 0:
-            blockers.append(
-                ExtensionFieldSingularity(
-                    _uni_to_binary(common), "common eliminant factor without rational roots"
-                )
-            )
-
+    prime = next(uniroots.large_primes())
+    images = [_cut_image(pair, prime) for pair in pairs[:2]]
     points: list[ProjPoint] = []
-    for x0, z0, _ in lines:
-        found, blk = _points_on_line(live, x0, z0)
-        points.extend(found)
-        blockers.extend(blk)
+    blockers: list[ExtensionFieldSingularity] = []
+    if None in images or not uniroots.coprime_mod_p(images, prime):
+        for i, (a, b, k) in enumerate(pairs):
+            e1 = _eliminant_y(a, b, k)
+            if e1 is not None:
+                break
+        else:
+            raise CurveError("partial derivatives are pairwise degenerate; cannot certify locus")
+
+        lines, l1 = _rational_lines(e1)
+        if uniroots.deg(l1) > 0:
+            rest = pairs[i + 1:]
+            image = (images[1] if i == 0 else _cut_image(rest[0], prime)) if rest else None
+            common = uniroots.squarefree_part_int(_irrational_common_factor(l1, rest, image, prime))
+            if uniroots.deg(common) > 0:
+                blockers.append(
+                    ExtensionFieldSingularity(
+                        _uni_to_binary(common), "common eliminant factor without rational roots"
+                    )
+                )
+        for x0, z0, _ in lines:
+            found, blk = _points_on_line(live, x0, z0)
+            points.extend(found)
+            blockers.extend(blk)
     # the single point not covered by (x : z) candidates
     if all(p.evaluate((0, 1, 0)) == 0 for p in live):
         points.append(ProjPoint.of(0, 1, 0))
     out = sorted(((q, germ_order(germ_at(f, q))) for q in points), key=lambda t: t[0].coords())
     return SingularLocus(out, blockers)
+
+
+def _cut_image(pair: tuple[Poly, Poly, int], prime: int) -> tuple[list[int], int] | None:
+    """The cut eliminant c = Res_y(A, B)/z**k of a pair (A, B, k), as
+    `uniroots.coprime_mod_p` reads a binary form: the list of c(t, 1)
+    modulo the prime, from `form_resultant_int`, and c's formal degree
+    deg e - k.  None when A or B is free of y, or when the prime divides
+    a y-leading row of one (`resultant_int`).
+
+    Why two pairs' images that `coprime_mod_p` certifies prove that no
+    point but (0 : 1 : 0) is singular.  Each image is the reduction of
+    c's integral list: the Sylvester resultant at fixed formal degrees is
+    a polynomial in the coefficients, so it commutes with reduction at
+    every point t where neither leading coefficient vanishes modulo the
+    prime, and the interpolation recovers the reduced list.  So the two
+    cuts share no root over Q (by Gauss's lemma: a primitive common factor
+    stays nonzero modulo the prime).  A singular point S other than
+    (0 : 1 : 0) lies on the line through it of some direction (x0 : z0)
+    and zeroes A and B, so (x0 : z0) is a root of both eliminants.  It is
+    a root of both cuts too: z**k is a unit off z = 0, and on the line
+    z = 0 the order of e counts S on top of the cut, which holds only the
+    centre's own part, the intersection number at the point infinitely
+    near (0 : 1 : 0) in the direction z = 0 (`_vertex_cuts`).
+    """
+    a, b, cut = pair
+    m, n = a.degree_in(1), b.degree_in(1)
+    if not (m and n):
+        return None
+    coeffs = form_resultant_int(a, b, 1, prime, cut)
+    if coeffs is None:
+        return None
+    return coeffs, n * a.total_degree() + m * b.total_degree() - m * n - cut
 
 
 def _vertex_cuts(f: Poly, fx: Poly, fz: Poly, delta: int) -> tuple[int, int]:
@@ -668,7 +718,9 @@ def _vertex_cuts(f: Poly, fx: Poly, fz: Poly, delta: int) -> tuple[int, int]:
     return 2 * delta - r * s, 2 * delta - (m - 1) ** 2
 
 
-def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly, int]]) -> list[int]:
+def _irrational_common_factor(
+    l1: list[int], rest: list[tuple[Poly, Poly, int]], image: tuple[list[int], int] | None, prime: int
+) -> list[int]:
     """The part of l1 shared with the next nonzero eliminant of the pairs
     in `rest`, as a primitive integer list ([1] when none); l1 itself when
     no later pair has a nonzero eliminant.
@@ -677,27 +729,17 @@ def _irrational_common_factor(l1: list[int], rest: list[tuple[Poly, Poly, int]])
     degree.  Each pair of `rest` is (A, B, k): two forms whose common
     zeros hold every singular point, and a known factor z**k of their
     eliminant, which lowers its degree bound (`form_resultant_int`) and
-    leaves its values at (t, 1) as they are.  Certificate first, from the
-    first pair when A and B both involve y (else that eliminant is a form
-    itself, exact for free): take the first prime p near 2**30 with p not
-    dividing lc(l1), and the image modulo p of Res_y(A, B)(t, 1).  Suppose
-    a primitive D in Z[t] of positive degree divided both l1 and that
-    eliminant over Q.  By Gauss's lemma D divides l1 and the integral
-    resultant behind the image in Z[t], so lc(D) divides lc(l1), p does
-    not divide lc(D), and D mod p is a factor of positive degree of both
-    l1 mod p and the image, so their resultant modulo p is zero.  So a
-    nonzero resultant modulo p proves that no factor is shared, and with
-    it that no singular point lies on a line with an irrational
-    direction.  Otherwise (an irrational singular point, or an unlucky
-    prime) the eliminants of `rest` are formed exactly, with their cuts,
-    and the exact gcd with the first nonzero one returned.
+    leaves its values at (t, 1) as they are.  `image` is the first pair's
+    cut eliminant modulo the prime (`_cut_image`), or None.  Certificate
+    first: when l1, a form of its own degree, and that image share no
+    root modulo the prime (`uniroots.coprime_mod_p`), l1 shares no factor
+    with the eliminant, and no singular point lies on a line with an
+    irrational direction.  Otherwise (an irrational singular point, or an
+    unlucky prime) the eliminants of `rest` are formed exactly, with their
+    cuts, and the exact gcd with the first nonzero one returned.
     """
-    if rest and all(h.degree_in(1) > 0 for h in rest[0][:2]):
-        a, b, cut = rest[0]
-        p = next(q for q in uniroots.large_primes() if l1[-1] % q)
-        image = form_resultant_int(a, b, 1, p, cut)
-        if uniroots.resultant_mod_p(l1, image, p):
-            return [1]
+    if image is not None and uniroots.coprime_mod_p([(l1, uniroots.deg(l1)), image], prime):
+        return [1]
     for a, b, cut in rest:
         e2 = _eliminant_y(a, b, cut)
         if e2 is not None:

@@ -504,14 +504,23 @@ def _divide_int(p: IntTerms, q: IntTerms) -> IntTerms | None:
     step subtracts lies below the current leading term, so one pass
     suffices.  An exponent is pushed when it enters the subtracted terms;
     a popped one that has cancelled since is skipped.  A one-term divisor
-    pushes nothing: the division is an exponent shift that stops at the
-    first term it does not divide.
+    needs no order: the division is an exponent shift, term by term, that
+    stops at the first term it does not divide.
 
     By Gauss's lemma a primitive q that divides p in Q[x,y,z] divides it
     in Z[x,y,z], and each quotient term the division meets is a term of
     that integral quotient.  So every coefficient step is an exact divmod,
     and a nonzero remainder proves that q does not divide p.
     """
+    quot: IntTerms = {}
+    if len(q) == 1:
+        [(qe, qc)] = q.items()
+        for e, k in p.items():
+            mc, rem = divmod(k, qc)
+            if rem or e[0] < qe[0] or e[1] < qe[1] or e[2] < qe[2]:
+                return None
+            quot[(e[0] - qe[0], e[1] - qe[1], e[2] - qe[2])] = mc
+        return quot
     qe = max(q, key=_grlex_key)
     qc = q[qe]
     tail = [(e, k) for e, k in q.items() if e != qe]
@@ -519,7 +528,6 @@ def _divide_int(p: IntTerms, q: IntTerms) -> IntTerms | None:
     n, i = len(terms), 0
     sub: IntTerms = {}
     heap: list[tuple[tuple[int, int, int], Exponents]] = []
-    quot: IntTerms = {}
     while i < n or heap:
         if heap and (i == n or heap[0][0] <= _heap_key(terms[i][0])):
             e = heapq.heappop(heap)[1]

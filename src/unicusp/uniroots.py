@@ -8,9 +8,11 @@ rather than heuristics.  Gcds of integer polynomials run modulo several
 primes with an exact trial-division check at the end.  One inverse-free
 Euclid modulo m gives both the resultant and the gcd modulo a prime, and
 so every coprimality test modulo a prime: for nonzero a and b,
-Res(a, b) = 0 exactly when gcd(a, b) is not constant.  The modular helpers (resultant,
-interpolation, CRT) also serve the multivariate resultant in `poly`, and
-the slot decoder of packed ints serves `Poly.substitute`.
+Res(a, b) = 0 exactly when gcd(a, b) is not constant, and `coprime_mod_p`
+certifies by one prime that integral binary forms share no root.  The
+modular helpers (resultant, interpolation, CRT) also serve the
+multivariate resultant in `poly`, and the slot decoder of packed ints
+serves `Poly.substitute`.
 """
 
 from fractions import Fraction
@@ -230,6 +232,34 @@ def gcd_mod_p(a: list[int], b: list[int], p: int) -> list[int]:
     return _mod_monic(g, p) if g else []
 
 
+def coprime_mod_p(forms: list[tuple[list[int], int]], p: int) -> bool:
+    """True when the prime p certifies that integral binary forms share no
+    root in P^1 over C; False when it cannot tell.
+
+    Each form C(x, z) comes as the integer list of C(t, 1), low degree
+    first, or its image modulo p, with its formal degree d, so that C is
+    z**(d - deg) times the list homogenized.  The certificate holds when
+    some list is nonzero mod p, not every list falls short of its formal
+    degree mod p, and the gcd of the lists over GF(p) is constant.
+
+    Proof, by Gauss's lemma.  Forms with a common root share an
+    irreducible factor D over Q of positive degree, which we take
+    primitive in Z[x, z]; then D divides each form in Z[x, z].  D stays
+    nonzero mod p, of degree deg D, and divides each form mod p.  Write
+    D mod p = z**j * D'.  If deg D' > 0, D'(t, 1) is a nonconstant factor
+    of every list mod p (a zero list too), so their gcd is not constant.
+    Otherwise z divides every form mod p, and every list falls short of
+    its formal degree.
+    """
+    lists = [_mod_reduce(a, p) for a, _ in forms]
+    if not any(lists) or all(deg(a) < d for a, (_, d) in zip(lists, forms)):
+        return False
+    g: list[int] = []
+    for a in lists:
+        g = _euclid_mod(g, a, p)[2]
+    return deg(g) == 0
+
+
 def unpack_slots(val: int, size: int) -> list[int]:
     """The slots of a packed value, lowest first: the c_j with
     val = sum c_j * 2^(8*size*j) and |c_j| < 2^(8*size - 1)."""
@@ -394,7 +424,9 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
     p.  A simple root lifts uniquely to a large power of p (Newton),
     rational reconstruction recovers u/w from the lift, and exact
     division by w*x - u discards the residues that are not rational
-    roots: they leave a remainder.
+    roots: they leave a remainder.  When fs is linear, f is a power of
+    it (the cone of every point of a unibranch walk), and its one root is
+    read off with multiplicity deg f.
     """
     f = primitive_int(f)
     if deg(f) <= 0:
@@ -409,10 +441,10 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
         roots[Fraction(0)] = k
     if deg(f) == 0:
         return roots, f
-    if deg(f) == 1:
-        roots[Fraction(-f[0], f[1])] = roots.get(Fraction(-f[0], f[1]), 0) + 1
-        return roots, [1]
     fs = squarefree_part_int(f)
+    if deg(fs) == 1:
+        roots[Fraction(-fs[0], fs[1])] = deg(f)
+        return roots, [1]
     dfs = derivative(fs)
     lc, height = abs(fs[-1]), max(abs(c) for c in fs)
     bound = max(lc, lc + height)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unicusp import cremona
+from unicusp import cremona, uniroots
 from unicusp.cremona import (
     CremonaError,
     CremonaMap,
@@ -169,6 +169,74 @@ def test_make_map_divides_common_factor(caplog):
     assert m.degree == 1
     assert _cremona_warnings(caplog) == ["divided out common factor x"]
     assert m.as_json() == {"components": ["x", "y", "z"], "degree": 1}
+
+
+def _quadratic_map(c):
+    """(L2*L3, L1*L3, L1*L2) for L1 = y, L2 = x - y and L3 = z - c*x: the
+    standard quadratic involution in those coordinates, with the base
+    points (0 : 0 : 1), (1 : 0 : c) and (1 : 1 : c)."""
+    l1, l2, l3 = Y, X - Y, Z - c * X
+    return l2 * l3, l1 * l3, l1 * l2
+
+
+def _spy_gcd(monkeypatch) -> list:
+    from unicusp import poly
+
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return poly.gcd(p, q)
+
+    monkeypatch.setattr(cremona, "gcd", counted)
+    return calls
+
+
+def test_make_map_certifies_coprime_components_without_a_gcd(monkeypatch, caplog):
+    calls = _spy_gcd(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
+        for c in (0, 1):
+            quintic_involution(c)
+        comps = _quadratic_map(9)
+        assert make_map(*comps).components == comps
+    assert calls == [] and _cremona_warnings(caplog) == []
+
+
+def test_make_map_falls_back_to_the_gcd_when_the_certificate_fails(monkeypatch, caplog):
+    # The base point (1 : 1 : 2) of the first map lies on the certificate's
+    # line z = x + y, so the restrictions share a root there although the
+    # components share no factor.  The base point (1 : 1 : 9) of the
+    # second lies on that line modulo 7 only, the certificate's prime here.
+    # Both maps fall back to the gcd, which finds nothing to divide out.
+    real = uniroots.large_primes
+
+    def unlucky():
+        yield 7
+        yield from real()
+
+    for c, primes in ((2, real), (9, unlucky)):
+        monkeypatch.setattr(uniroots, "large_primes", primes)
+        calls = _spy_gcd(monkeypatch)
+        comps = _quadratic_map(c)
+        with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
+            assert make_map(*comps).components == comps
+        assert len(calls) == 2 and _cremona_warnings(caplog) == []
+
+
+def test_make_map_divides_a_common_factor_under_any_prime(monkeypatch, caplog):
+    # A shared factor defeats the certificate at every prime: the gcd
+    # divides it out and the warning names it, as with the real prime.
+    real = uniroots.large_primes
+
+    def unlucky():
+        yield 7
+        yield from real()
+
+    monkeypatch.setattr(uniroots, "large_primes", unlucky)
+    with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
+        m = make_map(*(X * p for p in _quadratic_map(9)))
+    assert m.components == _quadratic_map(9)
+    assert _cremona_warnings(caplog) == ["divided out common factor x"]
 
 
 def test_identity_map():
@@ -380,16 +448,8 @@ def test_involution_composes_to_degree_one():
 
 
 def test_compose_reduce_leaves_the_gcd_to_make_map(monkeypatch, caplog):
-    from unicusp import cremona, poly
-
     h = quintic_involution(1)
-    calls = []
-
-    def counted(p, q):
-        calls.append((p, q))
-        return poly.gcd(p, q)
-
-    monkeypatch.setattr(cremona, "gcd", counted)
+    calls = _spy_gcd(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
         c = compose_reduce(h, h)
     # make_map's two gcds of the three components, and no others

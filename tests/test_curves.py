@@ -1135,15 +1135,21 @@ def test_the_cut_eliminant_is_the_uncut_one_on_the_corpus(ps, cut_eliminants):
     # cuts with its delta: (0 : 0 : 1) for three of them, with the tangent
     # x = 0 in the swapped frame, which the tangent move swaps with z;
     # cusp-quartic's is at (0 : 1 : 0), with the tangent z = 0 already.
-    # Each eliminant e1 is cut at (1 : 0) by k0, and each certificate
-    # image by k1: (2, 3) on cusp-quartic, (8, 9) on image-quintic,
-    # (10, 11) on rational-quintic and (150, 155) on image-deg15.
+    # The certificate's image of the first pair is cut at (1 : 0) by k0,
+    # and that of the second by k1: (2, 3) on cusp-quartic, (8, 9) on
+    # image-quintic, (10, 11) on rational-quintic and (150, 155) on
+    # image-deg15.  At (1, 1, 0) rational-quintic's images both fall short
+    # of their degrees: in the search frame the curve passes through
+    # (1 : 0 : 0) with the tangent y = 0, so F, F_x and F_z all vanish
+    # there, on the cusp's tangent line z = 0.  The certificate fails, and
+    # the exact e1 takes the cut k0 = 10 once more.
     from unicusp import corpus
     from unicusp.resolution import classify
 
     for name in corpus.CURVES:
         classify(curve_by_name(name, ps))
-    assert sorted(cut_eliminants) == [2, 3, 8, 9, 10, 11, 150, 155]
+    extra = [10] if ps == DEFAULT_PARAMS[0] else []
+    assert sorted(cut_eliminants) == sorted([2, 3, 8, 9, 10, 11, 150, 155] + extra)
 
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
@@ -1177,11 +1183,11 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
 
 @pytest.mark.parametrize("name", ["cusp-quartic", "image-quintic", "rational-quintic"])
 def test_a_failed_certificate_falls_back_to_the_cut_certificate_pair(name, monkeypatch):
-    # Each cusp sits at its curve's projection vertex.  An image that reads
-    # zero modulo the certificate's prime (an unlucky prime) makes the
-    # search form the next pair exactly: in the vertex frame that is
-    # Res_y(F_z, F), with the cut k1 of _vertex_cuts, and the locus stays
-    # the one the certificate gave.
+    # Each cusp sits at its curve's projection vertex.  Images that read
+    # zero modulo the certificate's prime (an unlucky prime) make the
+    # search form e1 = Res_y(F_x, F_z) exactly, with the cut k0, and then,
+    # as the second image cannot clear L1 either, Res_y(F_z, F) with the
+    # cut k1 of _vertex_cuts; the locus stays the one the certificate gave.
     from unicusp import curves
     from unicusp.resolution import minimal_embedded_resolution
 
@@ -1210,6 +1216,80 @@ def test_a_failed_certificate_falls_back_to_the_cut_certificate_pair(name, monke
     assert k1 > 0
     assert (got.points, got.blockers) == (want.points, want.blockers)
     assert [q for q, _ in got.points] == [vertex] and got.blockers == []
+
+
+def _spy_resultants(monkeypatch) -> list:
+    """(prime, cut) of every resultant the singular search forms."""
+    from unicusp import curves
+
+    calls, real = [], curves.form_resultant_int
+
+    def spy(a, b, v, prime, cut=0):
+        calls.append((prime, cut))
+        return real(a, b, v, prime, cut)
+
+    monkeypatch.setattr(curves, "form_resultant_int", spy)
+    return calls
+
+
+def test_an_unlucky_certificate_prime_gives_the_same_locus(monkeypatch):
+    # Modulo 1291 the cut images of cusp-quartic's first two pairs share
+    # the root t = 196, though their eliminants are coprime over Q: the
+    # search takes the exact path, e1 with the cut k0 = 2, reuses the
+    # second image, which shares that root with L1 too, and so forms the
+    # second eliminant exactly, with k1 = 3.  The locus is the same.
+    curve = curve_by_name("cusp-quartic", DEFAULT_PARAMS[0])
+    want = find_rational_singular_points(curve)
+    real = uniroots.large_primes
+
+    def unlucky():
+        yield 1291
+        yield from real()
+
+    monkeypatch.setattr(uniroots, "large_primes", unlucky)
+    calls = _spy_resultants(monkeypatch)
+    got = find_rational_singular_points(curve)
+    assert calls == [(1291, 2), (1291, 3), (0, 2), (0, 3)]
+    assert (got.points, got.blockers) == (want.points, want.blockers)
+    monkeypatch.undo()
+    calls = _spy_resultants(monkeypatch)
+    assert find_rational_singular_points(curve) == want
+    assert calls == [(next(uniroots.large_primes()), 2), (next(uniroots.large_primes()), 3)]
+
+
+def test_a_second_rational_singular_point_takes_the_exact_path(monkeypatch):
+    # y^2 z^2 + x^2 z^2 - x^3 y has a cusp at its projection vertex
+    # (0 : 1 : 0), with the tangent z = 0 and the cuts (0, 1), and a node
+    # at (0 : 0 : 1).  The line x = 0 through both is a root of both
+    # images, so the certificate fails: e1 is formed exactly, and L1 is
+    # checked against the second image without forming it again.
+    p = next(uniroots.large_primes())
+    calls = _spy_resultants(monkeypatch)
+    locus = find_rational_singular_points(make_curve(Y**2 * Z**2 + X**2 * Z**2 - X**3 * Y))
+    assert _locus_key(locus) == ([("(0 : 0 : 1)", 2), ("(0 : 1 : 0)", 2)], [])
+    assert calls == [(p, 0), (p, 1), (0, 0)]
+
+
+def _germ_by_substitution(p: Poly, point: ProjPoint) -> Poly:
+    """The germ by one substitution: x_i -> X + p_i and x_j -> Y + p_j for
+    the chart (i, j) of the point, and 1 for the third variable."""
+    i, j = chart_of(point)
+    imgs = [ONE, ONE, ONE]
+    imgs[i], imgs[j] = X + point.coords()[i], Y + point.coords()[j]
+    return p.substitute(tuple(imgs))
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
+def test_germ_at_relabels_as_the_substitution_does(ps):
+    from unicusp import corpus
+
+    vertices = [ProjPoint.of(*(int(i == v) for i in range(3))) for v in range(3)]
+    off = [ProjPoint.of(1, 0, 1), ProjPoint.of(2, -1, 1), ProjPoint.of(1, 3, 0), ProjPoint.of(0, 1, 1)]
+    for name in corpus.CURVES:
+        f = curve_by_name(name, ps).poly
+        points = vertices + off + [q for q, _ in find_rational_singular_points(curve_by_name(name, ps)).points]
+        for q in points:
+            assert germ_at(f, q) == _germ_by_substitution(f, q), (name, str(q))
 
 
 def test_the_shears_start_at_the_identity_with_distinct_centres():

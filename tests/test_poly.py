@@ -224,6 +224,22 @@ def test_exact_divide_monomial_divisor_randomized():
         assert exact_divide(r * mono + Poly.monomial(stray, 3), mono) is None
 
 
+def test_a_one_term_divisor_is_a_shift_without_order_or_heap(monkeypatch):
+    from unicusp import poly
+
+    def no_heap(*_):
+        raise AssertionError("a one-term divisor needs no heap")
+
+    monkeypatch.setattr(poly.heapq, "heappush", no_heap)
+    monkeypatch.setattr(poly, "_grlex_key", no_heap)
+    q = {(1, 0, 2): 3}
+    assert poly._divide_int({(3, 1, 2): 6, (1, 4, 5): -9}, q) == {(2, 1, 0): 2, (0, 4, 3): -3}
+    # A coefficient it does not divide, and an exponent too small.
+    assert poly._divide_int({(3, 1, 2): 6, (1, 4, 5): -7}, q) is None
+    assert poly._divide_int({(3, 1, 2): 6, (1, 4, 1): -9}, q) is None
+    assert poly._divide_int({}, q) == {}
+
+
 def test_exact_divide_cancelled_term_reappears():
     # Dividing q*r by q cancels the remainder's y^3*z at one step and
     # creates it again at a later one, below the leading term.

@@ -732,10 +732,13 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
         cuts.append(len(cut_eliminants))
         cut_eliminants.clear()
     # Each curve is searched twice, by classify and directly.  Per search,
-    # e1 takes a cut where k0 > 0 (27, 29 and 29 of the 60 curves) and the
-    # certificate's one-prime image one where k1 > 0 (42 of each 60):
-    # 2 * (27 + 42) = 138 and 2 * (29 + 42) = 142.
-    assert cuts == [138, 142, 142]
+    # the certificate's image of the first pair takes a cut where k0 > 0
+    # (27, 29 and 29 of the 60 curves), and that of the second one where
+    # k1 > 0 (58 of each 60).  Where the certificate fails, on a second
+    # singular point or a pair with a partial free of y, the exact e1 takes
+    # k0 again (20, 22 and 22 of the curves with k0 > 0), and the second
+    # image is reused: 2 * (27 + 58 + 20) = 210, 2 * (29 + 58 + 22) = 218.
+    assert cuts == [210, 218, 218]
 
 
 def test_tangent_contact_matches_the_cycle_on_seeded_cusps():

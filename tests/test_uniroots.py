@@ -122,6 +122,77 @@ def test_rational_roots():
     assert roots3 == {}
 
 
+def test_rational_roots_read_a_power_of_a_linear_form_off(monkeypatch):
+    # t**2 * (2t - 3)**5: past t**2 the squarefree part is linear, so no
+    # residue of a small prime is tried.
+    real = ur._primes_from
+
+    def no_scan(start):
+        assert start >= 2**30, "a power of a linear form needs no residue scan"
+        return real(start)
+
+    monkeypatch.setattr(ur, "_primes_from", no_scan)
+    f = [0, 0, 1]
+    for _ in range(5):
+        f = mul_uni(f, [-3, 2])
+    assert ur.rational_roots_int(f) == ({F(0): 2, F(3, 2): 5}, [1])
+    assert ur.rational_roots_int([-3, 2]) == ({F(3, 2): 1}, [1])
+    assert ur.rational_roots_int([4, -4, 1]) == ({F(2): 2}, [1])
+
+
+def _forms_share_a_root(forms) -> bool:
+    """The exact answer for binary forms given as (t, 1) lists with formal
+    degrees: a common root of the lists, or all short of their degrees."""
+    lists = [ur.trim(list(a)) for a, _ in forms]
+    g = []
+    for a in lists:
+        g = ur.gcd_int(g, a) if g else ur.primitive_int(a)
+    return ur.deg(g) != 0 or all(ur.deg(a) < d for a, (_, d) in zip(lists, forms))
+
+
+def test_coprime_mod_p_on_small_forms():
+    p = 7
+    assert ur.coprime_mod_p([([-1, 1], 1), ([-2, 1], 1)], p)
+    # a shared factor t - 1
+    assert not ur.coprime_mod_p([(mul_uni([-1, 1], [-2, 1]), 2), (mul_uni([-1, 1], [3, 1]), 2)], p)
+    # t - 1 and t - 8 share a root modulo 7 only
+    assert not ur.coprime_mod_p([([-1, 1], 1), ([-8, 1], 1)], 7)
+    assert ur.coprime_mod_p([([-1, 1], 1), ([-8, 1], 1)], 11)
+    # z and z*(x + z) share (1 : 0); z and x + z do not
+    assert not ur.coprime_mod_p([([1], 1), ([1, 1], 2)], p)
+    assert ur.coprime_mod_p([([1], 1), ([1, 1], 1)], p)
+    # 7*t - 1 falls short modulo 7 only: z is then a factor of both images
+    assert not ur.coprime_mod_p([([-1, 7], 1), ([1], 1)], p)
+    # zero forms: all zero decides nothing, and no form shares a root
+    # with a nonzero constant
+    assert not ur.coprime_mod_p([([], 2), ([0, 7], 1)], p)
+    assert ur.coprime_mod_p([([], 2), ([5], 0)], p)
+    assert not ur.coprime_mod_p([([], 2), ([-1, 1], 1)], p)
+    # three forms that share a root pairwise but not all together
+    t, t1, t2 = [0, 1], [-1, 1], [-2, 1]
+    assert ur.coprime_mod_p([(mul_uni(t, t1), 2), (mul_uni(t, t2), 2), (mul_uni(t1, t2), 2)], p)
+
+
+def test_coprime_mod_p_is_sound_and_decides_at_a_large_prime():
+    rng = random.Random(2718)
+    p = next(ur.large_primes())
+    shared = 0
+    for _ in range(300):
+        common = [[rng.randint(-4, 4), rng.randint(1, 3)] for _ in range(rng.randint(0, 1))]
+        forms = []
+        for _ in range(rng.randint(1, 3)):
+            a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+            for c in common:
+                a = mul_uni(a, c)
+            forms.append((ur.trim(a), max(ur.deg(ur.trim(a)), 0) + rng.randint(0, 1)))
+        exact = _forms_share_a_root(forms)
+        shared += exact
+        for q in (p, 5, 7):
+            assert not (ur.coprime_mod_p(forms, q) and exact), (forms, q)
+        assert ur.coprime_mod_p(forms, p) == (not exact), forms
+    assert 50 < shared < 250
+
+
 def test_squarefree_part():
     sq = ur.squarefree_part_int([1, 2, 1])
     assert ur.deg(sq) == 1
