@@ -441,7 +441,7 @@ def rational_roots_int(f: list[int]) -> tuple[dict[Fraction, int], list[int]]:
         roots[Fraction(0)] = k
     if deg(f) == 0:
         return roots, f
-    fs = squarefree_part_int(f)
+    fs = f if deg(f) == 1 else squarefree_part_int(f)
     if deg(fs) == 1:
         roots[Fraction(-fs[0], fs[1])] = deg(f)
         return roots, [1]
