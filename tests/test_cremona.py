@@ -192,6 +192,17 @@ def _spy_gcd(monkeypatch) -> list:
     return calls
 
 
+def _patch_first_prime(monkeypatch, p):
+    """Make p the first of `uniroots.large_primes`, the certificate's prime."""
+    real = uniroots.large_primes
+
+    def primes():
+        yield p
+        yield from real()
+
+    monkeypatch.setattr(uniroots, "large_primes", primes)
+
+
 def test_make_map_certifies_coprime_components_without_a_gcd(monkeypatch, caplog):
     calls = _spy_gcd(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
@@ -208,14 +219,9 @@ def test_make_map_falls_back_to_the_gcd_when_the_certificate_fails(monkeypatch, 
     # components share no factor.  The base point (1 : 1 : 9) of the
     # second lies on that line modulo 7 only, the certificate's prime here.
     # Both maps fall back to the gcd, which finds nothing to divide out.
-    real = uniroots.large_primes
-
-    def unlucky():
-        yield 7
-        yield from real()
-
-    for c, primes in ((2, real), (9, unlucky)):
-        monkeypatch.setattr(uniroots, "large_primes", primes)
+    for c, first in ((2, None), (9, 7)):
+        if first:
+            _patch_first_prime(monkeypatch, first)
         calls = _spy_gcd(monkeypatch)
         comps = _quadratic_map(c)
         with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
@@ -226,13 +232,7 @@ def test_make_map_falls_back_to_the_gcd_when_the_certificate_fails(monkeypatch, 
 def test_make_map_divides_a_common_factor_under_any_prime(monkeypatch, caplog):
     # A shared factor defeats the certificate at every prime: the gcd
     # divides it out and the warning names it, as with the real prime.
-    real = uniroots.large_primes
-
-    def unlucky():
-        yield 7
-        yield from real()
-
-    monkeypatch.setattr(uniroots, "large_primes", unlucky)
+    _patch_first_prime(monkeypatch, 7)
     with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
         m = make_map(*(X * p for p in _quadratic_map(9)))
     assert m.components == _quadratic_map(9)
