@@ -46,7 +46,7 @@ class UsageError(ValueError):
 
 
 def _parse_params(text: str | None) -> ParamSet:
-    ps = asdict(param_set())
+    defaults, ps = asdict(param_set()), {}
     if text:
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -54,15 +54,17 @@ def _parse_params(text: str | None) -> ParamSet:
                 continue
             key, _, value = chunk.partition("=")
             key = key.strip()
-            if key not in ps or not value.strip():
+            if key not in defaults or not value.strip():
                 raise UsageError(
                     f"bad --params fragment {chunk!r} (expect a=<q>,b=<q>,c=<q>)"
                 )
+            if key in ps:
+                raise UsageError(f"--params sets {key} twice")
             try:
                 ps[key] = Fraction(value.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad rational in --params: {value!r}") from exc
-    return ParamSet(**ps)
+    return ParamSet(**{**defaults, **ps})
 
 
 def _resolve_curve(text: str, ps: ParamSet) -> tuple[str, PlaneCurve]:

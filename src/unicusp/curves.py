@@ -14,9 +14,9 @@ naming the offending factor, never silently dropped.  The germ walk
 (`germ_walk`) lives here too: one preorder walk of a germ's infinitely
 near points, which gives delta for any germ whose repeated tangent
 directions are rational and, for one branch, the minimal embedded
-resolution's record.  The search runs it on its projection vertex and
-cuts the factors that the vertex's delta invariant proves out of its
-eliminants.
+resolution's record.  The search keeps the walk of each point it returns,
+the one source of its multiplicity, delta and resolution, and cuts the
+factors that its projection vertex's delta proves out of its eliminants.
 """
 
 from dataclasses import dataclass, field
@@ -428,18 +428,14 @@ class SingularLocus:
     multiplicities, plus blockers for any part of the locus that could not
     be decided over Q.
 
-    `walk` is the germ walk the search made of its projection vertex P
-    when P is singular, (P, `germ_walk` of P's germ), and None when no
-    point was walked.  It is in no JSON and no comparison.
+    `walks` maps each point to its germ walk (`germ_walk`), the one source
+    of its multiplicity, the first record's, of its delta and of its
+    resolution.  It is in no JSON and no comparison.
     """
 
     points: list[tuple[ProjPoint, int]]
     blockers: list[ExtensionFieldSingularity]
-    walk: tuple[ProjPoint, GermWalk] | None = field(default=None, compare=False, repr=False)
-
-    def walked(self, point: ProjPoint) -> GermWalk | None:
-        """The search's walk of the point, None when it did not walk it."""
-        return self.walk[1] if self.walk is not None and self.walk[0] == point else None
+    walks: dict[ProjPoint, GermWalk] = field(default_factory=dict, compare=False, repr=False)
 
     def require_rational(self) -> "SingularLocus":
         if self.blockers:
@@ -536,44 +532,50 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     multiplicity do not depend on the frame: a blocker-free search in any
     frame certifies the whole locus, and its points are mapped back.
 
-    When m >= 2 the search first walks e_v's germ (`germ_walk`) and keeps
-    the walk on the locus it returns (`SingularLocus.walk`), so that no
-    caller walks e_v again.  When e_v is one branch, the first frame also
-    moves its tangent to z = 0 (`_tangent_frame`), and that frame's search
-    cuts the powers of z that the walk's delta proves (`_vertex_cuts`)
-    from its first two pairs; the other frames, and a vertex of several
-    branches, take the same pairs without them.
+    When m >= 2 the search first walks e_v's germ (`germ_walk`); every
+    other point it returns is walked once, after the points are mapped
+    back, and the locus keeps each walk (`SingularLocus.walks`), so that
+    no caller walks a point again.  When e_v is one branch, the first frame
+    also moves its tangent to z = 0 (`_tangent_frame`), and that frame's
+    search cuts the powers of z that the walk's delta proves
+    (`_vertex_cuts`) from its first two pairs; the other frames, and a
+    vertex of several branches, take the same pairs without them.
     """
     if curve.degree == 1:
         return SingularLocus([], [])
     centre = projection_vertex(curve)
     v = centre.coords().index(1)
-    walk = delta = None
+    walks, delta = {}, None
     rows = list(_IDENTITY)
     if curve.degree - curve.poly.degree_in(v) >= 2:
         g = germ_at(curve.poly, centre)
-        walk = (centre, germ_walk(g, curve.degree))
-        if walk[1].split is None:
+        walks[centre] = germ_walk(g, curve.degree)
+        if walks[centre].split is None:
             # The germ at e_v has the swapped frame's (x, z) in its slots.
-            delta, rows = walk[1].delta, list(_tangent_frame(g))
+            delta, rows = walks[centre].delta, list(_tangent_frame(g))
     # The swap after the tangent move permutes the move's rows.
     rows[1], rows[v] = rows[v], rows[1]
     first = tuple(rows)
     unsheared = None
     # the swap is the unsheared frame when v is y: run it once
     for m in dict.fromkeys((first, *_SHEARS)):
-        raw = _singular_search(_apply_matrix(curve.poly, m), delta if m == first else None)
-        if not raw.blockers:
-            points = [(_map_point(m, q), k) for q, k in raw.points]
-            return SingularLocus(sorted(points, key=lambda t: t[0].coords()), [], walk)
+        points, blockers = _singular_search(_apply_matrix(curve.poly, m), delta if m == first else None)
+        if not blockers:
+            points = [_map_point(m, q) for q in points]
+            break
         if m == _IDENTITY:
-            unsheared = raw
-    assert unsheared is not None
-    return SingularLocus(unsheared.points, unsheared.blockers, walk)
+            unsheared = points, blockers
+    else:
+        points, blockers = unsheared
+    points.sort(key=ProjPoint.coords)
+    walks = {q: walks.get(q) or germ_walk(germ_at(curve.poly, q), curve.degree) for q in points}
+    return SingularLocus([(q, walks[q].records[0].multiplicity) for q in points], blockers, walks)
 
 
-def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
-    """Singular points of f with multiplicities, plus blockers.
+def _singular_search(
+    f: Poly, delta: int | None = None
+) -> tuple[list[ProjPoint], list[ExtensionFieldSingularity]]:
+    """Singular points of f, plus blockers.
 
     A singular point zeroes the three partials, and F by Euler's formula,
     so it lies on the line through (0 : 1 : 0) whose direction (x : z) is a
@@ -596,8 +598,7 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     rational linear factors are divided out, L1, is checked by
     `_irrational_common_factor` against the later pairs, starting from the
     image already formed.  Every point found zeroes all three partials, so
-    it lies on f and is singular; its multiplicity is the order of its
-    germ.
+    it lies on f and is singular.
     """
     partials = [f.partial(i) for i in range(3)]
     fx, fy, fz = partials
@@ -642,8 +643,7 @@ def _singular_search(f: Poly, delta: int | None = None) -> SingularLocus:
     # the single point not covered by (x : z) candidates
     if all(p.evaluate((0, 1, 0)) == 0 for p in live):
         points.append(ProjPoint.of(0, 1, 0))
-    out = sorted(((q, germ_order(germ_at(f, q))) for q in points), key=lambda t: t[0].coords())
-    return SingularLocus(out, blockers)
+    return points, blockers
 
 
 def _cut_image(pair: tuple[Poly, Poly, int], prime: int) -> tuple[list[int], int] | None:

@@ -5,10 +5,10 @@ local coordinates, recording the multiplicity at every center and the
 exceptional curves through it, and stops at the first moment the total
 transform is simple normal crossings, read off the record, so the last
 strict transform is never formed.  The walk lives in `curves`
-(`germ_walk`), because the singular search walks its projection vertex
-itself and keeps the walk on the locus it returns.  One walk serves every
-germ: its record is the resolution of one branch, and sum m(m-1)/2 over it
-is the delta invariant of any germ whose repeated tangent directions are
+(`germ_walk`): the singular search walks every point it returns and keeps
+the walks on the locus (`SingularLocus.walks`).  A point's walk is its
+record, of the resolution for one branch, and sum m(m-1)/2 over it is the
+delta invariant of any germ whose repeated tangent directions are
 rational.  A walk of several branches (nodes, tacnodes, ...) has no
 resolution: NotUnibranchError.
 """
@@ -101,11 +101,9 @@ def minimal_embedded_resolution(curve: PlaneCurve, point: ProjPoint) -> Resoluti
 
 def locus_resolution(curve: PlaneCurve, locus: SingularLocus) -> ResolutionResult:
     """The minimal embedded resolution of the one point of a one-point
-    locus, read off the search's walk when the search walked that point
-    (`SingularLocus.walked`), so that no point is walked twice."""
+    locus, read off the search's walk of it (`SingularLocus.walks`)."""
     point = locus.points[0][0]
-    walk = locus.walked(point)
-    return minimal_embedded_resolution(curve, point) if walk is None else _resolved(point, curve.degree, walk)
+    return _resolved(point, curve.degree, locus.walks[point])
 
 
 def _resolved(point: ProjPoint, degree: int, walk: GermWalk) -> ResolutionResult:
@@ -135,16 +133,11 @@ def genus_of(curve: PlaneCurve) -> int:
     return _genus(curve, find_rational_singular_points(curve).require_rational())
 
 
-def _genus(curve: PlaneCurve, locus: SingularLocus, res: ResolutionResult | None = None) -> int:
-    """Arithmetic genus minus the delta invariants of the locus: `res`, the
-    resolution of a one-point locus, or else the search's walk of a point
-    (`SingularLocus.walked`) gives delta with no second walk, and the
-    other points take `delta_invariant`."""
+def _genus(curve: PlaneCurve, locus: SingularLocus) -> int:
+    """Arithmetic genus minus the delta invariants of the locus, each read
+    off the search's walk of its point (`SingularLocus.walks`)."""
     d = curve.degree
-    g = (d - 1) * (d - 2) // 2
-    for point, _ in locus.points:
-        known = res or locus.walked(point)
-        g -= delta_invariant(germ_at(curve.poly, point)) if known is None else known.delta
+    g = (d - 1) * (d - 2) // 2 - sum(locus.walks[point].delta for point, _ in locus.points)
     if g < 0:
         raise CurveError(
             "negative genus: the curve is reducible or the locus is wrong"
@@ -208,9 +201,9 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
     combination the bounds exclude (a would-be counterexample, worth
     rechecking by hand).
 
-    The one point of a one-point locus is resolved by `locus_resolution`:
-    when it is the singular search's projection vertex, the search has
-    already walked it, and its record is read off the locus.
+    The one point of a one-point locus is resolved by `locus_resolution`,
+    and the genus is read off the same walks: the search walked every
+    point of the locus once, and no point is walked again.
     """
     locus = find_rational_singular_points(curve).require_rational()
     d = curve.degree
@@ -220,7 +213,7 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
             res = locus_resolution(curve, locus)
         except NotUnibranchError:
             pass
-    genus = _genus(curve, locus, res)
+    genus = _genus(curve, locus)
 
     report = ClassificationReport(
         degree=d,

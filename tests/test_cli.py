@@ -155,6 +155,9 @@ def test_bad_params_fragment_is_usage(capsys):
     code, _, err = run_cli(capsys, "analyze", "y^2*z - x^3", "--params", "c=1/0")
     assert code == 2
     assert "bad rational" in err
+    # a repeated key is refused, not silently overwritten by its last value
+    code, out, err = run_cli(capsys, "analyze", "y^2*z - x^3", "--params", "a=1,c=2, a=2")
+    assert (code, out, err) == (2, "", "error: --params sets a twice\n")
 
 
 def test_params_reach_the_curve_builders(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -927,6 +928,33 @@ def _locus_key(locus: SingularLocus) -> tuple:
     return ([(str(q), m) for q, m in locus.points], [b.as_json() for b in locus.blockers])
 
 
+def _search_key(f: Poly, delta: int | None = None) -> tuple:
+    """curves._singular_search on f as _locus_key reads a locus: its
+    points sorted, each with the order of its germ, as the reference
+    takes it."""
+    from unicusp import curves
+
+    points, blockers = curves._singular_search(f, delta)
+    out = sorted(((q, germ_order(germ_at(f, q))) for q in points), key=lambda t: t[0].coords())
+    return _locus_key(SingularLocus(out, blockers))
+
+
+def _reference_locus(curve, monkeypatch) -> SingularLocus:
+    """find_rational_singular_points with _singular_search_reference in
+    place of the search, each point with the order of its germ, not with
+    the multiplicity the locus reads off its walk."""
+    from unicusp import curves
+
+    def reference(f, delta=None):
+        locus = _singular_search_reference(f, delta)
+        return [q for q, _ in locus.points], locus.blockers
+
+    monkeypatch.setattr(curves, "_singular_search", reference)
+    locus = find_rational_singular_points(curve)
+    monkeypatch.undo()
+    return SingularLocus([(q, multiplicity_at(curve, q)) for q, _ in locus.points], locus.blockers)
+
+
 def _assert_search_agrees(f: Poly) -> tuple:
     """The singular search and the reference agree on f in every
     coordinate system of _SHEARS; returns the unsheared result."""
@@ -935,28 +963,28 @@ def _assert_search_agrees(f: Poly) -> tuple:
     results = []
     for m in curves._SHEARS:
         g = curves._apply_matrix(f, m)
-        got = _locus_key(curves._singular_search(g))
+        got = _search_key(g)
         assert got == _locus_key(_singular_search_reference(g)), (poly_to_text(f), m)
         results.append(got)
     return results[0]
 
 
-@pytest.mark.parametrize(
-    "text, points, blocker",
-    [
-        ("y*(x^2+y^2-3*z^2)", [], "x^2 - 3*z^2"),
-        (
-            "(y^2*z-x^3)*(x^2-2*z^2)",
-            [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(0, 1, 0), 3)],
-            "x^2 - 2*z^2",
-        ),
-        (
-            "(x^2-2*z^2)*(y^2-3*z^2)",
-            [(ProjPoint.of(0, 1, 0), 2), (ProjPoint.of(1, 0, 0), 2)],
-            "x^2 - 2*z^2",
-        ),
-    ],
-)
+IRRATIONAL_LOCI = [
+    ("y*(x^2+y^2-3*z^2)", [], "x^2 - 3*z^2"),
+    (
+        "(y^2*z-x^3)*(x^2-2*z^2)",
+        [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(0, 1, 0), 3)],
+        "x^2 - 2*z^2",
+    ),
+    (
+        "(x^2-2*z^2)*(y^2-3*z^2)",
+        [(ProjPoint.of(0, 1, 0), 2), (ProjPoint.of(1, 0, 0), 2)],
+        "x^2 - 2*z^2",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, points, blocker", IRRATIONAL_LOCI)
 def test_irrational_singular_points_are_reported_as_blockers(text, points, blocker):
     # Each curve has singular points with irrational coordinates that no
     # shear makes rational: y = 0 meets the circle at x = ±sqrt(3) z, and
@@ -978,6 +1006,44 @@ def test_irrational_singular_points_are_reported_as_blockers(text, points, block
         assert [str(b.factor) for b in info.value.blockers] == [blocker]
         assert str(info.value) == f"singular locus has components outside Q: {blocker}"
     _assert_search_agrees(curve.poly)
+
+
+def _order_by_partials(f: Poly, q: ProjPoint) -> int:
+    """The multiplicity of the form f at q with no germ and no walk: the
+    least k for which some k-th partial derivative of f is nonzero at q."""
+    layer = {(0, 0, 0): f}
+    for k in itertools.count():
+        if any(h.evaluate(q.coords()) for h in layer.values()):
+            return k
+        layer = {
+            tuple(e + (i == j) for j, e in enumerate(index)): h.partial(i)
+            for index, h in layer.items()
+            for i in range(3)
+        }
+
+
+def test_locus_multiplicities_are_the_orders_of_the_partials():
+    # The locus reads each multiplicity off the first record of the
+    # point's walk; the oracle reads it off F's partial derivatives.  The
+    # locus keeps a walk for each of its points and for no other, on the
+    # corpus, the corpus moved off the coordinate vertices, four lines and
+    # the loci with blockers.
+    from unicusp import corpus, curves
+
+    m = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
+    cases = [make_curve(parse_poly(text)) for text in ["x*y*z*(x+y+z)"] + [t for t, _, _ in IRRATIONAL_LOCI]]
+    for ps in DEFAULT_PARAMS:
+        for name in corpus.CURVES:
+            curve = curve_by_name(name, ps)
+            cases += [curve, make_curve(curves._apply_matrix(curve.poly, m))]
+    seen = []
+    for curve in cases:
+        locus = find_rational_singular_points(curve)
+        assert set(locus.walks) == {q for q, _ in locus.points}, str(curve)
+        for q, k in locus.points:
+            assert k == _order_by_partials(curve.poly, q), (str(curve), str(q))
+            seen.append(k)
+    assert sorted(seen) == [2] * 25 + [3] + [6] * 4
 
 
 def test_analyze_with_an_irrational_singular_point_exits_one():
@@ -1033,10 +1099,7 @@ def test_singular_search_matches_two_eliminant_reference_on_the_corpus(ps, monke
     for name in corpus.CURVES:
         curve = curve_by_name(name, ps)
         got = _locus_key(find_rational_singular_points(curve))
-        monkeypatch.setattr(curves, "_singular_search", _singular_search_reference)
-        want = _locus_key(find_rational_singular_points(curve))
-        monkeypatch.undo()
-        assert got == want, name
+        assert got == _locus_key(_reference_locus(curve, monkeypatch)), name
 
 
 # -- the search frame: projection from the most singular vertex --------------
@@ -1058,9 +1121,10 @@ def _shear_loop_reference(curve) -> SingularLocus:
 
     best = None
     for m in curves._SHEARS:
-        raw = curves._singular_search(curves._apply_matrix(curve.poly, m))
-        mapped = SingularLocus([(curves._map_point(m, q), k) for q, k in raw.points], raw.blockers)
-        if not raw.blockers:
+        points, blockers = curves._singular_search(curves._apply_matrix(curve.poly, m))
+        images = sorted((curves._map_point(m, q) for q in points), key=ProjPoint.coords)
+        mapped = SingularLocus([(q, multiplicity_at(curve, q)) for q in images], blockers)
+        if not blockers:
             return mapped
         if best is None:
             best = mapped
@@ -1087,10 +1151,7 @@ def test_singular_search_is_independent_of_the_coordinate_frame(ps, monkeypatch)
             )
             got = find_rational_singular_points(permuted)
             assert (got.points, got.blockers) == (want, []), (name, m)
-            monkeypatch.setattr(curves, "_singular_search", _singular_search_reference)
-            reference = find_rational_singular_points(permuted)
-            monkeypatch.undo()
-            assert _locus_key(got) == _locus_key(reference), (name, m)
+            assert _locus_key(got) == _locus_key(_reference_locus(permuted, monkeypatch)), (name, m)
 
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
@@ -1174,7 +1235,7 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
         swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
         f = curves._apply_matrix(curve.poly, swap)
         f = curves._apply_matrix(f, curves._tangent_frame(germ_at(f, ProjPoint.of(0, 1, 0))))
-        got = _locus_key(curves._singular_search(f, delta))
+        got = _search_key(f, delta)
         assert got == _locus_key(_singular_search_reference(f)), name
         assert got[0] == [("(0 : 1 : 0)", multiplicity_at(curve, vertex))], name
         checked += 1
@@ -1361,7 +1422,7 @@ def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():
     curve = make_curve(parse_poly("(x^2*z-y^3)*(y^2-2*z^2)"))
     assert [curve.poly.degree_in(i) for i in range(3)] == [2, 5, 3]
     swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-    assert curves._singular_search(curves._apply_matrix(curve.poly, swap)).blockers
+    assert curves._singular_search(curves._apply_matrix(curve.poly, swap))[1]
     locus = find_rational_singular_points(curve)
     assert _locus_key(locus) == _locus_key(_shear_loop_reference(curve))
     assert locus.points == [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(1, 0, 0), 3)]
@@ -1381,7 +1442,7 @@ def test_a_curve_free_of_y_is_certified_in_one_frame(text, m, monkeypatch):
     from unicusp import curves
 
     curve = make_curve(parse_poly(text))
-    assert curves._singular_search(curve.poly).blockers == []
+    assert curves._singular_search(curve.poly)[1] == []
     frames = []
     search = curves._singular_search
 
@@ -1408,10 +1469,10 @@ def test_a_locus_certified_by_a_later_shear_is_sorted(k, monkeypatch):
     search = curves._singular_search
 
     def blocked(f, delta):
-        raw = search(f, delta)
+        points, blockers = search(f, delta)
         if f == certifying:
-            return raw
-        return SingularLocus(raw.points, [ExtensionFieldSingularity(f, "forced")])
+            return points, blockers
+        return points, [ExtensionFieldSingularity(f, "forced")]
 
     monkeypatch.setattr(curves, "_singular_search", blocked)
     got = find_rational_singular_points(curve)

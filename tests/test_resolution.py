@@ -224,10 +224,11 @@ def test_classify_rejects_negative_genus():
 
 def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
     # A one-point unibranch locus takes delta = sum m(m-1)/2 from the
-    # resolution's record, and a point the search walked, such as the
-    # nodal cubic's node at its projection vertex, from that walk;
-    # delta_invariant walks only the points of a several-point locus that
-    # the search did not walk: two of the three nodes of xyz = 0.
+    # resolution's record, and every other point, such as the nodal
+    # cubic's node at its projection vertex, from the search's walk of it;
+    # delta_invariant walks no point.  The search walks each of the three
+    # nodes of xyz = 0 once: its vertex (0 : 1 : 0) first, the other two
+    # after the points are found.
     ps = DEFAULT_PARAMS[1]
     cusps = [curve_by_name(name, ps) for name in sorted(CUSPS)] + [CUSP_CUBIC]
     genera = [genus_of(c) for c in cusps]
@@ -250,9 +251,13 @@ def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
     assert report.resolution is None and report.genus == 0
     assert report.notes == ["the singular point is not a cusp (several branches)"]
     assert walked == []
+    calls = _resolution_spy(monkeypatch)
+    lines = make_curve(X * Y * Z)
     with pytest.raises(CurveError, match="negative genus"):
-        classify(make_curve(X * Y * Z))
-    assert len(walked) == 2
+        classify(lines)
+    nodes = [ProjPoint.of(0, 1, 0), ORIGIN, ProjPoint.of(1, 0, 0)]
+    assert calls == [germ_at(lines.poly, q) for q in nodes]
+    assert walked == []
 
 
 def _chain_records(ms) -> list[BlowupRecord]:
@@ -348,7 +353,7 @@ def test_a_chain_of_two_branches_has_no_resolution():
         minimal_embedded_resolution(curve, ORIGIN)
     assert walk.delta == delta_invariant(g) == _delta_reference(g) == 3
     locus = find_rational_singular_points(curve)
-    assert locus.walked(ORIGIN) == walk
+    assert locus.walks[ORIGIN] == walk
 
 
 def _seeded_germ(rng: random.Random) -> tuple[list[Poly], Poly]:
@@ -793,8 +798,9 @@ def test_classify_reads_the_contact_off_the_germ(monkeypatch):
 
 def _resolution_spy(monkeypatch) -> list:
     """The germs that the germ walk, `germ_walk`, follows: the search
-    calls it from `curves`, minimal_embedded_resolution and
-    delta_invariant from `resolution`."""
+    calls it from `curves` for every point it returns, and
+    minimal_embedded_resolution (`resolve --point`) and delta_invariant
+    (called by nothing in the package) from `resolution`."""
     calls = []
     real = curves.germ_walk
 
@@ -822,8 +828,9 @@ def test_classify_resolves_a_cusp_at_the_vertex_once(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CUSPS))
 def test_a_cusp_moved_off_the_vertex_keeps_its_report(name, monkeypatch):
     # Under this map of PGL(3) no vertex of the image is a singular point,
-    # so the search walks no point and runs without the cut, and the cusp
-    # is resolved after it, once.  The report is the unmoved one, its points mapped by M.
+    # so the search walks no vertex and runs without the cut; it walks the
+    # cusp once, after mapping it back, and classify resolves it off that
+    # walk.  The report is the unmoved one, its points mapped by M.
     ps = DEFAULT_PARAMS[0]
     m = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
     curve = curve_by_name(name, ps)
@@ -855,10 +862,63 @@ def test_a_node_at_the_vertex_takes_the_search_without_the_cut(monkeypatch, cut_
     assert cut_eliminants == []
 
 
+def test_classify_walks_a_node_off_the_vertex_once(monkeypatch):
+    # Moved off the coordinate vertices, the nodal cubic's node is no
+    # projection vertex: the search walks it once, after mapping it back,
+    # and classify reads both the refused resolution and delta off that
+    # walk.
+    m = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
+    moved = make_curve(curves._apply_matrix(Y**2 * Z - X**3 - X**2 * Z, m))
+    calls = _resolution_spy(monkeypatch)
+    report = classify(moved)
+    assert (report.resolution, report.genus) == (None, 0)
+    assert report.notes == ["the singular point is not a cusp (several branches)"]
+    [(node, k)] = report.singular_points
+    assert k == 2 and curves._map_point(m, node) == ORIGIN
+    assert calls == [germ_at(moved.poly, node)]
+
+
+def test_the_commands_walk_each_singular_point_once(monkeypatch, capsys):
+    # On the corpus, the corpus moved off the coordinate vertices and
+    # xyz = 0, classify, genus_of and resolve without --point each walk
+    # every singular point once, in the search, whether they succeed or
+    # refuse the curve, and none of them calls delta_invariant.
+    from unicusp import corpus
+    from unicusp.poly import poly_to_text
+
+    m = ((1, 1, 2), (1, 2, 1), (2, 1, 1))
+    cases = [make_curve(X * Y * Z)]
+    for ps in DEFAULT_PARAMS:
+        for name in corpus.CURVES:
+            curve = curve_by_name(name, ps)
+            cases += [curve, make_curve(curves._apply_matrix(curve.poly, m))]
+    want = [
+        sorted(str(germ_at(c.poly, q)) for q, _ in find_rational_singular_points(c).points) for c in cases
+    ]
+    assert sum(map(len, want)) == 3 + 2 * 2 * 5
+
+    def unreachable(*args):
+        raise AssertionError("delta_invariant was called")
+
+    calls = _resolution_spy(monkeypatch)
+    monkeypatch.setattr(resolution, "delta_invariant", unreachable)
+    commands = (classify, genus_of, lambda c: main(["resolve", poly_to_text(c.poly)]))
+    for curve, germs in zip(cases, want):
+        for command in commands:
+            calls.clear()
+            try:
+                command(curve)
+            except CurveError:
+                pass
+            assert sorted(map(str, calls)) == germs, str(curve)
+    capsys.readouterr()
+
+
 def test_resolve_without_a_point_walks_each_point_once(monkeypatch, capsys):
     # resolve without --point reads a cusp at the projection vertex off the
-    # search's walk, walks a cusp off the vertex once, after the search,
-    # and fails on a node at the vertex with the walk's own error.
+    # search's walk, walks a cusp off the vertex once, in the search after
+    # mapping it back, and fails on a node at the vertex with the walk's
+    # own error.
     from unicusp.poly import poly_to_text
 
     ps = DEFAULT_PARAMS[0]
