@@ -17,11 +17,19 @@ directions are rational and, for one branch, the minimal embedded
 resolution's record.  The search keeps the walk of each point it returns,
 the one source of its multiplicity, delta and resolution, and cuts the
 factors that its projection vertex's delta proves out of its eliminants.
+
+Intersection cycles take the cheapest certified route.  Against a line L,
+I_P(C, L) is the order of C's restriction to L at P, so a line's cycle is
+read off one binary form of degree d, with no eliminant or frame
+(`_line_numbers`).  Two curves of degree >= 2 are cut by one eliminant
+Res_y in a frame whose centre lies on neither curve (`_local_numbers`):
+a coordinate vertex first, whose frame is an exponent relabel
+(`_apply_matrix`), then the shears.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import lcm
 
 from . import uniroots
@@ -468,6 +476,19 @@ _SHEARS = list(islice(_shears(), 7))
 
 
 def _apply_matrix(p: Poly, m: tuple[tuple[int, int, int], ...]) -> Poly:
+    """p in the frame of m: p(m * (x, y, z)), each variable x_r replaced by
+    row r of m applied to (x, y, z).
+
+    A permutation matrix, the identity included, is an exponent relabel:
+    row r is the unit vector e_s, so x_r goes to x_s, the monomial with
+    exponent e_r at r goes to the one with e_r at s, and distinct monomials
+    stay distinct.  That is the substitution's result, in the same
+    canonical form: the coefficients and the denominator do not change.
+    Any other matrix goes through `Poly.substitute`.
+    """
+    if sorted(map(tuple, m)) == sorted(_IDENTITY):
+        src = [col.index(1) for col in zip(*m)]
+        return Poly._of({(e[src[0]], e[src[1]], e[src[2]]): k for e, k in p._num.items()}, p._den)
     imgs = tuple(
         Poly({(1, 0, 0): Fraction(row[0]), (0, 1, 0): Fraction(row[1]), (0, 0, 1): Fraction(row[2])})
         for row in m
@@ -849,28 +870,39 @@ def is_smooth(curve: PlaneCurve) -> bool:
 # -- intersection theory --------------------------------------------------
 
 
+# The frames whose centres are the coordinate vertices (0 : 1 : 0),
+# (1 : 0 : 0) and (0 : 0 : 1): the identity, and the swaps of y with x and
+# with z.  Each is a relabel of exponents (`_apply_matrix`).
+_VERTEX_FRAMES = (_IDENTITY, ((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 0, 0), (0, 0, 1), (0, 1, 0)))
+
+
 def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
     """Rational common points of two forms with their local intersection
     numbers, sorted by coordinates.
 
-    In a frame of `_shears` whose centre, the image of (0 : 1 : 0), lies
-    on neither curve, e = Res_y(f, g) is a binary form of degree
-    deg f * deg g in (x, z).  It is zero exactly when f and g share a
-    component, and on a line through the centre that meets f and g in a
-    single point P, the order of e is I_P(f, g) (Fulton, Algebraic
-    Curves, 5.1).  A rational point lies on a rational line through the
-    centre, so the rational roots t of e(t, 1), read off its integer list
-    (`_eliminant_y`), and (1 : 0) with order the degree deficit
-    deg e - deg e(t, 1), give every rational point (`_rational_lines`).  `_points_on_line` certifies that
+    In a frame whose centre, the image of (0 : 1 : 0), lies on neither
+    curve, e = Res_y(f, g) is a binary form of degree deg f * deg g in
+    (x, z).  It is zero exactly when f and g share a component, and on a
+    line through the centre that meets f and g in a single point P, the
+    order of e is I_P(f, g) (Fulton, Algebraic Curves, 5.1).  A rational
+    point lies on a rational line through the centre, so the rational
+    roots t of e(t, 1), read off its integer list (`_eliminant_y`), and
+    (1 : 0) with order the degree deficit deg e - deg e(t, 1), give every
+    rational point (`_rational_lines`).  `_points_on_line` certifies that
     each line holds one common point: one rational root of the gcd of the
     two restrictions and no blocker.  When a line holds two, the next
-    frame is tried; its centres are distinct, and only finitely many of
-    them lie on a curve or on a line through two of the finitely many
-    common points, so the search ends.
+    frame is tried.
+
+    The frames are those of the coordinate vertices (0 : 1 : 0), (1 : 0 : 0)
+    and (0 : 0 : 1), each a relabel of exponents, then the shears of
+    `_shears` after the identity, with the centres (k : 1 : 2**k).  No two
+    centres are equal, and only finitely many of them lie on a curve or on
+    a line through two of the finitely many common points, so the search
+    ends.
     """
     if f.is_zero() or g.is_zero():
         raise CurveError("the zero polynomial defines no curve")
-    for m in _shears():
+    for m in chain(_VERTEX_FRAMES, islice(_shears(), 1, None)):
         centre = (m[0][1], m[1][1], m[2][1])
         if f.evaluate(centre) == 0 or g.evaluate(centre) == 0:
             continue
@@ -887,6 +919,48 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
         else:
             return sorted(points, key=lambda t: t[0].coords())
     raise AssertionError("unreachable: the shears never run out")
+
+
+def _line_numbers(f: Poly, line: Poly) -> list[tuple[ProjPoint, int]]:
+    """Rational common points of a form f and a line with their local
+    intersection numbers, sorted by coordinates.
+
+    With l_x*x + l_y*y + l_z*z the line, l_i its last nonzero coefficient
+    and j < k the other two indices, (s : t) -> x_j = l_i*s, x_k = l_i*t,
+    x_i = -(l_j*s + l_k*t) maps P^1 one to one onto the line, as l_i != 0,
+    so each point of the line has one parameter.  The restriction f(s, t)
+    is a binary form of degree d = deg f, formed here in integers: the
+    term c*x_i**a*x_j**b*x_k**c' adds c*l_i**(b + c') * s**b * t**c' times
+    (-(l_j*s + l_k*t))**a.  It is zero exactly when the line is a
+    component of f, and otherwise I_P(f, L) is the order of f(s, t) at the
+    parameter of P (Fulton, Algebraic Curves, ch. 3, as in
+    `tangent_contact`).  So the rational roots (s : 1) of f(s, 1), and
+    (1 : 0) with order the degree deficit (`_rational_lines`), are the
+    rational common points with their numbers; no eliminant is formed.
+    """
+    coeffs = [line._num.get(e, 0) for e in _IDENTITY]  # the rows are the exponents of x, y and z
+    i = max(v for v in range(3) if coeffs[v])
+    j, k = (v for v in range(3) if v != i)
+    li, lj, lk = coeffs[i], coeffs[j], coeffs[k]
+    d = f.total_degree()
+    # powers[a][n]: the coefficient of s**n * t**(a - n) in (-(l_j*s + l_k*t))**a
+    powers = [[1]]
+    for _ in range(f.degree_in(i)):
+        last = powers[-1]
+        powers.append([-lk * u - lj * w for u, w in zip(last + [0], [0] + last)])
+    restricted = [0] * (d + 1)
+    for e, c in f._num.items():
+        scale = c * li ** (d - e[i])
+        for n, w in enumerate(powers[e[i]]):
+            restricted[e[j] + n] += scale * w
+    if not any(restricted):
+        raise CurveError("curves share a component; intersection numbers are undefined")
+    points = []
+    for s, t, order in _rational_lines((uniroots.trim(restricted), d))[0]:
+        coords = [Fraction(0)] * 3
+        coords[i], coords[j], coords[k] = -(lj * s + lk * t), li * s, li * t
+        points.append((ProjPoint.of(*coords), order))
+    return sorted(points, key=lambda pm: pm[0].coords())
 
 
 @dataclass
@@ -909,9 +983,18 @@ class IntersectionCycle:
 def intersection_cycle(c1: PlaneCurve, c2: PlaneCurve) -> IntersectionCycle:
     """Locate all rational intersection points with local multiplicities.
 
-    The sum of located numbers never exceeds the Bezout total; whatever
-    lives in extension fields stays in the residual.
+    When either curve is a line, the numbers are the orders of the other
+    curve's restriction to it (`_line_numbers`); otherwise they come from
+    one eliminant in a frame whose centre lies on neither curve
+    (`_local_numbers`).  Both give every rational common point with its
+    number, so the sum of located numbers never exceeds the Bezout total;
+    whatever lives in extension fields stays in the residual.  Curves
+    that share a component raise CurveError.
     """
-    located = _local_numbers(c1.poly, c2.poly)
+    if c1.degree == 1 or c2.degree == 1:
+        line, other = (c1, c2) if c1.degree == 1 else (c2, c1)
+        located = _line_numbers(other.poly, line.poly)
+    else:
+        located = _local_numbers(c1.poly, c2.poly)
     bez = c1.degree * c2.degree
     return IntersectionCycle(located, bez - sum(m for _, m in located), bez)

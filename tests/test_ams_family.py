@@ -21,7 +21,7 @@ import pytest
 
 from unicusp.corpus import curve_by_name, param_set
 from unicusp.cremona import extend_affine_automorphism, strict_transform
-from unicusp.curves import ProjPoint, intersection_cycle
+from unicusp.curves import ProjPoint, _local_numbers, intersection_cycle
 from unicusp.fibers import CASE_ON, complete_and_classify
 from unicusp.poly import Poly, X
 from unicusp.resolution import VERDICT_AMS, classify
@@ -90,8 +90,10 @@ def test_ams_family_member(seed, cut_eliminants):
     res, ms = report.resolution, report.resolution.multiplicity_sequence
     assert len(res.records) == len(ms) + ms[-1] <= 2 * res.delta + 1 <= (d - 1) * (d - 2) + 1
 
+    # the cusp tangent z = 0, read off its restriction, and the eliminant's oracle
     cycle = intersection_cycle(curve, line)
     assert (cycle.points, cycle.residual) == ([(ProjPoint.of(0, 1, 0), d)], 0)
+    assert _local_numbers(curve.poly, line.poly) == cycle.points
 
     _, completions = complete_and_classify(report.resolution, CASE_ON)
     assert [c.kodaira for c in completions] == ["II*"]

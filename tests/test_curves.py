@@ -13,6 +13,7 @@ from unicusp import uniroots
 from unicusp.curves import (
     CurveError,
     ExtensionFieldSingularity,
+    IntersectionCycle,
     IrrationalLocusError,
     NotUnibranchError,
     PlaneCurve,
@@ -298,9 +299,11 @@ def _outcome(fn, *args):
 def _assert_tangent_agrees(curve, point):
     """The reference tangent line at the point (CurveError when there is
     none), once tangent_contact has been checked against the contact that
-    intersection_cycle gives that line: both answers, or both CurveError."""
+    the eliminant gives that line (`_local_numbers`, not the restriction
+    that intersection_cycle and tangent_contact both read): both answers,
+    or both CurveError."""
     line = _outcome(lambda: _tangent_line_reference(curve, point).poly)
-    want = line if line is CurveError else _outcome(_intersection_number, curve, make_curve(line), point)
+    want = line if line is CurveError else _outcome(lambda: dict(_local_numbers(curve.poly, line)).get(point, 0))
     got = _outcome(tangent_contact, curve, point)
     assert got == want, (curve.poly, point)
     if got is not CurveError:
@@ -771,9 +774,11 @@ def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     from unicusp import curves
 
     # The line x = z through the centre (0 : 1 : 0) holds the common points
-    # (1 : 1 : 1) and (1 : -1 : 1), so the identity is rejected.  The shear
-    # to (1 : 1 : 2) puts the centre on the line x = y through (0 : 0 : 1)
-    # and (1 : 1 : 1), and the one to (2 : 1 : 4) succeeds.
+    # (1 : 1 : 1) and (1 : -1 : 1), so the identity is rejected.  The
+    # vertex frames of (1 : 0 : 0) and (0 : 0 : 1) are skipped, as both
+    # points lie on y^2 = xz.  The shear to (1 : 1 : 2) puts the centre on
+    # the line x = y through (0 : 0 : 1) and (1 : 1 : 1), and the one to
+    # (2 : 1 : 4) succeeds.
     calls = []
 
     def counted(p, q, v, prime, factor=None):
@@ -796,10 +801,11 @@ def test_intersection_cycle_rejects_a_line_with_an_irrational_common_point(monke
 
     # The line x = 0 through the centre (0 : 1 : 0) holds (0 : 0 : 1) and
     # the conjugate pair (0 : ±sqrt(2) : 1): one rational common point and
-    # a blocker, so the unsheared coordinates are rejected.  The shear to
-    # (1 : 1 : 2) puts the centre on the line x = y through (0 : 0 : 1),
-    # (1 : 1 : 1) and (-1 : -1 : 1), and the one to (2 : 1 : 4) succeeds:
-    # three eliminants.
+    # a blocker, so the unsheared coordinates are rejected.  The vertex
+    # frames of (1 : 0 : 0) and (0 : 0 : 1) are skipped, as both points lie
+    # on both curves.  The shear to (1 : 1 : 2) puts the centre on the line
+    # x = y through (0 : 0 : 1), (1 : 1 : 1) and (-1 : -1 : 1), and the one
+    # to (2 : 1 : 4) succeeds: three eliminants.
     fp, gp = Y**3 - 2 * Y * Z**2 + X * Z**2, Y**3 - 2 * Y * Z**2 + X * Y**2
     found, blockers = curves._points_on_line([fp, gp], Fraction(0), Fraction(1))
     assert found == [ProjPoint.of(0, 0, 1)]
@@ -832,6 +838,105 @@ def test_cycle_respects_bezout_on_cubics():
     cyc = intersection_cycle(CUSP_CUBIC, NODE_CUBIC)
     located = sum(m for _, m in cyc.points)
     assert located + cyc.residual == 9
+
+
+# The seeded parameter points of perfbench's elimination workload, seeds 1
+# to 3 (perfbench/workloads.py, parameter_points(seed, 3)).
+ELIMINATION_POINTS = tuple(
+    param_set(*abc)
+    for abc in (
+        ("-2/3", 3, -1), (3, 1, "-1/3"), (3, 1, -1),
+        (3, -3, -1), ("2/3", "3/2", "-1/3"), ("-2/3", -1, 2),
+        ("-2/3", 1, "-1/3"), ("3/2", "-1/3", -2), (2, "-2/3", "-2/3"),
+    )
+)
+
+
+def _eliminant_cycle(c1, c2):
+    """The cycle that the eliminant gives (`_local_numbers`), or CurveError."""
+    located = _outcome(_local_numbers, c1.poly, c2.poly)
+    if located is CurveError:
+        return CurveError
+    bezout = c1.degree * c2.degree
+    return IntersectionCycle(located, bezout - sum(m for _, m in located), bezout)
+
+
+def _assert_line_cycle_agrees(curve, line):
+    want = _eliminant_cycle(curve, line)
+    assert _outcome(intersection_cycle, curve, line) == want, (curve.poly, line.poly)
+    assert _outcome(intersection_cycle, line, curve) == want, (curve.poly, line.poly)
+    return want
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS + ELIMINATION_POINTS, ids=lambda ps: ps.label)
+def test_line_cycle_matches_the_eliminant_on_the_corpus(ps):
+    # Every corpus curve against the coordinate lines and five seeded
+    # rational lines, in both orders: the restriction to the line gives
+    # the eliminant's cycle, and both refuse a line that is a component.
+    from unicusp import corpus
+
+    rng = random.Random(f"lines {ps.label}")
+    lines = [curve_by_name(name, ps) for name in ("line-x", "line-y", "line-z")]
+    while len(lines) < 8:
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        if any(coeffs):
+            lines.append(make_curve(coeffs[0] * X + coeffs[1] * Y + coeffs[2] * Z))
+    outcomes = [_assert_line_cycle_agrees(curve_by_name(name, ps), line) for name in corpus.CURVES for line in lines]
+    # each coordinate line is itself a corpus curve
+    assert outcomes.count(CurveError) >= 3
+
+
+def test_line_cycle_matches_the_eliminant_at_edge_cases():
+    conic_times_line = make_curve((X * Z - Y**2) * (X - Y))
+    cases = {
+        # the line is a component
+        (conic_times_line, make_curve(X - Y)): CurveError,
+        # y = 0 cuts z * (x^2 - 2z^2): (1 : 0 : 0) and a conjugate pair
+        (make_curve(X**2 * Z - 2 * Z**3 + Y**2 * X), make_curve(Y)): IntersectionCycle(
+            [(ProjPoint.of(1, 0, 0), 1)], 2, 3
+        ),
+        # z = 0 is parametrised by (s : t) -> (s : t : 0), so the common
+        # point (1 : 0 : 0) is the parameter's (1 : 0), the degree deficit
+        (CONIC, make_curve(Z)): IntersectionCycle([(ProjPoint.of(1, 0, 0), 2)], 0, 2),
+        (CUSP_CUBIC, make_curve(Z)): IntersectionCycle([(ProjPoint.of(0, 1, 0), 3)], 0, 3),
+    }
+    for (curve, line), want in cases.items():
+        assert _assert_line_cycle_agrees(curve, line) == want, (curve.poly, line.poly)
+
+
+def test_a_permutation_frame_relabels_exponents():
+    # The six permutation matrices, applied to seeded forms with rational
+    # coefficients: the same polynomial, and hash, as the substitution.
+    from unicusp import curves
+
+    rng = random.Random(4141)
+    forms = [_homogenised(_random_germ(rng, rng.randint(2, 6), rng.randint(1, 9), constant=True)) for _ in range(20)]
+    variables = (X, Y, Z)
+    for perm in itertools.permutations(range(3)):
+        m = tuple(tuple(int(k == perm[r]) for k in range(3)) for r in range(3))
+        for f in forms:
+            want = f.substitute(tuple(variables[perm[r]] for r in range(3)))
+            got = curves._apply_matrix(f, m)
+            assert got == want and hash(got) == hash(want), (perm, f)
+
+
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
+def test_intersection_cycle_from_a_vertex_substitutes_nothing(ps, monkeypatch):
+    # Both curves pass through (0 : 1 : 0), the cusp of the quartic, and
+    # neither through (1 : 0 : 0): the swap of x and y is the frame, an
+    # exponent relabel.
+    quartic, cubic = curve_by_name("cusp-quartic", ps), curve_by_name("weierstrass-cubic", ps)
+    want = _eliminant_cycle(quartic, cubic)
+    calls = []
+    real = Poly.substitute
+
+    def substitute(self, images):
+        calls.append(images)
+        return real(self, images)
+
+    monkeypatch.setattr(Poly, "substitute", substitute)
+    assert intersection_cycle(quartic, cubic) == want
+    assert calls == []
 
 
 # -- singular search: blockers and the two-eliminant reference --------------

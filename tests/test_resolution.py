@@ -21,7 +21,6 @@ from unicusp.curves import (
     find_rational_singular_points,
     germ_at,
     germ_order,
-    intersection_cycle,
     make_curve,
     multiplicity_at,
     tangent_contact,
@@ -755,8 +754,9 @@ def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
     # y -> 2y + 3x give the slopes -2 and -3/2, and the six permutations
     # of (x, y, z) put the cusp at each coordinate vertex, with the tangent
     # on either axis of its chart (vertical or horizontal).  I_P(C, T) read
-    # off intersection_cycle(C, T) is the oracle, beside the contact known
-    # by construction.
+    # off the eliminant, _local_numbers(F, T), is the oracle, beside the
+    # contact known by construction: intersection_cycle(C, T) reads the
+    # restriction to T, as tangent_contact does.
     rng = random.Random(9090)
     seeded = [(f, f.total_degree()) for f in (_seeded_cusp(rng) for _ in range(60))]
     lowered = []
@@ -773,7 +773,7 @@ def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
     for f, image, point, want in cases:
         curve, tangent = make_curve(f.substitute(image)), make_curve(Y.substitute(image))
         got = tangent_contact(curve, point)
-        assert got == want == dict(intersection_cycle(curve, tangent).points)[point], (curve.poly, point)
+        assert got == want == dict(_local_numbers(curve.poly, tangent.poly))[point], (curve.poly, point)
         assert got > multiplicity_at(curve, point)
     assert (len(seeded), len(lowered), len(cases)) == (60, 45, 555)
 
