@@ -866,6 +866,47 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int, cut: int = 0) ->
     degree n*D_p + m*D_q - m*n above, R homogenized with s, is divisible
     by s**k.  So deg R <= n*D_p + m*D_q - m*n - k, and that lowers the
     bound by up to k.
+
+    Reduce once.  When the v-leading row of one input S (v-degree s) is a
+    nonzero constant c and the other input B has v-degree b >= s, the
+    points run on S and R = c**e * B rem S in v, e = b - s + 1, formed once
+    in Z[w][v] (`_prem_rows`), not on S and B.  The proof:
+
+    - The identity.  For A of degree a and B = F*A + R with deg F <= b - a,
+      the part v**i * F * A of the Sylvester row v**i * B (i < a) is a sum
+      of the rows v**j * A (j < b), so Res_{a,b}(A, B) = Res_{a,b}(A, R)
+      with R given the formal degree b; expanding along the b - r leading columns,
+      where only rows of A have an entry (lc(A)), gives
+          Res_{a,b}(A, B) = lc(A)**(b - r) * Res_{a,r}(A, R)
+      for any formal degree r >= deg R (von zur Gathen and Gerhard, Modern
+      Computer Algebra, ch. 6).  It holds over any commutative ring: it is
+      a polynomial identity in the coefficients.  Scaling the s rows of B
+      by c**e gives, with A = S,
+          c**(e*s) * Res(S, B) = c**(b - r) * Res(S, R).
+    - Evaluation commutes.  Each pseudo-division row is r <- c*r -
+      f*v**k*S, f the leading row of r, so c**e * B = F*S + R in Z[w][v].
+      Setting w = t is a ring map, and c does not depend on w, so
+      c**e * B_t = F_t*S_t + R_t at every point, with S_t of degree s.
+      Modulo the modulus, with r the degree of R_t after reduction,
+          Res(S_t, B_t) = c**(b - r - e*s) * Res(S_t, R_t),
+      an inverse power of c, since e*s - b = (b - s)*(s - 1) >= 0.  R_t = 0
+      gives 0.  Res(P, Q) = (-1)**(m*n) * Res(Q, P) when S is Q.  The skip
+      rule, the degree bound, the primes and the interpolation read only
+      P and Q (c and B's leading row are the two leading rows), so the
+      points, the modulus and the lift are those of the unreduced pair.
+    - The slot bound.  R is formed on Kronecker-packed rows, w -> 2**W, one
+      int per v-row: a ring map, so every intermediate is exact and only
+      R is decoded (`uniroots.unpack_slots`).  With |.|_1 the sum of the
+      absolute coefficients, c*r - f*v**k*S = c*(r - f*v**(k+s)) -
+      f*v**k*(S - c*v**s), so |r'|_1 <= |S|_1 * |r|_1, and every
+      coefficient of R is at most |B|_1 * |S|_1**e: W is that bound's bit
+      length and a sign bit, rounded up to whole bytes.
+    - The zero divisor.  c is a unit modulo the given prime (it does not
+      divide S's leading row) and modulo a product M of primes (no prime
+      kept divides a leading value, and c is S's at every point).  The
+      leading coefficient of R_t need not be a unit modulo M: Euclid then
+      meets it first and returns None, and the point takes one Euclid per
+      prime, by the same rule, combined by CRT.
     """
     m, n = p.degree_in(v), q.degree_in(v)
     bound = min(
@@ -875,8 +916,18 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int, cut: int = 0) ->
     pl, ql = primitive_rows(p, v, w), primitive_rows(q, v, w)
     if prime and not (any(c % prime for c in pl[-1]) and any(c % prime for c in ql[-1])):
         return None
+    # The rows each point evaluates, the row the skip rule reads last; the
+    # reduced pair carries B's leading row after R's rows.
+    pair, twist = (pl, ql), None
+    for left, right, sign in ((ql, pl, (-1) ** (m * n)), (pl, ql, 1)):
+        if len(left) <= len(right) and not any(left[-1][1:]):
+            s, b = len(left) - 1, len(right) - 1
+            e = b - s + 1
+            pair = (left, _prem_rows(right, left, e) + [right[-1]])
+            twist = (sign, left[-1][0], b - e * s)
+            break
     points: list[tuple[int, list[int], list[int]]] = []
-    for point in sample_points(pl, ql, prime):
+    for point in sample_points(*pair, prime):
         if points and point[0] != points[-1][0] + 1:
             points = []
         points.append(point)
@@ -891,18 +942,18 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int, cut: int = 0) ->
         for r in uniroots.large_primes():
             if modulus * modulus > limit:
                 break
-            if all(lp[m] % r and lq[n] % r for _, lp, lq in points):
+            if all(lp[-1] % r and lq[-1] % r for _, lp, lq in points):
                 primes.append(r)
                 modulus *= r
     residues = []
     for _, lp, lq in points:
-        value = uniroots.resultant_mod_p(lp, lq, modulus)
+        value = _point_resultant(lp, lq, modulus, twist)
         if value is None:
             # A leading coefficient met on the way is a zero divisor modulo
             # the product: one Euclid per prime, combined by CRT.
             value, done = 0, 1
             for r in primes:
-                image = uniroots.resultant_mod_p(lp, lq, r)
+                image = _point_resultant(lp, lq, r, twist)
                 [value] = uniroots.crt_merge([value], done, [image], r)
                 done *= r
         residues.append(value)
@@ -913,11 +964,48 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int, cut: int = 0) ->
     return uniroots.trim(coeffs)
 
 
+def _prem_rows(b_rows: list[list[int]], s_rows: list[list[int]], e: int) -> list[list[int]]:
+    """The w-rows of c**e * B rem S in v, for B and S as rows from
+    `primitive_rows` and S's leading row the constant c, on Kronecker-packed
+    rows (the slot bound is in `resultant_int`)."""
+    c = s_rows[-1][0]
+    norm_b, norm_s = (sum(abs(x) for row in rows for x in row) for rows in (b_rows, s_rows))
+    limit = norm_b * norm_s**e
+    size = limit.bit_length() // 8 + 1
+    width = 8 * size
+    divisor = [sum(x << width * j for j, x in enumerate(row)) for row in s_rows[:-1]]
+    r = [sum(x << width * j for j, x in enumerate(row)) for row in b_rows]
+    while len(r) > len(divisor):
+        f = r.pop()
+        k = len(r) - len(divisor)
+        r[:k] = [c * x for x in r[:k]]
+        r[k:] = [c * x - f * y for x, y in zip(r[k:], divisor)]
+    return [uniroots.unpack_slots(x, size) for x in r]
+
+
+def _point_resultant(
+    lp: list[int], lq: list[int], modulus: int, twist: tuple[int, int, int] | None
+) -> int | None:
+    """Res(P, Q)(t) modulo `modulus` from one point of `resultant_int`: the
+    values of P's and Q's rows, or with twist = (sign, c, b - e*s) those of
+    S's rows and of R's rows then B's leading row (c is a unit modulo the
+    modulus); None on a zero divisor."""
+    if twist is None:
+        return uniroots.resultant_mod_p(lp, lq, modulus)
+    sign, c, top = twist
+    rest = uniroots.trim([x % modulus for x in lq[:-1]])
+    value = uniroots.resultant_mod_p(lp, rest, modulus)
+    if value is None:
+        return None
+    return sign * value * pow(c, top - uniroots.deg(rest), modulus) % modulus
+
+
 def primitive_rows(f: Poly, v: int, w: int) -> list[list[int]]:
     """For k = 0 .. deg_v f, the integer coefficient list in w of the v**k
     coefficient of f / content(f); f uses no variable besides v and w."""
     terms, _ = _primitive(f)
-    rows = [[0] * (f.degree_in(w) + 1) for _ in range(f.degree_in(v) + 1)]
+    width = f.degree_in(w) + 1
+    rows = [[0] * width for _ in range(f.degree_in(v) + 1)]
     for e, k in terms.items():
         rows[e[v]][e[w]] = k
     return rows

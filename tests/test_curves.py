@@ -770,6 +770,43 @@ def test_high_contact_cycles_of_image_deg15(ps):
     assert _order_of_x_in_sylvester_det(deg15.poly, quintic.poly) == 74
 
 
+@pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
+def test_cycles_of_image_deg15_run_euclid_on_the_reduced_pair(ps, monkeypatch):
+    # In every frame of `_local_numbers` the centre lies on neither curve,
+    # so both y-leading rows are constant, and `resultant_int` reduces the
+    # degree-15 form modulo the cubic or the conic once: each point's
+    # Euclid inside the eliminant runs on that curve and a remainder of
+    # lower y-degree, never on the (15, 3) or (15, 2) pair.
+    from unicusp import curves
+
+    deg15 = curve_by_name("image-deg15", ps)
+    inside, shapes = [], []
+    real_form, real_resultant = curves.form_resultant_int, uniroots.resultant_mod_p
+
+    def form(*args):
+        inside.append(True)
+        try:
+            return real_form(*args)
+        finally:
+            inside.pop()
+
+    def resultant(a, b, m):
+        if inside:
+            shapes.append((len(a) - 1, len(b) - 1))
+        return real_resultant(a, b, m)
+
+    monkeypatch.setattr(curves, "form_resultant_int", form)
+    monkeypatch.setattr(uniroots, "resultant_mod_p", resultant)
+    wants = {
+        "mirror-cubic": ((3, 2), IntersectionCycle([], 45, 45)),
+        "conic": ((2, 1), IntersectionCycle([(ProjPoint.of(0, 0, 1), 30)], 0, 30)),
+    }
+    for name, ((top_a, top_b), want) in wants.items():
+        shapes.clear()
+        assert intersection_cycle(deg15, curve_by_name(name, ps)) == want, name
+        assert shapes and all(a <= top_a and b <= top_b for a, b in shapes), (name, set(shapes))
+
+
 def test_intersection_cycle_retries_when_a_line_holds_two_points(monkeypatch):
     from unicusp import curves
 
