@@ -822,16 +822,38 @@ def test_resultant_wrt_skips_bad_primes_and_points():
     _assert_resultant_agrees(p, q, 1)
 
 
-def test_resultant_wrt_falls_back_to_per_prime_euclid():
+def test_resultant_wrt_falls_back_to_per_prime_euclid(monkeypatch):
     from unicusp import uniroots
+    from unicusp.poly import resultant_int
 
     first = next(uniroots.large_primes())
-    # Both y-leading coefficients are 1, so every prime is kept.  The first
-    # remainder, first*y^3 + (x - x^3)*y^2 - y + x^2 + 5, has leading
-    # coefficient `first`: a zero divisor modulo the product of the primes,
-    # so each point falls back to one Euclid per prime and CRT.
+    # Both y-leading coefficients are 1, so every prime is kept, and P is
+    # reduced modulo Q once.  The remainder, first*y^3 + (x - x^3)*y^2 - y
+    # + x^2 + 5, has leading coefficient `first`: a zero divisor modulo the
+    # product of the primes, so each point falls back to one Euclid per
+    # prime and CRT.
     p = Y**5 + first * Y**3 + X * Y**2 + X**2 + 5
     q = Y**4 + X**3 * Y + 1
+    calls, real = [], uniroots.resultant_mod_p
+
+    def spy(a, b, m):
+        value = real(a, b, m)
+        calls.append((len(a) - 1, len(b) - 1, m, value))
+        return value
+
+    monkeypatch.setattr(uniroots, "resultant_mod_p", spy)
+    got = resultant_int(p, q, 1, 0, 0)
+    monkeypatch.undo()
+    want = resultant_wrt(p, q, 1)
+    assert from_univariate(got, 0) == want
+    composite = [c for c in calls if c[2] != first and c[3] is None]
+    assert composite and all(c[:2] == (4, 3) for c in composite)
+    # Modulo `first` itself R_t loses its leading term (and at t = 0, 1
+    # the next one, x - x^3, too).
+    per_prime = [c for c in calls if c[2] == first]
+    assert len(per_prime) == len(composite) and all(c[0] == 4 and c[1] < 3 for c in per_prime)
+    # Every call runs on Q and the remainder, not on the (5, 4) pair.
+    assert all(c[0] == 4 and c[1] <= 3 for c in calls)
     _assert_resultant_agrees(p, q, 1)
 
 
@@ -951,35 +973,6 @@ def test_form_resultant_int_mod_p_is_none_when_a_leading_coefficient_vanishes():
     assert form_resultant_int(p, q, 1, 103) == _image_from_exact(p, q, 103)
 
 
-def test_form_resultant_int_matches_sympy_resultant_at_z_one():
-    # The exact list is Res_y(P, Q)(t, 1) for the primitive parts P, Q, as
-    # sympy computes it; the one-prime list is that list reduced.
-    import sympy
-
-    from unicusp import uniroots
-
-    x, y, z = sympy.symbols("x y z")
-    rng = random.Random(1974)
-    checked = 0
-    while checked < 8:
-        p, q = _random_form(rng, rng.randint(2, 5), 6), _random_form(rng, rng.randint(2, 5), 6)
-        if min(p.degree_in(1), q.degree_in(1)) < 1:
-            continue
-        if p.degree_in(1) < q.degree_in(1):
-            p, q = q, p  # sympy.resultant swaps the rows otherwise
-        f, g = (
-            sympy.sympify(poly_to_text(h * (1 / content(h))).replace("^", "**")).subs(z, 1)
-            for h in (p, q)
-        )
-        res = sympy.Poly(sympy.resultant(f, g, y), x)
-        want = [] if res.is_zero else [int(c) for c in reversed(res.all_coeffs())]
-        exact = form_resultant_int(p, q, 1, 0)
-        assert exact == want, (p, q)
-        for prime in (101, next(uniroots.large_primes())):
-            assert form_resultant_int(p, q, 1, prime) == uniroots.trim([c % prime for c in exact])
-        checked += 1
-
-
 def _form_with_constant_lead(rng, d, s, terms):
     """A seeded form of degree d and y-degree s whose y-leading
     coefficient, dehomogenized at z, is a nonzero constant: c*y**s*z**(d-s)."""
@@ -988,17 +981,25 @@ def _form_with_constant_lead(rng, d, s, terms):
     return Poly(low)
 
 
-def test_reduced_resultant_int_matches_sympy_resultant_at_z_one():
-    # A constant y-leading row on P, on Q and on both, in both argument
-    # orders: the kernel reduces the other input modulo that one once.
-    # sympy.resultant(f, g) has the rows of f first when deg f >= deg g,
-    # so the oracle for a lower-degree first argument is (-1)**(m*n) times
-    # the resultant with the arguments swapped.
+def test_form_resultant_int_matches_sympy_resultant_at_z_one():
+    # The exact list is Res_y(P, Q)(t, 1) for the primitive parts P, Q, as
+    # sympy computes it; the one-prime list is that list reduced.  The
+    # pairs are seeded forms, then forms with a constant y-leading row on
+    # P, on Q and on both, which the kernel reduces once; each runs in
+    # both argument orders.  sympy.resultant(f, g) has the rows of f first
+    # when deg f >= deg g, so the oracle for a lower-degree first argument
+    # is (-1)**(m*n) times the resultant with the arguments swapped.
     import sympy
 
     from unicusp import uniroots
 
     x, y, z = sympy.symbols("x y z")
+    rng = random.Random(1974)
+    pairs = []
+    while len(pairs) < 8:
+        p, q = _random_form(rng, rng.randint(2, 5), 6), _random_form(rng, rng.randint(2, 5), 6)
+        if min(p.degree_in(1), q.degree_in(1)) >= 1:
+            pairs.append((p, q))
     rng = random.Random(2036)
     for lead in ("p", "q", "both"):
         for _ in range(4):
@@ -1006,25 +1007,22 @@ def test_reduced_resultant_int_matches_sympy_resultant_at_z_one():
             sp, sq = rng.randint(1, dp), rng.randint(1, dq)
             p = _form_with_constant_lead(rng, dp, sp, 6) if lead != "q" else _random_form(rng, dp, 6)
             q = _form_with_constant_lead(rng, dq, sq, 6) if lead != "p" else _random_form(rng, dq, 6)
-            if min(p.degree_in(1), q.degree_in(1)) < 1:
-                continue
-            for a, b in ((p, q), (q, p)):
-                f, g = (
-                    sympy.sympify(poly_to_text(h * (1 / content(h))).replace("^", "**")).subs(z, 1)
-                    for h in (a, b)
-                )
-                m, n = a.degree_in(1), b.degree_in(1)
-                if m >= n:
-                    res = sympy.resultant(f, g, y)
-                else:
-                    res = (-1) ** (m * n) * sympy.resultant(g, f, y)
-                res = sympy.Poly(res, x)
-                want = [] if res.is_zero else [int(c) for c in reversed(res.all_coeffs())]
-                exact = form_resultant_int(a, b, 1, 0)
-                assert exact == want, (lead, a, b)
-                for prime in (101, next(uniroots.large_primes())):
-                    image = form_resultant_int(a, b, 1, prime)
-                    assert image == uniroots.trim([c % prime for c in exact]), (lead, a, b, prime)
+            if min(p.degree_in(1), q.degree_in(1)) >= 1:
+                pairs.append((p, q))
+    for p, q in pairs:
+        for a, b in ((p, q), (q, p)):
+            f, g = (
+                sympy.sympify(poly_to_text(h * (1 / content(h))).replace("^", "**")).subs(z, 1)
+                for h in (a, b)
+            )
+            m, n = a.degree_in(1), b.degree_in(1)
+            res = sympy.resultant(f, g, y) if m >= n else (-1) ** (m * n) * sympy.resultant(g, f, y)
+            res = sympy.Poly(res, x)
+            want = [] if res.is_zero else [int(c) for c in reversed(res.all_coeffs())]
+            exact = form_resultant_int(a, b, 1, 0)
+            assert exact == want, (a, b)
+            for prime in (101, next(uniroots.large_primes())):
+                assert form_resultant_int(a, b, 1, prime) == uniroots.trim([c % prime for c in exact]), (a, b, prime)
 
 
 def test_reduced_resultant_int_of_a_shared_component_is_zero():
@@ -1051,41 +1049,6 @@ def test_reduced_resultant_int_where_the_remainder_drops_degree_at_a_point():
             for prime in (101, next(uniroots.large_primes())):
                 assert form_resultant_int(p, q, 1, prime) == _image_from_exact(p, q, prime), (rem, prime)
             _assert_resultant_agrees(p, q, 1)
-
-
-def test_reduced_resultant_int_takes_the_crt_path_on_a_zero_divisor(monkeypatch):
-    # Q = y^4 + x^3*y + 1 has the constant leading row 1, so P is reduced
-    # modulo Q once: R = first*y^3 + (x - x^3)*y^2 - y + x^2 + 5.  Its
-    # leading coefficient `first` is a zero divisor modulo the product of
-    # the kernel's primes, so every point returns None there and takes one
-    # Euclid per prime, combined by CRT.
-    from unicusp import uniroots
-    from unicusp.poly import resultant_int
-
-    first = next(uniroots.large_primes())
-    p = Y**5 + first * Y**3 + X * Y**2 + X**2 + 5
-    q = Y**4 + X**3 * Y + 1
-    calls, real = [], uniroots.resultant_mod_p
-
-    def spy(a, b, m):
-        value = real(a, b, m)
-        calls.append((len(a) - 1, len(b) - 1, m, value))
-        return value
-
-    monkeypatch.setattr(uniroots, "resultant_mod_p", spy)
-    got = resultant_int(p, q, 1, 0, 0)
-    monkeypatch.undo()
-    want = resultant_wrt(p, q, 1)
-    assert from_univariate(got, 0) == want
-    composite = [c for c in calls if c[2] != first and c[3] is None]
-    assert composite and all(c[:2] == (4, 3) for c in composite)
-    # Modulo `first` itself R_t loses its leading term (and at t = 0, 1
-    # the next one, x - x^3, too).
-    per_prime = [c for c in calls if c[2] == first]
-    assert len(per_prime) == len(composite) and all(c[0] == 4 and c[1] < 3 for c in per_prime)
-    # Every call runs on Q and the remainder, not on the (5, 4) pair.
-    assert all(c[0] == 4 and c[1] <= 3 for c in calls)
-    _assert_resultant_agrees(p, q, 1)
 
 
 # -- integer numerators against the Fraction-dict arithmetic they replaced ----
