@@ -7,7 +7,7 @@ transformations, a built-in worked curve family, and a command-line
 front end.
 """
 
-from .poly import Poly, X, Y, Z, degree_info, exact_divide, gcd, resultant_wrt
+from .poly import Poly, X, Y, Z, exact_divide, gcd, resultant_wrt
 from .parse import ParseError, parse_poly
 from .curves import (
     CurveError,
@@ -17,11 +17,8 @@ from .curves import (
     ProjPoint,
     ResolutionIncompleteError,
     find_rational_singular_points,
-    germ_at,
     intersection_cycle,
-    is_smooth,
     make_curve,
-    multiplicity_at,
 )
 from .resolution import (
     ClassificationReport,
@@ -29,7 +26,6 @@ from .resolution import (
     ResolutionResult,
     classify,
     delta_invariant,
-    genus_of,
     minimal_embedded_resolution,
 )
 from .dualgraph import GraphError, WeightedDualGraph
@@ -74,7 +70,6 @@ __all__ = [
     "X",
     "Y",
     "Z",
-    "degree_info",
     "exact_divide",
     "gcd",
     "resultant_wrt",
@@ -86,18 +81,14 @@ __all__ = [
     "PlaneCurve",
     "ProjPoint",
     "find_rational_singular_points",
-    "germ_at",
     "intersection_cycle",
-    "is_smooth",
     "make_curve",
-    "multiplicity_at",
     "ClassificationReport",
     "NotUnibranchError",
     "ResolutionIncompleteError",
     "ResolutionResult",
     "classify",
     "delta_invariant",
-    "genus_of",
     "minimal_embedded_resolution",
     "GraphError",
     "WeightedDualGraph",

@@ -29,7 +29,6 @@ from .curves import (
     find_rational_singular_points,
     intersection_cycle,
     make_curve,
-    multiplicity_at,
 )
 from .fibers import CASE_OFF, CASE_ON, complete_and_classify, contraction_budget
 from .parse import ParseError, parse_poly
@@ -143,11 +142,6 @@ def cmd_analyze(args) -> int:
     lines.append(f"verdict: {report.verdict}")
     for note in report.notes:
         lines.append(f"note: {note}")
-    if args.point:
-        point = _parse_point(args.point)
-        mult = multiplicity_at(curve, point)
-        payload["at_point"] = {"P": point.as_json(), "multiplicity": mult}
-        lines.append(f"multiplicity at {point}: {mult}")
     dots = {f"resolution-{name}.dot": res.graph.to_dot(f"resolution_{name}")} if res else {}
     _emit(args, payload, lines, dots)
     return 0
@@ -336,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="full dossier for one curve")
     p.add_argument("curve", help="polynomial text or corpus:NAME")
-    _add_common(p, "--params", "--dot", "--point")
+    _add_common(p, "--params", "--dot")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("intersect", help="intersection cycle of two curves")

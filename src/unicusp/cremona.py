@@ -43,12 +43,6 @@ class CremonaMap:
     def degree(self) -> int:
         return max(p.total_degree() for p in self.components if not p.is_zero())
 
-    def as_json(self) -> dict:
-        return {
-            "components": [poly_to_text(p) for p in self.components],
-            "degree": self.degree,
-        }
-
     def __str__(self) -> str:
         return "(" + ", ".join(poly_to_text(p) for p in self.components) + ")"
 

@@ -258,11 +258,6 @@ def cone_direction(g: Poly, m: int) -> Fraction | None:
     return dirs[0][0]
 
 
-def multiplicity_at(curve: PlaneCurve, point: ProjPoint) -> int:
-    """Multiplicity of the curve at the point (0 when off the curve)."""
-    return germ_order(germ_at(curve.poly, point))
-
-
 def tangent_contact(curve: PlaneCurve, point: ProjPoint) -> int:
     """I_P(C, T) for the tangent T at a point P of the curve whose tangent
     cone is the power of one line (`cone_direction`).
@@ -425,9 +420,6 @@ class ExtensionFieldSingularity:
 
     factor: Poly
     context: str
-
-    def as_json(self) -> dict:
-        return {"factor": str(self.factor), "context": self.context}
 
 
 @dataclass
@@ -852,19 +844,6 @@ def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
     for (a, b, c), k in p._num.items():
         out[b] += k * u ** a * w ** c * d ** b
     return out
-
-
-def is_smooth(curve: PlaneCurve) -> bool:
-    """True when the curve has no singular points over any extension of Q.
-
-    With no rational singular point, `SingularLocus.require_rational` raises
-    IrrationalLocusError if part of the locus is undecided even after shearing.
-    """
-    locus = find_rational_singular_points(curve)
-    if locus.points:
-        return False
-    locus.require_rational()
-    return True
 
 
 # -- intersection theory --------------------------------------------------

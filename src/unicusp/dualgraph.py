@@ -98,10 +98,6 @@ class WeightedDualGraph:
         adj = self._adj[label]
         return [(v, adj[v]) for v in self._weights if v in adj]
 
-    def degree(self, label: str) -> int:
-        """Total edge multiplicity at the vertex, loops not counted."""
-        return sum(m for _, m in self.neighbors(label))
-
     def edges(self) -> list[tuple[str, str, int]]:
         """Each edge once as (a, b, m), a before b, in vertex order."""
         verts = self.vertices

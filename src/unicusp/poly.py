@@ -730,22 +730,6 @@ def dehomogenize(p: Poly, i: int) -> Poly:
     return Poly._of(out, p._den)
 
 
-# -- degree report ------------------------------------------------------
-
-
-def degree_info(p: Poly) -> dict:
-    """Total and per-variable degrees plus homogeneity; errors on zero."""
-    if p.is_zero():
-        raise ValueError("degree of the zero polynomial is undefined")
-    return {
-        "total": p.total_degree(),
-        "x": p.degree_in(0),
-        "y": p.degree_in(1),
-        "z": p.degree_in(2),
-        "homogeneous": p.is_homogeneous(),
-    }
-
-
 # -- univariate conversions ---------------------------------------------
 
 
@@ -828,7 +812,9 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int, cut: int = 0) ->
     convention of `sample_points`.  A prime given here must exceed the
     degree bound below by far, as the primes from `uniroots.large_primes`
     do: the run of points below needs bound + 1 consecutive residues at
-    which neither leading row vanishes.
+    which neither leading row vanishes, and ValueError is raised when the
+    prime is at most the bound or the walk of `sample_points` ends
+    without such a run.
 
     The degree in w is at most the Sylvester bound n*deg_w p + m*deg_w q,
     and at most n*D_p + m*D_q - m*n with D the total degree: that is the
@@ -933,6 +919,11 @@ def resultant_int(p: Poly, q: Poly, v: int, w: int, prime: int, cut: int = 0) ->
         points.append(point)
         if len(points) > bound:
             break
+    if len(points) <= bound or prime and bound >= prime:
+        raise ValueError(
+            f"prime {prime} is too small for degree bound {bound}: it needs {bound + 1} "
+            "consecutive residues at which neither leading row vanishes"
+        )
     if prime:
         primes, modulus = [prime], prime
     else:
@@ -1017,7 +1008,10 @@ def sample_points(
     """The integers t = 0, 1, 2, ... at which neither leading row
     (pl[-1], ql[-1]) vanishes, over Z when prime is 0 and modulo prime
     otherwise, each with every row of pl and ql evaluated at t: the
-    coefficient lists in v of both inputs at w = t.
+    coefficient lists in v of both inputs at w = t.  Modulo prime the walk
+    ends at t = 2*prime: the residues repeat with period prime, so when
+    some n <= prime consecutive residues avoid both leading rows' roots,
+    the walk meets n consecutive points below 2*prime.
 
     Between two skipped t the points are consecutive integers.  On a run
     of n of them, Newton's forward form divides only by j! for j < n, and
@@ -1031,7 +1025,7 @@ def sample_points(
     degree.
     """
     t = 0
-    while True:
+    while not prime or t < 2 * prime:
         lp, lq = uniroots.eval_uni_int(pl[-1], t), uniroots.eval_uni_int(ql[-1], t)
         if (lp % prime and lq % prime) if prime else (lp and lq):
             yield (

@@ -124,15 +124,6 @@ def delta_invariant(g: Poly) -> int:
     return germ_walk(g, g.total_degree()).delta
 
 
-def genus_of(curve: PlaneCurve) -> int:
-    """Geometric genus of an irreducible curve: the arithmetic genus minus
-    the delta invariants of all singular points.
-
-    Requires the full singular locus to be rational; raises otherwise.
-    """
-    return _genus(curve, find_rational_singular_points(curve).require_rational())
-
-
 def _genus(curve: PlaneCurve, locus: SingularLocus) -> int:
     """Arithmetic genus minus the delta invariants of the locus, each read
     off the search's walk of its point (`SingularLocus.walks`)."""

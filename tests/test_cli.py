@@ -113,10 +113,13 @@ def test_huge_exponent_is_a_one_line_error(capsys, argv):
     assert err.startswith("error: number too large: ") and err.count("\n") == 1
 
 
-def test_analyze_with_point(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "y^2*z - x^3", "--point", "0,0,1")
-    assert code == 0
-    assert "multiplicity at (0 : 0 : 1): 2" in out
+def test_analyze_takes_no_point(capsys):
+    # analyze reads no --point: like every flag its command never reads, it
+    # is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "y^2*z - x^3", "--point", "0,0,1"])
+    assert info.value.code == 2
+    assert "--point" in capsys.readouterr().err
 
 
 def test_analyze_writes_dot_file(capsys, tmp_path):
@@ -140,12 +143,6 @@ def test_analyze_unknown_corpus_name_is_usage(capsys):
     code, _, err = run_cli(capsys, "analyze", "corpus:lemniscate")
     assert code == 2
     assert "no corpus curve" in err
-
-
-def test_analyze_bad_point_is_usage(capsys):
-    code, _, err = run_cli(capsys, "analyze", "y^2*z - x^3", "--point", "1,2")
-    assert code == 2
-    assert "--point" in err
 
 
 def test_bad_params_fragment_is_usage(capsys):
@@ -249,6 +246,12 @@ def test_resolve_with_explicit_point_and_dot(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "resolution-curve.dot").exists()
+
+
+def test_resolve_bad_point_is_usage(capsys):
+    code, _, err = run_cli(capsys, "resolve", "y^2*z - x^3", "--point", "1,2")
+    assert code == 2
+    assert "--point" in err
 
 
 def test_resolve_needs_unique_point(capsys):

@@ -168,7 +168,6 @@ def test_make_map_divides_common_factor(caplog):
     assert m.components == (X, Y, Z)
     assert m.degree == 1
     assert _cremona_warnings(caplog) == ["divided out common factor x"]
-    assert m.as_json() == {"components": ["x", "y", "z"], "degree": 1}
 
 
 def _quadratic_map(c):

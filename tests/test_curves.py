@@ -25,9 +25,7 @@ from unicusp.curves import (
     germ_at,
     germ_order,
     intersection_cycle,
-    is_smooth,
     make_curve,
-    multiplicity_at,
     repeated_factor,
     tangent_contact,
 )
@@ -307,7 +305,7 @@ def _assert_tangent_agrees(curve, point):
     got = _outcome(tangent_contact, curve, point)
     assert got == want, (curve.poly, point)
     if got is not CurveError:
-        assert got > multiplicity_at(curve, point), (curve.poly, point)
+        assert got > germ_order(germ_at(curve.poly, point)), (curve.poly, point)
     return line
 
 
@@ -333,7 +331,7 @@ def test_tangent_line_matches_reference_at_smooth_points():
         for name in corpus.CURVES:
             curve = curve_by_name(name, ps)
             for point in grid:
-                if curve.poly.evaluate(point.coords()) == 0 and multiplicity_at(curve, point) == 1:
+                if curve.poly.evaluate(point.coords()) == 0 and germ_order(germ_at(curve.poly, point)) == 1:
                     line = _assert_tangent_agrees(curve, point)
                     assert line is not CurveError and line.evaluate(point.coords()) == 0
                     checked += 1
@@ -380,7 +378,7 @@ def test_the_curve_checks_never_reach_the_multivariate_gcd(monkeypatch):
     for name, ps, curve in built:
         assert repeated_factor(curve.poly) is None, (name, ps.label)
     for curve, point in cusps:
-        assert tangent_contact(curve, point) > multiplicity_at(curve, point)
+        assert tangent_contact(curve, point) > germ_order(germ_at(curve.poly, point))
 
 
 def test_proj_point_normalization():
@@ -395,15 +393,19 @@ def test_germ_and_multiplicity():
     origin = ProjPoint.of(0, 0, 1)
     g = germ_at(CUSP_CUBIC.poly, origin)
     assert min(sum(e) for e in g.terms) == 2
-    assert multiplicity_at(CUSP_CUBIC, origin) == 2
-    assert multiplicity_at(CONIC, origin) == 1
+    assert germ_order(g) == 2
+    assert germ_order(germ_at(CONIC.poly, origin)) == 1
+    assert germ_order(germ_at(CONIC.poly, ProjPoint.of(1, 1, 7))) == 0  # off the curve
 
 
 def test_smoothness():
-    assert is_smooth(CONIC)
-    assert not is_smooth(CUSP_CUBIC)
-    assert is_smooth(make_curve(X**3 + Y**3 + Z**3))  # Fermat cubic
-    assert not is_smooth(make_curve(X * Y))  # two lines meet
+    def singular(curve):
+        return find_rational_singular_points(curve).require_rational().points
+
+    assert singular(CONIC) == []
+    assert singular(CUSP_CUBIC)
+    assert singular(make_curve(X**3 + Y**3 + Z**3)) == []  # Fermat cubic
+    assert singular(make_curve(X * Y))  # two lines meet
 
 
 def test_singular_locus_of_cusp_cubic():
@@ -442,7 +444,7 @@ def test_tangent_line_rejects_off_curve_points():
 def test_tangent_contact_rejects_a_zero_germ():
     # the zero form, built without make_curve: no germ has an order
     curve = PlaneCurve(Poly(), 3)
-    for fn in (multiplicity_at, tangent_contact):
+    for fn in (lambda c, p: germ_order(germ_at(c.poly, p)), tangent_contact):
         with pytest.raises(CurveError, match="zero germ: the input is not a reduced curve"):
             fn(curve, ProjPoint.of(0, 0, 1))
 
@@ -1067,7 +1069,7 @@ def _singular_search_reference(f: Poly, delta: int | None = None) -> SingularLoc
 
 
 def _locus_key(locus: SingularLocus) -> tuple:
-    return ([(str(q), m) for q, m in locus.points], [b.as_json() for b in locus.blockers])
+    return ([(str(q), m) for q, m in locus.points], [(str(b.factor), b.context) for b in locus.blockers])
 
 
 def _search_key(f: Poly, delta: int | None = None) -> tuple:
@@ -1094,7 +1096,7 @@ def _reference_locus(curve, monkeypatch) -> SingularLocus:
     monkeypatch.setattr(curves, "_singular_search", reference)
     locus = find_rational_singular_points(curve)
     monkeypatch.undo()
-    return SingularLocus([(q, multiplicity_at(curve, q)) for q, _ in locus.points], locus.blockers)
+    return SingularLocus([(q, germ_order(germ_at(curve.poly, q))) for q, _ in locus.points], locus.blockers)
 
 
 def _assert_search_agrees(f: Poly) -> tuple:
@@ -1135,18 +1137,13 @@ def test_irrational_singular_points_are_reported_as_blockers(text, points, block
     curve = make_curve(parse_poly(text))
     locus = find_rational_singular_points(curve)
     assert locus.points == points
-    assert [b.as_json() for b in locus.blockers] == [
-        {"factor": blocker, "context": "common eliminant factor without rational roots"}
+    assert [(str(b.factor), b.context) for b in locus.blockers] == [
+        (blocker, "common eliminant factor without rational roots")
     ]
-    with pytest.raises(IrrationalLocusError):
+    with pytest.raises(IrrationalLocusError) as info:
         locus.require_rational()
-    if points:
-        assert is_smooth(curve) is False  # a rational singular point decides it
-    else:
-        with pytest.raises(IrrationalLocusError) as info:
-            is_smooth(curve)
-        assert [str(b.factor) for b in info.value.blockers] == [blocker]
-        assert str(info.value) == f"singular locus has components outside Q: {blocker}"
+    assert [str(b.factor) for b in info.value.blockers] == [blocker]
+    assert str(info.value) == f"singular locus has components outside Q: {blocker}"
     _assert_search_agrees(curve.poly)
 
 
@@ -1265,7 +1262,7 @@ def _shear_loop_reference(curve) -> SingularLocus:
     for m in curves._SHEARS:
         points, blockers = curves._singular_search(curves._apply_matrix(curve.poly, m))
         images = sorted((curves._map_point(m, q) for q in points), key=ProjPoint.coords)
-        mapped = SingularLocus([(q, multiplicity_at(curve, q)) for q in images], blockers)
+        mapped = SingularLocus([(q, germ_order(germ_at(curve.poly, q))) for q in images], blockers)
         if not blockers:
             return mapped
         if best is None:
@@ -1367,7 +1364,7 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
     for name in corpus.CURVES:
         curve = curve_by_name(name, ps)
         vertex = curves.projection_vertex(curve)
-        if multiplicity_at(curve, vertex) < 2:
+        if germ_order(germ_at(curve.poly, vertex)) < 2:
             continue
         try:
             delta = minimal_embedded_resolution(curve, vertex).delta
@@ -1379,7 +1376,7 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
         f = curves._apply_matrix(f, curves._tangent_frame(germ_at(f, ProjPoint.of(0, 1, 0))))
         got = _search_key(f, delta)
         assert got == _locus_key(_singular_search_reference(f)), name
-        assert got[0] == [("(0 : 1 : 0)", multiplicity_at(curve, vertex))], name
+        assert got[0] == [("(0 : 1 : 0)", germ_order(germ_at(curve.poly, vertex)))], name
         checked += 1
     assert checked == 4
 
@@ -1544,9 +1541,9 @@ def test_classify_interpolates_only_the_cofactor_on_image_deg15(ps, monkeypatch)
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=str)
 def test_the_bare_search_interpolates_only_the_cofactors_on_image_deg15(ps, monkeypatch):
-    # The search walks its own vertex, so a caller that hands it nothing,
-    # as is_smooth and genus_of do, takes both cuts too: 17 + 26 values
-    # where it took 167 + 167 uncut.
+    # The search walks its own vertex, so the bare search, as `resolve`
+    # without --point runs it, takes both cuts too: 17 + 26 values where it
+    # took 167 + 167 uncut.
     sizes = _interpolation_sizes(monkeypatch)
     locus = find_rational_singular_points(curve_by_name("image-deg15", ps))
     assert (locus.points, locus.blockers) == ([(ProjPoint.of(0, 0, 1), 6)], [])
@@ -1568,8 +1565,8 @@ def test_a_blocker_in_the_least_degree_frame_falls_back_to_the_shears():
     locus = find_rational_singular_points(curve)
     assert _locus_key(locus) == _locus_key(_shear_loop_reference(curve))
     assert locus.points == [(ProjPoint.of(0, 0, 1), 2), (ProjPoint.of(1, 0, 0), 3)]
-    assert [b.as_json() for b in locus.blockers] == [
-        {"factor": "x^4 - 8*z^4", "context": "common eliminant factor without rational roots"}
+    assert [(str(b.factor), b.context) for b in locus.blockers] == [
+        ("x^4 - 8*z^4", "common eliminant factor without rational roots")
     ]
 
 

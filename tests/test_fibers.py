@@ -234,7 +234,7 @@ def _classify_kodaira_reference(g):
         return UNRECOGNIZED
     edges = g.edges()
     total_mult = sum(m for _, _, m in edges)
-    degrees = {v: g.degree(v) for v in verts}
+    degrees = {v: sum(m for _, m in g.neighbors(v)) for v in verts}
 
     # cycles: every vertex meets the rest of the fiber twice
     if all(degrees[v] == 2 for v in verts) and total_mult == r:

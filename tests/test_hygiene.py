@@ -424,6 +424,44 @@ def test_the_check_sees_a_stale_export():
     assert _export_mismatch(tree) == {"c", "tangent_line_at"}
 
 
+# -- every export has a reader ----------------------------------------------
+
+# The classes that the surface returns or raises: a caller meets them
+# through what hands them out, and needs no name to import.
+RETURNED_OR_RAISED = {
+    "IrrationalLocusError",
+    "ClassificationReport",
+    "GraphError",
+    "Completion",
+    "FiberConfig",
+    "CremonaMap",
+    "CorpusEntry",
+}
+
+
+def _exports_without_reader(exported, texts) -> list[str]:
+    """The exported names, less the returned or raised classes, that no
+    text mentions as a whole word."""
+    return _unread_outside_src(set(exported) - RETURNED_OR_RAISED, texts)
+
+
+def test_the_check_sees_an_export_that_nothing_reads():
+    texts = ["from unicusp import classify_kodaira", "`germ_at_point`"]
+    exported = ["classify", "classify_kodaira", "germ_at", "CremonaMap"]
+    assert _exports_without_reader(exported, texts) == ["classify", "germ_at"]
+
+
+def test_every_export_has_a_reader():
+    # An export is read by the command line, a README workflow, the
+    # acceptance gate or perfbench; anything else is kept only for tests.
+    import unicusp
+
+    paths = [ROOT / "README.md", SRC / "cli.py", ROOT / "tests" / "test_acceptance.py"]
+    texts = [p.read_text() for p in paths + sorted((ROOT / "perfbench").glob("*.py"))]
+    unread = _exports_without_reader(unicusp.__all__, texts)
+    assert not unread, "exported, but no reader outside the tests: " + ", ".join(unread)
+
+
 def test_the_package_exports_what_it_imports():
     import unicusp
 

@@ -2,6 +2,7 @@ import gc
 import heapq
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from unicusp.poly import (
     Y,
     Z,
     content,
-    degree_info,
     dehomogenize,
     exact_divide,
     form_resultant_int,
@@ -145,13 +145,6 @@ def test_squarefree_witness():
     w = squarefree_witness(p)
     assert not w.is_constant()
     assert proportional(w, X + Y)
-
-
-def test_degree_info():
-    info = degree_info(X**2 * Y + Z)
-    assert info["total"] == 3
-    assert info["x"] == 2
-    assert info["homogeneous"] is False
 
 
 def test_poly_text_round_trip_shape():
@@ -897,6 +890,35 @@ def test_form_resultant_int_restarts_the_run_where_a_row_vanishes_mod_the_prime(
     image = form_resultant_int(p, q, 1, prime)
     assert runs == [(6, 12)]
     assert image == _image_from_exact(p, q, prime)
+
+
+def test_resultant_int_refuses_a_prime_with_no_run_of_points():
+    # The bound is 60, and modulo 101 no 61 consecutive residues avoid the
+    # roots of both y-leading rows.  The residues repeat with period 101, so
+    # the walk ends at t = 202 and the precondition is named, at once.  With
+    # constant leading rows every residue is a point, but a bound of 158
+    # needs more than 101 distinct ones.
+    from unicusp.poly import resultant_int
+
+    p = 7 * X**5 * Y**5 + X**3 * Y**6 - 4 * X**3 * Y**5 - 8 * X**3 * Y**4 + 3 * X**3 * Y + 9 * X**2 * Y**2 + X**2
+    q = (
+        9 * X**5 * Y**6 + 3 * X**4 * Y**6 + 2 * X**4 * Y**5 + X**2 * Y**6
+        - 4 * X**4 * Y**3 - 4 * Y**6 - 9 * X**2 * Y**3 + 7 * Y**3
+    )
+
+    def hang(signum, frame):
+        raise AssertionError("resultant_int did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="prime 101 is too small for degree bound 60"):
+            resultant_int(p, q, 1, 0, 101)
+        with pytest.raises(ValueError, match="prime 101 is too small for degree bound 158"):
+            resultant_int(Y**2 + X**40 + 3, Y**2 + X**41 + 1, 1, 0, 101)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_form_resultant_int_interpolates_only_the_cofactor_of_a_known_factor(monkeypatch):

@@ -22,7 +22,6 @@ from unicusp.curves import (
     germ_at,
     germ_order,
     make_curve,
-    multiplicity_at,
     tangent_contact,
 )
 from unicusp.dualgraph import WeightedDualGraph
@@ -39,7 +38,6 @@ from unicusp.resolution import (
     VERDICT_OUT_OF_SCOPE,
     classify,
     delta_invariant,
-    genus_of,
     minimal_embedded_resolution,
 )
 from unicusp.curves import CurveError
@@ -139,10 +137,10 @@ def test_delta_invariants():
 
 
 def test_genus():
-    assert genus_of(make_curve(X**3 + Y**3 + Z**3)) == 1
-    assert genus_of(CUSP_CUBIC) == 0
-    assert genus_of(make_curve(Y**2 * Z - X**3 - X**2 * Z)) == 0  # nodal
-    assert genus_of(make_curve(X * Z - Y**2)) == 0
+    assert classify(make_curve(X**3 + Y**3 + Z**3)).genus == 1
+    assert classify(CUSP_CUBIC).genus == 0
+    assert classify(make_curve(Y**2 * Z - X**3 - X**2 * Z)).genus == 0  # nodal
+    assert classify(make_curve(X * Z - Y**2)).genus == 0
 
 
 def test_classify_out_of_scope_genus_zero():
@@ -217,8 +215,6 @@ def test_classify_rejects_negative_genus():
     # three lines: three nodes take away more than the arithmetic genus
     with pytest.raises(CurveError, match="negative genus"):
         classify(make_curve(X * Y * Z))
-    with pytest.raises(CurveError, match="negative genus"):
-        genus_of(make_curve(X * Y * Z))
 
 
 def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
@@ -230,7 +226,10 @@ def test_classify_reads_delta_off_a_unibranch_resolution(monkeypatch):
     # after the points are found.
     ps = DEFAULT_PARAMS[1]
     cusps = [curve_by_name(name, ps) for name in sorted(CUSPS)] + [CUSP_CUBIC]
-    genera = [genus_of(c) for c in cusps]
+    points = [CUSPS[name] for name in sorted(CUSPS)] + [ORIGIN]
+    genera = [
+        (c.degree - 1) * (c.degree - 2) // 2 - _delta_reference(germ_at(c.poly, p)) for c, p in zip(cusps, points)
+    ]
     nodal = make_curve(Y**2 * Z - X**3 - X**2 * Z)
     walked = []
     real = resolution.delta_invariant
@@ -313,7 +312,7 @@ def test_an_irrational_double_direction_keeps_the_search(capsys):
     locus = find_rational_singular_points(curve)
     assert (locus.points, locus.blockers) == ([(ORIGIN, 4)], [])
     g = germ_at(curve.poly, ORIGIN)
-    for fn, arg in ((genus_of, curve), (classify, curve), (delta_invariant, g), (_delta_reference, g)):
+    for fn, arg in ((classify, curve), (delta_invariant, g), (_delta_reference, g)):
         with pytest.raises(CurveError) as info:
             fn(arg)
         assert str(info.value) == IRRATIONAL, fn.__name__
@@ -327,14 +326,14 @@ def test_a_germ_that_is_not_reduced_ends_at_the_bound():
     # Under each blowup in the direction y = 0, y^2 gives y^2 back, so its
     # walk never ends; the bound of its degree, (2 - 1)(2 - 2) + 1 = 1
     # point, stops delta_invariant, and 21 stops the doubled cusp's germ,
-    # of degree 6.  genus_of on a curve built without make_curve, a doubled
+    # of degree 6.  classify on a curve built without make_curve, a doubled
     # conic and a line, stops in the search's walk of its vertex.
     for g, steps in ((Y**2, 1), ((Y**2 - X**3) ** 2, 21)):
         with pytest.raises(ResolutionIncompleteError) as info:
             delta_invariant(g)
         assert info.value.steps_done == steps
     with pytest.raises(ResolutionIncompleteError) as info:
-        genus_of(PlaneCurve((X * Z - Y**2) ** 2 * X, 5))
+        classify(PlaneCurve((X * Z - Y**2) ** 2 * X, 5))
     assert info.value.steps_done == 4 * 3 + 1
 
 
@@ -649,7 +648,7 @@ def test_genus_by_milnor_numbers(name, point, branches, ps):
     curve = curve_by_name(name, ps)
     d, twice_delta = curve.degree, _milnor_number(curve, point) + branches - 1
     assert twice_delta % 2 == 0
-    assert genus_of(curve) == (d - 1) * (d - 2) // 2 - twice_delta // 2
+    assert classify(curve).genus == (d - 1) * (d - 2) // 2 - twice_delta // 2
 
 
 # y^2 with a spare factor z^(d-2), built without make_curve: a germ that is
@@ -774,7 +773,7 @@ def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
         curve, tangent = make_curve(f.substitute(image)), make_curve(Y.substitute(image))
         got = tangent_contact(curve, point)
         assert got == want == dict(_local_numbers(curve.poly, tangent.poly))[point], (curve.poly, point)
-        assert got > multiplicity_at(curve, point)
+        assert got > germ_order(germ_at(curve.poly, point))
     assert (len(seeded), len(lowered), len(cases)) == (60, 45, 555)
 
 
@@ -880,7 +879,7 @@ def test_classify_walks_a_node_off_the_vertex_once(monkeypatch):
 
 def test_the_commands_walk_each_singular_point_once(monkeypatch, capsys):
     # On the corpus, the corpus moved off the coordinate vertices and
-    # xyz = 0, classify, genus_of and resolve without --point each walk
+    # xyz = 0, classify and resolve without --point each walk
     # every singular point once, in the search, whether they succeed or
     # refuse the curve, and none of them calls delta_invariant.
     from unicusp import corpus
@@ -902,7 +901,7 @@ def test_the_commands_walk_each_singular_point_once(monkeypatch, capsys):
 
     calls = _resolution_spy(monkeypatch)
     monkeypatch.setattr(resolution, "delta_invariant", unreachable)
-    commands = (classify, genus_of, lambda c: main(["resolve", poly_to_text(c.poly)]))
+    commands = (classify, lambda c: main(["resolve", poly_to_text(c.poly)]))
     for curve, germs in zip(cases, want):
         for command in commands:
             calls.clear()
@@ -942,9 +941,10 @@ def test_resolve_without_a_point_walks_each_point_once(monkeypatch, capsys):
     assert calls == [germ_at(make_curve(Y**2 * Z - X**3 - X**2 * Z).poly, ORIGIN)]
 
 
-def test_genus_of_walks_each_point_once(monkeypatch):
-    # genus_of takes delta off the search's walk of the projection vertex,
-    # a cusp or the nodal cubic's node, so delta_invariant walks no point.
+def test_the_genus_walks_each_point_once(monkeypatch):
+    # classify takes the genus's delta off the search's walk of the
+    # projection vertex, a cusp or the nodal cubic's node, so
+    # delta_invariant walks no point.
     ps = DEFAULT_PARAMS[1]
     cases = [(curve_by_name(name, ps), point) for name, point in sorted(CUSPS.items())]
     nodal = make_curve(Y**2 * Z - X**3 - X**2 * Z)
@@ -963,11 +963,11 @@ def test_genus_of_walks_each_point_once(monkeypatch):
     monkeypatch.setattr(resolution, "delta_invariant", counted)
     for (curve, point), genus in zip(cases, want):
         calls.clear()
-        assert genus_of(curve) == genus
+        assert classify(curve).genus == genus
         assert calls == [germ_at(curve.poly, point)]
     assert walked == []
     calls.clear()
-    assert genus_of(nodal) == want[-1] == 0
+    assert classify(nodal).genus == want[-1] == 0
     assert calls == [germ_at(nodal.poly, ORIGIN)]
     assert walked == []
 
