@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import uniroots
-from .curves import PlaneCurve, repeated_factor
+from .curves import PlaneCurve, repeated_factor, restrict_to_line
 from .poly import (
     Poly,
     X,
@@ -87,16 +87,11 @@ def _coprime_on_line(forms: list[Poly]) -> bool:
     either as zero, when the line is a component of G, or as a binary form
     of degree deg G; either way the restrictions share a root on the line.
     So restrictions that share no root, which `uniroots.coprime_mod_p`
-    certifies from their integer lists at (t : 1 : t + 1) and their
-    formal degrees, prove the forms coprime.
+    certifies from their integer lists at (t : 1 : t + 1)
+    (`curves.restrict_to_line`) and their formal degrees, prove the forms
+    coprime.
     """
-    restricted = []
-    for p in forms:
-        d = p.total_degree()
-        row = [0] * (d + 1)
-        for (a, _, _), k in p.substitute((X, Y, X + Y))._num.items():
-            row[a] = k
-        restricted.append((row, d))
+    restricted = [(restrict_to_line(p, X + Y - Z)[0], p.total_degree()) for p in forms]
     return uniroots.coprime_mod_p(restricted, next(uniroots.large_primes()))
 
 

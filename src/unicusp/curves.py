@@ -15,16 +15,17 @@ naming the offending factor, never silently dropped.  The germ walk
 near points, which gives delta for any germ whose repeated tangent
 directions are rational and, for one branch, the minimal embedded
 resolution's record.  The search keeps the walk of each point it returns,
-the one source of its multiplicity, delta and resolution, and cuts the
-factors that its projection vertex's delta proves out of its eliminants.
+the one source of its multiplicity, delta, resolution and tangent line
+(`GermWalk.tangent`, `tangent_line`), and cuts the factors that its
+projection vertex's delta proves out of its eliminants.
 
 Intersection cycles take the cheapest certified route.  Against a line L,
 I_P(C, L) is the order of C's restriction to L at P, so a line's cycle is
-read off one binary form of degree d, with no eliminant or frame
-(`_line_numbers`).  Two curves of degree >= 2 are cut by one eliminant
-Res_y in a frame whose centre lies on neither curve (`_local_numbers`):
-a coordinate vertex first, whose frame is an exponent relabel
-(`_apply_matrix`), then the shears.
+read off one binary form of degree d, `restrict_to_line`'s, with no
+eliminant or frame (`_line_numbers`).  Two curves of degree >= 2 are cut
+by one eliminant Res_y in a frame whose centre lies on neither curve
+(`_local_numbers`): a coordinate vertex first, whose frame is an
+exponent relabel (`_apply_matrix`), then the shears.
 """
 
 from dataclasses import dataclass, field
@@ -202,6 +203,18 @@ def germ_at(p: Poly, point: ProjPoint) -> Poly:
     return g.substitute((X + a, Y + b, ONE)) if a or b else g
 
 
+def tangent_line(point: ProjPoint, r: Fraction | None) -> Poly:
+    """The line through a point in the direction r of its chart (`germ_at`):
+    v = r*u, or u = 0 when r is None, for the germ's slots u and v.  With
+    (i, j) the chart, x_k the coordinate the point has as 1 and (a, b) its
+    chart coordinates, r = p/q, or (p, q) = (1, 0) for None, gives the line
+    q*(x_j - b*x_k) = p*(x_i - a*x_k)."""
+    i, j = chart_of(point)
+    p, q = (1, 0) if r is None else (r.numerator, r.denominator)
+    c = point.coords()
+    return Poly({_IDENTITY[i]: -p, _IDENTITY[j]: q, _IDENTITY[3 - i - j]: p * c[i] - q * c[j]})
+
+
 class NotUnibranchError(CurveError):
     """The germ is not a single analytic branch."""
 
@@ -246,44 +259,6 @@ def _split_reason(dirs: list[tuple[Fraction | None, int]], m: int) -> str | None
     if dirs and dirs[0][0] is None:
         return "tangent cone has several directions; the germ is not one branch"
     return "tangent cone is not the power of a single line; the germ splits"
-
-
-def cone_direction(g: Poly, m: int) -> Fraction | None:
-    """The tangent direction of a germ of order m whose cone is the m-th
-    power of one line, r for v = r*u and None for u = 0; else NotUnibranchError."""
-    dirs, _ = tangent_directions(g, m)
-    reason = _split_reason(dirs, m)
-    if reason:
-        raise NotUnibranchError(reason)
-    return dirs[0][0]
-
-
-def tangent_contact(curve: PlaneCurve, point: ProjPoint) -> int:
-    """I_P(C, T) for the tangent T at a point P of the curve whose tangent
-    cone is the power of one line (`cone_direction`).
-
-    For a line L that is not a component of C, I_P(C, L) is the order at P
-    of F restricted to L (Fulton, Algebraic Curves, ch. 3), and these
-    orders add up to d over the points of L by Bezout, so the answer is d
-    exactly when T meets C only at P.  In the chart of P, T is v = r*u, or
-    u = 0 when r is None; on u = q*t, v = p*t with r = p/q, and (p, q) =
-    (1, 0) for u = 0, the term k*u**a*v**b of the germ adds k*p**b*q**a at
-    t**(a + b).  The least a + b whose sum is nonzero is the order; when
-    every sum vanishes T is a component, and CurveError is raised.
-    """
-    g = germ_at(curve.poly, point)
-    m = germ_order(g)
-    if m == 0:
-        raise CurveError("point does not lie on the curve")
-    r = cone_direction(g, m)
-    p, q = (1, 0) if r is None else (r.numerator, r.denominator)
-    sums: dict[int, int] = {}
-    for (a, b, _), k in g._num.items():
-        sums[a + b] = sums.get(a + b, 0) + k * p ** b * q ** a
-    orders = [n for n, s in sums.items() if s]
-    if not orders:
-        raise CurveError("the tangent line is a component of the curve")
-    return min(orders)
 
 
 # -- the germ walk ---------------------------------------------------------
@@ -333,12 +308,15 @@ def blow_up_once(g: Poly, m: int, r: Fraction | None) -> Poly:
 @dataclass(frozen=True)
 class GermWalk:
     """What `germ_walk` found: the records of the points it visited, why
-    the germ is not one branch (`split`, None when it is), and whether
-    every repeated tangent direction was rational (`exact`)."""
+    the germ is not one branch (`split`, None when it is), whether every
+    repeated tangent direction was rational (`exact`), and the root's one
+    tangent direction when split is None (`tangent`, r for v = r*u and None
+    for u = 0, as in `tangent_directions`)."""
 
     records: list[BlowupRecord]
     split: str | None
     exact: bool
+    tangent: Fraction | None
 
     @property
     def delta(self) -> int:
@@ -383,7 +361,7 @@ def germ_walk(g: Poly, d: int) -> GermWalk:
     """
     limit = (d - 1) * (d - 2) + 1
     records: list[BlowupRecord] = []
-    split, exact = None, True
+    split, exact, tangent = None, True, None
     # Each point waits with the exceptional curves through it, newest
     # first, each as the chart axis it lies on: 0 for x = 0, 1 for y = 0.
     stack: list[tuple[Poly, list[tuple[str, int]]]] = [(g, [])]
@@ -395,6 +373,8 @@ def germ_walk(g: Poly, d: int) -> GermWalk:
         dirs, repeated_outside_q = tangent_directions(g, m)
         split = split or _split_reason(dirs, m)
         exact = exact and not repeated_outside_q
+        if not records and dirs:
+            tangent = dirs[0][0]
         label = f"E{len(records) + 1}"
         records.append(BlowupRecord(len(records) + 1, m, label, tuple(lab for lab, _ in exc)))
         children = []
@@ -407,7 +387,7 @@ def germ_walk(g: Poly, d: int) -> GermWalk:
             if k >= 2 or (m == 1 and kept):
                 children.append((blow_up_once(g, m, r), [(label, axis)] + kept))
         stack.extend(reversed(children))
-    return GermWalk(records, split, exact)
+    return GermWalk(records, split, exact, tangent)
 
 
 # -- singular locus -------------------------------------------------------
@@ -502,13 +482,13 @@ def projection_vertex(curve: PlaneCurve) -> ProjPoint:
     return ProjPoint.of(*(int(i == v) for i in range(3)))
 
 
-def _tangent_frame(g: Poly) -> tuple[tuple[int, int, int], ...]:
+def _tangent_frame(slope: Fraction | None) -> tuple[tuple[int, int, int], ...]:
     """A change of (x, z) that fixes Q = (0 : 1 : 0) and moves Q's tangent
-    to z = 0, for the germ g at Q of a form whose tangent cone there is
-    the power of one line, with x in slot 0 and z in slot 1 (`germ_at`).
-    The cone x**m takes x <-> z; the cone (z - (p/q)*x)**m takes x -> q*x,
-    z -> p*x + z, which makes it (q*z)**m, and nothing for p = 0."""
-    slope = cone_direction(g, germ_order(g))
+    to z = 0, for the tangent direction at Q of a form whose tangent cone
+    there is the power of one line (`GermWalk.tangent`), with x in slot 0
+    and z in slot 1 (`germ_at`).  The cone x**m (None) takes x <-> z; the
+    cone (z - (p/q)*x)**m takes x -> q*x, z -> p*x + z, which makes it
+    (q*z)**m, and nothing for p = 0."""
     if slope is None:
         return ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     return ((slope.denominator, 0, 0), (0, 1, 0), (slope.numerator, 0, 1))
@@ -561,11 +541,10 @@ def find_rational_singular_points(curve: PlaneCurve) -> SingularLocus:
     walks, delta = {}, None
     rows = list(_IDENTITY)
     if curve.degree - curve.poly.degree_in(v) >= 2:
-        g = germ_at(curve.poly, centre)
-        walks[centre] = germ_walk(g, curve.degree)
+        walks[centre] = germ_walk(germ_at(curve.poly, centre), curve.degree)
         if walks[centre].split is None:
             # The germ at e_v has the swapped frame's (x, z) in its slots.
-            delta, rows = walks[centre].delta, list(_tangent_frame(g))
+            delta, rows = walks[centre].delta, list(_tangent_frame(walks[centre].tangent))
     # The swap after the tangent move permutes the move's rows.
     rows[1], rows[v] = rows[v], rows[1]
     first = tuple(rows)
@@ -837,7 +816,9 @@ def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
     """Coefficient list in y of a form p at (x0 : y : z0), up to a positive
     scale, in integers: with (x0 : z0) = (u/D : w/D) over one denominator
     D, the term k*x^a*y^b*z^c of p's numerators adds k * u^a * w^c * D^b
-    at y^b, which makes D^deg(p) * p(x0, y, z0) times p's denominator."""
+    at y^b, which makes D^deg(p) * p(x0, y, z0) times p's denominator.
+    Not `restrict_to_line`: this list leaves out the centre (0 : 1 : 0)
+    by construction; the shared kernel would branch on its caller for it."""
     d = lcm(x0.denominator, z0.denominator)
     u, w = x0.numerator * (d // x0.denominator), z0.numerator * (d // z0.denominator)
     out = [0] * (p.degree_in(1) + 1)
@@ -900,22 +881,19 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
     raise AssertionError("unreachable: the shears never run out")
 
 
-def _line_numbers(f: Poly, line: Poly) -> list[tuple[ProjPoint, int]]:
-    """Rational common points of a form f and a line with their local
-    intersection numbers, sorted by coordinates.
+def restrict_to_line(f: Poly, line: Poly) -> tuple[list[int], list[tuple[int, int]]]:
+    """A form f of degree d on a line: the integer list of the binary form
+    f(s, t), entry n the coefficient of s**n * t**(d - n), and the map of
+    P^1 onto the line that it is read on, (s : t) -> the point whose v-th
+    coordinate is a_v*s + b_v*t, as the pairs (a_v, b_v).
 
     With l_x*x + l_y*y + l_z*z the line, l_i its last nonzero coefficient
     and j < k the other two indices, (s : t) -> x_j = l_i*s, x_k = l_i*t,
     x_i = -(l_j*s + l_k*t) maps P^1 one to one onto the line, as l_i != 0,
-    so each point of the line has one parameter.  The restriction f(s, t)
-    is a binary form of degree d = deg f, formed here in integers: the
-    term c*x_i**a*x_j**b*x_k**c' adds c*l_i**(b + c') * s**b * t**c' times
-    (-(l_j*s + l_k*t))**a.  It is zero exactly when the line is a
-    component of f, and otherwise I_P(f, L) is the order of f(s, t) at the
-    parameter of P (Fulton, Algebraic Curves, ch. 3, as in
-    `tangent_contact`).  So the rational roots (s : 1) of f(s, 1), and
-    (1 : 0) with order the degree deficit (`_rational_lines`), are the
-    rational common points with their numbers; no eliminant is formed.
+    so each point of the line has one parameter.  The term
+    c*x_i**a*x_j**b*x_k**c' of f's numerators adds c*l_i**(b + c') *
+    s**b * t**c' times (-(l_j*s + l_k*t))**a, so the list is f(s, t) times
+    f's denominator.  It is zero exactly when the line is a component of f.
     """
     coeffs = [line._num.get(e, 0) for e in _IDENTITY]  # the rows are the exponents of x, y and z
     i = max(v for v in range(3) if coeffs[v])
@@ -932,13 +910,30 @@ def _line_numbers(f: Poly, line: Poly) -> list[tuple[ProjPoint, int]]:
         scale = c * li ** (d - e[i])
         for n, w in enumerate(powers[e[i]]):
             restricted[e[j] + n] += scale * w
+    param = [(0, 0)] * 3
+    param[i], param[j], param[k] = (-lj, -lk), (li, 0), (0, li)
+    return restricted, param
+
+
+def _line_numbers(f: Poly, line: Poly) -> list[tuple[ProjPoint, int]]:
+    """Rational common points of a form f and a line with their local
+    intersection numbers, sorted by coordinates.
+
+    The restriction f(s, t) to the line (`restrict_to_line`) is a binary
+    form of degree d = deg f.  It is zero exactly when the line is a
+    component of f, and otherwise I_P(f, L) is the order of f(s, t) at the
+    parameter of P (Fulton, Algebraic Curves, ch. 3).  So the rational
+    roots (s : 1) of f(s, 1), and (1 : 0) with order the degree deficit
+    (`_rational_lines`), are the rational common points with their
+    numbers; no eliminant is formed.
+    """
+    restricted, param = restrict_to_line(f, line)
     if not any(restricted):
         raise CurveError("curves share a component; intersection numbers are undefined")
-    points = []
-    for s, t, order in _rational_lines((uniroots.trim(restricted), d))[0]:
-        coords = [Fraction(0)] * 3
-        coords[i], coords[j], coords[k] = -(lj * s + lk * t), li * s, li * t
-        points.append((ProjPoint.of(*coords), order))
+    points = [
+        (ProjPoint.of(*(a * s + b * t for a, b in param)), order)
+        for s, t, order in _rational_lines((uniroots.trim(restricted), f.total_degree()))[0]
+    ]
     return sorted(points, key=lambda pm: pm[0].coords())
 
 

@@ -29,7 +29,9 @@ from .curves import (
     germ_at,
     germ_order,
     germ_walk,
-    tangent_contact,
+    intersection_cycle,
+    make_curve,
+    tangent_line,
 )
 from .dualgraph import WeightedDualGraph
 from .poly import Poly
@@ -194,7 +196,10 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
 
     The one point of a one-point locus is resolved by `locus_resolution`,
     and the genus is read off the same walks: the search walked every
-    point of the locus once, and no point is walked again.
+    point of the locus once, and no point is walked again.  The cusp's
+    tangent T is read off the walk too (`tangent_line`), and as the local
+    numbers of C.T add up to d, T meets C only at the cusp P exactly when
+    the rational cycle of C.T, a restriction to T, is (P, d) alone.
     """
     locus = find_rational_singular_points(curve).require_rational()
     d = curve.degree
@@ -222,7 +227,8 @@ def classify(curve: PlaneCurve) -> ClassificationReport:
         report.notes.append("the singular point is not a cusp (several branches)")
         return report
 
-    contact_only = tangent_contact(curve, res.point) == d
+    tangent = make_curve(tangent_line(res.point, locus.walks[res.point].tangent))
+    contact_only = intersection_cycle(curve, tangent).points == [(res.point, d)]
     report.tangent_contact_only = contact_only
 
     if genus != 1:

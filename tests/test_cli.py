@@ -310,6 +310,20 @@ def test_transform_reports_a_reduced_map_on_stderr():
     assert proc.stderr == "divided out common factor x\n"
 
 
+def test_transform_map_strips_only_the_curves_it_is_given(capsys):
+    # (y*z, x*z, x*y) contracts the lines x, y and z, but --map divides out
+    # only the --exceptional curves.  x*y + z^2 pulls back to
+    # x*y*(x*y + z^2): x and y appear once, so the repeated-factor refusal
+    # never fires and they stay in the image unless they are named.
+    argv = ("transform", "x*y+z^2", "--map", "y*z;x*z;x*y")
+    assert run_cli(capsys, *argv) == (
+        0, "map: (y*z, x*z, x*y)\nstrict transform of curve has degree 4:\n  x^2*y^2 + x*y*z^2\n", ""
+    )
+    assert run_cli(capsys, *argv, "--exceptional", "x", "--exceptional", "y") == (
+        0, "map: (y*z, x*z, x*y)\nstrict transform of curve has degree 2:\n  x*y + z^2\n", ""
+    )
+
+
 def test_transform_without_an_exceptional_curve_is_refused():
     # (x*z, y*z + x^2, z^2) contracts z = 0, and the pullback keeps z as a
     # repeated factor when it is not declared

@@ -203,13 +203,33 @@ def _patch_first_prime(monkeypatch, p):
 
 
 def test_make_map_certifies_coprime_components_without_a_gcd(monkeypatch, caplog):
+    # The certificate restricts each component to z = x + y with
+    # `curves.restrict_to_line`, the kernel of the line cycle: make_map
+    # makes no gcd and no Poly.substitute call.
+    maps = [quintic_involution(c).components for c in (0, 1)] + [_quadratic_map(9)]
+    calls, substituted = _spy_gcd(monkeypatch), []
+    real = Poly.substitute
+
+    def substitute(self, images):
+        substituted.append(images)
+        return real(self, images)
+
+    monkeypatch.setattr(Poly, "substitute", substitute)
+    with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
+        for comps in maps:
+            assert make_map(*comps).components == comps
+    assert calls == [] and substituted == [] and _cremona_warnings(caplog) == []
+
+
+def test_make_map_divides_out_the_certificate_line(monkeypatch, caplog):
+    # Times x + y - z, the certificate's own line, every component
+    # restricts to the zero list there: the certificate cannot tell, and
+    # the gcd still runs, divides the line out and logs it.
     calls = _spy_gcd(monkeypatch)
     with caplog.at_level(logging.WARNING, logger="unicusp.cremona"):
-        for c in (0, 1):
-            quintic_involution(c)
-        comps = _quadratic_map(9)
-        assert make_map(*comps).components == comps
-    assert calls == [] and _cremona_warnings(caplog) == []
+        m = make_map(*((X + Y - Z) * p for p in _quadratic_map(9)))
+    assert m.components == _quadratic_map(9) and len(calls) == 2
+    assert _cremona_warnings(caplog) == ["divided out common factor x + y - z"]
 
 
 def test_make_map_falls_back_to_the_gcd_when_the_certificate_fails(monkeypatch, caplog):

@@ -24,10 +24,12 @@ from unicusp.curves import (
     find_rational_singular_points,
     germ_at,
     germ_order,
+    germ_walk,
     intersection_cycle,
     make_curve,
     repeated_factor,
-    tangent_contact,
+    restrict_to_line,
+    tangent_line,
 )
 from unicusp.corpus import DEFAULT_PARAMS, curve_by_name, param_set
 from unicusp.parse import parse_poly
@@ -259,9 +261,9 @@ def test_repeated_factor_decides_by_the_gcd_when_every_image_is_zero(monkeypatch
 
 
 def _tangent_line_reference(curve, point):
-    """The tangent line at a point, read off the tangent cone without
-    `cone_direction`: the cone over its squarefree witness must be a line
-    whose m-th power is the cone."""
+    """The tangent line at a point, read off the tangent cone without the
+    germ walk: the cone over its squarefree witness must be a line whose
+    m-th power is the cone."""
     g = germ_at(curve.poly, point)
     m = min(a + b + c for (a, b, c) in g.terms)
     if m == 0:
@@ -294,15 +296,42 @@ def _outcome(fn, *args):
         return CurveError
 
 
+def _walked_tangent(curve, point, walk=None):
+    """The tangent line at a point as classify reads it: the walk's root
+    direction (`GermWalk.tangent`) made a line by `tangent_line`; a walk
+    that splits has none (NotUnibranchError)."""
+    walk = walk or germ_walk(germ_at(curve.poly, point), curve.degree)
+    if walk.split is not None:
+        raise NotUnibranchError(walk.split)
+    return tangent_line(point, walk.tangent)
+
+
+def _walked_contact(curve, point, walk=None):
+    """I_P(C, T) for the walk's tangent T at P, read off the line cycle
+    (`intersection_cycle` of C and T, the restriction of C to T)."""
+    tangent = make_curve(_walked_tangent(curve, point, walk))
+    return dict(intersection_cycle(curve, tangent).points).get(point, 0)
+
+
 def _assert_tangent_agrees(curve, point):
     """The reference tangent line at the point (CurveError when there is
-    none), once tangent_contact has been checked against the contact that
-    the eliminant gives that line (`_local_numbers`, not the restriction
-    that intersection_cycle and tangent_contact both read): both answers,
-    or both CurveError."""
+    none), once the walk's tangent line, when the germ is one branch, has
+    been checked against it, and the line cycle's contact at the point
+    against the contact that the eliminant gives the reference line
+    (`_local_numbers`, not the restriction that the line cycle reads):
+    both answers, or both CurveError.  A walk that splits has no tangent,
+    though a tacnode's cone is the power of one line; the line cycle then
+    reads the reference line."""
     line = _outcome(lambda: _tangent_line_reference(curve, point).poly)
+    walk = germ_walk(germ_at(curve.poly, point), curve.degree)
+    tangent = line
+    if walk.split is None:
+        tangent = tangent_line(point, walk.tangent)
+        assert line is not CurveError and proportional(tangent, line), (curve.poly, point)
     want = line if line is CurveError else _outcome(lambda: dict(_local_numbers(curve.poly, line)).get(point, 0))
-    got = _outcome(tangent_contact, curve, point)
+    got = line if line is CurveError else _outcome(
+        lambda: dict(intersection_cycle(curve, make_curve(tangent)).points).get(point, 0)
+    )
     assert got == want, (curve.poly, point)
     if got is not CurveError:
         assert got > germ_order(germ_at(curve.poly, point)), (curve.poly, point)
@@ -350,7 +379,7 @@ def test_tangent_line_matches_reference_at_special_germs():
     origin = ProjPoint.of(0, 0, 1)
     # a cusp with vertical tangent x = 0
     assert _assert_tangent_agrees(make_curve(X**2 * Z - Y**3), origin) == X
-    # a tacnode: its cone y**2 is the power of one line
+    # a tacnode: its cone y**2 is the power of one line, though it splits
     assert _assert_tangent_agrees(make_curve(Y**2 * Z**2 - X**4), origin) == Y
     for curve in (
         NODE_CUBIC,  # two rational directions
@@ -378,7 +407,7 @@ def test_the_curve_checks_never_reach_the_multivariate_gcd(monkeypatch):
     for name, ps, curve in built:
         assert repeated_factor(curve.poly) is None, (name, ps.label)
     for curve, point in cusps:
-        assert tangent_contact(curve, point) > germ_order(germ_at(curve.poly, point))
+        assert _walked_contact(curve, point) > germ_order(germ_at(curve.poly, point))
 
 
 def test_proj_point_normalization():
@@ -429,55 +458,63 @@ def test_singular_locus_three_lines():
 def test_tangent_line():
     origin = ProjPoint.of(0, 0, 1)
     assert proportional(_assert_tangent_agrees(CUSP_CUBIC, origin), Y)  # the cuspidal tangent y = 0
-    assert tangent_contact(CUSP_CUBIC, origin) == 3
+    assert _walked_contact(CUSP_CUBIC, origin) == 3
     smooth_pt = ProjPoint.of(1, 1, 1)
     assert _assert_tangent_agrees(CONIC, smooth_pt).evaluate((1, 1, 1)) == 0
-    assert tangent_contact(CONIC, smooth_pt) == 2
+    assert _walked_contact(CONIC, smooth_pt) == 2
 
 
-def test_tangent_line_rejects_off_curve_points():
-    for point in (ProjPoint.of(1, 1, 7), ProjPoint.of(1, 1, 2)):
-        with pytest.raises(CurveError, match="does not lie"):
-            tangent_contact(CONIC, point)
-
-
-def test_tangent_contact_rejects_a_zero_germ():
-    # the zero form, built without make_curve: no germ has an order
+def test_the_walk_rejects_a_zero_germ():
+    # the zero form, built without make_curve: no germ has an order, so
+    # the walk that would read its tangent has no root
     curve = PlaneCurve(Poly(), 3)
-    for fn in (lambda c, p: germ_order(germ_at(c.poly, p)), tangent_contact):
+    for fn in (germ_order, lambda g: germ_walk(g, 3)):
         with pytest.raises(CurveError, match="zero germ: the input is not a reduced curve"):
-            fn(curve, ProjPoint.of(0, 0, 1))
+            fn(germ_at(curve.poly, ProjPoint.of(0, 0, 1)))
 
 
-def test_tangent_contact_rejects_a_cone_of_several_lines():
+def test_the_walk_has_no_tangent_for_a_cone_of_several_lines():
     # the node's cone y^2 - x^2 has two lines; x^3 - y^3 has one rational
-    # and two conjugate ones
-    for curve in (NODE_CUBIC, make_curve(X**3 - Y**3)):
+    # and two conjugate ones; x*(x + y) has the vertical line x = 0 too
+    origin = ProjPoint.of(0, 0, 1)
+    splits = "tangent cone is not the power of a single line; the germ splits"
+    vertical = "tangent cone has several directions; the germ is not one branch"
+    for curve, reason in (
+        (NODE_CUBIC, splits),
+        (make_curve(X**3 - Y**3), splits),
+        (make_curve(X**2 * Z - Y**3 + X * Y * Z), vertical),
+    ):
+        assert germ_walk(germ_at(curve.poly, origin), curve.degree).split == reason
         with pytest.raises(NotUnibranchError):
-            tangent_contact(curve, ProjPoint.of(0, 0, 1))
+            _walked_tangent(curve, origin)
 
 
-def test_tangent_contact_rejects_a_tangent_component():
-    # y*(y*z^3 - x^4): at the smooth point (1 : 0 : 0) the tangent is the
-    # component y = 0, and at (0 : 0 : 1) the tacnode's cone y^2 is its
-    # power, so every sum vanishes; the oracle's cycle is undefined too
+def test_the_line_cycle_rejects_a_tangent_component():
+    # y*(y*z^3 - x^4): at the smooth point (1 : 0 : 0) the walk's tangent
+    # is the component y = 0, so the restriction to it is zero; at
+    # (0 : 0 : 1) the tacnode's cone y^2 is its power, but the walk splits
+    # there and reads no tangent.  The oracle's cycle is undefined at both.
     curve = make_curve(Y * (Y * Z**3 - X**4))
+    with pytest.raises(CurveError, match="component"):
+        _walked_contact(curve, ProjPoint.of(1, 0, 0))
+    with pytest.raises(NotUnibranchError):
+        _walked_contact(curve, ProjPoint.of(0, 0, 1))
     for point in (ProjPoint.of(1, 0, 0), ProjPoint.of(0, 0, 1)):
-        with pytest.raises(CurveError, match="component"):
-            tangent_contact(curve, point)
         assert _assert_tangent_agrees(curve, point) == Y
 
 
 @pytest.mark.parametrize("ps", DEFAULT_PARAMS, ids=lambda ps: ps.label)
-def test_tangent_contact_at_the_corpus_cusps(ps):
-    # only the AMS quartic's cusp tangent meets it at the cusp alone
+def test_the_walked_tangent_contact_at_the_corpus_cusps(ps):
+    # only the AMS quartic's cusp tangent meets it at the cusp alone; the
+    # tangent is read off the search's walk of the point
     from unicusp import corpus
 
     got = {}
     for name in corpus.CURVES:
         curve = curve_by_name(name, ps)
-        for point, _ in find_rational_singular_points(curve).points:
-            got[name] = (_outcome(tangent_contact, curve, point), curve.degree)
+        locus = find_rational_singular_points(curve)
+        for point, _ in locus.points:
+            got[name] = (_outcome(_walked_contact, curve, point, locus.walks[point]), curve.degree)
     assert got == {
         "node-cubic": (CurveError, 3),
         "cusp-quartic": (4, 4),
@@ -943,6 +980,46 @@ def test_line_cycle_matches_the_eliminant_at_edge_cases():
         assert _assert_line_cycle_agrees(curve, line) == want, (curve.poly, line.poly)
 
 
+def _assert_restriction_agrees(f, line) -> bool:
+    """`restrict_to_line` against `Poly.substitute` of the parametrization
+    it returns: a one to one map of P^1 onto the line, and a list that is
+    a positive multiple of f(s, t), zero exactly when the line divides f.
+    Returns whether the list is zero."""
+    restricted, param = restrict_to_line(f, line)
+    images = tuple(a * X + b * Y for a, b in param)
+    assert line.substitute(images).is_zero()
+    assert any(a0 * b1 - a1 * b0 for (a0, b0), (a1, b1) in itertools.combinations(param, 2))
+    d = f.total_degree()
+    got, want = Poly({(n, d - n, 0): c for n, c in enumerate(restricted)}), f.substitute(images)
+    assert len(restricted) == d + 1 and got.is_zero() == want.is_zero() == (exact_divide(f, line) is not None)
+    if not got.is_zero():
+        e = next(iter(got.terms))
+        assert proportional(got, want) and got.terms[e] / want.terms[e] > 0, (f, line)
+    return got.is_zero()
+
+
+def test_the_line_restriction_is_the_substitution_of_its_parametrization():
+    # The one restriction of a form to a line, behind the line cycle and
+    # make_map's certificate: seeded forms with rational coefficients on
+    # the three coordinate lines, the certificate's line z = x + y, read
+    # at (t : 1 : t + 1), and seeded lines; a form times the line restricts
+    # to the zero list.
+    rng = random.Random(7070)
+    lines = [X, Y, Z, X + Y - Z]
+    while len(lines) < 8:
+        coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+        if any(coeffs):
+            lines.append(coeffs[0] * X + coeffs[1] * Y + coeffs[2] * Z)
+    _, param = restrict_to_line(ONE, X + Y - Z)
+    on_line = [ProjPoint.of(*(a * s + b * t for a, b in param)) for s, t in ((1, 0), (0, 1), (2, 1))]
+    assert on_line == [ProjPoint.of(1, 0, 1), ProjPoint.of(0, 1, 1), ProjPoint.of(2, 1, 3)]
+    forms = [_random_form(rng, rng.randint(1, 6)) for _ in range(15)]
+    # a sparse form often has a coordinate line as a component
+    zero = [_assert_restriction_agrees(f, line) for line in lines for f in forms]
+    assert True in zero and False in zero
+    assert all(_assert_restriction_agrees(f * line, line) for line in lines for f in forms[:5])
+
+
 def test_a_permutation_frame_relabels_exponents():
     # The six permutation matrices, applied to seeded forms with rational
     # coefficients: the same polynomial, and hash, as the substitution.
@@ -1307,10 +1384,17 @@ def test_image_deg15_search_eliminates_the_variable_of_least_degree(ps, monkeypa
     assert sizes and max(sizes) <= (15 - 1) ** 2 - (6 - 1) ** 2 + 1
 
 
+def _walk_at_q(f):
+    """The germ walk of a form at Q = (0 : 1 : 0), whose root direction
+    (`GermWalk.tangent`) the search's tangent move reads."""
+    return germ_walk(germ_at(f, ProjPoint.of(0, 1, 0)), f.total_degree())
+
+
 def test_the_tangent_frame_moves_the_cusp_tangent_to_z_0():
     # Cusps l^3 * y^2 = k^5 at Q = (0 : 1 : 0), with the cones x^3, z^3 and
     # (3z + 2x)^3, the slope -2/3: a swap, no move, and x -> 3x, z -> -2x + z.
-    # Each frame fixes Q and leaves a cone c*z^3 there.
+    # Each frame, read off the walk's tangent at Q, fixes Q and leaves a
+    # cone c*z^3 there.
     from unicusp import curves
 
     q = ProjPoint.of(0, 1, 0)
@@ -1321,7 +1405,7 @@ def test_the_tangent_frame_moves_the_cusp_tangent_to_z_0():
     ]
     for line, other, want in cases:
         f = line**3 * Y**2 - other**5
-        frame = curves._tangent_frame(germ_at(f, q))
+        frame = curves._tangent_frame(_walk_at_q(f).tangent)
         assert frame == want, str(line)
         assert curves._map_point(frame, q) == q
         g = germ_at(curves._apply_matrix(f, frame), q)
@@ -1373,7 +1457,7 @@ def test_the_cut_search_matches_the_two_eliminant_reference_on_the_corpus(ps):
         v = vertex.coords().index(1)
         swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
         f = curves._apply_matrix(curve.poly, swap)
-        f = curves._apply_matrix(f, curves._tangent_frame(germ_at(f, ProjPoint.of(0, 1, 0))))
+        f = curves._apply_matrix(f, curves._tangent_frame(_walk_at_q(f).tangent))
         got = _search_key(f, delta)
         assert got == _locus_key(_singular_search_reference(f)), name
         assert got[0] == [("(0 : 1 : 0)", germ_order(germ_at(curve.poly, vertex)))], name
@@ -1397,7 +1481,7 @@ def test_a_failed_certificate_falls_back_to_the_cut_certificate_pair(name, monke
     v = vertex.coords().index(1)
     swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
     f = curves._apply_matrix(curve.poly, swap)
-    f = curves._apply_matrix(f, curves._tangent_frame(germ_at(f, ProjPoint.of(0, 1, 0))))
+    f = curves._apply_matrix(f, curves._tangent_frame(_walk_at_q(f).tangent))
     fx, fz = f.partial(0), f.partial(2)
     k0, k1 = curves._vertex_cuts(f, fx, fz, delta)
     want = find_rational_singular_points(curve)

@@ -521,7 +521,7 @@ def test_substitute_matches_reference_on_corpus_maps():
 
 def test_substitute_matches_reference_on_blowup_charts():
     from unicusp.corpus import DEFAULT_PARAMS, curve_by_name
-    from unicusp.curves import ProjPoint, cone_direction, germ_at, germ_order
+    from unicusp.curves import ProjPoint, germ_at, germ_order, germ_walk
     from unicusp.resolution import blow_up_once
 
     cusps = {
@@ -533,11 +533,13 @@ def test_substitute_matches_reference_on_blowup_charts():
     charts = 0
     for ps in DEFAULT_PARAMS:
         for name, point in cusps.items():
-            g = germ_at(curve_by_name(name, ps).poly, point)
+            curve = curve_by_name(name, ps)
+            g = germ_at(curve.poly, point)
             while germ_order(g) > 1:
                 m = germ_order(g)
-                r = cone_direction(g, m)
-                # Both charts at every centre, and the direction actually taken.
+                r = germ_walk(g, curve.degree).tangent
+                # Both charts at every centre, and the direction actually
+                # taken: the walk's tangent, as each germ is one branch.
                 for images in ((X * Y, Y, ONE), (X, X * (Y + (r or 0)), ONE), (X, X * (Y - 3), ONE)):
                     assert g.substitute(images).terms == _substitute_reference(g, images).terms
                     charts += 1

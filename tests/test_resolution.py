@@ -16,13 +16,16 @@ from unicusp.curves import (
     ProjPoint,
     ResolutionIncompleteError,
     _local_numbers,
+    IntersectionCycle,
     chart_of,
-    cone_direction,
     find_rational_singular_points,
     germ_at,
     germ_order,
+    germ_walk,
+    intersection_cycle,
     make_curve,
-    tangent_contact,
+    tangent_directions,
+    tangent_line,
 )
 from unicusp.dualgraph import WeightedDualGraph
 from unicusp.fibers import intersection_matrix
@@ -279,12 +282,14 @@ def _chain_records(ms) -> list[BlowupRecord]:
 )
 def test_classify_verdict_table(monkeypatch, ms, contact, verdict, notes):
     # (C')^2 = 16 - sum m^2 on the quartic, genus 1, and the tangent's
-    # contact at the cusp, each set by hand; the rest is classify's table
+    # line cycle, the contact at the cusp and the rest unlocated, each set
+    # by hand; the rest is classify's table
     curve, cusp = curve_by_name("cusp-quartic", DEFAULT_PARAMS[0]), CUSPS["cusp-quartic"]
     res = ResolutionResult(cusp, curve.degree, _chain_records(ms))
     monkeypatch.setattr(resolution, "locus_resolution", lambda c, locus: res)
     monkeypatch.setattr(resolution, "_genus", lambda *args: 1)
-    monkeypatch.setattr(resolution, "tangent_contact", lambda *args: contact)
+    cycle = IntersectionCycle([(cusp, contact)], curve.degree - contact, curve.degree)
+    monkeypatch.setattr(resolution, "intersection_cycle", lambda *args: cycle)
     report = classify(curve)
     assert report.resolution is res and report.genus == 1
     assert report.tangent_contact_only is (contact == curve.degree)
@@ -506,7 +511,10 @@ def _resolution_reference(curve, point) -> dict:
             raise ResolutionIncompleteError(len(records))
         index = len(records) + 1
         label = f"E{index}"
-        r = cone_direction(g, m)
+        dirs, _ = tangent_directions(g, m)
+        if len(dirs) != 1 or dirs[0][1] != m:
+            raise NotUnibranchError("tangent cone is not the power of a single line")
+        r = dirs[0][0]
         strict = _blow_up_once_reference(g, m, r)
         graph.add_vertex(label, -1)
         centers = tuple(lab for lab, _ in exc)
@@ -597,7 +605,7 @@ def _search_frame(curve, vertex) -> Poly:
     v = vertex.coords().index(1)
     swap = tuple(tuple(int(k == {1: v, v: 1}.get(r, r)) for k in range(3)) for r in range(3))
     f = curves._apply_matrix(curve.poly, swap)
-    return curves._apply_matrix(f, curves._tangent_frame(germ_at(f, Q)))
+    return curves._apply_matrix(f, curves._tangent_frame(germ_walk(germ_at(f, Q), f.total_degree()).tangent))
 
 
 def _assert_certificate_contact(curve, cusp) -> None:
@@ -744,7 +752,7 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
     assert cuts == [210, 218, 218]
 
 
-def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
+def test_the_walked_tangent_line_cycle_matches_the_eliminant_on_seeded_cusps():
     # The seeded cusp of order m and degree d at (0 : 0 : 1) has the
     # tangent y = 0, which meets it there only: no term x**i*z**(d - i)
     # with i < d lies above its Newton polygon.  Adding one with m < i < d
@@ -752,10 +760,14 @@ def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
     # by a substitution has the tangent pulled back by it: y -> y + 2x and
     # y -> 2y + 3x give the slopes -2 and -3/2, and the six permutations
     # of (x, y, z) put the cusp at each coordinate vertex, with the tangent
-    # on either axis of its chart (vertical or horizontal).  I_P(C, T) read
-    # off the eliminant, _local_numbers(F, T), is the oracle, beside the
-    # contact known by construction: intersection_cycle(C, T) reads the
-    # restriction to T, as tangent_contact does.
+    # on either axis of its chart (vertical or horizontal).  The walk's
+    # tangent direction, made a line by tangent_line, is the pulled-back
+    # tangent, and its line cycle, the restriction that classify reads,
+    # gives the contact known by construction; I_P(C, T) read off the
+    # eliminant, _local_numbers(F, T), is the oracle.  The cycle is (P, d)
+    # alone exactly when the contact is d.  A lowered cusp whose new term
+    # splits the germ (y^2 = x^4 + ...) has no walked tangent: its walk's
+    # root cone is still y**m, and the line cycle reads the known tangent.
     rng = random.Random(9090)
     seeded = [(f, f.total_degree()) for f in (_seeded_cusp(rng) for _ in range(60))]
     lowered = []
@@ -769,21 +781,44 @@ def test_tangent_contact_matches_the_cycle_on_seeded_cusps():
         # F(perm) has the cusp at the vertex that z goes to
         cusp = ProjPoint.of(*(int(v == perm[2]) for v in (X, Y, Z)))
         cases += [(f, perm, cusp, want) for f, want in seeded[:20] + lowered[:20]]
+    full = walked = 0
     for f, image, point, want in cases:
         curve, tangent = make_curve(f.substitute(image)), make_curve(Y.substitute(image))
-        got = tangent_contact(curve, point)
+        walk = germ_walk(germ_at(curve.poly, point), curve.degree)
+        if walk.split is None:
+            assert make_curve(tangent_line(point, walk.tangent)) == tangent, (curve.poly, point)
+            walked += 1
+        else:
+            assert want < curve.degree, (curve.poly, point)  # only a lowered cusp splits
+        cycle = intersection_cycle(curve, tangent).points
+        got = dict(cycle)[point]
         assert got == want == dict(_local_numbers(curve.poly, tangent.poly))[point], (curve.poly, point)
         assert got > germ_order(germ_at(curve.poly, point))
-    assert (len(seeded), len(lowered), len(cases)) == (60, 45, 555)
+        assert (cycle == [(point, curve.degree)]) == (want == curve.degree)
+        full += want == curve.degree
+    assert (len(seeded), len(lowered), len(cases), full, walked) == (60, 45, 555, 300, 486)
 
 
-def test_classify_reads_the_contact_off_the_germ(monkeypatch):
-    # The contact check builds no intersection cycle.
+def test_classify_asks_the_line_cycle_and_forms_no_germ(monkeypatch):
+    # The contact check reads the search's walk and restricts the curve to
+    # the tangent line once: no eliminant, and no germ beyond the ones the
+    # search itself forms.
     def unreachable(*args):
-        raise AssertionError("the contact check formed an intersection cycle")
+        raise AssertionError("the contact check formed an eliminant")
 
+    def counted(name):
+        real = getattr(curves, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spy
+
+    calls = {"germ_at": 0, "_line_numbers": 0}
+    for name in calls:
+        monkeypatch.setattr(curves, name, counted(name))
     monkeypatch.setattr(curves, "_local_numbers", unreachable)
-    monkeypatch.setattr(curves, "intersection_cycle", unreachable)
     want = {
         "cusp-quartic": (VERDICT_AMS, True),
         "image-deg15": (VERDICT_NON_AMS_MAX, False),
@@ -791,8 +826,15 @@ def test_classify_reads_the_contact_off_the_germ(monkeypatch):
         "rational-quintic": (VERDICT_OUT_OF_SCOPE, False),
     }
     for ps in DEFAULT_PARAMS:
-        reports = {name: classify(curve_by_name(name, ps)) for name in CUSPS}
-        assert {name: (r.verdict, r.tangent_contact_only) for name, r in reports.items()} == want
+        for name in CUSPS:
+            curve = curve_by_name(name, ps)
+            find_rational_singular_points(curve)
+            searched = dict(calls)
+            report = classify(curve)
+            assert calls == {"germ_at": 2 * searched["germ_at"], "_line_numbers": searched["_line_numbers"] + 1}
+            assert (report.verdict, report.tangent_contact_only) == want[name]
+            for key in calls:
+                calls[key] = 0
 
 
 def _resolution_spy(monkeypatch) -> list:
