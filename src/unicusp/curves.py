@@ -580,14 +580,15 @@ def _singular_search(
 
     Certificate first: the images modulo the first prime p of
     `uniroots.large_primes` of the first two pairs' cut eliminants
-    e/z**k (`_cut_image`).  When they share no root (`uniroots.coprime_mod_p`),
-    no point but (0 : 1 : 0) is singular, and no eliminant is formed
-    exactly.  Otherwise only the first nonzero eliminant e1 is formed
-    exactly, as the integer list of e1(t, 1) (`_eliminant_y`): its
-    rational roots, and (1 : 0) when that list falls short of the degree
-    of e1, are the candidate lines (`_rational_lines`), each decided
-    exactly by `_points_on_line`.  What is left of e1(t, 1) once its
-    rational linear factors are divided out, L1, is checked by
+    e/z**k, a member free of y standing in for e (`_eliminant`).  When
+    they share no root (`uniroots.coprime_mod_p`), no point but
+    (0 : 1 : 0) is singular, and no eliminant is formed exactly.
+    Otherwise only the first nonzero cut eliminant c1 is formed exactly,
+    by the same function, as the integer list of c1(t, 1): its rational
+    roots, and (1 : 0) when that list falls short of the formal degree of
+    c1, are the candidate lines (`_rational_lines`), each decided exactly
+    by `_points_on_line`.  What is left of c1(t, 1) once its rational
+    linear factors are divided out, L1, is checked by
     `_irrational_common_factor` against the later pairs, starting from the
     image already formed.  Every point found zeroes all three partials, so
     it lies on f and is singular.
@@ -606,12 +607,12 @@ def _singular_search(
         if not (a.is_zero() or b.is_zero())
     ]
     prime = next(uniroots.large_primes())
-    images = [_cut_image(pair, prime) for pair in pairs[:2]]
+    images = [_eliminant(pair, prime) for pair in pairs[:2]]
     points: list[ProjPoint] = []
     blockers: list[ExtensionFieldSingularity] = []
     if None in images or not uniroots.coprime_mod_p(images, prime):
-        for i, (a, b, k) in enumerate(pairs):
-            e1 = _eliminant_y(a, b, k)
+        for i, pair in enumerate(pairs):
+            e1 = _eliminant(pair)
             if e1 is not None:
                 break
         else:
@@ -620,7 +621,7 @@ def _singular_search(
         lines, l1 = _rational_lines(e1)
         if uniroots.deg(l1) > 0:
             rest = pairs[i + 1:]
-            image = (images[1] if i == 0 else _cut_image(rest[0], prime)) if rest else None
+            image = (images[1] if i == 0 else _eliminant(rest[0], prime)) if rest else None
             common = uniroots.squarefree_part_int(_irrational_common_factor(l1, rest, image, prime))
             if uniroots.deg(common) > 0:
                 blockers.append(
@@ -638,35 +639,49 @@ def _singular_search(
     return points, blockers
 
 
-def _cut_image(pair: tuple[Poly, Poly, int], prime: int) -> tuple[list[int], int] | None:
-    """The cut eliminant c = Res_y(A, B)/z**k of a pair (A, B, k), as
-    `uniroots.coprime_mod_p` reads a binary form: the list of c(t, 1)
-    modulo the prime, from `form_resultant_int`, and c's formal degree
-    deg e - k.  None when A or B is free of y, or when the prime divides
-    a y-leading row of one (`resultant_int`).
+def _eliminant(pair: tuple[Poly, Poly, int], prime: int = 0) -> tuple[list[int], int] | None:
+    """The eliminant of a pair (A, B, k) cut by its known factor z**k, as
+    `uniroots.coprime_mod_p` and `_rational_lines` read a binary form: the
+    integer list of c(t, 1) for c = Res_y(A, B)/z**k, from
+    `form_resultant_int`, exact for prime 0 and reduced modulo the prime
+    otherwise, and c's formal degree deg e - k.  None when e is exactly
+    zero, or when the prime divides a y-leading row of A or B
+    (`resultant_int`).  A member free of y stands in for e in both modes,
+    uncut: its list, or the gcd of both lists when both are free, whose
+    degree is that of the gcd plus the smaller deficit at (1 : 0);
+    `coprime_mod_p` reduces an exact list itself.
 
-    Why two pairs' images that `coprime_mod_p` certifies prove that no
-    point but (0 : 1 : 0) is singular.  Each image is the reduction of
-    c's integral list: the Sylvester resultant at fixed formal degrees is
-    a polynomial in the coefficients, so it commutes with reduction at
-    every point t where neither leading coefficient vanishes modulo the
-    prime, and the interpolation recovers the reduced list.  So the two
-    cuts share no root over Q (by Gauss's lemma: a primitive common factor
-    stays nonzero modulo the prime).  A singular point S other than
-    (0 : 1 : 0) lies on the line through it of some direction (x0 : z0)
-    and zeroes A and B, so (x0 : z0) is a root of both eliminants.  It is
-    a root of both cuts too: z**k is a unit off z = 0, and on the line
+    Every singular point S other than (0 : 1 : 0) gives a root of c: the
+    direction (x0 : z0) of the line through the centre and S.  S zeroes A
+    and B, so (x0 : z0) is a root of e, and of a member free of y itself.
+    It is a root of the cut too: z**k is a unit off z = 0, and on the line
     z = 0 the order of e counts S on top of the cut, which holds only the
     centre's own part, the intersection number at the point infinitely
-    near (0 : 1 : 0) in the direction z = 0 (`_vertex_cuts`).
+    near (0 : 1 : 0) in the direction z = 0 (`_vertex_cuts`).  So the
+    rational roots of an exact c(t, 1), with (1 : 0) when the list falls
+    short of c's formal degree, hold every rational singular point off
+    the centre.
+
+    Why two pairs' images that `coprime_mod_p` certifies prove that no
+    point but (0 : 1 : 0) is singular.  Each image is the reduction of c's
+    integral list: the Sylvester resultant at fixed formal degrees is a
+    polynomial in the coefficients, so it commutes with reduction at every
+    point t where neither leading coefficient vanishes modulo the prime,
+    and the interpolation recovers the reduced list.  So the two cuts
+    share no root over Q (by Gauss's lemma: a primitive common factor
+    stays nonzero modulo the prime), and no S gives a root of both.
     """
     a, b, cut = pair
-    m, n = a.degree_in(1), b.degree_in(1)
-    if not (m and n):
-        return None
+    free = [h for h in (a, b) if h.degree_in(1) == 0]
+    if free:
+        rows = [primitive_rows(dehomogenize(h, 2), 1, 0)[0] for h in free]
+        deficit = min(h.total_degree() - uniroots.deg(r) for h, r in zip(free, rows))
+        g = rows[0] if len(rows) == 1 else uniroots.gcd_int(*rows)
+        return g, uniroots.deg(g) + deficit
     coeffs = form_resultant_int(a, b, 1, prime, cut)
-    if coeffs is None:
+    if coeffs is None or not (coeffs or prime):
         return None
+    m, n = a.degree_in(1), b.degree_in(1)
     return coeffs, n * a.total_degree() + m * b.total_degree() - m * n - cut
 
 
@@ -717,12 +732,12 @@ def _irrational_common_factor(
     in `rest`, as a primitive integer list ([1] when none); l1 itself when
     no later pair has a nonzero eliminant.
 
-    l1 is e1(t, 1) without its rational linear factors, of positive
+    l1 is c1(t, 1) without its rational linear factors, of positive
     degree.  Each pair of `rest` is (A, B, k): two forms whose common
     zeros hold every singular point, and a known factor z**k of their
     eliminant, which lowers its degree bound (`form_resultant_int`) and
     leaves its values at (t, 1) as they are.  `image` is the first pair's
-    cut eliminant modulo the prime (`_cut_image`), or None.  Certificate
+    cut eliminant modulo the prime (`_eliminant`), or None.  Certificate
     first: when l1, a form of its own degree, and that image share no
     root modulo the prime (`uniroots.coprime_mod_p`), l1 shares no factor
     with the eliminant, and no singular point lies on a line with an
@@ -732,39 +747,18 @@ def _irrational_common_factor(
     """
     if image is not None and uniroots.coprime_mod_p([(l1, uniroots.deg(l1)), image], prime):
         return [1]
-    for a, b, cut in rest:
-        e2 = _eliminant_y(a, b, cut)
+    for pair in rest:
+        e2 = _eliminant(pair)
         if e2 is not None:
             return uniroots.gcd_int(l1, e2[0])
     return l1
-
-
-def _eliminant_y(a: Poly, b: Poly, cut: int = 0) -> tuple[list[int], int] | None:
-    """The eliminant e = Res_y(a, b) of two forms, a binary form in
-    (x, z), as the integer coefficients of e(t, 1) (up to a rational
-    scale) and the degree of e; None when e is zero.  A form free of y is
-    its own eliminant; when both are, their common zeros are those of
-    their gcd, whose degree is that of the gcd of the (t, 1) lists plus
-    the smaller deficit at (1 : 0).  A `cut` k, a known factor z**k of e,
-    goes to `form_resultant_int`."""
-    free = [h for h in (a, b) if h.degree_in(1) == 0]
-    if free:
-        rows = [primitive_rows(dehomogenize(h, 2), 1, 0)[0] for h in free]
-        deficit = min(h.total_degree() - uniroots.deg(r) for h, r in zip(free, rows))
-        g = rows[0] if len(rows) == 1 else uniroots.gcd_int(*rows)
-        return g, uniroots.deg(g) + deficit
-    coeffs = form_resultant_int(a, b, 1, 0, cut)
-    if not coeffs:
-        return None
-    m, n = a.degree_in(1), b.degree_in(1)
-    return coeffs, n * a.total_degree() + m * b.total_degree() - m * n
 
 
 def _rational_lines(
     e: tuple[list[int], int],
 ) -> tuple[list[tuple[Fraction, Fraction, int]], list[int]]:
     """The rational roots (x0 : z0) of an eliminant e(x, z), given as
-    `_eliminant_y` returns it, each with its order, plus the primitive
+    `_eliminant` returns it, each with its order, plus the primitive
     cofactor of e(t, 1) once its rational linear factors are divided out.
     The roots of e(t, 1) come first; (1 : 0) is a root of order the
     degree deficit deg e - deg e(t, 1)."""
@@ -846,7 +840,7 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
     line through the centre that meets f and g in a single point P, the
     order of e is I_P(f, g) (Fulton, Algebraic Curves, 5.1).  A rational
     point lies on a rational line through the centre, so the rational
-    roots t of e(t, 1), read off its integer list (`_eliminant_y`), and
+    roots t of e(t, 1), read off its integer list (`_eliminant`), and
     (1 : 0) with order the degree deficit deg e - deg e(t, 1), give every
     rational point (`_rational_lines`).  `_points_on_line` certifies that
     each line holds one common point: one rational root of the gcd of the
@@ -867,7 +861,7 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
         if f.evaluate(centre) == 0 or g.evaluate(centre) == 0:
             continue
         fm, gm = _apply_matrix(f, m), _apply_matrix(g, m)
-        e = _eliminant_y(fm, gm)
+        e = _eliminant((fm, gm, 0))
         if e is None:
             raise CurveError("curves share a component; intersection numbers are undefined")
         points = []

@@ -30,8 +30,10 @@ def pytest_terminal_summary(terminalreporter):
 def cut_eliminants(monkeypatch):
     """Checks every resultant that the singular search forms with a known
     factor z**k, k > 0, against the same pair's resultant formed without
-    it: the exact eliminant e1, and the one-prime image of the
-    certificate modulo the same prime.  Collects those cuts k in the list
+    it: `curves._eliminant` forms both the exact ones and the certificate's
+    images modulo one prime, and each is checked in its own mode.  A pair
+    with a member free of y forms no resultant and takes no cut, as that
+    member stands in for its eliminant.  Collects those cuts k in the list
     it returns."""
     seen = []
     real = curves.form_resultant_int

@@ -1554,6 +1554,44 @@ def test_a_second_rational_singular_point_takes_the_exact_path(monkeypatch):
     assert calls == [(p, 0), (p, 1), (0, 0)]
 
 
+@pytest.mark.parametrize(
+    "curve, points, lines",
+    [
+        pytest.param(curve_by_name("weierstrass-cubic", ps), [], [], id=f"weierstrass-cubic@{ps.label}")
+        for ps in DEFAULT_PARAMS
+    ]
+    + [
+        pytest.param(
+            make_curve(parse_poly("y^2*z - x^3 + 3*x*z^2 - 2*z^3")),
+            [(ProjPoint.of(1, 0, 1), 2)],
+            [([-1, 0, 1], 2)],
+            id="nodal-cubic",
+        )
+    ],
+)
+def test_a_partial_free_of_y_is_its_pairs_image(curve, points, lines, monkeypatch):
+    # Both cubics project from their smooth point (0 : 1 : 0), and their
+    # F_x, 3 x^2 + a z^2 and 3 z^2 - 3 x^2, is free of y: it is the first
+    # pair's image in the certificate.  weierstrass-cubic's F_x shares no
+    # root with the second image, so the search reads no candidate lines
+    # (`_rational_lines`).  The nodal cubic's node (1 : 0 : 1) lies on the
+    # line x = z through the centre, so (1 : 1) is a root of both images,
+    # the certificate fails, and the exact path, whose e1 is F_x again,
+    # finds the node.
+    from unicusp import curves
+
+    calls, real = [], curves._rational_lines
+
+    def spy(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(curves, "_rational_lines", spy)
+    locus = find_rational_singular_points(curve)
+    assert (locus.points, locus.blockers) == (points, [])
+    assert calls == lines
+
+
 def _germ_by_substitution(p: Poly, point: ProjPoint) -> Poly:
     """The germ by one substitution: x_i -> X + p_i and x_j -> Y + p_j for
     the chart (i, j) of the point, and 1 for the third variable."""

@@ -29,7 +29,8 @@ from unicusp.curves import (
 )
 from unicusp.dualgraph import WeightedDualGraph
 from unicusp.fibers import intersection_matrix
-from unicusp.poly import ONE, Poly, X, Y, Z, exact_divide
+from unicusp.parse import parse_poly
+from unicusp.poly import ONE, Poly, X, Y, Z, exact_divide, poly_to_text
 from unicusp.resolution import (
     BlowupRecord,
     NotUnibranchError,
@@ -745,11 +746,92 @@ def test_the_cut_eliminant_is_the_uncut_one_on_seeded_cusps(cut_eliminants):
     # Each curve is searched twice, by classify and directly.  Per search,
     # the certificate's image of the first pair takes a cut where k0 > 0
     # (27, 29 and 29 of the 60 curves), and that of the second one where
-    # k1 > 0 (58 of each 60).  Where the certificate fails, on a second
-    # singular point or a pair with a partial free of y, the exact e1 takes
-    # k0 again (20, 22 and 22 of the curves with k0 > 0), and the second
-    # image is reused: 2 * (27 + 58 + 20) = 210, 2 * (29 + 58 + 22) = 218.
+    # k1 > 0 (58 of each 60).  A pair with a partial free of y forms no
+    # resultant, so it takes no cut: that partial is its image.  Where the
+    # certificate fails, on a second singular point or on a common zero of
+    # the pairs that is not singular, the exact e1 takes k0 again (20, 22
+    # and 22 of the curves with k0 > 0), and the second image is reused:
+    # 2 * (27 + 58 + 20) = 210, 2 * (29 + 58 + 22) = 218.
     assert cuts == [210, 218, 218]
+
+
+def _rational_zeros(eqs: list, gens: tuple) -> tuple[list[tuple], bool]:
+    """The rational common zeros of sympy expressions in the variables
+    `gens`, which have finitely many common zeros, and whether some common
+    zero is irrational.  The lex Groebner basis holds one generator of the
+    elimination ideal in the last variable: its linear factors over Q give
+    the rational values of that coordinate, each substituted back into the
+    basis, and a factor of higher degree gives an irrational zero."""
+    import sympy
+
+    if not gens:
+        return ([()] if not any(eqs) else []), False
+    basis = sympy.groebner(eqs, *gens, order="lex").exprs
+    last = gens[-1]
+    (elim,) = [g for g in basis if g.free_symbols <= {last}]
+    zeros, irrational = [], False
+    for factor, _ in sympy.factor_list(elim, last)[1]:
+        if sympy.degree(factor, last) > 1:
+            irrational = True
+            continue
+        (r,) = sympy.solve(factor, last)
+        rest, more = _rational_zeros([g.subs(last, r) for g in basis], gens[:-1])
+        zeros += [zero + (r,) for zero in rest]
+        irrational |= more
+    return zeros, irrational
+
+
+def _singular_points_by_sympy(f: Poly) -> tuple[list[ProjPoint], bool]:
+    """The rational singular points of f, sorted, and whether f has an
+    irrational one, from sympy alone: the common zeros of the three
+    partials in the charts z = 1, then y = 1 on z = 0, then the point
+    (1 : 0 : 0), which cover P^2 once."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    form = sympy.sympify(poly_to_text(f).replace("^", "**"))
+    partials = [form.diff(v) for v in (x, y, z)]
+    points, irrational = [], False
+    charts = (
+        ({z: 1}, (x, y), lambda a, b: (a, b, 1)),
+        ({z: 0, y: 1}, (x,), lambda a: (a, 1, 0)),
+        ({z: 0, y: 0, x: 1}, (), lambda: (1, 0, 0)),
+    )
+    for fixed, gens, point in charts:
+        zeros, more = _rational_zeros([sympy.expand(p.subs(fixed)) for p in partials], gens)
+        points += [ProjPoint.of(*(Fraction(str(c)) for c in point(*zero))) for zero in zeros]
+        irrational |= more
+    return sorted(points, key=ProjPoint.coords), irrational
+
+
+def _oracle_cases() -> list:
+    from unicusp import corpus
+
+    cases = [
+        pytest.param(curve_by_name(name, ps), id=f"{name}@{ps.label}")
+        for ps in DEFAULT_PARAMS
+        for name in corpus.CURVES
+        if curve_by_name(name, ps).degree <= 5
+    ]
+    # two cubics whose first pair has a partial free of y, and one whose
+    # line z = 0 through the centre holds the second singular point
+    for text in ("y^2*z - x^3 + 3*x*z^2 - 2*z^3", "y*z^2 - x^3", "z*(x*y - z^2)"):
+        cases.append(pytest.param(make_curve(parse_poly(text)), id=text))
+    rng = random.Random(9090)
+    for i in range(60):
+        cases.append(pytest.param(make_curve(_seeded_cusp(rng)), id=f"seeded-cusp-{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("curve", _oracle_cases())
+def test_the_search_finds_every_singular_point_sympy_finds(curve):
+    # Completeness, from outside the package: sympy's lex Groebner bases
+    # of the partials give the rational singular points, which must be
+    # the certified locus's, and an irrational one must be a blocker.
+    locus = find_rational_singular_points(curve)
+    points, irrational = _singular_points_by_sympy(curve.poly)
+    assert [q for q, _ in locus.points] == points
+    assert bool(locus.blockers) == irrational
 
 
 def test_the_walked_tangent_line_cycle_matches_the_eliminant_on_seeded_cusps():
