@@ -241,14 +241,13 @@ def cone_coefficients(g: Poly, m: int) -> list[int]:
 def tangent_directions(g: Poly, m: int) -> tuple[list[tuple[Fraction | None, int]], bool]:
     """The rational tangent directions of a germ of order m with their
     multiplicities in the cone, u = 0 (None) first, and whether the cone has
-    a repeated factor outside Q.  With c_b the cone's coefficients and t the
-    last b with c_b != 0, u = 0 divides it m - t times, and the lines v = r*u
-    are the roots of the sum of c_b * s**b (`uniroots.rational_roots_int`)."""
-    coeffs = cone_coefficients(g, m)
-    t = max(k for k, c in enumerate(coeffs) if c)
-    roots, rest = uniroots.rational_roots_int(coeffs[: t + 1])
-    dirs: list[tuple[Fraction | None, int]] = [(None, m - t)] if t < m else []
-    return dirs + list(roots.items()), uniroots.deg(uniroots.squarefree_part_int(rest)) < uniroots.deg(rest)
+    a repeated factor outside Q.  The cone is a binary form of degree m in
+    (v, u), and its list of coefficients is the one of (t, 1)
+    (`cone_coefficients`), so the lines v = r*u are its roots (r : 1) and
+    u = 0 is (1 : 0) (`uniroots.binary_roots`)."""
+    dirs, rest = uniroots.binary_roots(cone_coefficients(g, m), m)
+    dirs.sort(key=lambda rk: rk[0] is not None)
+    return dirs, uniroots.deg(uniroots.squarefree_part_int(rest)) < uniroots.deg(rest)
 
 
 def _split_reason(dirs: list[tuple[Fraction | None, int]], m: int) -> str | None:
@@ -583,15 +582,25 @@ def _singular_search(
     e/z**k, a member free of y standing in for e (`_eliminant`).  When
     they share no root (`uniroots.coprime_mod_p`), no point but
     (0 : 1 : 0) is singular, and no eliminant is formed exactly.
-    Otherwise only the first nonzero cut eliminant c1 is formed exactly,
-    by the same function, as the integer list of c1(t, 1): its rational
-    roots, and (1 : 0) when that list falls short of the formal degree of
-    c1, are the candidate lines (`_rational_lines`), each decided exactly
-    by `_points_on_line`.  What is left of c1(t, 1) once its rational
-    linear factors are divided out, L1, is checked by
-    `_irrational_common_factor` against the later pairs, starting from the
-    image already formed.  Every point found zeroes all three partials, so
-    it lies on f and is singular.
+
+    Otherwise one lazy pass over the pairs forms their cut eliminants
+    exactly, by the same function, as integer lists of c(t, 1).  The first
+    nonzero one, c1, gives the candidate lines: its rational roots, and
+    (1 : 0) when its list falls short of its formal degree
+    (`uniroots.binary_roots`), each decided exactly by `_points_on_line`.
+    What is left of c1(t, 1) once its rational linear factors are divided
+    out, L1, is a form of its own degree whose roots are the irrational
+    directions that may hold a singular point.  When L1 and the image of
+    the next pair modulo p (the one already formed when c1 is the first
+    pair's) share no root (`coprime_mod_p`), L1 shares no factor with that
+    pair's cut eliminant, whose values at (t, 1) are those of its
+    eliminant, so no singular point lies on a line of irrational
+    direction.  Otherwise (an irrational singular point, or an unlucky
+    prime) the pass goes on to the next nonzero exact eliminant c2, and
+    the squarefree part of gcd(L1, c2(t, 1)) is reported as a blocker when
+    it is not constant; when no later pair has a nonzero eliminant, L1
+    itself is.  Every point found zeroes all three partials, so it lies on
+    f and is singular.
     """
     partials = [f.partial(i) for i in range(3)]
     fx, fy, fz = partials
@@ -611,26 +620,25 @@ def _singular_search(
     points: list[ProjPoint] = []
     blockers: list[ExtensionFieldSingularity] = []
     if None in images or not uniroots.coprime_mod_p(images, prime):
-        for i, pair in enumerate(pairs):
-            e1 = _eliminant(pair)
-            if e1 is not None:
-                break
-        else:
+        exact = ((i, e) for i, e in enumerate(map(_eliminant, pairs)) if e is not None)
+        i, e1 = next(exact, (0, None))
+        if e1 is None:
             raise CurveError("partial derivatives are pairwise degenerate; cannot certify locus")
-
-        lines, l1 = _rational_lines(e1)
+        lines, l1 = uniroots.binary_roots(*e1)
         if uniroots.deg(l1) > 0:
-            rest = pairs[i + 1:]
-            image = (images[1] if i == 0 else _eliminant(rest[0], prime)) if rest else None
-            common = uniroots.squarefree_part_int(_irrational_common_factor(l1, rest, image, prime))
-            if uniroots.deg(common) > 0:
-                blockers.append(
-                    ExtensionFieldSingularity(
-                        _uni_to_binary(common), "common eliminant factor without rational roots"
+            # the next pair's image, formed already when c1 is the first pair's
+            image = None if i + 1 == len(pairs) else images[1] if i == 0 else _eliminant(pairs[i + 1], prime)
+            if image is None or not uniroots.coprime_mod_p([(l1, uniroots.deg(l1)), image], prime):
+                _, e2 = next(exact, (0, None))
+                common = uniroots.squarefree_part_int(l1 if e2 is None else uniroots.gcd_int(l1, e2[0]))
+                if uniroots.deg(common) > 0:
+                    blockers.append(
+                        ExtensionFieldSingularity(
+                            _uni_to_binary(common), "common eliminant factor without rational roots"
+                        )
                     )
-                )
-        for x0, z0, _ in lines:
-            found, blk = _points_on_line(live, x0, z0)
+        for r, _ in lines:
+            found, blk = _points_on_line(live, r)
             points.extend(found)
             blockers.extend(blk)
     # the single point not covered by (x : z) candidates
@@ -641,8 +649,8 @@ def _singular_search(
 
 def _eliminant(pair: tuple[Poly, Poly, int], prime: int = 0) -> tuple[list[int], int] | None:
     """The eliminant of a pair (A, B, k) cut by its known factor z**k, as
-    `uniroots.coprime_mod_p` and `_rational_lines` read a binary form: the
-    integer list of c(t, 1) for c = Res_y(A, B)/z**k, from
+    `uniroots.coprime_mod_p` and `uniroots.binary_roots` read a binary
+    form: the integer list of c(t, 1) for c = Res_y(A, B)/z**k, from
     `form_resultant_int`, exact for prime 0 and reduced modulo the prime
     otherwise, and c's formal degree deg e - k.  None when e is exactly
     zero, or when the prime divides a y-leading row of A or B
@@ -658,9 +666,9 @@ def _eliminant(pair: tuple[Poly, Poly, int], prime: int = 0) -> tuple[list[int],
     z = 0 the order of e counts S on top of the cut, which holds only the
     centre's own part, the intersection number at the point infinitely
     near (0 : 1 : 0) in the direction z = 0 (`_vertex_cuts`).  So the
-    rational roots of an exact c(t, 1), with (1 : 0) when the list falls
-    short of c's formal degree, hold every rational singular point off
-    the centre.
+    rational roots of an exact c (`uniroots.binary_roots`), (1 : 0) when
+    the list falls short of c's formal degree, hold every rational
+    singular point off the centre.
 
     Why two pairs' images that `coprime_mod_p` certifies prove that no
     point but (0 : 1 : 0) is singular.  Each image is the reduction of c's
@@ -725,65 +733,26 @@ def _vertex_cuts(f: Poly, fx: Poly, fz: Poly, delta: int) -> tuple[int, int]:
     return 2 * delta - r * s, 2 * delta - (m - 1) ** 2
 
 
-def _irrational_common_factor(
-    l1: list[int], rest: list[tuple[Poly, Poly, int]], image: tuple[list[int], int] | None, prime: int
-) -> list[int]:
-    """The part of l1 shared with the next nonzero eliminant of the pairs
-    in `rest`, as a primitive integer list ([1] when none); l1 itself when
-    no later pair has a nonzero eliminant.
-
-    l1 is c1(t, 1) without its rational linear factors, of positive
-    degree.  Each pair of `rest` is (A, B, k): two forms whose common
-    zeros hold every singular point, and a known factor z**k of their
-    eliminant, which lowers its degree bound (`form_resultant_int`) and
-    leaves its values at (t, 1) as they are.  `image` is the first pair's
-    cut eliminant modulo the prime (`_eliminant`), or None.  Certificate
-    first: when l1, a form of its own degree, and that image share no
-    root modulo the prime (`uniroots.coprime_mod_p`), l1 shares no factor
-    with the eliminant, and no singular point lies on a line with an
-    irrational direction.  Otherwise (an irrational singular point, or an
-    unlucky prime) the eliminants of `rest` are formed exactly, with their
-    cuts, and the exact gcd with the first nonzero one returned.
-    """
-    if image is not None and uniroots.coprime_mod_p([(l1, uniroots.deg(l1)), image], prime):
-        return [1]
-    for pair in rest:
-        e2 = _eliminant(pair)
-        if e2 is not None:
-            return uniroots.gcd_int(l1, e2[0])
-    return l1
-
-
-def _rational_lines(
-    e: tuple[list[int], int],
-) -> tuple[list[tuple[Fraction, Fraction, int]], list[int]]:
-    """The rational roots (x0 : z0) of an eliminant e(x, z), given as
-    `_eliminant` returns it, each with its order, plus the primitive
-    cofactor of e(t, 1) once its rational linear factors are divided out.
-    The roots of e(t, 1) come first; (1 : 0) is a root of order the
-    degree deficit deg e - deg e(t, 1)."""
-    coeffs, degree = e
-    roots, cofactor = uniroots.rational_roots_int(coeffs)
-    lines = [(r, Fraction(1), k) for r, k in roots.items()]
-    deficit = degree - uniroots.deg(coeffs)
-    if deficit > 0:
-        lines.append((Fraction(1), Fraction(0), deficit))
-    return lines, cofactor
-
-
 def _uni_to_binary(coeffs: list[int]) -> Poly:
     d = uniroots.deg(coeffs)
     return normalized(Poly({(i, 0, d - i): c for i, c in enumerate(coeffs[: d + 1])}))
 
 
+def _direction_point(r: Fraction | None) -> tuple:
+    """The point of P^1 of a direction of `uniroots.binary_roots`: (r : 1),
+    or (1 : 0) for None."""
+    return (1, 0) if r is None else (r, 1)
+
+
 def _points_on_line(
-    forms: list[Poly], x0: Fraction, z0: Fraction
+    forms: list[Poly], r: Fraction | None
 ) -> tuple[list[ProjPoint], list[ExtensionFieldSingularity]]:
-    """The rational common points of the forms on the line of all
-    (x0 : y : z0), plus a blocker for their common irrational y-locus
+    """The rational common points of the forms on the line through
+    (0 : 1 : 0) of direction r, all (x0 : y : z0) for (x0 : z0) = (r : 1),
+    or (1 : 0) for None, plus a blocker for their common irrational y-locus
     there: the rational roots of the gcd of the restrictions, and what is
     left of it."""
-    evals = [h for h in (_restrict_to_pencil_line(p, x0, z0) for p in forms) if any(h)]
+    evals = [h for h in (_restrict_to_pencil_line(p, r) for p in forms) if any(h)]
     if not evals:
         raise CurveError("a whole line of singular points: input cannot be squarefree")
     g = evals[0]
@@ -794,6 +763,7 @@ def _points_on_line(
     if uniroots.deg(g) == 0:
         return [], []
     roots, leftover = uniroots.rational_roots_int(g)
+    x0, z0 = _direction_point(r)
     points = [ProjPoint.of(x0, y0, z0) for y0 in roots]
     blockers = []
     if uniroots.deg(leftover) > 0:
@@ -806,13 +776,16 @@ def _points_on_line(
     return points, blockers
 
 
-def _restrict_to_pencil_line(p: Poly, x0: Fraction, z0: Fraction) -> list[int]:
-    """Coefficient list in y of a form p at (x0 : y : z0), up to a positive
-    scale, in integers: with (x0 : z0) = (u/D : w/D) over one denominator
-    D, the term k*x^a*y^b*z^c of p's numerators adds k * u^a * w^c * D^b
-    at y^b, which makes D^deg(p) * p(x0, y, z0) times p's denominator.
-    Not `restrict_to_line`: this list leaves out the centre (0 : 1 : 0)
-    by construction; the shared kernel would branch on its caller for it."""
+def _restrict_to_pencil_line(p: Poly, r: Fraction | None) -> list[int]:
+    """Coefficient list in y of a form p on the line through (0 : 1 : 0) of
+    direction r, at (x0 : y : z0) for (x0 : z0) = `_direction_point(r)`,
+    up to a positive scale, in integers: with (x0 : z0) = (u/D : w/D) over
+    one denominator D, the term k*x^a*y^b*z^c of p's numerators adds
+    k * u^a * w^c * D^b at y^b, which makes D^deg(p) * p(x0, y, z0) times
+    p's denominator.  Not `restrict_to_line`: this list leaves out the
+    centre (0 : 1 : 0) by construction; the shared kernel would branch on
+    its caller for it."""
+    x0, z0 = _direction_point(r)
     d = lcm(x0.denominator, z0.denominator)
     u, w = x0.numerator * (d // x0.denominator), z0.numerator * (d // z0.denominator)
     out = [0] * (p.degree_in(1) + 1)
@@ -840,9 +813,9 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
     line through the centre that meets f and g in a single point P, the
     order of e is I_P(f, g) (Fulton, Algebraic Curves, 5.1).  A rational
     point lies on a rational line through the centre, so the rational
-    roots t of e(t, 1), read off its integer list (`_eliminant`), and
-    (1 : 0) with order the degree deficit deg e - deg e(t, 1), give every
-    rational point (`_rational_lines`).  `_points_on_line` certifies that
+    roots of e, read off its integer list (`_eliminant`) with (1 : 0) of
+    order the degree deficit (`uniroots.binary_roots`), give every
+    rational point.  `_points_on_line` certifies that
     each line holds one common point: one rational root of the gcd of the
     two restrictions and no blocker.  When a line holds two, the next
     frame is tried.
@@ -865,8 +838,8 @@ def _local_numbers(f: Poly, g: Poly) -> list[tuple[ProjPoint, int]]:
         if e is None:
             raise CurveError("curves share a component; intersection numbers are undefined")
         points = []
-        for x0, z0, k in _rational_lines(e)[0]:
-            found, blockers = _points_on_line([fm, gm], x0, z0)
+        for r, k in uniroots.binary_roots(*e)[0]:
+            found, blockers = _points_on_line([fm, gm], r)
             if len(found) != 1 or blockers:
                 break
             points.append((_map_point(m, found[0]), k))
@@ -918,16 +891,16 @@ def _line_numbers(f: Poly, line: Poly) -> list[tuple[ProjPoint, int]]:
     component of f, and otherwise I_P(f, L) is the order of f(s, t) at the
     parameter of P (Fulton, Algebraic Curves, ch. 3).  So the rational
     roots (s : 1) of f(s, 1), and (1 : 0) with order the degree deficit
-    (`_rational_lines`), are the rational common points with their
+    (`uniroots.binary_roots`), are the rational common points with their
     numbers; no eliminant is formed.
     """
     restricted, param = restrict_to_line(f, line)
     if not any(restricted):
         raise CurveError("curves share a component; intersection numbers are undefined")
-    points = [
-        (ProjPoint.of(*(a * s + b * t for a, b in param)), order)
-        for s, t, order in _rational_lines((uniroots.trim(restricted), f.total_degree()))[0]
-    ]
+    points = []
+    for r, order in uniroots.binary_roots(restricted, f.total_degree())[0]:
+        s, t = _direction_point(r)
+        points.append((ProjPoint.of(*(a * s + b * t for a, b in param)), order))
     return sorted(points, key=lambda pm: pm[0].coords())
 
 

@@ -9,7 +9,9 @@ primes with an exact trial-division check at the end.  One inverse-free
 Euclid modulo m gives both the resultant and the gcd modulo a prime, and
 so every coprimality test modulo a prime: for nonzero a and b,
 Res(a, b) = 0 exactly when gcd(a, b) is not constant, and `coprime_mod_p`
-certifies by one prime that integral binary forms share no root.  The
+certifies by one prime that integral binary forms share no root.
+`binary_roots` reads the rational roots of such a form, (1 : 0) included:
+the tangent cones, eliminants and line restrictions of `curves`.  The
 modular helpers (resultant, interpolation, CRT) also serve the
 multivariate resultant in `poly`, and the slot decoder of packed ints
 serves `Poly.substitute`.
@@ -258,6 +260,23 @@ def coprime_mod_p(forms: list[tuple[list[int], int]], p: int) -> bool:
     for a in lists:
         g = _euclid_mod(g, a, p)[2]
     return deg(g) == 0
+
+
+def binary_roots(coeffs: list[int], degree: int) -> tuple[list[tuple[Fraction | None, int]], list[int]]:
+    """The rational roots of a nonzero integral binary form C(x, z), given
+    as `coprime_mod_p` reads one: the integer list of C(t, 1) and the
+    formal degree d.  Each root is a direction with its order: r for
+    (r : 1), the roots of the list with their multiplicities
+    (`rational_roots_int`), then None for (1 : 0), whose order is the
+    deficit d - deg C(t, 1), as z**(d - deg) divides C.  Also the primitive
+    cofactor of C(t, 1) once its rational linear factors are divided out.
+    """
+    coeffs = trim(list(coeffs))
+    roots, cofactor = rational_roots_int(coeffs)
+    dirs: list[tuple[Fraction | None, int]] = list(roots.items())
+    if degree > deg(coeffs):
+        dirs.append((None, degree - deg(coeffs)))
+    return dirs, cofactor
 
 
 def unpack_slots(val: int, size: int) -> list[int]:

@@ -157,6 +157,24 @@ def test_bad_params_fragment_is_usage(capsys):
     assert (code, out, err) == (2, "", "error: --params sets a twice\n")
 
 
+def test_an_empty_params_fragment_is_skipped(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "y^2*z - x^3", "--params", "a=1,,b=2", "--json")
+    assert code == 0
+    assert json.loads(out)["params"] == {"a": "1", "b": "2", "c": "0"}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["resolve", "y^2*z - x^3", "--point", "1,x,0"], "bad rational in --point: '1,x,0'"),
+        (["resolve", "y^2*z - x^3", "--point", "0,0,0"], "(0 : 0 : 0) is not a projective point"),
+        (["transform", "y^2*z - x^3", "--map", "x;y;(z"], "cannot parse --map: expected ')' (at position 2)"),
+    ],
+)
+def test_a_bad_point_or_map_is_a_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_params_reach_the_curve_builders(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "corpus:node-cubic", "--params", "c=2", "--json"
@@ -675,6 +693,23 @@ def test_analyze_json_matches_golden_output(capsys, name):
     # smooth curve.
     golden = Path(__file__).parent / "data" / f"analyze_{name}.json"
     code, out, _ = run_cli(capsys, "analyze", f"corpus:{name}", "--json")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "left, right", [("corpus:image-quintic", "corpus:rational-quintic"), ("corpus:mirror-cubic", "z")]
+)
+def test_intersect_json_matches_golden_output(capsys, left, right):
+    # tests/data/intersect_<left>_<right>.json is `intersect <left> <right>
+    # --json` at a=1,b=1,c=0, as printed while the search, the cones and the
+    # line restrictions each read the rational roots of their binary forms
+    # themselves: one cycle from an eliminant (local number 22 at the cusp,
+    # residual 3), one from a line restriction whose (1 : 0) parameter has
+    # order 2.
+    names = "_".join(arg.removeprefix("corpus:") for arg in (left, right))
+    golden = Path(__file__).parent / "data" / f"intersect_{names}.json"
+    code, out, _ = run_cli(capsys, "intersect", left, right, "--json")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
 

@@ -883,7 +883,7 @@ def test_intersection_cycle_rejects_a_line_with_an_irrational_common_point(monke
     # x = y through (0 : 0 : 1), (1 : 1 : 1) and (-1 : -1 : 1), and the one
     # to (2 : 1 : 4) succeeds: three eliminants.
     fp, gp = Y**3 - 2 * Y * Z**2 + X * Z**2, Y**3 - 2 * Y * Z**2 + X * Y**2
-    found, blockers = curves._points_on_line([fp, gp], Fraction(0), Fraction(1))
+    found, blockers = curves._points_on_line([fp, gp], Fraction(0))
     assert found == [ProjPoint.of(0, 0, 1)]
     assert [str(b.factor) for b in blockers] == ["y^2 - 2"]
     # Oracle: Res_y at z = 1 is x^3 (x - 1) (x + 1) up to a constant, so
@@ -1091,7 +1091,9 @@ def _singular_search_reference(f: Poly, delta: int | None = None) -> SingularLoc
     ignores `delta`, the vertex invariant the search may divide out.
 
     Candidate lines are the rational roots of the gcd of the first two
-    nonzero eliminants, and (1 : 0) when both vanish there; the blocker is
+    distinct nonzero eliminants, and (1 : 0) when both vanish there (two
+    pairs that share a member free of y both give that member, and its gcd
+    with itself would offer all of it as a line or a blocker); the blocker is
     the squarefree part of what is left of that gcd once its rational
     linear factors are removed.
     The eliminants are Poly forms from the public resultant_wrt, and a
@@ -1105,22 +1107,21 @@ def _singular_search_reference(f: Poly, delta: int | None = None) -> SingularLoc
         if a is b:
             continue
         e = _eliminant_y_reference(a, b)
-        if e is not None and not e.is_zero():
+        if e is not None and not e.is_zero() and e not in elims:
             elims.append(e)
         if len(elims) == 2:
             break
     blockers: list[ExtensionFieldSingularity] = []
-    cands: list[tuple[Fraction, Fraction]] = []
+    cands: list[Fraction | None] = []
     glist = [_binary_to_uni(e) for e in elims]
     gg = glist[0]
     for extra in glist[1:]:
         gg = uniroots.gcd_int(gg, extra)
     if uniroots.deg(gg) > 0 or all(_infinity_root(e) for e in elims):
         roots, leftover = uniroots.rational_roots_int(gg)
-        for r in roots:
-            cands.append((r, Fraction(1)))
+        cands.extend(roots)
         if all(_infinity_root(e) for e in elims):
-            cands.append((Fraction(1), Fraction(0)))
+            cands.append(None)
         if uniroots.deg(leftover) > 0:
             blockers.append(
                 ExtensionFieldSingularity(
@@ -1129,8 +1130,8 @@ def _singular_search_reference(f: Poly, delta: int | None = None) -> SingularLoc
                 )
             )
     points = []
-    for x0, z0 in cands:
-        found, blk = curves._points_on_line(live, x0, z0)
+    for r in cands:
+        found, blk = curves._points_on_line(live, r)
         points.extend(found)
         blockers.extend(blk)
     if all(p.evaluate((0, 1, 0)) == 0 for p in live):
@@ -1574,22 +1575,24 @@ def test_a_partial_free_of_y_is_its_pairs_image(curve, points, lines, monkeypatc
     # F_x, 3 x^2 + a z^2 and 3 z^2 - 3 x^2, is free of y: it is the first
     # pair's image in the certificate.  weierstrass-cubic's F_x shares no
     # root with the second image, so the search reads no candidate lines
-    # (`_rational_lines`).  The nodal cubic's node (1 : 0 : 1) lies on the
-    # line x = z through the centre, so (1 : 1) is a root of both images,
-    # the certificate fails, and the exact path, whose e1 is F_x again,
-    # finds the node.
-    from unicusp import curves
+    # (`uniroots.binary_roots` called from the search; the walks' cones
+    # pass through it too).  The nodal cubic's node (1 : 0 : 1) lies on
+    # the line x = z through the centre, so (1 : 1) is a root of both
+    # images, the certificate fails, and the exact path, whose e1 is F_x
+    # again, finds the node.
+    calls, real = [], uniroots.binary_roots
 
-    calls, real = [], curves._rational_lines
+    def spy(coeffs, degree):
+        if sys._getframe(1).f_code.co_name == "_singular_search":
+            calls.append((coeffs, degree))
+        return real(coeffs, degree)
 
-    def spy(e):
-        calls.append(e)
-        return real(e)
-
-    monkeypatch.setattr(curves, "_rational_lines", spy)
+    monkeypatch.setattr(uniroots, "binary_roots", spy)
     locus = find_rational_singular_points(curve)
     assert (locus.points, locus.blockers) == (points, [])
     assert calls == lines
+    monkeypatch.undo()
+    _assert_search_agrees(curve.poly)
 
 
 def _germ_by_substitution(p: Poly, point: ProjPoint) -> Poly:

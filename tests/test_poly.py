@@ -779,6 +779,34 @@ def test_resultant_wrt_homogeneous_matches_sylvester_determinant():
         checked += 1
 
 
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        # forms: a zero input, m = 0, n = 0, and both
+        (Poly.zero(), X * Y - Z**2),
+        (X**2 - 3 * Z**2, X * Y**2 + Z**3),
+        (X * Y**2 + 2 * Z**3, X - Z),
+        (2 * X**2 + Z**2, X - 5 * Z),
+        # bivariate inputs, the same four cases
+        (X * Y + 1, Poly.zero()),
+        (X**2 - 3, X * Y**2 + 1),
+        (X * Y**2 + 2, X - 1),
+        (2 * X + 1, X**3 - 5),
+    ],
+)
+def test_resultant_wrt_degenerate_inputs_match_sympy(p, q):
+    # A zero input gives 0; an input free of y gives its power
+    # Res_y(p, q) = p**deg_y q (q**deg_y p for the second), and 1 when both
+    # are free of y: the returns before the integer kernel.
+    import sympy
+
+    def text(t):
+        return sympy.sympify(poly_to_text(t).replace("^", "**"))
+
+    expected = sympy.resultant(text(p), text(q), sympy.Symbol("y"))
+    assert sympy.expand(text(resultant_wrt(p, q, 1)) - expected) == 0
+
+
 def test_resultant_wrt_homogeneous_small_sizes_match_sylvester_determinant():
     rng = random.Random(1972)
     sizes = set()

@@ -173,6 +173,21 @@ def test_coprime_mod_p_on_small_forms():
     assert ur.coprime_mod_p([(mul_uni(t, t1), 2), (mul_uni(t, t2), 2), (mul_uni(t1, t2), 2)], p)
 
 
+def test_binary_roots_reads_directions_with_their_orders():
+    # z**2 * (2x - z)**3 * (x**2 + z**2): the list of (t, 1) falls short of
+    # the formal degree 7 by 2, so (1 : 0) comes last with order 2
+    form = mul_uni(mul_uni(mul_uni([-1, 2], [-1, 2]), [-1, 2]), [1, 0, 1])
+    assert ur.binary_roots(form, 7) == ([(F(1, 2), 3), (None, 2)], [1, 0, 1])
+    # x**2 * z: the root 0 of order 2, then (1 : 0); a list with zeros at
+    # the top is read as its trimmed list, and the caller's list is kept
+    cone = [0, 0, 1, 0]
+    assert ur.binary_roots(cone, 3) == ([(F(0), 2), (None, 1)], [1])
+    assert cone == [0, 0, 1, 0]
+    # z**3: only (1 : 0); at full degree there is no (1 : 0)
+    assert ur.binary_roots([5], 3) == ([(None, 3)], [1])
+    assert ur.binary_roots([-6, 1, 1], 2) == ([(F(-3), 1), (F(2), 1)], [1])
+
+
 def test_coprime_mod_p_is_sound_and_decides_at_a_large_prime():
     rng = random.Random(2718)
     p = next(ur.large_primes())
