@@ -139,7 +139,10 @@ def strict_transform(
     m: CremonaMap, curve: PlaneCurve, exceptional: list[PlaneCurve]
 ) -> PlaneCurve:
     """Pullback with every power of the declared exceptional curves removed
-    (on integer coefficients, by `strip_factors`).
+    (on integer coefficients, by `strip_factors`, whose exact divisions
+    grow with the log of the power: the degree-75 pullback of
+    `image-deg15` under the quintic involution is the conic's 36th power
+    times a cubic).
 
     The squarefree check runs once.  A repeated factor left after that
     is an exceptional curve missing from `exceptional`, so CremonaError is

@@ -303,11 +303,19 @@ class Poly:
         sum |v|*|psi_0|^a*|psi_1|^b*|psi_2|^c in absolute value, |psi| the
         sum of the absolute coefficients, so W is that bound's bit length
         plus a sign bit, rounded up to whole bytes, and the slots are read
-        back by `uniroots.unpack_slots`.  t is the variable in
-        which the result can have the largest degree (y on ties).  When
-        self is homogeneous and the images are nonzero forms of one degree
-        k, the images are evaluated at z = 1, which merges no terms, and
-        the result is re-homogenized to degree k*deg(self).
+        back by `uniroots.unpack_slots`.
+
+        The chart.  The reach of x_j, sum_i deg_{x_i}(self) times the top
+        degree of x_j in image i, bounds the result's degree in x_j.  t is
+        the variable of largest reach (y, then x, then z on ties), so the
+        ints are long and the keys few.  When self is homogeneous and the
+        images are nonzero forms of one degree k, the images are also
+        evaluated at 1 in the variable of middle reach, which merges no
+        terms; the keys then run over the variable of least reach alone,
+        and each decoded term gets the middle exponent that makes its
+        degree k*deg(self).  The quintic involution's components have
+        degree at most 3 in z but up to 5 in x, so its pullbacks are keyed
+        on z.
 
         Evaluation is nested three deep, one variable of self per level.
         The innermost level is a sum of integer multiples of its image's
@@ -319,11 +327,6 @@ class Poly:
         if not self._num:
             return Poly.zero()
         cleared = [(g._num, g._den) for g in images]
-        forms = {a + b + c for psi, _ in cleared for (a, b, c) in psi}
-        degree = -1  # the result's total degree when the inputs are forms
-        if len(forms) == 1 and all(psi for psi, _ in cleared) and self.is_homogeneous():
-            degree = forms.pop() * self.total_degree()
-            cleared = [({(a, b, 0): c for (a, b, _), c in psi.items()}, ell) for psi, ell in cleared]
         own = self._num
         cols = list(zip(*own))  # the exponents of each variable
         degs = [max(col) for col in cols]
@@ -331,7 +334,14 @@ class Poly:
         for d, (psi, _) in zip(degs, cleared):
             for j, top in enumerate(map(max, zip(*psi))):
                 reach[j] += d * top
-        t = max((1, 0, 2), key=reach.__getitem__)
+        least, chart, t = sorted((2, 0, 1), key=reach.__getitem__)
+        forms = {a + b + c for psi, _ in cleared for (a, b, c) in psi}
+        degree = -1  # the result's total degree when the inputs are forms
+        if len(forms) == 1 and all(psi for psi, _ in cleared) and self.is_homogeneous():
+            degree = forms.pop() * self.total_degree()
+            cleared = [
+                ({e[:chart] + (0,) + e[chart + 1 :]: k for e, k in psi.items()}, ell) for psi, ell in cleared
+            ]
         u, w = ((1, 2), (0, 2), (0, 1))[t]
         stride = reach[w] + 1  # no key's w-exponent reaches it
 
@@ -376,7 +386,7 @@ class Poly:
                 if c:
                     exps[t] = j
                     if degree >= 0:
-                        exps[2] = degree - exps[0] - exps[1]
+                        exps[chart] = degree - exps[least] - j
                     out[(exps[0], exps[1], exps[2])] = c
         return Poly._of(out, self._den * scale[0][0] * scale[1][0] * scale[2][0])
 
@@ -586,14 +596,35 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
 
 def strip_factors(p: Poly, factors: Iterable[Poly]) -> Poly:
     """p with every power of each nonconstant factor divided out, factor by
-    factor, by `exact_divide` until it stops dividing."""
+    factor.
+
+    The largest k with f^k | p is found by `exact_divide` alone, so the
+    result is exact.  The first probe divides p by f, and a factor that
+    does not divide costs just that one failing division.  Then f^lo
+    divides p with lo = 1, and f^hi does not for hi = deg p // deg f + 1,
+    as its degree exceeds p's.  The probes k = hi - 1, hi - 3, hi - 7, ...
+    gallop down from that bound until one divides, and then bisect between
+    the last exponent that divided and the last that did not.  Each probe
+    divides the quotient p / f^lo by f^(k - lo), so a power at the degree
+    bound costs two divisions and any power O(log(deg p / deg f)).
+    """
     if p.is_zero():
         return p
     for f in factors:
         if f.is_constant():
             raise ValueError("strip_factors needs nonconstant factors")
-        while (quot := exact_divide(p, f)) is not None:
-            p = quot
+        quot = exact_divide(p, f)
+        if quot is None:
+            continue
+        lo, hi, step = 1, p.total_degree() // f.total_degree() + 1, 1
+        while hi - lo > 1:
+            k = max(hi - step, lo + 1) if step else (lo + hi) // 2
+            probe = exact_divide(quot, f ** (k - lo))
+            if probe is None:
+                hi, step = k, 2 * step
+            else:
+                lo, quot, step = k, probe, 0
+        p = quot
     return p
 
 

@@ -723,3 +723,15 @@ def test_resolve_json_matches_golden_output(capsys, name):
     code, out, _ = run_cli(capsys, "resolve", f"corpus:{name}", "--json")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_transform_json_matches_golden_output(capsys):
+    # tests/data/transform_image-deg15.json is `transform corpus:image-deg15
+    # --json` at a=1,b=1,c=0, as printed while Poly.substitute still
+    # evaluated every form at z = 1 and strip_factors divided one power at a
+    # time: the degree-75 pullback, Q^36 times the mirror cubic, stripped
+    # of the conic Q.
+    golden = Path(__file__).parent / "data" / "transform_image-deg15.json"
+    code, out, _ = run_cli(capsys, "transform", "corpus:image-deg15", "--json")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")

@@ -349,21 +349,69 @@ def test_exact_divide_agrees_with_fraction_reference_on_edge_cases():
         exact_divide(X, Poly.zero())
 
 
+def _spy_divisions(monkeypatch):
+    """Patch poly.exact_divide to count its calls; return the counter."""
+    from unicusp import poly
+
+    calls = [0]
+    divide = poly.exact_divide
+
+    def spy(p, q):
+        calls[0] += 1
+        return divide(p, q)
+
+    monkeypatch.setattr(poly, "exact_divide", spy)
+    return calls
+
+
 def test_strip_factors_divides_every_power_out():
     f2 = X * Z - Y**2
     line = Fraction(3, 2) * X - Z
     core = X**3 + Fraction(1, 3) * Y**2 * Z - 2 * Z**3
     p = Fraction(-7, 5) * core * f2**4 * line**2
     got = strip_factors(p, [3 * f2, line])
-    want = p
-    for f in (3 * f2, line):
-        while (q := exact_divide(want, f)) is not None:
-            want = q
-    assert got.terms == want.terms and proportional(got, core)
+    assert got.terms == _ref_strip(p, [3 * f2, line]).terms and proportional(got, core)
     assert strip_factors(p, []) == p
     assert strip_factors(Poly.zero(), [f2]).is_zero()
     with pytest.raises(ValueError):
         strip_factors(p, [Poly.const(2)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 11, 36])
+def test_strip_factors_finds_each_exponent(k, monkeypatch):
+    f2 = 3 * X * Z - Fraction(1, 2) * Y**2
+    line = X - 2 * Y + Fraction(1, 3) * Z
+    core = X**3 + Fraction(1, 3) * Y**2 * Z - 2 * Z**3
+    calls = _spy_divisions(monkeypatch)
+    # An exact power leaves a constant; the degree bound is k itself.
+    power = Fraction(-5, 7) * f2**k
+    got = strip_factors(power, [f2])
+    assert got.terms == _ref_strip(power, [f2]).terms == {(0, 0, 0): Fraction(-5, 7)}
+    # Two factors with different powers, the second exponent well below its
+    # degree bound (the core and the conic's powers count towards it).
+    mixed = Fraction(2, 3) * core * f2**k * line ** (k // 2 + 1)
+    calls[0] = 0
+    got = strip_factors(mixed, [f2, line])
+    assert got.terms == _ref_strip(mixed, [f2, line]).terms and proportional(got, core)
+    # A factor that does not divide costs one failing division.
+    calls[0] = 0
+    assert strip_factors(core * line, [f2]) == core * line
+    assert calls[0] == 1
+
+
+def test_strip_factors_takes_logarithmically_many_divisions(monkeypatch):
+    # The degree-75 pullback of image-deg15 is Q^36 times the mirror cubic,
+    # Q the base conic: one division per power took 37.
+    from unicusp.corpus import DEFAULT_PARAMS, curve_by_name
+    from unicusp.cremona import base_conic
+
+    ps = DEFAULT_PARAMS[1]
+    mirror = curve_by_name("mirror-cubic", ps).poly
+    total = Fraction(-3, 8) * base_conic() ** 36 * mirror
+    calls = _spy_divisions(monkeypatch)
+    got = strip_factors(total, [base_conic()])
+    assert got.terms == (Fraction(-3, 8) * mirror).terms
+    assert calls[0] <= 2 * math.ceil(math.log2(37)) + 2
 
 
 def test_dehomogenize_is_substitution_of_one():
@@ -545,6 +593,59 @@ def test_substitute_matches_reference_on_blowup_charts():
                     charts += 1
                 g = blow_up_once(g, m, r)
     assert charts >= 60
+
+
+def _relabel(p, perm):
+    """p with variable i renamed perm[i]."""
+    out = {}
+    for e, k in p.terms.items():
+        ne = [0, 0, 0]
+        for i in range(3):
+            ne[perm[i]] = e[i]
+        out[tuple(ne)] = k
+    return Poly(out)
+
+
+def test_substitute_keys_form_images_on_their_least_reach_variable(monkeypatch):
+    # The reach of x_j is sum_i deg_{x_i}(f) * deg_{x_j}(image_i), a bound on
+    # the result's degree in x_j.  Forms are keyed on the variable of least
+    # reach, so the decode unpacks one int per exponent of that variable in
+    # the result.
+    from unicusp import uniroots
+
+    f = 2 * X**4 - Fraction(1, 3) * X**2 * Y * Z + X * Y**3 - 5 * Y**2 * Z**2 + X * Z**3 + Fraction(7, 2) * Z**4
+    # Cubics of degree 3 in x, 2 in y and 1 in z (reaches 33, 22 and 11),
+    # relabelled so that the least reach falls on z, x and y, the last with
+    # z in the middle.
+    base = (
+        X**3 - 2 * X * Y**2 + Y**2 * Z,
+        Fraction(1, 3) * X**3 + X * Y**2 - X * Y * Z,
+        Fraction(-4, 5) * X**3 + X**2 * Z - Y**2 * Z,
+    )
+    cases = [tuple(_relabel(g, perm) for g in base) for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1))]
+    # Images that miss x, images that miss z, and constants.
+    cases += [
+        (Y * Z, Z**2 - Y**2, 3 * Y**2),
+        (X, Fraction(1, 2) * Y, 2 * X - Y),
+        (Poly.const(2), Poly.const(Fraction(-1, 3)), Poly.const(5)),
+    ]
+    unpacked = [0]
+    unpack_slots = uniroots.unpack_slots
+
+    def spy(value, size):
+        unpacked[0] += 1
+        return unpack_slots(value, size)
+
+    monkeypatch.setattr(uniroots, "unpack_slots", spy)
+    least = []
+    for images in cases:
+        reach = [sum(f.degree_in(i) * g.degree_in(j) for i, g in enumerate(images)) for j in range(3)]
+        least.append(reach.index(min(reach)))
+        unpacked[0] = 0
+        got = f.substitute(images)
+        assert got.terms == _substitute_reference(f, images).terms == _sympy_substitute(f, images)
+        assert unpacked[0] == len({e[least[-1]] for e in got.terms}), (images, reach)
+    assert least == [2, 0, 1, 1, 0, 2, 0]
 
 
 def test_substitute_zero_and_constant_images():
