@@ -383,14 +383,15 @@ def test_strip_factors_finds_each_exponent(k, monkeypatch):
     line = X - 2 * Y + Fraction(1, 3) * Z
     core = X**3 + Fraction(1, 3) * Y**2 * Z - 2 * Z**3
     calls = _spy_divisions(monkeypatch)
-    # An exact power leaves a constant; the degree bound is k itself.
+    # An exact power leaves a constant.  Its degree bound is k itself, so
+    # k >= 2 takes the probe by f and the one at the bound.
     power = Fraction(-5, 7) * f2**k
     got = strip_factors(power, [f2])
+    assert calls[0] == min(max(k, 1), 2)
     assert got.terms == _ref_strip(power, [f2]).terms == {(0, 0, 0): Fraction(-5, 7)}
     # Two factors with different powers, the second exponent well below its
     # degree bound (the core and the conic's powers count towards it).
     mixed = Fraction(2, 3) * core * f2**k * line ** (k // 2 + 1)
-    calls[0] = 0
     got = strip_factors(mixed, [f2, line])
     assert got.terms == _ref_strip(mixed, [f2, line]).terms and proportional(got, core)
     # A factor that does not divide costs one failing division.
